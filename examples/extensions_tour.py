@@ -8,16 +8,16 @@ or future work:
 2. **phrase search** — positional postings verify adjacency on top of
    the engine's intersection path;
 3. **second-stage re-ranking** — the software stage after BOSS's top-k;
-4. **near-real-time updates** — a delta segment over the read-only
-   index, merged on demand.
+4. **near-real-time updates** — a live segmented index: a write buffer
+   over sealed read-only segments, compacted on demand.
 
 Run:  python examples/extensions_tour.py
 """
 
 from repro.core import BossAccelerator, BossConfig
 from repro.index import IndexBuilder
-from repro.index.delta import DeltaIndex
 from repro.index.positions import PhraseSearcher, PositionStore
+from repro.live import LiveIndexWriter
 from repro.rerank import LinearReranker, TwoStageSearch
 from repro.text import Analyzer
 
@@ -61,18 +61,23 @@ def main() -> None:
           f"({reranked.candidates} candidates rescored in "
           f"{reranked.rerank_seconds * 1e6:.1f} us of host time)")
 
-    # 4. Live updates: a breaking article lands in the delta segment.
-    live = DeltaIndex(engine)
+    # 4. Live updates: the corpus is sealed into a read-only segment,
+    # then a breaking article lands in the write buffer.
+    live = LiveIndexWriter()
+    for tokens in documents:
+        live.add_document(tokens)
+    live.flush()
     new_doc = analyzer.analyze(
         "Breaking: a new memory pool standard was announced today."
     )
     doc_id = live.add_document(new_doc)
-    fresh = live.search('"memory" AND "pool"', k=5)
+    fresh = live.index.search('"memory" AND "pool"', k=5)
     print(f"\nafter adding doc {doc_id}: 'memory AND pool' finds "
-          f"{[h.doc_id for h in fresh.hits]} (delta segment holds "
-          f"{live.delta_docs} doc)")
-    merged = live.merge()
-    print(f"merge() -> compacted index with {merged.stats.num_docs} docs, "
+          f"{[h.doc_id for h in fresh.hits]} (write buffer holds "
+          f"{len(live.index.memseg)} doc)")
+    live.flush()
+    live.scheduler.compact_all()
+    print(f"compact_all() -> one segment with {live.index.num_docs} docs, "
           f"fresh statistics")
 
 

@@ -67,7 +67,6 @@ from repro.index import (
     open_index,
 )
 from repro.index.binaryio import load_index_binary, save_index_binary
-from repro.index.io import load_index, save_index
 from repro.live import (
     DurableLiveIndexWriter,
     LiveIndexWriter,
@@ -123,8 +122,6 @@ __all__ = [
     "InvertedIndex",
     "BM25Parameters",
     "BM25Scorer",
-    "save_index",
-    "load_index",
     "save_index_binary",
     "load_index_binary",
     "load_index_mmap",

@@ -29,7 +29,7 @@ from repro.decompressor.configs import BUILTIN_PROGRAMS
 from repro.decompressor.program import DecompressorProgram, parse_program
 from repro.errors import ConfigurationError, QueryError
 from repro.index.index import InvertedIndex
-from repro.index.loader import open_index
+from repro.index.mmapio import open_index
 from repro.observability.observer import NULL_OBSERVER, Observer
 
 #: Hardware limit: four chained BOSS cores of 4-way mergers (Section IV-D).
@@ -71,8 +71,7 @@ class BossSession:
 
     def init(self, index: Union[InvertedIndex, str, Path],
              config_file: Union[str, Path, None] = None,
-             storage: str = "auto",
-             trust_pickle: bool = True) -> None:
+             storage: str = "auto") -> None:
         """Load the index into the pool and configure the device.
 
         ``index`` is an index file path (the paper's ``indexFile``) or an
@@ -81,16 +80,12 @@ class BossSession:
         the built-in programs for the five paper schemes are always
         registered.
 
-        ``storage`` selects the on-disk backend for a path argument
-        (see :func:`repro.index.loader.open_index`): ``auto`` serves
-        ``.bossx`` files zero-copy via mmap and falls back to the
-        pickle snapshot format otherwise. Pass ``trust_pickle=False``
-        when the path may come from an untrusted source — unpickling
-        executes code chosen by the file's author.
+        ``storage`` selects how a ``.bossx`` path argument is held in
+        memory (see :func:`repro.index.mmapio.open_index`): ``auto``
+        serves it zero-copy via mmap.
         """
         if isinstance(index, (str, Path)):
-            index = open_index(index, storage=storage,
-                               trust_pickle=trust_pickle)
+            index = open_index(index, storage=storage)
         from repro.live.segments import SegmentedIndex
 
         self._index = index

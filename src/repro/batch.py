@@ -38,7 +38,7 @@ from repro.errors import ConfigurationError
 MAX_DEFAULT_WORKERS = 8
 
 
-def _percentile(sorted_values: Sequence[float], q: float) -> float:
+def percentile(sorted_values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile of an ascending-sorted sequence.
 
     Empty samples yield 0.0 (same guard as ``queries_per_second``) so a
@@ -83,15 +83,15 @@ class BatchReport:
 
     @property
     def p50_seconds(self) -> float:
-        return _percentile(sorted(self.per_query_seconds), 0.50)
+        return percentile(sorted(self.per_query_seconds), 0.50)
 
     @property
     def p95_seconds(self) -> float:
-        return _percentile(sorted(self.per_query_seconds), 0.95)
+        return percentile(sorted(self.per_query_seconds), 0.95)
 
     @property
     def p99_seconds(self) -> float:
-        return _percentile(sorted(self.per_query_seconds), 0.99)
+        return percentile(sorted(self.per_query_seconds), 0.99)
 
     @property
     def degraded_fraction(self) -> float:

@@ -24,7 +24,11 @@ throughput per pass (later passes hit the warm decoded-block cache).
 ``serve`` drives the online serving layer (:mod:`repro.serving`) with
 an open-loop Poisson workload: bounded admission queue, configurable
 admission policy (``reject`` / ``shed-oldest`` / ``deadline``),
-per-query SLO deadlines, and shed/degraded accounting — see
+per-query SLO deadlines, and shed/degraded accounting. It is one code
+path: a base target (synthetic corpus, ``--index``, ``--shards`` or
+``--update-mix``), an optional ``--rebalance-script`` / ``--hybrid``
+layer, and ``--planner`` choosing the windowed server; flag pairs that
+do not compose are refused by one table (:data:`SERVE_REFUSALS`) — see
 ``docs/serving.md``. ``demo`` builds a small synthetic corpus and
 prints the BOSS/IIU/Lucene comparison.
 
@@ -52,6 +56,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from typing import List, Optional
 
 from repro.baselines import IIUAccelerator, IIUConfig, LuceneConfig, LuceneEngine
@@ -59,8 +64,7 @@ from repro.core import BossAccelerator, BossConfig
 from repro.errors import ReproError
 from repro.index import IndexBuilder
 from repro.index.binaryio import save_index_binary
-from repro.index.io import save_index
-from repro.index.loader import STORAGE_MODES, open_index
+from repro.index.mmapio import STORAGE_MODES, open_index
 from repro.sim.timing import BossTimingModel, IIUTimingModel, LuceneTimingModel
 
 
@@ -82,11 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run the full analysis chain (lowercase, "
                             "stop words, S-stemming) instead of "
                             "whitespace tokenization")
-    build.add_argument("--format", choices=("binary", "pickle"),
-                       default="binary",
-                       help="output format (default: binary .bossx — "
-                            "parse-only, mmap-servable; pickle files "
-                            "need --trust-pickle to load)")
 
     info = sub.add_parser("info", help="describe an index file")
     info.add_argument("--index", required=True)
@@ -336,26 +335,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_storage_arguments(command) -> None:
-    """Index-loading flags shared by every command that takes --index.
-
-    Safe by default: pickle snapshots (which execute code on load) are
-    refused unless the user passes ``--trust-pickle``. Binary ``.bossx``
-    files are served zero-copy via mmap.
-    """
+    """Index-loading flag shared by every command that takes --index."""
     command.add_argument("--storage", choices=STORAGE_MODES,
                          default="auto",
-                         help="index storage backend (auto sniffs the "
-                              "file: .bossx -> mmap, else pickle)")
-    command.add_argument("--trust-pickle", action="store_true",
-                         help="allow loading pickle index snapshots "
-                              "(unpickling can execute arbitrary code; "
-                              "only for files you built yourself)")
+                         help="how the .bossx index is held in memory "
+                              "(auto = mmap: zero-copy views of the "
+                              "file; binary = read fully into memory)")
 
 
 def _load_cli_index(args):
-    """Open ``args.index`` honoring the storage/trust flags."""
-    return open_index(args.index, storage=args.storage,
-                      trust_pickle=args.trust_pickle)
+    """Open ``args.index`` honoring the storage flag."""
+    return open_index(args.index, storage=args.storage)
 
 
 def _add_fault_arguments(command) -> None:
@@ -384,6 +374,19 @@ def _add_fault_arguments(command) -> None:
                        help="per-attempt leaf timeout (ms)")
     group.add_argument("--cluster-docs", type=int, default=1200,
                        help="synthetic documents behind the cluster")
+
+
+#: Query vocabulary of the synthetic documents behind ``--shards``.
+_CLUSTER_VOCAB = [f"t{i}" for i in range(40)]
+
+
+def _terms_by_df(index) -> List[str]:
+    """An index file's vocabulary, most frequent term first."""
+    return sorted(
+        index.terms,
+        key=lambda t: index.posting_list(t).document_frequency,
+        reverse=True,
+    )
 
 
 def _build_fault_cluster(args, k: int, clock=None):
@@ -441,13 +444,9 @@ def _cmd_build(args) -> int:
             builder.add_document(tokens if tokens else ["__empty__"])
             count += 1
     index = builder.build()
-    if args.format == "binary":
-        save_index_binary(index, args.output)
-    else:
-        save_index(index, args.output)
+    save_index_binary(index, args.output)
     print(f"indexed {count} documents, {index.num_terms} terms, "
-          f"{index.compressed_bytes} compressed bytes -> {args.output} "
-          f"({args.format})")
+          f"{index.compressed_bytes} compressed bytes -> {args.output}")
     return 0
 
 
@@ -774,11 +773,7 @@ def _cmd_bench(args) -> int:
         return _cmd_bench_cluster(args)
     if args.index:
         index = _load_cli_index(args)
-        terms_by_df = sorted(
-            index.terms,
-            key=lambda t: index.posting_list(t).document_frequency,
-            reverse=True,
-        )
+        terms_by_df = _terms_by_df(index)
     else:
         from repro.workloads import make_corpus
 
@@ -843,8 +838,7 @@ def _cmd_bench_cluster(args) -> int:
             "--shards benches a synthetic sharded corpus; drop --index"
         )
     cluster, _sharded = _build_fault_cluster(args, args.k)
-    vocab = [f"t{i}" for i in range(40)]
-    sampler = QuerySampler(vocab, seed=args.seed)
+    sampler = QuerySampler(_CLUSTER_VOCAB, seed=args.seed)
     unique = max(1, min(args.unique, args.queries))
     queries = [
         spec.expression
@@ -933,83 +927,87 @@ def _build_live_writer(seed: int, num_docs: int, vocab_size: int,
     return writer, vocab
 
 
+#: ``serve`` flag pairs that do not compose, and why. A pair is either
+#: in this table or it is served (``docs/serving.md`` mirrors it).
+SERVE_REFUSALS = (
+    ("shards", "index",
+     "--shards serves a synthetic sharded corpus"),
+    ("update_mix", "index",
+     "--update-mix serves a live synthetic corpus"),
+    ("update_mix", "shards",
+     "the live index is not sharded"),
+    ("update_mix", "planner",
+     "the planner cannot follow a live index's changing segment engines"),
+    ("hybrid", "index",
+     "--hybrid builds its vector lane over a synthetic corpus"),
+    ("hybrid", "shards",
+     "the vector lane is not sharded"),
+    ("hybrid", "update_mix",
+     "the vector lane is built once over a read-only corpus"),
+    ("hybrid", "planner",
+     "the planner does not see the vector lane's traffic"),
+)
+
+
 def _cmd_serve(args) -> int:
-    """``serve``: sustained open-loop load through the serving layer."""
+    """``serve``: sustained open-loop load through the serving layer.
+
+    One path for every flag set: build the base target, layer
+    rebalance / hybrid over it, build the requests, pick the server,
+    and print one report — a shared section plus one per layer.
+    """
     import json
 
     from repro.errors import ConfigurationError
-    from repro.serving import QueryServer, ServingConfig, zipf_workload
+    from repro.serving import splice_requests, zipf_workload
 
-    if args.hybrid:
-        if args.planner or args.update_mix or args.shards \
-                or args.rebalance_script:
+    for first, second, why in SERVE_REFUSALS:
+        if getattr(args, first) and getattr(args, second):
             raise ConfigurationError(
-                "--hybrid serves a single-engine hybrid target; drop "
-                "--planner/--update-mix/--shards/--rebalance-script"
+                f"serve cannot combine --{first.replace('_', '-')} with "
+                f"--{second.replace('_', '-')}: {why}"
             )
-        return _serve_hybrid(args)
-    if args.rebalance_script:
-        if args.update_mix or args.planner:
-            raise ConfigurationError(
-                "--rebalance-script runs the sharded serving path; "
-                "drop --update-mix/--planner"
-            )
-        return _serve_rebalance(args)
-    if args.update_mix:
-        if args.planner:
-            raise ConfigurationError(
-                "--planner does not serve --update-mix workloads yet"
-            )
-        return _serve_live(args)
-    if args.shards:
-        if args.index:
-            raise ConfigurationError(
-                "--shards serves a synthetic sharded corpus; drop --index"
-            )
-        target, _sharded = _build_fault_cluster(args, args.k)
-        vocab = [f"t{i}" for i in range(40)]
-    elif args.index:
-        index = _load_cli_index(args)
-        target = BossAccelerator(index, BossConfig(k=args.k))
-        vocab = sorted(
-            index.terms,
-            key=lambda t: index.posting_list(t).document_frequency,
-            reverse=True,
-        )
-    else:
-        from repro.workloads import make_corpus
-
-        corpus = make_corpus(args.preset, scale=args.scale)
-        target = BossAccelerator(corpus.index, BossConfig(k=args.k))
-        vocab = corpus.terms_by_df()
-
-    if args.planner:
-        return _serve_planned(args, target, vocab)
-
-    config = ServingConfig(
-        workers=args.workers,
-        queue_capacity=args.queue,
-        admission=args.admission,
-        deadline_seconds=(args.deadline_ms / 1e3
-                          if args.deadline_ms is not None else None),
-        k=args.k,
+    if args.rebalance_script and not args.shards:
+        raise ConfigurationError("--rebalance-script requires --shards")
+    timed_ops = (_load_rebalance_ops(args.rebalance_script)
+                 if args.rebalance_script else [])
+    target, vocab, where, sections = _serve_target(args, timed_ops)
+    config = _serve_config(args)
+    requests = zipf_workload(
+        vocab, args.queries, args.rate, unique_queries=args.unique,
+        seed=args.seed, update_mix=args.update_mix,
+        tenants=[t.name for t in config.tenants] if args.planner else None,
     )
-    requests = zipf_workload(vocab, args.queries, args.rate,
-                             unique_queries=args.unique, seed=args.seed)
-    result = QueryServer(target, config).serve(requests)
+    if timed_ops:
+        from repro.cluster import rebalance_requests
+
+        requests = splice_requests(requests, rebalance_requests(timed_ops))
+    if args.planner:
+        sections.append(partial(_planner_section, config))
+    result = _serve_server(target, config).serve(requests)
     report = result.report
+    layers = [section(requests, result) for section in sections]
 
     if args.json:
         payload = dict(report.to_dict(), rate_qps=args.rate,
-                       admission=args.admission, workers=args.workers,
-                       queue_capacity=args.queue, shards=args.shards)
+                       workers=args.workers, shards=args.shards,
+                       queue_capacity=config.queue_capacity)
+        if not args.planner:
+            payload["admission"] = args.admission
+        for stats, _lines in layers:
+            payload.update(stats)
         print(json.dumps(payload, indent=2))
         return 0
-    where = (f"{args.shards} shards x{args.replication}"
-             if args.shards else "single engine")
+    if args.planner:
+        mode = "planning on" if config.enabled else "planning OFF (baseline)"
+        how = (f"through the I/O planner ({mode}), "
+               f"window={args.plan_window:g}ms, dram={args.dram_mb:g}MiB, "
+               f"workers={args.workers}")
+    else:
+        how = (f"workers={args.workers}, queue={args.queue}, "
+               f"admission={args.admission}")
     print(f"{args.queries} requests at {args.rate:g} qps offered "
-          f"({where}), workers={args.workers}, queue={args.queue}, "
-          f"admission={args.admission}")
+          f"({where}), {how}")
     print(f"served {report.served} ({report.served_degraded} degraded), "
           f"shed {report.shed} ({report.shed_fraction:.1%})")
     if report.shed_by_reason:
@@ -1023,24 +1021,64 @@ def _cmd_serve(args) -> int:
               f"({report.slo_violation_fraction:.1%} violation incl. shed)")
     print(f"throughput: {report.achieved_qps:.1f} qps achieved vs "
           f"{report.offered_qps:.1f} offered")
-    print(f"latency ms: p50={report.p50_latency_seconds * 1e3:.2f} "
-          f"p95={report.p95_latency_seconds * 1e3:.2f} "
-          f"p99={report.p99_latency_seconds * 1e3:.2f}")
+    print(f"latency ms: p50={report.p50_latency_seconds * 1e3:.3f} "
+          f"p95={report.p95_latency_seconds * 1e3:.3f} "
+          f"p99={report.p99_latency_seconds * 1e3:.3f}")
     print(f"queue depth: mean={report.mean_queue_depth:.2f} "
           f"max={report.max_queue_depth}")
+    for _stats, lines in layers:
+        print("\n".join(lines))
     return 0
 
 
-def _serve_hybrid(args) -> int:
-    """``serve --hybrid``: hybrid traffic on the open-loop timeline.
+def _serve_target(args, timed_ops):
+    """Steps 1-2 of ``serve``: the base target, then its layer.
 
-    Service time is fully modeled (lexical device time + ANN scan time
-    + host rerank time), so the run is a pure function of the workload
-    — the same determinism contract as ``--update-mix`` serving.
+    Returns ``(target, vocab, where, sections)``: the query vocabulary
+    in descending document frequency, the header's description of what
+    is being served, and the per-layer report sections — callables
+    ``(requests, result) -> (json_stats, text_lines)``.
+
+    The live, rebalancing and hybrid targets carry a modeled
+    ``service_time`` (and the first two a virtual clock), so those runs
+    are pure functions of the seeds; a bare engine or cluster is timed
+    on the wall clock.
     """
-    import json
+    if args.update_mix:
+        from repro.live import LiveServingTarget
 
-    from repro.serving import QueryServer, ServingConfig, zipf_workload
+        num_docs = max(64, int(1600 * args.scale))
+        writer, vocab = _build_live_writer(
+            args.seed, num_docs, vocab_size=32,
+            device=_live_device(args.device))
+        return (LiveServingTarget(writer), vocab,
+                f"live index, {num_docs} initial docs on {args.device}",
+                [partial(_live_section, args, writer)])
+    if args.shards:
+        from repro.clock import VirtualClock
+        from repro.cluster import Rebalancer, RebalancingClusterTarget
+
+        where = f"{args.shards} shards x{args.replication}"
+        clock = VirtualClock() if timed_ops else None
+        cluster, sharded = _build_fault_cluster(args, args.k, clock=clock)
+        if not timed_ops:
+            return cluster, _CLUSTER_VOCAB, where, []
+        rebalancer = Rebalancer(cluster, sharded, clock=clock, k=args.k)
+        return (RebalancingClusterTarget(cluster, rebalancer),
+                _CLUSTER_VOCAB,
+                f"{where} + {len(timed_ops)} rebalance moves",
+                [partial(_rebalance_section, timed_ops, rebalancer,
+                         cluster, sharded)])
+    if args.index:
+        index = _load_cli_index(args)
+        return (BossAccelerator(index, BossConfig(k=args.k)),
+                _terms_by_df(index), "single engine", [])
+    from repro.workloads import make_corpus
+
+    corpus = make_corpus(args.preset, scale=args.scale)
+    engine = BossAccelerator(corpus.index, BossConfig(k=args.k))
+    if not args.hybrid:
+        return engine, corpus.terms_by_df(), "single engine", []
     from repro.vector import (
         HybridSearch,
         HybridServingTarget,
@@ -1048,62 +1086,60 @@ def _serve_hybrid(args) -> int:
         build_ivf,
         embed_corpus,
     )
-    from repro.workloads import make_corpus
 
-    if args.index:
-        from repro.errors import ConfigurationError
-
-        raise ConfigurationError(
-            "--hybrid builds its vector lane over a synthetic corpus; "
-            "drop --index"
-        )
-    corpus = make_corpus(args.preset, scale=args.scale)
-    engine = BossAccelerator(corpus.index, BossConfig(k=args.k))
     embeddings = embed_corpus(corpus)
-    ivf = build_ivf(embeddings)
-    vector_engine = VectorEngine(ivf, embeddings,
-                                 device=_live_device(args.device))
-    hybrid = HybridSearch(engine, vector_engine, mode=args.hybrid)
-    target = HybridServingTarget(hybrid)
+    vectors = VectorEngine(build_ivf(embeddings), embeddings,
+                           device=_live_device(args.device))
+    target = HybridServingTarget(
+        HybridSearch(engine, vectors, mode=args.hybrid))
+    return (target, corpus.terms_by_df(), "single engine",
+            [partial(_hybrid_section, args, vectors)])
 
-    config = ServingConfig(
+
+def _serve_config(args):
+    """The one ``serve`` option -> server config mapping."""
+    deadline = (args.deadline_ms / 1e3
+                if args.deadline_ms is not None else None)
+    if not args.planner:
+        from repro.serving import ServingConfig
+
+        return ServingConfig(
+            workers=args.workers, queue_capacity=args.queue,
+            admission=args.admission, deadline_seconds=deadline, k=args.k,
+        )
+    from repro.ioplanner import PlannerConfig
+
+    return PlannerConfig(
+        window_seconds=args.plan_window / 1e3,
+        dram_bytes=int(args.dram_mb * (1 << 20)),
+        enabled=not args.no_planning,
         workers=args.workers,
-        queue_capacity=args.queue,
-        admission=args.admission,
-        deadline_seconds=(args.deadline_ms / 1e3
-                          if args.deadline_ms is not None else None),
+        queue_capacity=max(1, args.queue),
+        deadline_seconds=deadline,
         k=args.k,
+        tenants=_parse_tenants(args.tenants) if args.tenants else (),
     )
-    requests = zipf_workload(corpus.terms_by_df(), args.queries,
-                             args.rate, unique_queries=args.unique,
-                             seed=args.seed)
-    result = QueryServer(target, config,
-                         service_time=target.service_time).serve(requests)
-    report = result.report
-    if args.json:
-        payload = dict(report.to_dict(), rate_qps=args.rate,
-                       hybrid=args.hybrid, device=args.device,
-                       clusters=ivf.num_clusters,
-                       nprobe=vector_engine.nprobe)
-        print(json.dumps(payload, indent=2))
-        return 0
-    print(f"{args.queries} hybrid ({args.hybrid}) requests at "
-          f"{args.rate:g} qps offered on {args.device}, "
-          f"workers={args.workers}, queue={args.queue}, "
-          f"admission={args.admission}")
-    print(f"vector lane: {ivf.num_clusters} clusters ({ivf.codec}), "
-          f"nprobe={vector_engine.nprobe}")
-    print(f"served {report.served}, shed {report.shed} "
-          f"({report.shed_fraction:.1%})")
-    print(f"throughput: {report.achieved_qps:.1f} qps achieved vs "
-          f"{report.offered_qps:.1f} offered")
-    print(f"latency ms: p50={report.p50_latency_seconds * 1e3:.2f} "
-          f"p95={report.p95_latency_seconds * 1e3:.2f} "
-          f"p99={report.p99_latency_seconds * 1e3:.2f}")
-    return 0
 
 
-def _parse_tenants(spec: str, window_seconds: float):
+def _serve_server(target, config):
+    """Step 4 of ``serve``: the server ``config`` was built for.
+
+    A :class:`~repro.serving.ServingTarget` brings its modeled service
+    time and virtual clock; anything else is timed on the wall clock.
+    """
+    from repro.ioplanner import PlannedQueryServer, PlannerConfig
+    from repro.serving import QueryServer, ServingTarget
+
+    if isinstance(config, PlannerConfig):
+        return PlannedQueryServer(target, config)
+    if isinstance(target, ServingTarget):
+        return QueryServer(target, config,
+                           service_time=target.service_time,
+                           clock=target.clock)
+    return QueryServer(target, config)
+
+
+def _parse_tenants(spec: str):
     """Parse ``--tenants`` NAME=BYTES_PER_WINDOW pairs."""
     from repro.errors import ConfigurationError
     from repro.ioplanner import TenantSpec
@@ -1130,152 +1166,6 @@ def _parse_tenants(spec: str, window_seconds: float):
     return tuple(tenants)
 
 
-def _serve_planned(args, target, vocab) -> int:
-    """``serve --planner``: windowed, planned serving (docs/io_planner.md)."""
-    import json
-
-    from repro.ioplanner import PlannedQueryServer, PlannerConfig
-    from repro.serving import zipf_workload
-
-    window_seconds = args.plan_window / 1e3
-    tenants = (
-        _parse_tenants(args.tenants, window_seconds)
-        if args.tenants else ()
-    )
-    config = PlannerConfig(
-        window_seconds=window_seconds,
-        dram_bytes=int(args.dram_mb * (1 << 20)),
-        enabled=not args.no_planning,
-        workers=args.workers,
-        queue_capacity=max(1, args.queue),
-        deadline_seconds=(args.deadline_ms / 1e3
-                          if args.deadline_ms is not None else None),
-        k=args.k,
-        tenants=tenants,
-    )
-    requests = zipf_workload(
-        vocab, args.queries, args.rate, unique_queries=args.unique,
-        seed=args.seed,
-        tenants=[t.name for t in tenants] if tenants else None,
-    )
-    result = PlannedQueryServer(target, config).serve(requests)
-    report, planner = result.report, result.planner
-
-    if args.json:
-        payload = dict(report.to_dict(), rate_qps=args.rate,
-                       workers=args.workers, shards=args.shards,
-                       planner=planner.to_dict())
-        print(json.dumps(payload, indent=2))
-        return 0
-    mode = "planning on" if config.enabled else "planning OFF (baseline)"
-    print(f"{args.queries} requests at {args.rate:g} qps offered "
-          f"through the I/O planner ({mode}), "
-          f"window={args.plan_window:g}ms, dram={args.dram_mb:g}MiB, "
-          f"workers={args.workers}")
-    print(f"served {report.served}, shed {report.shed} "
-          f"({report.shed_fraction:.1%})")
-    print(f"latency ms: p50={report.p50_latency_seconds * 1e3:.3f} "
-          f"p95={report.p95_latency_seconds * 1e3:.3f} "
-          f"p99={report.p99_latency_seconds * 1e3:.3f}")
-    mib = 1 / (1 << 20)
-    print(f"demand {planner.demand_bytes * mib:.2f}MiB over "
-          f"{planner.windows} windows: "
-          f"{planner.staged_fraction:.1%} staged in DRAM "
-          f"(tier {planner.dram_hit_bytes * mib:.2f}MiB + dedup "
-          f"{planner.dedup_bytes * mib:.2f}MiB)")
-    print(f"SCM miss traffic: {planner.scm_seq_bytes * mib:.2f}MiB "
-          f"sequential + {planner.scm_rand_bytes * mib:.2f}MiB random "
-          f"(sequential share {planner.sequential_share:.1%}) in "
-          f"{planner.runs} transfers ({planner.sequential_runs} "
-          f"coalesced), gap-fill {planner.gap_bytes * mib:.3f}MiB, "
-          f"prefetch {planner.prefetch_bytes * mib:.3f}MiB")
-    if tenants:
-        for tenant in tenants:
-            served = planner.tenant_served.get(tenant.name, 0)
-            shed = planner.tenant_shed.get(tenant.name, 0)
-            nbytes = planner.tenant_bytes.get(tenant.name, 0)
-            print(f"tenant {tenant.name}: served {served}, shed {shed}, "
-                  f"{nbytes * mib:.2f}MiB charged "
-                  f"(quota {tenant.quota_bytes_per_window}B/window)")
-    return 0
-
-
-def _serve_live(args) -> int:
-    """``serve --update-mix``: mixed query/mutation load on a live index.
-
-    Deterministic end to end: the workload is a pure function of the
-    seed, service times come from the modeled device (updates occupy
-    maintenance busy-windows; queries queue behind them), and the
-    shared virtual clock never reads wall time.
-    """
-    import json
-
-    from repro.errors import ConfigurationError
-    from repro.live import LiveServingTarget
-    from repro.serving import QueryServer, ServingConfig, zipf_workload
-
-    if args.shards or args.index:
-        raise ConfigurationError(
-            "--update-mix serves a live synthetic corpus; "
-            "drop --index/--shards"
-        )
-    device = _live_device(args.device)
-    num_docs = max(64, int(1600 * args.scale))
-    writer, vocab = _build_live_writer(args.seed, num_docs,
-                                       vocab_size=32, device=device)
-    target = LiveServingTarget(writer)
-    config = ServingConfig(
-        workers=args.workers,
-        queue_capacity=args.queue,
-        admission=args.admission,
-        deadline_seconds=(args.deadline_ms / 1e3
-                          if args.deadline_ms is not None else None),
-        k=args.k,
-    )
-    requests = zipf_workload(vocab, args.queries, args.rate,
-                             unique_queries=args.unique, seed=args.seed,
-                             update_mix=args.update_mix)
-    server = QueryServer(target, config,
-                         service_time=target.service_time,
-                         clock=writer.clock)
-    report = server.serve(requests).report
-    updates = sum(1 for r in requests if r.update is not None)
-
-    live_stats = {
-        "update_mix": args.update_mix,
-        "updates_offered": updates,
-        "device": args.device,
-        "live_docs": writer.index.num_docs,
-        "segments": writer.index.num_segments,
-        "seals": len(writer.scheduler.seals),
-        "merges": len(writer.scheduler.records),
-        "write_amplification": round(writer.write_amplification, 4),
-        "index_write_bytes": writer.index_write_bytes,
-        "maintenance_seconds": writer.scheduler.busy_seconds,
-    }
-    if args.json:
-        payload = dict(report.to_dict(), rate_qps=args.rate,
-                       admission=args.admission, workers=args.workers,
-                       queue_capacity=args.queue, **live_stats)
-        print(json.dumps(payload, indent=2))
-        return 0
-    print(f"{args.queries} requests ({updates} updates, "
-          f"{args.update_mix:.0%} mix) at {args.rate:g} qps offered on "
-          f"{args.device} (live index, {num_docs} initial docs)")
-    print(f"served {report.served}, shed {report.shed} "
-          f"({report.shed_fraction:.1%})")
-    print(f"latency ms: p50={report.p50_latency_seconds * 1e3:.3f} "
-          f"p95={report.p95_latency_seconds * 1e3:.3f} "
-          f"p99={report.p99_latency_seconds * 1e3:.3f}")
-    print(f"live index: {live_stats['live_docs']} docs in "
-          f"{live_stats['segments']} segments after "
-          f"{live_stats['seals']} seals + {live_stats['merges']} merges; "
-          f"write amplification {live_stats['write_amplification']:.2f}")
-    print(f"maintenance: {writer.index_write_bytes} B written, "
-          f"{writer.scheduler.busy_seconds * 1e3:.3f} ms of device time")
-    return 0
-
-
 def _load_rebalance_ops(path: str):
     """Read and parse a rebalance script file; error if it holds no ops."""
     from repro.cluster import parse_rebalance_script
@@ -1290,59 +1180,36 @@ def _load_rebalance_ops(path: str):
     return timed_ops
 
 
-def _serve_rebalance(args) -> int:
-    """``serve --rebalance-script``: topology moves under live traffic.
+def _live_section(args, writer, requests, _result):
+    """``serve --update-mix``: what the mutations did to the index."""
+    updates = sum(1 for r in requests if r.update is not None)
+    stats = {
+        "update_mix": args.update_mix,
+        "updates_offered": updates,
+        "device": args.device,
+        "live_docs": writer.index.num_docs,
+        "segments": writer.index.num_segments,
+        "seals": len(writer.scheduler.seals),
+        "merges": len(writer.scheduler.records),
+        "write_amplification": round(writer.write_amplification, 4),
+        "index_write_bytes": writer.index_write_bytes,
+        "maintenance_seconds": writer.scheduler.busy_seconds,
+    }
+    return stats, [
+        f"updates: {updates} offered ({args.update_mix:.0%} mix)",
+        f"live index: {stats['live_docs']} docs in {stats['segments']} "
+        f"segments after {stats['seals']} seals + {stats['merges']} "
+        f"merges; write amplification "
+        f"{stats['write_amplification']:.2f}",
+        f"maintenance: {writer.index_write_bytes} B written, "
+        f"{writer.scheduler.busy_seconds * 1e3:.3f} ms of device time",
+    ]
 
-    The moves ride the open-loop timeline as update requests spliced
-    between the queries; both sides share one virtual clock, so query
-    latency shows the maintenance busy-window and the whole run replays
-    from its seeds.
-    """
-    import json
 
-    from repro.clock import VirtualClock
-    from repro.cluster import (
-        Rebalancer,
-        RebalancingClusterTarget,
-        rebalance_requests,
-    )
-    from repro.errors import ConfigurationError
-    from repro.serving import (
-        QueryServer,
-        ServingConfig,
-        splice_requests,
-        zipf_workload,
-    )
-
-    if not args.shards:
-        raise ConfigurationError("--rebalance-script requires --shards")
-    if args.index:
-        raise ConfigurationError(
-            "--rebalance-script serves a synthetic sharded corpus; "
-            "drop --index"
-        )
-    timed_ops = _load_rebalance_ops(args.rebalance_script)
-    clock = VirtualClock()
-    cluster, sharded = _build_fault_cluster(args, args.k, clock=clock)
-    rebalancer = Rebalancer(cluster, sharded, clock=clock, k=args.k)
-    target = RebalancingClusterTarget(cluster, rebalancer)
-    vocab = [f"t{i}" for i in range(40)]
-    config = ServingConfig(
-        workers=args.workers,
-        queue_capacity=args.queue,
-        admission=args.admission,
-        deadline_seconds=(args.deadline_ms / 1e3
-                          if args.deadline_ms is not None else None),
-        k=args.k,
-    )
-    queries = zipf_workload(vocab, args.queries, args.rate,
-                            unique_queries=args.unique, seed=args.seed)
-    requests = splice_requests(queries, rebalance_requests(timed_ops))
-    server = QueryServer(target, config,
-                         service_time=target.service_time, clock=clock)
-    report = server.serve(requests).report
-
-    rebalance_stats = {
+def _rebalance_section(timed_ops, rebalancer, cluster, sharded,
+                       _requests, _result):
+    """``serve --rebalance-script``: the moves next to the latencies."""
+    stats = {
         "moves_offered": len(timed_ops),
         "moves_published": rebalancer.moves_published,
         "moves_aborted": rebalancer.moves_aborted,
@@ -1352,33 +1219,60 @@ def _serve_rebalance(args) -> int:
         "final_shards": sharded.num_shards,
         "moves": [move.to_dict() for move in rebalancer.reports],
     }
-    if args.json:
-        payload = dict(report.to_dict(), rate_qps=args.rate,
-                       admission=args.admission, workers=args.workers,
-                       queue_capacity=args.queue, shards=args.shards,
-                       **rebalance_stats)
-        print(json.dumps(payload, indent=2))
-        return 0
-    print(f"{args.queries} queries + {len(timed_ops)} rebalance moves "
-          f"at {args.rate:g} qps offered ({args.shards} shards "
-          f"x{args.replication}), workers={args.workers}, "
-          f"admission={args.admission}")
-    print(f"served {report.served} ({report.served_degraded} degraded), "
-          f"shed {report.shed} ({report.shed_fraction:.1%})")
-    print(f"latency ms: p50={report.p50_latency_seconds * 1e3:.3f} "
-          f"p95={report.p95_latency_seconds * 1e3:.3f} "
-          f"p99={report.p99_latency_seconds * 1e3:.3f}")
-    print(f"rebalance: {rebalancer.moves_published} published, "
-          f"{rebalancer.moves_aborted} aborted; "
-          f"{rebalancer.total_read_bytes} B read + "
-          f"{rebalancer.total_write_bytes} B written; shard map "
-          f"v{cluster.map_version}, {sharded.num_shards} shards")
+    lines = [
+        f"rebalance: {rebalancer.moves_published} published, "
+        f"{rebalancer.moves_aborted} aborted; "
+        f"{rebalancer.total_read_bytes} B read + "
+        f"{rebalancer.total_write_bytes} B written; shard map "
+        f"v{cluster.map_version}, {sharded.num_shards} shards"
+    ]
     for move in rebalancer.reports:
         outcome = "aborted" if move.aborted else "published"
-        print(f"  {move.kind} shard {move.shard} ({move.detail}): "
-              f"{outcome}, {move.postings_out} postings moved, "
-              f"{move.modeled_seconds * 1e3:.3f} ms maintenance")
-    return 0
+        lines.append(
+            f"  {move.kind} shard {move.shard} ({move.detail}): "
+            f"{outcome}, {move.postings_out} postings moved, "
+            f"{move.modeled_seconds * 1e3:.3f} ms maintenance")
+    return stats, lines
+
+
+def _hybrid_section(args, vectors, _requests, _result):
+    """``serve --hybrid``: the vector lane the requests went through."""
+    ivf = vectors.ivf
+    stats = {"hybrid": args.hybrid, "device": args.device,
+             "clusters": ivf.num_clusters, "nprobe": vectors.nprobe}
+    return stats, [
+        f"hybrid ({args.hybrid}) requests on {args.device}; vector lane: "
+        f"{ivf.num_clusters} clusters ({ivf.codec}), "
+        f"nprobe={vectors.nprobe}"
+    ]
+
+
+def _planner_section(config, _requests, result):
+    """``serve --planner``: where the planner routed the block demand."""
+    planner = result.planner
+    mib = 1 / (1 << 20)
+    lines = [
+        f"demand {planner.demand_bytes * mib:.2f}MiB over "
+        f"{planner.windows} windows: "
+        f"{planner.staged_fraction:.1%} staged in DRAM "
+        f"(tier {planner.dram_hit_bytes * mib:.2f}MiB + dedup "
+        f"{planner.dedup_bytes * mib:.2f}MiB)",
+        f"SCM miss traffic: {planner.scm_seq_bytes * mib:.2f}MiB "
+        f"sequential + {planner.scm_rand_bytes * mib:.2f}MiB random "
+        f"(sequential share {planner.sequential_share:.1%}) in "
+        f"{planner.runs} transfers ({planner.sequential_runs} "
+        f"coalesced), gap-fill {planner.gap_bytes * mib:.3f}MiB, "
+        f"prefetch {planner.prefetch_bytes * mib:.3f}MiB",
+    ]
+    for tenant in config.tenants:
+        served = planner.tenant_served.get(tenant.name, 0)
+        shed = planner.tenant_shed.get(tenant.name, 0)
+        nbytes = planner.tenant_bytes.get(tenant.name, 0)
+        lines.append(
+            f"tenant {tenant.name}: served {served}, shed {shed}, "
+            f"{nbytes * mib:.2f}MiB charged "
+            f"(quota {tenant.quota_bytes_per_window}B/window)")
+    return {"planner": planner.to_dict()}, lines
 
 
 def _cmd_rebalance(args) -> int:
@@ -1426,8 +1320,7 @@ def _cmd_rebalance(args) -> int:
                                         seed=args.fault_seed)
         monolith = BossAccelerator(shard_documents(documents, 1).indexes[0],
                                    BossConfig(k=args.k))
-        sampler = QuerySampler([f"t{i}" for i in range(40)],
-                               seed=args.fault_seed)
+        sampler = QuerySampler(_CLUSTER_VOCAB, seed=args.fault_seed)
         expressions = [
             spec.expression
             for spec in sampler.sample_zipf_log(

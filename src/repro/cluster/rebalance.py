@@ -55,6 +55,7 @@ from repro.errors import ConfigurationError, CrashError, RebalanceError
 from repro.index.builder import IndexBuilder
 from repro.index.index import InvertedIndex
 from repro.scm.traffic import AccessClass, AccessPattern, TrafficCounter
+from repro.serving.target import advance_to_arrival, queued_read_seconds
 
 #: Protocol states a move walks through, in order.
 MOVE_STATES = ("planned", "streaming", "catchup", "published")
@@ -313,6 +314,11 @@ class Rebalancer:
         self.busy_until = 0.0
         #: Completed (or aborted) move reports, in execution order.
         self.reports: List[MoveReport] = []
+
+    @property
+    def clock(self):
+        """The serving-timeline clock moves are anchored on (or None)."""
+        return self._clock
 
     @property
     def map_version(self) -> int:
@@ -663,22 +669,23 @@ class Rebalancer:
 
 
 class RebalancingClusterTarget:
-    """Serving-loop adapter: queries to the cluster, moves as updates.
+    """A cluster and its :class:`Rebalancer` behind the
+    :class:`~repro.serving.target.ServingTarget` protocol.
 
-    Follows the live layer's :class:`~repro.live.writer.LiveServingTarget`
-    contract — ``search`` / ``apply_update`` / ``service_time`` — so both
-    :class:`~repro.serving.server.QueryServer` and the planner's
-    :class:`~repro.ioplanner.server.PlannedQueryServer` can serve it. A
-    request whose ``update`` payload is ``("rebalance", op)`` executes
-    the move at its arrival instant; the modeled maintenance seconds
-    open a busy-window on the shared device, and queries landing inside
-    it queue behind the move exactly as live-index queries queue behind
-    a merge.
+    Queries go to the cluster; a request whose ``update`` payload is
+    ``("rebalance", op)`` executes the move at its arrival instant. The
+    modeled maintenance seconds open a busy-window on the shared
+    device, and queries landing inside it queue behind the move exactly
+    as live-index queries queue behind a merge.
     """
 
     def __init__(self, cluster, rebalancer: Rebalancer) -> None:
         self.cluster = cluster
         self.rebalancer = rebalancer
+
+    @property
+    def clock(self):
+        return self.rebalancer.clock
 
     @property
     def engines(self):
@@ -701,30 +708,21 @@ class RebalancingClusterTarget:
                 f"rebalancing cluster target cannot apply {kind!r} "
                 f"updates (only ('rebalance', op))"
             )
-        clock = self.rebalancer._clock
-        arrival = getattr(request, "arrival_seconds", None)
-        if arrival is not None and clock is not None \
-                and hasattr(clock, "advance"):
-            lag = arrival - clock.now()
-            if lag > 0:
-                clock.advance(lag)
+        advance_to_arrival(self.clock, request)
         return self.rebalancer.execute(op)
 
     def service_time(self, request, result) -> float:
         """Timeline service time for both request kinds.
 
-        A move costs its modeled maintenance seconds; a query costs the
-        modeled device read time of its traffic, extended by whatever
-        remains of an in-flight move's busy-window (reads queue behind
-        the maintenance stream on the shared device).
+        A move costs its modeled maintenance seconds; a query costs its
+        modeled read time behind whatever remains of an in-flight
+        move's busy-window
+        (:func:`~repro.serving.target.queued_read_seconds`).
         """
         if isinstance(result, MoveReport):
             return result.modeled_seconds
-        read_seconds = self.rebalancer.device.service_time(result.traffic)
-        backlog = self.rebalancer.busy_until - request.arrival_seconds
-        if backlog > 0:
-            read_seconds += backlog
-        return read_seconds
+        return queued_read_seconds(self.rebalancer.device, result,
+                                   self.rebalancer.busy_until, request)
 
 
 def rebalance_requests(ops: Sequence[Tuple[float, RebalanceOp]],

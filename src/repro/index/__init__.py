@@ -18,8 +18,12 @@ from repro.index.bm25 import BM25Parameters, BM25Scorer
 from repro.index.blocks import BLOCK_SIZE, BLOCK_METADATA_BYTES, Block, BlockMetadata
 from repro.index.builder import IndexBuilder
 from repro.index.index import CompressedPostingList, DocumentStats, InvertedIndex
-from repro.index.loader import STORAGE_MODES, open_index, sniff_format
-from repro.index.mmapio import MmapIndexStorage, load_index_mmap
+from repro.index.mmapio import (
+    STORAGE_MODES,
+    MmapIndexStorage,
+    load_index_mmap,
+    open_index,
+)
 from repro.index.postings import Posting, PostingList
 from repro.index.storage import AddressSpaceLayout, Region
 
@@ -38,7 +42,6 @@ __all__ = [
     "STORAGE_MODES",
     "load_index_mmap",
     "open_index",
-    "sniff_format",
     "Posting",
     "PostingList",
     "AddressSpaceLayout",

@@ -1,9 +1,9 @@
-"""Structured binary index format (pickle-free serialization).
+"""Structured binary index format.
 
-`repro.index.io` snapshots indexes with pickle, which is convenient but
-unsuitable for untrusted files. This module defines ``.bossx``, a
-self-describing binary format that can be parsed without executing
-anything:
+The paper's ``init()`` call "loads the inverted index file (indexFile)
+from disk to SCM memory pool". This module defines that file:
+``.bossx``, a self-describing binary format that is parsed without
+executing anything, so it is safe to open from an untrusted source:
 
 ======================== ===========================================
 section                  contents

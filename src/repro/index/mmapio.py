@@ -23,6 +23,9 @@ Lifetime: each payload view holds a reference to the mapping, so the
 mapping survives as long as any block does, even if the storage object
 is dropped. :meth:`MmapIndexStorage.close` is therefore best-effort —
 it releases the mapping only once no payload views remain alive.
+
+:func:`open_index` is the front door for index files: it picks mmap
+serving or a full in-memory read.
 """
 
 from __future__ import annotations
@@ -32,8 +35,15 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.errors import InvertedIndexError
-from repro.index.binaryio import MAGIC, parse_index_buffer
+from repro.index.binaryio import (
+    MAGIC,
+    load_index_binary,
+    parse_index_buffer,
+)
 from repro.index.index import InvertedIndex
+
+#: Accepted ``storage`` selectors for :func:`open_index`.
+STORAGE_MODES = ("auto", "mmap", "binary")
 
 
 class MmapIndexStorage:
@@ -108,3 +118,24 @@ def load_index_mmap(path: Union[str, Path]) -> InvertedIndex:
     the mapping alive for exactly as long as the index is.
     """
     return MmapIndexStorage(path).load()
+
+
+def open_index(path: Union[str, Path],
+               storage: str = "auto") -> InvertedIndex:
+    """Load a ``.bossx`` index file, choosing how it is held in memory.
+
+    ``storage`` is one of :data:`STORAGE_MODES`: ``auto`` / ``mmap``
+    serve blocks as ``memoryview`` slices of a read-only mapping
+    (zero-copy); ``binary`` reads the file fully into memory (payloads
+    are independent ``bytes``; use when the file may be replaced or
+    truncated while the index is live). Anything that is not a
+    ``.bossx`` file raises :class:`~repro.errors.InvertedIndexError`
+    naming the path.
+    """
+    if storage not in STORAGE_MODES:
+        raise InvertedIndexError(
+            f"unknown storage {storage!r}; expected one of {STORAGE_MODES}"
+        )
+    if storage == "binary":
+        return load_index_binary(path)
+    return load_index_mmap(path)

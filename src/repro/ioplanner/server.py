@@ -41,8 +41,10 @@ from repro.serving.server import (
     SHED_QUEUE_FULL,
     RequestOutcome,
     ServingReport,
+    ServingResult,
     build_serving_report,
 )
+from repro.serving.target import execute_request
 
 #: Effectively-unlimited per-window quota for unconfigured tenants.
 UNLIMITED_QUOTA = 1 << 62
@@ -184,29 +186,16 @@ class PlannerRunReport:
         }
 
 
-class PlannedServingResult:
+class PlannedServingResult(ServingResult):
     """Outcomes (arrival order) plus serving and planner reports."""
 
-    __slots__ = ("outcomes", "report", "planner")
+    __slots__ = ("planner",)
 
     def __init__(self, outcomes: List[RequestOutcome],
                  report: ServingReport,
                  planner: PlannerRunReport) -> None:
-        self.outcomes = outcomes
-        self.report = report
+        super().__init__(outcomes, report)
         self.planner = planner
-
-    def __len__(self) -> int:
-        return len(self.outcomes)
-
-    def __iter__(self):
-        return iter(self.outcomes)
-
-    def __getitem__(self, index):
-        return self.outcomes[index]
-
-    def served_results(self) -> list:
-        return [o.result for o in self.outcomes if o.served]
 
 
 def _fetch_leaves(target) -> List:
@@ -490,13 +479,7 @@ class PlannedQueryServer:
         leaves = _fetch_leaves(self._target)
         for leaf in leaves:
             leaf.fetch_log = []
-        if getattr(request, "update", None) is not None:
-            result = self._target.apply_update(request)
-        elif self._config.k is None:
-            result = self._target.search(request.expression)
-        else:
-            result = self._target.search(request.expression,
-                                         k=self._config.k)
+        result = execute_request(self._target, request, self._config.k)
         records: List[tuple] = []
         for leaf in leaves:
             records.extend(leaf.fetch_log)

@@ -12,12 +12,11 @@ numbers one property access away:
 * ``bytes_written_by_tier`` — where the rewrite traffic went;
 * ``scheduler.busy_until`` — when the modeled device drains.
 
-:class:`LiveServingTarget` adapts the writer to the serving layer: it
-exposes the ``search(expression, k)`` the :class:`~repro.serving.
-server.QueryServer` calls, plus ``apply_update(request)`` for requests
-carrying a mutation. Updates advance the shared virtual clock to the
-request's arrival instant before running, so maintenance busy-windows
-land deterministically on the serving timeline.
+:class:`LiveServingTarget` puts the writer behind the serving layer's
+:class:`~repro.serving.target.ServingTarget` protocol. Updates advance
+the shared virtual clock to the request's arrival instant before
+running, so maintenance busy-windows land deterministically on the
+serving timeline.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from repro.live.segments import Segment, SegmentedIndex
 from repro.observability.observer import NULL_OBSERVER, Observer
 from repro.scm.device import MemoryDeviceModel
 from repro.scm.traffic import AccessClass, TrafficCounter
+from repro.serving.target import advance_to_arrival, queued_read_seconds
 
 
 @dataclass
@@ -195,7 +195,8 @@ class LiveIndexWriter:
 
 
 class LiveServingTarget:
-    """Adapter presenting a :class:`LiveIndexWriter` to the serving loop.
+    """A :class:`LiveIndexWriter` behind the
+    :class:`~repro.serving.target.ServingTarget` protocol.
 
     Queries go straight to the segmented index; update requests first
     advance the shared virtual clock to their arrival instant, so the
@@ -203,38 +204,33 @@ class LiveServingTarget:
     — repeatable run to run.
     """
 
+    #: Segment engines come and go with every seal and merge, so the
+    #: live target exposes no fixed leaves to the I/O planner.
+    engines = replicas = ()
+
     def __init__(self, writer: LiveIndexWriter) -> None:
         self.writer = writer
 
     @property
-    def index(self) -> SegmentedIndex:
-        return self.writer.index
+    def clock(self) -> Clock:
+        return self.writer.clock
 
     def search(self, expression, k: Optional[int] = None):
         return self.writer.index.search(expression, k=k)
 
     def apply_update(self, request) -> UpdateResult:
-        clock = self.writer.clock
-        arrival = getattr(request, "arrival_seconds", None)
-        if arrival is not None and hasattr(clock, "advance"):
-            lag = arrival - clock.now()
-            if lag > 0:
-                clock.advance(lag)
+        advance_to_arrival(self.clock, request)
         return self.writer.apply_update(request.update)
 
     def service_time(self, request, result) -> float:
         """Serving-timeline service time for both request kinds.
 
         Updates cost their modeled maintenance seconds; queries cost
-        the modeled device read time of their traffic, extended by any
-        still-draining maintenance window (reads queue behind the
-        in-flight seal/merge on the shared device).
+        their modeled read time behind any still-draining seal/merge
+        window (:func:`~repro.serving.target.queued_read_seconds`).
         """
         if isinstance(result, UpdateResult):
             return result.modeled_seconds
         scheduler = self.writer.scheduler
-        read_seconds = scheduler.device.service_time(result.traffic)
-        backlog = scheduler.busy_until - request.arrival_seconds
-        if backlog > 0:
-            read_seconds += backlog
-        return read_seconds
+        return queued_read_seconds(scheduler.device, result,
+                                   scheduler.busy_until, request)

@@ -5,8 +5,10 @@ The serving layer turns the closed, pre-collected batches of
 seeded open-loop timeline (:mod:`repro.serving.loadgen`), wait in a
 bounded admission queue, and execute on a worker pool with per-query
 deadlines and shed/degraded accounting
-(:mod:`repro.serving.server`). See ``docs/serving.md`` for the
-architecture and the open- vs closed-loop methodology.
+(:mod:`repro.serving.server`). Stateful targets — live index, moving
+cluster, hybrid lane — plug in through the one :class:`ServingTarget`
+protocol (:mod:`repro.serving.target`). See ``docs/serving.md`` for
+the architecture and the open- vs closed-loop methodology.
 """
 
 from repro.serving.loadgen import (
@@ -25,6 +27,7 @@ from repro.serving.server import (
     ServingReport,
     ServingResult,
 )
+from repro.serving.target import ServingTarget
 
 __all__ = [
     "ADMISSION_POLICIES",
@@ -35,6 +38,7 @@ __all__ = [
     "ServingConfig",
     "ServingReport",
     "ServingResult",
+    "ServingTarget",
     "TraceArrivals",
     "build_requests",
     "splice_requests",

@@ -19,9 +19,8 @@ decisions exactly.
 A useful property of :class:`PoissonArrivals`: two processes with the
 same seed but different rates draw the same underlying exponential
 variates, so their timelines are exact time-rescalings of each other.
-The offered-load sweep in ``benchmarks/bench_serving.py`` leans on
-this — every sweep point replays the *same* traffic shape, only
-faster.
+An offered-load sweep leans on this — every sweep point replays the
+*same* traffic shape, only faster.
 """
 
 from __future__ import annotations

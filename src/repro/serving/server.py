@@ -47,10 +47,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.batch import _percentile
+from repro.batch import percentile
 from repro.clock import WALL_CLOCK, Clock
 from repro.errors import ConfigurationError
 from repro.serving.loadgen import Request
+from repro.serving.target import execute_request
 
 #: Admission policies a :class:`ServingConfig` accepts.
 ADMISSION_POLICIES = ("reject", "shed-oldest", "deadline")
@@ -402,7 +403,10 @@ class QueryServer:
             max_depth = max(max_depth, len(queue))
 
         ordered = [outcomes[r.request_id] for r in requests]
-        report = self._build_report(ordered, depth_samples, max_depth)
+        report = build_serving_report(
+            ordered, depth_samples, max_depth,
+            deadline_seconds=cfg.deadline_seconds,
+        )
         if self._observer is not None:
             self._observer.on_serving_complete(report)
         return ServingResult(ordered, report)
@@ -412,32 +416,13 @@ class QueryServer:
     # ------------------------------------------------------------------
 
     def _execute(self, request: Request):
-        """Run the request for real; return (result, service_seconds).
-
-        Requests carrying an ``update`` payload go to the target's
-        ``apply_update`` (live-index targets only); plain requests are
-        queries.
-        """
+        """Run the request for real; return (result, service_seconds)."""
         start = self._clock.now()
-        if getattr(request, "update", None) is not None:
-            result = self._target.apply_update(request)
-        elif self._config.k is None:
-            result = self._target.search(request.expression)
-        else:
-            result = self._target.search(request.expression,
-                                         k=self._config.k)
+        result = execute_request(self._target, request, self._config.k)
         measured = self._clock.now() - start
         if self._service_time is not None:
             return result, float(self._service_time(request, result))
         return result, measured
-
-    def _build_report(self, outcomes: List[RequestOutcome],
-                      depth_samples: List[int],
-                      max_depth: int) -> ServingReport:
-        return build_serving_report(
-            outcomes, depth_samples, max_depth,
-            deadline_seconds=self._config.deadline_seconds,
-        )
 
 
 def build_serving_report(outcomes: List[RequestOutcome],
@@ -485,9 +470,9 @@ def build_serving_report(outcomes: List[RequestOutcome],
     )
     if latencies:
         ordered = sorted(latencies)
-        report.p50_latency_seconds = _percentile(ordered, 0.50)
-        report.p95_latency_seconds = _percentile(ordered, 0.95)
-        report.p99_latency_seconds = _percentile(ordered, 0.99)
+        report.p50_latency_seconds = percentile(ordered, 0.50)
+        report.p95_latency_seconds = percentile(ordered, 0.95)
+        report.p99_latency_seconds = percentile(ordered, 0.99)
         report.mean_latency_seconds = sum(latencies) / len(latencies)
         report.mean_queue_wait_seconds = sum(waits) / len(waits)
     if depth_samples:

@@ -19,9 +19,9 @@ built to expose.
 scale-free — it never compares a BM25 score to a cosine — which is why
 it is the standard baseline for hybrid fusion.
 
-:class:`HybridServingTarget` adapts either mode to the serving layer's
-``search(expression, k)`` + ``service_time`` contract, so hybrid
-traffic rides the existing admission/SLO/planner timelines unchanged.
+:class:`HybridServingTarget` puts either mode behind the serving
+layer's :class:`~repro.serving.target.ServingTarget` protocol, so
+hybrid traffic rides the existing admission/SLO timeline unchanged.
 """
 
 from __future__ import annotations
@@ -240,20 +240,32 @@ class HybridSearch:
 
 
 class HybridServingTarget:
-    """Serving-layer adapter: ``search(expression, k)`` + deterministic
-    ``service_time`` so hybrid runs ride the virtual timeline."""
+    """A :class:`HybridSearch` behind the
+    :class:`~repro.serving.target.ServingTarget` protocol.
+
+    Service time is the result's fully modeled seconds, so hybrid runs
+    ride the virtual timeline; the lane is read-only and keeps no
+    timeline state, hence no clock and no updates.
+    """
+
+    clock = None
+    #: The planner does not see the vector lane's traffic, so the
+    #: hybrid target exposes no leaves to it.
+    engines = replicas = ()
 
     def __init__(self, hybrid: HybridSearch) -> None:
         self._hybrid = hybrid
 
-    @property
-    def hybrid(self) -> HybridSearch:
-        return self._hybrid
-
-    def search(self, expression, k: int = 10) -> HybridResult:
+    def search(self, expression, k: Optional[int] = None) -> HybridResult:
+        if k is None:
+            return self._hybrid.search(expression)
         return self._hybrid.search(expression, k=k)
 
+    def apply_update(self, request):
+        raise ConfigurationError(
+            "the hybrid serving target is read-only; it cannot apply "
+            f"{request.update[0]!r} updates"
+        )
+
     def service_time(self, request, result) -> float:
-        """Pass to :class:`repro.serving.server.QueryServer` as its
-        ``service_time`` so runs are workload-pure."""
         return result.modeled_seconds

@@ -18,10 +18,8 @@ from repro.index import (
     STORAGE_MODES,
     load_index_mmap,
     open_index,
-    sniff_format,
 )
 from repro.index.binaryio import load_index_binary, save_index_binary
-from repro.index.io import save_index
 from tests.conftest import build_random_index
 from tests.test_differential import _random_queries
 from tests.test_fastpath_equivalence import _assert_results_identical
@@ -40,9 +38,10 @@ def bossx_path(corpus_index, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def pickle_path(corpus_index, tmp_path_factory):
+def foreign_path(tmp_path_factory):
+    """A file that is not a ``.bossx`` index (a pickle, as it happens)."""
     path = tmp_path_factory.mktemp("mmapio") / "corpus.pkl"
-    save_index(corpus_index, path)
+    path.write_bytes(b"\x80\x05\x95" + b"\x00" * 64)
     return path
 
 
@@ -116,40 +115,30 @@ def test_mmap_differential_vs_in_memory(bossx_path, corpus_index,
 
 
 class TestLoaderDispatch:
-    def test_sniff_format(self, bossx_path, pickle_path):
-        assert sniff_format(bossx_path) == "bossx"
-        assert sniff_format(pickle_path) == "pickle"
-
-    def test_auto_serves_bossx_via_mmap(self, bossx_path):
+    def test_auto_serves_bossx_via_mmap(self, bossx_path, corpus_index):
         index = open_index(bossx_path)
+        assert index.num_terms == corpus_index.num_terms
         block = index.posting_list(next(iter(index))).blocks[0]
         assert isinstance(block.doc_payload, memoryview)
-
-    def test_auto_falls_back_to_pickle(self, pickle_path, corpus_index):
-        index = open_index(pickle_path)
-        assert index.num_terms == corpus_index.num_terms
 
     def test_binary_mode_copies_payloads(self, bossx_path):
         index = open_index(bossx_path, storage="binary")
         block = index.posting_list(next(iter(index))).blocks[0]
         assert isinstance(block.doc_payload, bytes)
 
-    def test_mmap_mode_rejects_pickle_file(self, pickle_path):
-        with pytest.raises(InvertedIndexError, match="not a BOSSIDX1"):
-            open_index(pickle_path, storage="mmap")
-
-    def test_untrusted_pickle_refused(self, pickle_path):
-        with pytest.raises(InvertedIndexError, match="--trust-pickle"):
-            open_index(pickle_path, trust_pickle=False)
-
-    def test_untrusted_bossx_still_opens(self, bossx_path, corpus_index):
-        index = open_index(bossx_path, trust_pickle=False)
-        assert index.num_terms == corpus_index.num_terms
+    @pytest.mark.parametrize("storage", STORAGE_MODES)
+    def test_non_bossx_file_rejected(self, foreign_path, storage):
+        with pytest.raises(InvertedIndexError, match="not a BOSSIDX1") \
+                as raised:
+            open_index(foreign_path, storage=storage)
+        assert str(foreign_path) in str(raised.value)
 
     def test_unknown_storage_rejected(self, bossx_path):
         assert "auto" in STORAGE_MODES
         with pytest.raises(InvertedIndexError, match="unknown storage"):
             open_index(bossx_path, storage="paged")
+        with pytest.raises(InvertedIndexError, match="unknown storage"):
+            open_index(bossx_path, storage="pickle")
 
 
 class TestStorageLifetime:

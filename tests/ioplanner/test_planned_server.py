@@ -165,6 +165,41 @@ class TestDeterminismAndAccounting:
         assert result.planner.staged_fraction > 0.5
         assert result.planner.prefetch_blocks > 0
 
+    def test_planning_halves_random_scm_bytes_and_lowers_p99(self):
+        # The planner's two claims, on a Zipf log over a skewed corpus
+        # offered past the planner-off knee: at most half the random
+        # SCM bytes of the planner-off run, and a lower p99. The whole
+        # comparison runs on the virtual timeline with no shedding, so
+        # it measures routing alone and repeats exactly.
+        from repro.workloads import make_corpus
+
+        corpus = make_corpus("ccnews-like", scale=0.08, seed=17)
+        vocab = corpus.terms_by_df()
+
+        def run(enabled, rate, window_seconds):
+            config = PlannerConfig(
+                k=10, enabled=enabled, window_seconds=window_seconds,
+                dram_bytes=16 << 20, queue_capacity=1 << 20)
+            result = PlannedQueryServer(
+                _engine(corpus.index), config,
+            ).serve(zipf_workload(vocab, 160, rate_qps=rate,
+                                  unique_queries=24, seed=17))
+            assert result.report.shed == 0
+            return result
+
+        # Planner-off capacity from a burst probe: workers over the
+        # mean modeled fetch time; windows sized to ~32 arrivals so
+        # the planner has batches to plan.
+        burst = run(False, 1e9, 0.002)
+        busy = sum(o.completion_seconds - o.start_seconds for o in burst)
+        rate = 1.25 * PlannerConfig().workers / (busy / len(burst))
+        off = run(False, rate, 32 / rate)
+        on = run(True, rate, 32 / rate)
+        assert 0 < on.planner.scm_rand_bytes <= (
+            0.5 * off.planner.scm_rand_bytes)
+        assert (on.report.p99_latency_seconds
+                < off.report.p99_latency_seconds)
+
     def test_queue_capacity_sheds_per_tenant(self, index):
         # One-window burst far past the backlog bound: the overflowing
         # tenant sheds, accounting stays conserved.

@@ -5,7 +5,7 @@ import pytest
 from repro.api import MAX_QUERY_TERMS, BossSession
 from repro.core.engine import BossConfig
 from repro.errors import ConfigurationError, QueryError
-from repro.index.io import save_index
+from repro.index.binaryio import save_index_binary
 from tests.conftest import build_random_index
 
 
@@ -29,8 +29,8 @@ class TestInit:
         assert session.index is index
 
     def test_init_with_file(self, index, tmp_path):
-        path = tmp_path / "idx.boss"
-        save_index(index, path)
+        path = tmp_path / "idx.bossx"
+        save_index_binary(index, path)
         session = BossSession()
         session.init(path)
         assert session.initialized

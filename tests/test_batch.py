@@ -176,10 +176,10 @@ class TestEngineBatchFailure:
 
 class TestPercentiles:
     def test_empty_sample_yields_zero(self):
-        from repro.batch import _percentile
+        from repro.batch import percentile
 
-        assert _percentile([], 0.50) == 0.0
-        assert _percentile([], 0.99) == 0.0
+        assert percentile([], 0.50) == 0.0
+        assert percentile([], 0.99) == 0.0
 
     def test_empty_report_renders(self):
         report = BatchReport(num_queries=0, workers=1, wall_seconds=0.0,

@@ -50,7 +50,7 @@ class TestExamples:
         out = _run("extensions_tour.py", capsys)
         assert "phrase 'storage class memory': docs [1, 2]" in out
         assert "reranked top-3" in out
-        assert "merge() -> compacted index" in out
+        assert "compact_all() -> one segment with 6 docs" in out
 
     def test_distributed_search(self, capsys):
         out = _run("distributed_search.py", capsys)

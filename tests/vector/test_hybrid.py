@@ -181,3 +181,40 @@ class TestServingAdapter:
         target = HybridServingTarget(hybrid_rerank)
         result = target.search('"term0001"', k=5)
         assert target.service_time(None, result) == result.modeled_seconds
+
+
+class TestTopicPurity:
+    """Hybrid retrieval must not lose to BM25 alone on topical
+    coherence: the share of the top-10 in the query's dominant topic
+    band (the corpus has planted bands, not relevance judgments)."""
+
+    def test_hybrid_at_least_as_pure_as_lexical(self, corpus, embeddings,
+                                                engine):
+        import numpy as np
+
+        from repro.workloads.queries import QuerySampler
+
+        topics = embeddings.doc_topics
+        centroids = np.stack([
+            embeddings.doc_vectors[topics == band].mean(axis=0)
+            for band in range(embeddings.spec.num_topics)
+        ])
+        lexical = BossAccelerator(corpus.index, BossConfig(k=10))
+        retrievers = {"lexical": lexical}
+        for mode in ("rerank", "rrf"):
+            retrievers[mode] = HybridSearch(lexical, engine, mode=mode,
+                                            first_stage_k=60)
+        queries = [
+            spec.expression for spec in
+            QuerySampler(corpus.terms_by_df(), seed=23).sample_zipf_log(
+                24, unique_queries=24)
+        ]
+        purity = {name: 0.0 for name in retrievers}
+        for query in queries:
+            target = int(np.argmax(centroids @ engine.query_vector(query)))
+            for name, retriever in retrievers.items():
+                hits = retriever.search(query, k=10).hits
+                purity[name] += sum(
+                    topics[h.doc_id] == target for h in hits
+                ) / max(1, len(hits))
+        assert max(purity["rerank"], purity["rrf"]) >= purity["lexical"]
