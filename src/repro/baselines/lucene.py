@@ -55,7 +55,7 @@ class LuceneEngine:
         # hardware block-max score estimation.
         self._executor = BossAccelerator(
             index,
-            BossConfig(k=config.k, et_block=False, et_wand=True),
+            BossConfig(k=self._config.k, et_block=False, et_wand=True),
         )
 
     @property

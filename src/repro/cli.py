@@ -196,15 +196,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="passes over the batch; passes after the "
                             "first run with a warm decoded-block cache")
     bench.add_argument("--seed", type=int, default=1)
-    bench.add_argument("--no-fast-path", action="store_true",
-                       help="use the per-value reference decoders "
-                            "(pre-fast-path engine) for comparison")
-    bench.add_argument("--executor",
-                       choices=("reference", "fast", "columnar"),
-                       default=None,
-                       help="query executor (default: fast unless "
-                            "--no-fast-path; columnar = vectorized "
-                            "numpy kernels)")
     bench.add_argument("--json", action="store_true",
                        help="emit the reports as JSON")
     _add_storage_arguments(bench)
@@ -787,9 +778,7 @@ def _cmd_bench(args) -> int:
         for spec in sampler.sample_zipf_log(args.queries,
                                             unique_queries=unique)
     ]
-    engine = BossAccelerator(index, BossConfig(k=args.k),
-                             fast_path=not args.no_fast_path,
-                             executor=args.executor)
+    engine = BossAccelerator(index, BossConfig(k=args.k))
     reports = []
     for _ in range(max(1, args.repeat)):
         batch = run_query_batch(engine, queries, k=args.k,
@@ -798,16 +787,14 @@ def _cmd_bench(args) -> int:
     cache = engine.decoded_cache
     if args.json:
         payload = {
-            "fast_path": engine.fast_path,
             "executor": engine.executor,
             "passes": [report.to_dict() for report in reports],
-        }
-        if cache is not None:
-            payload["decoded_cache"] = {
+            "decoded_cache": {
                 "hits": cache.hits,
                 "misses": cache.misses,
                 "hit_rate": cache.hit_rate,
-            }
+            },
+        }
         print(json.dumps(payload, indent=2))
         return 0
     print(f"{len(queries)} queries ({unique} unique), "
@@ -819,9 +806,8 @@ def _cmd_bench(args) -> int:
         print(f"{label:<6}{report.queries_per_second:>10.1f}"
               f"{report.p50_seconds * 1e3:>10.2f}"
               f"{report.p95_seconds * 1e3:>10.2f}")
-    if cache is not None:
-        print(f"decoded-block cache: {cache.hits} hits / "
-              f"{cache.misses} misses ({cache.hit_rate:.1%})")
+    print(f"decoded-block cache: {cache.hits} hits / "
+          f"{cache.misses} misses ({cache.hit_rate:.1%})")
     return 0
 
 

@@ -76,22 +76,15 @@ class Codec(ABC):
             ) from None
 
     def decode_block_columnar(self, data, count: int) -> np.ndarray:
-        """Columnar bulk decode: ``count`` values as a ``uint32`` vector.
+        """:meth:`decode_block` as a fresh, writable ``uint32`` vector.
 
-        Element-identical to :meth:`decode` (and :meth:`decode_block`) on
-        every valid payload, with :meth:`decode_block`'s error contract on
-        corrupt input — truncation and >32-bit fields raise
-        :class:`CompressionError`. Subclasses override this with
-        vectorized numpy kernels (whole-frame bit gathers, terminator
-        scans, selector-table scatters); the default wraps the bulk
-        decoder. ``data`` may be any byte buffer — ``bytes`` or a
-        zero-copy ``memoryview`` over an mmapped index file.
-
-        The returned array is freshly allocated and writable.
+        An adapter only: nothing in ``src/`` calls it and no codec
+        overrides it. It stays because the benchmark's codec probes
+        call it by name; retiring it is a later benchmark PR's job.
+        ``data`` may be any byte buffer (``bytes`` or a ``memoryview``).
         """
-        if not isinstance(data, bytes):
-            data = bytes(data)
-        return np.array(self.decode_block(data, count), dtype=np.uint32)
+        return np.array(self.decode_block(bytes(data), count),
+                        dtype=np.uint32)
 
     # ------------------------------------------------------------------
     # Shared helpers

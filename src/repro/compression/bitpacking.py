@@ -14,11 +14,8 @@ from __future__ import annotations
 from array import array
 from typing import List, Sequence
 
-import numpy as np
-
 from repro.compression.base import DEFAULT_REGISTRY, Codec
 from repro.compression.bitio import BitReader, BitWriter
-from repro.compression.npunpack import as_u8, unpack_lsb_frame
 from repro.errors import CompressionError
 
 
@@ -72,20 +69,3 @@ class BitPackingCodec(Codec):
             "I", [(frame >> shift) & mask
                   for shift in range(0, count * width, width)]
         )
-
-    def decode_block_columnar(self, data, count: int) -> np.ndarray:
-        if not len(data):
-            raise CompressionError("BP: empty payload")
-        width = data[0]
-        if width > self.max_value_bits:
-            raise CompressionError(f"BP: invalid bit width {width}")
-        if width == 0 or count <= 0:
-            return np.zeros(max(count, 0), dtype=np.uint32)
-        frame_bytes = (count * width + 7) // 8
-        if 1 + frame_bytes > len(data):
-            raise CompressionError(
-                f"BP: truncated input: {len(data) - 1} payload bytes "
-                f"cannot hold {count} {width}-bit fields"
-            )
-        frame = as_u8(data, offset=1, length=frame_bytes)
-        return unpack_lsb_frame(frame, width, count).astype(np.uint32)

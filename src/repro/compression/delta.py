@@ -17,8 +17,6 @@ from array import array
 from itertools import accumulate
 from typing import List, Sequence
 
-import numpy as np
-
 from repro.errors import CompressionError
 
 
@@ -78,20 +76,3 @@ def doc_ids_from_deltas_array(deltas: Sequence[int],
         raise CompressionError(
             f"docID beyond 32 bits accumulating d-gaps above base {base}"
         ) from None
-
-
-def doc_ids_from_deltas_columnar(deltas: np.ndarray,
-                                 base: int = -1) -> np.ndarray:
-    """Columnar inverse transform: one vectorized prefix sum.
-
-    ``doc_id[i] = base + cumsum(deltas + 1)[i]``, which equals the
-    reference ``base + (i + 1) + prefix_sum(deltas)[i]``. The sum runs in
-    int64 (a block's 128 gaps of <= 32 bits cannot overflow it) and the
-    strictly increasing output only needs its last element range-checked.
-    """
-    doc_ids = np.cumsum(deltas.astype(np.int64) + 1) + base
-    if len(doc_ids) and int(doc_ids[-1]) > 0xFFFFFFFF:
-        raise CompressionError(
-            f"docID beyond 32 bits accumulating d-gaps above base {base}"
-        )
-    return doc_ids.astype(np.uint32)

@@ -19,11 +19,7 @@ from __future__ import annotations
 from array import array
 from typing import List, Sequence
 
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-
 from repro.compression.base import DEFAULT_REGISTRY, Codec
-from repro.compression.npunpack import as_u8
 from repro.errors import CompressionError
 
 #: Per control byte: the four payload lengths it announces, plus their
@@ -34,11 +30,6 @@ _GROUP_SHAPES = tuple(
         sum(((control >> (2 * slot)) & 0x3) + 1 for slot in range(4)),
     )
     for control in range(256)
-)
-
-#: Columnar gather mask, indexed by payload byte length (1..4).
-_GVB_MASKS = np.array(
-    [0, 0xFF, 0xFFFF, 0xFFFFFF, 0xFFFFFFFF], dtype=np.uint32
 )
 
 
@@ -135,55 +126,3 @@ class GroupVarintCodec(Codec):
                     position = end
                     produced += 1
         return out
-
-    def decode_block_columnar(self, data, count: int) -> np.ndarray:
-        if count <= 0:
-            return super().decode_block_columnar(data, count)
-        raw = as_u8(data)
-        size = len(raw)
-        starts = np.empty(count, dtype=np.int64)
-        lens = np.empty(count, dtype=np.int64)
-        position = 0
-        produced = 0
-        # Serial walk over the control bytes only: each group's start
-        # chains through the previous group's payload total, so this part
-        # cannot be vectorized — but it touches just ``count / 4`` bytes.
-        # The payload extraction below is one vectorized gather.
-        while produced < count:
-            if position >= size:
-                raise CompressionError(
-                    f"GVB: truncated input: stream ended after "
-                    f"{produced} of {count} values"
-                )
-            lengths, total = _GROUP_SHAPES[raw[position]]
-            position += 1
-            if count - produced >= 4 and position + total <= size:
-                for length in lengths:
-                    starts[produced] = position
-                    lens[produced] = length
-                    position += length
-                    produced += 1
-            else:
-                for length in lengths:
-                    if produced == count:
-                        break
-                    if position + length > size:
-                        raise CompressionError(
-                            f"GVB: truncated input: payload ends inside "
-                            f"value {produced} of {count}"
-                        )
-                    starts[produced] = position
-                    lens[produced] = length
-                    position += length
-                    produced += 1
-        # Pad so the 4-byte window of the last payload never reads past
-        # the end, then gather one little-endian word per value.
-        padded = np.zeros(size + 4, dtype=np.uint8)
-        padded[:size] = raw
-        words = (
-            sliding_window_view(padded, 4)[starts]
-            .copy()
-            .view("<u4")
-            .reshape(-1)
-        )
-        return words & _GVB_MASKS[lens]

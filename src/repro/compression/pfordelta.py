@@ -39,11 +39,8 @@ from __future__ import annotations
 from array import array
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 from repro.compression.base import DEFAULT_REGISTRY, Codec
 from repro.compression.bitio import BitReader, BitWriter
-from repro.compression.npunpack import as_u8, unpack_lsb_frame
 from repro.compression.varbyte import VarByteCodec
 from repro.errors import CompressionError
 
@@ -55,12 +52,6 @@ PFD_COVERAGE = 0.90
 SEGMENT_SIZE = 128
 
 _VB = VarByteCodec()
-
-
-class _WideFrame(Exception):
-    """Internal: a segment header claims a frame wider than the 64-bit
-    columnar gather can extract; the caller falls back to the exact
-    big-int bulk decoder."""
 
 
 def _encode_segment(values: Sequence[int], width: int) -> bytes:
@@ -171,64 +162,6 @@ def _decode_segment_fast(data: bytes, offset: int,
     return values, pos
 
 
-def _decode_segment_columnar(data, offset: int, count: int,
-                             name: str = "PFD") -> Tuple[np.ndarray, int]:
-    """Columnar variant of :func:`_decode_segment_fast`.
-
-    The frame is unpacked with one vectorized gather
-    (:func:`unpack_lsb_frame`); the exception section — a handful of
-    entries by construction — is patched with the reference decoder's
-    serial walk. Values stay in uint64 until the caller's final 32-bit
-    range check so corrupt wide patches are detected, not wrapped.
-    """
-    if offset + 2 > len(data):
-        raise CompressionError("PFD: truncated segment header")
-    width = data[offset]
-    if width > 57:
-        # A corrupt header can claim up to 255-bit fields, which the
-        # big-int reference path tolerates when the decoded values still
-        # fit 32 bits; the 64-bit gather window cannot, so punt the
-        # whole stream back to the bulk decoder.
-        raise _WideFrame(width)
-    n_exc = data[offset + 1]
-    frame_bytes = (count * width + 7) // 8
-    frame_end = offset + 2 + frame_bytes
-    if frame_end > len(data):
-        raise CompressionError("PFD: truncated input: frame cut short")
-    if width:
-        frame = as_u8(data, offset=offset + 2, length=frame_bytes)
-        values = unpack_lsb_frame(frame, width, count)
-    else:
-        values = np.zeros(count, dtype=np.uint64)
-    pos = frame_end
-    for _ in range(n_exc):
-        if pos >= len(data):
-            raise CompressionError("PFD: truncated exception section")
-        position = data[pos]
-        pos += 1
-        end = pos
-        while end < len(data) and not (data[end] & 0x80):
-            end += 1
-        if end >= len(data):
-            raise CompressionError("PFD: unterminated exception value")
-        end += 1
-        # Inline VB decode (MSB-first 7-bit groups, terminator already
-        # located above) — keeps the zero-copy path off the bytes codecs.
-        high = 0
-        for byte in data[pos:end]:
-            high = (high << 7) | (byte & 0x7F)
-        if position >= count:
-            raise CompressionError(
-                f"PFD: exception position {position} out of range"
-            )
-        patch = high << width
-        if patch > 0xFFFFFFFFFFFFFFFF:
-            raise CompressionError(f"{name}: decoded value exceeds 32 bits")
-        values[position] |= np.uint64(patch)
-        pos = end
-    return values, pos
-
-
 class _PatchedFrameCodec(Codec):
     """Shared encode/decode driver; subclasses choose the frame width."""
 
@@ -260,30 +193,6 @@ class _PatchedFrameCodec(Codec):
             raise CompressionError(
                 f"{self.name}: decoded value exceeds 32 bits"
             ) from None
-
-    def decode_block_columnar(self, data, count: int) -> np.ndarray:
-        if count <= 0:
-            return super().decode_block_columnar(data, count)
-        segments: List[np.ndarray] = []
-        produced = 0
-        offset = 0
-        try:
-            while produced < count:
-                seg_count = min(SEGMENT_SIZE, count - produced)
-                seg_values, offset = _decode_segment_columnar(
-                    data, offset, seg_count, self.name
-                )
-                segments.append(seg_values)
-                produced += seg_count
-        except _WideFrame:
-            return Codec.decode_block_columnar(self, data, count)
-        values = segments[0] if len(segments) == 1 else \
-            np.concatenate(segments)
-        if int(values.max()) > 0xFFFFFFFF:
-            raise CompressionError(
-                f"{self.name}: decoded value exceeds 32 bits"
-            )
-        return values.astype(np.uint32)
 
     def _frame_width(self, segment: Sequence[int]) -> int:
         raise NotImplementedError

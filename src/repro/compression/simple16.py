@@ -20,10 +20,7 @@ stop — mirroring the element-count field of the paper's block metadata.
 from __future__ import annotations
 
 import struct
-from array import array
 from typing import List, Sequence, Tuple
-
-import numpy as np
 
 from repro.compression.base import DEFAULT_REGISTRY, Codec
 from repro.errors import CompressionError
@@ -51,32 +48,6 @@ S16_MODES: Tuple[Tuple[int, ...], ...] = (
 )
 
 assert all(sum(mode) == 28 for mode in S16_MODES)
-
-
-def _layout(mode: Tuple[int, ...]) -> Tuple[Tuple[int, int], ...]:
-    """Per-field ``(shift, mask)`` pairs for one mode's word layout."""
-    pairs = []
-    shift = 4
-    for width in mode:
-        pairs.append((shift, (1 << width) - 1))
-        shift += width
-    return tuple(pairs)
-
-
-#: Bulk-decode dispatch table: selector -> ((shift, mask), ...).
-_S16_LAYOUTS = tuple(_layout(mode) for mode in S16_MODES)
-
-#: Columnar dispatch tables: fields per selector, and per selector the
-#: shift / mask vectors of a whole word's layout.
-_S16_CAPS_ND = np.array([len(mode) for mode in S16_MODES], dtype=np.int64)
-_S16_SHIFTS_ND = tuple(
-    np.array([shift for shift, _ in layout], dtype=np.uint32)
-    for layout in _S16_LAYOUTS
-)
-_S16_MASKS_ND = tuple(
-    np.array([mask for _, mask in layout], dtype=np.uint32)
-    for layout in _S16_LAYOUTS
-)
 
 
 @DEFAULT_REGISTRY.register
@@ -120,54 +91,6 @@ class Simple16Codec(Codec):
                 f"S16: stream ended after {len(values)} of {count} values"
             )
         return values
-
-    def decode_block(self, data: bytes, count: int) -> array:
-        if len(data) % 4:
-            raise CompressionError("S16: payload is not word aligned")
-        out: List[int] = []
-        extend = out.extend
-        for (word,) in struct.iter_unpack("<I", data):
-            extend([
-                (word >> shift) & mask
-                for shift, mask in _S16_LAYOUTS[word & 0xF]
-            ])
-            if len(out) >= count:
-                break
-        if len(out) < count:
-            raise CompressionError(
-                f"S16: stream ended after {len(out)} of {count} values"
-            )
-        del out[count:]  # drop the final word's padding fields
-        return array("I", out)
-
-    def decode_block_columnar(self, data, count: int) -> np.ndarray:
-        if count <= 0:
-            return super().decode_block_columnar(data, count)
-        if len(data) % 4:
-            raise CompressionError("S16: payload is not word aligned")
-        words = np.frombuffer(data, dtype="<u4")
-        selectors = (words & np.uint32(0xF)).astype(np.intp)
-        per_word = _S16_CAPS_ND[selectors]
-        cum = np.cumsum(per_word)
-        total = int(cum[-1]) if len(cum) else 0
-        if total < count:
-            raise CompressionError(
-                f"S16: stream ended after {total} of {count} values"
-            )
-        # Only the prefix of words needed to produce ``count`` values is
-        # decoded — matching the bulk decoder's early break.
-        nwords = int(np.searchsorted(cum, count, side="left")) + 1
-        out = np.empty(int(cum[nwords - 1]), dtype=np.uint32)
-        out_start = cum[:nwords] - per_word[:nwords]
-        used = selectors[:nwords]
-        for sel in np.unique(used):
-            shifts = _S16_SHIFTS_ND[sel]
-            w_idx = np.flatnonzero(used == sel)
-            vals = (words[w_idx, None] >> shifts[None, :]) \
-                & _S16_MASKS_ND[sel][None, :]
-            dest = out_start[w_idx, None] + np.arange(len(shifts))
-            out[dest] = vals
-        return out[:count]
 
     @staticmethod
     def _choose_mode(values: Sequence[int], position: int) -> Tuple[int, int]:

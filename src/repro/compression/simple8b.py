@@ -33,10 +33,7 @@ Mode table (selector: field width x count):
 from __future__ import annotations
 
 import struct
-from array import array
 from typing import List, Sequence, Tuple
-
-import numpy as np
 
 from repro.compression.base import DEFAULT_REGISTRY, Codec
 from repro.errors import CompressionError
@@ -61,29 +58,6 @@ S8B_MODES: Tuple[Tuple[int, int], ...] = (
     (30, 2),
     (60, 1),
 )
-
-#: Bulk-decode dispatch tables, one entry per selector: the field shifts
-#: of a whole word (None for the zero-run modes), the field mask, and a
-#: pre-built zero run for the payload-free modes.
-_S8B_SHIFTS = tuple(
-    tuple(4 + i * width for i in range(capacity)) if width else None
-    for width, capacity in S8B_MODES
-)
-_S8B_MASKS = tuple((1 << width) - 1 for width, _ in S8B_MODES)
-_S8B_ZEROS = tuple(
-    [0] * capacity if width == 0 else None for width, capacity in S8B_MODES
-)
-
-#: Columnar dispatch tables: values per selector, and per selector the
-#: field shift vector (empty for the zero-run modes).
-_S8B_CAPS_ND = np.array([capacity for _, capacity in S8B_MODES],
-                        dtype=np.int64)
-_S8B_SHIFTS_ND = tuple(
-    (np.uint64(4) + np.uint64(width) * np.arange(capacity, dtype=np.uint64))
-    if width else None
-    for width, capacity in S8B_MODES
-)
-
 
 @DEFAULT_REGISTRY.register
 class Simple8bCodec(Codec):
@@ -135,67 +109,6 @@ class Simple8bCodec(Codec):
                 f"S8b: stream ended after {len(values)} of {count} values"
             )
         return values
-
-    def decode_block(self, data: bytes, count: int) -> array:
-        if len(data) % 8:
-            raise CompressionError("S8b: payload is not word aligned")
-        out: List[int] = []
-        extend = out.extend
-        for (word,) in struct.iter_unpack("<Q", data):
-            selector = word & 0xF
-            shifts = _S8B_SHIFTS[selector]
-            if shifts is None:
-                extend(_S8B_ZEROS[selector])
-            else:
-                mask = _S8B_MASKS[selector]
-                extend([(word >> shift) & mask for shift in shifts])
-            if len(out) >= count:
-                break
-        if len(out) < count:
-            raise CompressionError(
-                f"S8b: stream ended after {len(out)} of {count} values"
-            )
-        del out[count:]  # drop the final word's padding fields
-        try:
-            return array("I", out)
-        except OverflowError:
-            raise CompressionError(
-                "S8b: decoded value exceeds 32 bits"
-            ) from None
-
-    def decode_block_columnar(self, data, count: int) -> np.ndarray:
-        if count <= 0:
-            return super().decode_block_columnar(data, count)
-        if len(data) % 8:
-            raise CompressionError("S8b: payload is not word aligned")
-        words = np.frombuffer(data, dtype="<u8")
-        selectors = (words & np.uint64(0xF)).astype(np.intp)
-        per_word = _S8B_CAPS_ND[selectors]
-        cum = np.cumsum(per_word)
-        total = int(cum[-1]) if len(cum) else 0
-        if total < count:
-            raise CompressionError(
-                f"S8b: stream ended after {total} of {count} values"
-            )
-        # Only the prefix of words needed to produce ``count`` values is
-        # decoded — matching the bulk decoder's early break.
-        nwords = int(np.searchsorted(cum, count, side="left")) + 1
-        out = np.zeros(int(cum[nwords - 1]), dtype=np.uint64)
-        out_start = cum[:nwords] - per_word[:nwords]
-        used = selectors[:nwords]
-        for sel in np.unique(used):
-            shifts = _S8B_SHIFTS_ND[sel]
-            if shifts is None:
-                continue  # zero-run mode: the output is pre-zeroed
-            w_idx = np.flatnonzero(used == sel)
-            mask = np.uint64(_S8B_MASKS[sel])
-            vals = (words[w_idx, None] >> shifts[None, :]) & mask
-            dest = out_start[w_idx, None] + np.arange(len(shifts))
-            out[dest] = vals
-        out = out[:count]
-        if int(out.max()) > 0xFFFFFFFF:
-            raise CompressionError("S8b: decoded value exceeds 32 bits")
-        return out.astype(np.uint32)
 
     @staticmethod
     def _choose_mode(values: Sequence[int], position: int) -> Tuple[int, int]:

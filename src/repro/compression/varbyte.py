@@ -19,10 +19,7 @@ from __future__ import annotations
 from array import array
 from typing import List, Sequence
 
-import numpy as np
-
 from repro.compression.base import DEFAULT_REGISTRY, Codec
-from repro.compression.npunpack import as_u8
 from repro.errors import CompressionError
 
 #: Byte-translation table clearing the terminator flag: the bulk decoder
@@ -77,69 +74,10 @@ class VarByteCodec(Codec):
         return values
 
     def decode_block(self, data: bytes, count: int) -> array:
-        if count <= 0:
-            return super().decode_block(data, count)
-        # All-single-byte streams (every byte is a terminator) decode in
-        # one translate + list pass, both C-speed.
-        if len(data) == count and min(data) >= 0x80:
+        # All-single-byte streams (every byte is a terminator: tf and
+        # dense d-gap payloads) decode in one translate + list pass,
+        # both C-speed. Multi-byte streams take the inherited wrapper,
+        # which a bulk loop here did not beat.
+        if count > 0 and len(data) == count and min(data) >= 0x80:
             return array("I", list(data.translate(_CLEAR_MSB)))
-        out = array("I")
-        append = out.append
-        produced = 0
-        current = 0
-        pending = False
-        try:
-            for byte in data:
-                current = (current << 7) | (byte & 0x7F)
-                pending = True
-                if byte & 0x80:
-                    append(current)
-                    current = 0
-                    pending = False
-                    produced += 1
-                    if produced == count:
-                        return out
-        except OverflowError:
-            raise CompressionError(
-                "VB: decoded value exceeds 32 bits"
-            ) from None
-        detail = "truncated input (unterminated value)" if pending \
-            else "truncated input"
-        raise CompressionError(
-            f"VB: {detail}: stream ended after {produced} of "
-            f"{count} values"
-        )
-
-    def decode_block_columnar(self, data, count: int) -> np.ndarray:
-        if count <= 0:
-            return super().decode_block_columnar(data, count)
-        raw = as_u8(data)
-        # Terminator scan: every byte with the MSB set ends a value.
-        ends = np.flatnonzero(raw & 0x80)
-        if len(ends) < count:
-            produced = len(ends)
-            used = int(ends[-1]) + 1 if produced else 0
-            detail = ("truncated input (unterminated value)"
-                      if len(raw) > used else "truncated input")
-            raise CompressionError(
-                f"VB: {detail}: stream ended after {produced} of "
-                f"{count} values"
-            )
-        ends = ends[:count]
-        n_used = int(ends[-1]) + 1
-        payload = (raw[:n_used] & 0x7F).astype(np.uint64)
-        # Each byte contributes payload << (7 * distance-to-terminator).
-        positions = np.arange(n_used, dtype=np.int64)
-        dist = ends[np.searchsorted(ends, positions)] - positions
-        # A non-zero group 9+ bytes before its terminator contributes at
-        # least 2**63 — past uint64 territory and far past 32 bits.
-        if np.any((payload != 0) & (dist >= 9)):
-            raise CompressionError("VB: decoded value exceeds 32 bits")
-        contrib = payload << (np.uint64(7) * dist.astype(np.uint64))
-        starts = np.empty(count, dtype=np.int64)
-        starts[0] = 0
-        starts[1:] = ends[:-1] + 1
-        values = np.add.reduceat(contrib, starts)
-        if int(values.max()) > 0xFFFFFFFF:
-            raise CompressionError("VB: decoded value exceeds 32 bits")
-        return values.astype(np.uint32)
+        return super().decode_block(data, count)

@@ -1,17 +1,29 @@
-"""Columnar union executor: vectorized leader runs over decoded blocks.
+"""Production executors: the reference algorithms, engineered for speed.
 
-:func:`run_union_columnar` is a third implementation of the union
-algorithm of :func:`repro.core.union.run_union`, pinned bit-identical to
-the reference and to :func:`repro.core.fastexec.run_union_fast` by the
-equivalence suite — same rankings, same work counters, same per-bucket
-traffic, same traces.
+:func:`run_union_columnar` and :func:`run_grouped_intersection_fast` are
+operation-for-operation replicas of :func:`repro.core.union.run_union`
+and :func:`repro.core.intersection.run_grouped_intersection` — the same
+cursor movements in the same order, the same counter increments, the
+same floating-point summation order — pinned bit-identical to those
+oracles by the equivalence suites (``tests/test_fastpath_equivalence.py``,
+``tests/test_columnar_equivalence.py``): rankings, work counters,
+per-bucket traffic and full traces.
 
-Where :mod:`repro.core.fastexec` removes *per-call* overhead (method and
-property dispatch), this executor removes *per-iteration* overhead: the
-profile of the fast path shows >90% of wall-clock inside the union loop
-itself, dominated by iterations whose top-k offer is rejected. The key
-observation is that between two **accepted** top-k inserts the loop's
-decision state is frozen:
+They remove two kinds of host-side overhead.
+
+*Per call*: the hot per-iteration state (each cursor's current docID,
+its list-max score, the top-k cutoff) lives in loop-local variables
+instead of being re-derived through method and property calls. This is
+safe because all modeled side effects live inside
+:class:`~repro.core.cursor.ListCursor`'s *movement* operations
+(``advance_to``, ``step``, ``current_tf`` — block fetches, skips,
+metadata charges, observer events), which are still invoked exactly as
+the oracles invoke them; the polling operations the replicas elide
+(``exhausted``, repeated ``current_doc``) are pure or idempotent.
+
+*Per iteration* (leader runs): most union iterations end in a rejected
+top-k offer, and between two **accepted** inserts the loop's decision
+state is frozen:
 
 * the cutoff changes only when an insert is accepted;
 * with a sole pivot ("leader") the WAND test reads one constant
@@ -22,7 +34,7 @@ decision state is frozen:
 
 So whenever the pivot set collapses to a single leader (the common case
 on Zipf-distributed unions: one list is far denser than the rest), the
-executor scores the leader's whole decoded block in one vectorized BM25
+union scores the leader's whole decoded block in one vectorized BM25
 expression — the exact float op order of the scalar path, so scores are
 bit-identical — and *bulk-counts* the run of rejected candidates up to
 the first acceptance, the next list's docID, or the block end. Every
@@ -30,40 +42,107 @@ cursor movement with modeled side effects (block fetch, skip,
 ``advance_to``, block transition) still happens through the real cursor,
 in the order the reference executor performs it.
 
-Run mode requires the default ET configuration (``et_wand``,
-``et_block``, ``interval_blocks == 1``); any other configuration simply
-never enters run mode and executes the fast path's loop unchanged.
+Leader runs require the default ET configuration (``et_wand``,
+``et_block``, ``interval_blocks == 1``) and a leader of at least
+``_LEADER_RUN_MIN_DF`` postings; everything else runs the general
+iteration. The two are interchangeable iteration by iteration, so one
+query may mix them.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, Sequence, Tuple
+from operator import itemgetter
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.fastexec import _ENTRY_KEY, _step_slow
+from repro.cache import DEFAULT_DECODED_CACHE_BLOCKS
+from repro.core.groups import GroupCursor
 from repro.core.topk import TopKQueue
 from repro.core.union import ET_EPSILON
+from repro.errors import SimulationError
+from repro.index.blocks import BLOCK_SIZE
 from repro.index.bm25 import BM25Scorer
 from repro.sim.metrics import WorkCounters
 
-#: Sentinel "no next list" bound; matches the fast path's ``min_boundary``
-#: sentinel and sits far above any 32-bit docID.
+#: Sort key over alive entries ``[doc, -max_score, ...]`` — the same
+#: ``(doc, -list_max_score)`` ordering as ``union._sort_key``, extracted
+#: at C speed.
+_ENTRY_KEY = itemgetter(0, 1)
+
+
+def _step_slow(cursor) -> Optional[int]:
+    """Block-transition half of a step: delegate to the cursor itself.
+
+    Used when the next posting is *not* in the already-decoded block
+    (boundary crossing or an undecoded block), so the cursor's own
+    ``step`` performs the fetch/skip accounting.
+    """
+    cursor.step()
+    ids = cursor._decoded_doc_ids
+    if ids is not None:
+        return ids[cursor._position]
+    return cursor.current_doc()
+
+
+def _step_inline(cursor) -> Optional[int]:
+    """``cursor.step()`` + return the new docID (None when exhausted).
+
+    The common case — the next posting lives in the already-decoded
+    block — is a single index bump; everything else falls through to
+    :func:`_step_slow`.
+    """
+    ids = cursor._decoded_doc_ids
+    position = cursor._position + 1
+    if ids is not None and position < len(ids):
+        cursor._position = position
+        return ids[position]
+    return _step_slow(cursor)
+
+
+def _tf_inline(cursor) -> int:
+    """``cursor.current_tf()`` without the method call when decoded."""
+    tfs = cursor._decoded_tfs
+    if tfs is not None:
+        return tfs[cursor._position]
+    return cursor.current_tf()
+
+
+#: Sentinel "no next list" bound; sits far above any 32-bit docID.
 _NO_LIMIT = 1 << 62
 
+#: Entries kept in an engine's block-score cache before it is reset.
+#: Each entry pins a decoded docID array plus its score vector, and a
+#: re-decode after a decoded-block cache eviction retires the old key,
+#: so the score cache may hold no more blocks than the decoded cache.
+_SCORE_CACHE_LIMIT = DEFAULT_DECODED_CACHE_BLOCKS
 
-#: Entries kept in a shared block-score cache before it is reset; bounds
-#: memory when the decoded-block cache churns (each re-decode allocates a
-#: fresh arrays object, retiring the old cache key).
-_SCORE_CACHE_LIMIT = 65536
+#: A list leads runs only when it fills at least one whole block.
+#: Below that a run's numpy set-up is not repaid: unions of short lists
+#: (a live index's small segments, whose engines and score caches are
+#: rebuilt with every statistics version) measured 5-15 % slower with
+#: runs than without.
+_LEADER_RUN_MIN_DF = BLOCK_SIZE
 
 
 def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
                        work: WorkCounters, et_block: bool = True,
                        et_wand: bool = True, interval_blocks: int = 1,
-                       score_cache: dict = None) -> None:
-    """Columnar replica of :func:`repro.core.fastexec.run_union_fast`.
+                       score_cache: dict = None,
+                       leader_runs: bool = True) -> None:
+    """Production replica of :func:`repro.core.union.run_union`.
+
+    Alive cursors are tracked as mutable entries
+    ``[doc, -max_score, max_score, idf, cursor, block_lasts,
+    block_max_scores, run_ids, run_scores, leads_runs]`` whose docID
+    slot is refreshed after every movement, so sorting, pivot
+    selection, tie absorption and the block-level ET peek read plain
+    ints/floats instead of calling back into the cursor. ``run_ids``
+    and ``run_scores`` cache the leader run's per-block score vector
+    (decoded arrays object -> scores) so a run re-entered after an
+    interleaving iteration reuses it. Work counters accumulate in locals and flush on exit (nothing
+    observes them mid-query).
 
     ``score_cache`` maps ``id(decoded doc-id array) -> (array, scores)``
     and outlives single queries (the engine passes one per accelerator):
@@ -71,36 +150,47 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
     per-document normalizers, both fixed for an index snapshot, so
     repeated queries over the same hot lists skip the vector build. The
     cached array object is strongly referenced, which pins its ``id``.
+
+    ``leader_runs=False`` is ``executor="fast"``: every iteration takes
+    the general path.
     """
     if score_cache is None:
         score_cache = {}
-    # Entry slots 0-6 mirror the fast path; 7-8 cache the leader run's
-    # per-block score vector (decoded arrays object -> scores) so a run
-    # re-entered after an interleaving iteration reuses it.
+    run_capable = (leader_runs and et_wand and et_block
+                   and interval_blocks == 1)
     alive: List[list] = []
     for cursor in cursors:
         if not cursor.exhausted:
             max_score = cursor.list_max_score
-            blocks = cursor.posting_list.blocks
-            alive.append([cursor.current_doc(), -max_score, max_score,
-                          cursor.idf, cursor, cursor._lasts,
-                          [b.metadata.max_term_score for b in blocks],
-                          None, None])
+            plist = cursor.posting_list
+            alive.append([
+                cursor.current_doc(), -max_score, max_score,
+                cursor.idf, cursor, cursor._lasts,
+                [b.metadata.max_term_score for b in plist.blocks],
+                None, None,
+                run_capable
+                and plist.document_frequency >= _LEADER_RUN_MIN_DF,
+            ])
 
+    # BM25 term-score arithmetic, inlined with the exact operation order
+    # of ``BM25Scorer.term_score``:
+    #   idf * (tf * (k1 + 1.0)) / (tf + normalizer)
     normalizers = scorer._normalizers
-    normalizer_nd = scorer.normalizer_array
     k1_plus_1 = scorer.params.k1 + 1.0
     offer = topk.offer
+    # ``TopKQueue.cutoff`` inlined: 0.0 until the queue is full, else
+    # the lowest resident score (entries are sorted ascending).
     topk_entries = topk._entries
     topk_k = topk.k
     cutoff = topk_entries[0][0] if len(topk_entries) >= topk_k else 0.0
-    run_capable = et_wand and et_block and interval_blocks == 1
     merge_ops = docs_evaluated = docs_matched = topk_inserts = 0
     try:
         while alive:
+            # (1) Sorter: order by (sID, -list max score), stable.
             alive.sort(key=_ENTRY_KEY)
             merge_ops += 1
 
+            # (2)+(3) Score loader + pivot selector (WAND).
             if et_wand:
                 pivot_index = None
                 upper_bound = 0.0
@@ -120,7 +210,7 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
                 pivot_index += 1
             pivot_set = alive[: pivot_index + 1]
 
-            if run_capable and pivot_index == 0:
+            if pivot_index == 0 and alive[0][9]:
                 # ---- leader run ------------------------------------
                 # Sole pivot: consume iterations without re-sorting
                 # until the leader catches up with the next list, is
@@ -174,7 +264,7 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
                             ).astype(np.float64)
                             scores_nd = 0.0 + (
                                 idf * (tfs_f * k1_plus_1)
-                                / (tfs_f + normalizer_nd[ids_nd])
+                                / (tfs_f + scorer.normalizer_array[ids_nd])
                             )
                             if len(score_cache) >= _SCORE_CACHE_LIMIT:
                                 score_cache.clear()
@@ -246,10 +336,15 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
                 alive = [e for e in alive if e[0] is not None]
                 continue
 
-            # ---- general iteration (verbatim fast-path body) -------
+            # ---- general iteration ---------------------------------
+            # Block-level check (score-estimation unit). For the default
+            # one-block interval the peek is inlined: the pivot-set
+            # cursors are live by construction (no exhausted check) and
+            # the bound is one precomputed per-block maximum. Metadata
+            # is still charged through the cursor, block by block.
             if et_block:
                 bound = 0.0
-                min_boundary = 1 << 62
+                min_boundary = _NO_LIMIT
                 if interval_blocks == 1:
                     for entry in pivot_set:
                         lasts = entry[5]
@@ -284,6 +379,7 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
                     alive = [e for e in alive if e[0] is not None]
                     continue
 
+            # (4) Document scheduler.
             if alive[0][0] == pivot_doc:
                 score = 0.0
                 normalizer = normalizers[pivot_doc]
@@ -323,43 +419,114 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
         work.topk_inserts += topk_inserts
 
 
-def score_matches_columnar(matches: Sequence[Tuple[int, Dict[str, int]]],
-                           index, topk: TopKQueue,
-                           work: WorkCounters) -> None:
-    """Columnar replica of the engine's ``_score_matches``.
+def run_grouped_intersection_fast(groups: Sequence[GroupCursor],
+                                  work: WorkCounters):
+    """Production replica of ``intersection.run_grouped_intersection``.
 
-    When every match carries the same term tuple in the same order (AND
-    over plain terms: the group order is df-sorted and every term is
-    present at every match), per-doc scores are one vectorized BM25
-    accumulation per term — the same left-to-right float summation order
-    as the scalar loop. Mixed OR-group matches have per-doc term subsets,
-    so they fall back to the scalar loop unchanged.
+    Each group's member cursors are tracked as ``[doc, cursor]`` entries
+    (doc None = exhausted); the group-level min-docID, tf collection and
+    step logic run over those cached ints, reproducing exactly the
+    ``merge_ops`` contributions of every :class:`GroupCursor` method the
+    reference path would have called (including the internal
+    ``current_doc`` of ``current_tfs`` and ``step``).
     """
-    if not matches:
-        return
-    scorer = index.scorer
-    term_order = tuple(matches[0][1])
-    uniform = all(tuple(tfs) == term_order for _, tfs in matches)
-    if not uniform:
-        for doc, tfs in matches:
-            score = 0.0
-            for term, tf in tfs.items():
-                score += scorer.term_score(
-                    index.posting_list(term).idf, tf, doc
-                )
-            work.docs_evaluated += 1
-            work.topk_inserts += 1
-            topk.offer(doc, score)
-        return
-    docs = np.array([doc for doc, _ in matches], dtype=np.int64)
-    totals = np.zeros(len(matches), dtype=np.float64)
-    for term in term_order:
-        idf = index.posting_list(term).idf
-        tfs_nd = np.array([tfs[term] for _, tfs in matches],
-                          dtype=np.float64)
-        totals += scorer.score_array(idf, tfs_nd, docs)
-    work.docs_evaluated += len(matches)
-    work.topk_inserts += len(matches)
-    offer = topk.offer
-    for i, (doc, _) in enumerate(matches):
-        offer(doc, float(totals[i]))
+    if not groups:
+        raise SimulationError("intersection needs at least one group")
+    ordered = sorted(groups, key=lambda g: g.document_frequency)
+    # Group state: [primed?, [[doc, cursor], ...]]. Members are primed
+    # lazily at the group's first operation, exactly when the reference
+    # path first asks each member for its docID.
+    states = [[False, [[None, member] for member in group.members]]
+              for group in ordered]
+    merge_ops = 0
+
+    def prime(state):
+        if not state[0]:
+            state[0] = True
+            for entry in state[1]:
+                entry[0] = entry[1].current_doc()
+
+    def g_current_doc(state):
+        nonlocal merge_ops
+        prime(state)
+        best = None
+        live = 0
+        for entry in state[1]:
+            doc = entry[0]
+            if doc is not None:
+                live += 1
+                if best is None or doc < best:
+                    best = doc
+        if live > 1:
+            merge_ops += live - 1
+        return best
+
+    def g_advance_to(state, target):
+        nonlocal merge_ops
+        prime(state)
+        best = None
+        live = 0
+        for entry in state[1]:
+            doc = entry[0]
+            if doc is None:
+                continue
+            if doc < target:
+                doc = entry[1].advance_to(target)
+                entry[0] = doc
+                if doc is None:
+                    continue
+            live += 1
+            if best is None or doc < best:
+                best = doc
+        if live > 1:
+            merge_ops += live - 1
+        return best
+
+    def g_current_tfs(state):
+        doc = g_current_doc(state)
+        if doc is None:
+            raise SimulationError("group cursor exhausted")
+        tfs = {}
+        for entry in state[1]:
+            if entry[0] == doc:
+                tfs[entry[1].term] = _tf_inline(entry[1])
+        return tfs
+
+    def g_step(state):
+        doc = g_current_doc(state)
+        if doc is None:
+            raise SimulationError("group cursor exhausted")
+        for entry in state[1]:
+            if entry[0] == doc:
+                entry[0] = _step_inline(entry[1])
+
+    matches = []
+    driver = states[0]
+    others = states[1:]
+    doc = g_current_doc(driver)
+    while doc is not None:
+        merge_ops += 1
+        candidate = doc
+        in_all = True
+        for state in others:
+            landed = g_advance_to(state, candidate)
+            if landed is None:
+                doc = None
+                in_all = False
+                break
+            if landed != candidate:
+                doc = g_advance_to(driver, landed)
+                in_all = False
+                break
+        if doc is None:
+            break
+        if in_all:
+            tfs = g_current_tfs(driver)
+            for state in others:
+                tfs.update(g_current_tfs(state))
+            matches.append((candidate, tfs))
+            g_step(driver)
+            doc = g_current_doc(driver)
+    work.merge_ops += merge_ops
+    work.docs_matched += len(matches)
+    return matches

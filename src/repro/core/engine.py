@@ -29,14 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.columnar import run_union_columnar, score_matches_columnar
-from repro.core.cursor import SKIP_ET, SKIP_OVERLAP, ListCursor
-from repro.core.fastexec import (
+from repro.core.columnar import (
     run_grouped_intersection_fast,
-    run_union_fast,
+    run_union_columnar,
 )
+from repro.core.cursor import SKIP_ET, SKIP_OVERLAP, ListCursor
 from repro.core.groups import GroupCursor
 from repro.core.intersection import run_grouped_intersection
 from repro.core.query import (
@@ -68,9 +67,13 @@ RESULT_ENTRY_BYTES = 8
 #: Terms a single BOSS core processes natively (Section IV-B).
 TERMS_PER_CORE = 4
 
-#: Executor implementations the engine can route queries through. All
-#: three are pinned bit-identical by the equivalence suite; they differ
-#: only in host-side wall clock.
+#: Executor names the engine accepts. ``reference`` is the oracle
+#: (:mod:`repro.core.union`, :mod:`repro.core.intersection`, per-value
+#: decoders, no decoded-block cache); ``columnar`` is the production
+#: path (:mod:`repro.core.columnar`). ``fast`` is ``columnar`` with
+#: leader runs off; the benchmark still probes it by name, so retiring
+#: it is a later benchmark PR's job. All three are pinned bit-identical
+#: by the equivalence suites; they differ only in host-side wall clock.
 EXECUTORS = ("reference", "fast", "columnar")
 
 
@@ -109,7 +112,6 @@ class BossAccelerator:
                  config: Optional[BossConfig] = None,
                  observer: Observer = NULL_OBSERVER,
                  fast_path: bool = True,
-                 decoded_cache=None,
                  executor: Optional[str] = None) -> None:
         self._index = index
         self._config = BossConfig() if config is None else config
@@ -117,42 +119,25 @@ class BossAccelerator:
         #: When set (a list), every block payload fetch is appended as
         #: (term, block_index, bytes) — input to the cache simulator.
         self.fetch_log = None
-        #: Which executor implementation runs queries. ``None`` derives
-        #: it from ``fast_path`` (the pre-columnar API); an explicit
-        #: name overrides ``fast_path`` entirely.
+        #: Which executor runs queries. ``None`` takes the production
+        #: path, or the reference oracle when ``fast_path=False``; an
+        #: explicit name overrides ``fast_path`` entirely.
         if executor is None:
-            executor = "fast" if fast_path else "reference"
+            executor = "columnar" if fast_path else "reference"
         elif executor not in EXECUTORS:
             raise QueryError(
                 f"unknown executor {executor!r}; expected one of {EXECUTORS}"
             )
         self._executor = executor
-        #: Bulk array decode vs the per-value reference decode path.
-        #: ``fast_path=False`` reproduces the pre-fast-path engine
-        #: exactly (reference decoders, no decoded-block cache) — the
-        #: baseline side of the wall-clock benchmark and of the
-        #: modeled-metrics equivalence tests. The columnar executor
-        #: rides on the bulk decode path.
-        fast_path = executor != "reference"
-        self._fast_path = fast_path
-        #: Cross-query block-score cache for the columnar executor
-        #: (block scores depend only on the index snapshot).
-        self._columnar_scores = {} if executor == "columnar" else None
-        # Host-side decoded-block cache: None -> default-capacity cache
-        # when the fast path is on; an int -> that capacity in blocks
-        # (0 disables); a DecodedBlockCache -> shared instance (the
-        # cluster hands one cache to all its leaf engines).
-        if decoded_cache is None:
-            self._decoded_cache = (
-                DecodedBlockCache(observer=observer) if fast_path else None
-            )
-        elif isinstance(decoded_cache, int):
-            self._decoded_cache = (
-                DecodedBlockCache(decoded_cache, observer=observer)
-                if decoded_cache else None
-            )
-        else:
-            self._decoded_cache = decoded_cache
+        #: Production path: bulk array decode behind a host-side
+        #: decoded-block cache (the reference path owns none).
+        self._fast_path = executor != "reference"
+        self._decoded_cache = (
+            DecodedBlockCache(observer=observer) if self._fast_path else None
+        )
+        #: Cross-query block-score cache of the leader runs (block
+        #: scores depend only on the index snapshot).
+        self._columnar_scores: Dict[int, tuple] = {}
 
     @property
     def observer(self) -> Observer:
@@ -256,27 +241,17 @@ class BossAccelerator:
         cursors = [
             self._cursor(t, work, traffic, SKIP_ET) for t in terms
         ]
-        if self._executor == "columnar":
-            run_union_columnar(
-                cursors,
-                self._index.scorer,
-                topk,
-                work,
-                et_block=self._config.et_block,
-                et_wand=self._config.et_wand,
-                interval_blocks=self._config.et_interval_blocks,
-                score_cache=self._columnar_scores,
-            )
+        config = self._config
+        et = dict(et_block=config.et_block, et_wand=config.et_wand,
+                  interval_blocks=config.et_interval_blocks)
+        if not self._fast_path:
+            run_union(cursors, self._index.scorer, topk, work, **et)
             return
-        runner = run_union_fast if self._fast_path else run_union
-        runner(
-            cursors,
-            self._index.scorer,
-            topk,
-            work,
-            et_block=self._config.et_block,
-            et_wand=self._config.et_wand,
-            interval_blocks=self._config.et_interval_blocks,
+        run_union_columnar(
+            cursors, self._index.scorer, topk, work,
+            score_cache=self._columnar_scores,
+            leader_runs=self._executor == "columnar",
+            **et,
         )
 
     def _execute_and_of_groups(self, node: AndNode, topk: TopKQueue,
@@ -346,9 +321,6 @@ class BossAccelerator:
     def _score_matches(self, matches: Sequence[Tuple[int, Dict[str, int]]],
                        topk: TopKQueue, work: WorkCounters) -> None:
         """Scoring + top-k modules for set-operation outputs."""
-        if self._executor == "columnar":
-            score_matches_columnar(matches, self._index, topk, work)
-            return
         scorer = self._index.scorer
         for doc, tfs in matches:
             score = 0.0

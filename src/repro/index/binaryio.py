@@ -211,8 +211,8 @@ def parse_index_buffer(data, source: str = "<buffer>") -> InvertedIndex:
     ``bytes`` input (the :func:`load_index_binary` path) produces
     ordinary ``bytes`` block payloads. A ``memoryview`` input — the
     :class:`repro.index.mmapio.MmapIndexStorage` path — produces
-    payloads that are zero-copy views into the buffer, which the
-    columnar decode kernels consume directly.
+    payloads that are zero-copy views into the buffer, copied only
+    when a block is decoded.
     """
     if data[:len(MAGIC)] != MAGIC:
         raise InvertedIndexError(f"{source} is not a BOSSIDX1 file")

@@ -26,16 +26,13 @@ from array import array
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 from repro.compression.base import Codec
 from repro.compression.delta import (
     deltas_from_doc_ids,
     doc_ids_from_deltas,
     doc_ids_from_deltas_array,
-    doc_ids_from_deltas_columnar,
 )
-from repro.errors import CompressionError, InvertedIndexError
+from repro.errors import InvertedIndexError
 from repro.index.postings import Posting
 
 #: Postings per block, the paper's fixed block granularity.
@@ -112,58 +109,30 @@ class Block:
         scheme (the ``compType`` of the offloading API).
         """
         meta = self.metadata
-        doc_payload, tf_payload = self.doc_payload, self.tf_payload
-        if not isinstance(doc_payload, (bytes, bytearray)):
-            # Zero-copy (mmap) payloads: the per-value reference
-            # decoders assume bytes semantics, and this oracle path is
-            # not the one the copy-free guarantee covers.
-            doc_payload = bytes(doc_payload)
-            tf_payload = bytes(tf_payload)
-        deltas = codec.decode(doc_payload, meta.count)
+        # The decoders assume bytes semantics: a zero-copy (mmap)
+        # payload view is copied here, a bytes payload is not.
+        deltas = codec.decode(bytes(self.doc_payload), meta.count)
         doc_ids = doc_ids_from_deltas(deltas, base=meta.first_doc_id - 1)
-        tfs = codec.decode(tf_payload, meta.count)
+        tfs = codec.decode(bytes(self.tf_payload), meta.count)
         return [Posting(d, tf + 1) for d, tf in zip(doc_ids, tfs)]
 
     def decode_arrays(self, codec: Codec) -> Tuple[array, array]:
-        """Fast-path decompression: ``(docID array, tf array)``.
+        """Production decompression: ``(docID array, tf array)``.
 
         Functionally identical to :meth:`decode` but stays in bulk form
         end to end — the codec's ``decode_block`` emits ``array('I')``
         d-gaps, the prefix-sum transform reconstructs docIDs in one
         pass, and no per-posting objects are materialized. This is the
         representation the query cursors consume (and the decoded-block
-        cache retains).
+        cache retains). Payload views are copied exactly as in
+        :meth:`decode`.
         """
         meta = self.metadata
-        if not isinstance(self.doc_payload, (bytes, bytearray)):
-            return self._decode_arrays_columnar(codec)
-        deltas = codec.decode_block(self.doc_payload, meta.count)
+        deltas = codec.decode_block(bytes(self.doc_payload), meta.count)
         doc_ids = doc_ids_from_deltas_array(deltas,
                                             base=meta.first_doc_id - 1)
-        tfs = codec.decode_block(self.tf_payload, meta.count)
+        tfs = codec.decode_block(bytes(self.tf_payload), meta.count)
         return doc_ids, array("I", [tf + 1 for tf in tfs])
-
-    def _decode_arrays_columnar(self, codec: Codec) -> Tuple[array, array]:
-        """Decompress zero-copy payloads (memoryview slices of an mmap).
-
-        The columnar kernels accept any byte buffer without materializing
-        a ``bytes`` copy. The outputs are converted to the same
-        ``array('I')`` representation as the bytes path so the decoded
-        block cache stays type-uniform across storage backends.
-        """
-        meta = self.metadata
-        deltas = codec.decode_block_columnar(self.doc_payload, meta.count)
-        doc_ids = doc_ids_from_deltas_columnar(deltas,
-                                               base=meta.first_doc_id - 1)
-        tfs = codec.decode_block_columnar(self.tf_payload, meta.count)
-        tfs = tfs.astype(np.uint64) + np.uint64(1)
-        if int(tfs.max()) > 0xFFFFFFFF:
-            raise CompressionError("tf beyond 32 bits decoding block")
-        # array('I', bytes) deserializes raw little-endian 32-bit words.
-        return (
-            array("I", doc_ids.astype("<u4", copy=False).tobytes()),
-            array("I", tfs.astype("<u4").tobytes()),
-        )
 
 
 def build_block(postings: Sequence[Posting], codec: Codec,

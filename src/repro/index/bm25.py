@@ -80,7 +80,7 @@ class BM25Scorer:
             for length in self._doc_lengths
         ]
         # Columnar view of the normalizer table, built lazily by
-        # :attr:`normalizer_array` (the array scorer's gather source).
+        # :attr:`normalizer_array` (the leader runs' gather source).
         self._normalizer_nd = None
 
     @property
@@ -135,20 +135,6 @@ class BM25Scorer:
             cached = np.asarray(self._normalizers, dtype=np.float64)
             self._normalizer_nd = cached
         return cached
-
-    def score_array(self, idf: float, tfs: np.ndarray,
-                    doc_ids: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`term_score` over parallel tf/docID vectors.
-
-        Element ``i`` is bit-identical to
-        ``term_score(idf, tfs[i], doc_ids[i])``: the elementwise float64
-        operations are applied in exactly the scalar path's association
-        order ``idf * (tf * (k1 + 1)) / (tf + normalizer)``, so IEEE-754
-        rounding matches bit for bit.
-        """
-        norms = self.normalizer_array[doc_ids]
-        tfs_f = np.asarray(tfs, dtype=np.float64)
-        return idf * (tfs_f * (self._params.k1 + 1.0)) / (tfs_f + norms)
 
     def term_score(self, idf: float, tf: int, doc_id: int) -> float:
         """Runtime term score: one division, one multiply, one add.

@@ -10,10 +10,9 @@ parses the index over a ``memoryview`` of the mapping, so
 * term/block *metadata* is materialized as ordinary Python objects
   (it is tiny and hot), while
 * every compressed block *payload* is a ``memoryview`` slice into the
-  mapping — no bytes are copied until a query actually decodes the
-  block, and the columnar decode kernels
-  (:meth:`repro.compression.base.Codec.decode_block_columnar`) read
-  straight from the view via ``np.frombuffer``.
+  mapping — loading copies no payload, the pages stay shared with the
+  page cache, and a payload is copied to ``bytes`` only when a query
+  decodes its block (:meth:`repro.index.blocks.Block.decode_arrays`).
 
 This is the software analogue of the paper's ``init()`` placing the
 index file in the SCM pool at stable addresses: the OS page cache

@@ -39,6 +39,16 @@ class TestCorrectness:
     def test_k_override(self, lucene):
         assert len(lucene.search('"t0"', k=4).hits) == 4
 
+    def test_default_config_constructs_and_searches(self, small_index):
+        """Regression: the inner engine read ``k`` off the ``config``
+        argument, so ``LuceneEngine(index)`` raised AttributeError."""
+        engine = LuceneEngine(small_index)
+        assert engine.config == LuceneConfig()
+        hits = engine.search('"t0" OR "t1"').hits
+        assert len(hits) == LuceneConfig().k
+        assert hits_as_pairs(engine.search('"t0" OR "t1"')) == \
+            hits_as_pairs(BossAccelerator(small_index).search('"t0" OR "t1"'))
+
 
 class TestHostSideAccounting:
     def test_all_loads_cross_interconnect(self, lucene):

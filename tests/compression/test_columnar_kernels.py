@@ -1,12 +1,11 @@
-"""Property tests: ``decode_block_columnar`` vs the per-value oracle.
+"""``Codec.decode_block_columnar``: the base-class adapter.
 
-Every codec's columnar kernel must be *element-identical* to the
-per-value ``decode`` path on any stream the codec accepts — including
-the adversarial shapes the kernels special-case: block boundaries
-(counts straddling 128), maximum-width values, exception-heavy PFD
-payloads, and zero-copy ``memoryview`` inputs. Truncated payloads must
-raise the exact error the bulk ``decode_block`` path raises, so the
-two paths stay drop-in interchangeable for the corruption tests.
+No codec overrides it any more (the numpy kernels are retired); what
+is left is one adapter over ``decode_block`` that the benchmark's codec
+probes call by name. It must stay *element-identical* to the per-value
+``decode`` oracle on any stream a codec accepts, take zero-copy
+``memoryview`` inputs, return a ``uint32`` vector, and raise exactly
+what ``decode_block`` raises on truncated payloads.
 """
 
 import numpy as np

@@ -1,7 +1,7 @@
 """Columnar executor equivalence: bit-identical to the other engines.
 
-The columnar executor (``executor="columnar"``) vectorizes decode and
-scoring with numpy and bulk-counts leader runs, but it is a wall-clock
+The columnar executor (``executor="columnar"``, the default) scores
+blocks with numpy and bulk-counts leader runs, but it is a wall-clock
 optimization only: rankings (to the last float bit), every
 :class:`WorkCounters` field, per-bucket traffic, and full observability
 traces must match the reference and fast executors exactly — across
@@ -19,6 +19,51 @@ from tests.test_differential import _random_queries
 from tests.test_fastpath_equivalence import _assert_results_identical
 
 
+def _session_engines():
+    from repro.api import BossSession
+
+    session = BossSession()
+    session.init(build_random_index(num_docs=100, vocab_size=8, seed=1))
+    return [session.accelerator]
+
+
+def _cluster_engines():
+    from repro.faults import make_faulty_cluster
+    from repro.workloads import synthetic_documents
+
+    cluster, _ = make_faulty_cluster(
+        synthetic_documents(num_docs=120, seed=3), 2, replication_factor=2)
+    return cluster.engines + [
+        leaf for group in cluster.replicas for leaf in group
+    ]
+
+
+def _segment_engines():
+    from repro.live import LiveIndexWriter
+
+    writer = LiveIndexWriter(buffer_docs=4)
+    for i in range(10):
+        writer.add_document(["alpha", f"w{i % 3}"])
+    writer.flush()
+    live = writer.index
+    return [live._engine_for(segment) for segment in live.segments]
+
+
+def _lucene_engines():
+    from repro.baselines import LuceneEngine
+
+    index = build_random_index(num_docs=100, vocab_size=8, seed=1)
+    return [LuceneEngine(index)._executor]
+
+
+_DEFAULT_ENGINE_BUILDERS = {
+    "session": _session_engines,
+    "cluster": _cluster_engines,
+    "segments": _segment_engines,
+    "lucene": _lucene_engines,
+}
+
+
 class TestExecutorSelection:
     def test_known_executors(self):
         assert EXECUTORS == ("reference", "fast", "columnar")
@@ -27,16 +72,25 @@ class TestExecutorSelection:
             engine = BossAccelerator(index, BossConfig(k=5), executor=name)
             assert engine.executor == name
 
-    def test_executor_derived_from_fast_path(self):
+    def test_fast_path_false_is_the_reference_oracle(self):
         index = build_random_index(num_docs=100, vocab_size=8, seed=1)
-        assert BossAccelerator(index).executor == "fast"
-        assert BossAccelerator(index, fast_path=False).executor == \
-            "reference"
+        reference = BossAccelerator(index, fast_path=False)
+        assert reference.executor == "reference"
+        assert not reference.fast_path
         # An explicit executor overrides the fast_path flag entirely.
         engine = BossAccelerator(index, fast_path=False,
                                  executor="columnar")
         assert engine.executor == "columnar"
         assert engine.fast_path
+
+    @pytest.mark.parametrize("builder", sorted(_DEFAULT_ENGINE_BUILDERS))
+    def test_library_engines_default_to_columnar(self, builder):
+        """Every engine library code builds with default arguments
+        takes the production path."""
+        engines = _DEFAULT_ENGINE_BUILDERS[builder]()
+        assert engines
+        assert [engine.executor for engine in engines] == \
+            ["columnar"] * len(engines)
 
     def test_unknown_executor_rejected(self):
         index = build_random_index(num_docs=100, vocab_size=8, seed=1)
@@ -123,6 +177,15 @@ def test_columnar_equivalence_across_k(k):
         )
 
 
+def _assert_traces_identical(observer, reference_observer):
+    assert len(observer.traces) == len(reference_observer.traces)
+    for trace, reference_trace in zip(observer.traces,
+                                      reference_observer.traces):
+        assert trace.spans == reference_trace.spans
+        assert trace.traffic == reference_trace.traffic
+        assert trace.to_dict() == reference_trace.to_dict()
+
+
 def test_traces_bit_identical_columnar_vs_fast():
     index = build_random_index(num_docs=800, vocab_size=25, seed=13)
     queries = _random_queries(sorted(index), 29, count=10)
@@ -138,9 +201,78 @@ def test_traces_bit_identical_columnar_vs_fast():
         for expression in queries:
             columnar.search(expression)
             fast.search(expression)
-    assert len(columnar_observer.traces) == len(fast_observer.traces)
-    for columnar_trace, fast_trace in zip(columnar_observer.traces,
-                                          fast_observer.traces):
-        assert columnar_trace.spans == fast_trace.spans
-        assert columnar_trace.traffic == fast_trace.traffic
-        assert columnar_trace.to_dict() == fast_trace.to_dict()
+    _assert_traces_identical(columnar_observer, fast_observer)
+
+
+def test_equivalence_at_the_leader_run_gate():
+    """Lists one posting short of, at, and one past the df from which a
+    list leads runs mix run and general iterations in one query; the
+    output must not show which iterations took which."""
+    import random
+
+    from repro.core.columnar import _LEADER_RUN_MIN_DF as gate
+    from repro.index import IndexBuilder
+
+    rng = random.Random(15)
+    num_docs = 4 * gate
+    docs = [["filler"] * rng.randrange(3, 30) for _ in range(num_docs)]
+    terms = {"below": gate - 1, "at": gate, "above": gate + 1,
+             "dense": 3 * gate}
+    for term, df in terms.items():
+        for doc in rng.sample(range(num_docs), df):
+            docs[doc].extend([term] * rng.randrange(1, 5))
+    builder = IndexBuilder()
+    for doc in docs:
+        builder.add_document(doc)
+    index = builder.build()
+    assert {t: index.posting_list(t).document_frequency
+            for t in terms} == terms
+
+    queries = [f'"{t}"' for t in terms] + [
+        '"below" OR "at"', '"at" OR "above"', '"below" OR "above"',
+        '"below" OR "at" OR "above"', '"dense" OR "below"',
+        '"dense" OR "at" OR "above" OR "below"',
+    ]
+    observer, reference_observer = RecordingObserver(), RecordingObserver()
+    columnar = BossAccelerator(index, BossConfig(k=10), observer=observer)
+    reference = BossAccelerator(index, BossConfig(k=10),
+                                observer=reference_observer,
+                                executor="reference")
+    for _ in range(2):  # second pass: warm decoded and score caches
+        for expression in queries:
+            _assert_results_identical(
+                columnar.search(expression), reference.search(expression),
+                expression,
+            )
+    _assert_traces_identical(observer, reference_observer)
+    # Only lists at or past the gate led runs (and so cached scores).
+    assert 0 < len(columnar._columnar_scores) <= sum(
+        index.posting_list(t).num_blocks
+        for t, df in terms.items() if df >= gate
+    )
+
+
+def test_block_score_cache_is_bounded(monkeypatch):
+    """Churning more distinct blocks than the cap never grows the
+    block-score cache past it, and results stay exact across resets."""
+    from repro.core import columnar as production
+
+    cap = 8
+    monkeypatch.setattr(production, "_SCORE_CACHE_LIMIT", cap)
+    index = build_random_index(num_docs=4000, vocab_size=10, seed=12)
+    # k past every df: no cutoff arms, so every block of every list is
+    # scored and cached.
+    k = 4000
+    columnar = BossAccelerator(index, BossConfig(k=k))
+    reference = BossAccelerator(index, BossConfig(k=k),
+                                executor="reference")
+    churned = 0
+    for term in sorted(index):
+        expression = f'"{term}"'
+        _assert_results_identical(
+            columnar.search(expression), reference.search(expression),
+            expression,
+        )
+        churned += index.posting_list(term).num_blocks
+        assert len(columnar._columnar_scores) <= cap
+    assert churned > 4 * cap

@@ -1,12 +1,13 @@
-"""Modeled-metrics equivalence: fast path vs the reference engine.
+"""Modeled-metrics equivalence: ``executor="fast"`` vs the reference.
 
-The PR's core invariant: the bulk ``decode_block`` fast path and the
-host-side decoded-block cache are *wall-clock* optimizations only. With
-them enabled (the default) or disabled (``fast_path=False``, which
-reproduces the pre-fast-path engine), every functional and modeled
-output must be **bit-identical**: rankings, per-bucket
-:class:`TrafficCounter` totals, every :class:`WorkCounters` field, and
-the full observability trace (spans, traffic entries, latencies).
+The core invariant: the bulk ``decode_block`` path, the host-side
+decoded-block cache and the production executors' general iteration
+(``executor="fast"``: leader runs off) are *wall-clock* optimizations
+only. Against ``fast_path=False`` (the reference oracle: per-value
+decoders, no cache) every functional and modeled output must be
+**bit-identical**: rankings, per-bucket :class:`TrafficCounter` totals,
+every :class:`WorkCounters` field, and the full observability trace
+(spans, traffic entries, latencies).
 
 Warm-cache runs are covered explicitly: the second pass over a query
 batch serves blocks from the decoded cache, and must still charge the
@@ -15,7 +16,7 @@ exact same modeled traffic as a cold run.
 
 import pytest
 
-from repro.cache import DecodedBlockCache
+from repro.cache import DEFAULT_DECODED_CACHE_BLOCKS
 from repro.core import BossAccelerator, BossConfig
 from repro.observability import RecordingObserver
 from repro.scm.traffic import AccessClass, AccessPattern
@@ -42,7 +43,7 @@ def _assert_results_identical(fast, reference, context):
 def test_fast_path_modeled_metrics_bit_identical(seed):
     index = build_random_index(num_docs=900, vocab_size=28, seed=seed)
     queries = _random_queries(sorted(index), seed * 11, count=14)
-    fast = BossAccelerator(index, BossConfig(k=10))
+    fast = BossAccelerator(index, BossConfig(k=10), executor="fast")
     reference = BossAccelerator(index, BossConfig(k=10), fast_path=False)
     # Two passes: pass 2 runs entirely against the warm decoded cache.
     for pass_number in (1, 2):
@@ -60,7 +61,7 @@ def test_fast_path_equivalence_per_codec(scheme):
     index = build_random_index(num_docs=600, vocab_size=20, seed=77,
                                schemes=[scheme])
     queries = _random_queries(sorted(index), 19, count=8)
-    fast = BossAccelerator(index, BossConfig(k=10))
+    fast = BossAccelerator(index, BossConfig(k=10), executor="fast")
     reference = BossAccelerator(index, BossConfig(k=10), fast_path=False)
     for expression in queries:
         _assert_results_identical(
@@ -76,7 +77,7 @@ def test_traces_bit_identical_with_and_without_fast_path():
     fast_observer = RecordingObserver()
     reference_observer = RecordingObserver()
     fast = BossAccelerator(index, BossConfig(k=10),
-                           observer=fast_observer)
+                           observer=fast_observer, executor="fast")
     reference = BossAccelerator(index, BossConfig(k=10),
                                 observer=reference_observer,
                                 fast_path=False)
@@ -106,19 +107,13 @@ def test_decoded_cache_observability_counters():
     assert 0.0 < cache.hit_rate < 1.0
 
 
-def test_shared_decoded_cache_and_capacity_knobs():
+def test_decoded_cache_ownership():
+    """Production engines own one default-capacity cache each; the
+    reference oracle owns none."""
     index = build_random_index(num_docs=400, vocab_size=15, seed=6)
-    shared = DecodedBlockCache(capacity_blocks=64)
-    a = BossAccelerator(index, BossConfig(k=10), decoded_cache=shared)
-    b = BossAccelerator(index, BossConfig(k=10), decoded_cache=shared)
-    a.search('"t0"')
-    hits_before = shared.hits
-    b.search('"t0"')  # same shard object -> same cache entries
-    assert shared.hits > hits_before
-    # Integer capacity; zero disables the cache entirely.
-    sized = BossAccelerator(index, BossConfig(k=10), decoded_cache=16)
-    assert sized.decoded_cache.capacity_blocks == 16
-    disabled = BossAccelerator(index, BossConfig(k=10), decoded_cache=0)
-    assert disabled.decoded_cache is None
+    a = BossAccelerator(index, BossConfig(k=10))
+    b = BossAccelerator(index, BossConfig(k=10))
+    assert a.decoded_cache is not b.decoded_cache
+    assert a.decoded_cache.capacity_blocks == DEFAULT_DECODED_CACHE_BLOCKS
     reference = BossAccelerator(index, BossConfig(k=10), fast_path=False)
     assert reference.decoded_cache is None
