@@ -144,16 +144,8 @@ class BossSession:
         """
         self._require_init()
         node = parse_query(q_expression)
-        terms = node.terms()
-        if len(terms) > MAX_QUERY_TERMS:
+        if not self._check_arguments(node):
             return self._search_oversized(node, k, result_size)
-        # Resolve compType/listAddr for every term — and verify the
-        # device has a decompression program for each scheme.
-        for comp_type in self.comp_types(terms):
-            if comp_type not in self._programs:
-                raise ConfigurationError(
-                    f"no decompression program registered for {comp_type!r}"
-                )
         effective_k = self._config.k if k is None else k
         if result_size is not None and result_size < 8 * effective_k:
             raise ConfigurationError(
@@ -161,6 +153,24 @@ class BossSession:
                 f"{effective_k} (needs {8 * effective_k} B)"
             )
         return self._accelerator.search(node, k=k)
+
+    def _check_arguments(self, node) -> bool:
+        """The offload argument checks :meth:`search` runs per query.
+
+        False when ``nTerm`` exceeds the 16-term hardware limit (the
+        query goes to the host-split path instead). Otherwise resolves
+        ``compType``/``listAddr`` for every term and raises unless the
+        device has a decompression program for each scheme.
+        """
+        terms = node.terms()
+        if len(terms) > MAX_QUERY_TERMS:
+            return False
+        for comp_type in self.comp_types(terms):
+            if comp_type not in self._programs:
+                raise ConfigurationError(
+                    f"no decompression program registered for {comp_type!r}"
+                )
+        return True
 
     def search_batch(self, q_expressions: List[str],
                      k: Optional[int] = None,
@@ -178,15 +188,7 @@ class BossSession:
         from repro.batch import run_query_batch
 
         for q_expression in q_expressions:
-            node = parse_query(q_expression)
-            terms = node.terms()
-            if len(terms) <= MAX_QUERY_TERMS:
-                for comp_type in self.comp_types(terms):
-                    if comp_type not in self._programs:
-                        raise ConfigurationError(
-                            f"no decompression program registered for "
-                            f"{comp_type!r}"
-                        )
+            self._check_arguments(parse_query(q_expression))
         return run_query_batch(self, q_expressions, k=k, workers=workers)
 
     # ------------------------------------------------------------------

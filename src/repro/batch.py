@@ -3,23 +3,22 @@
 The paper evaluates BOSS on query *streams*, not single queries: the
 throughput model charges each query's pipelined latency against a pool
 of cores. This module is the host-side analogue for the simulator
-itself — it executes a batch of query expressions concurrently on a
-worker-thread pool and reports wall-clock throughput, while keeping
-every functional and modeled output bit-identical to running the same
-queries serially:
+itself — it runs a batch of query expressions through
+``target.search(expression, k)`` on a worker-thread pool and reports
+wall-clock throughput, while keeping every functional and modeled
+output bit-identical to running the same queries serially.
 
-* **engines and sessions** (anything with ``search(expression, k)``)
-  parallelize over whole queries — each ``search()`` call builds its own
-  counters and cursors, so queries are independent;
-* **clusters** (:class:`repro.cluster.root.SearchCluster`) parallelize
-  over *(query, shard)* pairs: the root's plan step runs serially, leaf
-  executions fan out to the pool, and the root merge runs in the main
-  thread in query order over shard-ordered results — so the merged
-  hits, traffic and work are independent of pool scheduling.
+The pool parallelises *whole queries* for every target alike — an
+engine, a session or a cluster root. Each ``search()`` call builds its
+own counters and cursors, so queries are independent; a cluster's
+fan-out over its shards (plan, resilient leaf execution, root merge)
+is :meth:`repro.cluster.root.SearchCluster.search` and nothing here
+repeats it.
 
-Determinism with observability: when the target (or any cluster leaf)
-carries an enabled observer, the driver drops to one worker so traces
-and registry counters are recorded in the exact serial order.
+Determinism with observability: when the target (or any leaf engine it
+exposes through ``engines``) carries an enabled observer, the driver
+drops to one worker so traces and registry counters are recorded in the
+exact serial order.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from time import perf_counter
 from typing import List, Optional, Sequence, Union
 
 from repro.core.query import QueryNode
-from repro.core.topk import DEFAULT_K
 from repro.errors import ConfigurationError
 
 #: Upper bound on the default pool size; beyond this the GIL-bound
@@ -56,9 +54,10 @@ class BatchReport:
 
     All times are *host* wall-clock seconds — deliberately distinct
     from the simulator's modeled seconds (see
-    ``docs/performance-model.md``). ``per_query_seconds`` entries are
-    per-query compute times (for clusters: slowest shard plus the root
-    merge), so queue waiting inside the pool is excluded.
+    ``docs/performance-model.md``). A ``per_query_seconds`` entry is
+    the wall time of one ``target.search()`` call, whatever the target;
+    with more than one worker it includes the time the call spent
+    waiting for the interpreter lock while other workers ran.
     """
 
     __slots__ = ("num_queries", "workers", "wall_seconds",
@@ -72,7 +71,8 @@ class BatchReport:
         self.workers = workers
         self.wall_seconds = wall_seconds
         self.per_query_seconds = per_query_seconds
-        #: Cluster runs only: queries whose merge skipped a failed shard.
+        #: Queries whose result reports ``degraded`` (a cluster merge
+        #: that skipped a failed shard).
         self.queries_degraded = queries_degraded
 
     @property
@@ -144,8 +144,12 @@ def _default_workers() -> int:
 
 
 def _observer_enabled(target) -> bool:
+    """The target, or any leaf engine it exposes, records observations."""
     observer = getattr(target, "observer", None)
-    return bool(observer is not None and getattr(observer, "enabled", False))
+    if observer is not None and getattr(observer, "enabled", False):
+        return True
+    return any(_observer_enabled(leaf)
+               for leaf in getattr(target, "engines", ()))
 
 
 def run_query_batch(target, expressions: Sequence[Union[str, QueryNode]],
@@ -153,31 +157,27 @@ def run_query_batch(target, expressions: Sequence[Union[str, QueryNode]],
                     workers: Optional[int] = None) -> BatchResult:
     """Execute a batch of queries on ``target`` with a worker pool.
 
-    ``target`` is a per-shard engine / session (``search(expression,
-    k)``) or a :class:`~repro.cluster.root.SearchCluster`. Results come
-    back in input order and are bit-identical to serial execution.
+    ``target`` is anything with ``search(expression, k)`` — an engine,
+    a session or a :class:`~repro.cluster.root.SearchCluster`; ``k=None``
+    is passed through and means the target's default. Results come back
+    in input order and are bit-identical to serial execution. The first
+    query to fail aborts the batch with the target's own exception (for
+    a strict-policy cluster, the
+    :class:`~repro.errors.LeafExecutionError` naming query and shard).
     """
     expressions = list(expressions)
     if not expressions:
         raise ConfigurationError("query batch is empty")
     if workers is not None and workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    from repro.cluster.root import SearchCluster
-
-    if isinstance(target, SearchCluster):
-        return _run_cluster_batch(target, expressions, k, workers)
-    return _run_engine_batch(target, expressions, k, workers)
-
-
-def _run_engine_batch(engine, expressions, k, workers) -> BatchResult:
     if workers is None:
         workers = _default_workers()
-    if _observer_enabled(engine):
+    if _observer_enabled(target):
         workers = 1
 
     def _one(expression):
         start = perf_counter()
-        result = engine.search(expression, k=k)
+        result = target.search(expression, k=k)
         return result, perf_counter() - start
 
     wall_start = perf_counter()
@@ -194,98 +194,12 @@ def _run_engine_batch(engine, expressions, k, workers) -> BatchResult:
                     future.cancel()
                 raise
     wall = perf_counter() - wall_start
+    results = [result for result, _ in timed]
     report = BatchReport(
         num_queries=len(expressions), workers=workers, wall_seconds=wall,
         per_query_seconds=[seconds for _, seconds in timed],
-    )
-    return BatchResult([result for result, _ in timed], report)
-
-
-def _run_cluster_batch(cluster, expressions, k, workers) -> BatchResult:
-    effective_k = DEFAULT_K if k is None else k
-    if workers is None:
-        workers = _default_workers()
-    if _observer_enabled(cluster) or any(
-        _observer_enabled(engine) for engine in cluster.engines
-    ):
-        workers = 1
-
-    from repro.cluster.resilience import execute_leaf
-    from repro.errors import LeafExecutionError
-
-    # Root-side dissection is serial (and cheap): parse + per-shard
-    # pruning for every query up front.
-    plans = [cluster.plan(expression) for expression in expressions]
-
-    def _leaf(shard_index, pruned, expression):
-        # Resilient leaf execution: retries, per-attempt timeout and
-        # replica failover happen inside the worker, so a shard's
-        # recovery never blocks other (query, shard) pairs. Raises
-        # LeafExecutionError (naming query and shard) only under a
-        # no-degradation policy.
-        return execute_leaf(
-            cluster.shard_candidates(shard_index), pruned, effective_k,
-            cluster.policy, shard_index, expression=expression,
-            observer=cluster.observer, clock=cluster.clock,
-        )
-
-    wall_start = perf_counter()
-    futures = {}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for query_index, (_, per_shard) in enumerate(plans):
-            for shard_index, pruned in enumerate(per_shard):
-                if pruned is None:
-                    continue
-                futures[(query_index, shard_index)] = pool.submit(
-                    _leaf, shard_index, pruned, expressions[query_index]
-                )
-        # Collect by (query, shard) index and merge in the main thread:
-        # shard order is fixed per query and query order is input order,
-        # so the merge is independent of pool scheduling.
-        results = []
-        per_query_seconds = []
-        queries_degraded = 0
-        try:
-            for query_index, (node, per_shard) in enumerate(plans):
-                leaf_results = []
-                outcomes = []
-                slowest_shard = 0.0
-                for shard_index, pruned in enumerate(per_shard):
-                    if pruned is None:
-                        leaf_results.append(None)
-                        outcomes.append(None)
-                        continue
-                    outcome = futures[(query_index, shard_index)].result()
-                    leaf_results.append(outcome.result)
-                    outcomes.append(outcome)
-                    slowest_shard = max(slowest_shard,
-                                        outcome.elapsed_seconds)
-                merge_start = perf_counter()
-                merged = cluster.merge(node, leaf_results, k=effective_k,
-                                       outcomes=outcomes)
-                merge_seconds = perf_counter() - merge_start
-                if merged.degraded:
-                    queries_degraded += 1
-                results.append(merged)
-                per_query_seconds.append(slowest_shard + merge_seconds)
-        except BaseException as error:
-            # A leaf failed under a no-degradation policy (or the merge
-            # itself raised): cancel all pending (query, shard) work so
-            # the pool drains promptly instead of grinding through a
-            # batch whose result has already been abandoned.
-            for future in futures.values():
-                future.cancel()
-            if isinstance(error, LeafExecutionError):
-                raise
-            raise LeafExecutionError(
-                f"cluster batch aborted at query index {query_index} "
-                f"({expressions[query_index]!r}): {error!r}",
-                expression=expressions[query_index],
-            ) from error
-    wall = perf_counter() - wall_start
-    report = BatchReport(
-        num_queries=len(expressions), workers=workers, wall_seconds=wall,
-        per_query_seconds=per_query_seconds,
-        queries_degraded=queries_degraded,
+        queries_degraded=sum(
+            1 for result in results if getattr(result, "degraded", False)
+        ),
     )
     return BatchResult(results, report)

@@ -380,6 +380,23 @@ def _terms_by_df(index) -> List[str]:
     )
 
 
+def _engine_target(args):
+    """One engine over ``--index`` or the ``--preset`` synthetic corpus.
+
+    Returns ``(engine, terms_by_df, corpus)``; ``corpus`` is None for
+    an index file.
+    """
+    if args.index:
+        index = _load_cli_index(args)
+        return (BossAccelerator(index, BossConfig(k=args.k)),
+                _terms_by_df(index), None)
+    from repro.workloads import make_corpus
+
+    corpus = make_corpus(args.preset, scale=args.scale)
+    return (BossAccelerator(corpus.index, BossConfig(k=args.k)),
+            corpus.terms_by_df(), corpus)
+
+
 def _build_fault_cluster(args, k: int, clock=None):
     """Assemble the faulty resilient cluster the CLI flags describe."""
     from repro.cluster.resilience import ResiliencePolicy
@@ -755,76 +772,29 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    import json
+    """``bench``: passes of one sampled batch through the batch driver.
 
-    from repro.batch import run_query_batch
-    from repro.workloads import QuerySampler
-
-    if args.shards:
-        return _cmd_bench_cluster(args)
-    if args.index:
-        index = _load_cli_index(args)
-        terms_by_df = _terms_by_df(index)
-    else:
-        from repro.workloads import make_corpus
-
-        corpus = make_corpus(args.preset, scale=args.scale)
-        index = corpus.index
-        terms_by_df = corpus.terms_by_df()
-    sampler = QuerySampler(terms_by_df, seed=args.seed)
-    unique = max(1, min(args.unique, args.queries))
-    queries = [
-        spec.expression
-        for spec in sampler.sample_zipf_log(args.queries,
-                                            unique_queries=unique)
-    ]
-    engine = BossAccelerator(index, BossConfig(k=args.k))
-    reports = []
-    for _ in range(max(1, args.repeat)):
-        batch = run_query_batch(engine, queries, k=args.k,
-                                workers=args.workers)
-        reports.append(batch.report)
-    cache = engine.decoded_cache
-    if args.json:
-        payload = {
-            "executor": engine.executor,
-            "passes": [report.to_dict() for report in reports],
-            "decoded_cache": {
-                "hits": cache.hits,
-                "misses": cache.misses,
-                "hit_rate": cache.hit_rate,
-            },
-        }
-        print(json.dumps(payload, indent=2))
-        return 0
-    print(f"{len(queries)} queries ({unique} unique), "
-          f"{engine.executor} executor, "
-          f"workers={reports[0].workers}")
-    print(f"{'pass':<6}{'qps':>10}{'p50 (ms)':>10}{'p95 (ms)':>10}")
-    for number, report in enumerate(reports, start=1):
-        label = "cold" if number == 1 else "warm"
-        print(f"{label:<6}{report.queries_per_second:>10.1f}"
-              f"{report.p50_seconds * 1e3:>10.2f}"
-              f"{report.p95_seconds * 1e3:>10.2f}")
-    print(f"decoded-block cache: {cache.hits} hits / "
-          f"{cache.misses} misses ({cache.hit_rate:.1%})")
-    return 0
-
-
-def _cmd_bench_cluster(args) -> int:
-    """``bench --shards N``: resilient cluster under injected faults."""
+    One engine (``--index`` or a synthetic corpus) or, with
+    ``--shards``, a resilient cluster under injected faults — the
+    driver takes either, so only the target and the columns its
+    results add to the report differ.
+    """
     import json
 
     from repro.batch import run_query_batch
     from repro.errors import ConfigurationError
     from repro.workloads import QuerySampler
 
-    if args.index:
-        raise ConfigurationError(
-            "--shards benches a synthetic sharded corpus; drop --index"
-        )
-    cluster, _sharded = _build_fault_cluster(args, args.k)
-    sampler = QuerySampler(_CLUSTER_VOCAB, seed=args.seed)
+    if args.shards:
+        if args.index:
+            raise ConfigurationError(
+                "--shards benches a synthetic sharded corpus; drop --index"
+            )
+        target, _sharded = _build_fault_cluster(args, args.k)
+        terms_by_df = _CLUSTER_VOCAB
+    else:
+        target, terms_by_df, _corpus = _engine_target(args)
+    sampler = QuerySampler(terms_by_df, seed=args.seed)
     unique = max(1, min(args.unique, args.queries))
     queries = [
         spec.expression
@@ -833,50 +803,73 @@ def _cmd_bench_cluster(args) -> int:
     ]
     passes = []
     for _ in range(max(1, args.repeat)):
-        batch = run_query_batch(cluster, queries, k=args.k,
+        batch = run_query_batch(target, queries, k=args.k,
                                 workers=args.workers)
-        retries = sum(r.leaf_retries for r in batch.results)
-        timeouts = sum(r.leaf_timeouts for r in batch.results)
-        failovers = sum(r.leaf_failovers for r in batch.results)
-        failed_shards = sorted({
-            shard for r in batch.results for shard in r.shards_failed
-        })
-        passes.append((batch.report, retries, timeouts, failovers,
-                       failed_shards))
-    if args.json:
-        print(json.dumps({
+        record = batch.report.to_dict()
+        if args.shards:
+            for key in ("leaf_retries", "leaf_timeouts", "leaf_failovers"):
+                record[key] = sum(getattr(r, key) for r in batch.results)
+            record["failed_shards"] = sorted({
+                shard for r in batch.results for shard in r.shards_failed
+            })
+        passes.append(record)
+
+    #: (title, pass-record key, display scale, format) per table column.
+    columns = [("qps", "queries_per_second", 1, ".1f"),
+               ("p50 (ms)", "p50_seconds", 1e3, ".2f"),
+               ("p95 (ms)", "p95_seconds", 1e3, ".2f")]
+    if args.shards:
+        payload = {
             "shards": args.shards,
             "replication": args.replication,
             "fault_rate": args.fault_rate,
             "corruption_rate": args.corruption_rate,
             "retries_budget": args.retries,
             "timeout_ms": args.timeout_ms,
-            "passes": [
-                dict(report.to_dict(), leaf_retries=retries,
-                     leaf_timeouts=timeouts, leaf_failovers=failovers,
-                     failed_shards=failed_shards)
-                for report, retries, timeouts, failovers, failed_shards
-                in passes
-            ],
-        }, indent=2))
+        }
+        where = (f" over {args.shards} shards x{args.replication}, "
+                 f"fault rate {args.fault_rate:g}, "
+                 f"corruption {args.corruption_rate:g}, "
+                 f"retries {args.retries}")
+        columns += [("p99 (ms)", "p99_seconds", 1e3, ".2f"),
+                    ("retries", "leaf_retries", 1, "d"),
+                    ("timeouts", "leaf_timeouts", 1, "d"),
+                    ("failover", "leaf_failovers", 1, "d"),
+                    ("degraded", "degraded_fraction", 1, ".1%")]
+        footer = []
+    else:
+        cache = target.decoded_cache
+        payload = {
+            "executor": target.executor,
+            "decoded_cache": {
+                "hits": cache.hits,
+                "misses": cache.misses,
+                "hit_rate": cache.hit_rate,
+            },
+        }
+        where = f", {target.executor} executor"
+        footer = [f"decoded-block cache: {cache.hits} hits / "
+                  f"{cache.misses} misses ({cache.hit_rate:.1%})"]
+    payload["passes"] = passes
+    if args.json:
+        print(json.dumps(payload, indent=2))
         return 0
-    print(f"{len(queries)} queries ({unique} unique) over {args.shards} "
-          f"shards x{args.replication}, fault rate {args.fault_rate:g}, "
-          f"corruption {args.corruption_rate:g}, "
-          f"retries {args.retries}, workers={passes[0][0].workers}")
-    print(f"{'pass':<6}{'qps':>9}{'p50 (ms)':>10}{'p95 (ms)':>10}"
-          f"{'p99 (ms)':>10}{'retries':>9}{'timeouts':>9}"
-          f"{'failover':>9}{'degraded':>9}")
-    for number, (report, retries, timeouts, failovers,
-                 failed_shards) in enumerate(passes, start=1):
-        print(f"{number:<6}{report.queries_per_second:>9.1f}"
-              f"{report.p50_seconds * 1e3:>10.2f}"
-              f"{report.p95_seconds * 1e3:>10.2f}"
-              f"{report.p99_seconds * 1e3:>10.2f}"
-              f"{retries:>9}{timeouts:>9}{failovers:>9}"
-              f"{report.degraded_fraction:>8.1%}")
-        if failed_shards:
-            print(f"      failed shards: {failed_shards}")
+    print(f"{len(queries)} queries ({unique} unique){where}, "
+          f"workers={passes[0]['workers']}")
+    print(f"{'pass':<6}"
+          + "".join(f"{title:>10}" for title, _, _, _ in columns))
+    for number, record in enumerate(passes, start=1):
+        # Engine passes differ by cache state; cluster passes by the
+        # fault schedule's draws, so those are just numbered.
+        label = number if args.shards else (
+            "cold" if number == 1 else "warm")
+        print(f"{label:<6}" + "".join(
+            f"{format(record[key] * scale, spec):>10}"
+            for _, key, scale, spec in columns))
+        if record.get("failed_shards"):
+            print(f"      failed shards: {record['failed_shards']}")
+    for line in footer:
+        print(line)
     return 0
 
 
@@ -1055,16 +1048,9 @@ def _serve_target(args, timed_ops):
                 f"{where} + {len(timed_ops)} rebalance moves",
                 [partial(_rebalance_section, timed_ops, rebalancer,
                          cluster, sharded)])
-    if args.index:
-        index = _load_cli_index(args)
-        return (BossAccelerator(index, BossConfig(k=args.k)),
-                _terms_by_df(index), "single engine", [])
-    from repro.workloads import make_corpus
-
-    corpus = make_corpus(args.preset, scale=args.scale)
-    engine = BossAccelerator(corpus.index, BossConfig(k=args.k))
+    engine, vocab, corpus = _engine_target(args)
     if not args.hybrid:
-        return engine, corpus.terms_by_df(), "single engine", []
+        return engine, vocab, "single engine", []
     from repro.vector import (
         HybridSearch,
         HybridServingTarget,
@@ -1078,7 +1064,7 @@ def _serve_target(args, timed_ops):
                            device=_live_device(args.device))
     target = HybridServingTarget(
         HybridSearch(engine, vectors, mode=args.hybrid))
-    return (target, corpus.terms_by_df(), "single engine",
+    return (target, vocab, "single engine",
             [partial(_hybrid_section, args, vectors)])
 
 

@@ -697,8 +697,6 @@ class RebalancingClusterTarget:
         return self.cluster.replicas
 
     def search(self, expression, k: Optional[int] = None):
-        if k is None:
-            return self.cluster.search(expression)
         return self.cluster.search(expression, k=k)
 
     def apply_update(self, request) -> MoveReport:

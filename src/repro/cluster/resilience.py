@@ -3,9 +3,8 @@
 The serving-at-scale literature treats leaf loss and tail latency as
 first-class (a root that fans out to hundreds of leaves sees one of
 them misbehave on essentially every query); this module gives the
-cluster root a policy-driven execution core shared by the serial path
-(:meth:`~repro.cluster.root.SearchCluster.search`) and the batched
-driver (:func:`repro.batch.run_query_batch`):
+cluster root (:meth:`~repro.cluster.root.SearchCluster.search`, the
+only caller) a policy-driven execution core:
 
 * **bounded retry with exponential backoff** — each candidate engine
   gets ``1 + max_retries`` attempts; every attempt that follows a

@@ -228,9 +228,7 @@ class SearchCluster:
 
         Returns ``(node, per_shard)`` where ``per_shard[i]`` is the
         query shard ``i`` executes, or None when the shard holds none of
-        the query's mandatory terms. Shared by :meth:`search` and the
-        batched driver (:mod:`repro.batch`), which dispatches the
-        per-shard executions to a worker pool itself.
+        the query's mandatory terms.
         """
         node = parse_query(query) if isinstance(query, str) else flatten(query)
         return node, [
@@ -238,8 +236,10 @@ class SearchCluster:
         ]
 
     def search(self, query: Union[str, QueryNode],
-               k: int = DEFAULT_K) -> ClusterSearchResult:
+               k: Optional[int] = DEFAULT_K) -> ClusterSearchResult:
         """Fan out, execute per shard (resiliently), merge top-k.
+
+        ``k=None`` means the cluster's default, :data:`DEFAULT_K`.
 
         Shards run under the cluster's :class:`ResiliencePolicy`: failed
         attempts retry with backoff, exhausted primaries fail over to
@@ -247,6 +247,8 @@ class SearchCluster:
         shard is skipped so the merge still completes (the result's
         ``shards_failed`` / ``degraded`` report the quality loss).
         """
+        if k is None:
+            k = DEFAULT_K
         node, per_shard = self.plan(query)
         expression = str(node)
 
@@ -268,17 +270,18 @@ class SearchCluster:
 
     def merge(self, node: QueryNode,
               leaf_results: List[Optional[SearchResult]],
-              k: int = DEFAULT_K,
+              k: Optional[int] = DEFAULT_K,
               outcomes: Optional[List[Optional[LeafOutcome]]] = None,
               ) -> ClusterSearchResult:
         """Root-side merge of per-shard results (deterministic).
 
-        ``leaf_results`` must be in shard order; merge order is then
-        independent of the execution order of the shards, so the batch
-        driver's parallel runs produce bit-identical merged results.
+        ``leaf_results`` must be in shard order; the merge is then a
+        pure function of them. ``k=None`` means :data:`DEFAULT_K`.
         ``outcomes`` (when the resilient path ran) attributes failed
         shards and retry/timeout/failover counts to the merged result.
         """
+        if k is None:
+            k = DEFAULT_K
         merged = ClusterSearchResult(query=node, hits=[],
                                      leaf_results=leaf_results)
         if outcomes is not None:

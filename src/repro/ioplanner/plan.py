@@ -20,7 +20,8 @@ in it (their engine fetch logs) and rewrites them into a fetch plan:
    seek, matching :class:`repro.cache.CacheSimulator`'s convention.
 
 The plan's byte accounting obeys a conservation identity checked by
-:meth:`FetchPlan.check_conservation`:
+:meth:`RoutedBytes.check_conservation` — for one window's
+:class:`FetchPlan` and for a whole run's tally alike:
 
     ``dram_hit + dedup + scm_seq + scm_rand == sum(demand bytes)``
 
@@ -31,7 +32,7 @@ bytes are accounted on top, not inside).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -74,10 +75,9 @@ class FetchRun:
 
 
 @dataclass
-class FetchPlan:
-    """Accounting for one planning window."""
+class RoutedBytes:
+    """Where demanded block bytes went: one window's, or a run's tally."""
 
-    planned: bool
     demand_blocks: int = 0
     demand_bytes: int = 0
     dram_hit_bytes: int = 0
@@ -85,20 +85,10 @@ class FetchPlan:
     scm_seq_bytes: int = 0
     scm_rand_bytes: int = 0
     gap_bytes: int = 0
-    runs: List[FetchRun] = field(default_factory=list)
-    #: Unique keys actually fetched from SCM: (term, block, size).
-    fetched: List[Tuple[str, int, int]] = field(default_factory=list)
-    per_request_seconds: Dict[int, float] = field(default_factory=dict)
-    per_request_bytes: Dict[int, int] = field(default_factory=dict)
-    tenant_bytes: Dict[str, int] = field(default_factory=dict)
 
     @property
     def scm_bytes(self) -> int:
         return self.scm_seq_bytes + self.scm_rand_bytes
-
-    @property
-    def num_sequential_runs(self) -> int:
-        return sum(1 for run in self.runs if run.length > 1)
 
     @property
     def sequential_share(self) -> float:
@@ -106,8 +96,14 @@ class FetchPlan:
         total = self.scm_bytes
         return self.scm_seq_bytes / total if total else 0.0
 
+    def absorb(self, other: "RoutedBytes") -> None:
+        """Add ``other``'s byte counts to this tally."""
+        for spec in fields(RoutedBytes):
+            setattr(self, spec.name,
+                    getattr(self, spec.name) + getattr(other, spec.name))
+
     def check_conservation(self) -> None:
-        """Planned bytes must equal the queries' demanded bytes."""
+        """Routed bytes must equal the queries' demanded bytes."""
         routed = (self.dram_hit_bytes + self.dedup_bytes
                   + self.scm_seq_bytes + self.scm_rand_bytes)
         if routed != self.demand_bytes:
@@ -117,6 +113,27 @@ class FetchPlan:
                 f"dedup={self.dedup_bytes} seq={self.scm_seq_bytes} "
                 f"rand={self.scm_rand_bytes})"
             )
+
+
+@dataclass
+class FetchPlan(RoutedBytes):
+    """Accounting for one planning window."""
+
+    planned: bool = True
+    runs: List[FetchRun] = field(default_factory=list)
+    #: Unique keys actually fetched from SCM: (term, block, size).
+    fetched: List[Tuple[str, int, int]] = field(default_factory=list)
+    per_request_seconds: Dict[int, float] = field(default_factory=dict)
+    per_request_bytes: Dict[int, int] = field(default_factory=dict)
+    tenant_bytes: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def num_sequential_runs(self) -> int:
+        return sum(1 for run in self.runs if run.length > 1)
+
+    def check_conservation(self) -> None:
+        """As the base check, and every byte is attributed to a query."""
+        super().check_conservation()
         attributed = sum(self.per_request_bytes.values())
         if attributed != self.demand_bytes:
             raise AssertionError(

@@ -1,9 +1,11 @@
 """The planned serving loop: windowed admission, planning, execution.
 
-:class:`PlannedQueryServer` replaces :class:`repro.serving.server.
-QueryServer`'s one-query-at-a-time dispatch with short *planning
-windows*: requests arriving inside a window are queued per tenant,
-admitted at the window close under deficit-round-robin byte quotas
+:class:`PlannedQueryServer` is a :class:`repro.serving.server.
+QueryServer` whose loop replaces one-query-at-a-time dispatch with short
+*planning windows* (the run skeleton — outcome table, shed and SLO
+bookkeeping, report — is the base class's): requests arriving inside a
+window are queued per tenant, admitted at the window close under
+deficit-round-robin byte quotas
 (:mod:`repro.ioplanner.fairness`), executed for real against the
 target, and their block demands planned together
 (:mod:`repro.ioplanner.plan`) over the shared DRAM tier
@@ -28,21 +30,26 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.ioplanner.fairness import DeficitRoundRobin, TenantSpec
-from repro.ioplanner.plan import BlockDemand, FetchPlan, plan_window
+from repro.ioplanner.plan import (
+    BlockDemand,
+    FetchPlan,
+    RoutedBytes,
+    plan_window,
+)
 from repro.ioplanner.tier import DramTier
 from repro.scm.device import DDR4_4CH, OPTANE_NODE_4CH, MemoryDeviceModel
 from repro.serving.loadgen import Request
 from repro.serving.server import (
     SHED_QUEUE_FULL,
+    QueryServer,
     RequestOutcome,
     ServingReport,
     ServingResult,
-    build_serving_report,
 )
 from repro.serving.target import execute_request
 
@@ -101,18 +108,11 @@ class PlannerConfig:
 
 
 @dataclass
-class PlannerRunReport:
+class PlannerRunReport(RoutedBytes):
     """Planner-side accounting aggregated over all windows of a run."""
 
     enabled: bool = True
     windows: int = 0
-    demand_blocks: int = 0
-    demand_bytes: int = 0
-    dram_hit_bytes: int = 0
-    dedup_bytes: int = 0
-    scm_seq_bytes: int = 0
-    scm_rand_bytes: int = 0
-    gap_bytes: int = 0
     prefetch_blocks: int = 0
     prefetch_bytes: int = 0
     runs: int = 0
@@ -122,16 +122,6 @@ class PlannerRunReport:
     tenant_shed: Dict[str, int] = field(default_factory=dict)
 
     @property
-    def scm_bytes(self) -> int:
-        return self.scm_seq_bytes + self.scm_rand_bytes
-
-    @property
-    def sequential_share(self) -> float:
-        """Share of SCM miss bytes moved at the sequential rate."""
-        total = self.scm_bytes
-        return self.scm_seq_bytes / total if total else 0.0
-
-    @property
     def staged_fraction(self) -> float:
         """Demand bytes served from DRAM (tier hits + window dedup)."""
         if not self.demand_bytes:
@@ -139,14 +129,8 @@ class PlannerRunReport:
         return (self.dram_hit_bytes + self.dedup_bytes) / self.demand_bytes
 
     def absorb(self, plan: FetchPlan) -> None:
+        super().absorb(plan)
         self.windows += 1
-        self.demand_blocks += plan.demand_blocks
-        self.demand_bytes += plan.demand_bytes
-        self.dram_hit_bytes += plan.dram_hit_bytes
-        self.dedup_bytes += plan.dedup_bytes
-        self.scm_seq_bytes += plan.scm_seq_bytes
-        self.scm_rand_bytes += plan.scm_rand_bytes
-        self.gap_bytes += plan.gap_bytes
         self.runs += len(plan.runs)
         self.sequential_runs += plan.num_sequential_runs
         for tenant, nbytes in plan.tenant_bytes.items():
@@ -154,36 +138,10 @@ class PlannerRunReport:
                 self.tenant_bytes.get(tenant, 0) + nbytes
             )
 
-    def check_conservation(self) -> None:
-        routed = (self.dram_hit_bytes + self.dedup_bytes
-                  + self.scm_seq_bytes + self.scm_rand_bytes)
-        if routed != self.demand_bytes:
-            raise AssertionError(
-                f"planner run lost bytes: routed {routed} != "
-                f"demanded {self.demand_bytes}"
-            )
-
     def to_dict(self) -> dict:
-        return {
-            "enabled": self.enabled,
-            "windows": self.windows,
-            "demand_blocks": self.demand_blocks,
-            "demand_bytes": self.demand_bytes,
-            "dram_hit_bytes": self.dram_hit_bytes,
-            "dedup_bytes": self.dedup_bytes,
-            "scm_seq_bytes": self.scm_seq_bytes,
-            "scm_rand_bytes": self.scm_rand_bytes,
-            "sequential_share": self.sequential_share,
-            "staged_fraction": self.staged_fraction,
-            "gap_bytes": self.gap_bytes,
-            "prefetch_blocks": self.prefetch_blocks,
-            "prefetch_bytes": self.prefetch_bytes,
-            "runs": self.runs,
-            "sequential_runs": self.sequential_runs,
-            "tenant_bytes": dict(self.tenant_bytes),
-            "tenant_served": dict(self.tenant_served),
-            "tenant_shed": dict(self.tenant_shed),
-        }
+        return dict(asdict(self),
+                    sequential_share=self.sequential_share,
+                    staged_fraction=self.staged_fraction)
 
 
 class PlannedServingResult(ServingResult):
@@ -223,7 +181,7 @@ def _fetch_leaves(target) -> List:
     return unwrapped
 
 
-class PlannedQueryServer:
+class PlannedQueryServer(QueryServer):
     """Windowed, planned serving over any search target.
 
     ``target`` is anything with ``search(expression, k)`` — an engine
@@ -231,35 +189,29 @@ class PlannedQueryServer:
     compute seconds ``(request, result) -> seconds`` on top of the
     planned fetch time (default: fetch time only). The timeline is
     fully virtual and deterministic; nothing sleeps.
+
+    Only the loop differs from :class:`QueryServer`: the two share no
+    admission, queue or dispatch step (dispatch on arrival over one
+    bounded queue there; fixed windows, per-tenant queues and
+    per-window byte quotas over pre-executed batches here), so
+    :meth:`serve` is overridden whole rather than parameterised.
     """
 
     def __init__(self, target, config: Optional[PlannerConfig] = None,
                  observer=None,
                  compute_time: Optional[Callable] = None) -> None:
-        self._target = target
-        self._config = PlannerConfig() if config is None else config
-        self._observer = (
-            observer if observer is not None and observer.enabled else None
+        super().__init__(
+            target, PlannerConfig() if config is None else config,
+            observer=observer,
         )
         self._compute_time = compute_time
-
-    @property
-    def config(self) -> PlannerConfig:
-        return self._config
-
-    @property
-    def target(self):
-        return self._target
 
     # ------------------------------------------------------------------
     # Serving loop
     # ------------------------------------------------------------------
 
     def serve(self, requests: Sequence[Request]) -> PlannedServingResult:
-        requests = sorted(requests,
-                          key=lambda r: (r.arrival_seconds, r.request_id))
-        if not requests:
-            raise ConfigurationError("serving workload is empty")
+        requests, outcomes = self._begin(requests)
         cfg = self._config
         drr = self._build_scheduler(requests)
         tier = (
@@ -267,14 +219,6 @@ class PlannedQueryServer:
             if cfg.enabled and cfg.dram_bytes > 0 else None
         )
         run_report = PlannerRunReport(enabled=cfg.enabled)
-
-        outcomes = {
-            r.request_id: RequestOutcome(
-                request_id=r.request_id, expression=r.expression,
-                arrival_seconds=r.arrival_seconds,
-            )
-            for r in requests
-        }
         queues: Dict[str, deque] = {name: deque() for name in drr.tenants}
         pending = deque(requests)
         worker_free = [0.0] * cfg.workers
@@ -321,14 +265,10 @@ class PlannedQueryServer:
                 leaf.fetch_log = saved
 
         run_report.check_conservation()
-        ordered = [outcomes[r.request_id] for r in requests]
-        report = build_serving_report(
-            ordered, depth_samples, max_depth,
-            deadline_seconds=cfg.deadline_seconds,
+        return PlannedServingResult(
+            *self._finish(requests, outcomes, depth_samples, max_depth),
+            run_report,
         )
-        if self._observer is not None:
-            self._observer.on_serving_complete(report)
-        return PlannedServingResult(ordered, report, run_report)
 
     # ------------------------------------------------------------------
     # Window steps
@@ -363,11 +303,7 @@ class PlannedQueryServer:
             run_report.tenant_shed[tenant] = (
                 run_report.tenant_shed.get(tenant, 0) + 1
             )
-            outcome = outcomes[request.request_id]
-            outcome.status = "shed"
-            outcome.shed_reason = SHED_QUEUE_FULL
-            if self._observer is not None:
-                self._observer.on_request_shed(SHED_QUEUE_FULL)
+            self._shed(outcomes[request.request_id], SHED_QUEUE_FULL)
             return
         queue.append(request)
         if self._observer is not None:
@@ -399,7 +335,7 @@ class PlannedQueryServer:
         compute_seconds: Dict[int, float] = {}
         for request in admitted:
             tenant = getattr(request, "tenant", "default")
-            result, records = self._execute(request)
+            result, records = self._execute_logged(request)
             outcome = outcomes[request.request_id]
             outcome.result = result
             outcome.degraded = bool(getattr(result, "degraded", False))
@@ -439,12 +375,7 @@ class PlannedQueryServer:
             outcome = outcomes[request.request_id]
             outcome.start_seconds = start
             outcome.completion_seconds = completion
-            if cfg.deadline_seconds is not None:
-                outcome.slo_attained = (
-                    outcome.latency_seconds <= cfg.deadline_seconds
-                )
-            if self._observer is not None:
-                self._observer.on_request_served(outcome)
+            self._served(outcome)
         return plan
 
     def _prefetch(self, tier: Optional[DramTier],
@@ -474,7 +405,7 @@ class PlannedQueryServer:
     # Execution
     # ------------------------------------------------------------------
 
-    def _execute(self, request: Request):
+    def _execute_logged(self, request: Request):
         """Run one request for real; return (result, fetch records)."""
         leaves = _fetch_leaves(self._target)
         for leaf in leaves:

@@ -68,7 +68,9 @@ class DramTier:
         self._segments: Dict[str, "OrderedDict[Tuple[str, int], int]"] = {
             name: OrderedDict() for name in SEGMENTS
         }
-        self._used = 0
+        #: Resident bytes per segment, kept in step with ``_segments`` so
+        #: occupancy checks never re-sum a segment.
+        self._segment_bytes: Dict[str, int] = {name: 0 for name in SEGMENTS}
         self.hits = 0
         self.misses = 0
         self._decay = popularity_decay
@@ -85,14 +87,14 @@ class DramTier:
 
     @property
     def used_bytes(self) -> int:
-        return self._used
+        return sum(self._segment_bytes.values())
 
     @property
     def num_blocks(self) -> int:
         return sum(len(seg) for seg in self._segments.values())
 
     def segment_bytes(self, name: str) -> int:
-        return sum(self._segments[name].values())
+        return self._segment_bytes[name]
 
     def segment_of(self, term: str, block_index: int) -> Optional[str]:
         key = (term, block_index)
@@ -120,8 +122,7 @@ class DramTier:
             segment = self._segments[name]
             if key not in segment:
                 continue
-            stored = segment.pop(key)
-            self._used -= stored
+            self._segment_bytes[name] -= segment.pop(key)
             promoted = SEGMENTS[min(position + 1, len(SEGMENTS) - 1)]
             self.hits += 1
             self._place(key, size, promoted)
@@ -140,8 +141,7 @@ class DramTier:
         key = (term, block_index)
         for name in SEGMENTS:
             if key in self._segments[name]:
-                stored = self._segments[name].pop(key)
-                self._used -= stored
+                self._segment_bytes[name] -= self._segments[name].pop(key)
                 segment = name  # refresh in place, keep its standing
                 break
         self._place(key, size, segment)
@@ -213,21 +213,23 @@ class DramTier:
         if size > self.capacity_bytes:
             return  # uncacheable oversized block
         self._segments[segment][key] = size
-        self._used += size
+        self._segment_bytes[segment] += size
         self._rebalance()
 
     def _rebalance(self) -> None:
         # Over-full privileged segments demote their LRU tail downward.
         for upper, lower in (("hot", "warm"), ("warm", "cold")):
             segment = self._segments[upper]
-            while segment and self.segment_bytes(upper) > self._limits[upper]:
+            while segment and self._segment_bytes[upper] > self._limits[upper]:
                 key, size = segment.popitem(last=False)
+                self._segment_bytes[upper] -= size
                 self._segments[lower][key] = size
+                self._segment_bytes[lower] += size
         # Capacity pressure evicts cold-first.
-        while self._used > self.capacity_bytes:
+        while self.used_bytes > self.capacity_bytes:
             for name in SEGMENTS:
                 segment = self._segments[name]
                 if segment:
                     _key, size = segment.popitem(last=False)
-                    self._used -= size
+                    self._segment_bytes[name] -= size
                     break

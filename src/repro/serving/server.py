@@ -293,19 +293,8 @@ class QueryServer:
         requests' arrival instants — it never sleeps, so a long
         simulated timeline costs only the queries' execution time.
         """
-        requests = sorted(requests,
-                          key=lambda r: (r.arrival_seconds, r.request_id))
-        if not requests:
-            raise ConfigurationError("serving workload is empty")
+        requests, outcomes = self._begin(requests)
         cfg = self._config
-
-        outcomes = {
-            r.request_id: RequestOutcome(
-                request_id=r.request_id, expression=r.expression,
-                arrival_seconds=r.arrival_seconds,
-            )
-            for r in requests
-        }
         pending = deque(requests)
         #: (completion_time, dispatch_seq, request_id) per busy worker.
         busy: list = []
@@ -315,11 +304,7 @@ class QueryServer:
         max_depth = 0
 
         def shed(request: Request, reason: str) -> None:
-            outcome = outcomes[request.request_id]
-            outcome.status = "shed"
-            outcome.shed_reason = reason
-            if self._observer is not None:
-                self._observer.on_request_shed(reason)
+            self._shed(outcomes[request.request_id], reason)
 
         def dispatch(request: Request, now: float) -> None:
             nonlocal dispatch_seq
@@ -350,13 +335,7 @@ class QueryServer:
 
         def complete(now: float) -> None:
             _, _, request_id = heapq.heappop(busy)
-            outcome = outcomes[request_id]
-            if cfg.deadline_seconds is not None:
-                outcome.slo_attained = (
-                    outcome.latency_seconds <= cfg.deadline_seconds
-                )
-            if self._observer is not None:
-                self._observer.on_request_served(outcome)
+            self._served(outcomes[request_id])
             drain_queue(now)
             depth_samples.append(len(queue))
 
@@ -402,17 +381,58 @@ class QueryServer:
             depth_samples.append(len(queue))
             max_depth = max(max_depth, len(queue))
 
+        return ServingResult(
+            *self._finish(requests, outcomes, depth_samples, max_depth))
+
+    # ------------------------------------------------------------------
+    # Run skeleton (shared with the planner's windowed loop, which
+    # overrides only :meth:`serve`)
+    # ------------------------------------------------------------------
+
+    def _begin(self, requests: Sequence[Request]):
+        """Arrival-ordered requests and their blank outcome table."""
+        requests = sorted(requests,
+                          key=lambda r: (r.arrival_seconds, r.request_id))
+        if not requests:
+            raise ConfigurationError("serving workload is empty")
+        outcomes = {
+            r.request_id: RequestOutcome(
+                request_id=r.request_id, expression=r.expression,
+                arrival_seconds=r.arrival_seconds,
+            )
+            for r in requests
+        }
+        return requests, outcomes
+
+    def _shed(self, outcome: RequestOutcome, reason: str) -> None:
+        outcome.status = "shed"
+        outcome.shed_reason = reason
+        if self._observer is not None:
+            self._observer.on_request_shed(reason)
+
+    def _served(self, outcome: RequestOutcome) -> None:
+        """Classify a completed request against the SLO and report it."""
+        deadline = self._config.deadline_seconds
+        if deadline is not None:
+            outcome.slo_attained = outcome.latency_seconds <= deadline
+        if self._observer is not None:
+            self._observer.on_request_served(outcome)
+
+    def _finish(self, requests: Sequence[Request],
+                outcomes: Dict[int, RequestOutcome],
+                depth_samples: List[int], max_depth: int):
+        """Arrival-ordered outcomes and the run's report."""
         ordered = [outcomes[r.request_id] for r in requests]
         report = build_serving_report(
             ordered, depth_samples, max_depth,
-            deadline_seconds=cfg.deadline_seconds,
+            deadline_seconds=self._config.deadline_seconds,
         )
         if self._observer is not None:
             self._observer.on_serving_complete(report)
-        return ServingResult(ordered, report)
+        return ordered, report
 
     # ------------------------------------------------------------------
-    # Internals
+    # Execution
     # ------------------------------------------------------------------
 
     def _execute(self, request: Request):
@@ -432,9 +452,7 @@ def build_serving_report(outcomes: List[RequestOutcome],
                          ) -> ServingReport:
     """Aggregate per-request outcomes into a :class:`ServingReport`.
 
-    Shared by :class:`QueryServer` and the planner's windowed server so
-    the two report identical accounting. ``outcomes`` must be in
-    arrival order.
+    ``outcomes`` must be in arrival order.
     """
     report = ServingReport(deadline_seconds=deadline_seconds)
     report.num_requests = len(outcomes)

@@ -62,8 +62,6 @@ def execute_request(target, request, k: Optional[int]):
     a query to ``search`` (``k=None`` keeps the target's default)."""
     if getattr(request, "update", None) is not None:
         return target.apply_update(request)
-    if k is None:
-        return target.search(request.expression)
     return target.search(request.expression, k=k)
 
 

@@ -1,9 +1,11 @@
 """Unit tests for the segmented DRAM tier (repro.ioplanner.tier)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.ioplanner.tier import DramTier
+from repro.ioplanner.tier import SEGMENTS, DramTier
 
 
 class TestSegmentedPromotion:
@@ -128,3 +130,33 @@ class TestPopularityAndPrefetch:
         tier = DramTier(1 << 20)
         tier.admit("a", 5, 100, segment="warm")
         assert tier.segment_of("a", 5) == "warm"
+
+
+class TestByteCounters:
+    """The O(1) per-segment counters against the segments themselves."""
+
+    #: (is_lookup, term, block, size, admit segment) — few keys so hits,
+    #: promotions and re-admits at a new size occur; sizes past the
+    #: capacity exercise the uncacheable path.
+    OPERATIONS = st.lists(
+        st.tuples(st.booleans(), st.sampled_from("abc"),
+                  st.integers(0, 5), st.integers(0, 400),
+                  st.sampled_from(SEGMENTS)),
+        max_size=120,
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(capacity=st.integers(1, 1000), operations=OPERATIONS)
+    def test_counters_equal_segment_sums(self, capacity, operations):
+        tier = DramTier(capacity, hot_fraction=0.4, warm_fraction=0.3)
+        for is_lookup, term, block, size, segment in operations:
+            if is_lookup:
+                tier.lookup(term, block, size)
+            else:
+                tier.admit(term, block, size, segment=segment)
+            resident = {name: sum(tier._segments[name].values())
+                        for name in SEGMENTS}
+            assert {name: tier.segment_bytes(name)
+                    for name in SEGMENTS} == resident
+            assert tier.used_bytes == sum(resident.values())
+            assert tier.used_bytes <= capacity

@@ -53,6 +53,14 @@ class TestEngineBatch:
         assert payload["num_queries"] == len(queries)
         assert payload["p50_seconds"] == report.p50_seconds
 
+    def test_engine_report_counts_no_degraded_queries(self, engine,
+                                                      queries):
+        report = run_query_batch(engine, queries, k=10, workers=2).report
+        assert report.queries_degraded == 0
+        assert report.degraded_fraction == 0.0
+        assert len(report.per_query_seconds) == len(queries)
+        assert all(seconds > 0 for seconds in report.per_query_seconds)
+
     def test_empty_batch_rejected(self, engine):
         with pytest.raises(ConfigurationError):
             run_query_batch(engine, [])
@@ -117,6 +125,52 @@ class TestClusterBatch:
         baseline = [hits_as_pairs(r) for r in runs[0].results]
         for other in runs[1:]:
             assert [hits_as_pairs(r) for r in other.results] == baseline
+
+    @pytest.mark.parametrize("workers", [1, 3, 8])
+    def test_pooled_results_carry_everything_serial_ones_do(
+            self, cluster, cluster_queries, workers):
+        # One fan-out (SearchCluster.search) behind every worker count:
+        # the merged result *and* what the harness reads under it —
+        # per-leaf results and resilience outcomes — match serial.
+        batch = run_query_batch(cluster, cluster_queries, k=15,
+                                workers=workers)
+        assert batch.report.workers == workers
+        for query, batched in zip(cluster_queries, batch.results):
+            expected = cluster.search(query, k=15)
+            assert hits_as_pairs(batched) == hits_as_pairs(expected)
+            assert batched.traffic == expected.traffic
+            assert batched.work == expected.work
+            assert batched.merge_ops == expected.merge_ops
+            assert len(batched.leaf_results) == cluster.num_leaves
+            for got, want in zip(batched.leaf_results,
+                                 expected.leaf_results):
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert hits_as_pairs(got) == hits_as_pairs(want)
+                    assert got.traffic == want.traffic
+                    assert got.work == want.work
+            assert [
+                o and (o.shard_index, o.attempts, o.retries, o.failovers)
+                for o in batched.leaf_outcomes
+            ] == [
+                o and (o.shard_index, o.attempts, o.retries, o.failovers)
+                for o in expected.leaf_outcomes
+            ]
+
+    def test_default_k_is_the_clusters_not_the_leaves(self, cluster,
+                                                      cluster_queries):
+        # Regression: cluster.search(q, k=None) used to return the
+        # untruncated concatenation of each leaf's own default top-k
+        # (at most 4 x 15 hits here) instead of the cluster default's
+        # ranking; the batch driver now passes k=None straight through.
+        batch = run_query_batch(cluster, cluster_queries, workers=3)
+        for query, batched in zip(cluster_queries, batch.results):
+            expected = cluster.search(query)
+            assert hits_as_pairs(batched) == hits_as_pairs(expected)
+            assert hits_as_pairs(cluster.search(query, k=None)) == (
+                hits_as_pairs(expected))
+        leaf_default_total = 15 * cluster.num_leaves
+        assert any(len(r.hits) > leaf_default_total for r in batch.results)
 
     def test_cluster_report(self, cluster, cluster_queries):
         batch = run_query_batch(cluster, cluster_queries, k=15, workers=3)
@@ -290,6 +344,18 @@ class TestSessionBatch:
         for batched, expected in zip(batch.results, serial):
             assert hits_as_pairs(batched) == hits_as_pairs(expected)
 
+    def test_session_report_matches_an_engines(self):
+        from repro.api import BossSession
+
+        index = build_random_index(num_docs=300, vocab_size=12, seed=8)
+        session = BossSession(BossConfig(k=10))
+        session.init(index)
+        queries = _random_queries(sorted(index), 3, count=6)
+        report = session.search_batch(queries, k=10, workers=2).report
+        assert report.queries_degraded == 0
+        assert len(report.per_query_seconds) == len(queries)
+        assert all(seconds > 0 for seconds in report.per_query_seconds)
+
     def test_search_batch_checks_arguments_up_front(self):
         from repro.api import BossSession
         from repro.errors import ReproError
@@ -300,3 +366,30 @@ class TestSessionBatch:
         # The bad second query fails the batch before anything executes.
         with pytest.raises(ReproError):
             session.search_batch(['"t0"', '"not-a-term"'], k=5)
+
+
+class TestOneServingSkeleton:
+    """The planner's server is the plain server with another loop."""
+
+    def test_planned_server_is_a_query_server_with_the_same_report(
+            self, engine):
+        from repro.ioplanner import PlannedQueryServer, PlannerConfig
+        from repro.serving import QueryServer, ServingConfig, zipf_workload
+
+        assert issubclass(PlannedQueryServer, QueryServer)
+        assert PlannedQueryServer.serve is not QueryServer.serve
+        requests = zipf_workload(sorted(engine.index)[:12], 40,
+                                 rate_qps=2000.0, seed=3)
+        plain = QueryServer(
+            engine, ServingConfig(k=10, queue_capacity=64),
+            service_time=lambda request, result: 1e-5,
+        ).serve(requests)
+        planned = PlannedQueryServer(
+            engine, PlannerConfig(k=10)).serve(requests)
+        assert plain.report.shed == planned.report.shed == 0
+        assert planned.report.num_requests == plain.report.num_requests
+        assert planned.report.offered_seconds == plain.report.offered_seconds
+        assert [o.request_id for o in planned] == [
+            o.request_id for o in plain]
+        assert [hits_as_pairs(r) for r in planned.served_results()] == [
+            hits_as_pairs(r) for r in plain.served_results()]
