@@ -120,9 +120,9 @@ _SCORE_CACHE_LIMIT = DEFAULT_DECODED_CACHE_BLOCKS
 
 #: A list leads runs only when it fills at least one whole block.
 #: Below that a run's numpy set-up is not repaid: unions of short lists
-#: (a live index's small segments, whose engines and score caches are
-#: rebuilt with every statistics version) measured 5-15 % slower with
-#: runs than without.
+#: (a live index's small segments, whose score caches are dropped with
+#: every statistics version) measured 5-15 % slower with runs than
+#: without.
 _LEADER_RUN_MIN_DF = BLOCK_SIZE
 
 
@@ -150,6 +150,9 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
     per-document normalizers, both fixed for an index snapshot, so
     repeated queries over the same hot lists skip the vector build. The
     cached array object is strongly referenced, which pins its ``id``.
+    The key carries no statistics: an owner whose decoded arrays
+    outlive a snapshot (a live segment's engine) must pass a new dict
+    per snapshot.
 
     ``leader_runs=False`` is ``executor="fast"``: every iteration takes
     the general path.

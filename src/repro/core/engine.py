@@ -139,6 +139,18 @@ class BossAccelerator:
         #: scores depend only on the index snapshot).
         self._columnar_scores: Dict[int, tuple] = {}
 
+    def _rebind(self, index) -> None:
+        """Serve ``index`` from now on (internal to :mod:`repro.live`).
+
+        ``index`` must hold the payloads of the current one under new
+        statistics. Decoded blocks depend only on payloads, so the
+        decoded cache stays; block scores depend on IDF and normalizers
+        and the cache is keyed by decoded-array identity alone, so it
+        must not survive the swap.
+        """
+        self._index = index
+        self._columnar_scores = {}
+
     @property
     def observer(self) -> Observer:
         return self._observer

@@ -23,11 +23,22 @@ byte-exact metadata while the corpus stays at V; once the corpus moves
 on, the segment is *stale* — its baked IDFs and block max-scores no
 longer match the live statistics, and an under-estimated block max
 would make early termination drop true results. Stale segments are
-therefore queried through a rebuilt **view**: same compressed payloads,
-but live IDFs and conservative per-block score bounds derived from the
+therefore queried through a **view**: same compressed payloads, but
+live IDFs and conservative per-block score bounds derived from the
 per-block maximum term frequency recorded at seal time (an upper bound
 for every live document, since the term score is monotone increasing in
-tf and decreasing in the normalizer).
+tf and decreasing in the normalizer). The view is *lazy*: a statistics
+version re-dresses only the lists a query asks for, at their first use
+under that version.
+
+**What a statistics version invalidates.** Each piece of per-segment
+serving state lives as long as what it depends on. Payloads, and the
+``(doc_ids, tfs)`` arrays decoded from them, depend on nothing a
+mutation can change: each segment's engine and its decoded-block cache
+live from ``_install`` to ``replace_segments``. IDFs, block bounds, the
+scorer snapshot and the engine's block-score vectors depend on the
+statistics: a version change drops all of them together
+(:meth:`SegmentedIndex._engine_for`).
 
 **Exact top-k under tombstones.** Each segment is searched for
 ``k + t`` results, where ``t`` is the segment's tombstone count: at
@@ -40,9 +51,10 @@ and the cluster root.
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.engine import BossAccelerator, BossConfig
 from repro.core.query import (
@@ -175,6 +187,104 @@ def build_segment(segment_id: int, tier: int,
 # imported above and re-exported here for compatibility.
 
 
+class _StaleSegmentView:
+    """A stale segment's index under one statistics version, dressed
+    lazily.
+
+    Duck-types the :class:`~repro.index.index.InvertedIndex` read API
+    the engines consume. Payloads, blocks and regions are shared with
+    the sealed index; only the score metadata is replaced, one list at
+    its first use: live IDF, and per-block upper bounds computed from
+    the recorded per-block max term frequency against the smallest
+    possible live normalizer. Those bounds can only be *looser* than
+    the true live maxima, which early termination tolerates (it skips
+    less), never tighter (which would drop results).
+
+    A view belongs to the version it was created at: the memo is never
+    carried over, and dressing a list once the statistics have moved on
+    is an error rather than a silent mix of two versions.
+    """
+
+    def __init__(self, segment: Segment, stats: LiveStatistics) -> None:
+        self._sealed = segment.index
+        self._block_max_tfs = segment.block_max_tfs
+        self._live_stats = stats
+        self._version = stats.version
+        self._scorer = stats.scorer()
+        self._min_norm = stats.min_normalizer()
+        self._k1 = stats.params.k1
+        self._document_stats = DocumentStats(
+            num_docs=self._scorer.id_space,
+            avgdl=self._scorer.avgdl,
+            total_tokens=stats.total_tokens,
+        )
+        #: term -> dressed list. Written under races by concurrent
+        #: searches; every writer stores bit-equal values.
+        self._dressed: Dict[str, CompressedPostingList] = {}
+
+    @property
+    def scorer(self):
+        return self._scorer
+
+    @property
+    def layout(self):
+        return self._sealed.layout
+
+    @property
+    def stats(self) -> DocumentStats:
+        return self._document_stats
+
+    @property
+    def num_terms(self) -> int:
+        return self._sealed.num_terms
+
+    @property
+    def terms(self) -> List[str]:
+        return self._sealed.terms
+
+    def __contains__(self, term: str) -> bool:
+        return term in self._sealed
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._sealed)
+
+    def posting_list(self, term: str) -> CompressedPostingList:
+        dressed = self._dressed.get(term)
+        if dressed is None:
+            dressed = self._dressed[term] = self._dress(term)
+        return dressed
+
+    def _dress(self, term: str) -> CompressedPostingList:
+        sealed = self._sealed.posting_list(term)
+        if self._live_stats.version != self._version:
+            raise InvertedIndexError(
+                f"stale view of version {self._version} asked to dress "
+                f"{term!r} at version {self._live_stats.version}"
+            )
+        idf = self._live_stats.idf(term)
+        min_norm = self._min_norm
+        k1 = self._k1
+        blocks: List[Block] = []
+        list_max = 0.0
+        for block, tf_max in zip(sealed.blocks, self._block_max_tfs[term]):
+            bound = idf * (tf_max * (k1 + 1.0)) / (tf_max + min_norm)
+            blocks.append(Block(
+                metadata=replace(block.metadata, max_term_score=bound),
+                doc_payload=block.doc_payload,
+                tf_payload=block.tf_payload,
+            ))
+            list_max = max(list_max, bound)
+        return CompressedPostingList(
+            term=term,
+            scheme=sealed.scheme,
+            blocks=blocks,
+            document_frequency=sealed.document_frequency,
+            idf=idf,
+            max_term_score=list_max,
+            region=sealed.region,
+        )
+
+
 class _PoolLayout:
     """Aggregate address-space view over every sealed segment."""
 
@@ -197,6 +307,12 @@ class SegmentedIndex:
     ``compType`` array), ``layout``, ``terms``, ``in`` — while
     supporting ``add_document`` / ``delete_document`` / ``seal`` /
     ``replace_segments`` underneath.
+
+    Each installed segment has one engine for its whole life, and with
+    it one decoded-block cache: a mutation re-dresses the scalars a
+    query asks for (:class:`_StaleSegmentView`), never a segment, and
+    never decodes a payload twice. Searches may run concurrently with
+    each other (not with mutations).
     """
 
     def __init__(self, params=None, schemes: Optional[Sequence[str]] = None,
@@ -212,8 +328,11 @@ class SegmentedIndex:
         self._config = BossConfig() if config is None else config
         self._observer = observer
         self._next_segment_id = 0
-        #: segment_id -> (stats version the engine was built at, engine).
+        #: segment_id -> (stats version the engine's index view was
+        #: dressed at, engine). One engine — and with it one decoded-
+        #: block cache — per installed segment, for the segment's life.
         self._engines: Dict[int, Tuple[int, BossAccelerator]] = {}
+        self._refresh_lock = threading.Lock()
         self._pool_cursor = 0
         self.layout = _PoolLayout(self)
 
@@ -340,6 +459,11 @@ class SegmentedIndex:
         self._pool_cursor += segment.index.layout.allocated_bytes
         self.segments.append(segment)
         self.segments.sort(key=lambda s: s.min_doc_id)
+        self._engines[segment.segment_id] = (
+            segment.stats_version,
+            BossAccelerator(segment.index, self._config,
+                            observer=self._observer),
+        )
 
     # ------------------------------------------------------------------
     # Read API
@@ -456,65 +580,32 @@ class SegmentedIndex:
         )
 
     def _engine_for(self, segment: Segment) -> BossAccelerator:
-        """Per-segment engine, rebuilt when the segment goes stale."""
+        """The segment's engine, serving the current statistics version.
+
+        The engine and its decoded-block cache were created when the
+        segment was installed and stay until it is merged away: decoded
+        ``(doc_ids, tfs)`` arrays depend only on the immutable payload.
+        What depends on statistics is swapped as one unit when the
+        version moved since the engine last served: it is rebound to a
+        new lazy :meth:`_stale_view` (IDFs, block bounds, scorer), which
+        also drops its block-score vectors. A segment still at its seal
+        version serves its baked index as is.
+        """
         version = self.stats.version
-        cached = self._engines.get(segment.segment_id)
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        if segment.stats_version == version:
-            index = segment.index
-        else:
-            index = self._stale_view(segment)
-        engine = BossAccelerator(index, self._config,
-                                 observer=self._observer)
-        self._engines[segment.segment_id] = (version, engine)
+        dressed_at, engine = self._engines[segment.segment_id]
+        if dressed_at == version:
+            return engine
+        with self._refresh_lock:
+            dressed_at, engine = self._engines[segment.segment_id]
+            if dressed_at != version:
+                engine._rebind(self._stale_view(segment))
+                self._engines[segment.segment_id] = (version, engine)
         return engine
 
-    def _stale_view(self, segment: Segment) -> InvertedIndex:
-        """Re-dress a stale segment with live statistics.
-
-        Payloads, blocks, and regions are shared with the sealed index;
-        only the score metadata is replaced: live IDFs, and per-block
-        upper bounds computed from the recorded per-block max term
-        frequency against the smallest possible live normalizer. Those
-        bounds can only be *looser* than the true live maxima, which
-        early termination tolerates (it skips less), never tighter
-        (which would drop results).
-        """
-        scorer = self.stats.scorer()
-        min_norm = self.stats.min_normalizer()
-        k1 = self.stats.params.k1
-        lists: Dict[str, CompressedPostingList] = {}
-        for term in segment.index.terms:
-            sealed = segment.index.posting_list(term)
-            idf = self.stats.idf(term)
-            blocks: List[Block] = []
-            list_max = 0.0
-            for block, tf_max in zip(sealed.blocks,
-                                     segment.block_max_tfs[term]):
-                bound = idf * (tf_max * (k1 + 1.0)) / (tf_max + min_norm)
-                blocks.append(Block(
-                    metadata=replace(block.metadata,
-                                     max_term_score=bound),
-                    doc_payload=block.doc_payload,
-                    tf_payload=block.tf_payload,
-                ))
-                list_max = max(list_max, bound)
-            lists[term] = CompressedPostingList(
-                term=term,
-                scheme=sealed.scheme,
-                blocks=blocks,
-                document_frequency=sealed.document_frequency,
-                idf=idf,
-                max_term_score=list_max,
-                region=sealed.region,
-            )
-        stats = DocumentStats(
-            num_docs=scorer.id_space,
-            avgdl=scorer.avgdl,
-            total_tokens=self.stats.total_tokens,
-        )
-        return InvertedIndex(lists, scorer, segment.index.layout, stats)
+    def _stale_view(self, segment: Segment) -> _StaleSegmentView:
+        """A stale segment re-dressed, list by list on demand, with the
+        live statistics of the current version."""
+        return _StaleSegmentView(segment, self.stats)
 
     def _buffer_hits(self, node: QueryNode,
                      k: int) -> List[ScoredDocument]:

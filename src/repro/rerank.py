@@ -22,7 +22,7 @@ This module provides that software stage:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.query import QueryNode
 from repro.core.result import ScoredDocument, SearchResult
@@ -173,24 +173,30 @@ class TwoStageSearch:
             self._observer.on_rerank_complete(result)
         return result
 
-    def _index_views(self) -> List[InvertedIndex]:
-        """The index (or leaf shard indexes) candidate evidence lives in.
+    def _index_views(self) -> List[Tuple[InvertedIndex, object]]:
+        """The index (or leaf shard indexes) candidate evidence lives
+        in, each with the decoded-block cache of the engine owning it.
 
         A cluster root has no single ``index``; its leaves do, and every
         shard is built with the corpus-global document table
         (:func:`repro.cluster.sharding.shard_documents`), so any leaf
         scorer can resolve any docID's length and each docID's postings
-        live in exactly one leaf.
+        live in exactly one leaf. The cache is ``None`` for an engine
+        that keeps none (the reference executor, the baselines).
         """
         index = getattr(self._engine, "index", None)
         if index is not None:
-            return [index]
-        leaves = getattr(self._engine, "engines", None)
-        if leaves:
-            return [leaf.index for leaf in leaves]
-        raise ConfigurationError(
-            "first-stage engine exposes neither 'index' nor 'engines'"
-        )
+            engines = [self._engine]
+        else:
+            engines = getattr(self._engine, "engines", None)
+        if not engines:
+            raise ConfigurationError(
+                "first-stage engine exposes neither 'index' nor 'engines'"
+            )
+        return [
+            (engine.index, getattr(engine, "decoded_cache", None))
+            for engine in engines
+        ]
 
     def _features_for(self,
                       first: SearchResult) -> List[CandidateFeatures]:
@@ -204,23 +210,26 @@ class TwoStageSearch:
         # docID (candidates sorted): one galloping cursor pass per
         # (term, shard) instead of decoding whole posting lists —
         # metadata-guided skips fetch only the blocks candidates land
-        # in. Throwaway counters: these are host-side probes, not
+        # in, and those are mostly blocks the first stage decoded a
+        # moment ago, so the probes read the owning engine's decoded
+        # cache. Throwaway counters: these are host-side probes, not
         # device traffic.
         candidate_ids = sorted(hit.doc_id for hit in first.hits)
         matched: Dict[int, int] = {doc: 0 for doc in candidate_ids}
         for term in terms:
-            for view in views:
+            for view, decoded_cache in views:
                 if term not in view:
                     continue
                 cursor = ListCursor(view.posting_list(term),
-                                    WorkCounters(), TrafficCounter())
+                                    WorkCounters(), TrafficCounter(),
+                                    decoded_cache=decoded_cache)
                 for doc in candidate_ids:
                     landed = cursor.advance_to(doc)
                     if landed is None:
                         break
                     if landed == doc:
                         matched[doc] += 1
-        scorer = views[0].scorer
+        scorer = views[0][0].scorer
         return [
             CandidateFeatures(
                 doc_id=hit.doc_id,

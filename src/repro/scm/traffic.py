@@ -41,6 +41,12 @@ class AccessClass(Enum):
     ST_RESULT = "ST Result"
     ST_INDEX = "ST Index"
 
+    # Members are singletons compared by identity, so the C-level
+    # identity hash is equivalent to ``Enum.__hash__`` (a Python-level
+    # ``hash(self._name_)``) — and :meth:`TrafficCounter.record` hashes
+    # a member pair on every call.
+    __hash__ = object.__hash__
+
     @property
     def is_write(self) -> bool:
         return self in (AccessClass.ST_INTER, AccessClass.ST_RESULT,
@@ -52,6 +58,8 @@ class AccessPattern(Enum):
 
     SEQUENTIAL = "sequential"
     RANDOM = "random"
+
+    __hash__ = object.__hash__  # see AccessClass
 
 
 @dataclass

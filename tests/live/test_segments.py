@@ -8,6 +8,7 @@ from repro.core.query import AndNode, OrNode, TermNode, parse_query
 from repro.errors import InvertedIndexError, QueryError
 from repro.live import SegmentedIndex
 from repro.live.segments import prune_query
+from tests.test_fastpath_equivalence import _assert_results_identical
 
 
 def seeded_docs(count, vocab_size=10, seed=3, min_len=3, max_len=12):
@@ -185,6 +186,166 @@ class TestReadApi:
         assert segment.stats_version == live.stats.version
         engine = live._engine_for(segment)
         assert engine.index is segment.index  # no view rebuilt
+
+
+class TestLazyStaleViews:
+    """A statistics version re-dresses scalars, list by list on demand;
+    engines and decoded blocks live as long as their segment."""
+
+    QUERIES = ['"t0"', '"t1" OR "t3"', '"t0" AND "t2"',
+               '("t0" AND "t1") OR "t4"']
+
+    def make_stale(self, mutate=True):
+        live = SegmentedIndex(buffer_docs=8)
+        for i, tokens in enumerate(seeded_docs(40)):
+            live.add_document(tokens)
+            if i % 8 == 7:
+                live.seal()
+        assert live.num_segments == 5
+        if mutate:
+            for tokens in seeded_docs(5, seed=9):
+                live.add_document(tokens)
+            live.delete_document(live.oldest_live_doc())
+        return live
+
+    def test_lazy_view_bit_equal_to_eager_dressing(self):
+        live = self.make_stale()
+        stats = live.stats
+        min_norm = stats.min_normalizer()
+        k1 = stats.params.k1
+        for segment in live.segments:
+            assert segment.stats_version != stats.version
+            view = live._stale_view(segment)
+            assert view.terms == segment.index.terms
+            assert view.num_terms == segment.index.num_terms
+            assert list(view) == list(segment.index)
+            assert view.scorer is stats.scorer()
+            assert view.layout is segment.index.layout
+            assert not view._dressed
+            for term in segment.index.terms:
+                assert term in view
+                sealed = segment.index.posting_list(term)
+                # The eager dressing, written out: live IDF, per-block
+                # bound from the recorded max tf against the smallest
+                # live normalizer, list max over the blocks.
+                idf = stats.idf(term)
+                bounds = [
+                    idf * (tf_max * (k1 + 1.0)) / (tf_max + min_norm)
+                    for tf_max in segment.block_max_tfs[term]
+                ]
+                dressed = view.posting_list(term)
+                assert dressed.idf == idf
+                assert [b.metadata.max_term_score
+                        for b in dressed.blocks] == bounds
+                assert dressed.max_term_score == max([0.0] + bounds)
+                assert view.posting_list(term) is dressed  # memoised
+                # Everything but the score metadata is the sealed list's.
+                assert dressed.scheme == sealed.scheme
+                assert dressed.region is sealed.region
+                assert dressed.document_frequency == \
+                    sealed.document_frequency
+                for mine, theirs in zip(dressed.blocks, sealed.blocks):
+                    assert mine.doc_payload is theirs.doc_payload
+                    assert mine.tf_payload is theirs.tf_payload
+            assert len(view._dressed) == segment.index.num_terms
+            assert "absent" not in view
+            with pytest.raises(InvertedIndexError):
+                view.posting_list("absent")
+
+    def test_view_refuses_to_dress_after_its_version(self):
+        live = self.make_stale()
+        view = live._stale_view(live.segments[0])
+        term = live.segments[0].index.terms[0]
+        live.add_document(["t0"])
+        with pytest.raises(InvertedIndexError):
+            view.posting_list(term)
+
+    def test_query_dresses_only_its_terms_and_keeps_decodes(self):
+        live = self.make_stale(mutate=False)
+        expression = '"t1" OR "t3"'
+        live.search(expression, k=10)  # every engine decodes its blocks
+        live.add_document(["t9", "t9"])  # one mutation: all stale
+        engines = [live._engines[s.segment_id][1] for s in live.segments]
+        misses = [engine.decoded_cache.misses for engine in engines]
+        first = live.search(expression, k=10)
+        holding = sum(
+            term in segment.index
+            for segment in live.segments for term in ("t1", "t3")
+        )
+        dressed = sum(
+            len(live._engine_for(s).index._dressed) for s in live.segments
+        )
+        assert 0 < dressed <= holding
+        again = live.search(expression, k=10)
+        _assert_results_identical(again, first, expression)
+        assert sum(
+            len(live._engine_for(s).index._dressed) for s in live.segments
+        ) == dressed
+        # No payload is decoded twice in a segment's life: neither the
+        # mutation nor the repeat added a miss.
+        assert [engine.decoded_cache.misses
+                for engine in engines] == misses
+        assert all(engine.decoded_cache.hits for engine in engines)
+
+    def test_engine_is_stable_across_versions(self):
+        live = self.make_stale(mutate=False)
+        segment = live.segments[-1]  # sealed last: still fresh
+        engine = live._engine_for(segment)
+        cache = engine.decoded_cache
+        assert engine.index is segment.index
+        live.add_document(["t0"])
+        assert live._engine_for(segment) is engine
+        assert engine.decoded_cache is cache
+        view = engine.index
+        assert view is not segment.index
+        assert live._engine_for(segment).index is view  # same version
+        live.add_document(["t0"])
+        assert live._engine_for(segment) is engine
+        assert engine.index is not view  # the memo never crosses versions
+
+    def test_replace_segments_drops_engines_and_caches(self):
+        from repro.live.merge import merge_segments
+
+        live = self.make_stale()
+        for expression in self.QUERIES:
+            live.search(expression, k=10)
+        inputs = live.segments[:3]
+        gone = [live._engines[s.segment_id][1] for s in inputs]
+        merged = merge_segments(live, inputs, output_tier=1)
+        live.replace_segments(inputs, merged)
+        assert set(live._engines) == {s.segment_id for s in live.segments}
+        kept = [engine for _version, engine in live._engines.values()]
+        assert not any(engine in gone for engine in kept)
+        assert not any(
+            engine.decoded_cache is old.decoded_cache
+            for engine in kept for old in gone
+        )
+        assert live._engine_for(merged).index is merged.index
+
+    @pytest.mark.parametrize("workers", [2, 5])
+    def test_threads_match_serial_on_a_stale_index(self, workers):
+        """Concurrent searches race on the version refresh and on the
+        dressed-list memo; every writer stores bit-equal values."""
+        import sys
+
+        from repro.batch import run_query_batch
+
+        live = self.make_stale()
+        queries = self.QUERIES * 6
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_query_batch(live, queries, k=10,
+                                       workers=workers)
+        finally:
+            sys.setswitchinterval(interval)
+        serial = self.make_stale()
+        for expression, result in zip(queries, threaded.results):
+            _assert_results_identical(
+                result, serial.search(expression, k=10), expression)
+        # One refresh per segment, however many threads asked.
+        assert [version for version, _engine in live._engines.values()] \
+            == [live.stats.version] * live.num_segments
 
 
 class TestPruneQuery:

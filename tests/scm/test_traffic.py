@@ -83,3 +83,53 @@ class TestMerge:
         counter = TrafficCounter()
         assert counter.total_bytes == 0
         assert counter.by_class() == {}
+
+
+class TestIdentityHash:
+    """Members hash by identity (C speed); they are singletons, so
+    nothing observable changes."""
+
+    def test_hash_is_the_object_hash(self):
+        for member in list(AccessClass) + list(AccessPattern):
+            assert hash(member) == object.__hash__(member)
+
+    def test_value_lookup_returns_the_singleton(self):
+        assert AccessClass("LD List") is AccessClass.LD_LIST
+        assert AccessPattern("random") is AccessPattern.RANDOM
+
+    def test_pickle_round_trips_to_the_same_object(self):
+        import pickle
+
+        for member in list(AccessClass) + list(AccessPattern):
+            assert pickle.loads(pickle.dumps(member)) is member
+        counter = TrafficCounter()
+        counter.record(AccessClass.LD_LIST, SEQ, 10)
+        clone = pickle.loads(pickle.dumps(counter))
+        assert clone.bytes_for(AccessClass.LD_LIST, SEQ) == 10
+
+    def test_totals_do_not_depend_on_record_order(self):
+        records = [
+            (AccessClass.LD_LIST, SEQ, 19, 1),
+            (AccessClass.LD_LIST, RND, 64, 1),
+            (AccessClass.LD_SCORE, RND, 8, 3),
+            (AccessClass.ST_RESULT, SEQ, 80, 1),
+            (AccessClass.ST_INDEX, SEQ, 4096, 2),
+            (AccessClass.LD_LIST, SEQ, 38, 2),
+        ]
+        forward, backward = TrafficCounter(), TrafficCounter()
+        for cls, pattern, size, accesses in records:
+            forward.record(cls, pattern, size, accesses=accesses)
+        for cls, pattern, size, accesses in reversed(records):
+            backward.record(cls, pattern, size, accesses=accesses)
+        assert forward.total_bytes == backward.total_bytes
+        assert forward.read_bytes == backward.read_bytes
+        assert forward.write_bytes == backward.write_bytes
+        assert forward.by_class() == backward.by_class()
+        assert forward.access_counts_by_class() == \
+            backward.access_counts_by_class()
+        for cls in AccessClass:
+            for pattern in AccessPattern:
+                assert forward.bytes_for(cls, pattern) == \
+                    backward.bytes_for(cls, pattern)
+                assert forward.accesses_for(cls, pattern) == \
+                    backward.accesses_for(cls, pattern)

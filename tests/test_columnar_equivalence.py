@@ -276,3 +276,80 @@ def test_block_score_cache_is_bounded(monkeypatch):
         churned += index.posting_list(term).num_blocks
         assert len(columnar._columnar_scores) <= cap
     assert churned > 4 * cap
+
+
+@pytest.mark.parametrize("scheme", ["BP", "VB", "S8b", "S16", "OptPFD",
+                                    "PFD", "GVB"])
+def test_block_scores_do_not_outlive_a_statistics_version(scheme):
+    """The block-score hazard of a long-lived segment engine.
+
+    The block-score cache is keyed by the identity of a decoded docID
+    array, and a live segment's decoded arrays now outlive statistics
+    versions. A list long enough to lead runs is queried, the corpus
+    moves (adds *and* deletes: IDF and avgdl both change), and the same
+    queries run again: the segment engine must equal the reference
+    executor over the same view bit for bit, and the live index must
+    equal a monolithic rebuild of the survivors — neither holds if a
+    score vector, a dressed list or the scorer survives the version.
+    """
+    import random
+
+    from repro.index.blocks import BLOCK_SIZE
+    from repro.live import SegmentedIndex
+    from tests.live.oplog import rebuild_monolith
+
+    rng = random.Random(17)
+    live = SegmentedIndex(schemes=[scheme], buffer_docs=4096,
+                          config=BossConfig(k=10))
+    docs = {}
+
+    def add(tokens):
+        docs[live.add_document(tokens)] = tokens
+
+    for i in range(2 * BLOCK_SIZE + 40):
+        tokens = ["hot"] * rng.randrange(1, 4)
+        tokens += ["filler"] * rng.randrange(2, 20)
+        if i % 3 == 0:
+            tokens += ["warm"] * rng.randrange(1, 3)
+        add(tokens)
+    live.seal()
+    segment, = live.segments
+    engine = live._engine_for(segment)
+    assert segment.index.posting_list("hot").num_blocks >= 2
+    queries = ['"hot"', '"hot" OR "warm"', '"warm" OR "hot" OR "filler"']
+
+    def check(context):
+        assert live._engine_for(segment) is engine
+        reference = BossAccelerator(engine.index, engine.config,
+                                    fast_path=False)
+        monolith, id_map = rebuild_monolith(docs, live.stats, [scheme])
+        overfetch = 10 + len(segment.tombstones)
+        for expression in queries:
+            for _ in range(2):  # the repeat reads this version's caches
+                _assert_results_identical(
+                    engine.search(expression, k=overfetch),
+                    reference.search(expression, k=overfetch),
+                    (scheme, context, expression),
+                )
+            assert [
+                (hit.doc_id, round(hit.score, 9))
+                for hit in live.search(expression, k=10).hits
+            ] == [
+                (id_map[hit.doc_id], round(hit.score, 9))
+                for hit in monolith.search(expression, k=10).hits
+            ], (scheme, context, expression)
+
+    check("fresh")
+    assert engine._columnar_scores, "no list led a run"
+    misses = engine.decoded_cache.misses
+    for step in range(2):
+        for _ in range(25):
+            add(["hot"] + ["pad"] * rng.randrange(30, 50))
+        victims = [doc for doc in sorted(segment.doc_lengths)
+                   if doc not in segment.tombstones]
+        for doc in victims[step::7]:
+            live.delete_document(doc)
+        check(f"stale {step}")
+        assert engine.index is not segment.index
+    # ... while nothing payload-dependent was rebuilt.
+    assert engine.decoded_cache.misses == misses

@@ -201,6 +201,80 @@ class TestAcrossEngines:
         assert all(f.matched_terms >= 1 for f in features)
         assert all(f.doc_length > 0 for f in features)
 
+    @staticmethod
+    def _first_stage(documents, kind):
+        """A first stage of each kind, never searched (cold caches)."""
+        from repro.cluster import SearchCluster, shard_documents
+        from repro.index import IndexBuilder
+
+        config = BossConfig(k=40)
+        if kind == "cluster":
+            sharded = shard_documents(documents, num_shards=3)
+            return SearchCluster([
+                BossAccelerator(index, config) for index in sharded.indexes
+            ])
+        builder = IndexBuilder()
+        for doc in documents:
+            builder.add_document(doc)
+        return BossAccelerator(builder.build(), config,
+                               fast_path=kind != "reference")
+
+    @pytest.mark.parametrize("kind", ["monolith", "cluster", "reference"])
+    def test_probes_read_the_owning_engines_decoded_cache(self, documents,
+                                                          kind):
+        """Features are the same whether the probes find the blocks the
+        first stage decoded (warm), an engine that never searched
+        (cold) or no cache at all; the first-stage result is not
+        charged for them."""
+        import copy
+
+        class Bare:
+            """Exposes the index views and nothing else."""
+
+            def __init__(self, engine):
+                if hasattr(engine, "engines"):
+                    self.engines = [Bare(leaf) for leaf in engine.engines]
+                else:
+                    self.index = engine.index
+
+        engine = self._first_stage(documents, kind)
+        pipeline = TwoStageSearch(engine, first_stage_k=40)
+        leaves = getattr(engine, "engines", [engine])
+        views = pipeline._index_views()
+        assert [index for index, _cache in views] == \
+            [leaf.index for leaf in leaves]
+        if kind == "reference":
+            assert [cache for _index, cache in views] == [None]
+        else:
+            assert all(cache is leaf.decoded_cache and cache is not None
+                       for (_index, cache), leaf in zip(views, leaves))
+        for expr in self.QUERIES:
+            first = engine.search(expr, k=40)
+            work = copy.deepcopy(first.work)
+            traffic = first.traffic.copy()
+            hits = list(first.hits)
+            warm = pipeline._features_for(first)
+            misses = [getattr(leaf.decoded_cache, "misses", 0)
+                      for leaf in leaves]
+            assert pipeline._features_for(first) == warm
+            # Every block a probe lands in is cached by now.
+            assert [getattr(leaf.decoded_cache, "misses", 0)
+                    for leaf in leaves] == misses
+            cold = TwoStageSearch(self._first_stage(documents, kind),
+                                  first_stage_k=40)._features_for(first)
+            bare = TwoStageSearch(Bare(engine),
+                                  first_stage_k=40)._features_for(first)
+            assert warm == cold == bare
+            assert len(warm) == len(first.hits)
+            # Probes are host-side: the first stage's measurements and
+            # ranking are exactly what the engine returned.
+            assert first.work == work
+            assert first.traffic._bytes == traffic._bytes
+            assert first.traffic._accesses == traffic._accesses
+            assert first.hits == hits
+        if kind != "reference":
+            assert all(leaf.decoded_cache.hits for leaf in leaves)
+
     def test_engine_without_views_rejected(self):
         class Opaque:
             def search(self, query, k):
