@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.observability.observer import NULL_OBSERVER, Observer
 from repro.scm.device import DDR4_4CH, OPTANE_NODE_4CH, MemoryDeviceModel
 from repro.scm.traffic import AccessPattern
 
@@ -40,24 +41,30 @@ from repro.scm.traffic import AccessPattern
 #: ``pattern`` is the engine-observed :class:`AccessPattern` of the
 #: fetch — sequential only when the block continued the cursor's
 #: previous fetched block; a metadata-guided skip landing is random.
-#: Legacy three-field records (no pattern) are accepted by the replay
-#: helpers and treated as sequential walks.
 FetchRecord = Tuple[str, int, int, AccessPattern]
 
 
-def _unpack_record(record) -> Tuple[str, int, int, AccessPattern]:
-    """Normalize a fetch record; legacy 3-tuples default to sequential."""
-    if len(record) >= 4:
-        term, block_index, size, pattern = record[:4]
-        return term, block_index, size, pattern
-    term, block_index, size = record
-    return term, block_index, size, AccessPattern.SEQUENTIAL
+@dataclass(frozen=True)
+class BlockCacheAccess:
+    """One :meth:`LRUBlockCache.access` (observer event)."""
+
+    hit: bool
+    nbytes: int
+
+    def publish_metrics(self, registry) -> None:
+        registry.counter(
+            "cache.accesses", "DRAM block-cache lookups"
+        ).inc(outcome="hit" if self.hit else "miss")
+        registry.counter(
+            "cache.bytes", "bytes served per tier"
+        ).inc(self.nbytes, tier="dram" if self.hit else "scm")
 
 
 class LRUBlockCache:
     """Byte-capacity LRU cache over posting-list blocks."""
 
-    def __init__(self, capacity_bytes: int, observer=None) -> None:
+    def __init__(self, capacity_bytes: int,
+                 observer: Observer = NULL_OBSERVER) -> None:
         if capacity_bytes <= 0:
             raise ConfigurationError("cache capacity must be positive")
         self.capacity_bytes = capacity_bytes
@@ -65,10 +72,7 @@ class LRUBlockCache:
         self._used = 0
         self.hits = 0
         self.misses = 0
-        #: Observability hook; only consulted when ``observer.enabled``.
-        self._observer = (
-            observer if observer is not None and observer.enabled else None
-        )
+        self._observer = observer
 
     @property
     def used_bytes(self) -> int:
@@ -107,12 +111,12 @@ class LRUBlockCache:
                 _evicted_key, evicted_size = self._entries.popitem(last=False)
                 self._used -= evicted_size
             self.hits += 1
-            if self._observer is not None:
-                self._observer.on_cache_access(True, size)
+            if self._observer.enabled:
+                self._observer.emit(BlockCacheAccess(True, size))
             return True
         self.misses += 1
-        if self._observer is not None:
-            self._observer.on_cache_access(False, size)
+        if self._observer.enabled:
+            self._observer.emit(BlockCacheAccess(False, size))
         if size > self.capacity_bytes:
             return False  # uncacheable oversized block
         while self._used + size > self.capacity_bytes and self._entries:
@@ -146,8 +150,8 @@ class DecodedBlockCache:
     traffic/latency accounting happens in the cursor regardless of hits.
     """
 
-    def __init__(self, capacity_blocks: int = DEFAULT_DECODED_CACHE_BLOCKS,
-                 observer=None) -> None:
+    def __init__(self,
+                 capacity_blocks: int = DEFAULT_DECODED_CACHE_BLOCKS) -> None:
         if capacity_blocks <= 0:
             raise ConfigurationError(
                 "decoded cache capacity must be positive"
@@ -159,10 +163,6 @@ class DecodedBlockCache:
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        #: Observability hook; only consulted when ``observer.enabled``.
-        self._observer = (
-            observer if observer is not None and observer.enabled else None
-        )
 
     @property
     def num_blocks(self) -> int:
@@ -183,8 +183,6 @@ class DecodedBlockCache:
                 self.hits += 1
             else:
                 self.misses += 1
-        if self._observer is not None:
-            self._observer.on_decoded_block(entry is not None)
         return entry
 
     def put(self, term: str, block_index: int, scheme: str,
@@ -243,7 +241,8 @@ class CacheSimulator:
     broken by interleaved hits or other terms — pays the random rate.
     """
 
-    def __init__(self, capacity_bytes: int, observer=None) -> None:
+    def __init__(self, capacity_bytes: int,
+                 observer: Observer = NULL_OBSERVER) -> None:
         self._cache = LRUBlockCache(capacity_bytes, observer=observer)
         self._dram_bytes = 0
         self._scm_seq_bytes = 0
@@ -253,8 +252,7 @@ class CacheSimulator:
 
     def replay(self, fetch_log: Iterable[FetchRecord]) -> None:
         """Feed one query's fetch records through the cache."""
-        for record in fetch_log:
-            term, block_index, size, pattern = _unpack_record(record)
+        for term, block_index, size, pattern in fetch_log:
             if self._cache.access(term, block_index, size):
                 # Served from DRAM: the SCM stream (if any) is
                 # interrupted, so a later miss restarts its run.
@@ -294,8 +292,7 @@ def uncached_memory_seconds(fetch_log: Iterable[FetchRecord],
     sequential/random asymmetry that skip-heavy query plans actually pay.
     """
     seq = rand = 0
-    for record in fetch_log:
-        _term, _index, size, pattern = _unpack_record(record)
+    for _term, _index, size, pattern in fetch_log:
         if pattern is AccessPattern.SEQUENTIAL:
             seq += size
         else:
@@ -312,18 +309,12 @@ def cached_memory_seconds(report: CacheReport,
     Hits are scattered single-block DRAM lookups (random at DRAM's mild
     penalty); misses are charged at the pattern the replay actually
     observed — only unbroken sequential runs earn the sequential SCM
-    rate, everything else pays the Table I random rate. Reports from
-    older callers that never split the miss bytes fall back to charging
-    them all sequential (the pre-fix behavior).
+    rate, everything else pays the Table I random rate.
     """
-    if report.scm_seq_bytes or report.scm_rand_bytes:
-        scm_seconds = (
-            scm.read_time(report.scm_seq_bytes, AccessPattern.SEQUENTIAL)
-            + scm.read_time(report.scm_rand_bytes, AccessPattern.RANDOM)
-        )
-    else:
-        scm_seconds = scm.read_time(report.scm_bytes,
-                                    AccessPattern.SEQUENTIAL)
+    scm_seconds = (
+        scm.read_time(report.scm_seq_bytes, AccessPattern.SEQUENTIAL)
+        + scm.read_time(report.scm_rand_bytes, AccessPattern.RANDOM)
+    )
     return (
         dram.read_time(report.dram_bytes, AccessPattern.RANDOM)
         + scm_seconds

@@ -54,6 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.errors import ConfigurationError, CrashError, RebalanceError
 from repro.index.builder import IndexBuilder
 from repro.index.index import InvertedIndex
+from repro.observability.observer import NULL_OBSERVER, Observer
 from repro.scm.traffic import AccessClass, AccessPattern, TrafficCounter
 from repro.serving.target import advance_to_arrival, queued_read_seconds
 
@@ -223,6 +224,41 @@ class MoveReport:
                 f"{self.read_bytes}B / {self.write_bytes}B"
             )
 
+    def publish_metrics(self, registry) -> None:
+        steps = registry.counter(
+            "rebalance.steps", "move protocol state transitions"
+        )
+        for state in self.states:
+            steps.inc(kind=self.kind, state=state)
+        registry.counter(
+            "rebalance.moves", "topology moves, by kind and outcome"
+        ).inc(kind=self.kind,
+              outcome="aborted" if self.aborted else "published")
+        registry.counter(
+            "rebalance.read_bytes",
+            "sequential LD List bytes streamed out of move sources",
+        ).inc(self.read_bytes)
+        registry.counter(
+            "rebalance.write_bytes",
+            "sequential ST Index bytes written into move destinations",
+        ).inc(self.write_bytes)
+        # The conservation identity, exported: out == in for every
+        # published move (Rebalancer raises before publish otherwise).
+        moved = registry.counter(
+            "rebalance.postings_moved",
+            "postings streamed during moves, by direction",
+        )
+        moved.inc(self.postings_out, direction="out")
+        moved.inc(self.postings_in, direction="in")
+        registry.counter(
+            "rebalance.maintenance_seconds",
+            "modeled device seconds spent on move traffic",
+        ).inc(self.modeled_seconds)
+        if not self.aborted:
+            registry.gauge(
+                "rebalance.map_version", "current shard-map generation"
+            ).set(self.map_version)
+
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
@@ -283,7 +319,8 @@ class Rebalancer:
     """
 
     def __init__(self, cluster, sharded, *, device=None, clock=None,
-                 observer=None, crash=None, engine_factory=None,
+                 observer: Observer = NULL_OBSERVER, crash=None,
+                 engine_factory=None,
                  schemes: Optional[Sequence[str]] = None,
                  k: int = 10) -> None:
         if device is None:
@@ -294,9 +331,7 @@ class Rebalancer:
         self._sharded = sharded
         self._device = device
         self._clock = clock
-        self._observer = (
-            observer if observer is not None and observer.enabled else None
-        )
+        self._observer = observer
         self._crash = crash
         if crash is not None and clock is not None:
             crash.bind_clock(clock)
@@ -347,7 +382,7 @@ class Rebalancer:
         drained = [op.shard]
         if isinstance(op, MergeShards):
             drained.append(op.shard + 1)
-        self._step(report, op, "planned")
+        report.states.append("planned")
         for shard in drained:
             self._cluster.set_draining(shard, True)
         try:
@@ -372,7 +407,7 @@ class Rebalancer:
         # Everything streamed and verified: install the new map in one
         # atomic step (which also clears the draining marks).
         publish()
-        self._step(report, op, "published")
+        report.states.append("published")
         self._finish(report)
         return report
 
@@ -457,7 +492,7 @@ class Rebalancer:
         boundaries = self._sharded.boundaries
         lo, hi = boundaries[op.shard], boundaries[op.shard + 1]
         source = self._sharded.indexes[op.shard]
-        self._step(report, op, "streaming")
+        report.states.append("streaming")
         postings, idfs = self._read_shard(source, report)
         left = self._build_destination(postings, idfs, lo, op.at_doc_id,
                                        source.scorer, report)
@@ -476,7 +511,7 @@ class Rebalancer:
         lo, hi = boundaries[op.shard], boundaries[op.shard + 2]
         left_src = self._sharded.indexes[op.shard]
         right_src = self._sharded.indexes[op.shard + 1]
-        self._step(report, op, "streaming")
+        report.states.append("streaming")
         postings, idfs = self._read_shard(left_src, report)
         more, more_idfs = self._read_shard(right_src, report)
         for term, extra in more.items():
@@ -496,7 +531,7 @@ class Rebalancer:
 
     def _add_replica(self, op: AddReplica, report: MoveReport) -> None:
         primary = self._sharded.indexes[op.shard]
-        self._step(report, op, "streaming")
+        report.states.append("streaming")
         if op.wal_dir is None:
             postings, idfs = self._read_shard(primary, report)
         else:
@@ -535,7 +570,7 @@ class Rebalancer:
         from repro.live.durable import WAL_NAME
         from repro.live.wal import AddRecord, DeleteRecord, read_wal
 
-        self._step(report, op, "catchup")
+        report.states.append("catchup")
         scan = read_wal(Path(op.wal_dir) / WAL_NAME)
         report.traffic.record(AccessClass.LD_LIST,
                               AccessPattern.SEQUENTIAL, scan.valid_bytes)
@@ -628,19 +663,12 @@ class Rebalancer:
         if self._crash is not None:
             self._crash.check(point)
 
-    def _step(self, report: MoveReport, op: RebalanceOp,
-              state: str) -> None:
-        report.states.append(state)
-        if self._observer is not None:
-            self._observer.on_rebalance_step(op.kind, op.shard, state)
-
     def _finish(self, report: MoveReport) -> None:
         report.modeled_seconds = self._device.service_time(report.traffic)
         now = self._clock.now() if self._clock is not None else 0.0
         self.busy_until = max(self.busy_until, now) + report.modeled_seconds
         self.reports.append(report)
-        if self._observer is not None:
-            self._observer.on_rebalance_complete(report)
+        self._observer.emit(report)
 
     # ------------------------------------------------------------------
     # Aggregate views

@@ -48,6 +48,7 @@ from typing import List, Optional
 
 from repro.clock import WALL_CLOCK, Clock
 from repro.errors import ConfigurationError, LeafExecutionError
+from repro.observability.observer import NULL_OBSERVER, Observer
 
 
 @dataclass(frozen=True)
@@ -114,6 +115,19 @@ class LeafOutcome:
     #: Per-attempt wall-clock of the *answering* attempt only.
     attempt_seconds: float = 0.0
 
+    def publish_metrics(self, registry) -> None:
+        """The recovery steps this leaf took, one count per step."""
+        for event, count in (("failover", self.failovers),
+                             ("retry", self.retries),
+                             ("timeout", self.timeouts),
+                             ("shard_failed", int(self.failed))):
+            if count:
+                registry.counter(
+                    "cluster.resilience_events",
+                    "leaf recovery steps "
+                    "(retry/timeout/failover/shard_failed)",
+                ).inc(count, event=event, shard=str(self.shard_index))
+
     def describe(self) -> str:
         """One report line, e.g. for the trace CLI."""
         state = "FAILED" if self.failed else "ok"
@@ -153,7 +167,8 @@ class ResilienceStats:
 
 def execute_leaf(candidates: List, pruned, k: int,
                  policy: ResiliencePolicy, shard_index: int,
-                 expression: str = "", observer=None,
+                 expression: str = "",
+                 observer: Observer = NULL_OBSERVER,
                  clock: Optional[Clock] = None) -> LeafOutcome:
     """Run one pruned sub-query against a shard's replica chain.
 
@@ -162,14 +177,24 @@ def execute_leaf(candidates: List, pruned, k: int,
     the policy forbids degradation; otherwise always returns an outcome
     (``failed=True`` marks an exhausted shard for the merge to skip).
     ``clock`` supplies attempt timing and backoff sleeps (wall clock by
-    default).
+    default). The outcome is emitted to ``observer`` on every exit, the
+    raising one included.
     """
     if not candidates:
         raise ConfigurationError(f"shard {shard_index} has no engines")
-    if clock is None:
-        clock = WALL_CLOCK
     outcome = LeafOutcome(shard_index=shard_index)
-    notify = observer if observer is not None and observer.enabled else None
+    try:
+        return _run_leaf(outcome, candidates, pruned, k, policy,
+                         expression, WALL_CLOCK if clock is None else clock)
+    finally:
+        observer.emit(outcome)
+
+
+def _run_leaf(outcome: LeafOutcome, candidates: List, pruned, k: int,
+              policy: ResiliencePolicy, expression: str,
+              clock: Clock) -> LeafOutcome:
+    """:func:`execute_leaf`'s attempt ladder, filling ``outcome``."""
+    shard_index = outcome.shard_index
     started = clock.now()
     last_error: Optional[BaseException] = None
 
@@ -194,15 +219,11 @@ def execute_leaf(candidates: List, pruned, k: int,
     for candidate_index, engine in enumerate(candidates):
         if candidate_index > 0:
             outcome.failovers += 1
-            if notify is not None:
-                notify.on_resilience_event("failover", shard_index)
             if policy.reset_backoff_on_failover:
                 backoff_step = 0
         for attempt in range(policy.max_retries + 1):
             if attempt > 0:
                 outcome.retries += 1
-                if notify is not None:
-                    notify.on_resilience_event("retry", shard_index)
             # Back off before every attempt that follows a failure:
             # retries, and — unless the policy resets the ladder on
             # failover — the next replica's first attempt, which follows
@@ -227,8 +248,6 @@ def execute_leaf(candidates: List, pruned, k: int,
             if (policy.timeout_seconds is not None
                     and attempt_seconds > policy.timeout_seconds):
                 outcome.timeouts += 1
-                if notify is not None:
-                    notify.on_resilience_event("timeout", shard_index)
                 budget_exhausted = (
                     candidate_index == len(candidates) - 1
                     and attempt == policy.max_retries
@@ -257,8 +276,6 @@ def execute_leaf(candidates: List, pruned, k: int,
     outcome.failed = True
     outcome.error = repr(last_error) if last_error is not None else None
     outcome.elapsed_seconds = clock.now() - started
-    if notify is not None:
-        notify.on_resilience_event("shard_failed", shard_index)
     if not policy.allow_degraded:
         raise LeafExecutionError(
             f"query {expression!r} exhausted shard {shard_index} after "

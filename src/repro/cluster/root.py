@@ -33,6 +33,7 @@ from repro.cluster.resilience import (
 from repro.core.result import ScoredDocument, SearchResult
 from repro.core.topk import DEFAULT_K
 from repro.errors import ConfigurationError
+from repro.observability.observer import NULL_OBSERVER, Observer
 from repro.scm.traffic import TrafficCounter
 from repro.sim.metrics import WorkCounters
 
@@ -74,6 +75,29 @@ class ClusterSearchResult:
         """True when the merge completed without at least one shard."""
         return bool(self.shards_failed)
 
+    def publish_metrics(self, registry) -> None:
+        registry.counter(
+            "cluster.queries", "queries merged at the root"
+        ).inc()
+        registry.counter(
+            "cluster.shards_touched", "leaf shards that executed"
+        ).inc(self.shards_touched)
+        registry.counter(
+            "cluster.merge_ops", "root-side merge comparisons"
+        ).inc(self.merge_ops)
+        registry.counter(
+            "cluster.interconnect_bytes", "leaf->root result bytes"
+        ).inc(self.interconnect_bytes)
+        if self.degraded:
+            registry.counter(
+                "cluster.degraded_queries",
+                "merges that skipped a failed shard",
+            ).inc()
+            registry.counter(
+                "cluster.shards_failed",
+                "shards skipped after exhausting retry + failover",
+            ).inc(len(self.shards_failed))
+
 
 class SearchCluster:
     """A root node over per-shard engines.
@@ -102,7 +126,8 @@ class SearchCluster:
     wall time).
     """
 
-    def __init__(self, engines: List, observer=None,
+    def __init__(self, engines: List,
+                 observer: Observer = NULL_OBSERVER,
                  policy: Optional[ResiliencePolicy] = None,
                  replicas: Optional[List[List]] = None,
                  clock=None) -> None:
@@ -121,9 +146,7 @@ class SearchCluster:
                 )
             self._replicas = [list(group) for group in replicas]
         #: Observability hook for the root (leaves carry their own).
-        self._observer = (
-            observer if observer is not None and observer.enabled else None
-        )
+        self._observer = observer
         #: Shards currently being rebalanced away from their primary.
         self._draining: set = set()
         #: Monotonic shard-map version; bumped by :meth:`publish_topology`.
@@ -134,8 +157,8 @@ class SearchCluster:
         return len(self._engines)
 
     @property
-    def observer(self):
-        """The root's observability hook (None when disabled)."""
+    def observer(self) -> Observer:
+        """The root's observability hook."""
         return self._observer
 
     @property
@@ -309,8 +332,7 @@ class SearchCluster:
         candidates.sort(key=lambda hit: (-hit.score, hit.doc_id))
         merged.hits = candidates[:k]
         merged.merge_ops = len(candidates)
-        if self._observer is not None:
-            self._observer.on_cluster_complete(merged)
+        self._observer.emit(merged)
         return merged
 
 

@@ -17,9 +17,9 @@ instead of being re-derived through method and property calls. This is
 safe because all modeled side effects live inside
 :class:`~repro.core.cursor.ListCursor`'s *movement* operations
 (``advance_to``, ``step``, ``current_tf`` — block fetches, skips,
-metadata charges, observer events), which are still invoked exactly as
-the oracles invoke them; the polling operations the replicas elide
-(``exhausted``, repeated ``current_doc``) are pure or idempotent.
+metadata charges), which are still invoked exactly as the oracles
+invoke them; the polling operations the replicas elide (``exhausted``,
+repeated ``current_doc``) are pure or idempotent.
 
 *Per iteration* (leader runs): most union iterations end in a rejected
 top-k offer, and between two **accepted** inserts the loop's decision

@@ -39,7 +39,7 @@ SKIP_NONE = "none"
 class ListCursor:
     """Lazy, accounting cursor over one compressed posting list."""
 
-    __slots__ = ("_fetch_log", "_observer", "_list", "_work", "_traffic",
+    __slots__ = ("_fetch_log", "_list", "_work", "_traffic",
                  "_pattern", "_skip_class", "_block_index", "_position",
                  "_decoded_doc_ids", "_decoded_tfs", "_lasts", "_firsts",
                  "_metadata_read_upto", "_decoded_cache", "_fast_path",
@@ -50,7 +50,6 @@ class ListCursor:
                  pattern: AccessPattern = AccessPattern.SEQUENTIAL,
                  skip_class: str = SKIP_NONE,
                  fetch_log: Optional[list] = None,
-                 observer=None,
                  decoded_cache=None,
                  fast_path: bool = True) -> None:
         if skip_class not in (SKIP_OVERLAP, SKIP_ET, SKIP_NONE):
@@ -63,8 +62,6 @@ class ListCursor:
         #: fetch that lands after a metadata-guided skip (or starts the
         #: list anywhere but block 0) is random.
         self._fetch_log = fetch_log
-        #: Observability hook; only consulted when ``observer.enabled``.
-        self._observer = observer if observer is not None and observer.enabled else None
         self._list = posting_list
         self._work = work
         self._traffic = traffic
@@ -79,8 +76,8 @@ class ListCursor:
         self._firsts = [b.metadata.first_doc_id for b in posting_list.blocks]
         #: Highest block index whose metadata was charged so far.
         self._metadata_read_upto = -1
-        #: Index of the last payload actually fetched (-1 = none yet;
-        #: block 0 then counts as the sequential start of the stream).
+        #: Index of the last payload the fetch log recorded (-1 = none
+        #: yet; block 0 then counts as the sequential start of the stream).
         self._last_fetched_block = -1
         #: Host-side :class:`repro.cache.DecodedBlockCache` (or None).
         self._decoded_cache = decoded_cache
@@ -263,9 +260,6 @@ class ListCursor:
                 self._work.blocks_skipped_overlap += 1
             elif self._skip_class == SKIP_ET:
                 self._work.blocks_skipped_et += 1
-            if self._observer is not None:
-                self._observer.on_block_skip(self._list.term,
-                                             self._skip_class)
         self._block_index = new_index
         self._position = 0
         self._decoded_doc_ids = None
@@ -294,10 +288,6 @@ class ListCursor:
                 postings = self._list.decode_block(self._block_index)
                 decoded = ([p.doc_id for p in postings],
                            [p.tf for p in postings])
-            if self._observer is not None:
-                self._observer.on_decode_path(
-                    self._list.scheme, self._fast_path
-                )
             if cache is not None:
                 cache.put(
                     self._list.term, self._block_index, self._list.scheme,
@@ -313,28 +303,24 @@ class ListCursor:
         self._traffic.record(
             AccessClass.LD_LIST, self._pattern, block.compressed_bytes
         )
-        # The observed pattern of *this* fetch: sequential only when it
-        # continues the previous fetched block (block 0 counts as the
-        # sequential start of the stream). The aggregate device model
-        # above keeps the cursor's configured pattern — the accelerator's
-        # block fetch module streams metadata-directed loads ahead of
-        # demand — but the serving-layer cache/planner studies replay
-        # per-block demand fetches, where a skip landing is a random read.
-        fetched_pattern = (
-            AccessPattern.SEQUENTIAL
-            if self._block_index == self._last_fetched_block + 1
-            else AccessPattern.RANDOM
-        )
-        self._last_fetched_block = self._block_index
         if self._fetch_log is not None:
+            # The observed pattern of *this* fetch: sequential only when
+            # it continues the previous fetched block (block 0 counts as
+            # the sequential start of the stream). The aggregate device
+            # model above keeps the cursor's configured pattern — the
+            # accelerator's block fetch module streams metadata-directed
+            # loads ahead of demand — but the serving-layer cache/planner
+            # studies replay per-block demand fetches, where a skip
+            # landing is a random read.
+            fetched_pattern = (
+                AccessPattern.SEQUENTIAL
+                if self._block_index == self._last_fetched_block + 1
+                else AccessPattern.RANDOM
+            )
+            self._last_fetched_block = self._block_index
             self._fetch_log.append(
                 (self._list.term, self._block_index,
                  block.compressed_bytes, fetched_pattern)
-            )
-        if self._observer is not None:
-            self._observer.on_block_fetch(
-                self._list.term, self._block_index, block.compressed_bytes,
-                pattern=fetched_pattern,
             )
 
     def _charge_metadata(self, block_index: int) -> None:

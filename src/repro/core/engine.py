@@ -78,6 +78,61 @@ EXECUTORS = ("reference", "fast", "columnar")
 
 
 @dataclass(frozen=True)
+class QueryStarted:
+    """A query entered an engine's ``search()`` (observer event)."""
+
+    engine: str
+
+    def publish_metrics(self, registry) -> None:
+        registry.counter(
+            "queries.started", "queries entering search()"
+        ).inc(engine=self.engine)
+
+
+@dataclass(frozen=True)
+class BlockActivity:
+    """What one finished query did per block (observer event).
+
+    Built once per query from counts that exist anyway — the query's
+    :class:`WorkCounters` and the engine's decoded-block cache — so the
+    cursor's inner loop never calls the observer. On the production
+    path a block is decoded exactly when the cache misses; the
+    reference path keeps no cache and decodes every fetched block.
+    """
+
+    work: WorkCounters
+    decoded_hits: int
+    decoded_misses: int
+    fast_path: bool
+
+    def publish_metrics(self, registry) -> None:
+        def count(name, help, amount, **labels):
+            if amount:  # a zero count publishes no sample
+                registry.counter(name, help).inc(amount, **labels)
+
+        work = self.work
+        count("fetch.blocks", "compressed payload fetches",
+              work.blocks_fetched)
+        skips = "blocks skipped without decoding"
+        count("fetch.blocks_skipped", skips, work.blocks_skipped_et,
+              mechanism=SKIP_ET)
+        count("fetch.blocks_skipped", skips, work.blocks_skipped_overlap,
+              mechanism=SKIP_OVERLAP)
+        lookups = "decoded-block cache lookups"
+        count("decoded_cache.accesses", lookups, self.decoded_hits,
+              outcome="hit")
+        count("decoded_cache.accesses", lookups, self.decoded_misses,
+              outcome="miss")
+        decodes = "block decodes by execution path"
+        if self.fast_path:
+            count("decode.invocations", decodes, self.decoded_misses,
+                  path="fast")
+        else:
+            count("decode.invocations", decodes, work.blocks_fetched,
+                  path="reference")
+
+
+@dataclass(frozen=True)
 class BossConfig:
     """Device configuration (Table I, "BOSS Configuration")."""
 
@@ -117,7 +172,8 @@ class BossAccelerator:
         self._config = BossConfig() if config is None else config
         self._observer = observer
         #: When set (a list), every block payload fetch is appended as
-        #: (term, block_index, bytes) — input to the cache simulator.
+        #: (term, block_index, bytes, observed pattern) — input to the
+        #: cache simulator and the I/O planner.
         self.fetch_log = None
         #: Which executor runs queries. ``None`` takes the production
         #: path, or the reference oracle when ``fast_path=False``; an
@@ -133,8 +189,10 @@ class BossAccelerator:
         #: decoded-block cache (the reference path owns none).
         self._fast_path = executor != "reference"
         self._decoded_cache = (
-            DecodedBlockCache(observer=observer) if self._fast_path else None
+            DecodedBlockCache() if self._fast_path else None
         )
+        #: The cache's (hits, misses) already published as events.
+        self._decoded_published = (0, 0)
         #: Cross-query block-score cache of the leader runs (block
         #: scores depend only on the index snapshot).
         self._columnar_scores: Dict[int, tuple] = {}
@@ -188,7 +246,7 @@ class BossAccelerator:
         self._check_terms(node)
         k = self._config.k if k is None else k
         if self._observer.enabled:
-            self._observer.on_query_start("BOSS", node, k)
+            self._observer.emit(QueryStarted("BOSS"))
 
         work = WorkCounters()
         traffic = TrafficCounter()
@@ -234,10 +292,21 @@ class BossAccelerator:
             interconnect_bytes=result_bytes,
         )
         if self._observer.enabled:
+            self._observer.emit(self._block_activity(work))
             self._observer.on_query_complete(
                 result, engine="BOSS", cores_used=self.cores_used(node)
             )
         return result
+
+    def _block_activity(self, work: WorkCounters) -> BlockActivity:
+        """``work``'s block counts plus every decoded-cache lookup not
+        yet published — this query's, and any probe made between
+        queries by a second stage reading the cache."""
+        cache = self._decoded_cache
+        seen = (cache.hits, cache.misses) if cache is not None else (0, 0)
+        published, self._decoded_published = self._decoded_published, seen
+        return BlockActivity(work, seen[0] - published[0],
+                             seen[1] - published[1], self._fast_path)
 
     def cores_used(self, node: QueryNode) -> int:
         """BOSS cores a query occupies (4 terms per core, Section IV-D)."""
@@ -362,7 +431,6 @@ class BossAccelerator:
             pattern=AccessPattern.SEQUENTIAL,
             skip_class=skip_class,
             fetch_log=self.fetch_log,
-            observer=self._observer,
             decoded_cache=self._decoded_cache,
             fast_path=self._fast_path,
         )

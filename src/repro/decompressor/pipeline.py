@@ -19,6 +19,7 @@ Tests assert bit-exact parity with every software codec in
 from __future__ import annotations
 
 import struct
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.compression.bitio import BitReader
@@ -27,19 +28,33 @@ from repro.compression.pfordelta import SEGMENT_SIZE
 from repro.decompressor.primitives import apply_op, unpack_word
 from repro.decompressor.program import DecompressorProgram, Statement
 from repro.errors import DecompressorProgramError
+from repro.observability.observer import NULL_OBSERVER, Observer
+
+
+@dataclass(frozen=True)
+class ModuleDecode:
+    """One :meth:`DecompressionModule.decode` call (observer event)."""
+
+    scheme: str
+    num_values: int
+
+    def publish_metrics(self, registry) -> None:
+        registry.counter(
+            "decompressor.calls", "decompression module invocations"
+        ).inc(scheme=self.scheme)
+        registry.counter(
+            "decompressor.values", "values emitted by the module"
+        ).inc(self.num_values, scheme=self.scheme)
 
 
 class DecompressionModule:
     """Executes decompression programs; one instance per hardware lane."""
 
     def __init__(self, program: DecompressorProgram,
-                 observer=None) -> None:
+                 observer: Observer = NULL_OBSERVER) -> None:
         program.validate()
         self._program = program
-        #: Observability hook; only consulted when ``observer.enabled``.
-        self._observer = (
-            observer if observer is not None and observer.enabled else None
-        )
+        self._observer = observer
 
     @property
     def program(self) -> DecompressorProgram:
@@ -52,8 +67,8 @@ class DecompressionModule:
         values are docIDs accumulated from ``base`` (the block metadata's
         preceding docID); otherwise they are the raw decoded integers.
         """
-        if self._observer is not None:
-            self._observer.on_decode(self._program.name, count)
+        if self._observer.enabled:
+            self._observer.emit(ModuleDecode(self._program.name, count))
         units, exceptions = self._extract(data, count)
         values = self._manipulate(units, count)
         if len(values) < count:

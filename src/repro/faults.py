@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from repro.clock import WALL_CLOCK
+from repro.observability.observer import NULL_OBSERVER
 from repro.errors import (
     CompressionError,
     ConfigurationError,
@@ -431,7 +432,7 @@ def wrap_shards(engines, faults: Union[FaultConfig, list, tuple],
 def make_faulty_cluster(documents, num_shards: int, *,
                         faults: Union[FaultConfig, list, tuple] = ZERO_FAULTS,
                         policy=None, replication_factor: int = 1,
-                        k: int = 10, observer=None,
+                        k: int = 10, observer=NULL_OBSERVER,
                         replica_faults: Optional[FaultConfig] = None,
                         clock=None):
     """Build a fault-injected, resilient cluster over ``documents``.

@@ -126,10 +126,57 @@ class FetchPlan(RoutedBytes):
     per_request_seconds: Dict[int, float] = field(default_factory=dict)
     per_request_bytes: Dict[int, int] = field(default_factory=dict)
     tenant_bytes: Dict[str, int] = field(default_factory=dict)
+    #: Speculative staging the server did as the window closed
+    #: (reported, never charged to a query).
+    prefetch_blocks: int = 0
+    prefetch_bytes: int = 0
 
     @property
     def num_sequential_runs(self) -> int:
         return sum(1 for run in self.runs if run.length > 1)
+
+    def publish_metrics(self, registry) -> None:
+        registry.counter(
+            "planner.windows", "planning windows closed with demand"
+        ).inc()
+        registry.counter(
+            "planner.demand_bytes", "block bytes demanded by queries"
+        ).inc(self.demand_bytes)
+        routed = registry.counter(
+            "planner.bytes", "demand bytes by routed source"
+        )
+        routed.inc(self.dram_hit_bytes, source="dram")
+        routed.inc(self.dedup_bytes, source="dedup")
+        routed.inc(self.scm_seq_bytes, source="scm_seq")
+        routed.inc(self.scm_rand_bytes, source="scm_rand")
+        registry.counter(
+            "planner.gap_bytes", "sequential gap-fill overhead bytes"
+        ).inc(self.gap_bytes)
+        if self.prefetch_blocks or self.prefetch_bytes:
+            registry.counter(
+                "planner.prefetch_blocks", "blocks staged speculatively"
+            ).inc(self.prefetch_blocks)
+            registry.counter(
+                "planner.prefetch_bytes", "bytes staged speculatively"
+            ).inc(self.prefetch_bytes)
+        runs = registry.counter(
+            "planner.runs", "SCM transfers issued, by shape"
+        )
+        coalesced = self.num_sequential_runs
+        if coalesced:
+            runs.inc(coalesced, shape="coalesced")
+        singletons = len(self.runs) - coalesced
+        if singletons:
+            runs.inc(singletons, shape="singleton")
+        registry.gauge(
+            "planner.last_sequential_share",
+            "last window's sequential share of SCM miss bytes",
+        ).set(self.sequential_share)
+        tenant_bytes = registry.counter(
+            "planner.tenant_bytes", "demand bytes charged per tenant"
+        )
+        for tenant, nbytes in self.tenant_bytes.items():
+            tenant_bytes.inc(nbytes, tenant=tenant)
 
     def check_conservation(self) -> None:
         """As the base check, and every byte is attributed to a query."""

@@ -42,6 +42,7 @@ from repro.ioplanner.plan import (
     plan_window,
 )
 from repro.ioplanner.tier import DramTier
+from repro.observability.observer import NULL_OBSERVER, Observer
 from repro.scm.device import DDR4_4CH, OPTANE_NODE_4CH, MemoryDeviceModel
 from repro.serving.loadgen import Request
 from repro.serving.server import (
@@ -131,6 +132,8 @@ class PlannerRunReport(RoutedBytes):
     def absorb(self, plan: FetchPlan) -> None:
         super().absorb(plan)
         self.windows += 1
+        self.prefetch_blocks += plan.prefetch_blocks
+        self.prefetch_bytes += plan.prefetch_bytes
         self.runs += len(plan.runs)
         self.sequential_runs += plan.num_sequential_runs
         for tenant, nbytes in plan.tenant_bytes.items():
@@ -198,7 +201,7 @@ class PlannedQueryServer(QueryServer):
     """
 
     def __init__(self, target, config: Optional[PlannerConfig] = None,
-                 observer=None,
+                 observer: Observer = NULL_OBSERVER,
                  compute_time: Optional[Callable] = None) -> None:
         super().__init__(
             target, PlannerConfig() if config is None else config,
@@ -250,16 +253,12 @@ class PlannedQueryServer(QueryServer):
                     continue
                 plan = self._run_window(admitted, outcomes, tier, close,
                                         worker_free, drr, run_report)
+                self._prefetch(tier, plan)
                 run_report.absorb(plan)
-                prefetched = self._prefetch(tier, run_report)
                 depth_samples.append(
                     sum(len(q) for q in queues.values())
                 )
-                if self._observer is not None:
-                    self._observer.on_plan_complete(
-                        plan, prefetch_blocks=prefetched[0],
-                        prefetch_bytes=prefetched[1],
-                    )
+                self._observer.emit(plan)
         finally:
             for leaf, saved in zip(leaves, saved_logs):
                 leaf.fetch_log = saved
@@ -306,8 +305,7 @@ class PlannedQueryServer(QueryServer):
             self._shed(outcomes[request.request_id], SHED_QUEUE_FULL)
             return
         queue.append(request)
-        if self._observer is not None:
-            self._observer.on_request_admitted(len(queue))
+        self._admitted(len(queue))
 
     def _admit(self, drr: DeficitRoundRobin,
                queues: Dict[str, deque]) -> List[Request]:
@@ -379,15 +377,16 @@ class PlannedQueryServer(QueryServer):
         return plan
 
     def _prefetch(self, tier: Optional[DramTier],
-                  run_report: PlannerRunReport) -> Tuple[int, int]:
+                  plan: FetchPlan) -> None:
+        """Close the tier's window and stage hot blocks; the staged
+        volume is recorded on the window's ``plan``."""
         cfg = self._config
         if tier is None:
-            return (0, 0)
+            return
         tier.end_window()
         if cfg.prefetch_terms <= 0 or cfg.prefetch_depth <= 0:
-            return (0, 0)
+            return
         budget = cfg.prefetch_budget_bytes
-        blocks = nbytes = 0
         for cand in tier.prefetch_candidates(cfg.prefetch_terms,
                                              cfg.prefetch_depth):
             if cand.size > budget:
@@ -395,11 +394,8 @@ class PlannedQueryServer(QueryServer):
             budget -= cand.size
             tier.admit(cand.term, cand.block_index, cand.size,
                        segment="warm")
-            blocks += 1
-            nbytes += cand.size
-        run_report.prefetch_blocks += blocks
-        run_report.prefetch_bytes += nbytes
-        return (blocks, nbytes)
+            plan.prefetch_blocks += 1
+            plan.prefetch_bytes += cand.size
 
     # ------------------------------------------------------------------
     # Execution

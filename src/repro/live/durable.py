@@ -273,9 +273,24 @@ class DurableLiveIndexWriter(LiveIndexWriter):
         self.traffic.record(AccessClass.ST_INDEX,
                             AccessPattern.SEQUENTIAL, nbytes)
         if self._observer.enabled:
-            self._observer.on_manifest_write(
-                nbytes, self.index.num_segments
-            )
+            self._observer.emit(ManifestWrite(nbytes))
+
+
+@dataclass(frozen=True)
+class ManifestWrite:
+    """The segment manifest was atomically replaced, or its write
+    re-charged during recovery replay (observer event)."""
+
+    nbytes: int
+
+    def publish_metrics(self, registry) -> None:
+        registry.counter(
+            "live.manifest.writes", "atomic manifest replacements"
+        ).inc()
+        registry.counter(
+            "live.manifest.bytes",
+            "sequential ST Index bytes from manifest writes",
+        ).inc(self.nbytes)
 
 
 @dataclass
@@ -306,6 +321,30 @@ class RecoveryReport:
     completion_merges: int = 0
     traffic: TrafficCounter = field(default_factory=TrafficCounter)
     modeled_seconds: float = 0.0
+
+    def publish_metrics(self, registry) -> None:
+        registry.counter(
+            "live.recovery.runs", "crash recoveries completed"
+        ).inc(torn="none" if self.torn is None else self.torn)
+        registry.counter(
+            "live.recovery.records_replayed", "WAL records replayed"
+        ).inc(self.records_replayed)
+        segments = registry.counter(
+            "live.recovery.segments", "segment dispositions during replay"
+        )
+        segments.inc(self.segments_loaded, disposition="loaded")
+        segments.inc(self.segments_rebuilt, disposition="rebuilt")
+        registry.counter(
+            "live.recovery.torn_bytes", "WAL tail bytes truncated"
+        ).inc(self.torn_bytes)
+        registry.counter(
+            "live.recovery.orphans_removed",
+            "uncommitted segment files swept",
+        ).inc(self.orphans_removed)
+        registry.gauge(
+            "live.recovery.last_modeled_seconds",
+            "modeled device seconds of the last recovery's own I/O",
+        ).set(self.modeled_seconds)
 
 
 class _SegmentLoader:
@@ -598,8 +637,7 @@ def recover(wal_dir: Union[str, Path], *,
                 "post-recovery validation failed: "
                 + "; ".join(check.errors[:3])
             )
-    if observer.enabled:
-        observer.on_recovery_complete(report)
+    observer.emit(report)
     writer._publish_state()
     return writer, report
 

@@ -92,6 +92,22 @@ class MergeRecord:
     def seconds(self) -> float:
         return self.finished - self.started
 
+    def publish_metrics(self, registry) -> None:
+        tier = str(self.tier)
+        registry.counter(
+            "live.merges", "background compactions, by output tier"
+        ).inc(tier=tier)
+        registry.counter(
+            "live.merge_read_bytes", "merge input bytes (LD List)"
+        ).inc(self.bytes_read)
+        registry.counter(
+            "live.merge_write_bytes",
+            "merge output bytes (ST Index), by output tier",
+        ).inc(self.bytes_written, tier=tier)
+        registry.counter(
+            "live.maintenance_seconds", "modeled device seconds in merges"
+        ).inc(self.seconds)
+
 
 def merge_segments(segmented: SegmentedIndex,
                    inputs: Sequence[Segment],
@@ -195,8 +211,7 @@ class MergeScheduler:
         tier_bytes[0] = tier_bytes.get(0, 0) + segment.nbytes
         self.seals.append(segment.segment_id)
         window = self.occupy(seal_traffic)
-        self._observer.on_live_seal(segment.segment_id, segment.num_docs,
-                                    segment.nbytes)
+        self._observer.emit(segment)
         return window
 
     def compact_all(self) -> Optional[MergeRecord]:
@@ -278,10 +293,7 @@ class MergeScheduler:
             finished=finished,
         )
         self.records.append(record)
-        self._observer.on_live_merge(
-            record.output_id, record.tier, record.bytes_read,
-            record.bytes_written, record.seconds,
-        )
+        self._observer.emit(record)
         if self.validate:
             from repro.index.validate import validate_segmented
 

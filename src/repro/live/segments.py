@@ -109,6 +109,19 @@ class Segment:
         #: (assigned when the segment is installed).
         self.pool_base = 0
 
+    def publish_metrics(self, registry) -> None:
+        """A write-buffer seal, as the scheduler emits it: the segment
+        just sealed is the event."""
+        registry.counter(
+            "live.seals", "write-buffer seals into tier-0 segments"
+        ).inc()
+        registry.counter(
+            "live.seal_bytes", "sequential ST Index bytes from seals"
+        ).inc(self.nbytes)
+        registry.counter(
+            "live.sealed_docs", "documents moved buffer -> segment"
+        ).inc(self.num_docs)
+
     @property
     def num_docs(self) -> int:
         """Documents physically present (live + tombstoned)."""

@@ -49,6 +49,7 @@ from repro.index.binaryio import (
     write_bytes_field,
     write_varint,
 )
+from repro.observability.observer import NULL_OBSERVER, Observer
 
 WAL_MAGIC = b"BOSSWAL1"
 
@@ -248,6 +249,23 @@ def read_wal(path: Union[str, Path]) -> WalScan:
                    total_bytes=len(data), torn=torn)
 
 
+@dataclass(frozen=True)
+class WalAppend:
+    """One WAL frame durably appended, or re-charged during recovery
+    replay (observer event)."""
+
+    kind: str
+    nbytes: int
+
+    def publish_metrics(self, registry) -> None:
+        registry.counter(
+            "live.wal.records", "WAL frames appended, by record kind"
+        ).inc(kind=self.kind)
+        registry.counter(
+            "live.wal.bytes", "sequential ST Index bytes from WAL frames"
+        ).inc(self.nbytes)
+
+
 class WriteAheadLog:
     """The append side: one open file, flushed (optionally fsynced)
     per record, with every frame charged as sequential ``ST Index``
@@ -259,14 +277,14 @@ class WriteAheadLog:
     """
 
     def __init__(self, path: Union[str, Path], traffic=None,
-                 observer=None, crash=None, fsync: bool = False,
+                 observer: Observer = NULL_OBSERVER, crash=None,
+                 fsync: bool = False,
                  _existing: Optional[Tuple[int, int]] = None) -> None:
-        from repro.observability.observer import NULL_OBSERVER
         from repro.scm.traffic import TrafficCounter
 
         self.path = Path(path)
         self.traffic = TrafficCounter() if traffic is None else traffic
-        self._observer = NULL_OBSERVER if observer is None else observer
+        self._observer = observer
         self._crash = crash
         self._fsync = fsync
         if _existing is None:
@@ -318,7 +336,7 @@ class WriteAheadLog:
         self.traffic.record(AccessClass.ST_INDEX,
                             AccessPattern.SEQUENTIAL, nbytes)
         if self._observer.enabled:
-            self._observer.on_wal_append(record.kind, nbytes)
+            self._observer.emit(WalAppend(record.kind, nbytes))
 
     def close(self) -> None:
         if not self._handle.closed:

@@ -52,6 +52,31 @@ class UpdateResult:
     hits: Tuple = field(default_factory=tuple)
 
 
+@dataclass(frozen=True)
+class LiveState:
+    """Live-index occupancy snapshot after a mutation (observer event)."""
+
+    buffered_docs: int
+    buffered_bytes: int
+    num_segments: int
+    write_amplification: float
+
+    def publish_metrics(self, registry) -> None:
+        registry.gauge(
+            "live.buffer_docs", "documents in the write buffer"
+        ).set(self.buffered_docs)
+        registry.gauge(
+            "live.buffer_bytes", "modeled write-buffer footprint"
+        ).set(self.buffered_bytes)
+        registry.gauge(
+            "live.segments", "sealed segments currently live"
+        ).set(self.num_segments)
+        registry.gauge(
+            "live.write_amplification",
+            "total ST Index bytes over tier-0 seal bytes",
+        ).set(self.write_amplification)
+
+
 class LiveIndexWriter:
     """Drives ingest: buffered adds/deletes, seals, background merges."""
 
@@ -186,12 +211,12 @@ class LiveIndexWriter:
     def _publish_state(self) -> None:
         if not self._observer.enabled:
             return
-        self._observer.on_live_state(
+        self._observer.emit(LiveState(
             buffered_docs=len(self.index.memseg),
             buffered_bytes=self.index.memseg.approx_bytes,
             num_segments=self.index.num_segments,
             write_amplification=self.write_amplification,
-        )
+        ))
 
 
 class LiveServingTarget:

@@ -11,11 +11,16 @@ a first-class API instead of ad-hoc prints:
   :class:`~repro.observability.trace.QueryTrace` records: one span per
   pipeline stage with modeled start/end times, per-stage byte
   attribution across access class x pattern x tier, skip counts, cores;
-* :mod:`repro.observability.observer` — the
-  :class:`~repro.observability.observer.Observer` object threaded
-  through ``BossSession -> BossAccelerator -> pipeline/pool/cluster``
-  (default :data:`~repro.observability.observer.NULL_OBSERVER`, a
-  zero-cost no-op) and the recording implementation;
+* :mod:`repro.observability.observer` — the two-method
+  :class:`~repro.observability.observer.Observer` threaded through
+  every layer (default
+  :data:`~repro.observability.observer.NULL_OBSERVER`, a zero-cost
+  no-op): ``emit(event)`` for everything that happens, and
+  ``on_query_complete`` for the one notification that builds a trace.
+  An event is the result/report object its site already holds and
+  publishes itself (``event.publish_metrics(registry)``, declared in
+  the package that emits it) — this package names no subsystem's
+  series;
 * :mod:`repro.observability.profiler` — trace construction from results
   plus the report renderers behind ``repro-boss trace`` / ``metrics``.
 
@@ -25,7 +30,6 @@ totals, and per-stage modeled times sum to the trace's latency.
 """
 
 from repro.observability.observer import (
-    LATENCY_BUCKETS_US,
     NULL_OBSERVER,
     Observer,
     RecordingObserver,
@@ -40,6 +44,7 @@ from repro.observability.profiler import (
     render_trace,
 )
 from repro.observability.registry import (
+    LATENCY_BUCKETS_US,
     Counter,
     Gauge,
     Histogram,

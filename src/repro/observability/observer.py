@@ -1,15 +1,29 @@
 """Observer: the single object threaded through the execution stack.
 
 One :class:`Observer` instance travels ``BossSession -> BossAccelerator
--> cursors / decompression modules / cluster root / block cache`` and
-receives callbacks at every instrumentation point. The default,
-:data:`NULL_OBSERVER`, is a do-nothing singleton with ``enabled =
-False`` — hot paths guard their callbacks behind that flag, so an
+-> cluster root / serving loop / live writer / ...`` and is told two
+things: :meth:`Observer.emit` receives every *event* — the result,
+report or outcome object the emitting site already holds, or a small
+frozen dataclass declared beside the site where no such object exists —
+and :meth:`Observer.on_query_complete` receives each finished query
+(the one notification with state and a return value: it prices the
+result with a timing model and hands back the trace).
+
+An event knows how to publish itself: it carries a
+``publish_metrics(registry)`` method, declared next to its type in the
+package that emits it, exactly like ``MemoryPool.publish_metrics``.
+Which series a subsystem publishes is therefore that subsystem's own
+business; nothing here names them.
+
+The default, :data:`NULL_OBSERVER`, is a do-nothing singleton with
+``enabled = False``. Components hold the observer they were given, call
+``emit(obj)`` unguarded where ``obj`` exists anyway, and test
+``enabled`` only where an event would have to be built — so an
 un-observed run performs no extra work and changes no benchmark number.
 
 :class:`RecordingObserver` is the real implementation: it materializes a
 :class:`~repro.observability.trace.QueryTrace` per completed query and
-publishes aggregate counters/histograms into a
+publishes every event into a
 :class:`~repro.observability.registry.MetricsRegistry`. All recorded
 times are the simulator's modeled times.
 """
@@ -18,138 +32,22 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.observability.registry import MetricsRegistry
+from repro.observability.registry import LATENCY_BUCKETS_US, MetricsRegistry
 from repro.observability.trace import QueryTrace
-
-#: Explicit modeled-latency histogram buckets, in microseconds.
-LATENCY_BUCKETS_US = (1, 2, 5, 10, 20, 50, 100, 200, 500,
-                      1000, 2000, 5000, 10000, 50000)
 
 
 class Observer:
-    """No-op observer base class; also the null-object implementation.
+    """No-op observer base class; also the null-object implementation."""
 
-    Components call these hooks only when :attr:`enabled` is true (or
-    unconditionally on cold paths), so the base class doubles as a
-    zero-cost default. Subclasses override whichever hooks they need.
-    """
-
-    #: Hot paths skip their callbacks entirely when this is False.
+    #: Sites that must *construct* an event skip it when this is False.
     enabled = False
 
-    def on_query_start(self, engine: str, node, k: int) -> None:
-        """A query entered an engine's ``search()``."""
+    def emit(self, event) -> None:
+        """Something happened; ``event`` can ``publish_metrics(registry)``."""
 
     def on_query_complete(self, result, engine: str = "BOSS",
                           cores_used: int = 1) -> Optional[QueryTrace]:
         """A query finished; ``result`` is the full SearchResult."""
-
-    def on_block_fetch(self, term: str, block_index: int,
-                       nbytes: int, pattern=None) -> None:
-        """The block fetch module pulled one compressed payload.
-
-        ``pattern`` is the observed :class:`~repro.scm.traffic.
-        AccessPattern` of the fetch — sequential when it continues the
-        previous fetched block of the same list, random after a skip.
-        """
-
-    def on_block_skip(self, term: str, mechanism: str) -> None:
-        """A block was skipped (``mechanism``: "et" or "overlap")."""
-
-    def on_decode(self, scheme: str, num_values: int) -> None:
-        """A decompression module emitted ``num_values`` values."""
-
-    def on_cache_access(self, hit: bool, nbytes: int) -> None:
-        """The DRAM block cache served (hit) or missed one block."""
-
-    def on_decoded_block(self, hit: bool) -> None:
-        """The host-side decoded-block cache was consulted."""
-
-    def on_decode_path(self, scheme: str, fast: bool) -> None:
-        """A block was decompressed via the fast or reference path."""
-
-    def on_cluster_complete(self, cluster_result) -> None:
-        """The root merged one fanned-out query."""
-
-    def on_resilience_event(self, event: str, shard_index: int) -> None:
-        """Resilient leaf execution took a recovery step.
-
-        ``event`` is one of ``"retry"``, ``"timeout"``, ``"failover"``,
-        ``"shard_failed"`` (see :mod:`repro.cluster.resilience`).
-        """
-
-    def on_request_admitted(self, queue_depth: int) -> None:
-        """The serving layer admitted a request (``queue_depth`` is the
-        occupancy after enqueueing; 0 = dispatched immediately)."""
-
-    def on_request_shed(self, reason: str) -> None:
-        """The serving layer dropped a request (a ``SHED_*`` reason
-        from :mod:`repro.serving.server`)."""
-
-    def on_request_served(self, outcome) -> None:
-        """A served request completed; ``outcome`` is the full
-        :class:`repro.serving.server.RequestOutcome`."""
-
-    def on_serving_complete(self, report) -> None:
-        """A sustained-load run finished; ``report`` is the
-        :class:`repro.serving.server.ServingReport`."""
-
-    def on_plan_complete(self, plan, prefetch_blocks: int = 0,
-                         prefetch_bytes: int = 0) -> None:
-        """The I/O planner closed one planning window; ``plan`` is the
-        :class:`repro.ioplanner.plan.FetchPlan` with its traffic
-        routing, plus the window's speculative prefetch volume."""
-
-    def on_live_seal(self, segment_id: int, num_docs: int,
-                     nbytes: int) -> None:
-        """The live index sealed its write buffer into a segment."""
-
-    def on_live_merge(self, segment_id: Optional[int], tier: int,
-                      bytes_read: int, bytes_written: int,
-                      seconds: float) -> None:
-        """A background merge finished (``segment_id`` is ``None`` when
-        every input document was tombstoned and nothing was written)."""
-
-    def on_live_state(self, buffered_docs: int, buffered_bytes: int,
-                      num_segments: int,
-                      write_amplification: float) -> None:
-        """Live-index occupancy snapshot after a mutation."""
-
-    def on_wal_append(self, kind: str, nbytes: int) -> None:
-        """One WAL frame was durably appended (or re-charged during
-        recovery replay); ``kind`` is the record kind
-        (add/delete/seal/merge)."""
-
-    def on_manifest_write(self, nbytes: int, num_segments: int) -> None:
-        """The segment manifest was atomically replaced (or its write
-        re-charged during recovery replay)."""
-
-    def on_recovery_complete(self, report) -> None:
-        """A crash recovery finished; ``report`` is the
-        :class:`repro.live.durable.RecoveryReport`."""
-
-    def on_rebalance_step(self, kind: str, shard: int,
-                          state: str) -> None:
-        """A rebalance move reached a protocol state (``state`` is one
-        of :data:`repro.cluster.rebalance.MOVE_STATES`)."""
-
-    def on_rebalance_complete(self, report) -> None:
-        """A rebalance move finished (published or aborted); ``report``
-        is the :class:`repro.cluster.rebalance.MoveReport`."""
-
-    def on_rerank_complete(self, result) -> None:
-        """The software second stage rescored one query; ``result`` is
-        the :class:`repro.rerank.RerankedResult`."""
-
-    def on_vector_query(self, result) -> None:
-        """The ANN lane answered one query; ``result`` is the
-        :class:`repro.vector.engine.VectorSearchResult` (its traffic
-        components satisfy the bytes-conservation identity — the
-        engine raises before this hook otherwise)."""
-
-    def on_hybrid_complete(self, result) -> None:
-        """A hybrid (lexical + vector) query finished; ``result`` is
-        the :class:`repro.vector.hybrid.HybridResult`."""
 
 
 #: Shared do-nothing observer; the default everywhere.
@@ -205,13 +103,11 @@ class RecordingObserver(Observer):
             ) from None
 
     # ------------------------------------------------------------------
-    # Hooks
+    # The two notifications
     # ------------------------------------------------------------------
 
-    def on_query_start(self, engine: str, node, k: int) -> None:
-        self.registry.counter(
-            "queries.started", "queries entering search()"
-        ).inc(engine=engine)
+    def emit(self, event) -> None:
+        event.publish_metrics(self.registry)
 
     def on_query_complete(self, result, engine: str = "BOSS",
                           cores_used: int = 1) -> QueryTrace:
@@ -228,351 +124,6 @@ class RecordingObserver(Observer):
             del self.traces[0]
         self._publish(trace)
         return trace
-
-    def on_block_fetch(self, term: str, block_index: int,
-                       nbytes: int, pattern=None) -> None:
-        self.registry.counter(
-            "fetch.blocks", "compressed payload fetches"
-        ).inc()
-        self.registry.counter(
-            "fetch.bytes", "compressed payload bytes fetched"
-        ).inc(nbytes)
-        if pattern is not None:
-            self.registry.counter(
-                "fetch.pattern_bytes",
-                "payload bytes by observed spatial pattern",
-            ).inc(nbytes, pattern=pattern.value)
-
-    def on_block_skip(self, term: str, mechanism: str) -> None:
-        self.registry.counter(
-            "fetch.blocks_skipped", "blocks skipped without decoding"
-        ).inc(mechanism=mechanism)
-
-    def on_decode(self, scheme: str, num_values: int) -> None:
-        self.registry.counter(
-            "decompressor.calls", "decompression module invocations"
-        ).inc(scheme=scheme)
-        self.registry.counter(
-            "decompressor.values", "values emitted by the module"
-        ).inc(num_values, scheme=scheme)
-
-    def on_cache_access(self, hit: bool, nbytes: int) -> None:
-        outcome = "hit" if hit else "miss"
-        self.registry.counter(
-            "cache.accesses", "DRAM block-cache lookups"
-        ).inc(outcome=outcome)
-        self.registry.counter(
-            "cache.bytes", "bytes served per tier"
-        ).inc(nbytes, tier="dram" if hit else "scm")
-
-    def on_decoded_block(self, hit: bool) -> None:
-        self.registry.counter(
-            "decoded_cache.accesses", "decoded-block cache lookups"
-        ).inc(outcome="hit" if hit else "miss")
-
-    def on_decode_path(self, scheme: str, fast: bool) -> None:
-        self.registry.counter(
-            "decode.invocations", "block decodes by execution path"
-        ).inc(path="fast" if fast else "reference", scheme=scheme)
-
-    def on_cluster_complete(self, cluster_result) -> None:
-        self.registry.counter(
-            "cluster.queries", "queries merged at the root"
-        ).inc()
-        self.registry.counter(
-            "cluster.shards_touched", "leaf shards that executed"
-        ).inc(cluster_result.shards_touched)
-        self.registry.counter(
-            "cluster.merge_ops", "root-side merge comparisons"
-        ).inc(cluster_result.merge_ops)
-        self.registry.counter(
-            "cluster.interconnect_bytes", "leaf->root result bytes"
-        ).inc(cluster_result.interconnect_bytes)
-        if getattr(cluster_result, "degraded", False):
-            self.registry.counter(
-                "cluster.degraded_queries",
-                "merges that completed without a failed shard",
-            ).inc()
-            self.registry.counter(
-                "cluster.shards_failed",
-                "shards skipped after exhausting retry + failover",
-            ).inc(len(cluster_result.shards_failed))
-
-    def on_resilience_event(self, event: str, shard_index: int) -> None:
-        self.registry.counter(
-            "cluster.resilience_events",
-            "leaf recovery steps (retry/timeout/failover/shard_failed)",
-        ).inc(event=event, shard=str(shard_index))
-
-    def on_request_admitted(self, queue_depth: int) -> None:
-        self.registry.counter(
-            "serving.admitted", "requests accepted by the serving layer"
-        ).inc()
-        depth = self.registry.gauge(
-            "serving.queue_depth_max", "deepest admission queue seen"
-        )
-        if queue_depth > depth.value():
-            depth.set(queue_depth)
-
-    def on_request_shed(self, reason: str) -> None:
-        self.registry.counter(
-            "serving.shed", "requests dropped by admission control"
-        ).inc(reason=reason)
-
-    def on_request_served(self, outcome) -> None:
-        if outcome.slo_attained is None:
-            slo = "none"
-        else:
-            slo = "attained" if outcome.slo_attained else "violated"
-        self.registry.counter(
-            "serving.served", "requests answered, by SLO outcome"
-        ).inc(slo=slo, degraded=str(outcome.degraded).lower())
-        self.registry.histogram(
-            "serving.latency_us", LATENCY_BUCKETS_US,
-            "arrival-to-completion serving latency (us)",
-        ).observe(outcome.latency_seconds * 1e6)
-        self.registry.histogram(
-            "serving.queue_wait_us", LATENCY_BUCKETS_US,
-            "admission-queue wait before dispatch (us)",
-        ).observe(outcome.queue_wait_seconds * 1e6)
-
-    def on_serving_complete(self, report) -> None:
-        self.registry.counter(
-            "serving.runs", "sustained-load runs completed"
-        ).inc()
-        self.registry.gauge(
-            "serving.last_achieved_qps", "served throughput of last run"
-        ).set(report.achieved_qps)
-        self.registry.gauge(
-            "serving.last_shed_fraction", "shed fraction of last run"
-        ).set(report.shed_fraction)
-
-    def on_plan_complete(self, plan, prefetch_blocks: int = 0,
-                         prefetch_bytes: int = 0) -> None:
-        registry = self.registry
-        registry.counter(
-            "planner.windows", "planning windows closed with demand"
-        ).inc()
-        registry.counter(
-            "planner.demand_bytes", "block bytes demanded by queries"
-        ).inc(plan.demand_bytes)
-        routed = registry.counter(
-            "planner.bytes", "demand bytes by routed source"
-        )
-        routed.inc(plan.dram_hit_bytes, source="dram")
-        routed.inc(plan.dedup_bytes, source="dedup")
-        routed.inc(plan.scm_seq_bytes, source="scm_seq")
-        routed.inc(plan.scm_rand_bytes, source="scm_rand")
-        registry.counter(
-            "planner.gap_bytes", "sequential gap-fill overhead bytes"
-        ).inc(plan.gap_bytes)
-        if prefetch_blocks or prefetch_bytes:
-            registry.counter(
-                "planner.prefetch_blocks", "blocks staged speculatively"
-            ).inc(prefetch_blocks)
-            registry.counter(
-                "planner.prefetch_bytes", "bytes staged speculatively"
-            ).inc(prefetch_bytes)
-        runs = registry.counter(
-            "planner.runs", "SCM transfers issued, by shape"
-        )
-        coalesced = plan.num_sequential_runs
-        if coalesced:
-            runs.inc(coalesced, shape="coalesced")
-        singletons = len(plan.runs) - coalesced
-        if singletons:
-            runs.inc(singletons, shape="singleton")
-        registry.gauge(
-            "planner.last_sequential_share",
-            "last window's sequential share of SCM miss bytes",
-        ).set(plan.sequential_share)
-        tenant_bytes = registry.counter(
-            "planner.tenant_bytes", "demand bytes charged per tenant"
-        )
-        for tenant, nbytes in plan.tenant_bytes.items():
-            tenant_bytes.inc(nbytes, tenant=tenant)
-
-    def on_live_seal(self, segment_id: int, num_docs: int,
-                     nbytes: int) -> None:
-        self.registry.counter(
-            "live.seals", "write-buffer seals into tier-0 segments"
-        ).inc()
-        self.registry.counter(
-            "live.seal_bytes", "sequential ST Index bytes from seals"
-        ).inc(nbytes)
-        self.registry.counter(
-            "live.sealed_docs", "documents moved buffer -> segment"
-        ).inc(num_docs)
-
-    def on_live_merge(self, segment_id: Optional[int], tier: int,
-                      bytes_read: int, bytes_written: int,
-                      seconds: float) -> None:
-        self.registry.counter(
-            "live.merges", "background compactions, by output tier"
-        ).inc(tier=str(tier))
-        self.registry.counter(
-            "live.merge_read_bytes", "merge input bytes (LD List)"
-        ).inc(bytes_read)
-        self.registry.counter(
-            "live.merge_write_bytes",
-            "merge output bytes (ST Index), by output tier",
-        ).inc(bytes_written, tier=str(tier))
-        self.registry.counter(
-            "live.maintenance_seconds", "modeled device seconds in merges"
-        ).inc(seconds)
-
-    def on_live_state(self, buffered_docs: int, buffered_bytes: int,
-                      num_segments: int,
-                      write_amplification: float) -> None:
-        self.registry.gauge(
-            "live.buffer_docs", "documents in the write buffer"
-        ).set(buffered_docs)
-        self.registry.gauge(
-            "live.buffer_bytes", "modeled write-buffer footprint"
-        ).set(buffered_bytes)
-        self.registry.gauge(
-            "live.segments", "sealed segments currently live"
-        ).set(num_segments)
-        self.registry.gauge(
-            "live.write_amplification",
-            "total ST Index bytes over tier-0 seal bytes",
-        ).set(write_amplification)
-
-    def on_wal_append(self, kind: str, nbytes: int) -> None:
-        self.registry.counter(
-            "live.wal.records", "WAL frames appended, by record kind"
-        ).inc(kind=kind)
-        self.registry.counter(
-            "live.wal.bytes", "sequential ST Index bytes from WAL frames"
-        ).inc(nbytes)
-
-    def on_manifest_write(self, nbytes: int, num_segments: int) -> None:
-        self.registry.counter(
-            "live.manifest.writes", "atomic manifest replacements"
-        ).inc()
-        self.registry.counter(
-            "live.manifest.bytes",
-            "sequential ST Index bytes from manifest writes",
-        ).inc(nbytes)
-
-    def on_recovery_complete(self, report) -> None:
-        self.registry.counter(
-            "live.recovery.runs", "crash recoveries completed"
-        ).inc(torn="none" if report.torn is None else report.torn)
-        self.registry.counter(
-            "live.recovery.records_replayed", "WAL records replayed"
-        ).inc(report.records_replayed)
-        self.registry.counter(
-            "live.recovery.segments", "segment dispositions during replay"
-        ).inc(report.segments_loaded, disposition="loaded")
-        self.registry.counter(
-            "live.recovery.segments", "segment dispositions during replay"
-        ).inc(report.segments_rebuilt, disposition="rebuilt")
-        self.registry.counter(
-            "live.recovery.torn_bytes", "WAL tail bytes truncated"
-        ).inc(report.torn_bytes)
-        self.registry.counter(
-            "live.recovery.orphans_removed",
-            "uncommitted segment files swept",
-        ).inc(report.orphans_removed)
-        self.registry.gauge(
-            "live.recovery.last_modeled_seconds",
-            "modeled device seconds of the last recovery's own I/O",
-        ).set(report.modeled_seconds)
-
-    def on_rebalance_step(self, kind: str, shard: int,
-                          state: str) -> None:
-        self.registry.counter(
-            "rebalance.steps", "move protocol state transitions"
-        ).inc(kind=kind, state=state)
-
-    def on_rebalance_complete(self, report) -> None:
-        registry = self.registry
-        registry.counter(
-            "rebalance.moves", "topology moves, by kind and outcome"
-        ).inc(kind=report.kind,
-              outcome="aborted" if report.aborted else "published")
-        registry.counter(
-            "rebalance.read_bytes",
-            "sequential LD List bytes streamed out of move sources",
-        ).inc(report.read_bytes)
-        registry.counter(
-            "rebalance.write_bytes",
-            "sequential ST Index bytes written into move destinations",
-        ).inc(report.write_bytes)
-        # The conservation identity, exported: out == in for every
-        # published move (Rebalancer raises before publish otherwise).
-        moved = registry.counter(
-            "rebalance.postings_moved",
-            "postings streamed during moves, by direction",
-        )
-        moved.inc(report.postings_out, direction="out")
-        moved.inc(report.postings_in, direction="in")
-        registry.counter(
-            "rebalance.maintenance_seconds",
-            "modeled device seconds spent on move traffic",
-        ).inc(report.modeled_seconds)
-        if not report.aborted:
-            registry.gauge(
-                "rebalance.map_version", "current shard-map generation"
-            ).set(report.map_version)
-
-    def on_rerank_complete(self, result) -> None:
-        self.registry.counter(
-            "rerank.queries", "queries through the software second stage"
-        ).inc()
-        self.registry.counter(
-            "rerank.candidates", "candidates rescored by the second stage"
-        ).inc(result.candidates)
-        self.registry.counter(
-            "rerank.seconds", "modeled host seconds in the second stage"
-        ).inc(result.rerank_seconds)
-        # The stage the per-query traces were blind to: surface it in
-        # the same pipeline ledger the device stages publish into.
-        self.registry.counter(
-            "pipeline.stage_seconds", "summed modeled stage time"
-        ).inc(result.rerank_seconds, stage="rerank", engine="host")
-
-    def on_vector_query(self, result) -> None:
-        registry = self.registry
-        registry.counter(
-            "vector.queries", "ANN queries answered"
-        ).inc()
-        registry.counter(
-            "vector.demand_bytes", "layout bytes demanded by probes"
-        ).inc(result.demand_bytes)
-        moved = registry.counter(
-            "vector.bytes", "probe bytes by layout component"
-        )
-        moved.inc(result.centroid_bytes, component="centroid")
-        moved.inc(result.cluster_seq_bytes, component="cluster_seq")
-        moved.inc(result.cluster_hop_bytes, component="cluster_hop")
-        registry.counter(
-            "vector.clusters_probed", "clusters scanned across queries"
-        ).inc(result.clusters_probed)
-        registry.counter(
-            "vector.vectors_scanned", "vectors scored across queries"
-        ).inc(result.vectors_scanned)
-        registry.histogram(
-            "vector.latency_us", LATENCY_BUCKETS_US,
-            "modeled ANN query latency (us)",
-        ).observe(result.modeled_seconds * 1e6)
-
-    def on_hybrid_complete(self, result) -> None:
-        self.registry.counter(
-            "hybrid.queries", "hybrid queries, by fusion mode"
-        ).inc(mode=result.mode)
-        self.registry.counter(
-            "hybrid.candidates", "candidates rescored or fused"
-        ).inc(result.candidates, mode=result.mode)
-        self.registry.histogram(
-            "hybrid.latency_us", LATENCY_BUCKETS_US,
-            "modeled end-to-end hybrid latency (us)",
-        ).observe(result.modeled_seconds * 1e6, mode=result.mode)
-
-    # ------------------------------------------------------------------
-    # Registry publication
-    # ------------------------------------------------------------------
 
     def _publish(self, trace: QueryTrace) -> None:
         registry = self.registry

@@ -10,9 +10,8 @@ engine internals.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
-from repro.core.result import SearchResult
 from repro.errors import ConfigurationError
 from repro.observability.registry import MetricsRegistry
 from repro.observability.trace import (
@@ -23,6 +22,9 @@ from repro.observability.trace import (
     stage_byte_totals,
     traffic_entries,
 )
+
+if TYPE_CHECKING:  # annotation only: core imports this package
+    from repro.core.result import SearchResult
 
 
 def build_trace(model, result: SearchResult, query_id: int = 0,

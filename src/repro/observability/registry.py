@@ -21,6 +21,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
+#: Explicit modeled-latency histogram buckets, in microseconds — the one
+#: layout every ``*_us`` histogram shares, whichever package publishes it.
+LATENCY_BUCKETS_US = (1, 2, 5, 10, 20, 50, 100, 200, 500,
+                      1000, 2000, 5000, 10000, 50000)
+
 #: A label set in canonical form: sorted (key, value) pairs.
 LabelKey = Tuple[Tuple[str, str], ...]
 

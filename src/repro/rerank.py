@@ -109,6 +109,22 @@ class RerankedResult:
     #: Candidates rescored.
     candidates: int = 0
 
+    def publish_metrics(self, registry) -> None:
+        registry.counter(
+            "rerank.queries", "queries through the software second stage"
+        ).inc()
+        registry.counter(
+            "rerank.candidates", "candidates rescored by the second stage"
+        ).inc(self.candidates)
+        registry.counter(
+            "rerank.seconds", "modeled host seconds in the second stage"
+        ).inc(self.rerank_seconds)
+        # The stage the per-query traces were blind to: surface it in
+        # the same pipeline ledger the device stages publish into.
+        registry.counter(
+            "pipeline.stage_seconds", "summed modeled stage time"
+        ).inc(self.rerank_seconds, stage="rerank", engine="host")
+
 
 class TwoStageSearch:
     """First-stage engine + software re-ranker, composed.
@@ -127,8 +143,9 @@ class TwoStageSearch:
         Candidates retrieved by the first stage (the paper's k, default
         1000); the final ``k`` of :meth:`search` selects from these.
     observer:
-        Observability hook; receives ``on_rerank_complete`` per query
-        (the stage's ``rerank.*`` metrics and trace visibility).
+        Observability hook; receives each query's
+        :class:`RerankedResult` (the stage's ``rerank.*`` metrics and
+        trace visibility).
     """
 
     def __init__(self, engine, reranker: Optional[Reranker] = None,
@@ -169,8 +186,7 @@ class TwoStageSearch:
             ),
             candidates=len(features),
         )
-        if self._observer.enabled:
-            self._observer.on_rerank_complete(result)
+        self._observer.emit(result)
         return result
 
     def _index_views(self) -> List[Tuple[InvertedIndex, object]]:

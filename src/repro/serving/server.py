@@ -50,6 +50,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.batch import percentile
 from repro.clock import WALL_CLOCK, Clock
 from repro.errors import ConfigurationError
+from repro.observability.observer import NULL_OBSERVER, Observer
+from repro.observability.registry import LATENCY_BUCKETS_US
 from repro.serving.loadgen import Request
 from repro.serving.target import execute_request
 
@@ -99,6 +101,25 @@ class ServingConfig:
             )
 
 
+@dataclass(frozen=True)
+class RequestAdmitted:
+    """The serving layer accepted a request (observer event);
+    ``queue_depth`` is the occupancy after enqueueing (0 = dispatched
+    immediately)."""
+
+    queue_depth: int
+
+    def publish_metrics(self, registry) -> None:
+        registry.counter(
+            "serving.admitted", "requests accepted by the serving layer"
+        ).inc()
+        depth = registry.gauge(
+            "serving.queue_depth_max", "deepest admission queue seen"
+        )
+        if self.queue_depth > depth.value():
+            depth.set(self.queue_depth)
+
+
 @dataclass
 class RequestOutcome:
     """What happened to one request, on the serving timeline."""
@@ -136,6 +157,29 @@ class RequestOutcome:
         if self.completion_seconds is None:
             return None
         return self.completion_seconds - self.arrival_seconds
+
+    def publish_metrics(self, registry) -> None:
+        """The request's final disposition: shed, or served."""
+        if not self.served:
+            registry.counter(
+                "serving.shed", "requests dropped by admission control"
+            ).inc(reason=self.shed_reason)
+            return
+        if self.slo_attained is None:
+            slo = "none"
+        else:
+            slo = "attained" if self.slo_attained else "violated"
+        registry.counter(
+            "serving.served", "requests answered, by SLO outcome"
+        ).inc(slo=slo, degraded=str(self.degraded).lower())
+        registry.histogram(
+            "serving.latency_us", LATENCY_BUCKETS_US,
+            "arrival-to-completion serving latency (us)",
+        ).observe(self.latency_seconds * 1e6)
+        registry.histogram(
+            "serving.queue_wait_us", LATENCY_BUCKETS_US,
+            "admission-queue wait before dispatch (us)",
+        ).observe(self.queue_wait_seconds * 1e6)
 
 
 @dataclass
@@ -192,6 +236,17 @@ class ServingReport:
         if self.deadline_seconds is None or self.num_requests <= 0:
             return 0.0
         return (self.slo_violated + self.shed) / self.num_requests
+
+    def publish_metrics(self, registry) -> None:
+        registry.counter(
+            "serving.runs", "sustained-load runs completed"
+        ).inc()
+        registry.gauge(
+            "serving.last_achieved_qps", "served throughput of last run"
+        ).set(self.achieved_qps)
+        registry.gauge(
+            "serving.last_shed_fraction", "shed fraction of last run"
+        ).set(self.shed_fraction)
 
     def to_dict(self) -> dict:
         return {
@@ -256,20 +311,19 @@ class QueryServer:
     that. ``clock`` only measures service time (default: wall clock);
     the serving timeline itself never sleeps.
 
-    ``observer`` (an enabled :class:`repro.observability.Observer`)
-    receives admission/shed/completion callbacks and publishes the
-    ``serving.*`` registry metrics.
+    ``observer`` is told of every admission, every request's final
+    :class:`RequestOutcome` (served or shed) and the run's
+    :class:`ServingReport`; recording it publishes the ``serving.*``
+    registry metrics.
     """
 
     def __init__(self, target, config: Optional[ServingConfig] = None,
-                 observer=None,
+                 observer: Observer = NULL_OBSERVER,
                  service_time: Optional[Callable] = None,
                  clock: Optional[Clock] = None) -> None:
         self._target = target
         self._config = ServingConfig() if config is None else config
-        self._observer = (
-            observer if observer is not None and observer.enabled else None
-        )
+        self._observer = observer
         self._service_time = service_time
         self._clock = WALL_CLOCK if clock is None else clock
 
@@ -341,8 +395,7 @@ class QueryServer:
 
         def admit(request: Request, now: float) -> None:
             if len(busy) < cfg.workers and not queue:
-                if self._observer is not None:
-                    self._observer.on_request_admitted(0)
+                self._admitted(0)
                 dispatch(request, now)
                 return
             if len(queue) >= cfg.queue_capacity:
@@ -365,8 +418,7 @@ class QueryServer:
                         shed(request, SHED_QUEUE_FULL)
                         return
             queue.append(request)
-            if self._observer is not None:
-                self._observer.on_request_admitted(len(queue))
+            self._admitted(len(queue))
 
         while pending or busy:
             next_arrival = (
@@ -404,19 +456,21 @@ class QueryServer:
         }
         return requests, outcomes
 
+    def _admitted(self, queue_depth: int) -> None:
+        if self._observer.enabled:
+            self._observer.emit(RequestAdmitted(queue_depth))
+
     def _shed(self, outcome: RequestOutcome, reason: str) -> None:
         outcome.status = "shed"
         outcome.shed_reason = reason
-        if self._observer is not None:
-            self._observer.on_request_shed(reason)
+        self._observer.emit(outcome)
 
     def _served(self, outcome: RequestOutcome) -> None:
         """Classify a completed request against the SLO and report it."""
         deadline = self._config.deadline_seconds
         if deadline is not None:
             outcome.slo_attained = outcome.latency_seconds <= deadline
-        if self._observer is not None:
-            self._observer.on_request_served(outcome)
+        self._observer.emit(outcome)
 
     def _finish(self, requests: Sequence[Request],
                 outcomes: Dict[int, RequestOutcome],
@@ -427,8 +481,7 @@ class QueryServer:
             ordered, depth_samples, max_depth,
             deadline_seconds=self._config.deadline_seconds,
         )
-        if self._observer is not None:
-            self._observer.on_serving_complete(report)
+        self._observer.emit(report)
         return ordered, report
 
     # ------------------------------------------------------------------

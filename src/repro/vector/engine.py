@@ -40,6 +40,7 @@ import numpy as np
 from repro.core.result import ScoredDocument
 from repro.errors import ConfigurationError, SimulationError
 from repro.observability.observer import NULL_OBSERVER, Observer
+from repro.observability.registry import LATENCY_BUCKETS_US
 from repro.scm.device import DDR4_4CH, OPTANE_NODE_4CH, MemoryDeviceModel
 from repro.scm.traffic import AccessClass, AccessPattern, TrafficCounter
 from repro.vector.embeddings import CorpusEmbeddings
@@ -68,6 +69,32 @@ class VectorSearchResult:
     #: Clusters whose probe coalesced with the previous scanned region
     #: (physically adjacent in the packed layout — no random hop).
     coalesced_probes: int = 0
+
+    def publish_metrics(self, registry) -> None:
+        """The traffic components satisfy the bytes-conservation
+        identity (the engine raises before emitting otherwise)."""
+        registry.counter(
+            "vector.queries", "ANN queries answered"
+        ).inc()
+        registry.counter(
+            "vector.demand_bytes", "layout bytes demanded by probes"
+        ).inc(self.demand_bytes)
+        moved = registry.counter(
+            "vector.bytes", "probe bytes by layout component"
+        )
+        moved.inc(self.centroid_bytes, component="centroid")
+        moved.inc(self.cluster_seq_bytes, component="cluster_seq")
+        moved.inc(self.cluster_hop_bytes, component="cluster_hop")
+        registry.counter(
+            "vector.clusters_probed", "clusters scanned across queries"
+        ).inc(self.clusters_probed)
+        registry.counter(
+            "vector.vectors_scanned", "vectors scored across queries"
+        ).inc(self.vectors_scanned)
+        registry.histogram(
+            "vector.latency_us", LATENCY_BUCKETS_US,
+            "modeled ANN query latency (us)",
+        ).observe(self.modeled_seconds * 1e6)
 
 
 class VectorEngine:
@@ -252,8 +279,7 @@ class VectorEngine:
             modeled_seconds=seconds,
             coalesced_probes=coalesced,
         )
-        if self._observer.enabled:
-            self._observer.on_vector_query(result)
+        self._observer.emit(result)
         return result
 
     def _score_clusters(self, q: np.ndarray,

@@ -34,6 +34,7 @@ import numpy as np
 from repro.core.result import ScoredDocument
 from repro.errors import ConfigurationError, QueryError
 from repro.observability.observer import NULL_OBSERVER, Observer
+from repro.observability.registry import LATENCY_BUCKETS_US
 from repro.rerank import CandidateFeatures, Reranker, TwoStageSearch
 from repro.scm.device import MemoryDeviceModel
 from repro.scm.traffic import AccessClass, AccessPattern, TrafficCounter
@@ -130,6 +131,18 @@ class HybridResult:
     #: time + host rerank time.
     modeled_seconds: float = 0.0
 
+    def publish_metrics(self, registry) -> None:
+        registry.counter(
+            "hybrid.queries", "hybrid queries, by fusion mode"
+        ).inc(mode=self.mode)
+        registry.counter(
+            "hybrid.candidates", "candidates rescored or fused"
+        ).inc(self.candidates, mode=self.mode)
+        registry.histogram(
+            "hybrid.latency_us", LATENCY_BUCKETS_US,
+            "modeled end-to-end hybrid latency (us)",
+        ).observe(self.modeled_seconds * 1e6, mode=self.mode)
+
 
 class HybridSearch:
     """Lexical + vector retrieval, composed either way.
@@ -185,8 +198,7 @@ class HybridSearch:
             result = self._rerank_search(query, k)
         else:
             result = self._rrf_search(query, k)
-        if self._observer.enabled:
-            self._observer.on_hybrid_complete(result)
+        self._observer.emit(result)
         return result
 
     def _rerank_search(self, query, k: int) -> HybridResult:

@@ -484,6 +484,6 @@ class TestObservability:
         policy = ResiliencePolicy(max_retries=1, allow_degraded=True)
         cluster, _ = make_faulty_cluster(documents, 2, policy=policy,
                                          observer=NULL_OBSERVER)
-        assert cluster.observer is None  # disabled observers are dropped
+        assert cluster.observer is NULL_OBSERVER  # held as given
         result = cluster.search('"t0"', k=5)
         assert not result.degraded

