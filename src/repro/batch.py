@@ -4,9 +4,10 @@ The paper evaluates BOSS on query *streams*, not single queries: the
 throughput model charges each query's pipelined latency against a pool
 of cores. This module is the host-side analogue for the simulator
 itself — it runs a batch of query expressions through
-``target.search(expression, k)`` on a worker-thread pool and reports
-wall-clock throughput, while keeping every functional and modeled
-output bit-identical to running the same queries serially.
+``target.search(expression, k)``, serially or (opt-in) on a
+worker-thread pool, and reports wall-clock throughput, while keeping
+every functional and modeled output bit-identical to running the same
+queries serially.
 
 The pool parallelises *whole queries* for every target alike — an
 engine, a session or a cluster root. Each ``search()`` call builds its
@@ -23,17 +24,12 @@ exact serial order.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 from typing import List, Optional, Sequence, Union
 
 from repro.core.query import QueryNode
 from repro.errors import ConfigurationError
-
-#: Upper bound on the default pool size; beyond this the GIL-bound
-#: simulator gains nothing from more threads.
-MAX_DEFAULT_WORKERS = 8
 
 
 def percentile(sorted_values: Sequence[float], q: float) -> float:
@@ -139,10 +135,6 @@ class BatchResult:
         return self.results[index]
 
 
-def _default_workers() -> int:
-    return max(1, min(MAX_DEFAULT_WORKERS, os.cpu_count() or 1))
-
-
 def _observer_enabled(target) -> bool:
     """The target, or any leaf engine it exposes, records observations."""
     observer = getattr(target, "observer", None)
@@ -155,7 +147,12 @@ def _observer_enabled(target) -> bool:
 def run_query_batch(target, expressions: Sequence[Union[str, QueryNode]],
                     k: Optional[int] = None,
                     workers: Optional[int] = None) -> BatchResult:
-    """Execute a batch of queries on ``target`` with a worker pool.
+    """Execute a batch of queries on ``target``, serially by default.
+
+    ``workers=None`` is one worker: the simulator is bound by the
+    interpreter lock, and a pool drains a batch measurably *slower*
+    than one thread (``docs/performance-model.md``), so a pool is
+    opt-in — an explicit ``workers`` is honoured exactly.
 
     ``target`` is anything with ``search(expression, k)`` — an engine,
     a session or a :class:`~repro.cluster.root.SearchCluster`; ``k=None``
@@ -170,9 +167,7 @@ def run_query_batch(target, expressions: Sequence[Union[str, QueryNode]],
         raise ConfigurationError("query batch is empty")
     if workers is not None and workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    if workers is None:
-        workers = _default_workers()
-    if _observer_enabled(target):
+    if workers is None or _observer_enabled(target):
         workers = 1
 
     def _one(expression):

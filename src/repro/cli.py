@@ -190,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--unique", type=int, default=16,
                        help="distinct queries behind the Zipf log")
     bench.add_argument("--workers", type=int, default=None,
-                       help="worker threads (default: auto)")
+                       help="worker threads (default: 1)")
     bench.add_argument("-k", type=int, default=10)
     bench.add_argument("--repeat", type=int, default=2,
                        help="passes over the batch; passes after the "

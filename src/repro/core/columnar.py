@@ -7,7 +7,7 @@ cursor movements in the same order, the same counter increments, the
 same floating-point summation order — pinned bit-identical to those
 oracles by the equivalence suites (``tests/test_fastpath_equivalence.py``,
 ``tests/test_columnar_equivalence.py``): rankings, work counters,
-per-bucket traffic and full traces.
+per-bucket traffic, payload fetch order and full traces.
 
 They remove two kinds of host-side overhead.
 
@@ -17,9 +17,17 @@ instead of being re-derived through method and property calls. This is
 safe because all modeled side effects live inside
 :class:`~repro.core.cursor.ListCursor`'s *movement* operations
 (``advance_to``, ``step``, ``current_tf`` — block fetches, skips,
-metadata charges), which are still invoked exactly as the oracles
-invoke them; the polling operations the replicas elide (``exhausted``,
-repeated ``current_doc``) are pure or idempotent.
+metadata charges) and only at **block transitions**: a move that stays
+inside the already-decoded block is a position bump with no modeled
+effect. So the loops inline exactly that case — the step
+(``position + 1``), the tf read and the one in-block seek,
+``bisect_left(ids, target, position + 1)``, which is also all
+``advance_to`` itself does there — and call the real cursor, in the
+oracle's order, whenever a block boundary is crossed or a payload is
+not decoded yet. The polling operations the replicas elide
+(``exhausted``, repeated ``current_doc``, a metadata charge below the
+high-water mark, a top-k offer a full queue rejects) are pure,
+idempotent or a bare count.
 
 *Per iteration* (leader runs): most union iterations end in a rejected
 top-k offer, and between two **accepted** inserts the loop's decision
@@ -129,7 +137,7 @@ _LEADER_RUN_MIN_DF = BLOCK_SIZE
 def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
                        work: WorkCounters, et_block: bool = True,
                        et_wand: bool = True, interval_blocks: int = 1,
-                       score_cache: dict = None,
+                       score_cache: Optional[dict] = None,
                        leader_runs: bool = True) -> None:
     """Production replica of :func:`repro.core.union.run_union`.
 
@@ -141,7 +149,9 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
     ints/floats instead of calling back into the cursor. ``run_ids``
     and ``run_scores`` cache the leader run's per-block score vector
     (decoded arrays object -> scores) so a run re-entered after an
-    interleaving iteration reuses it. Work counters accumulate in locals and flush on exit (nothing
+    interleaving iteration reuses it.
+
+    Work counters accumulate in locals and flush on exit (nothing
     observes them mid-query).
 
     ``score_cache`` maps ``id(decoded doc-id array) -> (array, scores)``
@@ -187,10 +197,14 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
     topk_k = topk.k
     cutoff = topk_entries[0][0] if len(topk_entries) >= topk_k else 0.0
     merge_ops = docs_evaluated = docs_matched = topk_inserts = 0
+    # Set when a cursor exhausts: only then is ``alive`` re-filtered.
+    lost = False
     try:
         while alive:
             # (1) Sorter: order by (sID, -list max score), stable.
-            alive.sort(key=_ENTRY_KEY)
+            num_alive = len(alive)
+            if num_alive > 1:
+                alive.sort(key=_ENTRY_KEY)
             merge_ops += 1
 
             # (2)+(3) Score loader + pivot selector (WAND).
@@ -207,7 +221,6 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
             else:
                 pivot_index = 0
             pivot_doc = alive[pivot_index][0]
-            num_alive = len(alive)
             while (pivot_index + 1 < num_alive
                    and alive[pivot_index + 1][0] == pivot_doc):
                 pivot_index += 1
@@ -243,7 +256,8 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
                     # leader's current doc is inside its current block,
                     # so the bisect lands on that block.
                     index = bisect_left(lasts, doc, cursor._block_index)
-                    cursor._charge_metadata(index)
+                    if index > cursor._metadata_read_upto:
+                        cursor._charge_metadata(index)
                     if bmaxes[index] + ET_EPSILON <= cutoff:
                         d = lasts[index] + 1
                         if limit_doc < d:
@@ -336,7 +350,8 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
                     else:
                         cursor._position = j
                         entry[0] = _step_slow(cursor)
-                alive = [e for e in alive if e[0] is not None]
+                if entry[0] is None:
+                    del alive[0]
                 continue
 
             # ---- general iteration ---------------------------------
@@ -344,18 +359,23 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
             # one-block interval the peek is inlined: the pivot-set
             # cursors are live by construction (no exhausted check) and
             # the bound is one precomputed per-block maximum. Metadata
-            # is still charged through the cursor, block by block.
+            # is still charged through the cursor, block by block (the
+            # charge is high-water idempotent, so it is called only for
+            # a block not charged yet).
+            target = None
             if et_block:
                 bound = 0.0
                 min_boundary = _NO_LIMIT
                 if interval_blocks == 1:
                     for entry in pivot_set:
                         lasts = entry[5]
+                        cursor = entry[4]
                         index = bisect_left(lasts, pivot_doc,
-                                            entry[4]._block_index)
+                                            cursor._block_index)
                         if index >= len(lasts):
                             continue
-                        entry[4]._charge_metadata(index)
+                        if index > cursor._metadata_read_upto:
+                            cursor._charge_metadata(index)
                         bound += entry[6][index]
                         block_last = lasts[index]
                         if block_last < min_boundary:
@@ -372,18 +392,16 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
                         if block_last < min_boundary:
                             min_boundary = block_last
                 if bound + ET_EPSILON <= cutoff:
-                    d = min_boundary + 1
+                    # Skip the fruitless interval: every pivot-set list
+                    # moves to d = min(boundary + 1, next list's sID).
+                    target = min_boundary + 1
                     if pivot_index + 1 < num_alive:
                         next_doc = alive[pivot_index + 1][0]
-                        if next_doc < d:
-                            d = next_doc
-                    for entry in pivot_set:
-                        entry[0] = entry[4].advance_to(d)
-                    alive = [e for e in alive if e[0] is not None]
-                    continue
+                        if next_doc < target:
+                            target = next_doc
 
             # (4) Document scheduler.
-            if alive[0][0] == pivot_doc:
+            if target is None and alive[0][0] == pivot_doc:
                 score = 0.0
                 normalizer = normalizers[pivot_doc]
                 for entry in pivot_set:
@@ -397,9 +415,14 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
                 docs_evaluated += 1
                 docs_matched += 1
                 topk_inserts += 1
-                offer(pivot_doc, score)
-                cutoff = (topk_entries[0][0]
-                          if len(topk_entries) >= topk_k else 0.0)
+                if score <= cutoff and len(topk_entries) >= topk_k:
+                    # A full queue rejects the offer: count it without
+                    # the call (the cutoff cannot have moved).
+                    topk._inserts += 1
+                else:
+                    offer(pivot_doc, score)
+                    cutoff = (topk_entries[0][0]
+                              if len(topk_entries) >= topk_k else 0.0)
                 for entry in pivot_set:
                     if entry[0] == pivot_doc:
                         cursor = entry[4]
@@ -409,12 +432,33 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
                             cursor._position = position
                             entry[0] = ids[position]
                         else:
-                            entry[0] = _step_slow(cursor)
+                            doc = entry[0] = _step_slow(cursor)
+                            if doc is None:
+                                lost = True
             else:
+                # Advance the lagging lists: to the skip target, or (no
+                # skip) to the pivot. The in-block case is the cursor's
+                # own binary seek, inlined; a block boundary goes
+                # through the cursor and its accounting.
+                if target is None:
+                    target = pivot_doc
                 for entry in pivot_set:
-                    if entry[0] < pivot_doc:
-                        entry[0] = entry[4].advance_to(pivot_doc)
-            alive = [e for e in alive if e[0] is not None]
+                    if entry[0] < target:
+                        cursor = entry[4]
+                        ids = cursor._decoded_doc_ids
+                        if ids is not None and ids[-1] >= target:
+                            position = cursor._position
+                            cursor._position = position = bisect_left(
+                                ids, target, position + 1
+                            )
+                            entry[0] = ids[position]
+                        else:
+                            doc = entry[0] = cursor.advance_to(target)
+                            if doc is None:
+                                lost = True
+            if lost:
+                lost = False
+                alive = [e for e in alive if e[0] is not None]
     finally:
         work.merge_ops += merge_ops
         work.docs_evaluated += docs_evaluated
@@ -426,6 +470,101 @@ def run_grouped_intersection_fast(groups: Sequence[GroupCursor],
                                   work: WorkCounters):
     """Production replica of ``intersection.run_grouped_intersection``.
 
+    Pinned to the reference by both equivalence suites
+    (``tests/test_fastpath_equivalence.py``,
+    ``tests/test_columnar_equivalence.py``) on hits, work counters,
+    per-bucket traffic and — record by record — the payload fetch order
+    (``fetch_log``), and by the shape and property tests of
+    ``tests/core/test_intersection.py``.
+
+    Two loops share the in-block seek. When every group is a single
+    term (Q2, Q4) :func:`_intersect_terms` zig-zags over the cursors
+    directly; an OR-group (Q6, the general rewrite) takes
+    :func:`_intersect_groups`, which merges each group's members.
+    """
+    if not groups:
+        raise SimulationError("intersection needs at least one group")
+    ordered = sorted(groups, key=lambda g: g.document_frequency)
+    if all(len(group.members) == 1 for group in ordered):
+        matches, merge_ops = _intersect_terms(
+            [group.members[0] for group in ordered]
+        )
+    else:
+        matches, merge_ops = _intersect_groups(ordered)
+    work.merge_ops += merge_ops
+    work.docs_matched += len(matches)
+    return matches
+
+
+def _intersect_terms(cursors):
+    """SvS zig-zag over single-term groups, in SvS order.
+
+    A one-member group's merged stream *is* its member, and its
+    ``merge_ops`` contribution is zero by construction, so the group
+    layer drops out: what is left is one ``[doc, cursor, term]`` entry
+    per list, entry 0 the driver. The loop seeks list ``i`` to
+    ``target``: the others in order to the driver's candidate, then —
+    when one of them jumps past it — the driver to the jump target,
+    which makes the next candidate.
+
+    ``-1`` marks a list not primed yet: its first seek goes through
+    ``cursor.advance_to``, which on a fresh cursor charges and lands
+    exactly as the reference's ``current_doc`` + ``advance_to`` pair
+    does, at the moment the reference first touches the list.
+    """
+    entries = [[-1, cursor, cursor.term] for cursor in cursors]
+    num_lists = len(entries)
+    driver = cursors[0]
+    matches = []
+    target = driver.current_doc()
+    if target is None:
+        return matches, 0
+    merge_ops = 1  # one per candidate
+    i = 1
+    while True:
+        if i == num_lists:
+            # Every list sits on the candidate.
+            matches.append((target, {
+                entry[2]: _tf_inline(entry[1]) for entry in entries
+            }))
+            target = _step_inline(driver)
+            if target is None:
+                break
+            merge_ops += 1
+            i = 1
+            continue
+        entry = entries[i]
+        landed = entry[0]
+        if landed < target:
+            cursor = entry[1]
+            ids = cursor._decoded_doc_ids
+            if ids is not None and ids[-1] >= target:
+                position = cursor._position
+                cursor._position = position = bisect_left(
+                    ids, target, position + 1
+                )
+                landed = ids[position]
+            else:
+                landed = cursor.advance_to(target)
+                if landed is None:
+                    break
+            entry[0] = landed
+        if i == 0:
+            # The driver re-anchored: ``landed`` is the next candidate.
+            merge_ops += 1
+            i = 1
+        elif landed == target:
+            i += 1
+            continue
+        else:
+            i = 0  # jumped past the candidate: re-anchor the driver
+        target = landed
+    return matches, merge_ops
+
+
+def _intersect_groups(ordered):
+    """The generic loop: groups of any size, in SvS order.
+
     Each group's member cursors are tracked as ``[doc, cursor]`` entries
     (doc None = exhausted); the group-level min-docID, tf collection and
     step logic run over those cached ints, reproducing exactly the
@@ -433,9 +572,6 @@ def run_grouped_intersection_fast(groups: Sequence[GroupCursor],
     reference path would have called (including the internal
     ``current_doc`` of ``current_tfs`` and ``step``).
     """
-    if not groups:
-        raise SimulationError("intersection needs at least one group")
-    ordered = sorted(groups, key=lambda g: g.document_frequency)
     # Group state: [primed?, [[doc, cursor], ...]]. Members are primed
     # lazily at the group's first operation, exactly when the reference
     # path first asks each member for its docID.
@@ -474,7 +610,16 @@ def run_grouped_intersection_fast(groups: Sequence[GroupCursor],
             if doc is None:
                 continue
             if doc < target:
-                doc = entry[1].advance_to(target)
+                cursor = entry[1]
+                ids = cursor._decoded_doc_ids
+                if ids is not None and ids[-1] >= target:
+                    position = cursor._position
+                    cursor._position = position = bisect_left(
+                        ids, target, position + 1
+                    )
+                    doc = ids[position]
+                else:
+                    doc = cursor.advance_to(target)
                 entry[0] = doc
                 if doc is None:
                     continue
@@ -530,6 +675,4 @@ def run_grouped_intersection_fast(groups: Sequence[GroupCursor],
             matches.append((candidate, tfs))
             g_step(driver)
             doc = g_current_doc(driver)
-    work.merge_ops += merge_ops
-    work.docs_matched += len(matches)
-    return matches
+    return matches, merge_ops

@@ -43,7 +43,7 @@ class ListCursor:
                  "_pattern", "_skip_class", "_block_index", "_position",
                  "_decoded_doc_ids", "_decoded_tfs", "_lasts", "_firsts",
                  "_metadata_read_upto", "_decoded_cache", "_fast_path",
-                 "_last_fetched_block")
+                 "_last_fetched_block", "_num_blocks")
 
     def __init__(self, posting_list: CompressedPostingList,
                  work: WorkCounters, traffic: TrafficCounter,
@@ -63,6 +63,7 @@ class ListCursor:
         #: list anywhere but block 0) is random.
         self._fetch_log = fetch_log
         self._list = posting_list
+        self._num_blocks = posting_list.num_blocks
         self._work = work
         self._traffic = traffic
         self._pattern = pattern
@@ -98,7 +99,7 @@ class ListCursor:
 
     @property
     def exhausted(self) -> bool:
-        return self._block_index >= self._list.num_blocks
+        return self._block_index >= self._num_blocks
 
     @property
     def list_max_score(self) -> float:
@@ -193,29 +194,22 @@ class ListCursor:
         block's first docID is already >= ``target``, the payload fetch
         is deferred too. Returns the docID the cursor lands on, or None
         when the list is exhausted.
+
+        A target inside the already-decoded block is one in-block binary
+        seek (``bisect_left`` over <= 128 docIDs) with no modeled effect;
+        the production executors inline exactly this case and call here
+        only when a block boundary is crossed.
         """
-        # Fast path within an already-decoded block: galloping search.
-        if self._decoded_doc_ids is not None:
-            doc_ids = self._decoded_doc_ids
-            lo = self._position
-            if doc_ids[lo] >= target:
-                return doc_ids[lo]
-            if doc_ids[-1] >= target:
-                # doc_ids[lo] < target: double the probe step until it
-                # reaches target or the block end, then bisect the
-                # bracket. Short skips (the common case under WAND)
-                # finish in O(log skip) instead of O(log block).
-                n = len(doc_ids)
-                step = 1
-                hi = lo + 1
-                while hi < n and doc_ids[hi] < target:
-                    lo = hi
-                    step <<= 1
-                    hi = lo + step
-                self._position = bisect_left(
-                    doc_ids, target, lo + 1, min(hi + 1, n)
+        ids = self._decoded_doc_ids
+        if ids is not None:
+            position = self._position
+            if ids[position] >= target:
+                return ids[position]
+            if ids[-1] >= target:
+                self._position = position = bisect_left(
+                    ids, target, position + 1
                 )
-                return doc_ids[self._position]
+                return ids[position]
             self._enter_block(self._block_index + 1, skipped=False)
 
         # Metadata-guided block skip.

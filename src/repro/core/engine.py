@@ -347,7 +347,7 @@ class BossAccelerator:
             ]
             groups.append(GroupCursor(members, work))
         matches = self._intersect(groups, work)
-        self._score_matches(matches, topk, work)
+        self._score_matches(matches, node.terms(), topk, work)
 
     def _execute_general(self, node: QueryNode, topk: TopKQueue,
                          work: WorkCounters,
@@ -397,21 +397,36 @@ class BossAccelerator:
                 work.merge_ops += 1
                 if landed == doc:
                     tfs[term] = probes[term].current_tf()
-        self._score_matches(matches, topk, work)
+        self._score_matches(matches, all_terms, topk, work)
 
     def _score_matches(self, matches: Sequence[Tuple[int, Dict[str, int]]],
-                       topk: TopKQueue, work: WorkCounters) -> None:
-        """Scoring + top-k modules for set-operation outputs."""
+                       terms: Sequence[str], topk: TopKQueue,
+                       work: WorkCounters) -> None:
+        """Scoring + top-k modules for set-operation outputs.
+
+        ``terms`` are the query's terms: every key of a match's tf map.
+        """
+        # ``BM25Scorer.term_score`` inlined with its exact operation
+        # order, idf * (tf * (k1 + 1.0)) / (tf + normalizer), and one
+        # idf lookup per term per query.
         scorer = self._index.scorer
+        normalizers = scorer._normalizers
+        k1_plus_1 = scorer.params.k1 + 1.0
+        idfs = {term: self._index.posting_list(term).idf for term in terms}
+        entries = topk._entries
+        k = topk.k
         for doc, tfs in matches:
             score = 0.0
+            normalizer = normalizers[doc]
             for term, tf in tfs.items():
-                score += scorer.term_score(
-                    self._index.posting_list(term).idf, tf, doc
-                )
-            work.docs_evaluated += 1
-            work.topk_inserts += 1
-            topk.offer(doc, score)
+                score += idfs[term] * (tf * k1_plus_1) / (tf + normalizer)
+            if len(entries) >= k and score <= entries[0][0]:
+                # A full queue rejects the offer: count it, skip the call.
+                topk._inserts += 1
+            else:
+                topk.offer(doc, score)
+        work.docs_evaluated += len(matches)
+        work.topk_inserts += len(matches)
 
     # ------------------------------------------------------------------
     # Helpers

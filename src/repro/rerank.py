@@ -223,10 +223,11 @@ class TwoStageSearch:
         views = self._index_views()
         terms = list(dict.fromkeys(first.query.terms()))
         # Membership probes over the candidates, per term, monotone in
-        # docID (candidates sorted): one galloping cursor pass per
-        # (term, shard) instead of decoding whole posting lists —
-        # metadata-guided skips fetch only the blocks candidates land
-        # in, and those are mostly blocks the first stage decoded a
+        # docID (candidates sorted): one forward cursor pass per (term,
+        # shard) instead of decoding whole posting lists — an in-block
+        # binary seek inside a decoded block, metadata-guided skips
+        # between blocks, so only the blocks candidates land in are
+        # fetched, and those are mostly blocks the first stage decoded a
         # moment ago, so the probes read the owning engine's decoded
         # cache. Throwaway counters: these are host-side probes, not
         # device traffic.

@@ -188,3 +188,114 @@ class TestAccounting:
         with pytest.raises(SimulationError):
             ListCursor(index.posting_list("w"), WorkCounters(),
                        TrafficCounter(), skip_class="bogus")
+
+
+class TestAdvanceToEveryPair:
+    """``advance_to`` against a linear-scan model, for every (start
+    position, target) pair of a multi-block list.
+
+    The start is reached two ways — by stepping (the block under the
+    cursor is decoded) and by one ``advance_to`` from a fresh cursor
+    (a landing on a block's first docID leaves its payload unfetched) —
+    so both entry states of the in-block seek and of the block-skip
+    loop are covered.
+    """
+
+    NUM_POSTINGS = 2 * BLOCK_SIZE + 5
+    DOC_IDS = [2 * i + (i % 2) for i in range(NUM_POSTINGS)]
+
+    BLOCKS = [range(0, BLOCK_SIZE), range(BLOCK_SIZE, 2 * BLOCK_SIZE),
+              range(2 * BLOCK_SIZE, NUM_POSTINGS)]
+
+    def _model(self, start, decoded, metadata_upto, target):
+        """Linear scan: (landing index or None, blocks fetched, blocks
+        skipped, new metadata high-water)."""
+        doc_ids, blocks = self.DOC_IDS, self.BLOCKS
+        block = start // BLOCK_SIZE
+        fetched = skipped = 0
+        if decoded:
+            for index in range(start, blocks[block][-1] + 1):
+                if doc_ids[index] >= target:
+                    return index, 0, 0, metadata_upto
+            block += 1  # left behind, already paid for: not a skip
+        while block < len(blocks):
+            metadata_upto = max(metadata_upto, block)
+            if doc_ids[blocks[block][-1]] >= target:
+                break
+            skipped += 1
+            block += 1
+        else:
+            return None, fetched, skipped, metadata_upto
+        first = blocks[block][0]
+        if doc_ids[first] >= target:
+            return first, fetched, skipped, metadata_upto
+        for index in blocks[block]:
+            if doc_ids[index] >= target:
+                return index, 1, skipped, metadata_upto
+        raise AssertionError("unreachable: the block's last >= target")
+
+    def _starts(self, index):
+        """Every start position, reached by stepping and by seeking."""
+        stepped, work, _ = _cursor(index, SKIP_OVERLAP)
+        for start in range(len(self.DOC_IDS)):
+            assert stepped.current_doc() == self.DOC_IDS[start]
+            stepped.current_tf()  # stepping decodes the block
+            yield start, stepped, work
+            sought, sought_work, _ = _cursor(index, SKIP_OVERLAP)
+            assert sought.advance_to(self.DOC_IDS[start]) == \
+                self.DOC_IDS[start]
+            yield start, sought, sought_work
+            stepped.step()
+
+    def test_every_start_and_target(self):
+        import copy
+
+        doc_ids = self.DOC_IDS
+        index = _index_with_list(doc_ids)
+        assert index.posting_list("w").num_blocks == 3
+        checked = 0
+        for start, origin, work in self._starts(index):
+            decoded = origin._decoded_doc_ids is not None
+            upto = origin._metadata_read_upto
+            # Backward targets all behave alike: 0 and the two docIDs
+            # before the start stand for them.
+            targets = sorted({0, *range(max(0, doc_ids[start] - 2),
+                                        doc_ids[-1] + 3)})
+            for target in targets:
+                cursor = copy.copy(origin)  # shares ``work``: use deltas
+                before = (work.blocks_fetched, work.blocks_skipped_overlap,
+                          work.metadata_inspected)
+                landed = cursor.advance_to(target)
+                landing, fetched, skipped, new_upto = self._model(
+                    start, decoded, upto, target)
+                context = (start, decoded, target)
+                if landing is None:
+                    assert landed is None and cursor.exhausted, context
+                else:
+                    # First posting >= target, never backwards.
+                    assert landed == doc_ids[landing], context
+                    assert cursor.current_doc() == landed, context
+                    assert landing >= start, context
+                    if target <= doc_ids[start]:
+                        assert landing == start, context
+                    else:
+                        assert doc_ids[landing - 1] < target, context
+                assert (work.blocks_fetched - before[0],
+                        work.blocks_skipped_overlap - before[1],
+                        work.metadata_inspected - before[2]) == \
+                    (fetched, skipped, new_upto - upto), context
+                assert work.blocks_skipped_et == 0
+                checked += 1
+        assert checked > len(doc_ids) ** 2
+
+    def test_target_equal_to_current_doc_moves_nothing(self):
+        index = _index_with_list(self.DOC_IDS)
+        for _start, cursor, work in self._starts(index):
+            state = (cursor._block_index, cursor._position,
+                     cursor._decoded_doc_ids is not None,
+                     work.blocks_fetched, work.metadata_inspected)
+            assert cursor.advance_to(cursor.current_doc()) == \
+                cursor.current_doc()
+            assert state == (cursor._block_index, cursor._position,
+                             cursor._decoded_doc_ids is not None,
+                             work.blocks_fetched, work.metadata_inspected)

@@ -368,6 +368,43 @@ class TestSessionBatch:
             session.search_batch(['"t0"', '"not-a-term"'], k=5)
 
 
+class TestDefaultWorkers:
+    """``workers=None`` is one worker for every target; a pool is opt-in."""
+
+    @pytest.fixture(scope="class")
+    def index(self):
+        return build_random_index(num_docs=300, vocab_size=12, seed=8)
+
+    @pytest.fixture(scope="class")
+    def few_queries(self, index):
+        return _random_queries(sorted(index), 3, count=4)
+
+    def test_engine_defaults_to_one_worker(self, index, few_queries):
+        engine = BossAccelerator(index, BossConfig(k=10))
+        assert run_query_batch(engine, few_queries).report.workers == 1
+
+    def test_session_defaults_to_one_worker(self, index, few_queries):
+        from repro.api import BossSession
+
+        session = BossSession(BossConfig(k=10))
+        session.init(index)
+        assert session.search_batch(few_queries).report.workers == 1
+
+    def test_cluster_defaults_to_one_worker(self):
+        documents = _random_documents(num_docs=300, vocab=12, seed=9)
+        cluster = SearchCluster([
+            BossAccelerator(shard, BossConfig(k=10))
+            for shard in shard_documents(documents, num_shards=2).indexes
+        ])
+        queries = _random_queries([f"t{i}" for i in range(8)], 5, count=4)
+        assert run_query_batch(cluster, queries).report.workers == 1
+
+    def test_explicit_worker_count_is_honoured(self, index, few_queries):
+        engine = BossAccelerator(index, BossConfig(k=10))
+        report = run_query_batch(engine, few_queries, workers=3).report
+        assert report.workers == 3
+
+
 class TestOneServingSkeleton:
     """The planner's server is the plain server with another loop."""
 

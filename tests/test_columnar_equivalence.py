@@ -3,9 +3,10 @@
 The columnar executor (``executor="columnar"``, the default) scores
 blocks with numpy and bulk-counts leader runs, but it is a wall-clock
 optimization only: rankings (to the last float bit), every
-:class:`WorkCounters` field, per-bucket traffic, and full observability
-traces must match the reference and fast executors exactly — across
-codecs, ET ablations, k values, and warm/cold decoded caches.
+:class:`WorkCounters` field, per-bucket traffic, the payload fetch order
+(``fetch_log``, record by record) and full observability traces must
+match the reference and fast executors exactly — across codecs, ET
+ablations, k values, and warm/cold decoded caches.
 """
 
 import pytest
@@ -16,7 +17,7 @@ from repro.errors import QueryError
 from repro.observability import RecordingObserver
 from tests.conftest import build_random_index
 from tests.test_differential import _random_queries
-from tests.test_fastpath_equivalence import _assert_results_identical
+from tests.test_fastpath_equivalence import _assert_pair_identical
 
 
 def _session_engines():
@@ -110,10 +111,8 @@ def test_columnar_modeled_metrics_bit_identical(seed):
     # and the columnar executor's cross-query block-score cache.
     for pass_number in (1, 2):
         for expression in queries:
-            _assert_results_identical(
-                columnar.search(expression), reference.search(expression),
-                (pass_number, expression),
-            )
+            _assert_pair_identical(columnar, reference, expression,
+                                   (pass_number, expression))
     assert columnar.decoded_cache.hits > 0, "warm pass never hit the cache"
 
 
@@ -127,10 +126,8 @@ def test_columnar_equivalence_per_codec(scheme):
                                executor="columnar")
     fast = BossAccelerator(index, BossConfig(k=10), executor="fast")
     for expression in queries:
-        _assert_results_identical(
-            columnar.search(expression), fast.search(expression),
-            (scheme, expression),
-        )
+        _assert_pair_identical(columnar, fast, expression,
+                               (scheme, expression))
 
 
 def _ablation_configs():
@@ -155,10 +152,8 @@ def test_columnar_equivalence_under_et_ablations(name):
     columnar = BossAccelerator(index, config, executor="columnar")
     reference = BossAccelerator(index, config, executor="reference")
     for expression in queries:
-        _assert_results_identical(
-            columnar.search(expression), reference.search(expression),
-            (name, expression),
-        )
+        _assert_pair_identical(columnar, reference, expression,
+                               (name, expression))
 
 
 @pytest.mark.parametrize("k", [1, 3, 50])
@@ -170,11 +165,8 @@ def test_columnar_equivalence_across_k(k):
     reference = BossAccelerator(index, BossConfig(k=k),
                                 executor="reference")
     for expression in queries:
-        _assert_results_identical(
-            columnar.search(expression, k=k),
-            reference.search(expression, k=k),
-            (k, expression),
-        )
+        _assert_pair_identical(columnar, reference, expression,
+                               (k, expression), k=k)
 
 
 def _assert_traces_identical(observer, reference_observer):
@@ -240,10 +232,8 @@ def test_equivalence_at_the_leader_run_gate():
                                 executor="reference")
     for _ in range(2):  # second pass: warm decoded and score caches
         for expression in queries:
-            _assert_results_identical(
-                columnar.search(expression), reference.search(expression),
-                expression,
-            )
+            _assert_pair_identical(columnar, reference, expression,
+                                   expression)
     _assert_traces_identical(observer, reference_observer)
     # Only lists at or past the gate led runs (and so cached scores).
     assert 0 < len(columnar._columnar_scores) <= sum(
@@ -269,10 +259,7 @@ def test_block_score_cache_is_bounded(monkeypatch):
     churned = 0
     for term in sorted(index):
         expression = f'"{term}"'
-        _assert_results_identical(
-            columnar.search(expression), reference.search(expression),
-            expression,
-        )
+        _assert_pair_identical(columnar, reference, expression, expression)
         churned += index.posting_list(term).num_blocks
         assert len(columnar._columnar_scores) <= cap
     assert churned > 4 * cap
@@ -326,10 +313,9 @@ def test_block_scores_do_not_outlive_a_statistics_version(scheme):
         overfetch = 10 + len(segment.tombstones)
         for expression in queries:
             for _ in range(2):  # the repeat reads this version's caches
-                _assert_results_identical(
-                    engine.search(expression, k=overfetch),
-                    reference.search(expression, k=overfetch),
-                    (scheme, context, expression),
+                _assert_pair_identical(
+                    engine, reference, expression,
+                    (scheme, context, expression), k=overfetch,
                 )
             assert [
                 (hit.doc_id, round(hit.score, 9))

@@ -6,8 +6,9 @@ decoded-block cache and the production executors' general iteration
 only. Against ``fast_path=False`` (the reference oracle: per-value
 decoders, no cache) every functional and modeled output must be
 **bit-identical**: rankings, per-bucket :class:`TrafficCounter` totals,
-every :class:`WorkCounters` field, and the full observability trace
-(spans, traffic entries, latencies).
+every :class:`WorkCounters` field, the order of payload fetches (the
+``fetch_log`` the cache simulator and the I/O planner replay), and the
+full observability trace (spans, traffic entries, latencies).
 
 Warm-cache runs are covered explicitly: the second pass over a query
 batch serves blocks from the decoded cache, and must still charge the
@@ -39,6 +40,32 @@ def _assert_results_identical(fast, reference, context):
     assert fast.interconnect_bytes == reference.interconnect_bytes, context
 
 
+def _search_logged(engine, expression, **kwargs):
+    """``engine.search`` plus the payload fetches it made, in order."""
+    engine.fetch_log = log = []
+    try:
+        return engine.search(expression, **kwargs), log
+    finally:
+        engine.fetch_log = None
+
+
+def _assert_pair_identical(engine, reference, expression, context,
+                           **kwargs):
+    """Both engines run ``expression``: identical results *and* the
+    same payload fetches in the same order — the ``fetch_log`` the
+    cache simulator and the I/O planner replay, record by record
+    (term, block, bytes, observed pattern)."""
+    result, log = _search_logged(engine, expression, **kwargs)
+    expected, expected_log = _search_logged(reference, expression,
+                                            **kwargs)
+    _assert_results_identical(result, expected, context)
+    assert len(log) == len(expected_log), context
+    for position, (record, expected_record) in enumerate(
+            zip(log, expected_log)):
+        assert record == expected_record, (context, position)
+    assert len(log) == result.work.blocks_fetched, context
+
+
 @pytest.mark.parametrize("seed", [2, 41])
 def test_fast_path_modeled_metrics_bit_identical(seed):
     index = build_random_index(num_docs=900, vocab_size=28, seed=seed)
@@ -48,10 +75,8 @@ def test_fast_path_modeled_metrics_bit_identical(seed):
     # Two passes: pass 2 runs entirely against the warm decoded cache.
     for pass_number in (1, 2):
         for expression in queries:
-            _assert_results_identical(
-                fast.search(expression), reference.search(expression),
-                (pass_number, expression),
-            )
+            _assert_pair_identical(fast, reference, expression,
+                                   (pass_number, expression))
     assert fast.decoded_cache.hits > 0, "warm pass never hit the cache"
 
 
@@ -64,10 +89,8 @@ def test_fast_path_equivalence_per_codec(scheme):
     fast = BossAccelerator(index, BossConfig(k=10), executor="fast")
     reference = BossAccelerator(index, BossConfig(k=10), fast_path=False)
     for expression in queries:
-        _assert_results_identical(
-            fast.search(expression), reference.search(expression),
-            (scheme, expression),
-        )
+        _assert_pair_identical(fast, reference, expression,
+                               (scheme, expression))
 
 
 def test_traces_bit_identical_with_and_without_fast_path():
