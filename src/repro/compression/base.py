@@ -90,8 +90,28 @@ class Codec(ABC):
     # Shared helpers
     # ------------------------------------------------------------------
 
+    def _widths(self, values: Sequence[int]) -> bytes:
+        """The one pass every encoder starts from: each value's bit length.
+
+        ``widths[i] == values[i].bit_length()``, as a ``bytes`` column so
+        that mode selection, frame widths and encoded sizes come from
+        slice-``max``, ``count`` and ``translate`` instead of per-value
+        Python. The stream is validated on the way — two C-speed scans —
+        and a stream that fails is handed to :meth:`_check_values`,
+        which walks it in order to name the first offender.
+        """
+        try:
+            widths = bytes(map(int.bit_length, values))
+        except ValueError:
+            # Some value is wider than a byte can say: over any limit.
+            widths = b"\xff"
+        if widths and (max(widths) > self.max_value_bits
+                       or min(values) < 0):
+            self._check_values(values)
+        return widths
+
     def _check_values(self, values: Sequence[int]) -> None:
-        """Validate that every value is a representable non-negative int."""
+        """Raise for the first value that is negative or too wide."""
         limit = 1 << self.max_value_bits
         for v in values:
             if v < 0:
@@ -104,7 +124,13 @@ class Codec(ABC):
                 )
 
     def compressed_size(self, values: Sequence[int]) -> int:
-        """Return the encoded size in bytes (convenience for ratio studies)."""
+        """``len(encode(values))``, raising whatever ``encode`` raises.
+
+        The paper's five schemes override this to answer from
+        :meth:`_widths` alone, without building a payload — which is
+        what lets :class:`~repro.compression.hybrid.HybridSelector`
+        size every candidate and encode nothing.
+        """
         return len(self.encode(values))
 
     def compression_ratio(self, values: Sequence[int]) -> float:

@@ -8,9 +8,24 @@ byte layout independent of the host's endianness.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 from repro.errors import CompressionError
+
+
+def pack_fields(values: Sequence[int], width: int) -> bytes:
+    """``values`` as consecutive ``width``-bit fields, LSB-first.
+
+    The bytes a :class:`BitWriter` yields after ``write(v, width)`` per
+    value, assembled as one integer instead: field ``i`` sits at bit
+    ``i * width`` of the little-endian frame. The caller guarantees
+    that every value fits in ``width`` bits (the encoders derive
+    ``width`` from the values' own bit lengths, or mask first).
+    """
+    frame = 0
+    for value in reversed(values):
+        frame = frame << width | value
+    return frame.to_bytes((len(values) * width + 7) // 8, "little")
 
 
 class BitWriter:

@@ -15,7 +15,7 @@ from array import array
 from typing import List, Sequence
 
 from repro.compression.base import DEFAULT_REGISTRY, Codec
-from repro.compression.bitio import BitReader, BitWriter
+from repro.compression.bitio import BitReader, pack_fields
 from repro.errors import CompressionError
 
 
@@ -27,12 +27,12 @@ class BitPackingCodec(Codec):
     max_value_bits = 32
 
     def encode(self, values: Sequence[int]) -> bytes:
-        self._check_values(values)
-        width = max((v.bit_length() for v in values), default=0)
-        writer = BitWriter()
-        for v in values:
-            writer.write(v, width)
-        return bytes([width]) + writer.getvalue()
+        width = max(self._widths(values), default=0)
+        return bytes([width]) + pack_fields(values, width)
+
+    def compressed_size(self, values: Sequence[int]) -> int:
+        widths = self._widths(values)
+        return 1 + (len(widths) * max(widths, default=0) + 7) // 8
 
     def decode(self, data: bytes, count: int) -> List[int]:
         if not data:

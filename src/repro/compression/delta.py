@@ -30,17 +30,14 @@ def deltas_from_doc_ids(doc_ids: Sequence[int], base: int = -1) -> List[int]:
     Raises :class:`CompressionError` if the sequence is not strictly
     increasing or does not stay above ``base``.
     """
-    deltas: List[int] = []
-    prev = base
-    for doc_id in doc_ids:
-        gap = doc_id - prev - 1
-        if gap < 0:
-            raise CompressionError(
-                f"docIDs must be strictly increasing above base {base}; "
-                f"saw {doc_id} after {prev}"
-            )
-        deltas.append(gap)
-        prev = doc_id
+    previous = [base, *doc_ids[:-1]]
+    deltas = [doc_id - prev - 1 for doc_id, prev in zip(doc_ids, previous)]
+    if deltas and min(deltas) < 0:
+        first = next(i for i, gap in enumerate(deltas) if gap < 0)
+        raise CompressionError(
+            f"docIDs must be strictly increasing above base {base}; "
+            f"saw {doc_ids[first]} after {previous[first]}"
+        )
     return deltas
 
 

@@ -32,16 +32,8 @@ _GROUP_SHAPES = tuple(
     for control in range(256)
 )
 
-
-def _byte_length(value: int) -> int:
-    """Bytes needed for ``value`` (1..4)."""
-    if value < (1 << 8):
-        return 1
-    if value < (1 << 16):
-        return 2
-    if value < (1 << 24):
-        return 3
-    return 4
+#: Bit length -> payload bytes (1..4; zero still costs one).
+_BYTES_PER_WIDTH = bytes(max(1, (w + 7) // 8) for w in range(256))
 
 
 @DEFAULT_REGISTRY.register
@@ -52,16 +44,16 @@ class GroupVarintCodec(Codec):
     max_value_bits = 32
 
     def encode(self, values: Sequence[int]) -> bytes:
-        self._check_values(values)
+        lengths = self._widths(values).translate(_BYTES_PER_WIDTH)
         out = bytearray()
         for start in range(0, len(values), 4):
-            group = values[start:start + 4]
+            group = lengths[start:start + 4]
             control = 0
-            for slot, value in enumerate(group):
-                control |= (_byte_length(value) - 1) << (2 * slot)
+            for slot, length in enumerate(group):
+                control |= (length - 1) << (2 * slot)
             out.append(control)
-            for value in group:
-                out.extend(value.to_bytes(_byte_length(value), "little"))
+            for value, length in zip(values[start:start + 4], group):
+                out += value.to_bytes(length, "little")
         return bytes(out)
 
     def decode(self, data: bytes, count: int) -> List[int]:

@@ -3,8 +3,10 @@
 The paper compresses each posting list with the *best* scheme for that
 list ("Hybrid" in Figure 3; "we find the best compression scheme among the
 five in advance and use the best for BOSS", Section V-A). This module
-implements that offline selection: given a value stream, try every
-candidate codec and keep the one with the smallest encoded size.
+implements that offline selection: given a value stream, ask every
+candidate codec for its encoded size (:meth:`Codec.compressed_size`,
+which the paper's five answer from the stream's bit lengths without
+building a payload) and keep the smallest.
 
 Because BOSS's decompression module is programmable (Section IV-C), using
 a different scheme per list costs nothing at query time beyond loading the
@@ -36,14 +38,13 @@ class SelectionResult:
     #: Encoded size per candidate scheme (schemes that failed to encode
     #: the stream, e.g. S16 on >28-bit values, are absent).
     sizes: Dict[str, int]
+    #: Number of values in the stream.
+    count: int
 
     @property
     def ratio(self) -> float:
         """Compression ratio vs 4-byte raw integers (Figure 3 metric)."""
-        return 4 * self._count / self.size if self.size else float("inf")
-
-    # Set by HybridSelector; kept out of the dataclass signature.
-    _count: int = 0
+        return 4 * self.count / self.size if self.size else float("inf")
 
 
 class HybridSelector:
@@ -70,22 +71,27 @@ class HybridSelector:
         """Candidate scheme names, in preference order for ties."""
         return self._schemes
 
+    def codec(self, scheme: str) -> Codec:
+        """The selector's own instance of candidate ``scheme``."""
+        return self._codecs[scheme]
+
     def select(self, values: Sequence[int]) -> SelectionResult:
         """Return the best scheme for ``values`` and the size table."""
         sizes: Dict[str, int] = {}
-        for name in self._schemes:
+        for name, codec in self._codecs.items():
             try:
-                sizes[name] = len(self._codecs[name].encode(values))
+                sizes[name] = codec.compressed_size(values)
             except CompressionError:
                 continue  # scheme cannot represent this stream
         if not sizes:
             raise CompressionError(
                 "no candidate scheme can encode the stream"
             )
-        best = min(sizes, key=lambda n: (sizes[n], self._schemes.index(n)))
-        result = SelectionResult(scheme=best, size=sizes[best], sizes=sizes)
-        object.__setattr__(result, "_count", len(values))
-        return result
+        # Ties go to the earlier candidate: ``sizes`` is in candidate
+        # order and min() keeps the first of equals.
+        best = min(sizes, key=sizes.__getitem__)
+        return SelectionResult(scheme=best, size=sizes[best], sizes=sizes,
+                               count=len(values))
 
     def encode_best(self, values: Sequence[int]) -> Tuple[str, bytes]:
         """Encode ``values`` with the winning scheme.

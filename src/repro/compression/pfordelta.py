@@ -37,10 +37,12 @@ offset field
 from __future__ import annotations
 
 from array import array
+from itertools import accumulate
+from operator import mul
 from typing import List, Sequence, Tuple
 
 from repro.compression.base import DEFAULT_REGISTRY, Codec
-from repro.compression.bitio import BitReader, BitWriter
+from repro.compression.bitio import BitReader, pack_fields
 from repro.compression.varbyte import VarByteCodec
 from repro.errors import CompressionError
 
@@ -53,25 +55,50 @@ SEGMENT_SIZE = 128
 
 _VB = VarByteCodec()
 
+#: Exception-section bytes of a value ``d + 1`` bits wider than the
+#: frame: 1 (position) + ceil((d + 1) / 7) (VariableByte high bits).
+_PATCH_BYTES = tuple(1 + (d + 7) // 7 for d in range(32))
 
-def _encode_segment(values: Sequence[int], width: int) -> bytes:
-    """Encode one segment with frame width ``width``, patching exceptions."""
+
+def _histogram(widths: bytes) -> List[int]:
+    """``histogram[b]``: how many of a segment's values are ``b`` bits long.
+
+    At most 33 bins; frame-width selection and the encoded size are
+    functions of it alone.
+    """
+    return [widths.count(b) for b in range(max(widths, default=0) + 1)]
+
+
+def _segment_size(histogram: Sequence[int], count: int, width: int) -> int:
+    """Encoded bytes of a segment of ``count`` values with this histogram
+    at frame ``width``: 2 (header) + ceil(count * width / 8) (frame) +
+    the patches of every value longer than ``width`` bits."""
+    return (2 + (count * width + 7) // 8
+            + sum(map(mul, histogram[width + 1:], _PATCH_BYTES)))
+
+
+def _encode_segment(values: Sequence[int], widths: bytes,
+                    width: int) -> bytes:
+    """Encode one segment with frame width ``width``, patching exceptions.
+
+    ``widths`` is the segment's bit-length column: the values wider
+    than the frame are the exceptions.
+    """
+    if max(widths, default=0) <= width:
+        return bytes([width, 0]) + pack_fields(values, width)
     mask = (1 << width) - 1
-    writer = BitWriter()
-    exceptions: List[Tuple[int, int]] = []
-    for position, v in enumerate(values):
-        writer.write(v & mask, width)
-        high = v >> width
-        if high:
-            exceptions.append((position, high))
-    if len(exceptions) > 255:
+    patches = bytearray()
+    n_exc = 0
+    for position, bit_length in enumerate(widths):
+        if bit_length > width:
+            n_exc += 1
+            patches.append(position)
+            patches += _VB.encode([values[position] >> width])
+    if n_exc > 255:
         raise CompressionError("PFD: more than 255 exceptions in a segment")
-    out = bytearray([width, len(exceptions)])
-    out.extend(writer.getvalue())
-    for position, high in exceptions:
-        out.append(position)
-        out.extend(_VB.encode([high]))
-    return bytes(out)
+    return (bytes([width, n_exc])
+            + pack_fields([v & mask for v in values], width)
+            + patches)
 
 
 def _decode_segment(data: bytes, offset: int, count: int) -> Tuple[List[int], int]:
@@ -168,14 +195,24 @@ class _PatchedFrameCodec(Codec):
     max_value_bits = 32
 
     def encode(self, values: Sequence[int]) -> bytes:
-        self._check_values(values)
-        out = bytearray()
-        if not values:
-            return _encode_segment(values, 0)
-        for start in range(0, len(values), SEGMENT_SIZE):
-            segment = values[start:start + SEGMENT_SIZE]
-            out.extend(_encode_segment(segment, self._frame_width(segment)))
-        return bytes(out)
+        widths = self._widths(values)
+        segments = []
+        # An empty stream still carries one (empty) segment header.
+        for start in range(0, max(1, len(widths)), SEGMENT_SIZE):
+            segment = widths[start:start + SEGMENT_SIZE]
+            segments.append(_encode_segment(
+                values[start:start + SEGMENT_SIZE], segment,
+                self._choose_frame(_histogram(segment))[0],
+            ))
+        return b"".join(segments)
+
+    def compressed_size(self, values: Sequence[int]) -> int:
+        widths = self._widths(values)
+        size = 0
+        for start in range(0, max(1, len(widths)), SEGMENT_SIZE):
+            segment = widths[start:start + SEGMENT_SIZE]
+            size += self._choose_frame(_histogram(segment))[1]
+        return size
 
     def decode(self, data: bytes, count: int) -> List[int]:
         return _decode_stream(data, count)
@@ -194,7 +231,9 @@ class _PatchedFrameCodec(Codec):
                 f"{self.name}: decoded value exceeds 32 bits"
             ) from None
 
-    def _frame_width(self, segment: Sequence[int]) -> int:
+    def _choose_frame(self, histogram: Sequence[int]) -> Tuple[int, int]:
+        """``(frame width, encoded bytes)`` for a segment with this
+        bit-length histogram."""
         raise NotImplementedError
 
 
@@ -204,15 +243,19 @@ class PFDCodec(_PatchedFrameCodec):
 
     name = "PFD"
 
-    def _frame_width(self, segment: Sequence[int]) -> int:
-        widths = sorted(v.bit_length() for v in segment)
+    def _choose_frame(self, histogram: Sequence[int]) -> Tuple[int, int]:
         # Smallest width covering at least PFD_COVERAGE of the values:
         # the width at the ceil(coverage * n)-th order statistic.
+        count = sum(histogram)
         quantile_index = min(
-            len(widths) - 1,
-            max(0, int(PFD_COVERAGE * len(widths) + 0.999999) - 1),
+            count - 1,
+            max(0, int(PFD_COVERAGE * count + 0.999999) - 1),
         )
-        return widths[quantile_index]
+        width = next(
+            width for width, covered in enumerate(accumulate(histogram))
+            if covered > quantile_index
+        )
+        return width, _segment_size(histogram, count, width)
 
 
 @DEFAULT_REGISTRY.register
@@ -221,27 +264,12 @@ class OptPFDCodec(_PatchedFrameCodec):
 
     name = "OptPFD"
 
-    def _frame_width(self, segment: Sequence[int]) -> int:
-        # Size is computed analytically for every candidate width:
-        #   2 (header) + ceil(n*b/8) (frame)
-        #   + per exception: 1 (position) + ceil((bit_length - b)/7) (VB).
-        bit_lengths = sorted(v.bit_length() for v in segment)
-        n = len(bit_lengths)
-        max_width = bit_lengths[-1]
-        best_width = max_width
-        best_size = None
-        for width in range(max_width + 1):
-            frame = (n * width + 7) // 8
-            exception_bytes = 0
-            n_exc = 0
-            for bl in reversed(bit_lengths):
-                if bl <= width:
-                    break
-                n_exc += 1
-                exception_bytes += 1 + (bl - width + 6) // 7
-            if n_exc > 255:
-                continue  # position byte cannot address this many patches
-            size = 2 + frame + exception_bytes
-            if best_size is None or size < best_size:
-                best_size, best_width = size, width
-        return best_width
+    def _choose_frame(self, histogram: Sequence[int]) -> Tuple[int, int]:
+        # The narrowest of the widths with the smallest size. A segment
+        # holds at most SEGMENT_SIZE values, so no width needs more
+        # than 255 patches.
+        count = sum(histogram)
+        sizes = [_segment_size(histogram, count, width)
+                 for width in range(len(histogram))]
+        smallest = min(sizes)
+        return sizes.index(smallest), smallest

@@ -12,6 +12,13 @@ field widths accommodate the next run of values. Values must fit in 28
 bits; wider values are a :class:`CompressionError` (the index layer routes
 such blocks to another scheme via the hybrid selector).
 
+Which mode a word takes depends only on the bit lengths of the upcoming
+values, and a layout — at most three runs of equal-width fields — is a
+regular expression over the stream's bit-length column
+(:meth:`Codec._widths`). "First mode that fits", word after word, is
+therefore one alternation scanned over that column at C speed; it is
+also all the encoded size depends on.
+
 The final word of a stream may be partially filled; unused fields are
 zero-padded, and the decoder relies on the caller-supplied ``count`` to
 stop — mirroring the element-count field of the paper's block metadata.
@@ -19,7 +26,11 @@ stop — mirroring the element-count field of the paper's block metadata.
 
 from __future__ import annotations
 
+import re
 import struct
+from array import array
+from itertools import accumulate, groupby
+from operator import lshift
 from typing import List, Sequence, Tuple
 
 from repro.compression.base import DEFAULT_REGISTRY, Codec
@@ -50,6 +61,56 @@ S16_MODES: Tuple[Tuple[int, ...], ...] = (
 assert all(sum(mode) == 28 for mode in S16_MODES)
 
 
+def _layout_pattern(mode: Tuple[int, ...]) -> bytes:
+    """``mode`` as a regular expression over a bit-length column.
+
+    A run of ``n`` fields ``w`` bits wide matches ``n`` bytes no larger
+    than ``w``. A word fits when every run matches in full — or, at the
+    tail of the stream, when the values that are left fit the fields
+    they reach and the column ends there (the rest of the word is
+    padding). A word holds at least one value.
+    """
+    runs = [(width, len(tuple(fields))) for width, fields in groupby(mode)]
+    pattern = b""
+    for index in reversed(range(len(runs))):
+        width, count = runs[index]
+        fits = b"[\\x00-\\x%02x]" % width
+        whole = fits + b"{%d}" % count
+        if pattern:
+            whole += b"(?:" + pattern + b")"
+        fewest = 0 if index else 1
+        if fewest < count:
+            whole += b"|" + fits + b"{%d,%d}\\Z" % (fewest, count - 1)
+        pattern = whole
+    return pattern
+
+
+#: One capture group per selector, in greedy order: scanned over a
+#: validated bit-length column, match ``i`` is word ``i``, its
+#: ``lastindex - 1`` the selector and its span the values it takes.
+#: (Every byte up to 28 matches mode 15, so the scan skips nothing.)
+_WORDS = re.compile(
+    b"|".join(b"(" + _layout_pattern(mode) + b")" for mode in S16_MODES)
+)
+
+#: Per selector, the bit position of every field within the 32-bit word
+#: (the selector occupies bits 0-3).
+S16_SHIFTS = tuple(
+    tuple(accumulate(mode[:-1], initial=4)) for mode in S16_MODES
+)
+
+#: Per selector, a generated ``lambda w: (w >> 4 & 1, w >> 5 & 1, ...)``
+#: pulling every field out of a word in one expression: the bulk
+#: decoder's whole inner loop.
+_EXTRACT = tuple(
+    eval("lambda w: (" + "".join(
+        f"w >> {shift} & {(1 << width) - 1}, "
+        for shift, width in zip(shifts, mode)
+    ) + ")")
+    for shifts, mode in zip(S16_SHIFTS, S16_MODES)
+)
+
+
 @DEFAULT_REGISTRY.register
 class Simple16Codec(Codec):
     """Word-aligned packing with 16 selectable 28-bit field layouts."""
@@ -58,21 +119,20 @@ class Simple16Codec(Codec):
     max_value_bits = 28
 
     def encode(self, values: Sequence[int]) -> bytes:
-        self._check_values(values)
-        out = bytearray()
-        position = 0
-        while position < len(values):
-            selector, consumed = self._choose_mode(values, position)
-            word = selector
-            mode = S16_MODES[selector]
-            shift = 4
-            for field_index, width in enumerate(mode):
-                if field_index < consumed:
-                    word |= values[position + field_index] << shift
-                shift += width
-            out.extend(struct.pack("<I", word))
-            position += consumed
-        return bytes(out)
+        words = []
+        for word in _WORDS.finditer(self._widths(values)):
+            selector = word.lastindex - 1
+            # Fields never overlap, so summing the shifted values is
+            # OR-ing them.
+            words.append(sum(
+                map(lshift, values[word.start():word.end()],
+                    S16_SHIFTS[selector]),
+                selector,
+            ))
+        return struct.pack(f"<{len(words)}I", *words)
+
+    def compressed_size(self, values: Sequence[int]) -> int:
+        return 4 * sum(1 for _ in _WORDS.finditer(self._widths(values)))
 
     def decode(self, data: bytes, count: int) -> List[int]:
         if len(data) % 4:
@@ -92,23 +152,16 @@ class Simple16Codec(Codec):
             )
         return values
 
-    @staticmethod
-    def _choose_mode(values: Sequence[int], position: int) -> Tuple[int, int]:
-        """Pick the first mode that fits the upcoming values.
-
-        Returns ``(selector, values_consumed)``. A mode fits if every one
-        of its fields can hold the corresponding upcoming value; when the
-        tail of the stream is shorter than the mode, only the available
-        values need to fit (the rest of the word is padding).
-        """
-        remaining = len(values) - position
-        for selector, mode in enumerate(S16_MODES):
-            takes = min(len(mode), remaining)
-            if all(
-                values[position + i].bit_length() <= mode[i]
-                for i in range(takes)
-            ):
-                return selector, takes
-        raise CompressionError(
-            f"S16: value {values[position]} does not fit any mode"
-        )
+    def decode_block(self, data: bytes, count: int) -> array:
+        if len(data) % 4:
+            raise CompressionError("S16: payload is not word aligned")
+        values: List[int] = []
+        extend = values.extend
+        for word in struct.unpack(f"<{len(data) // 4}I", data):
+            extend(_EXTRACT[word & 0xF](word))
+        if len(values) < count:
+            raise CompressionError(
+                f"S16: stream ended after {len(values)} of {count} values"
+            )
+        del values[count:]  # the final word's padding fields
+        return array("I", values)

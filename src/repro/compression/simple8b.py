@@ -32,7 +32,9 @@ Mode table (selector: field width x count):
 
 from __future__ import annotations
 
+import re
 import struct
+from operator import lshift
 from typing import List, Sequence, Tuple
 
 from repro.compression.base import DEFAULT_REGISTRY, Codec
@@ -59,6 +61,40 @@ S8B_MODES: Tuple[Tuple[int, int], ...] = (
     (60, 1),
 )
 
+#: Per selector, the bit position of every field within the 64-bit word
+#: (the selector occupies bits 0-3; the zero-run modes have no fields).
+S8B_SHIFTS = tuple(
+    tuple(range(4, 4 + width * capacity, width)) if width else ()
+    for width, capacity in S8B_MODES
+)
+
+
+def _mode_pattern(width: int, capacity: int) -> bytes:
+    """A uniform mode as a regular expression over a bit-length column:
+    ``capacity`` bytes no larger than ``width``, or fewer (at least one)
+    if the column ends there."""
+    fits = b"[\\x00-\\x%02x]" % width
+    pattern = fits + b"{%d}" % capacity
+    if capacity > 1:
+        pattern += b"|" + fits + b"{1,%d}\\Z" % (capacity - 1)
+    return pattern
+
+
+#: One capture group per selector, in greedy order: scanned over a
+#: validated bit-length column, match ``i`` is word ``i``, its
+#: ``lastindex - 1`` the selector and its span the values it takes.
+#: A zero-run mode is taken when the upcoming zeros fill its length —
+#: or, for selector 0, reach the end of the stream and outnumber the 60
+#: zeros a 1-bit word would hold; otherwise the first uniform mode wide
+#: enough for all of its next ``capacity`` values wins. (Every byte up
+#: to 60 matches mode 15, so the scan skips nothing.)
+_WORDS = re.compile(b"|".join(
+    [b"(\\x00{240}|\\x00{61,239}\\Z)", b"(\\x00{120})"]
+    + [b"(" + _mode_pattern(width, capacity) + b")"
+       for width, capacity in S8B_MODES[2:]]
+))
+
+
 @DEFAULT_REGISTRY.register
 class Simple8bCodec(Codec):
     """64-bit word packing with uniform fields and zero-run modes."""
@@ -67,22 +103,20 @@ class Simple8bCodec(Codec):
     max_value_bits = 32  # values above 32 bits never arise from d-gaps
 
     def encode(self, values: Sequence[int]) -> bytes:
-        self._check_values(values)
-        out = bytearray()
-        position = 0
-        total = len(values)
-        while position < total:
-            selector, consumed = self._choose_mode(values, position)
-            width, _capacity = S8B_MODES[selector]
-            word = selector
-            if width:
-                shift = 4
-                for i in range(consumed):
-                    word |= values[position + i] << shift
-                    shift += width
-            out.extend(struct.pack("<Q", word))
-            position += consumed
-        return bytes(out)
+        words = []
+        for word in _WORDS.finditer(self._widths(values)):
+            selector = word.lastindex - 1
+            # Fields never overlap, so summing the shifted values is
+            # OR-ing them; a zero-run word is its selector alone.
+            words.append(sum(
+                map(lshift, values[word.start():word.end()],
+                    S8B_SHIFTS[selector]),
+                selector,
+            ))
+        return struct.pack(f"<{len(words)}Q", *words)
+
+    def compressed_size(self, values: Sequence[int]) -> int:
+        return 8 * sum(1 for _ in _WORDS.finditer(self._widths(values)))
 
     def decode(self, data: bytes, count: int) -> List[int]:
         if len(data) % 8:
@@ -109,38 +143,3 @@ class Simple8bCodec(Codec):
                 f"S8b: stream ended after {len(values)} of {count} values"
             )
         return values
-
-    @staticmethod
-    def _choose_mode(values: Sequence[int], position: int) -> Tuple[int, int]:
-        """Pick the densest mode that fits the upcoming values.
-
-        Zero-run modes are chosen when the upcoming run of zeros reaches
-        the mode's length (or exhausts the stream); otherwise the first
-        uniform-width mode whose width covers all of the next ``capacity``
-        values wins.
-        """
-        total = len(values)
-        remaining = total - position
-
-        # Zero-run modes: only profitable when they fill the whole run
-        # capacity or reach the end of the stream.
-        zero_run = 0
-        limit = min(remaining, 240)
-        while zero_run < limit and values[position + zero_run] == 0:
-            zero_run += 1
-        for selector in (0, 1):
-            capacity = S8B_MODES[selector][1]
-            if zero_run >= capacity or (zero_run == remaining and zero_run > 60):
-                return selector, min(zero_run, capacity)
-
-        for selector in range(2, 16):
-            width, capacity = S8B_MODES[selector]
-            takes = min(capacity, remaining)
-            if all(
-                values[position + i].bit_length() <= width
-                for i in range(takes)
-            ):
-                return selector, takes
-        raise CompressionError(
-            f"S8b: value {values[position]} does not fit any mode"
-        )

@@ -27,6 +27,13 @@ from repro.errors import CompressionError
 #: common case for d-gaps and tf-1 payloads) in one C-speed pass.
 _CLEAR_MSB = bytes(b & 0x7F for b in range(256))
 
+#: The inverse, for the encoder's all-single-byte pass.
+_SET_MSB = bytes(b | 0x80 for b in range(256))
+
+#: Bit length -> encoded bytes (7 payload bits each; zero still costs
+#: one), so an encoded size is ``sum(widths.translate(...))``.
+_BYTES_PER_WIDTH = bytes(max(1, (w + 6) // 7) for w in range(256))
+
 
 @DEFAULT_REGISTRY.register
 class VarByteCodec(Codec):
@@ -36,20 +43,29 @@ class VarByteCodec(Codec):
     max_value_bits = 32
 
     def encode(self, values: Sequence[int]) -> bytes:
-        self._check_values(values)
+        if max(self._widths(values), default=0) <= 7:
+            # Every value is its own terminator byte: one C-speed pass
+            # (iter() so that a buffer such as array('I') is read by
+            # element, not by raw byte).
+            return bytes(iter(values)).translate(_SET_MSB)
         out = bytearray()
+        append = out.append
         for v in values:
-            groups = []
-            groups.append(v & 0x7F)
-            v >>= 7
-            while v:
-                groups.append(v & 0x7F)
-                v >>= 7
-            # Emit most-significant group first; terminator flag on last.
-            for group in reversed(groups[1:]):
-                out.append(group)
-            out.append(groups[0] | 0x80)
+            # Most-significant 7-bit group first, entering the cascade
+            # at the value's magnitude; terminator flag on the last.
+            if v > 0x7F:
+                if v > 0x3FFF:
+                    if v > 0x1FFFFF:
+                        if v > 0xFFFFFFF:
+                            append(v >> 28)
+                        append(v >> 21 & 0x7F)
+                    append(v >> 14 & 0x7F)
+                append(v >> 7 & 0x7F)
+            append(v & 0x7F | 0x80)
         return bytes(out)
+
+    def compressed_size(self, values: Sequence[int]) -> int:
+        return sum(self._widths(values).translate(_BYTES_PER_WIDTH))
 
     def decode(self, data: bytes, count: int) -> List[int]:
         values: List[int] = []

@@ -135,42 +135,41 @@ class Block:
         return doc_ids, array("I", [tf + 1 for tf in tfs])
 
 
-def build_block(postings: Sequence[Posting], codec: Codec,
-                max_term_score: float, offset: int) -> Block:
-    """Compress one run of postings into a :class:`Block`.
+def build_block_columns(doc_ids: Sequence[int], tfs: Sequence[int],
+                        codec: Codec, max_term_score: float,
+                        offset: int) -> Block:
+    """Compress one run of postings, given as columns, into a :class:`Block`.
 
+    ``doc_ids`` (strictly increasing) and ``tfs`` are parallel; the
+    index builder slices them straight out of its posting-list columns.
     ``offset`` is the byte position the payload will occupy within its
     posting list's region (recorded in metadata, exactly as the paper's
     "address offset of the compressed block" field).
     """
-    if not postings:
+    if not doc_ids:
         raise InvertedIndexError("cannot build an empty block")
-    if len(postings) > BLOCK_SIZE:
+    if len(doc_ids) > BLOCK_SIZE:
         raise InvertedIndexError(
-            f"block of {len(postings)} postings exceeds {BLOCK_SIZE}"
+            f"block of {len(doc_ids)} postings exceeds {BLOCK_SIZE}"
         )
-    doc_ids = [p.doc_id for p in postings]
     deltas = deltas_from_doc_ids(doc_ids, base=doc_ids[0] - 1)
-    tf_values = [p.tf - 1 for p in postings]
-    doc_payload = codec.encode(deltas)
-    tf_payload = codec.encode(tf_values)
-    bit_width = min(31, max((d.bit_length() for d in deltas), default=0))
     metadata = BlockMetadata(
         first_doc_id=doc_ids[0],
         last_doc_id=doc_ids[-1],
         max_term_score=max_term_score,
         offset=offset,
-        count=len(postings),
-        bit_width=bit_width,
+        count=len(doc_ids),
+        bit_width=min(31, max(deltas).bit_length()),
         exception_offset=0,
     )
-    return Block(metadata=metadata, doc_payload=doc_payload,
-                 tf_payload=tf_payload)
+    return Block(metadata=metadata,
+                 doc_payload=codec.encode(deltas),
+                 tf_payload=codec.encode([tf - 1 for tf in tfs]))
 
 
-def split_into_blocks(postings: Sequence[Posting]) -> List[Tuple[int, Sequence[Posting]]]:
-    """Partition postings into ``(start_index, run)`` chunks of BLOCK_SIZE."""
-    return [
-        (start, postings[start:start + BLOCK_SIZE])
-        for start in range(0, len(postings), BLOCK_SIZE)
-    ]
+def build_block(postings: Sequence[Posting], codec: Codec,
+                max_term_score: float, offset: int) -> Block:
+    """:func:`build_block_columns` for a run given posting by posting."""
+    return build_block_columns([p.doc_id for p in postings],
+                               [p.tf for p in postings],
+                               codec, max_term_score, offset)

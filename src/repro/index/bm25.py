@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -152,7 +152,7 @@ class BM25Scorer:
         return self.term_score(self.idf(document_frequency), tf, doc_id)
 
     def max_term_score(self, document_frequency: int,
-                       postings: Sequence,
+                       postings: Iterable,
                        idf: float = None) -> float:
         """Upper-bound term score over ``postings`` (``(docID, tf)`` pairs).
 

@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro.compression.delta import deltas_from_doc_ids
 from repro.compression.hybrid import HybridSelector
 from repro.errors import InvertedIndexError
-from repro.index.blocks import Block, build_block, split_into_blocks
+from repro.index.blocks import BLOCK_SIZE, Block, build_block_columns
 from repro.index.bm25 import BM25Parameters, BM25Scorer
 from repro.index.index import (
     CompressedPostingList,
@@ -188,18 +188,19 @@ class IndexBuilder:
 
         # Hybrid selection is driven by the docID d-gap stream, the
         # dominant payload (paper Figure 3 measures d-gap streams).
-        gaps = deltas_from_doc_ids(posting_list.doc_ids)
-        scheme = self._selector.select(gaps).scheme
-
-        from repro.compression.base import get_codec
-
-        codec = get_codec(scheme)
+        doc_ids, tfs = posting_list.doc_ids, posting_list.tfs
+        scheme = self._selector.select(deltas_from_doc_ids(doc_ids)).scheme
+        codec = self._selector.codec(scheme)
         blocks: List[Block] = []
         offset = 0
         list_max_score = 0.0
-        for _start, run in split_into_blocks(list(posting_list)):
-            block_max = scorer.max_term_score(df, run, idf=idf)
-            block = build_block(run, codec, block_max, offset)
+        for start in range(0, df, BLOCK_SIZE):
+            block_ids = doc_ids[start:start + BLOCK_SIZE]
+            block_tfs = tfs[start:start + BLOCK_SIZE]
+            block_max = scorer.max_term_score(
+                df, zip(block_ids, block_tfs), idf=idf)
+            block = build_block_columns(block_ids, block_tfs, codec,
+                                        block_max, offset)
             offset += block.compressed_bytes
             list_max_score = max(list_max_score, block_max)
             blocks.append(block)

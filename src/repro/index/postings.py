@@ -32,10 +32,15 @@ class PostingList:
     * docIDs strictly increase;
     * term frequencies are at least 1 (a posting exists only because the
       term occurs in the document).
+
+    Stored as two parallel columns — what the block builder slices and
+    the codecs consume; a :class:`Posting` exists only when a caller
+    iterates or indexes.
     """
 
     term: str
-    _postings: List[Posting] = field(default_factory=list)
+    _doc_ids: List[int] = field(default_factory=list)
+    _tfs: List[int] = field(default_factory=list)
 
     def append(self, doc_id: int, tf: int) -> None:
         """Add a posting; docIDs must arrive in increasing order."""
@@ -43,14 +48,15 @@ class PostingList:
             raise InvertedIndexError(
                 f"term {self.term!r}: tf must be >= 1, got {tf}"
             )
-        if self._postings and doc_id <= self._postings[-1].doc_id:
+        if self._doc_ids and doc_id <= self._doc_ids[-1]:
             raise InvertedIndexError(
                 f"term {self.term!r}: docID {doc_id} out of order after "
-                f"{self._postings[-1].doc_id}"
+                f"{self._doc_ids[-1]}"
             )
         if doc_id < 0:
             raise InvertedIndexError(f"negative docID {doc_id}")
-        self._postings.append(Posting(doc_id, tf))
+        self._doc_ids.append(doc_id)
+        self._tfs.append(tf)
 
     def extend(self, postings: Sequence[Posting]) -> None:
         """Append many postings, preserving the ordering invariant."""
@@ -60,26 +66,27 @@ class PostingList:
     @property
     def document_frequency(self) -> int:
         """Number of documents containing the term (``df``)."""
-        return len(self._postings)
+        return len(self._doc_ids)
 
     @property
     def doc_ids(self) -> List[int]:
-        """All docIDs, sorted ascending."""
-        return [p.doc_id for p in self._postings]
+        """The docID column, sorted ascending (the list itself: read,
+        slice, do not mutate)."""
+        return self._doc_ids
 
     @property
     def tfs(self) -> List[int]:
-        """Term frequencies aligned with :attr:`doc_ids`."""
-        return [p.tf for p in self._postings]
+        """The term-frequency column aligned with :attr:`doc_ids`."""
+        return self._tfs
 
     def __len__(self) -> int:
-        return len(self._postings)
+        return len(self._doc_ids)
 
     def __iter__(self) -> Iterator[Posting]:
-        return iter(self._postings)
+        return map(Posting, self._doc_ids, self._tfs)
 
     def __getitem__(self, i: int) -> Posting:
-        return self._postings[i]
+        return Posting(self._doc_ids[i], self._tfs[i])
 
     def __bool__(self) -> bool:
-        return bool(self._postings)
+        return bool(self._doc_ids)

@@ -135,10 +135,12 @@ def merge_segments(segmented: SegmentedIndex,
                 doc_lengths[doc_id] = length
                 doc_terms[doc_id] = segment.doc_terms[doc_id]
         for term in segment.index.terms:
-            postings = segment.index.posting_list(term).decode_all()
+            posting_list = segment.index.posting_list(term)
             survivors = [
-                (doc_id, tf) for doc_id, tf in postings
-                if doc_id not in dead
+                posting
+                for block in range(len(posting_list.blocks))
+                for posting in zip(*posting_list.decode_block_arrays(block))
+                if posting[0] not in dead
             ]
             if survivors:
                 combined.setdefault(term, []).extend(survivors)

@@ -122,7 +122,12 @@ class TestPForDelta:
     def test_coverage_rule_width(self):
         # With 10 values where 9 fit 2 bits, the 90% rule gives width 2.
         values = [3] * 9 + [1000]
-        assert PFDCodec()._frame_width(values) == 2
+        assert PFDCodec().encode(values)[0] == 2
+        # The rule reads the segment's bit-length histogram: nine 2-bit
+        # values and one 10-bit value.
+        histogram = [0, 0, 9] + [0] * 7 + [1]
+        assert PFDCodec()._choose_frame(histogram) == (
+            2, len(PFDCodec().encode(values)))
 
     def test_multi_segment_stream(self):
         codec = get_codec("PFD")

@@ -9,7 +9,7 @@ from repro.index.blocks import (
     BLOCK_SIZE,
     BlockMetadata,
     build_block,
-    split_into_blocks,
+    build_block_columns,
 )
 from repro.index.postings import Posting
 
@@ -103,16 +103,40 @@ class TestBuildBlock:
         assert block.decode(codec) == postings
 
 
-class TestSplit:
-    def test_exact_multiple(self):
-        chunks = split_into_blocks(_postings(range(256)))
-        assert [start for start, _ in chunks] == [0, 128]
-        assert all(len(run) == 128 for _, run in chunks)
+class TestBuildBlockColumns:
+    """The production entry point: the builder hands it column slices."""
 
-    def test_remainder(self):
-        chunks = split_into_blocks(_postings(range(130)))
-        assert len(chunks) == 2
-        assert len(chunks[1][1]) == 2
+    @pytest.mark.parametrize("scheme",
+                             ["BP", "VB", "PFD", "OptPFD", "S16", "S8b",
+                              "GVB"])
+    def test_roundtrips_through_both_decoders(self, scheme):
+        codec = get_codec(scheme)
+        doc_ids = [7 + d * d for d in range(128)]
+        tfs = [(d % 9) + 1 for d in range(128)]
+        block = build_block_columns(doc_ids, tfs, codec, 1.5, 32)
+        assert block.decode(codec) == [
+            Posting(d, tf) for d, tf in zip(doc_ids, tfs)]
+        decoded_ids, decoded_tfs = block.decode_arrays(codec)
+        assert list(decoded_ids) == doc_ids
+        assert list(decoded_tfs) == tfs
+        meta = block.metadata
+        assert (meta.first_doc_id, meta.last_doc_id) == (7, 7 + 127 * 127)
+        assert (meta.count, meta.offset, meta.max_term_score) == (
+            128, 32, 1.5)
+        # The widest d-gap (127**2 - 126**2 - 1 = 252) is 8 bits.
+        assert meta.bit_width == 8
 
-    def test_empty(self):
-        assert split_into_blocks([]) == []
+    def test_posting_adapter_builds_the_same_block(self):
+        codec = get_codec("S16")
+        postings = [Posting(d * 5, (d % 3) + 1) for d in range(100)]
+        assert build_block(postings, codec, 2.0, 0) == build_block_columns(
+            [p.doc_id for p in postings], [p.tf for p in postings],
+            codec, 2.0, 0)
+
+    def test_empty_and_oversized_rejected(self):
+        codec = get_codec("BP")
+        with pytest.raises(InvertedIndexError):
+            build_block_columns([], [], codec, 1.0, 0)
+        ids = list(range(BLOCK_SIZE + 1))
+        with pytest.raises(InvertedIndexError):
+            build_block_columns(ids, [1] * len(ids), codec, 1.0, 0)

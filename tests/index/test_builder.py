@@ -110,10 +110,13 @@ class TestCompression:
         builder = IndexBuilder(schemes=["BP"])
         builder.declare_documents([10] * 1000)
         builder.add_postings("w", [(d, 1) for d in range(300)])
+        builder.add_postings("exact", [(d, 1) for d in range(256)])
         index = builder.build()
         pl = index.posting_list("w")
         assert pl.num_blocks == 3
         assert [b.metadata.count for b in pl.blocks] == [128, 128, 44]
+        assert [b.metadata.count
+                for b in index.posting_list("exact").blocks] == [128, 128]
 
     def test_block_max_scores_bound_postings(self):
         builder = IndexBuilder()

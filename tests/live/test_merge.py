@@ -9,6 +9,8 @@ from repro.live.merge import merge_segments
 from repro.scm.device import DDR4_4CH, OPTANE_NODE_4CH
 from repro.scm.traffic import AccessClass, TrafficCounter
 
+from tests import write_side_golden
+
 
 def sealed_index(num_segments, docs_per_segment=4, vocab=4):
     live = SegmentedIndex(buffer_docs=docs_per_segment)
@@ -51,6 +53,12 @@ class TestMergePolicy:
 
 
 class TestMergeSegments:
+    def test_merged_segment_file_is_byte_identical(self):
+        """Seeded inputs with tombstones, read through the bulk
+        decoders: the segment file the pre-width-pass commit wrote."""
+        assert (write_side_golden.merged_segment_digest()
+                == write_side_golden.load()["merged_segment"])
+
     def test_merge_preserves_live_postings(self):
         live = sealed_index(4)
         total_live = live.num_docs
