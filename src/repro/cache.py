@@ -231,43 +231,60 @@ class CacheReport:
         return self.scm_rand_bytes / self.scm_bytes if self.scm_bytes else 0.0
 
 
-class CacheSimulator:
-    """Replays fetch traces through an LRU block cache.
-
-    Misses are charged at their *true* access pattern: a miss continues
-    a sequential SCM run only when the engine observed the fetch as
-    sequential and the device's previous miss was the same term's
+class _ScmRuns:
+    """The one run rule of the SCM side, with or without a cache: a fetch
+    continues a sequential run only when the engine observed it as
+    sequential *and* the device's previous SCM fetch was the same term's
     previous block. Everything else — skip landings, list starts, runs
-    broken by interleaved hits or other terms — pays the random rate.
-    """
+    broken by a DRAM hit or another term — pays the random rate: a run's
+    first block is its seek."""
+
+    __slots__ = ("seq_bytes", "rand_bytes", "_last")
+
+    def __init__(self) -> None:
+        self.seq_bytes = self.rand_bytes = 0
+        #: (term, block_index) of the immediately preceding SCM fetch.
+        self._last: Optional[Tuple[str, int]] = None
+
+    def fetch(self, term: str, block_index: int, size: int,
+              pattern: AccessPattern) -> None:
+        if (pattern is AccessPattern.SEQUENTIAL
+                and self._last == (term, block_index - 1)):
+            self.seq_bytes += size
+        else:
+            self.rand_bytes += size
+        self._last = (term, block_index)
+
+    def interrupt(self) -> None:
+        """A fetch was served elsewhere: the next one restarts its run."""
+        self._last = None
+
+
+def _scm_read_seconds(seq_bytes: int, rand_bytes: int,
+                      scm: MemoryDeviceModel) -> float:
+    return (scm.read_time(seq_bytes, AccessPattern.SEQUENTIAL)
+            + scm.read_time(rand_bytes, AccessPattern.RANDOM))
+
+
+class CacheSimulator:
+    """Replays fetch traces through an LRU block cache; misses are charged
+    at the *device-observed* pattern (:class:`_ScmRuns`), which a hit —
+    served from DRAM — interrupts."""
 
     def __init__(self, capacity_bytes: int,
                  observer: Observer = NULL_OBSERVER) -> None:
         self._cache = LRUBlockCache(capacity_bytes, observer=observer)
         self._dram_bytes = 0
-        self._scm_seq_bytes = 0
-        self._scm_rand_bytes = 0
-        #: (term, block_index) of the immediately preceding miss.
-        self._last_miss: Optional[Tuple[str, int]] = None
+        self._scm = _ScmRuns()
 
     def replay(self, fetch_log: Iterable[FetchRecord]) -> None:
         """Feed one query's fetch records through the cache."""
         for term, block_index, size, pattern in fetch_log:
             if self._cache.access(term, block_index, size):
-                # Served from DRAM: the SCM stream (if any) is
-                # interrupted, so a later miss restarts its run.
                 self._dram_bytes += size
-                self._last_miss = None
-                continue
-            sequential = (
-                pattern is AccessPattern.SEQUENTIAL
-                and self._last_miss == (term, block_index - 1)
-            )
-            if sequential:
-                self._scm_seq_bytes += size
+                self._scm.interrupt()
             else:
-                self._scm_rand_bytes += size
-            self._last_miss = (term, block_index)
+                self._scm.fetch(term, block_index, size, pattern)
 
     def report(self) -> CacheReport:
         return CacheReport(
@@ -275,30 +292,22 @@ class CacheSimulator:
             hits=self._cache.hits,
             misses=self._cache.misses,
             dram_bytes=self._dram_bytes,
-            scm_bytes=self._scm_seq_bytes + self._scm_rand_bytes,
-            scm_seq_bytes=self._scm_seq_bytes,
-            scm_rand_bytes=self._scm_rand_bytes,
+            scm_bytes=self._scm.seq_bytes + self._scm.rand_bytes,
+            scm_seq_bytes=self._scm.seq_bytes,
+            scm_rand_bytes=self._scm.rand_bytes,
         )
 
 
 def uncached_memory_seconds(fetch_log: Iterable[FetchRecord],
                             scm: MemoryDeviceModel = OPTANE_NODE_4CH,
                             ) -> float:
-    """Block-fetch service time with no cache tier at all.
-
-    Every record goes to SCM at its engine-observed pattern — the
-    baseline the cache/planner studies compare against. The historical
-    model charged all of it sequential, hiding the Table I 4x
-    sequential/random asymmetry that skip-heavy query plans actually pay.
-    """
-    seq = rand = 0
-    for _term, _index, size, pattern in fetch_log:
-        if pattern is AccessPattern.SEQUENTIAL:
-            seq += size
-        else:
-            rand += size
-    return (scm.read_time(seq, AccessPattern.SEQUENTIAL)
-            + scm.read_time(rand, AccessPattern.RANDOM))
+    """Block-fetch service time with no cache tier at all: the same replay
+    with nothing in front of the SCM, so a :class:`CacheSimulator` replay
+    in which nothing hits costs exactly this, to the bit."""
+    runs = _ScmRuns()
+    for record in fetch_log:
+        runs.fetch(*record)
+    return _scm_read_seconds(runs.seq_bytes, runs.rand_bytes, scm)
 
 
 def cached_memory_seconds(report: CacheReport,
@@ -307,15 +316,9 @@ def cached_memory_seconds(report: CacheReport,
     """Block-fetch service time with the cache tier in place.
 
     Hits are scattered single-block DRAM lookups (random at DRAM's mild
-    penalty); misses are charged at the pattern the replay actually
-    observed — only unbroken sequential runs earn the sequential SCM
-    rate, everything else pays the Table I random rate.
+    penalty); misses are charged at the pattern the replay observed.
     """
-    scm_seconds = (
-        scm.read_time(report.scm_seq_bytes, AccessPattern.SEQUENTIAL)
-        + scm.read_time(report.scm_rand_bytes, AccessPattern.RANDOM)
-    )
     return (
         dram.read_time(report.dram_bytes, AccessPattern.RANDOM)
-        + scm_seconds
+        + _scm_read_seconds(report.scm_seq_bytes, report.scm_rand_bytes, scm)
     )

@@ -609,6 +609,7 @@ def _cmd_vsearch(args) -> int:
         return 0
 
     # Query-set mode: sampled term queries, recall + latency report.
+    from repro.batch import percentile
     from repro.workloads.queries import QuerySampler
 
     sampler = QuerySampler(corpus.terms_by_df(), seed=args.seed)
@@ -622,9 +623,8 @@ def _cmd_vsearch(args) -> int:
     latencies = sorted(
         engine.search(q, k=args.k).modeled_seconds for q in queries
     )
-    p50 = latencies[len(latencies) // 2]
-    p99 = latencies[min(len(latencies) - 1,
-                        int(len(latencies) * 0.99))]
+    p50 = percentile(latencies, 0.50)
+    p99 = percentile(latencies, 0.99)
     payload = {
         "preset": args.preset, "scale": args.scale,
         "num_docs": embeddings.num_docs, "dim": embeddings.dim,

@@ -20,6 +20,7 @@ import heapq
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro.batch import percentile as nearest_rank
 from repro.core.result import SearchResult
 from repro.errors import ConfigurationError
 
@@ -57,15 +58,13 @@ class ScheduleReport:
         return sorted(q.latency for q in self.completions)
 
     def latency_percentile(self, percentile: float) -> float:
-        """Latency at ``percentile`` in [0, 100]."""
+        """Nearest-rank latency at ``percentile`` in [0, 100]."""
         if not 0 <= percentile <= 100:
             raise ConfigurationError("percentile must be in [0, 100]")
         ordered = self.latencies
         if not ordered:
             raise ConfigurationError("no completed queries")
-        index = min(len(ordered) - 1,
-                    int(percentile / 100.0 * len(ordered)))
-        return ordered[index]
+        return nearest_rank(ordered, percentile / 100.0)
 
     @property
     def mean_latency(self) -> float:

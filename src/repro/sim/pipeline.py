@@ -7,11 +7,11 @@ is independent and the query takes as long as the slowest one — so the
 per-module busy times *are* the utilization profile, and the stage with
 the largest share is the bottleneck.
 
-Used by ``benchmarks/bench_pipeline_breakdown.py`` to show, e.g., that
-union queries are decompression/memory bound while intersection queries
-are dominated by the block-fetch/merge path — the balance the paper's
-module provisioning (4 decompression + 4 scoring units per core)
-reflects.
+It shows, e.g., that union queries are decompression/memory bound
+while intersection queries are dominated by the block-fetch/merge path
+— the balance the paper's module provisioning (4 decompression + 4
+scoring units per core) reflects. (The pipeline-shares table of
+``repro.experiments`` reads the observability layer's traces instead.)
 """
 
 from __future__ import annotations

@@ -193,8 +193,10 @@ def _spherical_kmeans(vectors: np.ndarray, num_clusters: int,
     idx = np.linspace(0, n - 1, num_clusters).astype(np.int64)
     centroids = vectors[idx].copy()
     assignment = np.zeros(n, dtype=np.int64)
+    # One similarity buffer: a fresh product per pass keeps two alive.
+    sims = None
     for _ in range(iters):
-        sims = vectors @ centroids.T
+        sims = np.matmul(vectors, centroids.T, out=sims)
         assignment = np.argmax(sims, axis=1)
         best = sims[np.arange(n), assignment]
         for cid in range(num_clusters):
@@ -212,7 +214,7 @@ def _spherical_kmeans(vectors: np.ndarray, num_clusters: int,
                 mean / norm if norm > 0 else centroids[cid]
             )
     centroids = centroids.astype(np.float32)
-    sims = vectors @ centroids.T
+    sims = np.matmul(vectors, centroids.T, out=sims)
     assignment = np.argmax(sims, axis=1)
     return centroids, assignment
 

@@ -137,7 +137,7 @@ class TestPaperTrends:
         )
         # On the tiny unit-test corpus the gains are noisy; the
         # paper-shape ordering (IIU gains more than BOSS) is asserted at
-        # benchmark scale in bench_fig16_dram_vs_scm.py.
+        # benchmark scale in repro.experiments (FIGURES["fig16"]).
         assert boss_gain >= 1.0
         assert iiu_gain > 1.0
 

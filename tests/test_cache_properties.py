@@ -20,7 +20,13 @@ from collections import OrderedDict
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import LRUBlockCache
+from repro.cache import (
+    CacheSimulator,
+    LRUBlockCache,
+    cached_memory_seconds,
+    uncached_memory_seconds,
+)
+from repro.scm.traffic import AccessPattern
 
 
 class ReferenceModel:
@@ -102,3 +108,24 @@ def test_unbounded_cache_never_evicts(accesses):
         cache.access(term, block, size)
         keys.add((term, block))
     assert cache.num_blocks == len(keys)
+
+
+# Every block is larger than the cache, so nothing is ever resident.
+UNCACHEABLE_TRACES = st.lists(st.lists(st.tuples(
+    st.sampled_from(["a", "b", "c"]), st.integers(0, 5),
+    st.integers(2, 4096), st.sampled_from(list(AccessPattern)),
+), max_size=20), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(traces=UNCACHEABLE_TRACES)
+def test_zero_hits_cost_exactly_the_uncached_baseline(traces):
+    """The baseline and the replay share one run rule: a cache that
+    absorbs nothing changes nothing, to the bit."""
+    simulator = CacheSimulator(1)
+    for trace in traces:
+        simulator.replay(trace)
+    report = simulator.report()
+    assert report.hits == 0
+    assert cached_memory_seconds(report) == uncached_memory_seconds(
+        record for trace in traces for record in trace)

@@ -12,6 +12,18 @@ def _python_blocks(markdown: str):
     return re.findall(r"```python\n(.*?)```", markdown, re.DOTALL)
 
 
+def _check_figure_references(name: str):
+    """Every ``FIGURES["key"]`` the document names exists, and no script
+    of the retired ``bench_*.py`` system is still referenced."""
+    from repro.experiments import FIGURES
+
+    text = (ROOT / name).read_text()
+    assert not re.findall(r"bench_\w+\.py", text)
+    named = set(re.findall(r'FIGURES\["(\w+)"\]', text))
+    assert named, f"{name} names no figure key"
+    assert named <= set(FIGURES), named - set(FIGURES)
+
+
 class TestReadme:
     def test_quickstart_snippet_runs(self, capsys):
         readme = (ROOT / "README.md").read_text()
@@ -22,15 +34,11 @@ class TestReadme:
         assert "bytes moved inside the memory node" in out
 
     def test_bench_table_lists_real_files(self):
-        readme = (ROOT / "README.md").read_text()
-        for name in re.findall(r"`(bench_[\w/]+\.py)`", readme):
-            assert (ROOT / "benchmarks" / Path(name).name).exists(), name
+        _check_figure_references("README.md")
 
     def test_example_table_lists_real_files(self):
         readme = (ROOT / "README.md").read_text()
         for name in re.findall(r"`(\w+\.py)`", readme):
-            if name.startswith("bench_"):
-                continue
             candidates = [
                 ROOT / "examples" / name,
                 ROOT / "src" / "repro" / name,
@@ -49,21 +57,12 @@ class TestDesignDoc:
             assert as_module.exists() or as_package.exists(), dotted
 
     def test_every_bench_target_exists(self):
-        design = (ROOT / "DESIGN.md").read_text()
-        for name in set(re.findall(r"benchmarks/(bench_\w+\.py)", design)):
-            assert (ROOT / "benchmarks" / name).exists(), name
+        _check_figure_references("DESIGN.md")
 
 
 class TestExperimentsDoc:
     def test_references_current_bench_files(self):
-        experiments = (ROOT / "EXPERIMENTS.md").read_text()
-        for name in set(re.findall(r"`(bench_\w+(?:/\w+)?\.py)`",
-                                   experiments)):
-            base = Path(name).name.replace("10_*", "")
-            # Wildcard entries like bench_fig09/10_*.py refer to pairs.
-            if "*" in base:
-                continue
-            assert (ROOT / "benchmarks" / base).exists(), name
+        _check_figure_references("EXPERIMENTS.md")
 
 
 class TestDocsDirectory:
