@@ -44,8 +44,14 @@ So whenever the pivot set collapses to a single leader (the common case
 on Zipf-distributed unions: one list is far denser than the rest), the
 union scores the leader's whole decoded block in one vectorized BM25
 expression — the exact float op order of the scalar path, so scores are
-bit-identical — and *bulk-counts* the run of rejected candidates up to
-the first acceptance, the next list's docID, or the block end. Every
+bit-identical — and takes a whole *window* (the rest of the block, up
+to the next list's docID) per numpy pass: while the queue has room the
+window's head is inserted in bulk; once it is full, one comparison
+finds every score above the cutoff, and since the cutoff only rises
+those are the only docs an offer can still accept, so they alone are
+walked and the rejected rest is bulk-counted. The walk ends early only
+after an accept that flips the WAND test or the block bound, which the
+loop top then re-evaluates as the oracle's next iteration would. Every
 cursor movement with modeled side effects (block fetch, skip,
 ``advance_to``, block transition) still happens through the real cursor,
 in the order the reference executor performs it.
@@ -291,64 +297,65 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
                         entry[8] = scores_nd
                     else:
                         scores_nd = entry[8]
+                    # The window: the rest of the block, up to the next
+                    # list's docID. Inside it a step has no modeled side
+                    # effect and the decisions above can flip only when
+                    # an accepted insert raises the cutoff, so the
+                    # window's iterations collapse into bulk counter
+                    # additions around the offers the queue accepts.
                     pos = cursor._position
                     size = len(ids)
-                    if cutoff == 0.0:
-                        # Queue not yet full: every offer is accepted
-                        # and may arm the cutoff — stay scalar (at most
-                        # k docs per query take this branch).
-                        docs_evaluated += 1
-                        docs_matched += 1
-                        topk_inserts += 1
-                        offer(doc, float(scores_nd[pos]))
-                        cutoff = (topk_entries[0][0]
-                                  if len(topk_entries) >= topk_k else 0.0)
-                        position = pos + 1
-                        if position < size:
-                            cursor._position = position
-                            entry[0] = ids[position]
-                        else:
-                            entry[0] = _step_slow(cursor)
-                        continue
                     end = (size if limit_doc >= _NO_LIMIT
                            else bisect_left(ids, limit_doc, pos))
-                    above = scores_nd[pos:end] > cutoff
-                    j_rel = above.argmax()
-                    if not above[j_rel]:
-                        # The whole run [pos, end) is rejected. Each of
-                        # those iterations repeats the same invariant
-                        # decisions, so their counter increments
-                        # collapse into bulk additions; the queue
-                        # counts the rejected offers without the calls.
-                        n = end - pos
-                        merge_ops += n - 1
-                        docs_evaluated += n
-                        docs_matched += n
-                        topk_inserts += n
-                        topk._inserts += n
-                        if end < size:
-                            cursor._position = end
-                            entry[0] = ids[end]
-                        else:
-                            cursor._position = size - 1
-                            entry[0] = _step_slow(cursor)
-                        continue
-                    j = pos + int(j_rel)
-                    n_rejected = j - pos
-                    merge_ops += n_rejected
-                    docs_evaluated += n_rejected + 1
-                    docs_matched += n_rejected + 1
-                    topk_inserts += n_rejected + 1
-                    topk._inserts += n_rejected
-                    offer(ids[j], float(scores_nd[j]))
-                    cutoff = (topk_entries[0][0]
-                              if len(topk_entries) >= topk_k else 0.0)
-                    position = j + 1
-                    if position < size:
-                        cursor._position = position
-                        entry[0] = ids[position]
+                    room = topk_k - len(topk_entries)
+                    if room > 0:
+                        # Queue not yet full: every offer is accepted
+                        # and the cutoff stays 0.0 until the last slot
+                        # is taken.
+                        stop = min(pos + room, end)
+                        accepted = stop - pos
+                        topk.fill(ids[pos:stop], scores_nd[pos:stop].tolist())
+                        if accepted == room:
+                            cutoff = topk_entries[0][0]
                     else:
-                        cursor._position = j
+                        stop = end
+                        accepted = 0
+                        window = scores_nd[pos:end]
+                        above = window > cutoff
+                        if above[above.argmax()]:
+                            # The cutoff only rises, so every accept in
+                            # the window is among the docs above it now:
+                            # one pass finds them, and the walk ends
+                            # after the accept that flips the WAND test
+                            # or the block bound (re-checked, and acted
+                            # on, at the loop top).
+                            hot = above.nonzero()[0]
+                            block_max = bmaxes[index]
+                            for offset, score in zip(hot.tolist(),
+                                                     window[hot].tolist()):
+                                if score > cutoff:
+                                    offer(ids[pos + offset], score)
+                                    accepted += 1
+                                    cutoff = topk_entries[0][0]
+                                    if (not (l0max + ET_EPSILON > cutoff)
+                                            or block_max + ET_EPSILON
+                                            <= cutoff):
+                                        stop = pos + offset + 1
+                                        break
+                    # ``n`` iterations ran: the first one's sort is
+                    # counted at the loop top, and the queue counted the
+                    # offers it was really handed.
+                    n = stop - pos
+                    merge_ops += n - 1
+                    docs_evaluated += n
+                    docs_matched += n
+                    topk_inserts += n
+                    topk._inserts += n - accepted
+                    if stop < size:
+                        cursor._position = stop
+                        entry[0] = ids[stop]
+                    else:
+                        cursor._position = size - 1
                         entry[0] = _step_slow(cursor)
                 if entry[0] is None:
                     del alive[0]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, NamedTuple
+from typing import Iterable, List, NamedTuple, Tuple
 
 from repro.core.query import QueryNode, classify_query
 from repro.scm.traffic import TrafficCounter
@@ -15,6 +15,17 @@ class ScoredDocument(NamedTuple):
 
     doc_id: int
     score: float
+
+
+def best_hits(scored: Iterable[Tuple[int, float]],
+              k: int) -> List[ScoredDocument]:
+    """The ``k`` best of ``(doc_id, score)`` pairs by ``(-score,
+    doc_id)``: plain tuples are sorted, only the winners become
+    :class:`ScoredDocument` objects (negation is exact, so the scores
+    come back bit for bit)."""
+    ordered = sorted((-score, doc_id) for doc_id, score in scored)
+    return [ScoredDocument(doc_id, -negated)
+            for negated, doc_id in ordered[:k]]
 
 
 @dataclass

@@ -20,7 +20,7 @@ union modules ("current cutoff" in the paper).
 from __future__ import annotations
 
 from bisect import insort
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -91,6 +91,26 @@ class TopKQueue:
         insort(self._entries, (score, -self._sequence, doc_id))
         self._sequence += 1
         return True
+
+    def fill(self, doc_ids: Sequence[int], scores: Sequence[float]) -> None:
+        """:meth:`offer` the pairs in order, for a queue with room for
+        all of them (every offer is accepted, none evicts).
+
+        Entries ``(score, -sequence, doc)`` are totally ordered, so one
+        sort builds the list the one-by-one ``insort`` calls would.
+        """
+        count = len(scores)
+        if len(self._entries) + count > self._k:
+            raise ConfigurationError(
+                f"fill of {count} entries overflows the top-{self._k} queue"
+            )
+        sequence = self._sequence
+        self._entries.extend(
+            zip(scores, range(-sequence, -sequence - count, -1), doc_ids)
+        )
+        self._entries.sort()
+        self._sequence = sequence + count
+        self._inserts += count
 
     def results(self) -> List[Tuple[int, float]]:
         """Final ``(docID, score)`` list, best first.

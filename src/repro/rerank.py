@@ -7,8 +7,9 @@ stages up to the first top-k candidate retrieval stage."
 
 This module provides that software stage:
 
-* :class:`Reranker` — the interface: score a candidate from its
-  first-stage evidence;
+* :class:`Reranker` — the interface: rescore a first-stage result's
+  candidates in one batch (:meth:`Reranker.rescore`), by default from
+  each candidate's first-stage evidence (:meth:`Reranker.score`);
 * :class:`LinearReranker` — a feature-linear model over the evidence a
   first-stage result actually carries (first-stage score, matched-term
   count, document length prior), standing in for the neural models the
@@ -17,18 +18,26 @@ This module provides that software stage:
   (BOSS/IIU/Lucene) retrieves k1 candidates, the re-ranker rescores
   them on the host, and the top k2 are returned. Host CPU time is
   modeled per candidate so the pipeline composes with the timing model.
+
+Candidates stay columns until the k that are returned: a reranker
+returns one score per hit, the pipeline sorts ``(-score, doc_id)``
+tuples and only the final k become ``ScoredDocument`` objects
+(:func:`repro.core.result.best_hits`). A
+reranker holds no per-query state, so one instance serves concurrent
+queries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.query import QueryNode
-from repro.core.result import ScoredDocument, SearchResult
+from repro.core.result import ScoredDocument, SearchResult, best_hits
 from repro.errors import ConfigurationError
 from repro.index.index import InvertedIndex
 from repro.observability.observer import NULL_OBSERVER, Observer
+from repro.scm.traffic import TrafficCounter
 
 
 @dataclass(frozen=True)
@@ -52,16 +61,23 @@ class Reranker:
     #: re-rankers are orders slower; this default is a light model.
     cost_per_candidate: float = 2e-6
 
-    def begin_query(self, query: QueryNode) -> None:
-        """Called once per query before any candidate is scored.
-
-        Stateless models ignore it; models with per-query state (e.g.
-        the query embedding of :class:`repro.vector.hybrid.
-        VectorReranker`) prepare it here.
-        """
-
     def score(self, features: CandidateFeatures) -> float:
         raise NotImplementedError
+
+    def rescore(self, first: SearchResult,
+                features: Callable[[SearchResult], List[CandidateFeatures]],
+                ) -> Tuple[Sequence[float], TrafficCounter]:
+        """Second-stage scores for ``first.hits``, in hit order, plus
+        the device traffic those scores cost.
+
+        ``features(first)`` builds every candidate's
+        :class:`CandidateFeatures` — membership probes over the query's
+        posting lists — and runs only when called: a model that reads
+        no feature (:class:`repro.vector.hybrid.VectorReranker`) never
+        pays for them. The default is a feature model: one
+        :meth:`score` per candidate, no device traffic.
+        """
+        return [self.score(f) for f in features(first)], TrafficCounter()
 
 
 @dataclass
@@ -108,6 +124,9 @@ class RerankedResult:
     rerank_seconds: float = 0.0
     #: Candidates rescored.
     candidates: int = 0
+    #: Device traffic the second stage's scores cost (a feature model:
+    #: none; a vector model: one stored vector per candidate).
+    traffic: TrafficCounter = field(default_factory=TrafficCounter)
 
     def publish_metrics(self, registry) -> None:
         registry.counter(
@@ -168,23 +187,18 @@ class TwoStageSearch:
         if k <= 0:
             raise ConfigurationError("k must be positive")
         first = self._engine.search(query, k=self._first_stage_k)
-        self._reranker.begin_query(first.query)
-        features = self._features_for(first)
-        rescored = sorted(
-            (
-                ScoredDocument(f.doc_id, self._reranker.score(f))
-                for f in features
-            ),
-            key=lambda hit: (-hit.score, hit.doc_id),
-        )
+        scores, traffic = self._reranker.rescore(first, self._features_for)
+        candidates = len(first.hits)
         result = RerankedResult(
             query=first.query,
-            hits=rescored[:k],
-            first_stage=first,
-            rerank_seconds=(
-                len(features) * self._reranker.cost_per_candidate
+            hits=best_hits(
+                ((hit.doc_id, score)
+                 for hit, score in zip(first.hits, scores)), k,
             ),
-            candidates=len(features),
+            first_stage=first,
+            rerank_seconds=candidates * self._reranker.cost_per_candidate,
+            candidates=candidates,
+            traffic=traffic,
         )
         self._observer.emit(result)
         return result
@@ -217,7 +231,6 @@ class TwoStageSearch:
     def _features_for(self,
                       first: SearchResult) -> List[CandidateFeatures]:
         from repro.core.cursor import ListCursor
-        from repro.scm.traffic import TrafficCounter
         from repro.sim.metrics import WorkCounters
 
         views = self._index_views()

@@ -33,7 +33,7 @@ embedding ground truth (:meth:`CorpusEmbeddings.exact_topk`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -189,8 +189,9 @@ class VectorEngine:
         if k <= 0:
             raise ConfigurationError("k must be positive")
         q = self.query_vector(query)
-        candidates = self._score_clusters(q, range(self.ivf.num_clusters))
-        return self._top_k(candidates, k)
+        return self._top_k(
+            self._score_clusters(q, range(self.ivf.num_clusters)), k
+        )
 
     def recall_at_k(self, queries: Sequence, k: int = 10,
                     nprobe: Optional[int] = None) -> float:
@@ -230,7 +231,6 @@ class VectorEngine:
         vectors_scanned = 0
         demand = centroid_bytes
         prev_end: Optional[int] = None
-        candidates: List[ScoredDocument] = []
         for cid in probe_order:
             cluster = ivf.clusters[cid]
             demand += cluster.nbytes
@@ -255,7 +255,6 @@ class VectorEngine:
                         seq_bytes += rest
                 prev_end = cluster.base + cluster.nbytes
             vectors_scanned += cluster.num_vectors
-            candidates.extend(self._score_clusters(q, (cid,)))
 
         self._check_conservation(centroid_bytes, seq_bytes, hop_bytes,
                                  demand)
@@ -267,7 +266,7 @@ class VectorEngine:
         )
         result = VectorSearchResult(
             expression=expression,
-            hits=self._top_k(candidates, k),
+            hits=self._top_k(self._score_clusters(q, probe_order), k),
             traffic=traffic,
             nprobe=len(probe_order),
             clusters_probed=len(probe_order),
@@ -282,27 +281,34 @@ class VectorEngine:
         self._observer.emit(result)
         return result
 
-    def _score_clusters(self, q: np.ndarray,
-                        cluster_ids) -> List[ScoredDocument]:
+    def _score_clusters(self, q: np.ndarray, cluster_ids
+                        ) -> List[Tuple[np.ndarray, np.ndarray]]:
         """The shared scoring kernel: per-cluster reconstructed matrix
-        times the query — used verbatim by search and the oracle."""
-        out: List[ScoredDocument] = []
+        times the query — used verbatim by search and the oracle.
+        Returns one ``(doc_ids, scores)`` column pair per non-empty
+        cluster, in ``cluster_ids`` order."""
+        out = []
         for cid in cluster_ids:
             cluster = self.ivf.clusters[cid]
-            if not cluster.num_vectors:
-                continue
-            scores = self.ivf.reconstruct(cid) @ q
-            out.extend(
-                ScoredDocument(int(doc_id), float(score))
-                for doc_id, score in zip(cluster.doc_ids, scores)
-            )
+            if cluster.num_vectors:
+                out.append((cluster.doc_ids, self.ivf.reconstruct(cid) @ q))
         return out
 
     @staticmethod
-    def _top_k(candidates: List[ScoredDocument],
+    def _top_k(columns: List[Tuple[np.ndarray, np.ndarray]],
                k: int) -> List[ScoredDocument]:
-        candidates.sort(key=lambda hit: (-hit.score, hit.doc_id))
-        return candidates[:k]
+        """Best ``k`` of the scanned columns by ``(-score, doc_id)``;
+        only those become :class:`ScoredDocument` objects."""
+        if not columns:
+            return []
+        doc_ids = np.concatenate([ids for ids, _ in columns])
+        scores = np.concatenate([scores for _, scores in columns])
+        best = np.lexsort((doc_ids, -scores))[:k]
+        return [
+            ScoredDocument(doc_id, score)
+            for doc_id, score in zip(doc_ids[best].tolist(),
+                                     scores[best].tolist())
+        ]
 
     @staticmethod
     def _check_conservation(centroid_bytes: int, seq_bytes: int,

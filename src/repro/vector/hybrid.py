@@ -31,11 +31,11 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.result import ScoredDocument
+from repro.core.result import ScoredDocument, best_hits
 from repro.errors import ConfigurationError, QueryError
 from repro.observability.observer import NULL_OBSERVER, Observer
 from repro.observability.registry import LATENCY_BUCKETS_US
-from repro.rerank import CandidateFeatures, Reranker, TwoStageSearch
+from repro.rerank import Reranker, TwoStageSearch
 from repro.scm.device import MemoryDeviceModel
 from repro.scm.traffic import AccessClass, AccessPattern, TrafficCounter
 from repro.vector.engine import VectorEngine, VectorSearchResult
@@ -50,10 +50,11 @@ class VectorReranker(Reranker):
     """Second-stage scorer: cosine(query embedding, doc embedding).
 
     Each scored candidate loads one stored doc vector from the pool —
-    ``dim * 4`` bytes of ``LD Score / random`` traffic, accumulated in
-    :attr:`last_traffic` per query (reset by :meth:`begin_query`).
-    ``weight_lexical`` optionally blends the first-stage BM25 score
-    back in (0 = pure vector rescoring).
+    ``dim * 4`` bytes of ``LD Score / random`` traffic, returned beside
+    the scores. ``weight_lexical`` optionally blends the first-stage
+    BM25 score back in (0 = pure vector rescoring). The model reads
+    none of the candidate features, so it never asks for them, and it
+    keeps nothing between queries.
     """
 
     #: Vector rescoring is heavier host work than the linear model.
@@ -62,35 +63,37 @@ class VectorReranker(Reranker):
     def __init__(self, embeddings, device: MemoryDeviceModel,
                  weight_lexical: float = 0.0) -> None:
         self._embeddings = embeddings
-        self._device = device
+        #: The pool device the stored vectors are read from; a caller
+        #: prices the returned traffic at its random-read rate.
+        self.device = device
         self.weight_lexical = weight_lexical
-        self._query_vec: Optional[np.ndarray] = None
-        self.last_traffic = TrafficCounter()
 
-    def begin_query(self, query) -> None:
-        self.last_traffic = TrafficCounter()
+    def rescore(self, first, features):
+        traffic = TrafficCounter()
+        hits = first.hits
+        weight = self.weight_lexical
         try:
-            self._query_vec = self._embeddings.query_vector(query.terms())
+            query_vec = self._embeddings.query_vector(first.query.terms())
         except QueryError:
             # No query term is known to the embedding model: degrade to
             # the first-stage order rather than failing the query.
-            self._query_vec = None
-
-    def score(self, features: CandidateFeatures) -> float:
-        lexical = self.weight_lexical * features.first_stage_score
-        if self._query_vec is None:
-            return lexical
-        nbytes = self._embeddings.dim * 4
-        self.last_traffic.record(AccessClass.LD_SCORE,
-                                 AccessPattern.RANDOM, nbytes)
-        doc_vec = self._embeddings.doc_vectors[features.doc_id]
-        return lexical + float(doc_vec @ self._query_vec)
-
-    @property
-    def last_read_seconds(self) -> float:
-        """Modeled device seconds for the query's doc-vector loads."""
-        nbytes = self.last_traffic.bytes_for(AccessClass.LD_SCORE)
-        return self._device.read_time(nbytes, AccessPattern.RANDOM)
+            return [weight * hit.score for hit in hits], traffic
+        count = len(hits)
+        ids = np.fromiter((hit.doc_id for hit in hits), dtype=np.intp,
+                          count=count)
+        # One gather, one batched row-dot. The stacked (1 x dim) @
+        # (dim x 1) matmul runs the same dot kernel per row as
+        # ``doc_vectors[i] @ query_vec`` and is bit-identical to it;
+        # ``rows @ query_vec`` (a GEMV) is not
+        # (tests/vector/test_float_order.py).
+        rows = self._embeddings.doc_vectors[ids]
+        cosines = np.matmul(rows[:, None, :], query_vec[:, None])[:, 0, 0]
+        traffic.record(AccessClass.LD_SCORE, AccessPattern.RANDOM,
+                       self._embeddings.dim * 4 * count, accesses=count)
+        return [
+            weight * hit.score + cosine
+            for hit, cosine in zip(hits, cosines.tolist())
+        ], traffic
 
 
 def rrf_fuse(rankings: Sequence[Sequence[int]], k: int,
@@ -104,11 +107,7 @@ def rrf_fuse(rankings: Sequence[Sequence[int]], k: int,
     for ranking in rankings:
         for rank, doc_id in enumerate(ranking, start=1):
             scores[doc_id] = scores.get(doc_id, 0.0) + 1.0 / (c + rank)
-    fused = sorted(
-        (ScoredDocument(doc_id, score) for doc_id, score in scores.items()),
-        key=lambda hit: (-hit.score, hit.doc_id),
-    )
-    return fused[:k]
+    return best_hits(scores.items(), k)
 
 
 @dataclass
@@ -183,12 +182,10 @@ class HybridSearch:
         self._observer = observer
         self._device = vector_engine.device
         if mode == "rerank":
-            self._reranker = VectorReranker(
-                vector_engine.embeddings, device=vector_engine.device
-            )
             self._two_stage = TwoStageSearch(
-                engine, self._reranker, first_stage_k=first_stage_k,
-                observer=observer,
+                engine,
+                VectorReranker(vector_engine.embeddings, device=self._device),
+                first_stage_k=first_stage_k, observer=observer,
             )
 
     def search(self, query, k: int = 10) -> HybridResult:
@@ -207,7 +204,10 @@ class HybridSearch:
         modeled = (
             self._device.service_time(lexical.traffic)
             + reranked.rerank_seconds
-            + self._reranker.last_read_seconds
+            + self._device.read_time(
+                reranked.traffic.bytes_for(AccessClass.LD_SCORE),
+                AccessPattern.RANDOM,
+            )
         )
         return HybridResult(
             expression=str(reranked.query),

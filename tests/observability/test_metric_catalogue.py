@@ -10,7 +10,9 @@ clocks, constant service times), so equality is exact.
 The JSON is the parent's snapshot verbatim; :func:`expected_snapshot`
 applies the three removals that refactor named (``fetch.bytes``,
 ``fetch.pattern_bytes``, the ``scheme`` label of ``decode.invocations``)
-and the one corrected help string, and nothing else.
+and the one corrected help string, and — since batch rescoring — the
+three decoded-cache hits of membership probes a vector reranker no
+longer makes, and nothing else.
 """
 
 import json
@@ -36,7 +38,8 @@ from repro.live import (
     recover,
 )
 from repro.observability import RecordingObserver
-from repro.rerank import TwoStageSearch
+from repro.rerank import LinearReranker, TwoStageSearch
+from repro.scm.device import OPTANE_NODE_4CH
 from repro.serving import (
     QueryServer,
     ServingConfig,
@@ -44,7 +47,13 @@ from repro.serving import (
     build_requests,
     zipf_workload,
 )
-from repro.vector import HybridSearch, VectorEngine, build_ivf, embed_corpus
+from repro.vector import (
+    HybridSearch,
+    VectorEngine,
+    VectorReranker,
+    build_ivf,
+    embed_corpus,
+)
 from repro.workloads import synthetic_documents
 from repro.workloads.corpus import make_corpus
 
@@ -239,7 +248,33 @@ def expected_snapshot():
     expected["cluster.degraded_queries"]["help"] = (
         "merges that skipped a failed shard"
     )
+    # Batch rescoring: the hybrid rerank query's VectorReranker reads no
+    # candidate feature, so the three membership-probe lookups it used
+    # to make (all hits) are gone. The LinearReranker run keeps its own.
+    hit = expected["decoded_cache.accesses"]["samples"][0]
+    assert hit == {"labels": {"outcome": "hit"}, "value": 49}
+    hit["value"] = 46
     return expected
+
+
+def test_only_a_feature_model_probes_the_decoded_cache():
+    """A LinearReranker's membership probes show up as decoded-cache
+    hits on the first stage's engine; a VectorReranker makes none."""
+    corpus = make_corpus("ccnews-like", scale=0.05, seed=1)
+    lexical = BossAccelerator(corpus.index, BossConfig(k=50))
+    cache = lexical.decoded_cache
+    first = lexical.search('"term0001" OR "term0002"', k=50)
+
+    def second_stage_lookups(reranker):
+        pipeline = TwoStageSearch(lexical, reranker, first_stage_k=50)
+        before = cache.hits, cache.misses
+        pipeline._reranker.rescore(first, pipeline._features_for)
+        return cache.hits - before[0], cache.misses - before[1]
+
+    hits, misses = second_stage_lookups(LinearReranker())
+    assert hits > 0 and misses == 0
+    vector = VectorReranker(embed_corpus(corpus), device=OPTANE_NODE_4CH)
+    assert second_stage_lookups(vector) == (0, 0)
 
 
 def test_metric_catalogue(tmp_path):

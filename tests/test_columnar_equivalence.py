@@ -156,8 +156,11 @@ def test_columnar_equivalence_under_et_ablations(name):
                                (name, expression))
 
 
-@pytest.mark.parametrize("k", [1, 3, 50])
+@pytest.mark.parametrize("k", [1, 3, 50, 100, 2000])
 def test_columnar_equivalence_across_k(k):
+    """k = 100 is the rerank depth (several accepts per leader-run
+    window); k = 2000 is past every list, so the queue never fills and
+    a whole query is the fill head."""
     index = build_random_index(num_docs=800, vocab_size=24, seed=9)
     queries = _random_queries(sorted(index), 31, count=10)
     columnar = BossAccelerator(index, BossConfig(k=k),
@@ -167,6 +170,74 @@ def test_columnar_equivalence_across_k(k):
     for expression in queries:
         _assert_pair_identical(columnar, reference, expression,
                                (k, expression), k=k)
+
+
+def _window_index(understate=None):
+    """Two lists crafted so one leader-run window holds several accepts.
+
+    Every document is 40 tokens long, so a term score is monotone in
+    tf. ``lead`` is in all 300 documents (three blocks): tf 1 except
+    docs 10..15, whose tf climbs 2..7 — with k = 2 the queue fills on
+    docs 0 and 1, rejects the ties that follow and accepts those six in
+    a row, each accept raising the cutoff. ``rare`` is in docs 13 and
+    200, so the first window ends at ``limit_doc`` = 13, inside block 0
+    and after three accepts.
+
+    ``understate`` lowers a stored bound to the tf-4 score: ``"list"``
+    the list's WAND bound, ``"block"`` block 0's bound. With exact
+    bounds neither test can flip inside a window (an accepted score is
+    at most its block's bound, and the new cutoff at most that score),
+    so the replica's mid-window exits are reachable only through
+    metadata that understates — which a loaded file may carry, and which
+    the oracle follows without complaint.
+    """
+    from dataclasses import replace
+
+    from repro.index import IndexBuilder
+
+    builder = IndexBuilder()
+    for doc in range(300):
+        tf = doc - 8 if 10 <= doc <= 15 else 1
+        tokens = ["lead"] * tf
+        if doc in (13, 200):
+            tokens.append("rare")
+        builder.add_document(tokens + ["pad"] * (40 - len(tokens)))
+    index = builder.build()
+    lead = index.posting_list("lead")
+    assert lead.num_blocks == 3
+    tf4_score = index.scorer.term_score(lead.idf, 4, 12)
+    if understate == "list":
+        lead.max_term_score = tf4_score
+    elif understate == "block":
+        block = lead.blocks[0]
+        lead.blocks[0] = replace(block, metadata=replace(
+            block.metadata, max_term_score=tf4_score))
+    return index
+
+
+@pytest.mark.parametrize("understate", [None, "list", "block"])
+def test_multi_accept_window_exits(understate):
+    """A window's walk over its accepts ends where the oracle's next
+    iteration decides differently: at ``limit_doc`` (exact bounds), when
+    the leader is out-bid (understated list bound) or when the block
+    bound falls under the cutoff (understated block bound) — after
+    the accept that flips it, leaving the docs behind it unoffered."""
+    index = _window_index(understate)
+    columnar = BossAccelerator(index, BossConfig(k=2))
+    reference = BossAccelerator(index, BossConfig(k=2),
+                                executor="reference")
+    for _ in range(2):  # second pass: warm decoded and score caches
+        for expression in ('"lead"', '"lead" OR "rare"'):
+            _assert_pair_identical(columnar, reference, expression,
+                                   (understate, expression))
+    hits = [hit.doc_id for hit in columnar.search('"lead"').hits]
+    if understate is None:
+        assert hits == [15, 14]
+    else:
+        # The cutoff passed the tf-4 bound at doc 14's accept (tf 6 in,
+        # tf 4 out); doc 15 was above it in the same window and never
+        # offered.
+        assert hits == [14, 13]
 
 
 def _assert_traces_identical(observer, reference_observer):

@@ -69,11 +69,14 @@ class TestVectorReranker:
         reranker = VectorReranker(engine.embeddings, device=engine.device)
         pipeline = TwoStageSearch(lexical, reranker, first_stage_k=50)
         result = pipeline.search('"term0002"', k=10)
-        from repro.scm.traffic import AccessClass
+        from repro.scm.traffic import AccessClass, AccessPattern
 
-        loaded = reranker.last_traffic.bytes_for(AccessClass.LD_SCORE)
+        loaded = result.traffic.bytes_for(AccessClass.LD_SCORE,
+                                          AccessPattern.RANDOM)
         assert loaded == result.candidates * engine.embeddings.dim * 4
-        assert reranker.last_read_seconds > 0
+        assert loaded == result.traffic.total_bytes
+        assert result.traffic.accesses_for() == result.candidates
+        assert engine.device.read_time(loaded, AccessPattern.RANDOM) > 0
 
     def test_unknown_query_degrades_to_lexical(self, engine):
         """No known term -> no query vector -> first-stage order kept."""
@@ -81,33 +84,75 @@ class TestVectorReranker:
                                   weight_lexical=1.0)
         from repro.core.query import parse_query
 
-        reranker.begin_query(parse_query('"term0001"'))
-        assert reranker._query_vec is not None
+        known = _first_stage(parse_query('"term0001"'), [(3, 2.5)])
+        scores, traffic = reranker.rescore(known, _no_features)
+        assert scores[0] != pytest.approx(2.5)
+        assert traffic.total_bytes == engine.embeddings.dim * 4
         # A synthetic query node over unknown terms degrades.
         class FakeNode:
             def terms(self):
                 return ["zzz-unknown"]
 
-        reranker.begin_query(FakeNode())
-        assert reranker._query_vec is None
-        from repro.rerank import CandidateFeatures
-
-        feats = CandidateFeatures(3, 2.5, 1, 1, 100)
-        assert reranker.score(feats) == pytest.approx(2.5)
-        assert reranker.last_read_seconds == 0.0
+        unknown = _first_stage(FakeNode(), [(3, 2.5), (1, 0.5)])
+        scores, traffic = reranker.rescore(unknown, _no_features)
+        assert scores == pytest.approx([2.5, 0.5])
+        assert traffic.total_bytes == 0
 
     def test_lexical_blend(self, engine):
         from repro.core.query import parse_query
-        from repro.rerank import CandidateFeatures
 
         pure = VectorReranker(engine.embeddings, device=engine.device)
         blend = VectorReranker(engine.embeddings, device=engine.device,
                                weight_lexical=1.0)
-        node = parse_query('"term0001"')
-        pure.begin_query(node)
-        blend.begin_query(node)
-        feats = CandidateFeatures(0, 4.0, 1, 1, 100)
-        assert blend.score(feats) == pytest.approx(pure.score(feats) + 4.0)
+        first = _first_stage(parse_query('"term0001"'), [(0, 4.0), (7, 1.5)])
+        pure_scores, _ = pure.rescore(first, _no_features)
+        blend_scores, _ = blend.rescore(first, _no_features)
+        assert blend_scores == pytest.approx(
+            [pure_scores[0] + 4.0, pure_scores[1] + 1.5]
+        )
+
+
+def _first_stage(query, hits):
+    from repro.core.result import ScoredDocument, SearchResult
+
+    return SearchResult(query=query,
+                        hits=[ScoredDocument(d, s) for d, s in hits])
+
+
+def _no_features(first):
+    raise AssertionError("the vector reranker reads no candidate feature")
+
+
+class TestConcurrentQueries:
+    def test_pooled_batch_equals_serial(self, hybrid_rerank):
+        """A reranker keeps nothing between queries, so the pooled
+        batch driver's promise — results bit-identical to serial
+        execution — holds for the hybrid target. (It did not while one
+        shared reranker held the current query's vector and traffic:
+        threads rescored with each other's query.)"""
+        import sys
+
+        from repro.batch import run_query_batch
+
+        from itertools import combinations
+
+        queries = [
+            f'"term{a:04d}" OR "term{b:04d}"'
+            for a, b in combinations(range(21), 2)
+        ]
+        serial = run_query_batch(hybrid_rerank, queries, k=10)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pooled = run_query_batch(hybrid_rerank, queries, k=10,
+                                     workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled.report.workers == 4
+        for query, one, other in zip(queries, serial.results,
+                                     pooled.results):
+            assert one.hits == other.hits, query
+            assert one.modeled_seconds == other.modeled_seconds, query
 
 
 class TestHybridSearch:
