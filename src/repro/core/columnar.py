@@ -309,17 +309,18 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
                            else bisect_left(ids, limit_doc, pos))
                     room = topk_k - len(topk_entries)
                     if room > 0:
-                        # Queue not yet full: every offer is accepted
-                        # and the cutoff stays 0.0 until the last slot
-                        # is taken.
+                        # Queue not yet full: an offer is refused only
+                        # for an excluded docID, and the cutoff stays
+                        # 0.0 until the last slot is taken. ``fill``
+                        # counts every doc it is handed.
                         stop = min(pos + room, end)
-                        accepted = stop - pos
+                        offered = stop - pos
                         topk.fill(ids[pos:stop], scores_nd[pos:stop].tolist())
-                        if accepted == room:
+                        if len(topk_entries) >= topk_k:
                             cutoff = topk_entries[0][0]
                     else:
                         stop = end
-                        accepted = 0
+                        offered = 0
                         window = scores_nd[pos:end]
                         above = window > cutoff
                         if above[above.argmax()]:
@@ -335,7 +336,7 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
                                                      window[hot].tolist()):
                                 if score > cutoff:
                                     offer(ids[pos + offset], score)
-                                    accepted += 1
+                                    offered += 1
                                     cutoff = topk_entries[0][0]
                                     if (not (l0max + ET_EPSILON > cutoff)
                                             or block_max + ET_EPSILON
@@ -350,7 +351,7 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
                     docs_evaluated += n
                     docs_matched += n
                     topk_inserts += n
-                    topk._inserts += n - accepted
+                    topk._inserts += n - offered
                     if stop < size:
                         cursor._position = stop
                         entry[0] = ids[stop]

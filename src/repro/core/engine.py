@@ -29,7 +29,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Collection,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.columnar import (
     run_grouped_intersection_fast,
@@ -235,12 +243,19 @@ class BossAccelerator:
         """The engine's :class:`DecodedBlockCache` (or None)."""
         return self._decoded_cache
 
-    def search(self, query: Union[str, QueryNode],
-               k: int = None) -> SearchResult:
+    def search(self, query: Union[str, QueryNode], k: int = None, *,
+               floor: Optional[float] = None,
+               exclude: Optional[Collection[int]] = None) -> SearchResult:
         """Execute a query and return the ranked top-k with measurements.
 
         ``query`` may be a paper-syntax expression string (terms quoted,
         ``AND``/``OR``, parentheses) or a pre-built AST node.
+
+        ``floor`` and ``exclude`` are what a caller searching one corpus
+        in pieces already knows (:mod:`repro.core.topk`, "Admission"):
+        the result is the top-k of the matching documents not in
+        ``exclude`` whose score is above ``floor``. A refused document
+        that reaches the scorer is evaluated and charged like any other.
         """
         node = parse_query(query) if isinstance(query, str) else flatten(query)
         self._check_terms(node)
@@ -250,7 +265,7 @@ class BossAccelerator:
 
         work = WorkCounters()
         traffic = TrafficCounter()
-        topk = TopKQueue(k)
+        topk = TopKQueue(k, floor=floor, exclude=exclude)
 
         if isinstance(node, TermNode) or (
             isinstance(node, OrNode)

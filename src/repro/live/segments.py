@@ -40,17 +40,43 @@ scorer snapshot and the engine's block-score vectors depend on the
 statistics: a version change drops all of them together
 (:meth:`SegmentedIndex._engine_for`).
 
-**Exact top-k under tombstones.** Each segment is searched for
-``k + t`` results, where ``t`` is the segment's tombstone count: at
-most ``t`` deleted documents can outrank a surviving one, so the
-segment's true live top-k always survives the overfetch. Hits are
-tombstone-filtered, truncated to ``k``, and merged across segments by
-``(-score, docID)`` — the same tie rule as the monolithic top-k queue
-and the cluster root.
+**Admission at the queue.** A query's top-k cutoff is one register, and
+it travels: what the query has already found is a threshold for every
+segment it has yet to search, and a tombstone is a fact known before the
+segment starts. :meth:`SegmentedIndex.search` therefore
+
+* scores the **write buffer first** — it is DRAM-resident and moves no
+  device byte, so its hits are a free threshold;
+* gives every segment ``k`` slots (not ``k`` plus its tombstone count),
+  its tombstones as the queue's ``exclude`` set, and, once ``k`` live
+  hits are held, ``floor = nextafter(k-th best live score so far,
+  -inf)`` (:mod:`repro.core.topk`, "Admission");
+* folds each segment's hits into the running best ``k`` by ``(-score,
+  docID)`` — the same tie rule as the monolithic top-k queue and the
+  cluster root.
+
+The floor is **strictly below** the k-th best score because of that tie
+rule: a later segment (or one searched after the buffer, which holds the
+highest docIDs) may hold a document that ties the k-th best with a lower
+docID, and it must get in for the merge to rank it first. A document
+with a score at or under the floor has ``k`` documents above it and
+cannot be in the answer, so the result is exact — bit-identical to
+searching every segment for ``k + t`` from an empty queue and filtering
+afterwards, the search ``tests/live/test_admission.py`` keeps as its
+test-only reference.
+
+What a tombstoned (or sub-floor) document costs: if it reaches the
+scorer it is evaluated like any other — counted in ``docs_evaluated``,
+charged its ``LD Score`` read, counted as a top-k offer — and then
+refused. What it never does is occupy a queue slot, so the cutoff rises
+as fast as on a clean index, early termination skips the blocks it would
+skip there, and at most ``k`` entries per segment cross the
+interconnect.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import Counter
 from dataclasses import replace
@@ -66,7 +92,7 @@ from repro.core.query import (
     prune_query,
     prune_query_scored,
 )
-from repro.core.result import ScoredDocument, SearchResult
+from repro.core.result import ScoredDocument, SearchResult, best_hits
 from repro.errors import InvertedIndexError, QueryError
 from repro.index.blocks import BLOCK_SIZE, Block
 from repro.index.builder import IndexBuilder
@@ -562,28 +588,30 @@ class SegmentedIndex:
         traffic = TrafficCounter()
         work = WorkCounters()
         interconnect = 0
-        candidates: List[ScoredDocument] = []
+        # The write buffer first: it is DRAM-resident and costs no
+        # device traffic, so its hits are a free threshold for every
+        # segment that follows.
+        hits = self._buffer_hits(node, effective_k)
 
         for segment in self.segments:
             pruned = prune_query_scored(node,
                                         lambda t, s=segment: t in s.index)
             if pruned is None:
                 continue
-            engine = self._engine_for(segment)
-            overfetch = effective_k + len(segment.tombstones)
-            result = engine.search(pruned, k=overfetch)
+            # Strictly below the k-th best so far: the merge orders by
+            # (-score, docID), so an equal score with a lower docID must
+            # still get in.
+            floor = (math.nextafter(hits[-1].score, -math.inf)
+                     if len(hits) == effective_k else None)
+            result = self._engine_for(segment).search(
+                pruned, k=effective_k, floor=floor,
+                exclude=segment.tombstones)
             traffic.merge(result.traffic)
             work.merge(result.work)
             interconnect += result.interconnect_bytes
-            live_hits = [
-                hit for hit in result.hits
-                if hit.doc_id not in segment.tombstones
-            ]
-            candidates.extend(live_hits[:effective_k])
+            if result.hits:
+                hits = best_hits(hits + result.hits, effective_k)
 
-        candidates.extend(self._buffer_hits(node, effective_k))
-        candidates.sort(key=lambda hit: (-hit.score, hit.doc_id))
-        hits = candidates[:effective_k]
         return SearchResult(
             query=node,
             hits=hits,
@@ -634,22 +662,22 @@ class SegmentedIndex:
         """
         if len(self.memseg) == 0:
             return []
-        terms = set(node.terms())
-        if isinstance(node, TermNode) or (
+        # Distinct terms in query order: a score is summed in this order,
+        # so it is a function of the query and not of string hashing (a
+        # set here moved a buffered document's last bit between runs).
+        multiplicity = Counter(node.terms())
+        if not (isinstance(node, TermNode) or (
             isinstance(node, OrNode)
             and all(isinstance(c, TermNode) for c in node.children)
-        ):
-            multiplicity = Counter(node.terms())
-        else:
-            multiplicity = {term: 1 for term in terms}
-        per_term: Dict[str, Dict[int, int]] = {}
-        for term in terms:
-            postings = {
-                doc_id: self.memseg.tf(doc_id, term)
-                for doc_id in self.memseg.doc_ids()
-                if self.memseg.tf(doc_id, term) > 0
-            }
-            per_term[term] = postings
+        )):
+            multiplicity = dict.fromkeys(multiplicity, 1)
+        per_term: Dict[str, Dict[int, int]] = {
+            term: {} for term in multiplicity}
+        for doc_id, tfs in self.memseg.items():
+            for term, postings in per_term.items():
+                tf = tfs.get(term, 0)
+                if tf > 0:
+                    postings[doc_id] = tf
 
         def matching(n: QueryNode) -> Set[int]:
             if isinstance(n, TermNode):
@@ -666,18 +694,18 @@ class SegmentedIndex:
             return out
 
         scorer = self.stats.scorer()
-        hits = []
-        for doc_id in sorted(matching(node)):
-            score = sum(
+
+        def score(doc_id: int) -> float:
+            return sum(
                 multiplicity[term]
                 * scorer.term_score(self.stats.idf(term), tf_map[doc_id],
                                     doc_id)
                 for term, tf_map in per_term.items()
                 if doc_id in tf_map
             )
-            hits.append(ScoredDocument(doc_id, score))
-        hits.sort(key=lambda hit: (-hit.score, hit.doc_id))
-        return hits[:k]
+
+        return best_hits(
+            ((doc_id, score(doc_id)) for doc_id in matching(node)), k)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -42,8 +42,8 @@ class LiveBM25Scorer(BM25Scorer):
     """A BM25 scorer over the live corpus, indexed by global docID.
 
     ``doc_lengths`` covers every docID ever allocated (deleted documents
-    keep their recorded length: segments may still score them before the
-    tombstone filter drops the hits), while ``num_live`` and
+    keep their recorded length: segments still score them before the
+    top-k queue refuses the tombstone), while ``num_live`` and
     ``total_live_tokens`` describe only the surviving documents — those
     drive IDF's ``N`` and the average document length, so scores are
     bit-identical to a from-scratch rebuild of the survivors.

@@ -10,9 +10,11 @@ clocks, constant service times), so equality is exact.
 The JSON is the parent's snapshot verbatim; :func:`expected_snapshot`
 applies the three removals that refactor named (``fetch.bytes``,
 ``fetch.pattern_bytes``, the ``scheme`` label of ``decode.invocations``)
-and the one corrected help string, and — since batch rescoring — the
+and the one corrected help string, — since batch rescoring — the
 three decoded-cache hits of membership probes a vector reranker no
-longer makes, and nothing else.
+longer makes, and — since admission at the queue — the named
+:data:`LIVE_ADMISSION_DELTAS` of the live scenario's one search, and
+nothing else.
 """
 
 import json
@@ -63,6 +65,54 @@ CATALOGUE = Path(__file__).with_name("metric_catalogue.json")
 
 VOCAB = [f"t{i}" for i in range(40)]
 LIVE_VOCAB = [f"t{i}" for i in range(8)]
+
+
+#: What admission at the queue moved, ``(series, labels, parent value,
+#: value now)`` (a histogram's value is its ``sum``). All of it is the
+#: live scenario's one search, ``"t0" OR "t1"`` at k = 5 over segments
+#: holding tombstones: a segment is asked for k hits above the k-th best
+#: score so far, tombstones refused at the queue, instead of for
+#: ``k + tombstones`` hits from an empty queue.
+LIVE_ADMISSION_DELTAS = (
+    # The cutoff is armed from the first offer, so early termination
+    # skips two blocks the overfetching search fetched and decoded ...
+    ("fetch.blocks", {}, 167, 165),
+    ("work.blocks_fetched", {"engine": "BOSS"}, 167, 165),
+    ("decoded_cache.accesses", {"outcome": "miss"}, 52, 50),
+    ("decode.invocations", {"path": "fast"}, 52, 50),
+    ("work.postings_decoded", {"engine": "BOSS"}, 19380, 19376),
+    ("scm.accesses", {"cls": "LD List"}, 348, 346),
+    ("scm.bytes", {"cls": "LD List", "pattern": "sequential",
+                   "tier": "scm"}, 16087, 16079),
+    # ... and five documents never reach the scorer (a refused document
+    # that does reach it is still evaluated and charged).
+    ("work.docs_evaluated", {"engine": "BOSS"}, 7513, 7508),
+    ("work.topk_inserts", {"engine": "BOSS"}, 7513, 7508),
+    ("scm.accesses", {"cls": "LD Score"}, 7513, 7508),
+    ("scm.bytes", {"cls": "LD Score", "pattern": "random",
+                   "tier": "scm"}, 60104, 60064),
+    # At most k live entries leave a segment, not k + tombstones; one
+    # segment has nothing above the floor and stores no result at all.
+    ("interconnect.bytes", {}, 1352, 1288),
+    ("scm.bytes", {"cls": "ST Result", "pattern": "sequential",
+                   "tier": "scm"}, 1352, 1288),
+    ("scm.accesses", {"cls": "ST Result"}, 15, 14),
+    # Modeled time follows the work: every stage that work feeds.
+    ("pipeline.stage_seconds", {"engine": "BOSS", "stage": "decompression"},
+     2.1626666666666667e-05, 2.1621666666666667e-05),
+    ("pipeline.stage_seconds", {"engine": "BOSS", "stage": "memory"},
+     9.882021625905793e-06, 9.868691998106059e-06),
+    ("pipeline.stage_seconds", {"engine": "BOSS", "stage": "merger"},
+     1.3262000000000001e-05, 1.3260000000000002e-05),
+    ("pipeline.stage_seconds", {"engine": "BOSS", "stage": "scoring"},
+     3.717833333333332e-06, 3.7153333333333315e-06),
+    ("pipeline.stage_seconds", {"engine": "BOSS", "stage": "top-k"},
+     7.512999999999999e-06, 7.507999999999998e-06),
+    ("query.latency_us", {"engine": "BOSS"},
+     56.182521625905785, 56.15469199810605),
+    ("query.pipelined_us", {"engine": "BOSS"},
+     52.86966666666667, 52.86666666666667),
+)
 
 
 def _constant(seconds):
@@ -254,7 +304,28 @@ def expected_snapshot():
     hit = expected["decoded_cache.accesses"]["samples"][0]
     assert hit == {"labels": {"outcome": "hit"}, "value": 49}
     hit["value"] = 46
+    # Admission at the queue: the live scenario's search does less.
+    for name, labels, parent, now in LIVE_ADMISSION_DELTAS:
+        sample, = [sample for sample in expected[name]["samples"]
+                   if sample["labels"] == labels]
+        field = "sum" if "sum" in sample else "value"
+        assert sample[field] == parent, (name, labels)
+        sample[field] = now
     return expected
+
+
+def test_admission_deltas_belong_to_the_live_scenario(tmp_path):
+    """Every named delta is a series the live scenario feeds, and moves
+    down; the rest of the script never passes a floor or an exclusion,
+    which :func:`test_metric_catalogue` shows by pinning every other
+    series to the parent's value."""
+    observer = RecordingObserver()
+    drive_live(observer, tmp_path)
+    fed = observer.registry.snapshot()
+    for name, labels, parent, now in LIVE_ADMISSION_DELTAS:
+        assert now < parent, (name, labels)
+        assert any(sample["labels"] == labels
+                   for sample in fed[name]["samples"]), (name, labels)
 
 
 def test_only_a_feature_model_probes_the_decoded_cache():

@@ -410,3 +410,97 @@ def test_block_scores_do_not_outlive_a_statistics_version(scheme):
         assert engine.index is not segment.index
     # ... while nothing payload-dependent was rebuilt.
     assert engine.decoded_cache.misses == misses
+
+
+# ----------------------------------------------------------------------
+# Admission at the queue: ``floor`` / ``exclude``
+# ----------------------------------------------------------------------
+
+def _admission_cases(rng, exhaustive, k):
+    """``(floor, exclude)`` pairs aimed at one query's exhaustive hits:
+    floors at, just under and between real scores (so ties with the
+    floor occur), exclusions that hit the top ranks (so they matter)."""
+    import math
+
+    docs = [hit.doc_id for hit in exhaustive]
+    scores = [hit.score for hit in exhaustive]
+    pivot = scores[min(len(scores) - 1, rng.randrange(0, 2 * k))]
+    top = set(rng.sample(docs[:3 * k], min(len(docs), 3 * k) // 2))
+    scattered = set(rng.sample(docs, len(docs) // 3))
+    return [
+        (pivot, None),                              # a score equal: out
+        (math.nextafter(pivot, -math.inf), None),   # strictly below: in
+        (None, top),
+        (None, scattered),
+        (rng.uniform(0.0, scores[0]), top | scattered),
+        (math.nextafter(pivot, -math.inf), set(docs[:k])),
+        (scores[0], None),                          # nothing can get in
+        (None, set(docs)),                          # everything refused
+    ]
+
+
+@pytest.mark.parametrize("qtype", ["Q1", "Q2", "Q3", "Q4", "Q5", "Q6"])
+def test_executors_agree_under_floor_and_exclude(qtype):
+    """``BossAccelerator.search(floor=, exclude=)`` on every execution
+    path: the three executors agree on hits, every work counter,
+    per-bucket traffic and the fetch order, and each returns the
+    definition — the exhaustive ranking, minus ``exclude``, minus
+    scores at or under ``floor``, first k — to the last float bit."""
+    import random
+
+    from repro.workloads.queries import QuerySampler
+
+    index = build_random_index(num_docs=900, vocab_size=28, seed=6)
+    by_df = sorted(index, key=lambda t: -index.posting_list(t)
+                   .document_frequency)
+    rng = random.Random(f"admission:{qtype}")
+    k = 10
+    engines = {name: BossAccelerator(index, BossConfig(k=k), executor=name)
+               for name in EXECUTORS}
+    reference = engines["reference"]
+    cases = 0
+    for spec in QuerySampler(by_df, seed=3).sample_of_type(qtype, 4):
+        expression = spec.expression
+        exhaustive = reference.search(expression, k=10_000).hits
+        if not exhaustive:
+            continue
+        for floor, exclude in _admission_cases(rng, exhaustive, k):
+            context = (expression, floor,
+                       None if exclude is None else len(exclude))
+            refused = exclude or ()
+            expected = [
+                hit for hit in exhaustive
+                if hit.doc_id not in refused
+                and (floor is None or hit.score > floor)
+            ][:k]
+            assert reference.search(expression, floor=floor,
+                                    exclude=exclude).hits == expected, \
+                context
+            for name in ("fast", "columnar"):
+                for _ in range(2):  # the repeat runs on warm caches
+                    _assert_pair_identical(
+                        engines[name], reference, expression,
+                        (name,) + context, floor=floor, exclude=exclude)
+            cases += 1
+    assert cases >= 16
+
+
+def test_leader_run_fill_head_skips_excluded_docs():
+    """A queue with room takes a leader run's window head in bulk; an
+    excluded docID in that head is counted and refused, so the head is
+    topped up from the docs behind it exactly as one-by-one offers
+    would (k past the list: the whole query is fill heads)."""
+    index = _window_index()
+    reference = BossAccelerator(index, BossConfig(k=400),
+                                executor="reference")
+    columnar = BossAccelerator(index, BossConfig(k=400))
+    for k in (5, 40, 400):
+        for exclude in ({0, 1, 2, 3}, set(range(0, 300, 2)),
+                        set(range(120, 140)) | {299}):
+            for _ in range(2):
+                _assert_pair_identical(
+                    columnar, reference, '"lead"', (k, len(exclude)),
+                    k=k, exclude=exclude)
+            hits = columnar.search('"lead"', k=k, exclude=exclude).hits
+            assert len(hits) == min(k, 300 - len(exclude))
+            assert not exclude & {hit.doc_id for hit in hits}
