@@ -1,4 +1,4 @@
-"""DRAM block cache in front of the SCM tier (extension study).
+"""Block caches over one weighted LRU core (extension study).
 
 The paper's memory node pairs slow, huge SCM with the memory
 controller's fast path; a natural extension — and prior art the paper
@@ -8,21 +8,35 @@ cache for hot posting-list blocks. Query logs are heavily skewed
 can absorb a large share of the block fetches, multiplying the
 effective SCM bandwidth.
 
-This module simulates that tier from the engines' fetch traces:
+Every block cache in the repository keeps its bookkeeping in one core,
+:class:`BlockLRU`: an ordered ``key -> (weight, value)`` map, least
+recently used first, with a running ``used`` weight. A cache is a
+policy over it — what a block weighs and when to evict:
 
-* :class:`LRUBlockCache` — byte-capacity LRU over (term, block) keys;
-* :class:`CacheSimulator` — replays per-query fetch logs, producing a
-  :class:`CacheReport` with hit rates and the SCM bytes absorbed;
+* :class:`LRUBlockCache` — weight = payload bytes; an access pops the
+  key, pushes it back at the MRU end, then evicts LRU entries until
+  ``used`` fits the byte capacity. A block larger than the whole cache
+  is never pushed.
+* :class:`DecodedBlockCache` — weight 1 per decoded block, capacity in
+  blocks, behind a lock (see below).
+* :class:`repro.ioplanner.tier.DramTier` — three cores (cold, warm,
+  hot); hits promote a block one core up, over-full upper cores demote
+  their LRU tail down, and capacity pressure evicts cold first.
+
+The simulated DRAM tier replays the engines' fetch traces:
+
+* :class:`CacheSimulator` — replays per-query fetch logs through an
+  :class:`LRUBlockCache`, producing a :class:`CacheReport` with hit
+  rates and the SCM bytes absorbed;
 * :func:`cached_memory_seconds` — the memory-side service time with the
   cache in place (hits at DRAM speed, misses at SCM speed).
 
-It also hosts :class:`DecodedBlockCache`, the host-side *decoded*-block
-cache used by the fast query path: an LRU over already-decompressed
-``(docID array, tf array)`` pairs. Unlike the simulated DRAM tier above,
-this cache is purely a wall-clock optimization — the performance model
-still charges the full modeled SCM traffic and decompression work for
-every block touch, so modeled metrics are bit-identical with the cache
-on or off.
+:class:`DecodedBlockCache` is the host-side *decoded*-block cache used
+by the fast query path: already-decompressed ``(docID array, tf
+array)`` pairs. Unlike the simulated DRAM tier above, this cache is
+purely a wall-clock optimization — the performance model still charges
+the full modeled SCM traffic and decompression work for every block
+touch, so modeled metrics are bit-identical with the cache on or off.
 """
 
 from __future__ import annotations
@@ -30,7 +44,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Any, Hashable, Iterable, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.observability.observer import NULL_OBSERVER, Observer
@@ -60,6 +74,45 @@ class BlockCacheAccess:
         ).inc(self.nbytes, tier="dram" if self.hit else "scm")
 
 
+class BlockLRU:
+    """The one LRU core: ``key -> (weight, value)``, oldest first.
+
+    ``used`` is the running sum of the resident weights. The core has
+    no capacity and evicts nothing by itself; the cache built on it
+    decides what a block weighs and when to :meth:`pop_lru`.
+    """
+
+    __slots__ = ("entries", "used")
+
+    def __init__(self) -> None:
+        self.entries: "OrderedDict[Hashable, Tuple[int, Any]]" = (
+            OrderedDict()
+        )
+        self.used = 0
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def pop(self, key: Hashable) -> Optional[Tuple[int, Any]]:
+        """Remove ``key``; its ``(weight, value)``, or None if absent."""
+        entry = self.entries.pop(key, None)
+        if entry is not None:
+            self.used -= entry[0]
+        return entry
+
+    def push(self, key: Hashable, weight: int, value: Any = None) -> None:
+        """Insert ``key`` at the MRU end. It must not be resident: pop
+        it first, or ``used`` counts it twice."""
+        self.entries[key] = (weight, value)
+        self.used += weight
+
+    def pop_lru(self) -> Tuple[Hashable, Tuple[int, Any]]:
+        """Remove and return the least recently used ``(key, entry)``."""
+        key, entry = self.entries.popitem(last=False)
+        self.used -= entry[0]
+        return key, entry
+
+
 class LRUBlockCache:
     """Byte-capacity LRU cache over posting-list blocks."""
 
@@ -68,19 +121,18 @@ class LRUBlockCache:
         if capacity_bytes <= 0:
             raise ConfigurationError("cache capacity must be positive")
         self.capacity_bytes = capacity_bytes
-        self._entries: "OrderedDict[Tuple[str, int], int]" = OrderedDict()
-        self._used = 0
+        self._lru = BlockLRU()
         self.hits = 0
         self.misses = 0
         self._observer = observer
 
     @property
     def used_bytes(self) -> int:
-        return self._used
+        return self._lru.used
 
     @property
     def num_blocks(self) -> int:
-        return len(self._entries)
+        return len(self._lru)
 
     @property
     def hit_rate(self) -> float:
@@ -88,43 +140,29 @@ class LRUBlockCache:
         return self.hits / total if total else 0.0
 
     def access(self, term: str, block_index: int, size: int) -> bool:
-        """Touch one block; returns True on a hit."""
+        """Touch one block; returns True on a hit.
+
+        The block is re-pushed at the size this access carries (a hit
+        may differ from the insert, e.g. replayed traces from
+        differently-compressed runs), so the byte accounting stays
+        honest; a block larger than the whole cache is dropped.
+        """
         if size < 0:
             raise ConfigurationError("negative block size")
         key = (term, block_index)
-        if key in self._entries:
-            # A hit may carry a different size than the insert did
-            # (e.g. replayed traces from differently-compressed runs);
-            # keep the byte accounting honest or the capacity LRU
-            # over/under-evicts forever after.
-            stored = self._entries[key]
-            if size != stored:
-                self._used += size - stored
-                self._entries[key] = size
-            self._entries.move_to_end(key)
-            if size > self.capacity_bytes:
-                # Grew past the whole cache: now uncacheable, same as
-                # the miss path's oversized rule.
-                del self._entries[key]
-                self._used -= size
-            while self._used > self.capacity_bytes and self._entries:
-                _evicted_key, evicted_size = self._entries.popitem(last=False)
-                self._used -= evicted_size
+        lru = self._lru
+        hit = lru.pop(key) is not None
+        if hit:
             self.hits += 1
-            if self._observer.enabled:
-                self._observer.emit(BlockCacheAccess(True, size))
-            return True
-        self.misses += 1
+        else:
+            self.misses += 1
         if self._observer.enabled:
-            self._observer.emit(BlockCacheAccess(False, size))
-        if size > self.capacity_bytes:
-            return False  # uncacheable oversized block
-        while self._used + size > self.capacity_bytes and self._entries:
-            _evicted_key, evicted_size = self._entries.popitem(last=False)
-            self._used -= evicted_size
-        self._entries[key] = size
-        self._used += size
-        return False
+            self._observer.emit(BlockCacheAccess(hit, size))
+        if size <= self.capacity_bytes:
+            lru.push(key, size)
+            while lru.used > self.capacity_bytes:
+                lru.pop_lru()
+        return hit
 
 
 #: Default capacity (in blocks) of the fast path's decoded-block cache.
@@ -157,16 +195,14 @@ class DecodedBlockCache:
                 "decoded cache capacity must be positive"
             )
         self.capacity_blocks = capacity_blocks
-        self._entries: "OrderedDict[Tuple[str, int, str], tuple]" = (
-            OrderedDict()
-        )
+        self._lru = BlockLRU()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
     @property
     def num_blocks(self) -> int:
-        return len(self._entries)
+        return len(self._lru)
 
     @property
     def hit_rate(self) -> float:
@@ -176,24 +212,28 @@ class DecodedBlockCache:
     def get(self, term: str, block_index: int, scheme: str):
         """Look up a decoded block; returns the pair or ``None``."""
         key = (term, block_index, scheme)
+        # The fast path's per-block hit: one lookup and one
+        # move_to_end on the core's map, no core method call.
+        entries = self._lru.entries
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-            else:
+            entry = entries.get(key)
+            if entry is None:
                 self.misses += 1
-        return entry
+                return None
+            entries.move_to_end(key)
+            self.hits += 1
+        return entry[1]
 
     def put(self, term: str, block_index: int, scheme: str,
             decoded) -> None:
         """Insert a freshly decoded ``(doc_ids, tfs)`` pair."""
         key = (term, block_index, scheme)
+        lru = self._lru
         with self._lock:
-            self._entries[key] = decoded
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity_blocks:
-                self._entries.popitem(last=False)
+            lru.pop(key)
+            lru.push(key, 1, decoded)
+            while lru.used > self.capacity_blocks:
+                lru.pop_lru()
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError
-from repro.scm.device import DDR4_4CH, OPTANE_NODE_4CH, MemoryDeviceModel
+from repro.scm.device import DDR4_4CH, OPTANE_NODE_4CH
 from repro.scm.traffic import AccessPattern
+
+#: Largest intra-run gap (in blocks) gap-fill may bridge.
+MAX_GAP_BLOCKS = 2
 
 #: How one demand was served.
 SOURCE_DRAM = "dram"
@@ -191,11 +193,9 @@ class FetchPlan(RoutedBytes):
 
 def plan_window(demands: Sequence[BlockDemand],
                 tier=None,
-                scm: MemoryDeviceModel = OPTANE_NODE_4CH,
-                dram: MemoryDeviceModel = DDR4_4CH,
-                max_gap_blocks: int = 2,
                 enabled: bool = True) -> FetchPlan:
-    """Plan one window of block demands.
+    """Plan one window of block demands (SCM: Table I's Optane node;
+    staged copies and tier hits: DDR4).
 
     With ``enabled`` false this is the planner-off baseline: every
     demand goes to SCM at its engine-recorded pattern, with no dedup,
@@ -203,8 +203,6 @@ def plan_window(demands: Sequence[BlockDemand],
     engines would have issued, which is what makes on/off comparisons
     an apples-to-apples re-routing story.
     """
-    if max_gap_blocks < 0:
-        raise ConfigurationError("max gap must be >= 0")
     plan = FetchPlan(planned=enabled)
     for demand in demands:
         plan.demand_blocks += 1
@@ -216,7 +214,7 @@ def plan_window(demands: Sequence[BlockDemand],
             plan.tenant_bytes.get(demand.tenant, 0) + demand.size
         )
     if not enabled:
-        _plan_unrouted(plan, demands, scm)
+        _plan_unrouted(plan, demands)
         return plan
 
     # Classify demands in admission order: dedup, tier hit, or miss.
@@ -240,21 +238,20 @@ def plan_window(demands: Sequence[BlockDemand],
         miss_keys[key] = demand.size
 
     # Coalesce misses into per-term runs with cost-aware gap-fill.
-    key_pattern, key_gap_seconds = _coalesce(plan, miss_keys, scm,
-                                             max_gap_blocks)
+    key_pattern, key_gap_seconds = _coalesce(plan, miss_keys)
 
     # Attribute service time (and final pattern) per demand.
     for demand, source in zip(demands, sources):
         key = (demand.term, demand.block_index)
         if source in (SOURCE_DEDUP, SOURCE_DRAM):
-            seconds = dram.read_time(demand.size, AccessPattern.RANDOM)
+            seconds = DDR4_4CH.read_time(demand.size, AccessPattern.RANDOM)
         else:
             pattern = key_pattern[key]
             if pattern is AccessPattern.SEQUENTIAL:
                 plan.scm_seq_bytes += demand.size
             else:
                 plan.scm_rand_bytes += demand.size
-            seconds = (scm.read_time(demand.size, pattern)
+            seconds = (OPTANE_NODE_4CH.read_time(demand.size, pattern)
                        + key_gap_seconds.get(key, 0.0))
         plan.per_request_seconds[demand.request_id] = (
             plan.per_request_seconds.get(demand.request_id, 0.0) + seconds
@@ -263,15 +260,15 @@ def plan_window(demands: Sequence[BlockDemand],
     return plan
 
 
-def _plan_unrouted(plan: FetchPlan, demands: Sequence[BlockDemand],
-                   scm: MemoryDeviceModel) -> None:
+def _plan_unrouted(plan: FetchPlan,
+                   demands: Sequence[BlockDemand]) -> None:
     """Planner-off: charge every demand at its engine pattern."""
     for demand in demands:
         if demand.pattern is AccessPattern.SEQUENTIAL:
             plan.scm_seq_bytes += demand.size
         else:
             plan.scm_rand_bytes += demand.size
-        seconds = scm.read_time(demand.size, demand.pattern)
+        seconds = OPTANE_NODE_4CH.read_time(demand.size, demand.pattern)
         plan.per_request_seconds[demand.request_id] = (
             plan.per_request_seconds.get(demand.request_id, 0.0) + seconds
         )
@@ -279,16 +276,16 @@ def _plan_unrouted(plan: FetchPlan, demands: Sequence[BlockDemand],
 
 
 def _coalesce(plan: FetchPlan, miss_keys: Dict[Tuple[str, int], int],
-              scm: MemoryDeviceModel, max_gap_blocks: int,
               ) -> Tuple[Dict[Tuple[str, int], AccessPattern],
                          Dict[Tuple[str, int], float]]:
     """Group misses into runs; return per-key pattern and gap share.
 
     A run's first block is its seek and pays the random rate; the rest
     stream sequentially. Adjacent chunks of the same term merge across
-    a gap of at most ``max_gap_blocks`` blocks when reading the gap
+    a gap of at most :data:`MAX_GAP_BLOCKS` blocks when reading the gap
     sequentially costs less than the seek it eliminates.
     """
+    scm = OPTANE_NODE_4CH
     by_term: Dict[str, List[int]] = {}
     for term, block in miss_keys:
         by_term.setdefault(term, []).append(block)
@@ -317,7 +314,7 @@ def _coalesce(plan: FetchPlan, miss_keys: Dict[Tuple[str, int], int],
             seek_size = miss_keys[(term, chunk[0])]
             saved = (scm.read_time(seek_size, AccessPattern.RANDOM)
                      - scm.read_time(seek_size, AccessPattern.SEQUENTIAL))
-            if (gap_blocks <= max_gap_blocks
+            if (gap_blocks <= MAX_GAP_BLOCKS
                     and scm.read_time(bridge_bytes,
                                       AccessPattern.SEQUENTIAL) <= saved):
                 gap_bytes += bridge_bytes

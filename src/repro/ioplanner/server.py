@@ -43,7 +43,6 @@ from repro.ioplanner.plan import (
 )
 from repro.ioplanner.tier import DramTier
 from repro.observability.observer import NULL_OBSERVER, Observer
-from repro.scm.device import DDR4_4CH, OPTANE_NODE_4CH, MemoryDeviceModel
 from repro.serving.loadgen import Request
 from repro.serving.server import (
     SHED_QUEUE_FULL,
@@ -57,6 +56,13 @@ from repro.serving.target import execute_request
 #: Effectively-unlimited per-window quota for unconfigured tenants.
 UNLIMITED_QUOTA = 1 << 62
 
+#: Hot terms whose next blocks are prefetched as each window closes.
+PREFETCH_TERMS = 4
+#: Blocks prefetched past each hot term's deepest block seen.
+PREFETCH_DEPTH = 2
+#: Per-window prefetch byte budget.
+PREFETCH_BUDGET_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class PlannerConfig:
@@ -69,14 +75,6 @@ class PlannerConfig:
     #: False = planner-off baseline: same windowed loop, no dedup /
     #: tier / coalescing; blocks charged at engine-recorded patterns.
     enabled: bool = True
-    #: Largest intra-run gap (in blocks) gap-fill may bridge.
-    max_gap_blocks: int = 2
-    #: Hot terms considered for prefetch each window (0 disables).
-    prefetch_terms: int = 4
-    #: Blocks prefetched past each hot term's deepest block seen.
-    prefetch_depth: int = 2
-    #: Per-window prefetch byte budget.
-    prefetch_budget_bytes: int = 1 << 20
     #: Logical workers executing admitted queries.
     workers: int = 4
     #: Per-tenant backlog bound (full tenant queue sheds the newcomer).
@@ -87,8 +85,6 @@ class PlannerConfig:
     k: Optional[int] = None
     #: Tenant quotas; empty = every tenant in the workload, unlimited.
     tenants: Tuple[TenantSpec, ...] = ()
-    scm: MemoryDeviceModel = OPTANE_NODE_4CH
-    dram: MemoryDeviceModel = DDR4_4CH
 
     def __post_init__(self) -> None:
         if self.window_seconds <= 0:
@@ -99,11 +95,6 @@ class PlannerConfig:
             raise ConfigurationError("need at least one worker")
         if self.queue_capacity < 1:
             raise ConfigurationError("queue capacity must be >= 1")
-        if min(self.max_gap_blocks, self.prefetch_terms,
-               self.prefetch_depth, self.prefetch_budget_bytes) < 0:
-            raise ConfigurationError(
-                "gap/prefetch parameters must be >= 0"
-            )
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise ConfigurationError("deadline must be positive (or None)")
 
@@ -351,10 +342,7 @@ class PlannedQueryServer(QueryServer):
                 run_report.tenant_served.get(tenant, 0) + 1
             )
 
-        plan = plan_window(
-            demands, tier=tier, scm=cfg.scm, dram=cfg.dram,
-            max_gap_blocks=cfg.max_gap_blocks, enabled=cfg.enabled,
-        )
+        plan = plan_window(demands, tier=tier, enabled=cfg.enabled)
         if tier is not None:
             for term, block, size in plan.fetched:
                 tier.admit(term, block, size)
@@ -380,15 +368,12 @@ class PlannedQueryServer(QueryServer):
                   plan: FetchPlan) -> None:
         """Close the tier's window and stage hot blocks; the staged
         volume is recorded on the window's ``plan``."""
-        cfg = self._config
         if tier is None:
             return
         tier.end_window()
-        if cfg.prefetch_terms <= 0 or cfg.prefetch_depth <= 0:
-            return
-        budget = cfg.prefetch_budget_bytes
-        for cand in tier.prefetch_candidates(cfg.prefetch_terms,
-                                             cfg.prefetch_depth):
+        budget = PREFETCH_BUDGET_BYTES
+        for cand in tier.prefetch_candidates(PREFETCH_TERMS,
+                                             PREFETCH_DEPTH):
             if cand.size > budget:
                 break
             budget -= cand.size

@@ -6,7 +6,8 @@ shared by every tenant. It is a segmented LRU: blocks enter the cold
 segment on their first demand fetch, are promoted cold -> warm -> hot
 on re-reference, and are evicted cold-first — one burst of one-shot
 blocks cannot flush the hot working set (the scan-resistance argument
-behind SLRU / bcache-style tiers).
+behind SLRU / bcache-style tiers). Each segment is one
+:class:`repro.cache.BlockLRU` weighted by payload bytes.
 
 The tier also tracks per-term popularity as an exponentially decayed
 byte count per planning window. The planner uses the top terms as
@@ -17,14 +18,21 @@ demand.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.cache import BlockLRU
 from repro.errors import ConfigurationError
 
 #: Segment names, eviction order first.
 SEGMENTS = ("cold", "warm", "hot")
+
+#: Share of the capacity the hot segment may hold before it demotes.
+HOT_FRACTION = 0.5
+#: Share of the capacity the warm segment may hold before it demotes.
+WARM_FRACTION = 0.3
+#: Per-window decay of a term's popularity score.
+POPULARITY_DECAY = 0.5
 
 
 @dataclass(frozen=True)
@@ -40,40 +48,27 @@ class PrefetchCandidate:
 class DramTier:
     """Byte-capacity segmented LRU over ``(term, block)`` keys.
 
-    ``hot_fraction``/``warm_fraction`` bound the privileged segments;
-    the remainder is the cold probation segment. Capacity pressure
-    first demotes over-full hot/warm tails downward, then evicts the
-    cold LRU — so the demand path can only displace proven-hot blocks
-    after the entire probation segment is gone.
+    :data:`HOT_FRACTION` / :data:`WARM_FRACTION` of the capacity bound
+    the privileged segments; the remainder is the cold probation
+    segment. Capacity pressure first demotes over-full hot/warm tails
+    downward, then evicts the cold LRU — so the demand path can only
+    displace proven-hot blocks after the entire probation segment is
+    gone.
     """
 
-    def __init__(self, capacity_bytes: int,
-                 hot_fraction: float = 0.5,
-                 warm_fraction: float = 0.3,
-                 popularity_decay: float = 0.5) -> None:
+    def __init__(self, capacity_bytes: int) -> None:
         if capacity_bytes <= 0:
             raise ConfigurationError("tier capacity must be positive")
-        if not (0.0 <= hot_fraction and 0.0 <= warm_fraction
-                and hot_fraction + warm_fraction <= 1.0):
-            raise ConfigurationError(
-                "hot/warm fractions must be non-negative and sum to <= 1"
-            )
-        if not 0.0 <= popularity_decay < 1.0:
-            raise ConfigurationError("popularity decay must be in [0, 1)")
         self.capacity_bytes = capacity_bytes
         self._limits = {
-            "hot": int(hot_fraction * capacity_bytes),
-            "warm": int(warm_fraction * capacity_bytes),
+            "hot": int(HOT_FRACTION * capacity_bytes),
+            "warm": int(WARM_FRACTION * capacity_bytes),
         }
-        self._segments: Dict[str, "OrderedDict[Tuple[str, int], int]"] = {
-            name: OrderedDict() for name in SEGMENTS
+        self._segments: Dict[str, BlockLRU] = {
+            name: BlockLRU() for name in SEGMENTS
         }
-        #: Resident bytes per segment, kept in step with ``_segments`` so
-        #: occupancy checks never re-sum a segment.
-        self._segment_bytes: Dict[str, int] = {name: 0 for name in SEGMENTS}
         self.hits = 0
         self.misses = 0
-        self._decay = popularity_decay
         #: term -> decayed popularity (bytes).
         self._popularity: Dict[str, float] = {}
         #: term -> bytes demanded in the current window.
@@ -87,19 +82,20 @@ class DramTier:
 
     @property
     def used_bytes(self) -> int:
-        return sum(self._segment_bytes.values())
+        cold, warm, hot = self._segments.values()
+        return cold.used + warm.used + hot.used
 
     @property
     def num_blocks(self) -> int:
-        return sum(len(seg) for seg in self._segments.values())
+        return sum(len(segment) for segment in self._segments.values())
 
     def segment_bytes(self, name: str) -> int:
-        return self._segment_bytes[name]
+        return self._segments[name].used
 
     def segment_of(self, term: str, block_index: int) -> Optional[str]:
         key = (term, block_index)
         for name in SEGMENTS:
-            if key in self._segments[name]:
+            if key in self._segments[name].entries:
                 return name
         return None
 
@@ -118,17 +114,14 @@ class DramTier:
             raise ConfigurationError("negative block size")
         self._note_demand(term, block_index, size)
         key = (term, block_index)
-        for position, name in enumerate(SEGMENTS):
-            segment = self._segments[name]
-            if key not in segment:
-                continue
-            self._segment_bytes[name] -= segment.pop(key)
-            promoted = SEGMENTS[min(position + 1, len(SEGMENTS) - 1)]
-            self.hits += 1
-            self._place(key, size, promoted)
-            return True
-        self.misses += 1
-        return False
+        position = self._remove(key)
+        if position is None:
+            self.misses += 1
+            return False
+        self.hits += 1
+        self._place(key, size,
+                    SEGMENTS[min(position + 1, len(SEGMENTS) - 1)])
+        return True
 
     def admit(self, term: str, block_index: int, size: int,
               segment: str = "cold") -> None:
@@ -139,11 +132,9 @@ class DramTier:
         if size < 0:
             raise ConfigurationError("negative block size")
         key = (term, block_index)
-        for name in SEGMENTS:
-            if key in self._segments[name]:
-                self._segment_bytes[name] -= self._segments[name].pop(key)
-                segment = name  # refresh in place, keep its standing
-                break
+        position = self._remove(key)
+        if position is not None:
+            segment = SEGMENTS[position]  # refresh, keep its standing
         self._place(key, size, segment)
 
     def contains(self, term: str, block_index: int) -> bool:
@@ -156,7 +147,7 @@ class DramTier:
     def end_window(self) -> None:
         """Fold the window's demand into the decayed popularity model."""
         for term, score in list(self._popularity.items()):
-            decayed = score * self._decay
+            decayed = score * POPULARITY_DECAY
             if decayed < 1.0 and term not in self._window_bytes:
                 del self._popularity[term]
             else:
@@ -208,28 +199,36 @@ class DramTier:
             max(max_block, block_index), total + size, seen + 1
         )
 
+    def _remove(self, key: Tuple[str, int]) -> Optional[int]:
+        """Pop ``key`` from the segment holding it; that segment's
+        position in :data:`SEGMENTS`, or None if it is not resident."""
+        for position, name in enumerate(SEGMENTS):
+            segment = self._segments[name]
+            if key in segment.entries:
+                segment.pop(key)
+                return position
+        return None
+
     def _place(self, key: Tuple[str, int], size: int,
                segment: str) -> None:
         if size > self.capacity_bytes:
             return  # uncacheable oversized block
-        self._segments[segment][key] = size
-        self._segment_bytes[segment] += size
+        self._segments[segment].push(key, size)
         self._rebalance()
 
     def _rebalance(self) -> None:
-        # Over-full privileged segments demote their LRU tail downward.
+        segments = self._segments
+        # Over-full privileged segments demote their LRU tail downward
+        # (a segment over its non-negative limit is never empty).
         for upper, lower in (("hot", "warm"), ("warm", "cold")):
-            segment = self._segments[upper]
-            while segment and self._segment_bytes[upper] > self._limits[upper]:
-                key, size = segment.popitem(last=False)
-                self._segment_bytes[upper] -= size
-                self._segments[lower][key] = size
-                self._segment_bytes[lower] += size
+            source, target = segments[upper], segments[lower]
+            while source.used > self._limits[upper]:
+                key, (size, _value) = source.pop_lru()
+                target.push(key, size)
         # Capacity pressure evicts cold-first.
-        while self.used_bytes > self.capacity_bytes:
-            for name in SEGMENTS:
-                segment = self._segments[name]
-                if segment:
-                    _key, size = segment.popitem(last=False)
-                    self._segment_bytes[name] -= size
-                    break
+        excess = self.used_bytes - self.capacity_bytes
+        for name in SEGMENTS:
+            segment = segments[name]
+            while excess > 0 and segment.entries:
+                _key, (size, _value) = segment.pop_lru()
+                excess -= size

@@ -35,11 +35,9 @@ from repro.observability.observer import (
     RecordingObserver,
 )
 from repro.observability.profiler import (
-    aggregate_stage_bytes,
     aggregate_stage_seconds,
     batch_bottleneck,
     build_trace,
-    render_batch,
     render_metrics,
     render_trace,
 )
@@ -86,9 +84,7 @@ __all__ = [
     # profiler
     "build_trace",
     "render_trace",
-    "render_batch",
     "render_metrics",
     "aggregate_stage_seconds",
-    "aggregate_stage_bytes",
     "batch_bottleneck",
 ]

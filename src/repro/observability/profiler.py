@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 from repro.errors import ConfigurationError
 from repro.observability.registry import MetricsRegistry
 from repro.observability.trace import (
-    PIPELINE_STAGES,
     STAGE_MEMORY,
     QueryTrace,
     Span,
@@ -114,17 +113,6 @@ def aggregate_stage_seconds(traces: Iterable[QueryTrace]) -> Dict[str, float]:
     return totals
 
 
-def aggregate_stage_bytes(traces: Iterable[QueryTrace]) -> Dict[str, int]:
-    """Summed per-stage byte attribution over a batch of traces."""
-    totals: Dict[str, int] = {}
-    for trace in traces:
-        for span in trace.spans:
-            totals[span.name] = totals.get(span.name, 0) + span.bytes_moved
-    if not totals:
-        raise ConfigurationError("no traces to aggregate")
-    return totals
-
-
 def batch_bottleneck(traces: Iterable[QueryTrace]) -> str:
     """Stage with the largest summed busy time across a batch."""
     totals = aggregate_stage_seconds(traces)
@@ -164,31 +152,6 @@ def render_trace(trace: QueryTrace) -> str:
         f"skips: {trace.blocks_skipped_et} ET, "
         f"{trace.blocks_skipped_overlap} overlap"
     )
-    return "\n".join(lines)
-
-
-def render_batch(traces: List[QueryTrace]) -> str:
-    """Aggregate stage table over a batch of traces."""
-    if not traces:
-        raise ConfigurationError("no traces to render")
-    totals = aggregate_stage_seconds(traces)
-    stage_bytes = aggregate_stage_bytes(traces)
-    grand = sum(totals.values()) or 1.0
-    bottleneck = batch_bottleneck(traces)
-    lines = [
-        f"{len(traces)} queries on {traces[0].engine}",
-        f"{'stage':<15}{'time (us)':>12}{'share':>9}{'bytes':>14}",
-    ]
-    order = list(PIPELINE_STAGES) + [STAGE_MEMORY]
-    for stage in order:
-        if stage not in totals:
-            continue
-        flag = "  <- bottleneck" if stage == bottleneck else ""
-        lines.append(
-            f"{stage:<15}{totals[stage] * 1e6:>12.3f}"
-            f"{totals[stage] / grand:>8.1%}"
-            f"{stage_bytes.get(stage, 0):>14}{flag}"
-        )
     return "\n".join(lines)
 
 

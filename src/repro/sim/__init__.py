@@ -32,11 +32,7 @@ __all__ = [
     "LuceneTimingModel",
     "ThroughputReport",
     "simulate_throughput",
-    # imported lazily by users; re-exported for discoverability
-    "analyze_pipeline",
-    "analyze_batch",
     "BossCoreSimulator",
 ]
 
 from repro.sim.coresim import BossCoreSimulator  # noqa: E402
-from repro.sim.pipeline import analyze_batch, analyze_pipeline  # noqa: E402

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.ioplanner.plan import BlockDemand, plan_window
 from repro.ioplanner.tier import DramTier
 from repro.scm.device import OPTANE_NODE_4CH
@@ -79,16 +78,15 @@ class TestCoalescing:
     def test_gap_fill_bridges_a_small_gap(self):
         # Blocks 0 and 2 of one term: reading the 1-block gap (~100 B)
         # sequentially is far cheaper than a second random seek.
-        plan = plan_window([demand(1, "a", 0), demand(2, "a", 2)],
-                           max_gap_blocks=2)
+        plan = plan_window([demand(1, "a", 0), demand(2, "a", 2)])
         assert len(plan.runs) == 1
         assert plan.runs[0].blocks == (0, 2)
         assert plan.gap_bytes == 100
         assert plan.scm_seq_bytes == 100  # block 2 became a run member
 
     def test_gap_fill_respects_the_block_cap(self):
-        plan = plan_window([demand(1, "a", 0), demand(2, "a", 5)],
-                           max_gap_blocks=2)
+        # A 4-block gap is past MAX_GAP_BLOCKS (2).
+        plan = plan_window([demand(1, "a", 0), demand(2, "a", 5)])
         assert len(plan.runs) == 2
         assert plan.gap_bytes == 0
 
@@ -98,13 +96,9 @@ class TestCoalescing:
         plan = plan_window([
             demand(1, "a", 0, size=1 << 20),
             demand(2, "a", 2, size=64),
-        ], max_gap_blocks=2)
+        ])
         assert len(plan.runs) == 2
         assert plan.gap_bytes == 0
-
-    def test_negative_gap_cap_rejected(self):
-        with pytest.raises(ConfigurationError):
-            plan_window([], max_gap_blocks=-1)
 
 
 class TestAttribution:
@@ -130,8 +124,7 @@ class TestAttribution:
         assert plan.per_request_seconds[2] == pytest.approx(stream)
 
     def test_gap_seconds_ride_on_the_run(self):
-        plan = plan_window([demand(1, "a", 0), demand(2, "a", 2)],
-                           max_gap_blocks=2)
+        plan = plan_window([demand(1, "a", 0), demand(2, "a", 2)])
         gap_seconds = OPTANE_NODE_4CH.read_time(100, SEQ)
         base = (OPTANE_NODE_4CH.read_time(100, RAND)
                 + OPTANE_NODE_4CH.read_time(100, SEQ))

@@ -50,8 +50,6 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             PlannerConfig(queue_capacity=0)
         with pytest.raises(ConfigurationError):
-            PlannerConfig(max_gap_blocks=-1)
-        with pytest.raises(ConfigurationError):
             PlannerConfig(deadline_seconds=0.0)
 
     def test_empty_workload_rejected(self, index):

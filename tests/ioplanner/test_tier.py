@@ -31,7 +31,7 @@ class TestSegmentedPromotion:
         assert not tier.contains("a", 0)  # admit is the planner's job
 
     def test_one_shot_scan_cannot_flush_the_hot_set(self):
-        tier = DramTier(1000, hot_fraction=0.5, warm_fraction=0.3)
+        tier = DramTier(1000)
         tier.admit("hot", 0, 100)
         tier.lookup("hot", 0, 100)
         tier.lookup("hot", 0, 100)  # promoted to hot
@@ -42,16 +42,16 @@ class TestSegmentedPromotion:
         assert tier.used_bytes <= 1000
 
     def test_overfull_hot_demotes_into_warm(self):
-        tier = DramTier(1000, hot_fraction=0.3, warm_fraction=0.3)
-        for i in range(4):
+        tier = DramTier(1000)  # hot limit: HOT_FRACTION * 1000 = 500 B
+        for i in range(6):
             tier.admit("a", i, 100)
             tier.lookup("a", i, 100)
-            tier.lookup("a", i, 100)  # each climbs to hot (400 > 300)
-        assert tier.segment_bytes("hot") <= 300
+            tier.lookup("a", i, 100)  # each climbs to hot (600 > 500)
+        assert tier.segment_bytes("hot") <= 500
         assert tier.contains("a", 0)  # demoted, not evicted
 
     def test_eviction_prefers_cold(self):
-        tier = DramTier(400, hot_fraction=0.5, warm_fraction=0.3)
+        tier = DramTier(400)
         tier.admit("keep", 0, 100)
         tier.lookup("keep", 0, 100)   # warm (120-byte segment bound)
         tier.admit("c1", 0, 100)
@@ -79,16 +79,12 @@ class TestSegmentedPromotion:
         with pytest.raises(ConfigurationError):
             DramTier(0)
         with pytest.raises(ConfigurationError):
-            DramTier(100, hot_fraction=0.8, warm_fraction=0.5)
-        with pytest.raises(ConfigurationError):
-            DramTier(100, popularity_decay=1.0)
-        with pytest.raises(ConfigurationError):
             DramTier(100).lookup("a", 0, -1)
 
 
 class TestPopularityAndPrefetch:
     def test_hot_terms_ranked_by_decayed_bytes(self):
-        tier = DramTier(1 << 20, popularity_decay=0.5)
+        tier = DramTier(1 << 20)
         for _ in range(3):
             tier.lookup("big", 0, 1000)
         tier.lookup("small", 0, 10)
@@ -96,7 +92,7 @@ class TestPopularityAndPrefetch:
         assert tier.hot_terms(2) == ["big", "small"]
 
     def test_decay_forgets_stale_terms(self):
-        tier = DramTier(1 << 20, popularity_decay=0.5)
+        tier = DramTier(1 << 20)
         tier.lookup("old", 0, 1000)
         tier.end_window()
         for _ in range(3):
@@ -148,14 +144,16 @@ class TestByteCounters:
     @settings(max_examples=150, deadline=None)
     @given(capacity=st.integers(1, 1000), operations=OPERATIONS)
     def test_counters_equal_segment_sums(self, capacity, operations):
-        tier = DramTier(capacity, hot_fraction=0.4, warm_fraction=0.3)
+        tier = DramTier(capacity)
         for is_lookup, term, block, size, segment in operations:
             if is_lookup:
                 tier.lookup(term, block, size)
             else:
                 tier.admit(term, block, size, segment=segment)
-            resident = {name: sum(tier._segments[name].values())
-                        for name in SEGMENTS}
+            resident = {
+                name: sum(size for size, _value
+                          in tier._segments[name].entries.values())
+                for name in SEGMENTS}
             assert {name: tier.segment_bytes(name)
                     for name in SEGMENTS} == resident
             assert tier.used_bytes == sum(resident.values())

@@ -1,13 +1,16 @@
-"""Tests for the pipeline-stage breakdown analyzer."""
+"""The per-stage busy-time breakdown of the BOSS pipeline, as
+:func:`repro.observability.build_trace` reports it: one span per
+module of Figure 4(b) plus the memory side, each span's duration that
+stage's busy time under the timing model."""
 
 import pytest
 
 from repro.core import BossAccelerator, BossConfig
 from repro.errors import ConfigurationError
-from repro.sim.pipeline import (
-    MEMORY_STAGE,
-    analyze_batch,
-    analyze_pipeline,
+from repro.observability import (
+    STAGE_MEMORY,
+    aggregate_stage_seconds,
+    build_trace,
 )
 from repro.sim.timing import BossTimingModel, IIUTimingModel
 
@@ -28,59 +31,49 @@ def model():
 
 class TestPerQuery:
     def test_all_stages_present(self, model, boss_results):
-        report = analyze_pipeline(model, boss_results[0])
-        expected = set(model.module_names) | {MEMORY_STAGE}
-        assert set(report.stage_seconds) == expected
+        trace = build_trace(model, boss_results[0])
+        expected = set(model.module_names) | {STAGE_MEMORY}
+        assert set(trace.stage_seconds()) == expected
 
     def test_critical_is_max_stage(self, model, boss_results):
-        report = analyze_pipeline(model, boss_results[0])
-        assert report.critical_seconds == pytest.approx(
-            max(report.stage_seconds.values())
-        )
-
-    def test_bottleneck_utilization_is_one(self, model, boss_results):
-        report = analyze_pipeline(model, boss_results[1])
-        utilization = report.utilization()
-        assert utilization[report.bottleneck] == pytest.approx(1.0)
-        assert all(0.0 <= u <= 1.0 + 1e-12 for u in utilization.values())
+        """The bottleneck is the busiest stage, and the pipelined
+        latency the throughput model charges covers it."""
+        for result in boss_results:
+            trace = build_trace(model, result)
+            stages = trace.stage_seconds()
+            assert stages[trace.bottleneck] == max(stages.values())
+            assert trace.pipelined_seconds >= max(stages.values())
 
     def test_consistent_with_timing_model(self, model, boss_results):
         """The breakdown's compute stages reproduce compute_seconds."""
         for result in boss_results:
-            report = analyze_pipeline(model, result)
+            stages = build_trace(model, result).stage_seconds()
             compute_stages = {
-                k: v for k, v in report.stage_seconds.items()
-                if k != MEMORY_STAGE
+                k: v for k, v in stages.items() if k != STAGE_MEMORY
             }
             expected = model.compute_seconds(result) - model.query_overhead
             assert max(compute_stages.values()) == pytest.approx(expected)
 
-    def test_iiu_model_supported(self, small_index, boss_results):
+    def test_iiu_model_supported(self, small_index):
         from repro.baselines import IIUAccelerator, IIUConfig
 
         iiu = IIUAccelerator(small_index, IIUConfig(k=10))
         result = iiu.search('"t2" OR "t5"')
-        report = analyze_pipeline(IIUTimingModel(), result)
-        assert report.engine == "IIU"
+        trace = build_trace(IIUTimingModel(), result)
+        assert trace.engine == "IIU"
         # IIU's top-k is ignored per the paper: zero busy time.
-        assert report.stage_seconds["top-k"] == 0.0
+        assert trace.stage_seconds()["top-k"] == 0.0
 
 
 class TestBatch:
     def test_batch_sums_stages(self, model, boss_results):
-        merged = analyze_batch(model, boss_results)
-        singles = [analyze_pipeline(model, r) for r in boss_results]
-        for stage in merged.stage_seconds:
-            assert merged.stage_seconds[stage] == pytest.approx(
-                sum(s.stage_seconds[stage] for s in singles)
+        traces = [build_trace(model, r) for r in boss_results]
+        totals = aggregate_stage_seconds(traces)
+        for stage in totals:
+            assert totals[stage] == pytest.approx(
+                sum(t.stage_seconds()[stage] for t in traces)
             )
 
-    def test_empty_batch_rejected(self, model):
+    def test_empty_batch_rejected(self):
         with pytest.raises(ConfigurationError):
-            analyze_batch(model, [])
-
-    def test_cross_engine_merge_rejected(self, model, boss_results):
-        a = analyze_pipeline(model, boss_results[0])
-        b = analyze_pipeline(IIUTimingModel(), boss_results[0])
-        with pytest.raises(ConfigurationError):
-            a.merged_with(b)
+            aggregate_stage_seconds([])

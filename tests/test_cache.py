@@ -14,8 +14,21 @@ from repro.errors import ConfigurationError
 from repro.scm.device import OPTANE_NODE_4CH
 from repro.scm.traffic import AccessPattern
 
+from tests import cache_core_golden
+
 SEQ = AccessPattern.SEQUENTIAL
 RAND = AccessPattern.RANDOM
+
+
+@pytest.mark.parametrize("kind", sorted(cache_core_golden.STREAM_KINDS))
+def test_caches_decide_as_before_the_shared_core(kind):
+    """Each cache replays, stream by stream, every outcome and its final
+    resident order from before the three shared one LRU core."""
+    streams = cache_core_golden.STREAM_KINDS[kind]
+    golden = cache_core_golden.load()[kind]
+    assert len(golden) == cache_core_golden.STREAMS
+    for seed, pinned in enumerate(golden):
+        assert streams(seed) == pinned, f"{kind} stream {seed}"
 
 
 class TestLRUBlockCache:

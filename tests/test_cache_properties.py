@@ -10,7 +10,7 @@ invariants the rest of the stack leans on:
 * eviction is LRU over the reference's recency order.
 
 The CacheSimulator's SCM traffic model charges misses by these counters,
-so a drifting ``_used`` silently corrupts every downstream bandwidth
+so a drifting ``used`` silently corrupts every downstream bandwidth
 number — this is the regression net for the mischarge class of bug
 fixed in this PR.
 """
@@ -80,13 +80,14 @@ def test_matches_the_reference_model(capacity, accesses):
         hit = cache.access(term, block, size)
         expected_hit = model.access((term, block), size)
         assert hit == expected_hit
-        # Byte accounting: _used is exactly the resident entries' sum.
+        # Byte accounting: used is exactly the resident entries' sum.
+        resident = cache._lru.entries
         assert cache.used_bytes == model.used
-        assert cache.used_bytes == sum(cache._entries.values())
+        assert cache.used_bytes == sum(w for w, _v in resident.values())
         # Capacity is a hard bound, even across hit-path size growth.
         assert cache.used_bytes <= capacity
         # Residency and recency order match the spec.
-        assert list(cache._entries) == list(model.entries)
+        assert list(resident) == list(model.entries)
 
 
 @settings(max_examples=200, deadline=None)
