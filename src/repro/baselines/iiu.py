@@ -36,8 +36,7 @@ from repro.core.query import (
     OrNode,
     QueryNode,
     TermNode,
-    flatten,
-    parse_query,
+    as_query,
     push_intersections_down,
 )
 from repro.core.result import ScoredDocument, SearchResult
@@ -88,7 +87,7 @@ class IIUAccelerator:
     def search(self, query: Union[str, QueryNode],
                k: int = None) -> SearchResult:
         """Execute a query; same top-k as BOSS, IIU-shaped traffic."""
-        node = parse_query(query) if isinstance(query, str) else flatten(query)
+        node = as_query(query)
         missing = [t for t in node.terms() if t not in self._index]
         if missing:
             raise QueryError(f"terms not in index: {missing}")
@@ -267,7 +266,6 @@ class IIUAccelerator:
         in memory (a large spill), then intersects it with ``A`` via
         binary search over the spilled array.
         """
-        node = flatten(node)
         if isinstance(node, TermNode):
             return self._load_full_list(node.term, work, traffic)
         if isinstance(node, OrNode) and all(

@@ -27,7 +27,7 @@ safe and the scoring arithmetic is shared), which tests assert.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 from repro.core.engine import BossAccelerator, BossConfig
 from repro.core.query import QueryNode

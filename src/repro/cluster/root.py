@@ -20,8 +20,7 @@ from typing import List, Optional, Union
 
 from repro.core.query import (
     QueryNode,
-    flatten,
-    parse_query,
+    as_query,
     prune_query_scored,
 )
 from repro.cluster.resilience import (
@@ -253,7 +252,7 @@ class SearchCluster:
         query shard ``i`` executes, or None when the shard holds none of
         the query's mandatory terms.
         """
-        node = parse_query(query) if isinstance(query, str) else flatten(query)
+        node = as_query(query)
         return node, [
             _prune_for_shard(node, engine.index) for engine in self._engines
         ]

@@ -51,8 +51,7 @@ from repro.core.query import (
     OrNode,
     QueryNode,
     TermNode,
-    flatten,
-    parse_query,
+    as_query,
     push_intersections_down,
 )
 from repro.core.result import ScoredDocument, SearchResult
@@ -257,7 +256,7 @@ class BossAccelerator:
         ``exclude`` whose score is above ``floor``. A refused document
         that reaches the scorer is evaluated and charged like any other.
         """
-        node = parse_query(query) if isinstance(query, str) else flatten(query)
+        node = as_query(query)
         self._check_terms(node)
         k = self._config.k if k is None else k
         if self._observer.enabled:
@@ -267,10 +266,7 @@ class BossAccelerator:
         traffic = TrafficCounter()
         topk = TopKQueue(k, floor=floor, exclude=exclude)
 
-        if isinstance(node, TermNode) or (
-            isinstance(node, OrNode)
-            and all(isinstance(c, TermNode) for c in node.children)
-        ):
+        if self._is_term_or_term_union(node):
             self._execute_union(node, topk, work, traffic)
         elif isinstance(node, AndNode) and all(
             self._is_term_or_term_union(c) for c in node.children

@@ -9,6 +9,9 @@ brackets, e.g. ``"A" AND ("B" OR "C")``. This module provides:
 * a recursive-descent parser for the string syntax (``AND`` binds
   tighter than ``OR``, matching the paper's "executes the query
   according to the priority of the set operation");
+* the normal form every engine runs (:func:`as_query`): nested
+  same-type operators flattened and repeated siblings dropped, so a
+  term scores once and a string is the same tree as its AST;
 * normalization used by BOSS's mixed-query strategy: intersections are
   pushed below unions (``A AND (B OR C)`` -> ``(A AND B) OR (A AND C)``,
   the paper's Section IV-B example), so execution always runs
@@ -149,7 +152,7 @@ class _Parser:
 
 
 def parse_query(expression: str) -> QueryNode:
-    """Parse a paper-syntax query expression into an AST.
+    """Parse a paper-syntax query expression into its normal form.
 
     >>> parse_query('"a" AND ("b" OR "c")')
     AndNode(children=(TermNode(term='a'), OrNode(...)))
@@ -157,11 +160,21 @@ def parse_query(expression: str) -> QueryNode:
     tokens = _tokenize(expression)
     if not tokens:
         raise QueryError("empty query expression")
-    return _Parser(tokens).parse()
+    return flatten(_Parser(tokens).parse())
+
+
+def as_query(query: Union[str, QueryNode]) -> QueryNode:
+    """The normal form of a query given as a string or an AST."""
+    return parse_query(query) if isinstance(query, str) else flatten(query)
 
 
 def flatten(node: QueryNode) -> QueryNode:
-    """Merge nested same-type operators: ``(a AND b) AND c`` -> 3-way AND."""
+    """Merge nested same-type operators and drop repeated siblings.
+
+    ``(a AND b) AND c`` -> 3-way AND; ``a OR a OR b`` -> ``a OR b``
+    (the first occurrence stays). AND and OR are idempotent, so a term
+    scores once however often the query names it.
+    """
     if isinstance(node, TermNode):
         return node
     flat_children: List[QueryNode] = []
@@ -171,9 +184,10 @@ def flatten(node: QueryNode) -> QueryNode:
             flat_children.extend(child.children)  # type: ignore[union-attr]
         else:
             flat_children.append(child)
-    if len(flat_children) == 1:
-        return flat_children[0]
-    return type(node)(tuple(flat_children))
+    unique = tuple(dict.fromkeys(flat_children))
+    if len(unique) == 1:
+        return unique[0]
+    return type(node)(unique)
 
 
 def prune_query(node: QueryNode,

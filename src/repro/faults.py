@@ -390,16 +390,12 @@ class FaultyEngine:
         )
 
     def _pick_term(self, query) -> Optional[str]:
-        terms = (
-            query.terms() if hasattr(query, "terms") else None
-        )
-        if terms is None:
-            from repro.core.query import parse_query
+        from repro.core.query import as_query
 
-            try:
-                terms = parse_query(query).terms()
-            except Exception:
-                return None
+        try:
+            terms = as_query(query).terms()
+        except Exception:
+            return None
         index = self._engine.index
         for term in terms:
             if term in index and index.posting_list(term).blocks:

@@ -85,10 +85,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from repro.core.engine import BossAccelerator, BossConfig
 from repro.core.query import (
     AndNode,
-    OrNode,
     QueryNode,
     TermNode,
-    parse_query,
+    as_query,
     prune_query,
     prune_query_scored,
 )
@@ -579,11 +578,11 @@ class SegmentedIndex:
 
     def search(self, query, k: Optional[int] = None) -> SearchResult:
         """Fan one query across segments + buffer; merge top-k exactly."""
-        node = parse_query(query) if isinstance(query, str) else query
+        node = as_query(query)
         effective_k = self._config.k if k is None else k
-        for term in set(node.terms()):
-            if self.stats.df(term) <= 0:
-                raise QueryError(f"term {term!r} not in index")
+        missing = [t for t in node.terms() if self.stats.df(t) <= 0]
+        if missing:
+            raise QueryError(f"terms not in index: {missing}")
 
         traffic = TrafficCounter()
         work = WorkCounters()
@@ -654,25 +653,15 @@ class SegmentedIndex:
 
         Matching and scoring mirror the engines: boolean membership over
         the query tree, score summed over every query term present in
-        the document, with live IDFs and live normalizers. Duplicate
-        query terms follow the engine's path-dependent rule: the union
-        fast path (a term, or an OR of terms) opens one cursor per term
-        *occurrence*, so duplicates score once per occurrence; every
-        other path merges per-term tf maps and collapses duplicates.
+        the document, with live IDFs and live normalizers.
         """
         if len(self.memseg) == 0:
             return []
         # Distinct terms in query order: a score is summed in this order,
         # so it is a function of the query and not of string hashing (a
         # set here moved a buffered document's last bit between runs).
-        multiplicity = Counter(node.terms())
-        if not (isinstance(node, TermNode) or (
-            isinstance(node, OrNode)
-            and all(isinstance(c, TermNode) for c in node.children)
-        )):
-            multiplicity = dict.fromkeys(multiplicity, 1)
         per_term: Dict[str, Dict[int, int]] = {
-            term: {} for term in multiplicity}
+            term: {} for term in node.terms()}
         for doc_id, tfs in self.memseg.items():
             for term, postings in per_term.items():
                 tf = tfs.get(term, 0)
@@ -697,9 +686,8 @@ class SegmentedIndex:
 
         def score(doc_id: int) -> float:
             return sum(
-                multiplicity[term]
-                * scorer.term_score(self.stats.idf(term), tf_map[doc_id],
-                                    doc_id)
+                scorer.term_score(self.stats.idf(term), tf_map[doc_id],
+                                  doc_id)
                 for term, tf_map in per_term.items()
                 if doc_id in tf_map
             )

@@ -1,17 +1,25 @@
 """Unit tests for query parsing, normalization, and classification."""
 
+import random
+
 import pytest
 
+from repro.baselines import IIUAccelerator, IIUConfig, LuceneConfig, LuceneEngine
+from repro.cluster import SearchCluster, shard_documents
+from repro.core import BossAccelerator, BossConfig
 from repro.core.query import (
     AndNode,
     OrNode,
     TermNode,
+    as_query,
     classify_query,
     flatten,
     parse_query,
     push_intersections_down,
 )
 from repro.errors import QueryError
+from repro.index import IndexBuilder
+from repro.live import SegmentedIndex
 
 
 class TestParser:
@@ -97,6 +105,116 @@ class TestFlatten:
 
     def test_single_child_collapses(self):
         assert flatten(AndNode((TermNode("a"),))) == TermNode("a")
+
+    def test_repeated_siblings_drop_keeping_the_first(self):
+        node = OrNode((TermNode("b"), TermNode("a"),
+                       OrNode((TermNode("b"), TermNode("c")))))
+        assert flatten(node) == OrNode(
+            (TermNode("b"), TermNode("a"), TermNode("c")))
+
+
+class TestNormalForm:
+    def test_nested_and_flat_strings_are_one_tree(self):
+        assert (parse_query('("a" OR "b") OR "c"')
+                == parse_query('"a" OR "b" OR "c"'))
+
+    def test_repeated_term_collapses(self):
+        assert parse_query('"a" AND "a"') == TermNode("a")
+
+    def test_a_string_equals_its_ast(self):
+        expression = '("a" AND ("b" AND "c")) OR "d" OR "d"'
+        ast = AndNode((TermNode("a"), AndNode((TermNode("b"),
+                                               TermNode("c")))))
+        ast = OrNode((OrNode((ast, TermNode("d"))), TermNode("d")))
+        assert as_query(expression) == as_query(ast) == parse_query(
+            expression)
+
+    @pytest.mark.parametrize("expression", [
+        '("t1" OR "t2") OR "t3"',
+        '("t0" AND "t4") AND ("t2" AND "t6")',
+        '("t1" OR ("t3" OR "t5")) AND "t0"',
+    ])
+    @pytest.mark.parametrize("make_engine", [
+        lambda index: BossAccelerator(index, BossConfig(k=10)),
+        lambda index: IIUAccelerator(index, IIUConfig(k=10)),
+    ], ids=["boss", "iiu"])
+    def test_a_string_runs_the_plan_of_its_ast(self, small_index,
+                                               make_engine, expression):
+        engine = make_engine(small_index)
+        as_string = engine.search(expression)
+        as_ast = engine.search(parse_query(expression))
+        assert as_string.hits == as_ast.hits
+        assert (as_string.traffic.total_bytes
+                == as_ast.traffic.total_bytes)
+
+
+DUPLICATED = '"t1" OR "t1" OR "t4"'
+DEDUPLICATED = '"t1" OR "t4"'
+
+
+def _documents(num_docs=600, vocab=20, seed=5):
+    rng = random.Random(seed)
+    words = [f"t{i}" for i in range(vocab)]
+    return [
+        [words[min(vocab - 1, int(rng.expovariate(0.2)))]
+         for _ in range(rng.randrange(4, 24))]
+        for _ in range(num_docs)
+    ]
+
+
+class TestDuplicatedQueryEverywhere:
+    """A repeated term scores once on every engine and topology."""
+
+    @pytest.fixture(scope="class")
+    def documents(self):
+        return _documents()
+
+    @pytest.fixture(scope="class")
+    def index(self, documents):
+        builder = IndexBuilder()
+        for tokens in documents:
+            builder.add_document(tokens)
+        return builder.build()
+
+    @pytest.mark.parametrize("make_engine", [
+        lambda index: BossAccelerator(index, BossConfig(k=20),
+                                      executor="columnar"),
+        lambda index: BossAccelerator(index, BossConfig(k=20),
+                                      executor="fast"),
+        lambda index: BossAccelerator(index, BossConfig(k=20),
+                                      executor="reference"),
+        lambda index: IIUAccelerator(index, IIUConfig(k=20)),
+        lambda index: LuceneEngine(index, LuceneConfig(k=20)),
+    ], ids=["columnar", "fast", "reference", "iiu", "lucene"])
+    def test_engine(self, index, make_engine):
+        engine = make_engine(index)
+        assert (engine.search(DUPLICATED).hits
+                == engine.search(DEDUPLICATED).hits)
+
+    def test_cluster(self, documents):
+        cluster = SearchCluster([
+            BossAccelerator(index, BossConfig(k=20))
+            for index in shard_documents(documents, num_shards=3).indexes
+        ])
+        assert (cluster.search(DUPLICATED, k=20).hits
+                == cluster.search(DEDUPLICATED, k=20).hits)
+
+    def test_segmented_index_with_a_buffer(self, documents):
+        live = SegmentedIndex()
+        for tokens in documents[:150]:
+            live.add_document(tokens)
+        live.seal()
+        buffered = {live.add_document(tokens) for tokens in documents[150:200]}
+        duplicated = live.search(DUPLICATED, k=200)
+        assert buffered & {hit.doc_id for hit in duplicated.hits}
+        assert duplicated.hits == live.search(DEDUPLICATED, k=200).hits
+
+    def test_segmented_index_names_missing_terms_in_query_order(self):
+        live = SegmentedIndex()
+        live.add_document(["a", "b"])
+        with pytest.raises(QueryError,
+                           match=r"terms not in index: \['z', 'y'\]"):
+            live.search('"z" OR "a" OR "y"')
 
 
 class TestPushIntersectionsDown:

@@ -16,15 +16,13 @@ segment engines as the production search (their caches hold decoded
 blocks and score vectors, nothing a modeled number depends on).
 """
 
-from collections import Counter
 from typing import Dict, List, Set
 
 from repro.core.query import (
     AndNode,
-    OrNode,
     QueryNode,
     TermNode,
-    parse_query,
+    as_query,
     prune_query_scored,
 )
 from repro.core.result import ScoredDocument, SearchResult
@@ -35,10 +33,10 @@ from repro.sim.metrics import WorkCounters
 
 def overfetch_search(index, query, k: int) -> SearchResult:
     """Fan one query across segments + buffer; merge top-k exactly."""
-    node = parse_query(query) if isinstance(query, str) else query
-    for term in set(node.terms()):
-        if index.stats.df(term) <= 0:
-            raise QueryError(f"term {term!r} not in index")
+    node = as_query(query)
+    missing = [t for t in node.terms() if index.stats.df(t) <= 0]
+    if missing:
+        raise QueryError(f"terms not in index: {missing}")
 
     traffic = TrafficCounter()
     work = WorkCounters()
@@ -79,13 +77,6 @@ def _buffer_hits(index, node: QueryNode, k: int) -> List[ScoredDocument]:
     if len(memseg) == 0:
         return []
     terms = list(dict.fromkeys(node.terms()))
-    if isinstance(node, TermNode) or (
-        isinstance(node, OrNode)
-        and all(isinstance(c, TermNode) for c in node.children)
-    ):
-        multiplicity = Counter(node.terms())
-    else:
-        multiplicity = {term: 1 for term in terms}
     per_term: Dict[str, Dict[int, int]] = {}
     for term in terms:
         per_term[term] = {
@@ -112,9 +103,7 @@ def _buffer_hits(index, node: QueryNode, k: int) -> List[ScoredDocument]:
     hits = []
     for doc_id in sorted(matching(node)):
         score = sum(
-            multiplicity[term]
-            * scorer.term_score(index.stats.idf(term), tf_map[doc_id],
-                                doc_id)
+            scorer.term_score(index.stats.idf(term), tf_map[doc_id], doc_id)
             for term, tf_map in per_term.items()
             if doc_id in tf_map
         )

@@ -10,7 +10,7 @@ the headline paper trends end to end.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import IIUAccelerator, IIUConfig, LuceneConfig, LuceneEngine
@@ -113,7 +113,19 @@ class TestPaperHeadlines:
 _PROPERTY_CORPUS = []
 
 
-@settings(max_examples=10, deadline=None)
+# Each example draws a flat OR with a repeated term, e.g.
+# ("term0017" OR "term0017"): a term scores once on every path.
+@example(seed=799)
+@example(seed=1240)
+@example(seed=1280)
+@example(seed=1869)
+@example(seed=2568)
+@example(seed=4008)
+@example(seed=4438)
+@example(seed=4803)
+@example(seed=4807)
+@example(seed=4840)
+@settings(max_examples=10, deadline=None, derandomize=True)
 @given(seed=st.integers(min_value=0, max_value=1_000_000))
 def test_property_random_queries_agree(seed):
     """Randomized query shapes: every engine returns the same top-k."""
@@ -137,6 +149,7 @@ def test_property_random_queries_agree(seed):
     engines = [
         BossAccelerator(index, BossConfig(k=k)),
         BossAccelerator(index, BossConfig(k=k).exhaustive()),
+        BossAccelerator(index, BossConfig(k=k), executor="reference"),
         IIUAccelerator(index, IIUConfig(k=k)),
         LuceneEngine(index, LuceneConfig(k=k)),
     ]
