@@ -37,21 +37,12 @@ MAX_QUERY_TERMS = 16
 
 
 class BossSession:
-    """A host <-> BOSS communication session over one memory node.
-
-    ``faults`` optionally wraps the accelerator in a deterministic
-    :class:`repro.faults.FaultyEngine` schedule (latency spikes,
-    transient/permanent failures, corrupted payloads) — the single-node
-    analogue of the cluster's fault studies. The zero-fault schedule is
-    a guaranteed pass-through.
-    """
+    """A host <-> BOSS communication session over one memory node."""
 
     def __init__(self, config: Optional[BossConfig] = None,
-                 observer: Observer = NULL_OBSERVER,
-                 faults=None) -> None:
+                 observer: Observer = NULL_OBSERVER) -> None:
         self._config = BossConfig() if config is None else config
         self._observer = observer
-        self._faults = faults
         self._index: Optional[InvertedIndex] = None
         self._accelerator: Optional[BossAccelerator] = None
         self._programs: Dict[str, DecompressorProgram] = {}
@@ -96,11 +87,6 @@ class BossSession:
         else:
             self._accelerator = BossAccelerator(index, self._config,
                                                 observer=self._observer)
-        if self._faults is not None and not self._faults.zero_fault:
-            from repro.faults import FaultyEngine
-
-            self._accelerator = FaultyEngine(self._accelerator,
-                                             self._faults)
         # A new index invalidates any vector lane built over the old one.
         self._vector_engine = None
         self._hybrid_cache = {}

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.query import (
     AndNode,
@@ -64,7 +64,6 @@ SCORE_METADATA_BYTES = 8
 class IIUConfig:
     """IIU device configuration (matched to BOSS where the paper does)."""
 
-    num_cores: int = 8
     k: int = DEFAULT_K
 
 

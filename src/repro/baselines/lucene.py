@@ -40,7 +40,6 @@ from repro.index.index import InvertedIndex
 class LuceneConfig:
     """Software engine configuration."""
 
-    num_threads: int = 8
     k: int = DEFAULT_K
 
 

@@ -265,11 +265,6 @@ class CacheReport:
         total = self.dram_bytes + self.scm_bytes
         return self.dram_bytes / total if total else 0.0
 
-    @property
-    def scm_random_fraction(self) -> float:
-        """Share of SCM (miss) bytes paying the random-read rate."""
-        return self.scm_rand_bytes / self.scm_bytes if self.scm_bytes else 0.0
-
 
 class _ScmRuns:
     """The one run rule of the SCM side, with or without a cache: a fetch

@@ -85,10 +85,6 @@ class VirtualClock(Clock):
             )
         self._now += seconds
 
-    @property
-    def total_slept(self) -> float:
-        return sum(self.sleeps)
-
 
 #: Shared default; stateless, so one instance serves the whole process.
 WALL_CLOCK = WallClock()

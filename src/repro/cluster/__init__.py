@@ -33,7 +33,6 @@ from repro.cluster.resilience import (
     STRICT_POLICY,
     LeafOutcome,
     ResiliencePolicy,
-    ResilienceStats,
 )
 from repro.cluster.root import ClusterSearchResult, SearchCluster
 from repro.cluster.sharding import ShardedCorpus, shard_documents
@@ -44,7 +43,6 @@ __all__ = [
     "ShardedCorpus",
     "shard_documents",
     "ResiliencePolicy",
-    "ResilienceStats",
     "LeafOutcome",
     "STRICT_POLICY",
     "Rebalancer",

@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.core.engine import BossAccelerator, BossConfig
 from repro.errors import ConfigurationError, CrashError, RebalanceError
 from repro.index.builder import IndexBuilder
 from repro.index.index import InvertedIndex
@@ -311,16 +312,14 @@ class Rebalancer:
     both are updated in the atomic publish step. ``device`` prices the
     maintenance traffic (default: the 4-channel Optane node), ``clock``
     anchors the maintenance busy-window on the serving timeline, and
-    ``crash`` arms the ``rebalance_*`` kill-points. ``engine_factory``
-    builds a leaf engine over a destination index (default: a BOSS
-    accelerator with top-``k`` = ``k``); ``schemes`` constrains the
-    destination rebuilds' codec choice (pass the corpus's pinned codec
-    for single-codec deployments).
+    ``crash`` arms the ``rebalance_*`` kill-points. A destination index
+    is served by a BOSS accelerator with top-``k`` = ``k``; ``schemes``
+    constrains the destination rebuilds' codec choice (pass the
+    corpus's pinned codec for single-codec deployments).
     """
 
     def __init__(self, cluster, sharded, *, device=None, clock=None,
                  observer: Observer = NULL_OBSERVER, crash=None,
-                 engine_factory=None,
                  schemes: Optional[Sequence[str]] = None,
                  k: int = 10) -> None:
         if device is None:
@@ -333,22 +332,16 @@ class Rebalancer:
         self._clock = clock
         self._observer = observer
         self._crash = crash
-        if crash is not None and clock is not None:
-            crash.bind_clock(clock)
         self._schemes = list(schemes) if schemes is not None else None
-        if engine_factory is None:
-            from repro.core.engine import BossAccelerator, BossConfig
-
-            config = BossConfig(k=k)
-
-            def engine_factory(index):
-                return BossAccelerator(index, config)
-
-        self._engine_factory = engine_factory
+        self._leaf_config = BossConfig(k=k)
         #: Timeline instant until which maintenance occupies the device.
         self.busy_until = 0.0
         #: Completed (or aborted) move reports, in execution order.
         self.reports: List[MoveReport] = []
+
+    def _engine(self, index: InvertedIndex) -> BossAccelerator:
+        """A leaf engine over a destination index."""
+        return BossAccelerator(index, self._leaf_config)
 
     @property
     def clock(self):
@@ -543,7 +536,7 @@ class Rebalancer:
         self._validate_parity(op, primary, replica_index)
         new_replicas = [list(group) for group in self._cluster.replicas]
         new_replicas[op.shard] = (new_replicas[op.shard]
-                                  + [self._engine_factory(replica_index)])
+                                  + [self._engine(replica_index)])
 
         def publish():
             report.map_version = self._cluster.publish_topology(
@@ -641,9 +634,9 @@ class Rebalancer:
         pre-publish kill-point and the conservation check pass.
         """
         replication = self._sharded.replication_factor
-        fresh_engines = [self._engine_factory(index) for index in fresh]
+        fresh_engines = [self._engine(index) for index in fresh]
         fresh_replicas = [
-            [self._engine_factory(index) for _ in range(replication - 1)]
+            [self._engine(index) for _ in range(replication - 1)]
             for index in fresh
         ]
         engines = list(self._cluster.engines)

@@ -140,31 +140,6 @@ class LeafOutcome:
         )
 
 
-@dataclass
-class ResilienceStats:
-    """Aggregate resilience accounting over one query or batch."""
-
-    retries: int = 0
-    timeouts: int = 0
-    failovers: int = 0
-    shards_failed: int = 0
-    degraded_queries: int = 0
-
-    def absorb(self, outcome: LeafOutcome) -> None:
-        self.retries += outcome.retries
-        self.timeouts += outcome.timeouts
-        self.failovers += outcome.failovers
-        if outcome.failed:
-            self.shards_failed += 1
-
-    def merge(self, other: "ResilienceStats") -> None:
-        self.retries += other.retries
-        self.timeouts += other.timeouts
-        self.failovers += other.failovers
-        self.shards_failed += other.shards_failed
-        self.degraded_queries += other.degraded_queries
-
-
 def execute_leaf(candidates: List, pruned, k: int,
                  policy: ResiliencePolicy, shard_index: int,
                  expression: str = "",

@@ -152,10 +152,6 @@ class SearchCluster:
         self._map_version = 0
 
     @property
-    def num_leaves(self) -> int:
-        return len(self._engines)
-
-    @property
     def observer(self) -> Observer:
         """The root's observability hook."""
         return self._observer

@@ -65,11 +65,6 @@ class ShardedCorpus:
     def num_shards(self) -> int:
         return len(self.indexes)
 
-    @property
-    def num_leaf_nodes(self) -> int:
-        """Total leaf nodes the deployment needs (shards x replicas)."""
-        return self.num_shards * self.replication_factor
-
     def replica_indexes(self, shard_index: int) -> List[InvertedIndex]:
         """The *backup* copies of one shard's index.
 

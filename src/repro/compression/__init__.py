@@ -28,7 +28,7 @@ from repro.compression.delta import (
     doc_ids_from_deltas,
 )
 from repro.compression.groupvarint import GroupVarintCodec
-from repro.compression.hybrid import HybridSelector, best_codec_for
+from repro.compression.hybrid import HybridSelector
 from repro.compression.pfordelta import OptPFDCodec, PFDCodec
 from repro.compression.simple8b import Simple8bCodec
 from repro.compression.simple16 import Simple16Codec
@@ -47,7 +47,6 @@ __all__ = [
     "Simple8bCodec",
     "GroupVarintCodec",
     "HybridSelector",
-    "best_codec_for",
     "deltas_from_doc_ids",
     "doc_ids_from_deltas",
 ]

@@ -133,17 +133,6 @@ class Codec(ABC):
         """
         return len(self.encode(values))
 
-    def compression_ratio(self, values: Sequence[int]) -> float:
-        """Uncompressed (4 B/value) size divided by encoded size.
-
-        This is the "compression ratio, higher is better" metric of
-        Figure 3 in the paper.
-        """
-        encoded = self.compressed_size(values)
-        if encoded == 0:
-            raise CompressionError(f"{self.name}: encoded zero bytes")
-        return (4 * len(values)) / encoded
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} name={self.name!r}>"
 

@@ -92,17 +92,3 @@ class HybridSelector:
         best = min(sizes, key=sizes.__getitem__)
         return SelectionResult(scheme=best, size=sizes[best], sizes=sizes,
                                count=len(values))
-
-    def encode_best(self, values: Sequence[int]) -> Tuple[str, bytes]:
-        """Encode ``values`` with the winning scheme.
-
-        Returns ``(scheme_name, payload)``.
-        """
-        selection = self.select(values)
-        return selection.scheme, self._codecs[selection.scheme].encode(values)
-
-
-def best_codec_for(values: Sequence[int],
-                   schemes: Optional[Sequence[str]] = None) -> str:
-    """Convenience wrapper: name of the best scheme for ``values``."""
-    return HybridSelector(schemes).select(values).scheme

@@ -130,20 +130,6 @@ class ListCursor:
         self._ensure_decoded()
         return self._decoded_tfs[self._position]
 
-    def current_block_last(self) -> Optional[int]:
-        """Metadata view: last docID of the current block."""
-        if self.exhausted:
-            return None
-        self._charge_metadata(self._block_index)
-        return self._lasts[self._block_index]
-
-    def current_block_max_score(self) -> float:
-        """Metadata view: max term-score of the current block."""
-        if self.exhausted:
-            return 0.0
-        self._charge_metadata(self._block_index)
-        return self._list.blocks[self._block_index].metadata.max_term_score
-
     def peek_block_at(self, doc_id: int,
                       window: int = 1) -> Optional[Tuple[float, int]]:
         """Metadata-only lookup used by the score-estimation unit.

@@ -141,13 +141,12 @@ class BlockActivity:
 
 @dataclass(frozen=True)
 class BossConfig:
-    """Device configuration (Table I, "BOSS Configuration")."""
+    """What a query runs with: the top-k depth and the early-termination
+    mechanisms. The device itself (Table I: 8 cores at 1 GHz, four
+    decompression and four scoring modules) is
+    :class:`repro.sim.timing.BossTimingModel`'s, not a setting here."""
 
-    num_cores: int = 8
-    clock_hz: float = 1.0e9
     k: int = DEFAULT_K
-    decompression_modules: int = 4
-    scoring_modules: int = 4
     #: Block-level early termination (score-estimation unit).
     et_block: bool = True
     #: Document-level early termination (union module WAND).

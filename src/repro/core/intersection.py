@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.core.cursor import ListCursor
 from repro.core.groups import GroupCursor
 from repro.errors import SimulationError
 from repro.sim.metrics import WorkCounters
@@ -35,34 +34,10 @@ from repro.sim.metrics import WorkCounters
 Match = Tuple[int, Dict[str, int]]
 
 
-def run_intersection(cursors: Sequence[ListCursor],
-                     work: WorkCounters) -> List[Match]:
-    """Intersect all ``cursors`` and return matches with per-term tfs.
-
-    Cursors are processed in SvS order (ascending document frequency).
-    The returned matches are sorted by docID.
-    """
-    if not cursors:
-        raise SimulationError("intersection needs at least one term")
-    ordered = sorted(cursors,
-                     key=lambda c: c.posting_list.document_frequency)
-    if len(ordered) == 1:
-        matches = _drain_single(ordered[0], work)
-        work.docs_matched += len(matches)
-        return matches
-
-    matches = _intersect_pair(ordered[0], ordered[1], work)
-    for cursor in ordered[2:]:
-        if not matches:
-            break
-        matches = _refine(matches, cursor, work)
-    work.docs_matched += len(matches)
-    return matches
-
-
 def run_grouped_intersection(groups: Sequence[GroupCursor],
                              work: WorkCounters) -> List[Match]:
-    """Intersect OR-groups: the mixed-query path (e.g. Q6).
+    """Intersect OR-groups: every AND the reference executor runs (an
+    AND of terms is one single-member group per term; Q6 mixes both).
 
     Each group behaves as one merged posting stream (see
     :class:`repro.core.groups.GroupCursor`); a document matches when
@@ -106,65 +81,3 @@ def run_grouped_intersection(groups: Sequence[GroupCursor],
             doc = driver.current_doc()
     work.docs_matched += len(matches)
     return matches
-
-
-def _drain_single(cursor: ListCursor, work: WorkCounters) -> List[Match]:
-    """Degenerate 1-term case: every posting matches."""
-    term = cursor.term
-    matches: List[Match] = []
-    while not cursor.exhausted:
-        doc = cursor.current_doc()
-        matches.append((doc, {term: cursor.current_tf()}))
-        work.merge_ops += 1
-        cursor.step()
-    return matches
-
-
-def _intersect_pair(small: ListCursor, large: ListCursor,
-                    work: WorkCounters) -> List[Match]:
-    """Two-way merge intersection with mutual block skipping.
-
-    Both cursors move strictly forward; ``advance_to`` skips whole blocks
-    via metadata whenever the other side's docID jumps past them, which
-    is exactly the overlap check unit's effect.
-    """
-    matches: List[Match] = []
-    doc_small = small.current_doc()
-    doc_large = large.current_doc()
-    while doc_small is not None and doc_large is not None:
-        work.merge_ops += 1
-        if doc_small == doc_large:
-            matches.append((
-                doc_small,
-                {small.term: small.current_tf(), large.term: large.current_tf()},
-            ))
-            small.step()
-            large.step()
-            doc_small = small.current_doc()
-            doc_large = large.current_doc()
-        elif doc_small < doc_large:
-            doc_small = small.advance_to(doc_large)
-        else:
-            doc_large = large.advance_to(doc_small)
-    return matches
-
-
-def _refine(matches: List[Match], cursor: ListCursor,
-            work: WorkCounters) -> List[Match]:
-    """Membership-test pipeline-resident matches against the next term.
-
-    The intermediate docIDs are fed back to the block fetch module
-    (Figure 5(b)): blocks of ``cursor`` whose range misses every
-    intermediate docID are skipped without fetching.
-    """
-    term = cursor.term
-    refined: List[Match] = []
-    for doc, tfs in matches:
-        work.merge_ops += 1
-        landed = cursor.advance_to(doc)
-        if landed is None:
-            break
-        if landed == doc:
-            tfs[term] = cursor.current_tf()
-            refined.append((doc, tfs))
-    return refined

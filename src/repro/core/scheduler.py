@@ -39,10 +39,6 @@ class ScheduledQuery:
     def latency(self) -> float:
         return self.finish - self.arrival
 
-    @property
-    def queueing_delay(self) -> float:
-        return self.start - self.arrival
-
 
 @dataclass(frozen=True)
 class ScheduleReport:

@@ -89,11 +89,6 @@ class CrashSchedule:
     the writer configuration safely. ``kill_point=None`` is the inert
     schedule: every probe just counts.
 
-    ``min_clock_seconds`` defers the kill until the bound clock (see
-    :meth:`bind_clock`) has reached that virtual instant, which lets
-    serving-timeline tests place a crash *in time* rather than by
-    occurrence index alone.
-
     For ``mid_wal_append`` the death happens *inside* the frame write:
     :meth:`wal_tear` hands the log a deterministic (seeded) torn prefix
     — or, with ``torn_mode="corrupt"``, a bit-flipped copy — of the
@@ -102,8 +97,7 @@ class CrashSchedule:
 
     def __init__(self, kill_point: Optional[str] = None,
                  occurrence: int = 1, *, seed: int = 0,
-                 torn_mode: str = "truncate",
-                 min_clock_seconds: float = 0.0) -> None:
+                 torn_mode: str = "truncate") -> None:
         if kill_point is not None and kill_point not in KILL_POINTS:
             raise ConfigurationError(
                 f"unknown kill point {kill_point!r} "
@@ -120,22 +114,13 @@ class CrashSchedule:
         self.occurrence = occurrence
         self.seed = seed
         self.torn_mode = torn_mode
-        self.min_clock_seconds = min_clock_seconds
         #: Probe counts per kill-point name (fired or not).
         self.counts: dict = {}
         self.fired = False
-        self._clock = None
-
-    def bind_clock(self, clock) -> None:
-        """Attach the clock that gates ``min_clock_seconds``."""
-        self._clock = clock
 
     def _hit(self, point: str) -> bool:
         self.counts[point] = self.counts.get(point, 0) + 1
         if self.fired or point != self.kill_point:
-            return False
-        if (self.min_clock_seconds > 0.0 and self._clock is not None
-                and self._clock.now() < self.min_clock_seconds):
             return False
         return self.counts[point] >= self.occurrence
 
@@ -245,11 +230,6 @@ class FaultStats:
     queries: int = 0
     #: Total search() attempts, including retries.
     attempts: int = 0
-
-    @property
-    def total_faults(self) -> int:
-        return (self.transient_failures + self.permanent_failures
-                + self.corruptions)
 
 
 class FaultyEngine:

@@ -20,14 +20,6 @@ class ComponentCost:
     area_mm2: float
     power_mw: float
 
-    @property
-    def area_per_instance(self) -> float:
-        return self.area_mm2 / self.instances
-
-    @property
-    def power_per_instance(self) -> float:
-        return self.power_mw / self.instances
-
 
 #: Per-core module breakdown (Table III, lower half). Areas/powers are
 #: totals over the listed instance counts within ONE BOSS core.

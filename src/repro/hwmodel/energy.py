@@ -28,10 +28,6 @@ class EnergyReport:
     def energy_joules(self) -> float:
         return self.power_watts * self.runtime_seconds
 
-    @property
-    def energy_per_query(self) -> float:
-        return self.energy_joules  # callers divide by query count if needed
-
     def savings_over(self, other: "EnergyReport") -> float:
         """How many times less energy this run used than ``other``."""
         if self.energy_joules <= 0:

@@ -146,11 +146,6 @@ class BM25Scorer:
         k1 = self._params.k1
         return idf * (tf * (k1 + 1.0)) / (tf + normalizer)
 
-    def term_score_full(self, document_frequency: int, tf: int,
-                        doc_id: int) -> float:
-        """Term score computed from df (convenience for tests/baselines)."""
-        return self.term_score(self.idf(document_frequency), tf, doc_id)
-
     def max_term_score(self, document_frequency: int,
                        postings: Iterable,
                        idf: float = None) -> float:

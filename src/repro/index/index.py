@@ -99,10 +99,6 @@ class CompressedPostingList:
             postings.extend(self.decode_block(i))
         return postings
 
-    def block_address(self, index: int) -> int:
-        """Absolute SCM byte address of block ``index``'s payload."""
-        return self.region.base + self.blocks[index].metadata.offset
-
     def __len__(self) -> int:
         return self.document_frequency
 

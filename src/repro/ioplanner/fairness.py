@@ -58,7 +58,6 @@ class DeficitRoundRobin:
         self._specs: Dict[str, TenantSpec] = {t.name: t for t in tenants}
         self._order = list(names)
         self._deficit: Dict[str, float] = {name: 0.0 for name in names}
-        self._charged: Dict[str, int] = {name: 0 for name in names}
         self._cap_windows = credit_cap_windows
         self._rotation = 0
 
@@ -78,10 +77,6 @@ class DeficitRoundRobin:
     def deficit(self, tenant: str) -> float:
         self.spec(tenant)
         return self._deficit[tenant]
-
-    def charged_bytes(self, tenant: str) -> int:
-        self.spec(tenant)
-        return self._charged[tenant]
 
     def begin_window(self) -> None:
         """Credit every tenant's quantum; rotate the service order."""
@@ -109,4 +104,3 @@ class DeficitRoundRobin:
             raise ConfigurationError("cannot charge negative bytes")
         self.spec(tenant)
         self._deficit[tenant] -= nbytes
-        self._charged[tenant] += nbytes

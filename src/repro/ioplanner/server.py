@@ -31,7 +31,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.ioplanner.fairness import DeficitRoundRobin, TenantSpec
@@ -179,10 +179,9 @@ class PlannedQueryServer(QueryServer):
     """Windowed, planned serving over any search target.
 
     ``target`` is anything with ``search(expression, k)`` — an engine
-    or a cluster root. ``compute_time`` optionally adds per-query
-    compute seconds ``(request, result) -> seconds`` on top of the
-    planned fetch time (default: fetch time only). The timeline is
-    fully virtual and deterministic; nothing sleeps.
+    or a cluster root. A query's service time is its planned fetch
+    time. The timeline is fully virtual and deterministic; nothing
+    sleeps.
 
     Only the loop differs from :class:`QueryServer`: the two share no
     admission, queue or dispatch step (dispatch on arrival over one
@@ -192,13 +191,11 @@ class PlannedQueryServer(QueryServer):
     """
 
     def __init__(self, target, config: Optional[PlannerConfig] = None,
-                 observer: Observer = NULL_OBSERVER,
-                 compute_time: Optional[Callable] = None) -> None:
+                 observer: Observer = NULL_OBSERVER) -> None:
         super().__init__(
             target, PlannerConfig() if config is None else config,
             observer=observer,
         )
-        self._compute_time = compute_time
 
     # ------------------------------------------------------------------
     # Serving loop
@@ -321,7 +318,6 @@ class PlannedQueryServer(QueryServer):
                     run_report: PlannerRunReport) -> FetchPlan:
         cfg = self._config
         demands: List[BlockDemand] = []
-        compute_seconds: Dict[int, float] = {}
         for request in admitted:
             tenant = getattr(request, "tenant", "default")
             result, records = self._execute_logged(request)
@@ -334,10 +330,6 @@ class PlannedQueryServer(QueryServer):
                     term=term, block_index=block, size=size,
                     pattern=pattern,
                 ))
-            if self._compute_time is not None:
-                compute_seconds[request.request_id] = float(
-                    self._compute_time(request, result)
-                )
             run_report.tenant_served[tenant] = (
                 run_report.tenant_served.get(tenant, 0) + 1
             )
@@ -351,10 +343,7 @@ class PlannedQueryServer(QueryServer):
             tenant = getattr(request, "tenant", "default")
             drr.charge(tenant,
                        plan.per_request_bytes.get(request.request_id, 0))
-            seconds = (
-                plan.per_request_seconds.get(request.request_id, 0.0)
-                + compute_seconds.get(request.request_id, 0.0)
-            )
+            seconds = plan.per_request_seconds.get(request.request_id, 0.0)
             start = max(close, heapq.heappop(worker_free))
             completion = start + seconds
             heapq.heappush(worker_free, completion)

@@ -165,7 +165,6 @@ class DurableLiveIndexWriter(LiveIndexWriter):
             buffer_bytes=buffer_bytes, validate=validate,
             observer=observer,
         )
-        self.crash.bind_clock(self.clock)
         self.wal = WriteAheadLog(
             self.wal_dir / WAL_NAME, traffic=self.traffic,
             observer=observer, crash=self.crash, fsync=fsync,

@@ -88,10 +88,6 @@ class MemSegment:
         return len(self._docs)
 
     @property
-    def num_postings(self) -> int:
-        return self._num_postings
-
-    @property
     def approx_bytes(self) -> int:
         """Modeled DRAM footprint: postings plus per-doc length slots."""
         return POSTING_BYTES * self._num_postings + 4 * len(self._docs)

@@ -161,10 +161,6 @@ class Segment:
         return min(self.doc_lengths)
 
     @property
-    def max_doc_id(self) -> int:
-        return max(self.doc_lengths)
-
-    @property
     def nbytes(self) -> int:
         """Segment footprint: compressed payloads + block metadata."""
         total = 0

@@ -26,7 +26,7 @@ exists so "where did the time go" questions have an additive answer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.scm.traffic import AccessClass, AccessPattern, TrafficCounter
@@ -209,9 +209,6 @@ class QueryTrace:
             raise ConfigurationError("empty trace has no bottleneck")
         return max(self.spans, key=lambda s: s.seconds).name
 
-    def stage_seconds(self) -> Dict[str, float]:
-        return {span.name: span.seconds for span in self.spans}
-
     def stage_bytes(self) -> Dict[str, int]:
         return {span.name: span.bytes_moved for span in self.spans}
 
@@ -229,17 +226,6 @@ class QueryTrace:
                 out.get(entry.access_class, 0) + entry.bytes
             )
         return out
-
-    def bytes_by(self, pattern: Optional[str] = None,
-                 direction: Optional[str] = None,
-                 tier: Optional[str] = None) -> int:
-        """Bytes filtered along the seq/random x read/write x tier axes."""
-        return sum(
-            e.bytes for e in self.traffic
-            if (pattern is None or e.pattern == pattern)
-            and (direction is None or e.direction == direction)
-            and (tier is None or e.tier == tier)
-        )
 
     def utilization(self) -> Dict[str, float]:
         """Each stage's share of the additive latency."""

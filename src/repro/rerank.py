@@ -80,36 +80,34 @@ class Reranker:
         return [self.score(f) for f in features(first)], TrafficCounter()
 
 
-@dataclass
 class LinearReranker(Reranker):
     """Weighted sum over the candidate features.
 
-    Default weights keep the first-stage order as the dominant signal
+    The weights keep the first-stage order as the dominant signal
     and break ties toward documents matching more query terms and
     toward mid-length documents — the standard hand-tuned baseline a
     learned model would replace.
     """
 
-    weight_first_stage: float = 1.0
-    weight_coverage: float = 0.5
-    weight_length_prior: float = 0.1
+    WEIGHT_FIRST_STAGE = 1.0
+    WEIGHT_COVERAGE = 0.5
+    WEIGHT_LENGTH_PRIOR = 0.1
     #: Document length at which the prior peaks.
-    preferred_length: float = 300.0
-    cost_per_candidate: float = 2e-6
+    PREFERRED_LENGTH = 300.0
 
     def score(self, features: CandidateFeatures) -> float:
         coverage = (
             features.matched_terms / features.query_terms
             if features.query_terms else 0.0
         )
-        length_ratio = features.doc_length / self.preferred_length
+        length_ratio = features.doc_length / self.PREFERRED_LENGTH
         # Smooth unimodal prior: 1 at the preferred length, falling off
         # for very short or very long documents.
         length_prior = 2.0 * length_ratio / (1.0 + length_ratio ** 2)
         return (
-            self.weight_first_stage * features.first_stage_score
-            + self.weight_coverage * coverage
-            + self.weight_length_prior * length_prior
+            self.WEIGHT_FIRST_STAGE * features.first_stage_score
+            + self.WEIGHT_COVERAGE * coverage
+            + self.WEIGHT_LENGTH_PRIOR * length_prior
         )
 
 

@@ -88,9 +88,6 @@ class MemoryDeviceModel:
         )
         return num_bytes / bw
 
-    def write_time(self, num_bytes: int) -> float:
-        return num_bytes / self.write_bw
-
 
 # ---------------------------------------------------------------------------
 # Table I presets

@@ -138,13 +138,6 @@ class TrafficCounter:
             out[cls] = out.get(cls, 0) + v
         return out
 
-    def access_counts_by_class(self) -> Dict[AccessClass, int]:
-        """Access-count totals per class (Figure 15's y-axis)."""
-        out: Dict[AccessClass, int] = {}
-        for (cls, _pat), v in self._accesses.items():
-            out[cls] = out.get(cls, 0) + v
-        return out
-
     def merge(self, other: "TrafficCounter") -> None:
         """Fold another counter into this one."""
         for key, v in other._bytes.items():

@@ -22,7 +22,6 @@ from repro.sim.timing import (
     IIUTimingModel,
     LuceneTimingModel,
     ThroughputReport,
-    simulate_throughput,
 )
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "IIUTimingModel",
     "LuceneTimingModel",
     "ThroughputReport",
-    "simulate_throughput",
     "BossCoreSimulator",
 ]
 

@@ -322,9 +322,3 @@ def _make_report(name: str, num_queries: int, cores: int,
         interconnect_seconds=interconnect_seconds,
         avg_bandwidth=total_bytes / batch_seconds,
     )
-
-
-def simulate_throughput(model, results: Sequence[SearchResult],
-                        num_cores: Optional[int] = None) -> ThroughputReport:
-    """Convenience wrapper: ``model.batch(results, num_cores)``."""
-    return model.batch(results, num_cores)

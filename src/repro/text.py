@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional
+from typing import FrozenSet, List, Optional
 
 from repro.errors import ConfigurationError
 
@@ -102,21 +102,3 @@ class Analyzer:
 #: An analyzer that only tokenizes and lowercases (no stop/stem), for
 #: exact-term applications.
 KEYWORD_ANALYZER = Analyzer(stopwords=None, stem=False)
-
-
-def index_texts(texts: Iterable[str],
-                analyzer: Analyzer = Analyzer(),
-                schemes: Optional[List[str]] = None):
-    """Convenience: analyze and index raw text documents.
-
-    Documents that analyze to nothing (all stop words) are indexed with
-    a single placeholder token so docIDs stay aligned with the input
-    order.
-    """
-    from repro.index.builder import IndexBuilder
-
-    builder = IndexBuilder(schemes=schemes)
-    for text in texts:
-        terms = analyzer.analyze(text)
-        builder.add_document(terms if terms else ["__empty__"])
-    return builder.build()

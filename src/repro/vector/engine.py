@@ -109,10 +109,8 @@ class VectorEngine:
         ground truth.
     device:
         Pool device holding the packed cluster regions (default: the
-        Table I 4-channel Optane node).
-    centroid_device:
-        Device holding the centroid table (default: DDR4 — centroids
-        are DRAM-resident by design).
+        Table I 4-channel Optane node). The centroid table is read from
+        DDR4: centroids are DRAM-resident by design.
     nprobe:
         Default clusters probed per query (default: ``max(1,
         num_clusters // 4)``, which clears the pinned recall floor on
@@ -121,7 +119,6 @@ class VectorEngine:
 
     def __init__(self, ivf: IVFIndex, embeddings: CorpusEmbeddings,
                  device: MemoryDeviceModel = OPTANE_NODE_4CH,
-                 centroid_device: MemoryDeviceModel = DDR4_4CH,
                  nprobe: Optional[int] = None,
                  observer: Observer = NULL_OBSERVER) -> None:
         if ivf.num_docs != embeddings.num_docs:
@@ -138,7 +135,6 @@ class VectorEngine:
         self.ivf = ivf
         self.embeddings = embeddings
         self.device = device
-        self.centroid_device = centroid_device
         self.nprobe = nprobe
         self._observer = observer
 
@@ -259,8 +255,7 @@ class VectorEngine:
         self._check_conservation(centroid_bytes, seq_bytes, hop_bytes,
                                  demand)
         seconds = (
-            self.centroid_device.read_time(centroid_bytes,
-                                           AccessPattern.SEQUENTIAL)
+            DDR4_4CH.read_time(centroid_bytes, AccessPattern.SEQUENTIAL)
             + self.device.read_time(seq_bytes, AccessPattern.SEQUENTIAL)
             + self.device.read_time(hop_bytes, AccessPattern.RANDOM)
         )

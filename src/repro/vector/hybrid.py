@@ -36,7 +36,6 @@ from repro.errors import ConfigurationError, QueryError
 from repro.observability.observer import NULL_OBSERVER, Observer
 from repro.observability.registry import LATENCY_BUCKETS_US
 from repro.rerank import Reranker, TwoStageSearch
-from repro.scm.device import MemoryDeviceModel
 from repro.scm.traffic import AccessClass, AccessPattern, TrafficCounter
 from repro.vector.engine import VectorEngine, VectorSearchResult
 
@@ -60,12 +59,8 @@ class VectorReranker(Reranker):
     #: Vector rescoring is heavier host work than the linear model.
     cost_per_candidate: float = 5e-6
 
-    def __init__(self, embeddings, device: MemoryDeviceModel,
-                 weight_lexical: float = 0.0) -> None:
+    def __init__(self, embeddings, weight_lexical: float = 0.0) -> None:
         self._embeddings = embeddings
-        #: The pool device the stored vectors are read from; a caller
-        #: prices the returned traffic at its random-read rate.
-        self.device = device
         self.weight_lexical = weight_lexical
 
     def rescore(self, first, features):
@@ -164,7 +159,7 @@ class HybridSearch:
 
     def __init__(self, engine, vector_engine: VectorEngine,
                  mode: str = "rerank", first_stage_k: int = 100,
-                 nprobe: Optional[int] = None, rrf_c: float = RRF_C,
+                 nprobe: Optional[int] = None,
                  observer: Observer = NULL_OBSERVER) -> None:
         if mode not in HYBRID_MODES:
             raise ConfigurationError(
@@ -178,13 +173,12 @@ class HybridSearch:
         self._vector_engine = vector_engine
         self._first_stage_k = first_stage_k
         self._nprobe = nprobe
-        self._rrf_c = rrf_c
         self._observer = observer
         self._device = vector_engine.device
         if mode == "rerank":
             self._two_stage = TwoStageSearch(
                 engine,
-                VectorReranker(vector_engine.embeddings, device=self._device),
+                VectorReranker(vector_engine.embeddings),
                 first_stage_k=first_stage_k, observer=observer,
             )
 
@@ -230,7 +224,7 @@ class HybridSearch:
                 [hit.doc_id for hit in lexical.hits],
                 [hit.doc_id for hit in vector.hits],
             ],
-            k, c=self._rrf_c,
+            k,
         )
         fused = len(
             {hit.doc_id for hit in lexical.hits}

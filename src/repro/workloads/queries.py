@@ -69,9 +69,6 @@ class QuerySet:
             grouped.setdefault(q.qtype, []).append(q)
         return grouped
 
-    def of_type(self, qtype: str) -> List[QuerySpec]:
-        return [q for q in self.queries if q.qtype == qtype]
-
     def __len__(self) -> int:
         return len(self.queries)
 

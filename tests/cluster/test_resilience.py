@@ -14,7 +14,6 @@ from repro.cluster.resilience import (
     STRICT_POLICY,
     LeafOutcome,
     ResiliencePolicy,
-    ResilienceStats,
     describe_outcomes,
     execute_leaf,
 )
@@ -281,18 +280,6 @@ class TestExecuteLeaf:
                                clock=clock)
         assert outcome.result == "from-replica"
         assert clock.sleeps == [0.01]  # primary retry only
-
-    def test_stats_absorb_and_merge(self):
-        stats = ResilienceStats()
-        stats.absorb(LeafOutcome(shard_index=0, retries=2, timeouts=1,
-                                 failovers=1, failed=True))
-        other = ResilienceStats(retries=1, degraded_queries=1)
-        stats.merge(other)
-        assert stats.retries == 3
-        assert stats.timeouts == 1
-        assert stats.failovers == 1
-        assert stats.shards_failed == 1
-        assert stats.degraded_queries == 1
 
     def test_describe_outcomes(self):
         text = describe_outcomes([

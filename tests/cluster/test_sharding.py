@@ -78,13 +78,12 @@ class TestStructure:
 class TestReplication:
     def test_default_is_unreplicated(self, sharded):
         assert sharded.replication_factor == 1
-        assert sharded.num_leaf_nodes == 3
+        assert sharded.num_shards == 3
         assert sharded.replica_indexes(0) == []
 
     def test_replicas_share_the_built_index(self):
         sharded = shard_documents(_documents(60), num_shards=2,
                                   replication_factor=3)
-        assert sharded.num_leaf_nodes == 6
         for shard in range(2):
             replicas = sharded.replica_indexes(shard)
             assert len(replicas) == 2

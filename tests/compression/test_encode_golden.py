@@ -40,5 +40,5 @@ def test_preset_bossx_is_byte_identical(preset, tmp_path):
 
 
 def test_cli_build_is_byte_identical(tmp_path):
-    """What the ``cli-end-to-end`` CI lane checks from the shell."""
+    """``repro-boss build`` of the seeded corpus writes the pinned bytes."""
     assert golden.cli_build_digest(tmp_path) == GOLDEN["cli_build"]

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.compression import HybridSelector, best_codec_for, get_codec
+from repro.compression import HybridSelector, get_codec
 from repro.compression.hybrid import PAPER_SCHEMES
 from repro.errors import CompressionError
 
@@ -30,10 +30,11 @@ class TestHybridSelector:
 
     def test_selection_matches_direct_encoding(self):
         values = list(range(0, 1000, 3))
-        scheme, payload = HybridSelector().encode_best(values)
-        codec = get_codec(scheme)
+        selection = HybridSelector().select(values)
+        codec = get_codec(selection.scheme)
+        payload = codec.encode(values)
         assert codec.decode(payload, len(values)) == values
-        assert len(payload) == HybridSelector().select(values).size
+        assert len(payload) == selection.size
 
     def test_zero_run_stream_prefers_cheap_scheme(self):
         # An all-zero stream is where BP (1 byte per 128-value block via
@@ -54,9 +55,6 @@ class TestHybridSelector:
         values = [1] * 400
         selection = HybridSelector().select(values)
         assert selection.ratio == pytest.approx(4 * 400 / selection.size)
-
-    def test_best_codec_for_convenience(self):
-        assert best_codec_for([0] * 128) in PAPER_SCHEMES
 
     def test_hybrid_dominates_every_single_scheme(self):
         """Figure 3's core claim: hybrid >= the best single scheme."""

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.compression import list_codecs
 from repro.core.cursor import SKIP_OVERLAP, ListCursor
 from repro.core.groups import GroupCursor
-from repro.core.intersection import run_grouped_intersection, run_intersection
+from repro.core.intersection import run_grouped_intersection
 from repro.errors import SimulationError
 from repro.index import IndexBuilder
 from repro.index.blocks import BLOCK_SIZE
@@ -37,8 +37,10 @@ def _cursors(index, terms):
 
 
 def _intersect(index, terms):
+    """An AND of terms: one single-member group per term."""
     cursors, work, traffic = _cursors(index, terms)
-    matches = run_intersection(cursors, work)
+    groups = [GroupCursor([cursor], work) for cursor in cursors]
+    matches = run_grouped_intersection(groups, work)
     return matches, work, traffic
 
 
@@ -70,7 +72,7 @@ class TestPairwise:
 
     def test_no_terms_rejected(self):
         with pytest.raises(SimulationError):
-            run_intersection([], WorkCounters())
+            _intersect(_build_index({"a": [(1, 1)]}, 5), [])
 
     def test_single_term_drains(self):
         postings = {"a": [(2, 3), (4, 1)]}

@@ -68,8 +68,8 @@ class TestDeviceBreakdown:
 
     def test_per_instance_figures(self):
         core = next(c for c in BOSS_DEVICE_BREAKDOWN if c.name == "boss-core")
-        assert core.area_per_instance == pytest.approx(1.003, rel=0.01)
-        assert core.power_per_instance == pytest.approx(400.0, rel=0.01)
+        assert core.area_mm2 / core.instances == pytest.approx(1.003, rel=0.01)
+        assert core.power_mw / core.instances == pytest.approx(400.0, rel=0.01)
 
 
 class TestCPUReference:

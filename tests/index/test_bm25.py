@@ -71,7 +71,8 @@ class TestScorer:
                 tf * (params.k1 + 1)
                 / (tf + params.k1 * (1 - params.b + params.b * length / avgdl))
             )
-            assert scorer.term_score_full(df, tf, doc_id) == pytest.approx(direct)
+            score = scorer.term_score(idf, tf, doc_id)
+            assert score == pytest.approx(direct)
 
     def test_length_normalizer_is_per_doc_metadata(self):
         params = BM25Parameters()
@@ -82,29 +83,30 @@ class TestScorer:
 
     def test_score_increases_with_tf(self):
         scorer = BM25Scorer([100] * 10)
-        scores = [scorer.term_score_full(3, tf, 0) for tf in range(1, 20)]
+        idf = scorer.idf(3)
+        scores = [scorer.term_score(idf, tf, 0) for tf in range(1, 20)]
         assert scores == sorted(scores)
 
     def test_score_saturates_with_tf(self):
         """BM25's defining property: diminishing returns in tf."""
         scorer = BM25Scorer([100] * 10)
-        s1 = scorer.term_score_full(3, 1, 0)
-        s10 = scorer.term_score_full(3, 10, 0)
-        s100 = scorer.term_score_full(3, 100, 0)
+        s1 = scorer.term_score(scorer.idf(3), 1, 0)
+        s10 = scorer.term_score(scorer.idf(3), 10, 0)
+        s100 = scorer.term_score(scorer.idf(3), 100, 0)
         assert (s10 - s1) > (s100 - s10) * 0.5
         assert s100 < scorer.idf(3) * (1.2 + 1)  # asymptote
 
     def test_shorter_docs_score_higher(self):
         scorer = BM25Scorer([50, 500])
-        short = scorer.term_score_full(1, 3, 0)
-        long = scorer.term_score_full(1, 3, 1)
+        short = scorer.term_score(scorer.idf(1), 3, 0)
+        long = scorer.term_score(scorer.idf(1), 3, 1)
         assert short > long
 
     def test_max_term_score(self):
         scorer = BM25Scorer([100] * 20)
         postings = [(0, 1), (3, 9), (7, 2)]
         expected = max(
-            scorer.term_score_full(3, tf, d) for d, tf in postings
+            scorer.term_score(scorer.idf(3), tf, d) for d, tf in postings
         )
         assert scorer.max_term_score(3, postings) == pytest.approx(expected)
 

@@ -160,7 +160,7 @@ class TestLayout:
         index = builder.build()
         pl = index.posting_list("a")
         for i in range(pl.num_blocks):
-            address = pl.block_address(i)
+            address = pl.region.base + pl.blocks[i].metadata.offset
             assert pl.region.base <= address < pl.region.end or pl.region.size == 0
 
     def test_missing_term_raises(self):

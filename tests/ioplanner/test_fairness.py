@@ -66,8 +66,8 @@ class TestDeficitAccounting:
         drr.begin_window()
         drr.charge("a", 400)
         drr.charge("a", 100)
-        assert drr.charged_bytes("a") == 500
-        assert drr.charged_bytes("b") == 0
+        assert drr.deficit("a") == 1000 - 500
+        assert drr.deficit("b") == 500
         with pytest.raises(ConfigurationError):
             drr.charge("a", -1)
 

@@ -22,7 +22,7 @@ class TestMemSegment:
         assert seg.tf(3, "a") == 2
         assert seg.tf(5, "b") == 0
         assert seg.tf(99, "a") == 0
-        assert seg.num_postings == 3
+        assert seg.approx_bytes == POSTING_BYTES * 3 + 4 * 2
 
     def test_postings_by_term_ascending(self):
         seg = MemSegment(max_docs=8)
@@ -46,7 +46,7 @@ class TestMemSegment:
         seg.add(1, Counter({"a": 2}), 2)
         length, tfs = seg.remove(1)
         assert (length, tfs) == (2, Counter({"a": 2}))
-        assert len(seg) == 0 and seg.num_postings == 0
+        assert len(seg) == 0 and seg.approx_bytes == 0
         with pytest.raises(InvertedIndexError):
             seg.remove(1)
 

@@ -41,7 +41,6 @@ from repro.live import (
 )
 from repro.observability import RecordingObserver
 from repro.rerank import LinearReranker, TwoStageSearch
-from repro.scm.device import OPTANE_NODE_4CH
 from repro.serving import (
     QueryServer,
     ServingConfig,
@@ -344,7 +343,7 @@ def test_only_a_feature_model_probes_the_decoded_cache():
 
     hits, misses = second_stage_lookups(LinearReranker())
     assert hits > 0 and misses == 0
-    vector = VectorReranker(embed_corpus(corpus), device=OPTANE_NODE_4CH)
+    vector = VectorReranker(embed_corpus(corpus))
     assert second_stage_lookups(vector) == (0, 0)
 
 

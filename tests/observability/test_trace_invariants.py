@@ -101,14 +101,17 @@ class TestTrafficConservation:
 
     def test_read_write_split_conserves(self, boss_traces):
         for trace in boss_traces:
-            reads = trace.bytes_by(direction="read")
-            writes = trace.bytes_by(direction="write")
+            reads = sum(e.bytes for e in trace.traffic
+                        if e.direction == "read")
+            writes = sum(e.bytes for e in trace.traffic
+                         if e.direction == "write")
             assert reads + writes == trace.total_bytes
 
     def test_pattern_split_conserves(self, boss_traces):
         for trace in boss_traces:
-            seq = trace.bytes_by(pattern="sequential")
-            rnd = trace.bytes_by(pattern="random")
+            seq = sum(e.bytes for e in trace.traffic
+                      if e.pattern == "sequential")
+            rnd = sum(e.bytes for e in trace.traffic if e.pattern == "random")
             assert seq + rnd == trace.total_bytes
 
 

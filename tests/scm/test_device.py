@@ -83,4 +83,7 @@ class TestServiceTime:
         assert DDR4_4CH.round_up(1) == 64
 
     def test_write_time(self):
-        assert OPTANE_NODE_4CH.write_time(9.2 * GB) == pytest.approx(1.0)
+        writes = TrafficCounter()
+        writes.record(AccessClass.ST_INTER, AccessPattern.SEQUENTIAL,
+                      int(9.2 * GB))
+        assert OPTANE_NODE_4CH.service_time(writes) == pytest.approx(1.0)

@@ -15,6 +15,10 @@ from repro.observability import (
 from repro.sim.timing import BossTimingModel, IIUTimingModel
 
 
+def _stage_seconds(trace):
+    return {span.name: span.seconds for span in trace.spans}
+
+
 @pytest.fixture(scope="module")
 def boss_results(small_index):
     engine = BossAccelerator(small_index, BossConfig(k=10))
@@ -33,21 +37,21 @@ class TestPerQuery:
     def test_all_stages_present(self, model, boss_results):
         trace = build_trace(model, boss_results[0])
         expected = set(model.module_names) | {STAGE_MEMORY}
-        assert set(trace.stage_seconds()) == expected
+        assert set(_stage_seconds(trace)) == expected
 
     def test_critical_is_max_stage(self, model, boss_results):
         """The bottleneck is the busiest stage, and the pipelined
         latency the throughput model charges covers it."""
         for result in boss_results:
             trace = build_trace(model, result)
-            stages = trace.stage_seconds()
+            stages = _stage_seconds(trace)
             assert stages[trace.bottleneck] == max(stages.values())
             assert trace.pipelined_seconds >= max(stages.values())
 
     def test_consistent_with_timing_model(self, model, boss_results):
         """The breakdown's compute stages reproduce compute_seconds."""
         for result in boss_results:
-            stages = build_trace(model, result).stage_seconds()
+            stages = _stage_seconds(build_trace(model, result))
             compute_stages = {
                 k: v for k, v in stages.items() if k != STAGE_MEMORY
             }
@@ -62,7 +66,7 @@ class TestPerQuery:
         trace = build_trace(IIUTimingModel(), result)
         assert trace.engine == "IIU"
         # IIU's top-k is ignored per the paper: zero busy time.
-        assert trace.stage_seconds()["top-k"] == 0.0
+        assert _stage_seconds(trace)["top-k"] == 0.0
 
 
 class TestBatch:
@@ -71,7 +75,7 @@ class TestBatch:
         totals = aggregate_stage_seconds(traces)
         for stage in totals:
             assert totals[stage] == pytest.approx(
-                sum(t.stage_seconds()[stage] for t in traces)
+                sum(_stage_seconds(t)[stage] for t in traces)
             )
 
     def test_empty_batch_rejected(self):

@@ -11,7 +11,6 @@ from repro.sim.timing import (
     IIUTimingModel,
     LuceneCostModel,
     LuceneTimingModel,
-    simulate_throughput,
 )
 
 TABLE_II = [
@@ -85,12 +84,6 @@ class TestBatch:
         )
         assert report.num_queries == len(TABLE_II)
         assert report.avg_bandwidth > 0
-
-    def test_simulate_throughput_wrapper(self, executions):
-        model = BossTimingModel()
-        a = simulate_throughput(model, executions["BOSS"], 4)
-        b = model.batch(executions["BOSS"], 4)
-        assert a.throughput_qps == b.throughput_qps
 
 
 class TestPaperTrends:

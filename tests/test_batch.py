@@ -141,7 +141,7 @@ class TestClusterBatch:
             assert batched.traffic == expected.traffic
             assert batched.work == expected.work
             assert batched.merge_ops == expected.merge_ops
-            assert len(batched.leaf_results) == cluster.num_leaves
+            assert len(batched.leaf_results) == len(cluster.engines)
             for got, want in zip(batched.leaf_results,
                                  expected.leaf_results):
                 assert (got is None) == (want is None)
@@ -169,7 +169,7 @@ class TestClusterBatch:
             assert hits_as_pairs(batched) == hits_as_pairs(expected)
             assert hits_as_pairs(cluster.search(query, k=None)) == (
                 hits_as_pairs(expected))
-        leaf_default_total = 15 * cluster.num_leaves
+        leaf_default_total = 15 * len(cluster.engines)
         assert any(len(r.hits) > leaf_default_total for r in batch.results)
 
     def test_cluster_report(self, cluster, cluster_queries):

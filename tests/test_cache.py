@@ -222,7 +222,8 @@ class TestCacheSimulator:
     def test_scm_random_fraction(self):
         sim = CacheSimulator(10_000)
         sim.replay([("a", 0, 100, RAND), ("a", 1, 300, SEQ)])
-        assert sim.report().scm_random_fraction == pytest.approx(0.25)
+        report = sim.report()
+        assert report.scm_rand_bytes / report.scm_bytes == pytest.approx(0.25)
 
 
 class TestUncachedBaseline:

@@ -100,6 +100,30 @@ class TestSearch:
         assert main(["search", "--index", str(index_file),
                      "--query", "no quotes"]) == 2
 
+    def test_mmap_and_binary_storage_print_the_same_ranking(self, tmp_path,
+                                                            capsys):
+        # mmap payloads are views copied at decode, binary ones in-memory
+        # bytes: the same .bossx must rank the same either way.
+        docs = tmp_path / "docs.txt"
+        docs.write_text(
+            "storage class memory bridges dram and disk\n"
+            "the inverted index is the standard search structure\n"
+            "near data processing saves memory bandwidth\n"
+            "search accelerators score documents in memory with bm25\n"
+        )
+        index = tmp_path / "corpus.bossx"
+        assert main(["build", "--input", str(docs),
+                     "--output", str(index)]) == 0
+        capsys.readouterr()
+        printed = {}
+        for storage in ("mmap", "binary"):
+            assert main(["search", "--index", str(index), "--query",
+                         '"memory" OR ("search" AND "index")',
+                         "--storage", storage]) == 0
+            printed[storage] = capsys.readouterr().out
+        assert "doc " in printed["mmap"]
+        assert printed["mmap"] == printed["binary"]
+
 
 class TestTrace:
     STAGES = ("block-fetch", "decompression", "merger", "scoring",
@@ -184,6 +208,21 @@ class TestValidate:
         bad = tmp_path / "bad.boss"
         bad.write_bytes(b"garbage")
         assert main(["validate", "--index", str(bad)]) == 2
+
+
+class TestBench:
+    @pytest.mark.parametrize("flags, workers", [([], 1),
+                                                (["--workers", "2"], 2)])
+    def test_workers_default_to_one_and_are_honoured(self, flags, workers,
+                                                     capsys):
+        # A pool is slower on this interpreter-lock-bound simulator, so
+        # one worker is the default and a pool is opt-in.
+        import json
+
+        assert main(["bench", "--queries", "32", "--unique", "8",
+                     "--scale", "0.05", "--json", *flags]) == 0
+        passes = json.loads(capsys.readouterr().out)["passes"]
+        assert passes and all(p["workers"] == workers for p in passes)
 
 
 class TestClusterModes:

@@ -62,7 +62,7 @@ class TestVirtualClock:
         clock.sleep(0.25)
         assert clock.now() == pytest.approx(0.75)
         assert clock.sleeps == [0.5, 0.25]
-        assert clock.total_slept == pytest.approx(0.75)
+        assert sum(clock.sleeps) == pytest.approx(0.75)
 
     def test_zero_sleep_is_recorded(self):
         clock = VirtualClock()
@@ -75,7 +75,7 @@ class TestVirtualClock:
         clock.advance(2.0)
         assert clock.now() == 2.0
         assert clock.sleeps == []
-        assert clock.total_slept == 0.0
+        assert sum(clock.sleeps) == 0.0
 
     def test_negative_durations_rejected(self):
         clock = VirtualClock()

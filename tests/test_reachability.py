@@ -1,0 +1,369 @@
+"""Every ``src/`` name is on a path the system uses, or it is allow-listed.
+
+A stdlib-``ast`` reachability check over ``src/repro``. The roots are
+what a user or the benchmark can run: ``repro.cli.main`` and every
+``_cmd_*``, the public methods of ``repro.api.BossSession``, the
+``@figure`` methods behind ``repro.experiments.FIGURES`` (and the
+codecs ``@DEFAULT_REGISTRY.register`` files by name), the module-level
+code of every ``src/`` module, and every name that
+``benchmarks/harness/**`` and ``examples/*.py`` reference.
+
+A definition is reached when its name occurs in reached code as a
+``Name``, an ``Attribute``, an import alias or an identifier-shaped
+string constant. The match is by name alone, so it over-approximates on
+purpose: dynamic dispatch (``getattr``, ``emit``, overrides) can make a
+dead name look live, never a live name look dead. A method is reached
+when its class is and its name is (dunder methods with their class).
+
+Reported: every module-level function, class and method not reached,
+and every field of a ``*Config`` dataclass that ``src/`` never reads:
+not as ``<receiver>.field`` for any name that holds a config (see
+:func:`_config_receivers`), nor as ``self.field`` in the class's own
+methods other than ``__post_init__`` (a value that is only validated is
+never used).
+
+``reachability_allow.txt`` holds the reports that stay, one
+``path::qualname — reason`` a line; the test fails on a report missing
+from it and on an entry that is now reached or gone.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import deque
+from pathlib import Path
+from typing import Dict, Iterable, Iterator, List, Optional, Set
+
+REPO = Path(__file__).resolve().parent.parent
+ALLOW_LIST = Path(__file__).with_name("reachability_allow.txt")
+
+
+def identifiers(node: ast.AST) -> Iterator[str]:
+    """Every name ``node`` mentions: names, attributes, import aliases
+    and identifier-shaped strings."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield from sub.name.split(".")
+            if sub.asname:
+                yield sub.asname
+        elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+              and sub.value.isidentifier()):
+            yield sub.value
+
+
+class Definition:
+    """One module-level function or class, or one method."""
+
+    def __init__(self, path: str, node: ast.AST,
+                 owner: Optional["Definition"] = None) -> None:
+        self.path = path
+        self.node = node
+        self.name = node.name
+        self.owner = owner
+        self.methods: List[Definition] = []
+
+    @property
+    def qualname(self) -> str:
+        if self.owner is None:
+            return self.name
+        return f"{self.owner.name}.{self.name}"
+
+    @property
+    def key(self) -> str:
+        return f"{self.path}::{self.qualname}"
+
+    @property
+    def is_dunder(self) -> bool:
+        return self.name.startswith("__") and self.name.endswith("__")
+
+    def code(self) -> Iterator[ast.AST]:
+        """What runs once this definition is reached: a function whole;
+        a class's decorators, bases and body minus its methods."""
+        if not isinstance(self.node, ast.ClassDef):
+            yield self.node
+            return
+        yield from self.node.decorator_list
+        yield from self.node.bases
+        yield from self.node.keywords
+        for statement in self.node.body:
+            if not isinstance(statement, _FUNCTIONS):
+                yield statement
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFINITIONS = _FUNCTIONS + (ast.ClassDef,)
+
+
+def _module_statements(body: List[ast.stmt]) -> Iterator[ast.stmt]:
+    """Module-level statements, looking into ``if`` / ``try`` blocks."""
+    for statement in body:
+        if isinstance(statement, ast.If):
+            yield from _module_statements(statement.body)
+            yield from _module_statements(statement.orelse)
+        elif isinstance(statement, ast.Try):
+            for block in (statement.body, statement.orelse,
+                          statement.finalbody):
+                yield from _module_statements(block)
+            for handler in statement.handlers:
+                yield from _module_statements(handler.body)
+        else:
+            yield statement
+
+
+def _is_module_code(statement: ast.stmt) -> bool:
+    """Module-level code that uses names: not a definition, not an
+    import (a binding, not a use) and not ``__all__``."""
+    if isinstance(statement, _DEFINITIONS + (ast.Import, ast.ImportFrom)):
+        return False
+    if isinstance(statement, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+        targets = (statement.targets if isinstance(statement, ast.Assign)
+                   else [statement.target])
+        if any(isinstance(t, ast.Name) and t.id == "__all__"
+               for t in targets):
+            return False
+    return True
+
+
+def _registers(decorator: ast.expr) -> bool:
+    """``@figure(...)`` and ``@<registry>.register`` keep the definition
+    and dispatch to it by key."""
+    if isinstance(decorator, ast.Call):
+        return (isinstance(decorator.func, ast.Name)
+                and decorator.func.id == "figure")
+    return (isinstance(decorator, ast.Attribute)
+            and decorator.attr == "register")
+
+
+def _is_root(definition: Definition, module: str) -> bool:
+    name = definition.name
+    if any(_registers(d) for d in definition.node.decorator_list):
+        return True
+    if definition.owner is None:
+        return module.endswith("repro/cli.py") and (
+            name == "main" or name.startswith("_cmd_"))
+    return (module.endswith("repro/api.py")
+            and definition.owner.name == "BossSession"
+            and not name.startswith("_"))
+
+
+def _last_name(node: ast.AST) -> Optional[str]:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _names_config(annotation: ast.AST) -> bool:
+    return any(name.endswith("Config") for name in identifiers(annotation))
+
+
+def _config_receivers(trees: Dict[str, ast.Module]) -> Set[str]:
+    """Names that hold a ``*Config``: parameters and functions annotated
+    with one, and what is assigned a ``*Config(...)`` call or another
+    such name (``self._config = XConfig() if c is None else c``)."""
+    receivers: Set[str] = set()
+    assignments: List[ast.Assign] = []
+    for tree in trees.values():
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.arg) and sub.annotation is not None:
+                if _names_config(sub.annotation):
+                    receivers.add(sub.arg)
+            elif isinstance(sub, _FUNCTIONS) and sub.returns is not None:
+                if _names_config(sub.returns):
+                    receivers.add(sub.name)
+            elif isinstance(sub, ast.Assign):
+                assignments.append(sub)
+
+    def holds_config(value: ast.AST) -> bool:
+        if isinstance(value, ast.IfExp):
+            return holds_config(value.body) or holds_config(value.orelse)
+        if isinstance(value, ast.BoolOp):
+            return any(holds_config(v) for v in value.values)
+        if isinstance(value, ast.Call):
+            return (_last_name(value.func) or "").endswith("Config")
+        return _last_name(value) in receivers
+
+    grew = True
+    while grew:
+        grew = False
+        for assignment in assignments:
+            if not holds_config(assignment.value):
+                continue
+            for target in assignment.targets:
+                name = _last_name(target)
+                if name is not None and name not in receivers:
+                    receivers.add(name)
+                    grew = True
+    return receivers
+
+
+def _config_reads(trees: Dict[str, ast.Module]) -> Dict[str, Set[str]]:
+    """Field names loaded through a config-holding receiver anywhere,
+    and per ``*Config`` class the ``self.<field>`` loads in its methods."""
+    receivers = _config_receivers(trees)
+    reads: Dict[str, Set[str]] = {"": set()}
+    for tree in trees.values():
+        for sub in ast.walk(tree):
+            if (isinstance(sub, ast.Attribute)
+                    and isinstance(sub.ctx, ast.Load)
+                    and _last_name(sub.value) in receivers):
+                reads[""].add(sub.attr)
+            if (isinstance(sub, ast.ClassDef)
+                    and sub.name.endswith("Config")):
+                own = reads.setdefault(sub.name, set())
+                for method in sub.body:
+                    if (not isinstance(method, _FUNCTIONS)
+                            or method.name == "__post_init__"):
+                        continue
+                    own.update(
+                        a.attr for a in ast.walk(method)
+                        if isinstance(a, ast.Attribute)
+                        and isinstance(a.ctx, ast.Load)
+                        and isinstance(a.value, ast.Name)
+                        and a.value.id == "self")
+    return reads
+
+
+def report(modules: Dict[str, str], external: Iterable[str]) -> List[str]:
+    """Unreached definitions and unread ``*Config`` fields.
+
+    ``modules`` maps a display path to the source of one ``src/``
+    module; ``external`` holds the sources whose every name is a root.
+    """
+    trees = {path: ast.parse(source) for path, source in modules.items()}
+    definitions: List[Definition] = []
+    by_name: Dict[str, List[Definition]] = {}
+    names: Set[str] = set()
+    pending: deque = deque()
+    reached: Set[Definition] = set()
+
+    def mention(nodes: Iterable[ast.AST]) -> None:
+        for node in nodes:
+            for name in identifiers(node):
+                if name not in names:
+                    names.add(name)
+                    pending.append(name)
+
+    def reach(definition: Definition) -> None:
+        if definition in reached:
+            return
+        reached.add(definition)
+        mention(definition.code())
+        for method in definition.methods:
+            if method.is_dunder or method.name in names:
+                reach(method)
+
+    roots: List[Definition] = []
+    for path, tree in trees.items():
+        for statement in _module_statements(tree.body):
+            if not isinstance(statement, _DEFINITIONS):
+                if _is_module_code(statement):
+                    mention([statement])
+                continue
+            definition = Definition(path, statement)
+            definitions.append(definition)
+            if isinstance(statement, ast.ClassDef):
+                for child in statement.body:
+                    if isinstance(child, _DEFINITIONS):
+                        definition.methods.append(
+                            Definition(path, child, definition))
+            for entry in [definition] + definition.methods:
+                by_name.setdefault(entry.name, []).append(entry)
+                if _is_root(entry, path):
+                    roots.append(entry)
+    for source in external:
+        mention([ast.parse(source)])
+    for root in roots:
+        if root.owner is not None:
+            reach(root.owner)
+        reach(root)
+    while pending:
+        for definition in by_name.get(pending.popleft(), ()):
+            if definition.owner is None or definition.owner in reached:
+                reach(definition)
+
+    found = []
+    for definition in definitions:
+        if definition not in reached:
+            found.append(definition.key)
+            continue
+        found.extend(method.key for method in definition.methods
+                     if method not in reached)
+    reads = _config_reads(trees)
+    for path, tree in trees.items():
+        for node in _module_statements(tree.body):
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Config"):
+                found.extend(
+                    f"{path}::{node.name}.{field.target.id}"
+                    for field in node.body
+                    if isinstance(field, ast.AnnAssign)
+                    and field.target.id not in reads[""] | reads[node.name])
+    return sorted(found)
+
+
+def repository_report() -> List[str]:
+    modules = {
+        path.relative_to(REPO).as_posix(): path.read_text()
+        for path in sorted((REPO / "src").rglob("*.py"))
+    }
+    external = [
+        path.read_text()
+        for pattern in ("benchmarks/harness/**/*.py", "examples/*.py")
+        for path in sorted(REPO.glob(pattern))
+    ]
+    return report(modules, external)
+
+
+def allow_list() -> Dict[str, str]:
+    entries = {}
+    for number, line in enumerate(ALLOW_LIST.read_text().splitlines(), 1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        key, sep, reason = line.partition(" — ")
+        assert sep and reason.strip(), (
+            f"{ALLOW_LIST.name}:{number}: expected 'path::qualname — reason'"
+        )
+        entries[key.strip()] = reason.strip()
+    return entries
+
+
+def test_every_src_name_is_reached_or_allow_listed():
+    found = set(repository_report())
+    allowed = allow_list()
+    unlisted = sorted(found - set(allowed))
+    stale = sorted(set(allowed) - found)
+    assert not unlisted, (
+        "reachable only from tests (delete, or allow-list with a reason):\n"
+        + "\n".join(unlisted)
+    )
+    assert not stale, (
+        "allow-listed but now reached or gone (drop the line):\n"
+        + "\n".join(stale)
+    )
+
+
+SCRATCH = '''
+def unused():
+    return 1
+
+def used():
+    return 2
+
+def dispatch(obj):
+    return getattr(obj, "used")()
+'''
+
+
+def test_an_unreferenced_function_is_reported():
+    assert "scratch.py::unused" in report(
+        {"scratch.py": SCRATCH}, ["from scratch import dispatch"])
+
+
+def test_a_name_used_only_through_getattr_is_not_reported():
+    assert report({"scratch.py": SCRATCH},
+                  ["from scratch import dispatch"]) == ["scratch.py::unused"]

@@ -7,7 +7,6 @@ from repro.text import (
     ENGLISH_STOPWORDS,
     KEYWORD_ANALYZER,
     Analyzer,
-    index_texts,
     s_stem,
     tokenize,
 )
@@ -97,32 +96,44 @@ class TestAnalyzer:
         assert "the" in ENGLISH_STOPWORDS
 
 
+def index_texts(texts, tmp_path):
+    """Index one document per text the way ``build --analyze`` does."""
+    from repro.cli import main
+    from repro.index.binaryio import load_index_binary
+
+    (tmp_path / "docs.txt").write_text("\n".join(texts) + "\n")
+    output = tmp_path / "corpus.bossx"
+    assert main(["build", "--input", str(tmp_path / "docs.txt"),
+                 "--output", str(output), "--analyze"]) == 0
+    return load_index_binary(output)
+
+
 class TestIndexTexts:
-    def test_end_to_end(self):
+    def test_end_to_end(self, tmp_path):
         index = index_texts([
             "The storage class memory bridges DRAM and disks.",
             "Search accelerators score documents quickly.",
             "Memory pools share one link.",
-        ])
+        ], tmp_path)
         assert index.stats.num_docs == 3
         assert "memory" in index
         assert "the" not in index  # stopped
         # Stemmed: "documents" -> "document".
         assert "document" in index
 
-    def test_search_over_analyzed_corpus(self):
+    def test_search_over_analyzed_corpus(self, tmp_path):
         from repro.core import BossAccelerator, BossConfig
 
         index = index_texts([
             "Queries hit the caches hard.",
             "The cache misses were costly.",
             "Unrelated text about gardens.",
-        ])
+        ], tmp_path)
         engine = BossAccelerator(index, BossConfig(k=5))
         result = engine.search('"cache"')
         assert sorted(result.doc_ids) == [0, 1]  # stem unifies forms
 
-    def test_all_stopword_document_placeholder(self):
-        index = index_texts(["the of and", "real content here"])
+    def test_all_stopword_document_placeholder(self, tmp_path):
+        index = index_texts(["the of and", "real content here"], tmp_path)
         assert index.stats.num_docs == 2
         assert "__empty__" in index

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.core.result import ScoredDocument
-from repro.scm.device import OPTANE_NODE_4CH
 from repro.vector import VectorEngine, VectorReranker
 
 from .test_hybrid import _first_stage, _no_features
@@ -57,7 +56,7 @@ def test_batched_row_dot_equals_the_per_row_dot(dim, rows, seed):
     ids = rng.integers(0, 400, size=rows).tolist()
     ids[rows // 2:] = ids[:rows - rows // 2]  # repeats (100 rows)
     first = _first_stage(_Query(), [(i, 1.0) for i in ids])
-    reranker = VectorReranker(embeddings, device=OPTANE_NODE_4CH)
+    reranker = VectorReranker(embeddings)
     scores, _ = reranker.rescore(first, _no_features)
     assert scores == [
         float(embeddings.doc_vectors[i] @ embeddings.query) for i in ids

@@ -58,7 +58,7 @@ class TestRRFFusion:
 
 class TestVectorReranker:
     def test_reorders_by_cosine(self, lexical, engine):
-        reranker = VectorReranker(engine.embeddings, device=engine.device)
+        reranker = VectorReranker(engine.embeddings)
         pipeline = TwoStageSearch(lexical, reranker, first_stage_k=50)
         result = pipeline.search('"term0001" OR "term0003"', k=10)
         assert len(result.hits) == 10
@@ -66,7 +66,7 @@ class TestVectorReranker:
         assert scores == sorted(scores, reverse=True)
 
     def test_charges_one_load_per_candidate(self, lexical, engine):
-        reranker = VectorReranker(engine.embeddings, device=engine.device)
+        reranker = VectorReranker(engine.embeddings)
         pipeline = TwoStageSearch(lexical, reranker, first_stage_k=50)
         result = pipeline.search('"term0002"', k=10)
         from repro.scm.traffic import AccessClass, AccessPattern
@@ -80,8 +80,7 @@ class TestVectorReranker:
 
     def test_unknown_query_degrades_to_lexical(self, engine):
         """No known term -> no query vector -> first-stage order kept."""
-        reranker = VectorReranker(engine.embeddings, device=engine.device,
-                                  weight_lexical=1.0)
+        reranker = VectorReranker(engine.embeddings, weight_lexical=1.0)
         from repro.core.query import parse_query
 
         known = _first_stage(parse_query('"term0001"'), [(3, 2.5)])
@@ -101,9 +100,8 @@ class TestVectorReranker:
     def test_lexical_blend(self, engine):
         from repro.core.query import parse_query
 
-        pure = VectorReranker(engine.embeddings, device=engine.device)
-        blend = VectorReranker(engine.embeddings, device=engine.device,
-                               weight_lexical=1.0)
+        pure = VectorReranker(engine.embeddings)
+        blend = VectorReranker(engine.embeddings, weight_lexical=1.0)
         first = _first_stage(parse_query('"term0001"'), [(0, 4.0), (7, 1.5)])
         pure_scores, _ = pure.rescore(first, _no_features)
         blend_scores, _ = blend.rescore(first, _no_features)

@@ -94,10 +94,10 @@ class TestZipf:
 class TestCompressionInteraction:
     def test_best_scheme_differs_across_streams(self):
         """Figure 3's punchline: no single scheme wins every stream."""
-        from repro.compression import best_codec_for
+        from repro.compression import HybridSelector
 
         winners = {
-            name: best_codec_for(gen(3000))
+            name: HybridSelector().select(gen(3000)).scheme
             for name, gen in SYNTHETIC_STREAMS.items()
         }
         assert len(set(winners.values())) >= 2, winners

@@ -45,7 +45,7 @@ ZERO_RUNS = (59, 60, 61, 62, 119, 120, 121, 239, 240, 241, 300, 480, 481)
 #: Scale of the per-preset ``.bossx`` corpora.
 BOSSX_SCALE = 0.05
 
-#: The corpus ``repro-boss build`` is given (CI builds it the same way).
+#: The corpus ``repro-boss build`` is given.
 CLI_CORPUS = {"num_docs": 400, "vocab_size": 40, "seed": 7}
 
 
