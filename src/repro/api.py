@@ -61,22 +61,19 @@ class BossSession:
     # ------------------------------------------------------------------
 
     def init(self, index: Union[InvertedIndex, str, Path],
-             config_file: Union[str, Path, None] = None,
-             storage: str = "auto") -> None:
+             config_file: Union[str, Path, None] = None) -> None:
         """Load the index into the pool and configure the device.
 
         ``index`` is an index file path (the paper's ``indexFile``) or an
-        already-built :class:`InvertedIndex`. ``config_file`` optionally
-        adds custom decompression programs (the paper's ``configFile``);
-        the built-in programs for the five paper schemes are always
-        registered.
-
-        ``storage`` selects how a ``.bossx`` path argument is held in
-        memory (see :func:`repro.index.mmapio.open_index`): ``auto``
-        serves it zero-copy via mmap.
+        already-built :class:`InvertedIndex`. A ``.bossx`` path is served
+        zero-copy via mmap; to hold it another way, pass
+        :func:`repro.index.mmapio.open_index`'s result instead.
+        ``config_file`` optionally adds custom decompression programs
+        (the paper's ``configFile``); the built-in programs for the five
+        paper schemes are always registered.
         """
         if isinstance(index, (str, Path)):
-            index = open_index(index, storage=storage)
+            index = open_index(index)
         from repro.live.segments import SegmentedIndex
 
         self._index = index
@@ -158,10 +155,9 @@ class BossSession:
                 )
         return True
 
-    def search_batch(self, q_expressions: List[str],
-                     k: Optional[int] = None,
-                     workers: Optional[int] = None):
-        """Offload a batch of queries through the worker-pool driver.
+    def search_batch(self, q_expressions: List[str]):
+        """Offload a batch of queries through the batch driver (one
+        worker, the session's ``k``).
 
         Each expression receives the same argument checks as
         :meth:`search` (term limit, registered decompression programs)
@@ -175,46 +171,32 @@ class BossSession:
 
         for q_expression in q_expressions:
             self._check_arguments(parse_query(q_expression))
-        return run_query_batch(self, q_expressions, k=k, workers=workers)
+        return run_query_batch(self, q_expressions)
 
     # ------------------------------------------------------------------
     # Vector / hybrid lane
     # ------------------------------------------------------------------
 
-    def init_vectors(self, embedding_spec=None,
-                     num_clusters: Optional[int] = None,
-                     codec: str = "fp32",
-                     nprobe: Optional[int] = None,
-                     kmeans_seed: int = 0,
-                     device=None,
-                     ivf_path=None):
-        """Build (or load) the ANN lane over the initialized index.
+    def init_vectors(self, codec: str = "fp32"):
+        """Build the ANN lane over the initialized index.
 
         Embeds the corpus deterministically
         (:func:`repro.vector.embeddings.embed_index`), clusters it into
-        an IVF layout, and attaches a
-        :class:`~repro.vector.engine.VectorEngine` sharing this
-        session's observer. ``ivf_path`` loads a pre-built ``.bossv``
-        file instead of clustering (the embeddings are still derived
-        from the index — they are a pure function of it).
-        Returns the engine.
+        an IVF layout of ``codec`` vectors
+        (:func:`repro.vector.ivf.build_ivf`'s default sizing), and
+        attaches a :class:`~repro.vector.engine.VectorEngine` on the
+        Table I SCM node, at its default ``nprobe``, sharing this
+        session's observer. Returns the engine.
         """
         self._require_init()
-        from repro.scm.device import OPTANE_NODE_4CH
         from repro.vector.embeddings import embed_index
         from repro.vector.engine import VectorEngine
-        from repro.vector.ivf import build_ivf, load_ivf
+        from repro.vector.ivf import build_ivf
 
-        embeddings = embed_index(self._index, embedding_spec)
-        if ivf_path is not None:
-            ivf = load_ivf(ivf_path)
-        else:
-            ivf = build_ivf(embeddings, num_clusters=num_clusters,
-                            codec=codec, seed=kmeans_seed)
+        embeddings = embed_index(self._index)
         self._vector_engine = VectorEngine(
-            ivf, embeddings,
-            device=OPTANE_NODE_4CH if device is None else device,
-            nprobe=nprobe, observer=self._observer,
+            build_ivf(embeddings, codec=codec), embeddings,
+            observer=self._observer,
         )
         self._hybrid_cache = {}
         return self._vector_engine
@@ -228,36 +210,32 @@ class BossSession:
             )
         return self._vector_engine
 
-    def vector_search(self, q_expression, k: int = 10,
-                      nprobe: Optional[int] = None):
-        """ANN search over the attached vector lane."""
-        return self.vector_engine.search(q_expression, k=k, nprobe=nprobe)
+    def vector_search(self, q_expression):
+        """ANN top-10 over the attached vector lane."""
+        return self.vector_engine.search(q_expression)
 
-    def hybrid(self, mode: str = "rerank", first_stage_k: int = 100,
-               nprobe: Optional[int] = None):
+    def hybrid(self, mode: str = "rerank", first_stage_k: int = 100):
         """A (cached) :class:`~repro.vector.hybrid.HybridSearch` over
         this session's accelerator and vector lane — also the target to
         hand to :func:`repro.batch.run_query_batch` or the serving
         layer for batched/served hybrid traffic."""
-        key = (mode, first_stage_k, nprobe)
+        key = (mode, first_stage_k)
         cached = self._hybrid_cache.get(key)
         if cached is None:
             from repro.vector.hybrid import HybridSearch
 
             cached = HybridSearch(
                 self.accelerator, self.vector_engine, mode=mode,
-                first_stage_k=first_stage_k, nprobe=nprobe,
-                observer=self._observer,
+                first_stage_k=first_stage_k, observer=self._observer,
             )
             self._hybrid_cache[key] = cached
         return cached
 
     def search_hybrid(self, q_expression, k: int = 10,
-                      mode: str = "rerank", first_stage_k: int = 100,
-                      nprobe: Optional[int] = None):
+                      mode: str = "rerank", first_stage_k: int = 100):
         """One hybrid query (BM25 -> vector rerank, or RRF fusion)."""
         return self.hybrid(
-            mode=mode, first_stage_k=first_stage_k, nprobe=nprobe
+            mode=mode, first_stage_k=first_stage_k
         ).search(q_expression, k=k)
 
     def _search_oversized(self, node, k: Optional[int],

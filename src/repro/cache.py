@@ -48,7 +48,7 @@ from typing import Any, Hashable, Iterable, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.observability.observer import NULL_OBSERVER, Observer
-from repro.scm.device import DDR4_4CH, OPTANE_NODE_4CH, MemoryDeviceModel
+from repro.scm.device import DDR4_4CH, OPTANE_NODE_4CH
 from repro.scm.traffic import AccessPattern
 
 #: One fetch-trace entry: (term, block_index, payload_bytes, pattern).
@@ -295,10 +295,9 @@ class _ScmRuns:
         self._last = None
 
 
-def _scm_read_seconds(seq_bytes: int, rand_bytes: int,
-                      scm: MemoryDeviceModel) -> float:
-    return (scm.read_time(seq_bytes, AccessPattern.SEQUENTIAL)
-            + scm.read_time(rand_bytes, AccessPattern.RANDOM))
+def _scm_read_seconds(seq_bytes: int, rand_bytes: int) -> float:
+    return (OPTANE_NODE_4CH.read_time(seq_bytes, AccessPattern.SEQUENTIAL)
+            + OPTANE_NODE_4CH.read_time(rand_bytes, AccessPattern.RANDOM))
 
 
 class CacheSimulator:
@@ -333,27 +332,25 @@ class CacheSimulator:
         )
 
 
-def uncached_memory_seconds(fetch_log: Iterable[FetchRecord],
-                            scm: MemoryDeviceModel = OPTANE_NODE_4CH,
-                            ) -> float:
-    """Block-fetch service time with no cache tier at all: the same replay
-    with nothing in front of the SCM, so a :class:`CacheSimulator` replay
-    in which nothing hits costs exactly this, to the bit."""
+def uncached_memory_seconds(fetch_log: Iterable[FetchRecord]) -> float:
+    """Block-fetch service time on the Table I SCM node with no cache
+    tier at all: the same replay with nothing in front of the SCM, so a
+    :class:`CacheSimulator` replay in which nothing hits costs exactly
+    this, to the bit."""
     runs = _ScmRuns()
     for record in fetch_log:
         runs.fetch(*record)
-    return _scm_read_seconds(runs.seq_bytes, runs.rand_bytes, scm)
+    return _scm_read_seconds(runs.seq_bytes, runs.rand_bytes)
 
 
-def cached_memory_seconds(report: CacheReport,
-                          scm: MemoryDeviceModel = OPTANE_NODE_4CH,
-                          dram: MemoryDeviceModel = DDR4_4CH) -> float:
-    """Block-fetch service time with the cache tier in place.
+def cached_memory_seconds(report: CacheReport) -> float:
+    """Block-fetch service time with a DDR4 cache tier in front of the
+    Table I SCM node.
 
     Hits are scattered single-block DRAM lookups (random at DRAM's mild
     penalty); misses are charged at the pattern the replay observed.
     """
     return (
-        dram.read_time(report.dram_bytes, AccessPattern.RANDOM)
-        + _scm_read_seconds(report.scm_seq_bytes, report.scm_rand_bytes, scm)
+        DDR4_4CH.read_time(report.dram_bytes, AccessPattern.RANDOM)
+        + _scm_read_seconds(report.scm_seq_bytes, report.scm_rand_bytes)
     )

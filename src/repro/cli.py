@@ -880,9 +880,9 @@ def _live_device(name: str):
     return OPTANE_NODE_4CH if name == "scm" else DDR4_4CH
 
 
-def _build_live_writer(seed: int, num_docs: int, vocab_size: int,
-                       device, buffer_docs: int = 128, fanout: int = 4):
-    """A live writer pre-loaded with a synthetic corpus.
+def _build_live_writer(seed: int, num_docs: int, vocab_size: int, device):
+    """A live writer (128-document buffer, the default merge fanout)
+    pre-loaded with a synthetic corpus.
 
     Document ``i`` always contains vocabulary term ``i mod vocab_size``
     (plus seeded random filler), so every term keeps live coverage even
@@ -891,11 +891,10 @@ def _build_live_writer(seed: int, num_docs: int, vocab_size: int,
     """
     import random as _random
 
-    from repro.live import LiveIndexWriter, MergePolicy
+    from repro.live import LiveIndexWriter
 
     vocab = [f"t{i}" for i in range(vocab_size)]
-    writer = LiveIndexWriter(device=device, buffer_docs=buffer_docs,
-                             policy=MergePolicy(fanout=fanout))
+    writer = LiveIndexWriter(device=device, buffer_docs=128)
     rng = _random.Random(f"live-corpus:{seed}")
     for i in range(num_docs):
         length = rng.randint(4, 24)

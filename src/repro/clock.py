@@ -62,8 +62,8 @@ class VirtualClock(Clock):
     that model slow work (e.g. to trip a per-attempt timeout).
     """
 
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
         self.sleeps: list = []
 
     def now(self) -> float:

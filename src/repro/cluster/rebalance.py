@@ -56,6 +56,7 @@ from repro.errors import ConfigurationError, CrashError, RebalanceError
 from repro.index.builder import IndexBuilder
 from repro.index.index import InvertedIndex
 from repro.observability.observer import NULL_OBSERVER, Observer
+from repro.scm.device import OPTANE_NODE_4CH
 from repro.scm.traffic import AccessClass, AccessPattern, TrafficCounter
 from repro.serving.target import advance_to_arrival, queued_read_seconds
 
@@ -309,30 +310,24 @@ class Rebalancer:
 
     ``cluster`` is the serving :class:`~repro.cluster.root.SearchCluster`
     and ``sharded`` its :class:`~repro.cluster.sharding.ShardedCorpus`;
-    both are updated in the atomic publish step. ``device`` prices the
-    maintenance traffic (default: the 4-channel Optane node), ``clock``
-    anchors the maintenance busy-window on the serving timeline, and
-    ``crash`` arms the ``rebalance_*`` kill-points. A destination index
-    is served by a BOSS accelerator with top-``k`` = ``k``; ``schemes``
-    constrains the destination rebuilds' codec choice (pass the
-    corpus's pinned codec for single-codec deployments).
+    both are updated in the atomic publish step. The 4-channel Optane
+    node (``device``) prices the maintenance traffic, ``clock`` anchors
+    the maintenance busy-window on the serving timeline, and ``crash``
+    arms the ``rebalance_*`` kill-points. A destination index is rebuilt
+    with the builder's per-list codec choice and served by a BOSS
+    accelerator with top-``k`` = ``k``.
     """
 
-    def __init__(self, cluster, sharded, *, device=None, clock=None,
-                 observer: Observer = NULL_OBSERVER, crash=None,
-                 schemes: Optional[Sequence[str]] = None,
-                 k: int = 10) -> None:
-        if device is None:
-            from repro.scm.device import OPTANE_NODE_4CH
+    device = OPTANE_NODE_4CH
 
-            device = OPTANE_NODE_4CH
+    def __init__(self, cluster, sharded, *, clock=None,
+                 observer: Observer = NULL_OBSERVER, crash=None,
+                 k: int = 10) -> None:
         self._cluster = cluster
         self._sharded = sharded
-        self._device = device
         self._clock = clock
         self._observer = observer
         self._crash = crash
-        self._schemes = list(schemes) if schemes is not None else None
         self._leaf_config = BossConfig(k=k)
         #: Timeline instant until which maintenance occupies the device.
         self.busy_until = 0.0
@@ -351,10 +346,6 @@ class Rebalancer:
     @property
     def map_version(self) -> int:
         return self._cluster.map_version
-
-    @property
-    def device(self):
-        return self._device
 
     # ------------------------------------------------------------------
     # Execution
@@ -463,7 +454,7 @@ class Rebalancer:
                            report: MoveReport) -> InvertedIndex:
         """Rebuild the ``[lo, hi)`` interval (metered sequential writes)."""
         self._check(report, "rebalance_mid_stream")
-        builder = IndexBuilder(schemes=self._schemes, scorer=scorer,
+        builder = IndexBuilder(scorer=scorer,
                                global_stats=_InheritedIdf(idf_by_term,
                                                           scorer))
         written = 0
@@ -657,7 +648,7 @@ class Rebalancer:
             self._crash.check(point)
 
     def _finish(self, report: MoveReport) -> None:
-        report.modeled_seconds = self._device.service_time(report.traffic)
+        report.modeled_seconds = self.device.service_time(report.traffic)
         now = self._clock.now() if self._clock is not None else 0.0
         self.busy_until = max(self.busy_until, now) + report.modeled_seconds
         self.reports.append(report)
@@ -744,12 +735,17 @@ class RebalancingClusterTarget:
                                    self.rebalancer.busy_until, request)
 
 
-def rebalance_requests(ops: Sequence[Tuple[float, RebalanceOp]],
-                       start_id: int = 1_000_000) -> list:
+#: Request id of the first move :func:`rebalance_requests` schedules, far
+#: above any query workload's ids.
+MOVE_REQUEST_ID = 1_000_000
+
+
+def rebalance_requests(ops: Sequence[Tuple[float, RebalanceOp]]) -> list:
     """Wrap scheduled moves as serving-timeline update requests.
 
     Returns one :class:`~repro.serving.loadgen.Request` per ``(at, op)``
-    pair, carrying ``update=("rebalance", op)`` — splice them into a
+    pair, numbered from ``MOVE_REQUEST_ID`` and carrying
+    ``update=("rebalance", op)`` — splice them into a
     query workload with :func:`repro.serving.loadgen.splice_requests`
     and the server will dispatch each move at its arrival instant.
     """
@@ -757,7 +753,7 @@ def rebalance_requests(ops: Sequence[Tuple[float, RebalanceOp]],
 
     return [
         Request(
-            request_id=start_id + i,
+            request_id=MOVE_REQUEST_ID + i,
             arrival_seconds=at,
             expression=f"<rebalance:{op.describe()}>",
             update=("rebalance", op),

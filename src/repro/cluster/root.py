@@ -30,7 +30,7 @@ from repro.cluster.resilience import (
     execute_leaf,
 )
 from repro.core.result import ScoredDocument, SearchResult
-from repro.core.topk import DEFAULT_K
+from repro.core.topk import DEFAULT_K, positive_k
 from repro.errors import ConfigurationError
 from repro.observability.observer import NULL_OBSERVER, Observer
 from repro.scm.traffic import TrafficCounter
@@ -265,8 +265,7 @@ class SearchCluster:
         shard is skipped so the merge still completes (the result's
         ``shards_failed`` / ``degraded`` report the quality loss).
         """
-        if k is None:
-            k = DEFAULT_K
+        k = positive_k(DEFAULT_K if k is None else k)
         node, per_shard = self.plan(query)
         expression = str(node)
 

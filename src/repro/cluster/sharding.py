@@ -21,7 +21,6 @@ from collections import Counter
 from typing import Iterable, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
-from repro.index.bm25 import BM25Parameters
 from repro.index.builder import GlobalStatistics, IndexBuilder
 from repro.index.index import InvertedIndex
 
@@ -88,7 +87,6 @@ class ShardedCorpus:
 
 
 def shard_documents(documents: Iterable[Sequence[str]], num_shards: int,
-                    params: Optional[BM25Parameters] = None,
                     schemes: Optional[Sequence[str]] = None,
                     replication_factor: int = 1) -> ShardedCorpus:
     """Index ``documents`` into ``num_shards`` docID-interval shards.
@@ -101,7 +99,6 @@ def shard_documents(documents: Iterable[Sequence[str]], num_shards: int,
     """
     if num_shards <= 0:
         raise ConfigurationError("need at least one shard")
-    params = BM25Parameters() if params is None else params
     docs: List[List[str]] = [list(tokens) for tokens in documents]
     if len(docs) < num_shards:
         raise ConfigurationError(
@@ -122,8 +119,7 @@ def shard_documents(documents: Iterable[Sequence[str]], num_shards: int,
     per_shard = (len(docs) + num_shards - 1) // num_shards
     while base < len(docs):
         end = min(len(docs), base + per_shard)
-        builder = IndexBuilder(params=params, schemes=schemes,
-                               global_stats=stats)
+        builder = IndexBuilder(schemes=schemes, global_stats=stats)
         builder.declare_documents(doc_lengths)
         shard_postings: dict = {}
         for doc_id in range(base, end):

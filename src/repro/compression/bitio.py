@@ -1,4 +1,4 @@
-"""Little-endian bit-stream reader/writer shared by the packed codecs.
+"""Little-endian bit-stream writer and reader shared by the packed codecs.
 
 Bits are packed LSB-first within each byte: the first bit written lands in
 bit 0 of byte 0. This matches how a hardware extractor with a barrel
@@ -16,52 +16,16 @@ from repro.errors import CompressionError
 def pack_fields(values: Sequence[int], width: int) -> bytes:
     """``values`` as consecutive ``width``-bit fields, LSB-first.
 
-    The bytes a :class:`BitWriter` yields after ``write(v, width)`` per
-    value, assembled as one integer instead: field ``i`` sits at bit
-    ``i * width`` of the little-endian frame. The caller guarantees
-    that every value fits in ``width`` bits (the encoders derive
-    ``width`` from the values' own bit lengths, or mask first).
+    The fields are assembled as one integer: field ``i`` sits at bit
+    ``i * width`` of the little-endian frame, and a partial last byte is
+    zero padded. The caller guarantees that every value fits in
+    ``width`` bits (the encoders derive ``width`` from the values' own
+    bit lengths, or mask first).
     """
     frame = 0
     for value in reversed(values):
         frame = frame << width | value
     return frame.to_bytes((len(values) * width + 7) // 8, "little")
-
-
-class BitWriter:
-    """Accumulates variable-width fields into a byte stream, LSB-first."""
-
-    def __init__(self) -> None:
-        self._bytes = bytearray()
-        self._accumulator = 0
-        self._bit_count = 0
-
-    def write(self, value: int, width: int) -> None:
-        """Append the low ``width`` bits of ``value``."""
-        if width < 0:
-            raise CompressionError(f"negative field width {width}")
-        if value < 0 or (width < value.bit_length()):
-            raise CompressionError(
-                f"value {value} does not fit in {width} bits"
-            )
-        self._accumulator |= value << self._bit_count
-        self._bit_count += width
-        while self._bit_count >= 8:
-            self._bytes.append(self._accumulator & 0xFF)
-            self._accumulator >>= 8
-            self._bit_count -= 8
-
-    def getvalue(self) -> bytes:
-        """Flush any partial byte (zero padded) and return the stream."""
-        out = bytearray(self._bytes)
-        if self._bit_count:
-            out.append(self._accumulator & 0xFF)
-        return bytes(out)
-
-    @property
-    def bit_length(self) -> int:
-        """Total number of bits written so far."""
-        return 8 * len(self._bytes) + self._bit_count
 
 
 class BitReader:

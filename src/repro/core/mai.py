@@ -21,10 +21,10 @@ from repro.errors import ConfigurationError, SimulationError
 GB = 1 << 30
 
 #: 2 GB huge pages (common practice for large-memory workloads [33]).
-DEFAULT_PAGE_SIZE = 2 * GB
+PAGE_SIZE = 2 * GB
 
 #: 1 K entries x 2 GB pages = 2 TB of coverage (Table I node capacity).
-DEFAULT_TLB_ENTRIES = 1024
+TLB_ENTRIES = 1024
 
 
 @dataclass
@@ -44,41 +44,30 @@ class TLBStats:
 
 
 class MemoryAccessInterface:
-    """Address translation front-end of the BOSS device."""
+    """Address translation front-end of the BOSS device: ``TLB_ENTRIES``
+    translations of ``PAGE_SIZE`` pages."""
 
-    def __init__(self, page_size: int = DEFAULT_PAGE_SIZE,
-                 tlb_entries: int = DEFAULT_TLB_ENTRIES) -> None:
-        if page_size <= 0 or page_size & (page_size - 1):
-            raise ConfigurationError("page size must be a power of two")
-        if tlb_entries <= 0:
-            raise ConfigurationError("TLB needs at least one entry")
-        self._page_size = page_size
-        self._tlb_entries = tlb_entries
+    page_size = PAGE_SIZE
+    #: Bytes the TLB can map simultaneously.
+    coverage = PAGE_SIZE * TLB_ENTRIES
+
+    def __init__(self) -> None:
         #: Full page table (virtual page number -> physical page number),
         #: installed by init(); the TLB caches a subset.
         self._page_table: Dict[int, int] = {}
         self._tlb: Dict[int, int] = {}
         self.stats = TLBStats()
 
-    @property
-    def page_size(self) -> int:
-        return self._page_size
-
-    @property
-    def coverage(self) -> int:
-        """Bytes the TLB can map simultaneously."""
-        return self._page_size * self._tlb_entries
-
     def map_range(self, virtual_base: int, physical_base: int,
                   size: int) -> None:
         """Install a contiguous mapping (what ``init()`` sends to the MAI)."""
         if size <= 0:
             raise ConfigurationError("mapping size must be positive")
-        if virtual_base % self._page_size or physical_base % self._page_size:
+        if virtual_base % PAGE_SIZE or physical_base % PAGE_SIZE:
             raise ConfigurationError("mapping must be page aligned")
-        num_pages = (size + self._page_size - 1) // self._page_size
-        first_vpn = virtual_base // self._page_size
-        first_ppn = physical_base // self._page_size
+        num_pages = (size + PAGE_SIZE - 1) // PAGE_SIZE
+        first_vpn = virtual_base // PAGE_SIZE
+        first_ppn = physical_base // PAGE_SIZE
         for i in range(num_pages):
             self._page_table[first_vpn + i] = first_ppn + i
 
@@ -86,11 +75,11 @@ class MemoryAccessInterface:
         """Translate one address, updating TLB statistics."""
         if virtual_address < 0:
             raise SimulationError("negative virtual address")
-        vpn, offset = divmod(virtual_address, self._page_size)
+        vpn, offset = divmod(virtual_address, PAGE_SIZE)
         ppn = self._tlb.get(vpn)
         if ppn is not None:
             self.stats.hits += 1
-            return ppn * self._page_size + offset
+            return ppn * PAGE_SIZE + offset
         self.stats.misses += 1
         try:
             ppn = self._page_table[vpn]
@@ -98,8 +87,8 @@ class MemoryAccessInterface:
             raise SimulationError(
                 f"unmapped virtual address {virtual_address:#x}"
             ) from None
-        if len(self._tlb) >= self._tlb_entries:
+        if len(self._tlb) >= TLB_ENTRIES:
             # FIFO-ish eviction; irrelevant in the paper's sized regime.
             self._tlb.pop(next(iter(self._tlb)))
         self._tlb[vpn] = ppn
-        return ppn * self._page_size + offset
+        return ppn * PAGE_SIZE + offset

@@ -39,6 +39,13 @@ from repro.errors import ConfigurationError
 DEFAULT_K = 1000
 
 
+def positive_k(k: int) -> int:
+    """``k`` itself, or the engines' refusal of a ``k`` below 1."""
+    if k <= 0:
+        raise ConfigurationError(f"k must be positive, got {k}")
+    return k
+
+
 class TopKQueue:
     """Fixed-capacity descending-score priority queue.
 
@@ -56,9 +63,7 @@ class TopKQueue:
     def __init__(self, k: int = DEFAULT_K, *,
                  floor: Optional[float] = None,
                  exclude: Optional[Collection[int]] = None) -> None:
-        if k <= 0:
-            raise ConfigurationError(f"k must be positive, got {k}")
-        self._k = k
+        self._k = positive_k(k)
         # Ascending list of (score, -arrival) so that index 0 is the
         # eviction candidate. We track arrival order to implement the
         # first-wins tie rule.

@@ -60,12 +60,12 @@ class DecompressionModule:
     def program(self) -> DecompressorProgram:
         return self._program
 
-    def decode(self, data: bytes, count: int, base: int = -1) -> List[int]:
+    def decode(self, data: bytes, count: int) -> List[int]:
         """Decode ``count`` values from ``data``.
 
         When the program's stage 4 enables delta decoding, the returned
-        values are docIDs accumulated from ``base`` (the block metadata's
-        preceding docID); otherwise they are the raw decoded integers.
+        values are docIDs accumulated from the start of the list;
+        otherwise they are the raw decoded integers.
         """
         if self._observer.enabled:
             self._observer.emit(ModuleDecode(self._program.name, count))
@@ -84,7 +84,7 @@ class DecompressionModule:
                     )
                 values[position] |= patch
         if self._program.use_delta:
-            return doc_ids_from_deltas(values, base=base)
+            return doc_ids_from_deltas(values)
         return values
 
     # ------------------------------------------------------------------

@@ -477,8 +477,7 @@ class Evaluation:
         """Event-simulated over analytic (max-of-stages) time, 20 traced
         queries per type."""
         model = self.models["BOSS"]
-        simulator = BossCoreSimulator(
-            decode_values_per_cycle=model.decode_values_per_cycle)
+        simulator = BossCoreSimulator()
         rows = []
         for qt in QUERY_TYPES:
             runs = [

@@ -36,17 +36,11 @@ class EnergyReport:
 
 
 class EnergyModel:
-    """Maps engine throughput reports to energy consumption."""
+    """Maps engine throughput reports to energy consumption, at Table
+    III's BOSS device power and the host CPU package's."""
 
-    def __init__(self,
-                 boss_power_watts: float = None,
-                 cpu_power_watts: float = CPU_PACKAGE_POWER_W) -> None:
-        if boss_power_watts is None:
-            boss_power_watts = boss_device_totals()["power_mw"] / 1000.0
-        if boss_power_watts <= 0 or cpu_power_watts <= 0:
-            raise ConfigurationError("powers must be positive")
-        self.boss_power_watts = boss_power_watts
-        self.cpu_power_watts = cpu_power_watts
+    boss_power_watts = boss_device_totals()["power_mw"] / 1000.0
+    cpu_power_watts = CPU_PACKAGE_POWER_W
 
     def power_for(self, engine: str) -> float:
         """Average power draw of an engine's compute substrate."""

@@ -19,7 +19,11 @@ from repro.errors import ConfigurationError
 #: Alignment of every allocation, one SCM access granule (Optane's
 #: internal 256-byte block is the natural choice; 64 B would model the
 #: cache-line interface instead).
-DEFAULT_ALIGNMENT = 256
+ALIGNMENT = 256
+
+#: Bytes available to the allocator: one memory node, the paper's four
+#: 512 GB DIMMs.
+CAPACITY = 2 << 40
 
 
 @dataclass(frozen=True)
@@ -38,33 +42,13 @@ class Region:
 
 
 class AddressSpaceLayout:
-    """Bump allocator assigning regions to named objects.
+    """Bump allocator assigning regions to named objects within one
+    node's ``CAPACITY``, each region starting at a multiple of
+    ``ALIGNMENT``."""
 
-    Parameters
-    ----------
-    capacity:
-        Total bytes available (default 2 TB, the paper's four 512 GB
-        DIMMs per memory node).
-    alignment:
-        Every region starts at a multiple of this.
-    """
-
-    def __init__(self, capacity: int = 2 << 40,
-                 alignment: int = DEFAULT_ALIGNMENT) -> None:
-        if capacity <= 0:
-            raise ConfigurationError(f"capacity must be positive, got {capacity}")
-        if alignment <= 0 or alignment & (alignment - 1):
-            raise ConfigurationError(
-                f"alignment must be a positive power of two, got {alignment}"
-            )
-        self._capacity = capacity
-        self._alignment = alignment
+    def __init__(self) -> None:
         self._cursor = 0
         self._regions: Dict[str, Region] = {}
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
 
     @property
     def allocated_bytes(self) -> int:
@@ -78,10 +62,10 @@ class AddressSpaceLayout:
         if size < 0:
             raise ConfigurationError(f"negative allocation size {size}")
         base = self._align(self._cursor)
-        if base + size > self._capacity:
+        if base + size > CAPACITY:
             raise ConfigurationError(
                 f"allocation of {size} B for {name!r} exceeds capacity "
-                f"({base + size} > {self._capacity})"
+                f"({base + size} > {CAPACITY})"
             )
         region = Region(base=base, size=size)
         self._regions[name] = region
@@ -109,5 +93,5 @@ class AddressSpaceLayout:
         return len(self._regions)
 
     def _align(self, value: int) -> int:
-        mask = self._alignment - 1
+        mask = ALIGNMENT - 1
         return (value + mask) & ~mask

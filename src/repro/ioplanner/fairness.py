@@ -41,24 +41,22 @@ class TenantSpec:
             )
 
 
+#: Credit a tenant may bank, in windows' worth of its quantum.
+CREDIT_CAP_WINDOWS = 4.0
+
+
 class DeficitRoundRobin:
     """Deficit-round-robin admission over a fixed tenant set."""
 
-    def __init__(self, tenants: Sequence[TenantSpec],
-                 credit_cap_windows: float = 4.0) -> None:
+    def __init__(self, tenants: Sequence[TenantSpec]) -> None:
         if not tenants:
             raise ConfigurationError("need at least one tenant")
         names = [t.name for t in tenants]
         if len(set(names)) != len(names):
             raise ConfigurationError("tenant names must be unique")
-        if credit_cap_windows < 1.0:
-            raise ConfigurationError(
-                "credit cap must be at least one window's quantum"
-            )
         self._specs: Dict[str, TenantSpec] = {t.name: t for t in tenants}
         self._order = list(names)
         self._deficit: Dict[str, float] = {name: 0.0 for name in names}
-        self._cap_windows = credit_cap_windows
         self._rotation = 0
 
     @property
@@ -84,7 +82,7 @@ class DeficitRoundRobin:
             quantum = spec.quota_bytes_per_window
             self._deficit[name] = min(
                 self._deficit[name] + quantum,
-                self._cap_windows * quantum,
+                CREDIT_CAP_WINDOWS * quantum,
             )
         self._rotation = (self._rotation + 1) % len(self._order)
 

@@ -92,6 +92,7 @@ from repro.core.query import (
     prune_query_scored,
 )
 from repro.core.result import ScoredDocument, SearchResult, best_hits
+from repro.core.topk import positive_k
 from repro.errors import InvertedIndexError, QueryError
 from repro.index.blocks import BLOCK_SIZE, Block
 from repro.index.builder import IndexBuilder
@@ -350,7 +351,6 @@ class SegmentedIndex:
     """
 
     def __init__(self, params=None, schemes: Optional[Sequence[str]] = None,
-                 config: Optional[BossConfig] = None,
                  buffer_docs: int = 256,
                  buffer_bytes: Optional[int] = None,
                  observer: Observer = NULL_OBSERVER) -> None:
@@ -359,7 +359,7 @@ class SegmentedIndex:
                                  max_bytes=buffer_bytes)
         self.segments: List[Segment] = []
         self._schemes = list(schemes) if schemes is not None else None
-        self._config = BossConfig() if config is None else config
+        self._config = BossConfig()
         self._observer = observer
         self._next_segment_id = 0
         #: segment_id -> (stats version the engine's index view was
@@ -575,10 +575,10 @@ class SegmentedIndex:
     def search(self, query, k: Optional[int] = None) -> SearchResult:
         """Fan one query across segments + buffer; merge top-k exactly."""
         node = as_query(query)
-        effective_k = self._config.k if k is None else k
         missing = [t for t in node.terms() if self.stats.df(t) <= 0]
         if missing:
             raise QueryError(f"terms not in index: {missing}")
+        effective_k = positive_k(self._config.k if k is None else k)
 
         traffic = TrafficCounter()
         work = WorkCounters()

@@ -80,8 +80,7 @@ class LiveState:
 class LiveIndexWriter:
     """Drives ingest: buffered adds/deletes, seals, background merges."""
 
-    def __init__(self, index: Optional[SegmentedIndex] = None,
-                 device: Optional[MemoryDeviceModel] = None,
+    def __init__(self, device: Optional[MemoryDeviceModel] = None,
                  clock: Optional[Clock] = None,
                  policy: Optional[MergePolicy] = None,
                  params=None, schemes: Optional[Sequence[str]] = None,
@@ -89,12 +88,11 @@ class LiveIndexWriter:
                  buffer_bytes: Optional[int] = None,
                  validate: bool = True,
                  observer: Observer = NULL_OBSERVER) -> None:
-        if index is None:
-            index = SegmentedIndex(
-                params=params, schemes=schemes,
-                buffer_docs=buffer_docs, buffer_bytes=buffer_bytes,
-                observer=observer,
-            )
+        index = SegmentedIndex(
+            params=params, schemes=schemes,
+            buffer_docs=buffer_docs, buffer_bytes=buffer_bytes,
+            observer=observer,
+        )
         self.index = index
         self.clock = VirtualClock() if clock is None else clock
         #: Every maintenance byte (seal writes, merge reads + writes).

@@ -59,16 +59,12 @@ class RecordingObserver(Observer):
 
     enabled = True
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 models: Optional[Dict[str, object]] = None,
-                 keep_traces: int = 0) -> None:
-        """``models`` maps engine names to timing models (defaults to
-        the BOSS and IIU models). ``keep_traces`` bounds the retained
-        trace list (0 = unbounded), for long-running sessions."""
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
+        """Traces are timed with the BOSS and IIU models; every trace is
+        kept. ``registry`` lets observers share one metrics registry."""
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._models = models
+        self._models: Optional[Dict[str, object]] = None
         self.traces: List[QueryTrace] = []
-        self._keep_traces = keep_traces
         self._next_query_id = 0
 
     # ------------------------------------------------------------------
@@ -120,8 +116,6 @@ class RecordingObserver(Observer):
         )
         self._next_query_id += 1
         self.traces.append(trace)
-        if self._keep_traces and len(self.traces) > self._keep_traces:
-            del self.traces[0]
         self._publish(trace)
         return trace
 

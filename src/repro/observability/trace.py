@@ -77,7 +77,7 @@ class TrafficEntry:
         self.pattern = pattern
         #: "read" | "write"
         self.direction = direction
-        #: "scm" by default; "dram" under a cache-tier study
+        #: The memory tier that served the bytes; always "scm".
         self.tier = tier
         self.bytes = bytes
         self.accesses = accesses
@@ -258,9 +258,9 @@ class QueryTrace:
         }
 
 
-def traffic_entries(traffic: TrafficCounter,
-                    tier: str = "scm") -> List[TrafficEntry]:
-    """Flatten a :class:`TrafficCounter` into per-bucket trace entries."""
+def traffic_entries(traffic: TrafficCounter) -> List[TrafficEntry]:
+    """Flatten a :class:`TrafficCounter` into per-bucket trace entries,
+    every one served by the ``"scm"`` tier."""
     entries: List[TrafficEntry] = []
     for cls in AccessClass:
         for pattern in AccessPattern:
@@ -272,7 +272,7 @@ def traffic_entries(traffic: TrafficCounter,
                 access_class=cls.value,
                 pattern=pattern.value,
                 direction="write" if cls.is_write else "read",
-                tier=tier,
+                tier="scm",
                 bytes=nbytes,
                 accesses=accesses,
                 stage=CLASS_TO_STAGE[cls],

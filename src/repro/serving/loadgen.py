@@ -135,7 +135,6 @@ def build_requests(expressions: Sequence[str], arrivals) -> List[Request]:
 def zipf_workload(terms_by_df: Sequence[str], num_queries: int,
                   rate_qps: float, unique_queries: int = 32,
                   seed: int = 0,
-                  arrivals=None,
                   update_mix: float = 0.0,
                   tenants: Optional[Sequence[str]] = None
                   ) -> List[Request]:
@@ -143,9 +142,9 @@ def zipf_workload(terms_by_df: Sequence[str], num_queries: int,
 
     ``terms_by_df`` is the vocabulary in descending document-frequency
     order (what :meth:`repro.workloads.Corpus.terms_by_df` returns).
-    ``arrivals`` overrides the arrival process (default: Poisson at
-    ``rate_qps`` seeded alongside the query log). One ``seed`` governs
-    both halves, so the whole workload replays from a single number.
+    Arrivals are Poisson at ``rate_qps``, seeded alongside the query
+    log: one ``seed`` governs both halves, so the whole workload replays
+    from a single number.
 
     ``update_mix`` replaces that fraction of the log with mutations for
     a live target: three document adds per oldest-document delete
@@ -168,9 +167,8 @@ def zipf_workload(terms_by_df: Sequence[str], num_queries: int,
         for spec in sampler.sample_zipf_log(num_queries,
                                             unique_queries=unique)
     ]
-    if arrivals is None:
-        arrivals = PoissonArrivals(rate_qps, seed=seed)
-    requests = build_requests(expressions, arrivals)
+    requests = build_requests(expressions,
+                              PoissonArrivals(rate_qps, seed=seed))
     if tenants:
         names = list(tenants)
         requests = [

@@ -27,13 +27,18 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.result import SearchResult
-from repro.errors import ConfigurationError
 from repro.scm.device import MemoryDeviceModel, OPTANE_NODE_4CH
+from repro.sim.timing import BossTimingModel
 
 #: One fetched block: (term, block_index, payload_bytes). Records with
 #: extra trailing fields (the engine's pattern-annotated fetch log) are
 #: accepted; only the first three fields are read here.
 FetchRecord = Tuple[str, int, int]
+
+#: Decoded blocks a lane may hold before stalling (the paper's on-chip
+#: buffers hold roughly one block per stream plus intermediates, Section
+#: IV-C "On-chip Buffers").
+LANE_BUFFER_BLOCKS = 2
 
 
 @dataclass(frozen=True)
@@ -60,30 +65,18 @@ class CoreSimReport:
 class BossCoreSimulator:
     """Event-driven single-core pipeline model.
 
-    Parameters
-    ----------
-    device:
-        Memory device serving block fetches (sequential reads).
-    clock_hz, decode_values_per_cycle:
-        Match the analytic model's constants so the two are comparable.
-    lane_buffer_blocks:
-        Decoded blocks a lane may hold before stalling (the paper's
-        on-chip buffers hold roughly one block per stream plus
-        intermediates, Section IV-C "On-chip Buffers").
+    The clock, the decode rate and the lane count are
+    :class:`~repro.sim.timing.BossTimingModel`'s (Table I), so the two
+    models are comparable; ``device`` serves the block fetches
+    (sequential reads).
     """
 
-    def __init__(self, device: MemoryDeviceModel = OPTANE_NODE_4CH,
-                 clock_hz: float = 1.0e9,
-                 decode_values_per_cycle: float = 0.8,
-                 num_lanes: int = 4,
-                 lane_buffer_blocks: int = 2) -> None:
-        if num_lanes <= 0 or lane_buffer_blocks <= 0:
-            raise ConfigurationError("lanes and buffers must be positive")
+    clock_hz = BossTimingModel.clock_hz
+    decode_values_per_cycle = BossTimingModel.decode_values_per_cycle
+    num_lanes = BossTimingModel.decompression_modules
+
+    def __init__(self, device: MemoryDeviceModel = OPTANE_NODE_4CH) -> None:
         self.device = device
-        self.clock_hz = clock_hz
-        self.decode_values_per_cycle = decode_values_per_cycle
-        self.num_lanes = num_lanes
-        self.lane_buffer_blocks = lane_buffer_blocks
 
     def simulate(self, result: SearchResult,
                  fetch_log: Sequence[FetchRecord]) -> CoreSimReport:
@@ -146,7 +139,7 @@ class BossCoreSimulator:
             # Back-pressure: the lane cannot accept a new block while its
             # buffer is full of blocks the downstream has not drained.
             buffered = lane_buffered[lane]
-            if len(buffered) >= self.lane_buffer_blocks:
+            if len(buffered) >= LANE_BUFFER_BLOCKS:
                 stall_until = buffered[0]
                 buffered.pop(0)
             else:

@@ -56,17 +56,14 @@ class ThroughputReport:
         return self.throughput_qps / baseline.throughput_qps
 
 
-class _AcceleratorTimingModel:
-    """Shared pipelined-accelerator math for BOSS and IIU."""
+class _TimingModel:
+    """Every engine's model: one query is bound by its compute, the
+    memory node's service time or the host link, whichever is longest;
+    a batch spreads compute over ``num_cores`` and shares the rest.
 
-    name = "accelerator"
-    clock_hz = 1.0e9
-    #: Values each decompression module emits per cycle. Bit-serial
-    #: extraction plus exception/delta stages sustain a bit under one
-    #: value per cycle on average across the schemes.
-    decode_values_per_cycle = 0.8
-    #: Fixed per-query control overhead (command queue, scheduler, API).
-    query_overhead = 2e-6
+    A model supplies ``compute_seconds`` (one query on one core) and
+    ``cores_used`` (how many cores one query occupies).
+    """
 
     def __init__(self, device: MemoryDeviceModel = OPTANE_NODE_4CH,
                  interconnect: InterconnectModel = CXL_LINK,
@@ -80,9 +77,10 @@ class _AcceleratorTimingModel:
     # -- per query ------------------------------------------------------
 
     def compute_seconds(self, result: SearchResult) -> float:
-        """Slowest pipeline module's busy time for one query."""
-        cycles = self._module_cycles(result)
-        return max(cycles) / self.clock_hz + self.query_overhead
+        raise NotImplementedError
+
+    def cores_used(self, result: SearchResult) -> int:
+        raise NotImplementedError
 
     def memory_seconds(self, result: SearchResult) -> float:
         """Memory-node service time for one query's traffic."""
@@ -95,9 +93,6 @@ class _AcceleratorTimingModel:
             self.memory_seconds(result),
             self.interconnect.transfer_time(result.interconnect_bytes),
         )
-
-    def cores_used(self, result: SearchResult) -> int:
-        return max(1, math.ceil(len(result.query.terms()) / 4))
 
     # -- batch ----------------------------------------------------------
 
@@ -127,7 +122,26 @@ class _AcceleratorTimingModel:
             sum(r.traffic.total_bytes for r in results),
         )
 
-    # -- internals ------------------------------------------------------
+
+class _AcceleratorTimingModel(_TimingModel):
+    """Shared pipelined-accelerator math for BOSS and IIU."""
+
+    name = "accelerator"
+    clock_hz = 1.0e9
+    #: Values each decompression module emits per cycle. Bit-serial
+    #: extraction plus exception/delta stages sustain a bit under one
+    #: value per cycle on average across the schemes.
+    decode_values_per_cycle = 0.8
+    #: Fixed per-query control overhead (command queue, scheduler, API).
+    query_overhead = 2e-6
+
+    def compute_seconds(self, result: SearchResult) -> float:
+        """Slowest pipeline module's busy time for one query."""
+        cycles = self._module_cycles(result)
+        return max(cycles) / self.clock_hz + self.query_overhead
+
+    def cores_used(self, result: SearchResult) -> int:
+        return max(1, math.ceil(len(result.query.terms()) / 4))
 
     def _module_cycles(self, result: SearchResult) -> List[float]:
         raise NotImplementedError
@@ -237,7 +251,7 @@ class LuceneCostModel:
         )
 
 
-class LuceneTimingModel:
+class LuceneTimingModel(_TimingModel):
     """Software search on host CPU cores reading the SCM pool.
 
     Each query runs on one thread; the batch spreads over ``num_cores``
@@ -253,48 +267,15 @@ class LuceneTimingModel:
                  interconnect: InterconnectModel = CXL_LINK,
                  num_cores: int = 8,
                  costs: LuceneCostModel = LuceneCostModel()) -> None:
-        if num_cores <= 0:
-            raise ConfigurationError("need at least one core")
-        self.device = device
-        self.interconnect = interconnect
-        self.num_cores = num_cores
+        super().__init__(device, interconnect, num_cores)
         self.costs = costs
 
     def compute_seconds(self, result: SearchResult) -> float:
         return self.costs.compute_seconds(result.work)
 
-    def memory_seconds(self, result: SearchResult) -> float:
-        return self.device.service_time(result.traffic)
-
-    def query_seconds(self, result: SearchResult) -> float:
-        return max(
-            self.compute_seconds(result),
-            self.memory_seconds(result),
-            self.interconnect.transfer_time(result.interconnect_bytes),
-        )
-
     def cores_used(self, result: SearchResult) -> int:
         """A software query runs on one thread regardless of terms."""
         return 1
-
-    def batch(self, results: Sequence[SearchResult],
-              num_cores: Optional[int] = None) -> ThroughputReport:
-        cores = self.num_cores if num_cores is None else num_cores
-        if cores <= 0:
-            raise ConfigurationError("need at least one core")
-        compute_seconds = sum(
-            self.compute_seconds(r) for r in results
-        ) / cores
-        memory_seconds = sum(self.memory_seconds(r) for r in results)
-        interconnect_seconds = sum(
-            self.interconnect.transfer_time(r.interconnect_bytes)
-            for r in results
-        )
-        return _make_report(
-            self.name, len(results), cores, compute_seconds,
-            memory_seconds, interconnect_seconds,
-            sum(r.traffic.total_bytes for r in results),
-        )
 
 
 def _make_report(name: str, num_queries: int, cores: int,

@@ -24,7 +24,7 @@ floors pin exact numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 import numpy as np
@@ -147,15 +147,12 @@ def embed_index(index, spec: Optional[EmbeddingSpec] = None) -> CorpusEmbeddings
     return CorpusEmbeddings(spec, doc_vectors, doc_topics, term_vectors)
 
 
-def embed_corpus(corpus, spec: Optional[EmbeddingSpec] = None) -> CorpusEmbeddings:
+def embed_corpus(corpus) -> CorpusEmbeddings:
     """Embeddings for a :class:`~repro.workloads.corpus.SyntheticCorpus`.
 
-    When no spec is given, the embedding seed is derived from the corpus
-    seed so "same corpus spec" implies "same embeddings" — the
-    reproducibility contract of the vector lane.
+    The embedding seed is derived from the corpus seed so "same corpus
+    spec" implies "same embeddings" — the reproducibility contract of
+    the vector lane.
     """
-    if spec is None:
-        spec = EmbeddingSpec(seed=corpus.spec.seed * 6151 + 3)
-    elif spec.seed == 0:
-        spec = replace(spec, seed=corpus.spec.seed * 6151 + 3)
-    return embed_index(corpus.index, spec)
+    return embed_index(corpus.index,
+                       EmbeddingSpec(seed=corpus.spec.seed * 6151 + 3))

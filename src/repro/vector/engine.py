@@ -189,9 +189,9 @@ class VectorEngine:
             self._score_clusters(q, range(self.ivf.num_clusters)), k
         )
 
-    def recall_at_k(self, queries: Sequence, k: int = 10,
-                    nprobe: Optional[int] = None) -> float:
-        """Mean recall@k of IVF search vs the raw-embedding exact top-k."""
+    def recall_at_k(self, queries: Sequence, k: int = 10) -> float:
+        """Mean recall@k of IVF search at this engine's ``nprobe`` vs the
+        raw-embedding exact top-k."""
         if not queries:
             raise ConfigurationError("recall needs at least one query")
         total = 0.0
@@ -200,7 +200,7 @@ class VectorEngine:
             truth = set(self.embeddings.exact_topk(q, k))
             got = {
                 hit.doc_id
-                for hit in self.search(query, k=k, nprobe=nprobe).hits
+                for hit in self.search(query, k=k).hits
             }
             total += len(truth & got) / float(k)
         return total / len(queries)

@@ -50,29 +50,25 @@ class VectorReranker(Reranker):
 
     Each scored candidate loads one stored doc vector from the pool —
     ``dim * 4`` bytes of ``LD Score / random`` traffic, returned beside
-    the scores. ``weight_lexical`` optionally blends the first-stage
-    BM25 score back in (0 = pure vector rescoring). The model reads
-    none of the candidate features, so it never asks for them, and it
-    keeps nothing between queries.
+    the scores. The model reads none of the candidate features, so it
+    never asks for them, and it keeps nothing between queries.
     """
 
     #: Vector rescoring is heavier host work than the linear model.
     cost_per_candidate: float = 5e-6
 
-    def __init__(self, embeddings, weight_lexical: float = 0.0) -> None:
+    def __init__(self, embeddings) -> None:
         self._embeddings = embeddings
-        self.weight_lexical = weight_lexical
 
     def rescore(self, first, features):
         traffic = TrafficCounter()
         hits = first.hits
-        weight = self.weight_lexical
         try:
             query_vec = self._embeddings.query_vector(first.query.terms())
         except QueryError:
             # No query term is known to the embedding model: degrade to
             # the first-stage order rather than failing the query.
-            return [weight * hit.score for hit in hits], traffic
+            return [hit.score for hit in hits], traffic
         count = len(hits)
         ids = np.fromiter((hit.doc_id for hit in hits), dtype=np.intp,
                           count=count)
@@ -85,23 +81,18 @@ class VectorReranker(Reranker):
         cosines = np.matmul(rows[:, None, :], query_vec[:, None])[:, 0, 0]
         traffic.record(AccessClass.LD_SCORE, AccessPattern.RANDOM,
                        self._embeddings.dim * 4 * count, accesses=count)
-        return [
-            weight * hit.score + cosine
-            for hit, cosine in zip(hits, cosines.tolist())
-        ], traffic
+        return cosines.tolist(), traffic
 
 
-def rrf_fuse(rankings: Sequence[Sequence[int]], k: int,
-             c: float = RRF_C) -> List[ScoredDocument]:
+def rrf_fuse(rankings: Sequence[Sequence[int]],
+             k: int) -> List[ScoredDocument]:
     """Reciprocal Rank Fusion over docID rankings (deterministic)."""
     if k <= 0:
         raise ConfigurationError("k must be positive")
-    if c <= 0:
-        raise ConfigurationError("RRF constant must be positive")
     scores: dict = {}
     for ranking in rankings:
         for rank, doc_id in enumerate(ranking, start=1):
-            scores[doc_id] = scores.get(doc_id, 0.0) + 1.0 / (c + rank)
+            scores[doc_id] = scores.get(doc_id, 0.0) + 1.0 / (RRF_C + rank)
     return best_hits(scores.items(), k)
 
 
@@ -152,14 +143,11 @@ class HybridSearch:
         (independent retrieval, rank fusion).
     first_stage_k:
         Candidate depth: first-stage k in rerank mode, per-retriever
-        depth in RRF mode.
-    nprobe:
-        Override for the vector engine's probe width (RRF mode).
+        depth in RRF mode. The ANN lane probes its own ``nprobe``.
     """
 
     def __init__(self, engine, vector_engine: VectorEngine,
                  mode: str = "rerank", first_stage_k: int = 100,
-                 nprobe: Optional[int] = None,
                  observer: Observer = NULL_OBSERVER) -> None:
         if mode not in HYBRID_MODES:
             raise ConfigurationError(
@@ -172,7 +160,6 @@ class HybridSearch:
         self._engine = engine
         self._vector_engine = vector_engine
         self._first_stage_k = first_stage_k
-        self._nprobe = nprobe
         self._observer = observer
         self._device = vector_engine.device
         if mode == "rerank":
@@ -216,9 +203,7 @@ class HybridSearch:
 
     def _rrf_search(self, query, k: int) -> HybridResult:
         lexical = self._engine.search(query, k=self._first_stage_k)
-        vector = self._vector_engine.search(
-            query, k=self._first_stage_k, nprobe=self._nprobe
-        )
+        vector = self._vector_engine.search(query, k=self._first_stage_k)
         hits = rrf_fuse(
             [
                 [hit.doc_id for hit in lexical.hits],

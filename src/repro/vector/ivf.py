@@ -54,6 +54,9 @@ DOC_ID_BYTES = 4
 
 VECTOR_CODECS = ("fp32", "int8")
 
+#: Lloyd iterations of the IVF build's spherical k-means.
+KMEANS_ITERS = 12
+
 
 def _payload_bytes_per_vector(codec: str, dim: int) -> int:
     if codec == "fp32":
@@ -175,19 +178,19 @@ class IVFIndex:
 
 
 # ---------------------------------------------------------------------------
-# Build: seeded spherical k-means + codec packing
+# Build: deterministic spherical k-means + codec packing
 # ---------------------------------------------------------------------------
 
 
-def _spherical_kmeans(vectors: np.ndarray, num_clusters: int,
-                      iters: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
+def _spherical_kmeans(vectors: np.ndarray,
+                      num_clusters: int) -> Tuple[np.ndarray, np.ndarray]:
     """Deterministic spherical k-means; returns (centroids, assignment).
 
     Initialization is evenly spaced docIDs (which, under the banded
     topic model, spreads seeds across topics); ties in the argmax
     assignment resolve to the lowest cluster id; an emptied cluster is
     reseeded on the document least served by its current centroid. No
-    randomness beyond ``seed`` — the build is a pure function.
+    randomness — the build is a pure function.
     """
     n = len(vectors)
     idx = np.linspace(0, n - 1, num_clusters).astype(np.int64)
@@ -195,7 +198,7 @@ def _spherical_kmeans(vectors: np.ndarray, num_clusters: int,
     assignment = np.zeros(n, dtype=np.int64)
     # One similarity buffer: a fresh product per pass keeps two alive.
     sims = None
-    for _ in range(iters):
+    for _ in range(KMEANS_ITERS):
         sims = np.matmul(vectors, centroids.T, out=sims)
         assignment = np.argmax(sims, axis=1)
         best = sims[np.arange(n), assignment]
@@ -236,10 +239,9 @@ def _quantize(vectors: np.ndarray, codec: str) -> Tuple[np.ndarray, np.ndarray]:
 
 def build_ivf(embeddings: CorpusEmbeddings,
               num_clusters: Optional[int] = None,
-              codec: str = "fp32",
-              kmeans_iters: int = 12,
-              seed: int = 0) -> IVFIndex:
-    """Cluster the document embeddings and pack the device layout.
+              codec: str = "fp32") -> IVFIndex:
+    """Cluster the document embeddings (``KMEANS_ITERS`` rounds of
+    spherical k-means) and pack the device layout.
 
     ``num_clusters`` defaults to ``round(sqrt(num_docs))``, the usual
     IVF sizing. The returned index passes :meth:`IVFIndex.validate`.
@@ -249,8 +251,6 @@ def build_ivf(embeddings: CorpusEmbeddings,
             f"unknown vector codec {codec!r}; known: "
             f"{', '.join(VECTOR_CODECS)}"
         )
-    if kmeans_iters < 1:
-        raise ConfigurationError("kmeans_iters must be >= 1")
     vectors = embeddings.doc_vectors
     n = len(vectors)
     if num_clusters is None:
@@ -259,9 +259,7 @@ def build_ivf(embeddings: CorpusEmbeddings,
         raise ConfigurationError(
             f"num_clusters must be in [1, {n}], got {num_clusters}"
         )
-    centroids, assignment = _spherical_kmeans(
-        vectors, num_clusters, kmeans_iters, seed
-    )
+    centroids, assignment = _spherical_kmeans(vectors, num_clusters)
     per_vector = DOC_ID_BYTES + _payload_bytes_per_vector(
         codec, int(vectors.shape[1])
     )

@@ -23,12 +23,11 @@ locality) mirror the relative character of the two datasets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.index.bm25 import BM25Parameters
 from repro.index.builder import IndexBuilder
 from repro.index.index import InvertedIndex
 
@@ -99,15 +98,12 @@ _PRESETS: Dict[str, CorpusSpec] = {
 class SyntheticCorpus:
     """A generated corpus: term statistics plus its built inverted index."""
 
-    def __init__(self, spec: CorpusSpec,
-                 schemes: Optional[Sequence[str]] = None,
-                 params: Optional[BM25Parameters] = None) -> None:
-        params = BM25Parameters() if params is None else params
+    def __init__(self, spec: CorpusSpec) -> None:
         self.spec = spec
         self._rng = np.random.default_rng(spec.seed)
         self.doc_lengths = self._draw_doc_lengths()
         self.term_dfs = self._draw_term_dfs()
-        self.index = self._build_index(schemes, params)
+        self.index = self._build_index()
 
     # ------------------------------------------------------------------
 
@@ -175,10 +171,9 @@ class SyntheticCorpus:
             mask = np.zeros(len(ids), dtype=bool)
         return ids, mask
 
-    def _build_index(self, schemes: Optional[Sequence[str]],
-                     params: BM25Parameters) -> InvertedIndex:
+    def _build_index(self) -> InvertedIndex:
         spec = self.spec
-        builder = IndexBuilder(params=params, schemes=schemes)
+        builder = IndexBuilder()
         builder.declare_documents(self.doc_lengths)
         for rank, term in enumerate(self.terms):
             df = self.term_dfs[term]
@@ -201,12 +196,12 @@ class SyntheticCorpus:
 
 
 def make_corpus(preset: str, scale: float = 1.0,
-                schemes: Optional[Sequence[str]] = None,
                 seed: Optional[int] = None) -> SyntheticCorpus:
-    """Build a preset corpus, optionally re-scaled.
+    """Build a preset corpus, optionally re-scaled and re-seeded.
 
     ``scale`` multiplies document and term counts (0.1 gives a fast
-    test-sized corpus; 1.0 the default benchmark size).
+    test-sized corpus; 1.0 the default benchmark size). Every list gets
+    the builder's per-list codec choice.
     """
     try:
         base = _PRESETS[preset]
@@ -225,7 +220,7 @@ def make_corpus(preset: str, scale: float = 1.0,
         num_terms=max(16, int(base.num_terms * scale)),
         seed=base.seed if seed is None else seed,
     )
-    return SyntheticCorpus(spec, schemes=schemes)
+    return SyntheticCorpus(spec)
 
 
 def synthetic_documents(num_docs: int = 1000, vocab_size: int = 40,

@@ -30,6 +30,10 @@ QUERY_TYPES = ("Q1", "Q2", "Q3", "Q4", "Q5", "Q6")
 #: Term count per type (Table II).
 TYPE_TERMS = {"Q1": 1, "Q2": 2, "Q3": 2, "Q4": 4, "Q5": 4, "Q6": 4}
 
+#: Popularity skew of a sampled query log: the query of rank ``r`` is
+#: drawn with weight ``1 / r**ZIPF_EXPONENT``.
+ZIPF_EXPONENT = 1.0
+
 
 @dataclass(frozen=True)
 class QuerySpec:
@@ -129,24 +133,22 @@ class QuerySampler:
         ]
         return QuerySet(queries)
 
-    def sample_zipf_log(self, num_queries: int, unique_queries: int = 50,
-                        exponent: float = 1.0) -> QuerySet:
+    def sample_zipf_log(self, num_queries: int,
+                        unique_queries: int = 50) -> QuerySet:
         """A skewed query *log*: repeated queries with Zipf popularity.
 
         Production query logs repeat heavily (the head query can be a
         few percent of all traffic) — the property posting-list caches
         exploit. Draws ``unique_queries`` distinct Table II queries and
         samples ``num_queries`` of them with popularity proportional to
-        ``1 / rank**exponent``.
+        ``1 / rank**ZIPF_EXPONENT``.
         """
         if num_queries <= 0 or unique_queries <= 0:
             raise ConfigurationError("query counts must be positive")
-        if exponent <= 0:
-            raise ConfigurationError("zipf exponent must be positive")
         pool = list(self.sample(
             queries_per_term_count=(unique_queries + 2) // 3
         ))[:unique_queries]
-        weights = [1.0 / (rank ** exponent)
+        weights = [1.0 / (rank ** ZIPF_EXPONENT)
                    for rank in range(1, len(pool) + 1)]
         drawn = self._rng.choices(pool, weights=weights, k=num_queries)
         return QuerySet(list(drawn))

@@ -23,6 +23,18 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
+#: The cluster stream: this many clusters of ``CLUSTER_SPAN`` docIDs,
+#: placed uniformly in the sparse stream's ``[0, 2^28)`` space.
+NUM_CLUSTERS = 1000
+CLUSTER_SPAN = 1 << 14
+CLUSTER_ID_BITS = 28
+
+#: The outlier streams: d-gaps from ``N(2^5, 20)``; an outlier is drawn
+#: uniformly from ``[2^12, 2^OUTLIER_BITS)``.
+OUTLIER_MEAN = 32.0
+OUTLIER_STD = 20.0
+OUTLIER_BITS = 20
+
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
@@ -58,24 +70,20 @@ def uniform_stream(count: int, id_bits: int, seed: int = 0) -> List[int]:
     return _gaps_from_sorted_unique(chosen)
 
 
-def cluster_stream(count: int, num_clusters: int = 1000,
-                   cluster_span: int = 1 << 14, id_bits: int = 28,
-                   seed: int = 0) -> List[int]:
+def cluster_stream(count: int, seed: int = 0) -> List[int]:
     """Uniform picks from randomly chosen clusters, as d-gaps.
 
     Clusters make runs of tiny gaps separated by huge jumps — the regime
     where patched schemes (OptPFD) shine.
     """
-    if num_clusters <= 0 or cluster_span <= 0:
-        raise ConfigurationError("clusters and span must be positive")
     rng = _rng(seed)
-    space = 1 << id_bits
-    centers = rng.integers(0, max(1, space - cluster_span),
-                           size=num_clusters)
-    per_cluster = max(1, count // num_clusters)
+    space = 1 << CLUSTER_ID_BITS
+    centers = rng.integers(0, max(1, space - CLUSTER_SPAN),
+                           size=NUM_CLUSTERS)
+    per_cluster = max(1, count // NUM_CLUSTERS)
     ids = []
     for center in centers:
-        ids.append(center + rng.integers(0, cluster_span, size=per_cluster))
+        ids.append(center + rng.integers(0, CLUSTER_SPAN, size=per_cluster))
     all_ids = np.unique(np.concatenate(ids))
     if len(all_ids) > count:
         all_ids = np.sort(_rng(seed + 1).choice(all_ids, size=count,
@@ -84,9 +92,9 @@ def cluster_stream(count: int, num_clusters: int = 1000,
 
 
 def outlier_stream(count: int, outlier_fraction: float,
-                   mean: float = 32.0, std: float = 20.0,
-                   outlier_bits: int = 20, seed: int = 0) -> List[int]:
-    """d-gaps from ``N(mean, std)`` with a fraction of large outliers.
+                   seed: int = 0) -> List[int]:
+    """d-gaps from ``N(OUTLIER_MEAN, OUTLIER_STD)`` with a fraction of
+    large outliers.
 
     Matches the paper's "normal distribution with a mean of 2^5 and a
     standard deviation of 20 but with 10% and 30% of outlier values".
@@ -94,9 +102,10 @@ def outlier_stream(count: int, outlier_fraction: float,
     if not 0.0 <= outlier_fraction <= 1.0:
         raise ConfigurationError("outlier fraction must be in [0, 1]")
     rng = _rng(seed)
-    gaps = np.abs(rng.normal(mean, std, size=count)).astype(np.int64)
+    gaps = np.abs(rng.normal(OUTLIER_MEAN, OUTLIER_STD,
+                             size=count)).astype(np.int64)
     outliers = rng.random(count) < outlier_fraction
-    gaps[outliers] = rng.integers(1 << 12, 1 << outlier_bits,
+    gaps[outliers] = rng.integers(1 << 12, 1 << OUTLIER_BITS,
                                   size=int(outliers.sum()))
     return [int(g) for g in gaps]
 

@@ -192,7 +192,7 @@ class TestDifferentialOracle:
                                      schemes=[codec]).indexes[0]
         monolith = BossAccelerator(mono_index, BossConfig(k=10))
         cluster, sharded = _make_cluster(documents, schemes=[codec])
-        rebalancer = Rebalancer(cluster, sharded, schemes=[codec])
+        rebalancer = Rebalancer(cluster, sharded)
         lo, hi = sharded.boundaries[1], sharded.boundaries[2]
         rebalancer.execute(SplitShard(1, (lo + hi) // 2))
         rebalancer.execute(MergeShards(1))

@@ -423,6 +423,17 @@ class TestClusterFaultMatrix:
         for result in _run_all(replicated):
             assert not result.degraded  # a healthy replica can
 
+    def test_zero_k_refused_before_any_leaf_attempt(self):
+        """A bad argument is the caller's error, not a leaf failure to
+        retry on every shard and degrade around."""
+        leaves = [ScriptedEngine(), ScriptedEngine()]
+        cluster = SearchCluster(
+            leaves, policy=ResiliencePolicy(allow_degraded=True))
+        with pytest.raises(ConfigurationError,
+                           match="k must be positive, got 0"):
+            cluster.search('"t0"', k=0)
+        assert [leaf.calls for leaf in leaves] == [0, 0]
+
     def test_strict_cluster_propagates_leaf_error(self, documents):
         faults = [FaultConfig(permanent_failure_after=0), ZERO_FAULTS,
                   ZERO_FAULTS]

@@ -88,24 +88,6 @@ use_delta = 1
         module = DecompressionModule(parse_program(text, name="VB-delta"))
         assert module.decode(payload, len(doc_ids)) == doc_ids
 
-    def test_delta_with_base(self):
-        doc_ids = [100, 105, 106]
-        gaps = deltas_from_doc_ids(doc_ids, base=99)
-        codec = get_codec("BP")
-        program = parse_program("""
-# Stage 1
-extractor.mode = fixed
-extractor.header_bytes = 1
-# Stage 2
-Output := Input
-# Stage 3
-exceptions = none
-# Stage 4
-use_delta = 1
-""")
-        module = DecompressionModule(program)
-        assert module.decode(codec.encode(gaps), 3, base=99) == doc_ids
-
 
 class TestErrors:
     def test_short_stream_rejected(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.index.storage import AddressSpaceLayout, Region
+from repro.index.storage import CAPACITY, AddressSpaceLayout, Region
 
 
 class TestRegion:
@@ -18,7 +18,7 @@ class TestRegion:
 
 class TestAllocator:
     def test_alignment(self):
-        layout = AddressSpaceLayout(alignment=256)
+        layout = AddressSpaceLayout()
         first = layout.allocate("a", 100)
         second = layout.allocate("b", 10)
         assert first.base == 0
@@ -42,10 +42,10 @@ class TestAllocator:
             AddressSpaceLayout().region("nope")
 
     def test_capacity_enforced(self):
-        layout = AddressSpaceLayout(capacity=1024)
+        layout = AddressSpaceLayout()
         layout.allocate("a", 512)
         with pytest.raises(ConfigurationError):
-            layout.allocate("b", 1024)
+            layout.allocate("b", CAPACITY)
 
     def test_negative_size_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -55,18 +55,10 @@ class TestAllocator:
         region = AddressSpaceLayout().allocate("empty", 0)
         assert region.size == 0
 
-    def test_bad_alignment_rejected(self):
-        with pytest.raises(ConfigurationError):
-            AddressSpaceLayout(alignment=100)  # not a power of two
-
-    def test_bad_capacity_rejected(self):
-        with pytest.raises(ConfigurationError):
-            AddressSpaceLayout(capacity=0)
-
     def test_high_water_mark(self):
-        layout = AddressSpaceLayout(alignment=64)
+        layout = AddressSpaceLayout()
         layout.allocate("a", 10)
         layout.allocate("b", 20)
-        assert layout.allocated_bytes == 64 + 20
+        assert layout.allocated_bytes == 256 + 20
         assert len(layout) == 2
         assert "a" in layout

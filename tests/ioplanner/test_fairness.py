@@ -3,13 +3,12 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.ioplanner.fairness import DeficitRoundRobin, TenantSpec
+from repro.ioplanner.fairness import (
+    CREDIT_CAP_WINDOWS, DeficitRoundRobin, TenantSpec)
 
 
-def _drr(**kwargs):
-    return DeficitRoundRobin(
-        [TenantSpec("a", 1000), TenantSpec("b", 500)], **kwargs
-    )
+def _drr():
+    return DeficitRoundRobin([TenantSpec("a", 1000), TenantSpec("b", 500)])
 
 
 class TestSpecs:
@@ -22,8 +21,6 @@ class TestSpecs:
             DeficitRoundRobin([])
         with pytest.raises(ConfigurationError):
             DeficitRoundRobin([TenantSpec("a", 1), TenantSpec("a", 2)])
-        with pytest.raises(ConfigurationError):
-            _drr(credit_cap_windows=0.5)
 
     def test_unknown_tenant_raises(self):
         drr = _drr()
@@ -41,11 +38,11 @@ class TestDeficitAccounting:
         assert drr.deficit("a") == 2000
 
     def test_credit_capped_at_burst_windows(self):
-        drr = _drr(credit_cap_windows=2.0)
+        drr = _drr()
         for _ in range(10):
             drr.begin_window()
-        assert drr.deficit("a") == 2000
-        assert drr.deficit("b") == 1000
+        assert drr.deficit("a") == CREDIT_CAP_WINDOWS * 1000
+        assert drr.deficit("b") == CREDIT_CAP_WINDOWS * 500
 
     def test_post_paid_overdraw_and_repayment(self):
         drr = _drr()

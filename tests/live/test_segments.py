@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core.query import AndNode, OrNode, TermNode, parse_query
-from repro.errors import InvertedIndexError, QueryError
+from repro.errors import ConfigurationError, InvertedIndexError, QueryError
 from repro.live import SegmentedIndex
 from repro.live.segments import prune_query
 from tests.test_fastpath_equivalence import _assert_results_identical
@@ -139,6 +139,26 @@ class TestReadApi:
         live.delete_document(doc)
         with pytest.raises(QueryError):
             live.search('"gone"', k=5)
+
+    def test_zero_k_refused_over_a_sealed_segment(self):
+        """The engines' refusal, not an ``IndexError`` from reading the
+        k-th hit of an empty list."""
+        live = SegmentedIndex()
+        live.add_document(["x", "y"])
+        live.seal()
+        with pytest.raises(ConfigurationError,
+                           match="k must be positive, got 0"):
+            live.search('"x"', k=0)
+
+    @pytest.mark.parametrize("k", [-1, -3])
+    def test_negative_k_refused_on_a_buffer_only_index(self, k):
+        """Not a ``[:k]`` slice that drops the last ``|k|`` matches."""
+        live = SegmentedIndex(buffer_docs=64)
+        for _ in range(10):
+            live.add_document(["x"])
+        with pytest.raises(ConfigurationError,
+                           match=f"k must be positive, got {k}"):
+            live.search('"x"', k=k)
 
     def test_search_covers_buffer_and_segments(self):
         live = SegmentedIndex(buffer_docs=64)

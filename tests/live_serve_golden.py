@@ -41,7 +41,7 @@ from repro.serving import QueryServer
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "live_serve.json"
 
-#: The run CI's ``cli-end-to-end`` lane serves (seed and k: defaults).
+#: The live-index serve run the golden records (seed and k: defaults).
 CLI_ARGV = ["serve", "--update-mix", "0.3", "--queries", "300", "--json"]
 
 

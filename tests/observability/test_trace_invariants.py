@@ -219,17 +219,6 @@ class TestNullObserverParity:
 
 
 class TestRecordingObserverBookkeeping:
-    def test_keep_traces_bounds_the_list(self, index):
-        observer = RecordingObserver(keep_traces=3)
-        engine = BossAccelerator(index, BossConfig(k=10),
-                                 observer=observer)
-        for expression in QUERIES:
-            engine.search(expression)
-        assert len(observer.traces) == 3
-        # query ids keep counting even as old traces are evicted
-        assert observer.last_trace.query_id == len(QUERIES) - 1
-        assert '"t15"' in observer.last_trace.expression
-
     def test_registry_totals_match_traces(self, boss_traces):
         observer = RecordingObserver()
         for trace in boss_traces:

@@ -152,6 +152,10 @@ class TestCliEqualsLibrary:
             _workload(corpus.terms_by_df()))
         assert _report_of(payload) == result.report.to_dict()
         assert payload["planner"] == result.planner.to_dict()
+        # The run hits the DRAM tier and prefetches into it, so the
+        # tier's three LRU segments are all exercised.
+        assert payload["planner"]["dram_hit_bytes"] > 0
+        assert payload["planner"]["prefetch_blocks"] > 0
 
     def test_planner_over_shards(self, capsys):
         payload = _cli([*CLUSTER, "--planner"], capsys)

@@ -119,11 +119,3 @@ class TestZipfWorkload:
         b = zipf_workload(VOCAB, 32, rate_qps=200.0, seed=2)
         assert [r.expression for r in a] != [r.expression for r in b]
         assert [r.arrival_seconds for r in a] != [r.arrival_seconds for r in b]
-
-    def test_arrivals_override(self):
-        trace = TraceArrivals([float(i) for i in range(16)])
-        requests = zipf_workload(VOCAB, 16, rate_qps=999.0, seed=4,
-                                 arrivals=trace)
-        assert [r.arrival_seconds for r in requests] == [
-            float(i) for i in range(16)
-        ]

@@ -62,13 +62,15 @@ class TestProtocol:
 
 class TestTimelineMechanics:
     def test_advance_moves_a_lagging_virtual_clock(self):
-        clock = VirtualClock(start=1.0)
+        clock = VirtualClock()
+        clock.advance(1.0)
         advance_to_arrival(clock, Request(0, 2.5, '"t0"'))
         assert clock.now() == 2.5
         assert clock.sleeps == []
 
     def test_advance_never_moves_time_backwards(self):
-        clock = VirtualClock(start=3.0)
+        clock = VirtualClock()
+        clock.advance(3.0)
         advance_to_arrival(clock, Request(0, 2.5, '"t0"'))
         assert clock.now() == 3.0
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import BossAccelerator, BossConfig
-from repro.errors import ConfigurationError
 from repro.sim.coresim import BossCoreSimulator
 from repro.sim.timing import BossTimingModel
 
@@ -80,10 +79,12 @@ class TestEventSimulation:
         assert report.pipeline_efficiency > 0.9
 
     def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            BossCoreSimulator(num_lanes=0)
-        with pytest.raises(ConfigurationError):
-            BossCoreSimulator(lane_buffer_blocks=0)
+        """Table I has one source: the analytic model's constants."""
+        simulator = BossCoreSimulator()
+        assert simulator.clock_hz == BossTimingModel.clock_hz
+        assert simulator.decode_values_per_cycle == (
+            BossTimingModel.decode_values_per_cycle)
+        assert simulator.num_lanes == BossTimingModel.decompression_modules
 
 
 class TestCrossValidation:
@@ -93,9 +94,7 @@ class TestCrossValidation:
         the cross-validation that justifies using the fast analytic
         model for the figure benchmarks."""
         model = BossTimingModel()
-        simulator = BossCoreSimulator(
-            decode_values_per_cycle=model.decode_values_per_cycle
-        )
+        simulator = BossCoreSimulator()
         for result, log in traced_runs:
             if not log:
                 continue

@@ -339,7 +339,7 @@ class TestSessionBatch:
         session = BossSession(BossConfig(k=10))
         session.init(index)
         queries = _random_queries(sorted(index), 17, count=8)
-        batch = session.search_batch(queries, k=10, workers=4)
+        batch = session.search_batch(queries)
         serial = [session.search(q, k=10) for q in queries]
         for batched, expected in zip(batch.results, serial):
             assert hits_as_pairs(batched) == hits_as_pairs(expected)
@@ -351,7 +351,7 @@ class TestSessionBatch:
         session = BossSession(BossConfig(k=10))
         session.init(index)
         queries = _random_queries(sorted(index), 3, count=6)
-        report = session.search_batch(queries, k=10, workers=2).report
+        report = session.search_batch(queries).report
         assert report.queries_degraded == 0
         assert len(report.per_query_seconds) == len(queries)
         assert all(seconds > 0 for seconds in report.per_query_seconds)
@@ -365,7 +365,7 @@ class TestSessionBatch:
                                         seed=5))
         # The bad second query fails the batch before anything executes.
         with pytest.raises(ReproError):
-            session.search_batch(['"t0"', '"not-a-term"'], k=5)
+            session.search_batch(['"t0"', '"not-a-term"'])
 
 
 class TestDefaultWorkers:

@@ -182,6 +182,18 @@ class TestMetrics:
         assert latency["kind"] == "histogram"
         assert latency["samples"][0]["count"] == 1
 
+    def test_metrics_json_is_deterministic(self, index_file, capsys):
+        """Every registry value is modeled: two dumps of the same
+        queries over the same index are the same text."""
+        argv = ["metrics", "--index", str(index_file), "--query", '"memory"',
+                "--query", '"memory" AND "bandwidth"',
+                "--query", '"the" OR "index"', "--json"]
+        dumps = []
+        for _ in range(2):
+            assert main(argv) == 0
+            dumps.append(capsys.readouterr().out)
+        assert dumps[0] == dumps[1]
+
     def test_metrics_bad_query_is_error(self, index_file):
         assert main(["metrics", "--index", str(index_file),
                      "--query", "no quotes"]) == 2
@@ -512,11 +524,12 @@ class TestVsearch:
     ARGS = ["vsearch", "--scale", "0.05", "--queries", "6"]
 
     def test_query_set_report(self, capsys):
-        assert main(self.ARGS) == 0
-        out = capsys.readouterr().out
-        assert "clusters (fp32)" in out
-        assert "recall@10" in out
-        assert "p99=" in out
+        for codec in ("fp32", "int8"):
+            assert main(self.ARGS + ["--codec", codec]) == 0
+            out = capsys.readouterr().out
+            assert f"clusters ({codec})" in out
+            assert "recall@10" in out
+            assert "p99=" in out
 
     def test_query_set_json(self, capsys):
         import json

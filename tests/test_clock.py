@@ -54,7 +54,6 @@ class TestWallClock:
 class TestVirtualClock:
     def test_starts_at_given_time(self):
         assert VirtualClock().now() == 0.0
-        assert VirtualClock(start=5.0).now() == 5.0
 
     def test_sleep_advances_and_records(self):
         clock = VirtualClock()

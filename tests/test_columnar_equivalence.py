@@ -357,8 +357,7 @@ def test_block_scores_do_not_outlive_a_statistics_version(scheme):
     from tests.live.oplog import rebuild_monolith
 
     rng = random.Random(17)
-    live = SegmentedIndex(schemes=[scheme], buffer_docs=4096,
-                          config=BossConfig(k=10))
+    live = SegmentedIndex(schemes=[scheme], buffer_docs=4096)
     docs = {}
 
     def add(tokens):

@@ -22,9 +22,21 @@ not as ``<receiver>.field`` for any name that holds a config (see
 methods other than ``__post_init__`` (a value that is only validated is
 never used).
 
+Reported too: every defaulted parameter (positional-or-keyword or
+keyword-only) of a reached function or method that no call in ``src/``,
+``benchmarks/harness/**`` or ``examples/*.py`` binds. A call binds a
+parameter when the callee's last name matches — for ``__init__``, the
+class or any subclass that inherits it; ``super().__init__`` resolves
+to the enclosing class's bases and ``functools.partial(f, ...)`` calls
+``f`` — and it passes the parameter by keyword, a positional argument
+at or past its index, ``*args`` or ``**kwargs``. Forwarding is not
+setting: a value that is a bare name of the calling function's own
+defaulted parameter binds only once that parameter is bound.
+
 ``reachability_allow.txt`` holds the reports that stay, one
-``path::qualname — reason`` a line; the test fails on a report missing
-from it and on an entry that is now reached or gone.
+``path::qualname — reason`` or ``path::qualname(param=) — reason`` a
+line; the test fails on a report missing from it and on an entry that
+is now reached, bound or gone.
 """
 
 from __future__ import annotations
@@ -229,13 +241,163 @@ def _config_reads(trees: Dict[str, ast.Module]) -> Dict[str, Set[str]]:
     return reads
 
 
+def _defaulted(definition: Definition) -> Dict[str, Optional[int]]:
+    """Each parameter with a default, by name, mapped to the index a
+    call's positional argument binds it at (``None``: keyword-only)."""
+    args = definition.node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    drop = 0
+    if definition.owner is not None and not any(
+            _last_name(d) == "staticmethod"
+            for d in definition.node.decorator_list):
+        drop = 1
+    found: Dict[str, Optional[int]] = {
+        arg.arg: index - drop
+        for index, arg in enumerate(positional)
+        if index >= max(first, len(args.posonlyargs))
+    }
+    found.update((arg.arg, None) for arg, default
+                 in zip(args.kwonlyargs, args.kw_defaults)
+                 if default is not None)
+    return found
+
+
+def _init_targets(definitions: List[Definition]) -> Dict[str, List[Definition]]:
+    """Class name → the ``__init__`` a call of that name runs: its own,
+    or the first one up its ``src/`` bases."""
+    classes: Dict[str, List[Definition]] = {}
+    for definition in definitions:
+        if isinstance(definition.node, ast.ClassDef):
+            classes.setdefault(definition.name, []).append(definition)
+
+    def effective(cls: Definition, seen: Set[str]) -> List[Definition]:
+        for method in cls.methods:
+            if method.name == "__init__":
+                return [method]
+        for base in cls.node.bases:
+            name = _last_name(base)
+            if name is None or name in seen:
+                continue
+            for parent in classes.get(name, ()):
+                found = effective(parent, seen | {name})
+                if found:
+                    return found
+        return []
+
+    return {name: [init for cls in group for init in effective(cls, {name})]
+            for name, group in classes.items()}
+
+
+def _calls(tree: ast.AST, inits: Dict[str, List[Definition]],
+           functions: Dict[str, List[Definition]]) -> Iterator[tuple]:
+    """``(call, callees, enclosing function)`` for every call in
+    ``tree``; ``functools.partial(f, ...)`` is a call of ``f`` and
+    ``super().__init__(...)`` one of the enclosing class's bases."""
+
+    def visit(node: ast.AST, cls: Optional[ast.ClassDef],
+              function: Optional[ast.AST]) -> Iterator[tuple]:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, child, function)
+                continue
+            if isinstance(child, _FUNCTIONS):
+                yield from visit(child, cls, function or child)
+                continue
+            if isinstance(child, ast.Call):
+                call, callee = child, child.func
+                if (_last_name(callee) == "partial" and child.args
+                        and not isinstance(child.args[0], ast.Starred)):
+                    callee = child.args[0]
+                    call = ast.Call(func=callee, args=child.args[1:],
+                                    keywords=child.keywords)
+                if (isinstance(callee, ast.Attribute)
+                        and callee.attr == "__init__"
+                        and isinstance(callee.value, ast.Call)
+                        and _last_name(callee.value.func) == "super"):
+                    bases = cls.bases if cls else []
+                    targets = [init for base in bases
+                               for init in inits.get(_last_name(base), ())]
+                else:
+                    name = _last_name(callee)
+                    targets = (functions.get(name, []) + inits.get(name, [])
+                               if name else [])
+                if targets:
+                    yield call, targets, function
+            yield from visit(child, cls, function)
+
+    yield from visit(tree, None, None)
+
+
+def _parameter_reports(definitions: List[Definition],
+                       trees: Dict[str, ast.Module],
+                       external: List[ast.Module]) -> List[str]:
+    """Every defaulted parameter no call outside ``tests/`` binds.
+
+    A value that is a bare name of the calling function's own defaulted
+    parameter forwards it: that binding counts once the caller's
+    parameter is itself bound (least fixpoint)."""
+    functions: Dict[str, List[Definition]] = {}
+    owned: Dict[ast.AST, Definition] = {}
+    for definition in definitions:
+        for entry in [definition] + definition.methods:
+            if isinstance(entry.node, _FUNCTIONS):
+                owned[entry.node] = entry
+                if entry.name != "__init__":
+                    functions.setdefault(entry.name, []).append(entry)
+    inits = _init_targets(definitions)
+    defaults = {entry: _defaulted(entry) for entry in owned.values()}
+
+    bound: Set[tuple] = set()
+    forwarded: List[tuple] = []
+    sources = [(tree, True) for tree in trees.values()]
+    sources += [(tree, False) for tree in external]
+    for tree, internal in sources:
+        for call, targets, function in _calls(tree, inits, functions):
+            caller = owned.get(function) if internal else None
+            given = {k.arg: k.value for k in call.keywords}
+            starred = [i for i, a in enumerate(call.args)
+                       if isinstance(a, ast.Starred)]
+            for target in targets:
+                for name, index in defaults[target].items():
+                    if None in given or (
+                            index is not None and starred
+                            and starred[0] <= index):
+                        bound.add((target, name))
+                        continue
+                    value = given.get(name)
+                    if value is None and index is not None and (
+                            index < len(call.args)):
+                        value = call.args[index]
+                    if value is None:
+                        continue
+                    if (caller is not None and isinstance(value, ast.Name)
+                            and value.id in defaults[caller]):
+                        forwarded.append(((caller, value.id),
+                                          (target, name)))
+                    else:
+                        bound.add((target, name))
+    grew = True
+    while grew:
+        grew = False
+        for source, target in forwarded:
+            if source in bound and target not in bound:
+                bound.add(target)
+                grew = True
+    return [f"{entry.key}({name}=)"
+            for entry, names in defaults.items() for name in names
+            if (entry, name) not in bound]
+
+
 def report(modules: Dict[str, str], external: Iterable[str]) -> List[str]:
-    """Unreached definitions and unread ``*Config`` fields.
+    """Unreached definitions, unread ``*Config`` fields and defaulted
+    parameters that no call outside ``tests/`` binds.
 
     ``modules`` maps a display path to the source of one ``src/``
     module; ``external`` holds the sources whose every name is a root.
     """
     trees = {path: ast.parse(source) for path, source in modules.items()}
+    external_trees = [ast.parse(source) for source in external]
     definitions: List[Definition] = []
     by_name: Dict[str, List[Definition]] = {}
     names: Set[str] = set()
@@ -276,8 +438,8 @@ def report(modules: Dict[str, str], external: Iterable[str]) -> List[str]:
                 by_name.setdefault(entry.name, []).append(entry)
                 if _is_root(entry, path):
                     roots.append(entry)
-    for source in external:
-        mention([ast.parse(source)])
+    for tree in external_trees:
+        mention([tree])
     for root in roots:
         if root.owner is not None:
             reach(root.owner)
@@ -294,6 +456,10 @@ def report(modules: Dict[str, str], external: Iterable[str]) -> List[str]:
             continue
         found.extend(method.key for method in definition.methods
                      if method not in reached)
+    live = [d for d in definitions if d in reached]
+    for definition in live:
+        definition.methods = [m for m in definition.methods if m in reached]
+    found.extend(_parameter_reports(live, trees, external_trees))
     reads = _config_reads(trees)
     for path, tree in trees.items():
         for node in _module_statements(tree.body):
@@ -338,7 +504,8 @@ def test_every_src_name_is_reached_or_allow_listed():
     unlisted = sorted(found - set(allowed))
     stale = sorted(set(allowed) - found)
     assert not unlisted, (
-        "reachable only from tests (delete, or allow-list with a reason):\n"
+        "reachable or set only from tests (delete, or allow-list with a "
+        "reason):\n"
         + "\n".join(unlisted)
     )
     assert not stale, (
@@ -367,3 +534,57 @@ def test_an_unreferenced_function_is_reported():
 def test_a_name_used_only_through_getattr_is_not_reported():
     assert report({"scratch.py": SCRATCH},
                   ["from scratch import dispatch"]) == ["scratch.py::unused"]
+
+
+PARAMETERS = '''
+def unset(a, flag=False):
+    return a, flag
+
+def outer(x, width=4):
+    return inner(x, size=width)
+
+def inner(x, size=8):
+    return x * size
+
+def spread(x, scale=1.0):
+    return x * scale
+
+class Base:
+    def __init__(self, depth=2):
+        self.depth = depth
+
+class Child(Base):
+    pass
+
+def main(options):
+    unset(1)
+    outer(2)
+    spread(3, **options)
+    return Child(depth=5)
+'''
+
+
+def _scratch_parameters():
+    return [line for line in report({"scratch.py": PARAMETERS},
+                                    ["from scratch import main"])
+            if line.endswith("=)")]
+
+
+def test_an_unset_defaulted_parameter_is_reported():
+    assert "scratch.py::unset(flag=)" in _scratch_parameters()
+
+
+def test_forwarding_an_unset_parameter_sets_nothing():
+    found = _scratch_parameters()
+    assert "scratch.py::outer(width=)" in found
+    assert "scratch.py::inner(size=)" in found
+
+
+def test_a_parameter_bound_through_kwargs_is_not_reported():
+    assert "scratch.py::spread(scale=)" not in _scratch_parameters()
+
+
+def test_an_inherited_init_bound_through_a_subclass_is_not_reported():
+    assert _scratch_parameters() == [
+        "scratch.py::inner(size=)", "scratch.py::outer(width=)",
+        "scratch.py::unset(flag=)"]

@@ -35,7 +35,7 @@ class TestDeterminism:
         assert not np.array_equal(embeddings.doc_vectors, other.doc_vectors)
 
     def test_explicit_spec_overrides(self, corpus, embeddings):
-        wide = embed_corpus(corpus, EmbeddingSpec(dim=16, seed=99))
+        wide = embed_index(corpus.index, EmbeddingSpec(dim=16, seed=99))
         assert wide.dim == 16
         assert wide.num_docs == embeddings.num_docs
 

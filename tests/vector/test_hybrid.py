@@ -52,8 +52,6 @@ class TestRRFFusion:
     def test_invalid_args(self):
         with pytest.raises(ConfigurationError):
             rrf_fuse([[1]], k=0)
-        with pytest.raises(ConfigurationError):
-            rrf_fuse([[1]], k=1, c=0)
 
 
 class TestVectorReranker:
@@ -80,7 +78,7 @@ class TestVectorReranker:
 
     def test_unknown_query_degrades_to_lexical(self, engine):
         """No known term -> no query vector -> first-stage order kept."""
-        reranker = VectorReranker(engine.embeddings, weight_lexical=1.0)
+        reranker = VectorReranker(engine.embeddings)
         from repro.core.query import parse_query
 
         known = _first_stage(parse_query('"term0001"'), [(3, 2.5)])
@@ -96,18 +94,6 @@ class TestVectorReranker:
         scores, traffic = reranker.rescore(unknown, _no_features)
         assert scores == pytest.approx([2.5, 0.5])
         assert traffic.total_bytes == 0
-
-    def test_lexical_blend(self, engine):
-        from repro.core.query import parse_query
-
-        pure = VectorReranker(engine.embeddings)
-        blend = VectorReranker(engine.embeddings, weight_lexical=1.0)
-        first = _first_stage(parse_query('"term0001"'), [(0, 4.0), (7, 1.5)])
-        pure_scores, _ = pure.rescore(first, _no_features)
-        blend_scores, _ = blend.rescore(first, _no_features)
-        assert blend_scores == pytest.approx(
-            [pure_scores[0] + 4.0, pure_scores[1] + 1.5]
-        )
 
 
 def _first_stage(query, hits):

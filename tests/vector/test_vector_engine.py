@@ -37,8 +37,7 @@ class TestDifferentialOracle:
     def test_across_corpora_and_seeds(self, seed, codec):
         corpus = make_corpus("clueweb12-like", scale=0.02, seed=seed)
         embeddings = embed_corpus(corpus)
-        ivf = build_ivf(embeddings, num_clusters=13, codec=codec,
-                        seed=seed)
+        ivf = build_ivf(embeddings, num_clusters=13, codec=codec)
         engine = VectorEngine(ivf, embeddings)
         for query in ('"term0001"', '"term0002" OR "term0005"'):
             exact = engine.brute_force(query, k=15)
@@ -65,11 +64,12 @@ class TestRecall:
         assert engine.recall_at_k(QUERIES, k=10) >= RECALL_FLOOR
 
     def test_recall_monotone_in_nprobe(self, engine):
-        narrow = engine.recall_at_k(QUERIES, k=10, nprobe=1)
+        ivf, embeddings = engine.ivf, engine.embeddings
+        narrow = VectorEngine(ivf, embeddings, nprobe=1).recall_at_k(
+            QUERIES, k=10)
         default = engine.recall_at_k(QUERIES, k=10)
-        full = engine.recall_at_k(
-            QUERIES, k=10, nprobe=engine.ivf.num_clusters
-        )
+        full = VectorEngine(ivf, embeddings,
+                            nprobe=ivf.num_clusters).recall_at_k(QUERIES, k=10)
         assert narrow <= default <= full
         assert full == pytest.approx(1.0)
 

@@ -87,8 +87,3 @@ class TestGeneratedCorpus:
         pa = a.index.posting_list(a.terms[0]).decode_all()
         pb = b.index.posting_list(b.terms[0]).decode_all()
         assert pa != pb
-
-    def test_pinned_scheme(self):
-        corpus = make_corpus("ccnews-like", scale=0.05, schemes=["VB"])
-        for term in list(corpus.index)[:5]:
-            assert corpus.index.posting_list(term).scheme == "VB"

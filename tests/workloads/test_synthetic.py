@@ -49,17 +49,13 @@ class TestUniform:
 
 class TestCluster:
     def test_clustering_shrinks_median_gap(self):
-        clustered = cluster_stream(5000, num_clusters=50, seed=2)
+        clustered = cluster_stream(5000, seed=2)
         uniform = uniform_stream(5000, id_bits=28, seed=2)
         clustered_sorted = sorted(clustered)
         uniform_sorted = sorted(uniform)
         assert clustered_sorted[len(clustered) // 2] < (
             uniform_sorted[len(uniform) // 2]
         )
-
-    def test_invalid_params(self):
-        with pytest.raises(ConfigurationError):
-            cluster_stream(100, num_clusters=0)
 
 
 class TestOutlier:
