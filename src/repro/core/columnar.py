@@ -42,25 +42,28 @@ state is frozen:
 
 So whenever the pivot set collapses to a single leader (the common case
 on Zipf-distributed unions: one list is far denser than the rest), the
-union scores the leader's whole decoded block in one vectorized BM25
-expression — the exact float op order of the scalar path, so scores are
-bit-identical — and takes a whole *window* (the rest of the block, up
-to the next list's docID) per numpy pass: while the queue has room the
-window's head is inserted in bulk; once it is full, one comparison
-finds every score above the cutoff, and since the cutoff only rises
-those are the only docs an offer can still accept, so they alone are
-walked and the rejected rest is bulk-counted. The walk ends early only
-after an accept that flips the WAND test or the block bound, which the
-loop top then re-evaluates as the oracle's next iteration would. Every
-cursor movement with modeled side effects (block fetch, skip,
-``advance_to``, block transition) still happens through the real cursor,
-in the order the reference executor performs it.
+union takes a whole *window* — the rest of the leader's decoded block,
+up to the next list's docID — per pass, and bulk-counts the iterations
+around the offers the queue accepts. A window of at most
+``_SHORT_WINDOW`` postings (most of them hold one) is scored doc by doc
+with the scalar path's arithmetic. A longer one takes the leader's
+block scores from one vectorized BM25 expression — the exact float op
+order of the scalar path, so scores are bit-identical — built once per
+block: while the queue has room the window's head is inserted in bulk;
+once it is full, one comparison finds every score above the cutoff,
+and since the cutoff only rises those are the only docs an offer can
+still accept, so they alone are walked and the rejected rest is
+bulk-counted. Either walk ends early only after an accept that flips
+the WAND test or the block bound, which the loop top then re-evaluates
+as the oracle's next iteration would. Every cursor movement with
+modeled side effects (block fetch, skip, ``advance_to``, block
+transition) still happens through the real cursor, in the order the
+reference executor performs it.
 
 Leader runs require the default ET configuration (``et_wand``,
-``et_block``, ``interval_blocks == 1``) and a leader of at least
-``_LEADER_RUN_MIN_DF`` postings; everything else runs the general
-iteration. The two are interchangeable iteration by iteration, so one
-query may mix them.
+``et_block``, ``interval_blocks == 1``); under it every sole pivot
+leads one, and everything else runs the general iteration. The two are
+interchangeable iteration by iteration, so one query mixes them.
 """
 
 from __future__ import annotations
@@ -76,7 +79,6 @@ from repro.core.groups import GroupCursor
 from repro.core.topk import TopKQueue
 from repro.core.union import ET_EPSILON
 from repro.errors import SimulationError
-from repro.index.blocks import BLOCK_SIZE
 from repro.index.bm25 import BM25Scorer
 from repro.sim.metrics import WorkCounters
 
@@ -132,12 +134,10 @@ _NO_LIMIT = 1 << 62
 #: so the score cache may hold no more blocks than the decoded cache.
 _SCORE_CACHE_LIMIT = DEFAULT_DECODED_CACHE_BLOCKS
 
-#: A list leads runs only when it fills at least one whole block.
-#: Below that a run's numpy set-up is not repaid: unions of short lists
-#: (a live index's small segments, whose score caches are dropped with
-#: every statistics version) measured 5-15 % slower with runs than
-#: without.
-_LEADER_RUN_MIN_DF = BLOCK_SIZE
+#: A leader-run window of at most this many postings is walked as plain
+#: Python: up to it a numpy pass (score vector, slice, compare) costs
+#: more than the scalar scoring it replaces. 2-32 measured alike.
+_SHORT_WINDOW = 8
 
 
 def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
@@ -149,7 +149,7 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
 
     Alive cursors are tracked as mutable entries
     ``[doc, -max_score, max_score, idf, cursor, block_lasts,
-    block_max_scores, run_ids, run_scores, leads_runs]`` whose docID
+    block_max_scores, run_ids, run_scores]`` whose docID
     slot is refreshed after every movement, so sorting, pivot
     selection, tie absorption and the block-level ET peek read plain
     ints/floats instead of calling back into the cursor. ``run_ids``
@@ -181,14 +181,12 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
     for cursor in cursors:
         if not cursor.exhausted:
             max_score = cursor.list_max_score
-            plist = cursor.posting_list
             alive.append([
                 cursor.current_doc(), -max_score, max_score,
                 cursor.idf, cursor, cursor._lasts,
-                [b.metadata.max_term_score for b in plist.blocks],
+                [b.metadata.max_term_score
+                 for b in cursor.posting_list.blocks],
                 None, None,
-                run_capable
-                and plist.document_frequency >= _LEADER_RUN_MIN_DF,
             ])
 
     # BM25 term-score arithmetic, inlined with the exact operation order
@@ -207,32 +205,43 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
     lost = False
     try:
         while alive:
-            # (1) Sorter: order by (sID, -list max score), stable.
+            # (1) Sorter: order by (sID, -list max score), stable. Two
+            # entries swap only when the second's key is strictly
+            # smaller, which is all the stable sort would do.
             num_alive = len(alive)
-            if num_alive > 1:
+            if num_alive > 2:
                 alive.sort(key=_ENTRY_KEY)
+            elif num_alive == 2:
+                first, second = alive
+                if second[0] < first[0] or (second[0] == first[0]
+                                            and second[1] < first[1]):
+                    alive.reverse()
             merge_ops += 1
 
-            # (2)+(3) Score loader + pivot selector (WAND).
+            # (2)+(3) Score loader + pivot selector (WAND). The front
+            # list is tested first; the prefix sum starts at its bound,
+            # which is ``0.0 + bound`` bit for bit.
             if et_wand:
-                pivot_index = None
-                upper_bound = 0.0
-                for index, entry in enumerate(alive):
-                    upper_bound += entry[2]
-                    if upper_bound + ET_EPSILON > cutoff:
-                        pivot_index = index
-                        break
-                if pivot_index is None:
-                    return
+                upper_bound = alive[0][2]
+                if upper_bound + ET_EPSILON > cutoff:
+                    pivot_index = 0
+                else:
+                    pivot_index = None
+                    for index in range(1, num_alive):
+                        upper_bound += alive[index][2]
+                        if upper_bound + ET_EPSILON > cutoff:
+                            pivot_index = index
+                            break
+                    if pivot_index is None:
+                        return
             else:
                 pivot_index = 0
             pivot_doc = alive[pivot_index][0]
             while (pivot_index + 1 < num_alive
                    and alive[pivot_index + 1][0] == pivot_doc):
                 pivot_index += 1
-            pivot_set = alive[: pivot_index + 1]
 
-            if pivot_index == 0 and alive[0][9]:
+            if pivot_index == 0 and run_capable:
                 # ---- leader run ------------------------------------
                 # Sole pivot: consume iterations without re-sorting
                 # until the leader catches up with the next list, is
@@ -259,90 +268,115 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
                         merge_ops += 1
                     counted = False
                     # Block-level check, sole-pivot specialization: the
-                    # leader's current doc is inside its current block,
-                    # so the bisect lands on that block.
-                    index = bisect_left(lasts, doc, cursor._block_index)
+                    # leader's current doc lies in its current block.
+                    index = cursor._block_index
                     if index > cursor._metadata_read_upto:
                         cursor._charge_metadata(index)
-                    if bmaxes[index] + ET_EPSILON <= cutoff:
+                    block_max = bmaxes[index]
+                    if block_max + ET_EPSILON <= cutoff:
                         d = lasts[index] + 1
                         if limit_doc < d:
                             d = limit_doc
                         entry[0] = cursor.advance_to(d)
                         continue
-                    # Evaluation: force the (modeled) payload fetch and
-                    # materialize the block's scores once, vectorized
-                    # with the scalar path's exact float op order.
-                    ids = cursor._decoded_doc_ids
-                    if ids is None:
-                        cursor._ensure_decoded()
-                        ids = cursor._decoded_doc_ids
-                    if ids is not entry[7]:
-                        entry[7] = ids
-                        cached = score_cache.get(id(ids))
-                        if cached is None:
-                            ids_nd = np.frombuffer(ids, dtype=np.uint32)
-                            tfs_f = np.frombuffer(
-                                cursor._decoded_tfs, dtype=np.uint32
-                            ).astype(np.float64)
-                            scores_nd = 0.0 + (
-                                idf * (tfs_f * k1_plus_1)
-                                / (tfs_f + scorer.normalizer_array[ids_nd])
-                            )
-                            if len(score_cache) >= _SCORE_CACHE_LIMIT:
-                                score_cache.clear()
-                            score_cache[id(ids)] = (ids, scores_nd)
-                        else:
-                            scores_nd = cached[1]
-                        entry[8] = scores_nd
-                    else:
-                        scores_nd = entry[8]
-                    # The window: the rest of the block, up to the next
+                    # Evaluation: force the (modeled) payload fetch. The
+                    # window is the rest of the block, up to the next
                     # list's docID. Inside it a step has no modeled side
                     # effect and the decisions above can flip only when
                     # an accepted insert raises the cutoff, so the
                     # window's iterations collapse into bulk counter
                     # additions around the offers the queue accepts.
+                    ids = cursor._decoded_doc_ids
+                    if ids is None:
+                        cursor._ensure_decoded()
+                        ids = cursor._decoded_doc_ids
                     pos = cursor._position
                     size = len(ids)
                     end = (size if limit_doc >= _NO_LIMIT
                            else bisect_left(ids, limit_doc, pos))
-                    room = topk_k - len(topk_entries)
-                    if room > 0:
-                        # Queue not yet full: an offer is refused only
-                        # for an excluded docID, and the cutoff stays
-                        # 0.0 until the last slot is taken. ``fill``
-                        # counts every doc it is handed.
-                        stop = min(pos + room, end)
-                        offered = stop - pos
-                        topk.fill(ids[pos:stop], scores_nd[pos:stop].tolist())
-                        if len(topk_entries) >= topk_k:
-                            cutoff = topk_entries[0][0]
+                    stop = end
+                    offered = 0
+                    if end - pos <= _SHORT_WINDOW:
+                        # Short window: the scalar path's scoring, doc by
+                        # doc; an offer only where the queue has room or
+                        # the score beats the cutoff, and the walk ends
+                        # after an accept that flips the WAND test or
+                        # the block bound (acted on at the loop top).
+                        tfs = cursor._decoded_tfs
+                        for position in range(pos, end):
+                            tf = tfs[position]
+                            doc = ids[position]
+                            score = 0.0 + (idf * (tf * k1_plus_1)
+                                           / (tf + normalizers[doc]))
+                            if score > cutoff or len(topk_entries) < topk_k:
+                                offer(doc, score)
+                                offered += 1
+                                cutoff = (topk_entries[0][0]
+                                          if len(topk_entries) >= topk_k
+                                          else 0.0)
+                                if (not (l0max + ET_EPSILON > cutoff)
+                                        or block_max + ET_EPSILON
+                                        <= cutoff):
+                                    stop = position + 1
+                                    break
                     else:
-                        stop = end
-                        offered = 0
-                        window = scores_nd[pos:end]
-                        above = window > cutoff
-                        if above[above.argmax()]:
-                            # The cutoff only rises, so every accept in
-                            # the window is among the docs above it now:
-                            # one pass finds them, and the walk ends
-                            # after the accept that flips the WAND test
-                            # or the block bound (re-checked, and acted
-                            # on, at the loop top).
-                            hot = above.nonzero()[0]
-                            block_max = bmaxes[index]
-                            for offset, score in zip(hot.tolist(),
-                                                     window[hot].tolist()):
-                                if score > cutoff:
-                                    offer(ids[pos + offset], score)
-                                    offered += 1
-                                    cutoff = topk_entries[0][0]
-                                    if (not (l0max + ET_EPSILON > cutoff)
-                                            or block_max + ET_EPSILON
-                                            <= cutoff):
-                                        stop = pos + offset + 1
-                                        break
+                        # Long window: the block's scores come from one
+                        # array expression with the scalar path's exact
+                        # float op order, built once per block.
+                        if ids is not entry[7]:
+                            entry[7] = ids
+                            cached = score_cache.get(id(ids))
+                            if cached is None:
+                                ids_nd = np.frombuffer(ids, dtype=np.uint32)
+                                tfs_f = np.frombuffer(
+                                    cursor._decoded_tfs, dtype=np.uint32
+                                ).astype(np.float64)
+                                scores_nd = 0.0 + (
+                                    idf * (tfs_f * k1_plus_1)
+                                    / (tfs_f
+                                       + scorer.normalizer_array[ids_nd])
+                                )
+                                if len(score_cache) >= _SCORE_CACHE_LIMIT:
+                                    score_cache.clear()
+                                score_cache[id(ids)] = (ids, scores_nd)
+                            else:
+                                scores_nd = cached[1]
+                            entry[8] = scores_nd
+                        else:
+                            scores_nd = entry[8]
+                        room = topk_k - len(topk_entries)
+                        if room > 0:
+                            # Queue not yet full: an offer is refused
+                            # only for an excluded docID, and the cutoff
+                            # stays 0.0 until the last slot is taken.
+                            # ``fill`` counts every doc it is handed.
+                            stop = min(pos + room, end)
+                            offered = stop - pos
+                            topk.fill(ids[pos:stop],
+                                      scores_nd[pos:stop].tolist())
+                            if len(topk_entries) >= topk_k:
+                                cutoff = topk_entries[0][0]
+                        else:
+                            window = scores_nd[pos:end]
+                            above = window > cutoff
+                            if above[above.argmax()]:
+                                # The cutoff only rises, so every accept
+                                # in the window is among the docs above
+                                # it now: one pass finds them, and the
+                                # walk ends as the short window's does.
+                                hot = above.nonzero()[0]
+                                for offset, score in zip(
+                                        hot.tolist(), window[hot].tolist()):
+                                    if score > cutoff:
+                                        offer(ids[pos + offset], score)
+                                        offered += 1
+                                        cutoff = topk_entries[0][0]
+                                        if (not (l0max + ET_EPSILON
+                                                 > cutoff)
+                                                or block_max + ET_EPSILON
+                                                <= cutoff):
+                                            stop = pos + offset + 1
+                                            break
                     # ``n`` iterations ran: the first one's sort is
                     # counted at the loop top, and the queue counted the
                     # offers it was really handed.
@@ -363,13 +397,15 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
                 continue
 
             # ---- general iteration ---------------------------------
+            pivot_set = alive[: pivot_index + 1]
             # Block-level check (score-estimation unit). For the default
             # one-block interval the peek is inlined: the pivot-set
             # cursors are live by construction (no exhausted check) and
             # the bound is one precomputed per-block maximum. Metadata
             # is still charged through the cursor, block by block (the
             # charge is high-water idempotent, so it is called only for
-            # a block not charged yet).
+            # a block not charged yet). A list whose current block still
+            # covers the pivot needs no search.
             target = None
             if et_block:
                 bound = 0.0
@@ -378,10 +414,11 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
                     for entry in pivot_set:
                         lasts = entry[5]
                         cursor = entry[4]
-                        index = bisect_left(lasts, pivot_doc,
-                                            cursor._block_index)
-                        if index >= len(lasts):
-                            continue
+                        index = cursor._block_index
+                        if pivot_doc > lasts[index]:
+                            index = bisect_left(lasts, pivot_doc, index + 1)
+                            if index >= len(lasts):
+                                continue
                         if index > cursor._metadata_read_upto:
                             cursor._charge_metadata(index)
                         bound += entry[6][index]
@@ -408,18 +445,18 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
                         if next_doc < target:
                             target = next_doc
 
-            # (4) Document scheduler.
+            # (4) Document scheduler. The front list on the pivot means
+            # every pivot-set list sits on it. Scoring and stepping stay
+            # two loops: fused, they would reorder block fetches.
             if target is None and alive[0][0] == pivot_doc:
                 score = 0.0
                 normalizer = normalizers[pivot_doc]
                 for entry in pivot_set:
-                    if entry[0] == pivot_doc:
-                        cursor = entry[4]
-                        tfs = cursor._decoded_tfs
-                        tf = (tfs[cursor._position] if tfs is not None
-                              else cursor.current_tf())
-                        score += (entry[3] * (tf * k1_plus_1)
-                                  / (tf + normalizer))
+                    cursor = entry[4]
+                    tfs = cursor._decoded_tfs
+                    tf = (tfs[cursor._position] if tfs is not None
+                          else cursor.current_tf())
+                    score += entry[3] * (tf * k1_plus_1) / (tf + normalizer)
                 docs_evaluated += 1
                 docs_matched += 1
                 topk_inserts += 1
@@ -432,17 +469,16 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
                     cutoff = (topk_entries[0][0]
                               if len(topk_entries) >= topk_k else 0.0)
                 for entry in pivot_set:
-                    if entry[0] == pivot_doc:
-                        cursor = entry[4]
-                        ids = cursor._decoded_doc_ids
-                        position = cursor._position + 1
-                        if ids is not None and position < len(ids):
-                            cursor._position = position
-                            entry[0] = ids[position]
-                        else:
-                            doc = entry[0] = _step_slow(cursor)
-                            if doc is None:
-                                lost = True
+                    cursor = entry[4]
+                    ids = cursor._decoded_doc_ids
+                    position = cursor._position + 1
+                    if ids is not None and position < len(ids):
+                        cursor._position = position
+                        entry[0] = ids[position]
+                    else:
+                        doc = entry[0] = _step_slow(cursor)
+                        if doc is None:
+                            lost = True
             else:
                 # Advance the lagging lists: to the skip target, or (no
                 # skip) to the pivot. The in-block case is the cursor's

@@ -362,29 +362,49 @@ class Evaluation:
 
     # -- extensions (not in the paper's evaluation) ------------------------
 
-    def _ablation(self, **config) -> Tuple[int, int, int]:
-        """(evaluated, fetched, metadata) of 45 union queries, one config."""
-        engine = BossAccelerator(self.ccnews.index,
+    def _ablation(self, workload: Workload, qtype: str,
+                  **config) -> Tuple[int, int, int]:
+        """(evaluated, fetched, metadata) of a union type's first 45
+        queries, one config."""
+        engine = BossAccelerator(workload.index,
                                  replace(BossConfig(k=K), **config))
         work = [engine.search(q.expression).work
-                for q in self.ccnews.queries_of(*UNION_TYPES)[:45]]
+                for q in workload.queries_of(qtype)[:45]]
         return (sum(w.docs_evaluated for w in work),
                 sum(w.blocks_fetched for w in work),
                 sum(w.metadata_inspected for w in work))
 
-    @figure("ablation_et", f"Ablation: ET mechanisms (union queries, k={K})",
-            "mode|{:<12};evaluated|{:>11};fetched|{:>9};norm|{:>7.2f}")
-    def _ablation_et(self):
-        runs = [(name, *self._ablation(et_block=block, et_wand=wand)[:2])
-                for name, block, wand in (
-                    ("none", False, False), ("wand-only", False, True),
-                    ("block-only", True, False), ("both", True, True))]
-        return [(*run, run[1] / runs[0][1]) for run in runs]
+    def _ablation_groups(self):
+        """``(corpus, qtype, workload)`` per ablated group: the
+        multi-term union types (WAND cannot prune a single list)."""
+        return [(workload.corpus.spec.name, qtype, workload)
+                for workload in (self.clueweb, self.ccnews)
+                for qtype in ("Q3", "Q5")]
 
-    @figure("ablation_interval", "Ablation: pruning-interval length (blocks)",
-            "interval|{:<10};evaluated|{:>11};fetched|{:>9};metadata|{:>10}")
+    @figure("ablation_et",
+            f"Ablation: ET mechanisms (first 45 Q3 / Q5 queries, k={K})",
+            "corpus|{:<16};qtype|{:<6};mode|{:<12};evaluated|{:>11}"
+            ";fetched|{:>9};norm|{:>7.2f}")
+    def _ablation_et(self):
+        rows = []
+        for corpus, qtype, workload in self._ablation_groups():
+            runs = [(corpus, qtype, name, *self._ablation(
+                        workload, qtype, et_block=block, et_wand=wand)[:2])
+                    for name, block, wand in (
+                        ("none", False, False), ("wand-only", False, True),
+                        ("block-only", True, False), ("both", True, True))]
+            rows += [(*run, run[3] / runs[0][3]) for run in runs]
+        return rows
+
+    @figure("ablation_interval",
+            "Ablation: pruning-interval length in blocks "
+            "(first 45 Q3 / Q5 queries)",
+            "corpus|{:<16};qtype|{:<6};interval|{:<10};evaluated|{:>11}"
+            ";fetched|{:>9};metadata|{:>10}")
     def _ablation_interval(self):
-        return [(window, *self._ablation(et_interval_blocks=window))
+        return [(corpus, qtype, window,
+                 *self._ablation(workload, qtype, et_interval_blocks=window))
+                for corpus, qtype, workload in self._ablation_groups()
                 for window in (1, 2, 4, 8)]
 
     @figure("pool_scaleout",

@@ -286,13 +286,11 @@ class TestProductionShapes:
                        '("g1" OR "g2") AND "big"',
                        '("g1" OR "g3") AND ("g2" OR "big")'])
 
-    def test_four_terms_straddling_the_leader_run_gate(self):
-        from repro.core.columnar import _LEADER_RUN_MIN_DF as gate
-
+    def test_four_terms_straddling_one_block(self):
         rng = random.Random(8)
-        num_docs = 6 * gate
-        dfs = {"below": gate - 1, "at": gate, "above": gate + 1,
-               "dense": 5 * gate}
+        num_docs = 6 * BLOCK_SIZE
+        dfs = {"below": BLOCK_SIZE - 1, "at": BLOCK_SIZE,
+               "above": BLOCK_SIZE + 1, "dense": 5 * BLOCK_SIZE}
         index = _build_index(
             {term: _postings(sorted(rng.sample(range(num_docs), df)), rng)
              for term, df in dfs.items()}, num_docs)

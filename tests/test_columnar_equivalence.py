@@ -172,16 +172,16 @@ def test_columnar_equivalence_across_k(k):
                                (k, expression), k=k)
 
 
-def _window_index(understate=None):
+def _window_index(understate=None, rare_docs=(13, 200)):
     """Two lists crafted so one leader-run window holds several accepts.
 
     Every document is 40 tokens long, so a term score is monotone in
     tf. ``lead`` is in all 300 documents (three blocks): tf 1 except
     docs 10..15, whose tf climbs 2..7 — with k = 2 the queue fills on
     docs 0 and 1, rejects the ties that follow and accepts those six in
-    a row, each accept raising the cutoff. ``rare`` is in docs 13 and
-    200, so the first window ends at ``limit_doc`` = 13, inside block 0
-    and after three accepts.
+    a row, each accept raising the cutoff. ``rare`` is in ``rare_docs``,
+    by default 13 and 200, so the first window ends at ``limit_doc`` =
+    13, inside block 0 and after three accepts.
 
     ``understate`` lowers a stored bound to the tf-4 score: ``"list"``
     the list's WAND bound, ``"block"`` block 0's bound. With exact
@@ -199,7 +199,7 @@ def _window_index(understate=None):
     for doc in range(300):
         tf = doc - 8 if 10 <= doc <= 15 else 1
         tokens = ["lead"] * tf
-        if doc in (13, 200):
+        if doc in rare_docs:
             tokens.append("rare")
         builder.add_document(tokens + ["pad"] * (40 - len(tokens)))
     index = builder.build()
@@ -240,6 +240,32 @@ def test_multi_accept_window_exits(understate):
         assert hits == [14, 13]
 
 
+@pytest.mark.parametrize("understate", [None, "list", "block"])
+def test_short_window_exits(understate):
+    """The doc-by-doc walk of a window no longer than ``_SHORT_WINDOW``
+    ends where the numpy walk does. ``rare`` in docs 9 and 16 leaves
+    the leader the window of docs 10..15 (tf 2..7, six postings): five
+    accepts run to ``limit_doc`` with exact bounds, and an understated
+    bound flips after the tf-5 accept at doc 13, leaving 14 and 15
+    unoffered: the pivot moves to ``rare`` and the leader jumps to
+    doc 16."""
+    from repro.core.columnar import _SHORT_WINDOW
+
+    assert 6 <= _SHORT_WINDOW
+    expression = '"lead" OR "rare"'
+    evaluated = {}
+    for bound in (None, understate):
+        index = _window_index(bound, rare_docs=(9, 16))
+        columnar = BossAccelerator(index, BossConfig(k=2))
+        reference = BossAccelerator(index, BossConfig(k=2),
+                                    executor="reference")
+        for _ in range(2):  # second pass: warm decoded cache
+            _assert_pair_identical(columnar, reference, expression, bound)
+        evaluated[bound] = columnar.search(expression).work.docs_evaluated
+    assert evaluated[understate] == evaluated[None] - (2 if understate
+                                                       else 0)
+
+
 def _assert_traces_identical(observer, reference_observer):
     assert len(observer.traces) == len(reference_observer.traces)
     for trace, reference_trace in zip(observer.traces,
@@ -267,50 +293,113 @@ def test_traces_bit_identical_columnar_vs_fast():
     _assert_traces_identical(columnar_observer, fast_observer)
 
 
-def test_equivalence_at_the_leader_run_gate():
-    """Lists one posting short of, at, and one past the df from which a
-    list leads runs mix run and general iterations in one query; the
-    output must not show which iterations took which."""
+def _paced_index(gaps):
+    """Leaders below, at and past one block, each paced by one list per
+    gap in ``gaps``.
+
+    Every ``lead_*`` list holds every docID from 0, so a leader run ends
+    only at its pacer's next docID or at a block end; ``pace_g`` sits on
+    docs ``g, 2g + 1, 3g + 2, ...`` up to the longest leader, so every
+    window it leaves the leader holds at most ``g`` postings.
+    """
     import random
 
-    from repro.core.columnar import _LEADER_RUN_MIN_DF as gate
     from repro.index import IndexBuilder
+    from repro.index.blocks import BLOCK_SIZE
 
     rng = random.Random(15)
-    num_docs = 4 * gate
-    docs = [["filler"] * rng.randrange(3, 30) for _ in range(num_docs)]
-    terms = {"below": gate - 1, "at": gate, "above": gate + 1,
-             "dense": 3 * gate}
-    for term, df in terms.items():
-        for doc in rng.sample(range(num_docs), df):
-            docs[doc].extend([term] * rng.randrange(1, 5))
+    lead_dfs = {"lead_below": BLOCK_SIZE - 1, "lead_at": BLOCK_SIZE,
+                "lead_past": BLOCK_SIZE + 1}
+    num_docs = max(lead_dfs.values())
     builder = IndexBuilder()
-    for doc in docs:
-        builder.add_document(doc)
+    builder.declare_documents([rng.randrange(20, 60)
+                               for _ in range(num_docs)])
+    for term, df in lead_dfs.items():
+        builder.add_postings(term, [(doc, rng.randrange(1, 6))
+                                    for doc in range(df)])
+    for gap in gaps:
+        builder.add_postings(f"pace_{gap}", [
+            (doc, rng.randrange(1, 6))
+            for doc in range(gap, num_docs, gap + 1)])
     index = builder.build()
-    assert {t: index.posting_list(t).document_frequency
-            for t in terms} == terms
+    assert [index.posting_list(t).num_blocks for t in lead_dfs] == [1, 1, 2]
+    return index, sorted(lead_dfs)
 
-    queries = [f'"{t}"' for t in terms] + [
-        '"below" OR "at"', '"at" OR "above"', '"below" OR "above"',
-        '"below" OR "at" OR "above"', '"dense" OR "below"',
-        '"dense" OR "at" OR "above" OR "below"',
-    ]
-    observer, reference_observer = RecordingObserver(), RecordingObserver()
-    columnar = BossAccelerator(index, BossConfig(k=10), observer=observer)
-    reference = BossAccelerator(index, BossConfig(k=10),
-                                observer=reference_observer,
+
+def test_equivalence_at_the_leader_run_gate():
+    """Leader-run windows one posting short of, at and one past
+    ``_SHORT_WINDOW`` — past it a window is scored by one numpy pass,
+    up to it doc by doc — on leaders below, at and past one block mix
+    both kinds of window in one query; the output must not show which
+    windows took which, and only a window longer than ``_SHORT_WINDOW``
+    builds a score vector. k = 1000 never fills the queue."""
+    from repro.core.columnar import _SHORT_WINDOW as w
+
+    short_gaps, long_gap = (w - 1, w), w + 1
+    index, leads = _paced_index(short_gaps + (long_gap,))
+    short_queries = [f'"{lead}" OR "pace_{gap}"'
+                     for lead in leads for gap in short_gaps] + [
+        f'"{lead}" OR "pace_{w - 1}" OR "pace_{w}"' for lead in leads]
+    long_queries = [f'"{lead}" OR "pace_{long_gap}"' for lead in leads]
+    for k in (10, 1000):
+        observer = RecordingObserver()
+        reference_observer = RecordingObserver()
+        columnar = BossAccelerator(index, BossConfig(k=k),
+                                   observer=observer)
+        reference = BossAccelerator(index, BossConfig(k=k),
+                                    observer=reference_observer,
+                                    executor="reference")
+        for queries in (short_queries, long_queries):
+            for _ in range(2):  # second pass: warm decoded, score caches
+                for expression in queries:
+                    _assert_pair_identical(columnar, reference, expression,
+                                           (k, expression))
+            if queries is short_queries:
+                assert not columnar._columnar_scores, (k, "short window")
+        assert columnar._columnar_scores, (k, "no long window")
+        _assert_traces_identical(observer, reference_observer)
+
+
+@pytest.mark.parametrize("cache", ["cold", "warm"])
+@pytest.mark.parametrize("k", [1, 10])
+@pytest.mark.parametrize("twins", [2, 4])
+def test_tied_sort_keys(twins, k, cache):
+    """Twin terms with identical postings and tfs share idf, list max
+    and block maxima, so their entries tie on ``(doc, -max)`` at every
+    step: only the sort's stability orders them, and that order decides
+    which twin's block is fetched first — the ``fetch_log`` pins it
+    record by record. Twins union with each other and with one distinct
+    list, before and after it in the query."""
+    import random
+
+    from repro.index import IndexBuilder
+
+    rng = random.Random(40 + twins)
+    num_docs = 600
+    builder = IndexBuilder()
+    builder.declare_documents([rng.randrange(20, 60)
+                               for _ in range(num_docs)])
+    twin_postings = [(doc, rng.randrange(1, 6)) for doc in
+                     sorted(rng.sample(range(num_docs), 300))]
+    terms = [f"twin{i}" for i in range(twins)]
+    for term in terms:
+        builder.add_postings(term, twin_postings)
+    builder.add_postings("other", [
+        (doc, rng.randrange(1, 6))
+        for doc in sorted(rng.sample(range(num_docs), 200))])
+    index = builder.build()
+    twins_or = " OR ".join(f'"{term}"' for term in terms)
+    queries = [twins_or, f'{twins_or} OR "other"', f'"other" OR {twins_or}']
+    columnar = BossAccelerator(index, BossConfig(k=k))
+    reference = BossAccelerator(index, BossConfig(k=k),
                                 executor="reference")
-    for _ in range(2):  # second pass: warm decoded and score caches
+    if cache == "warm":
         for expression in queries:
-            _assert_pair_identical(columnar, reference, expression,
-                                   expression)
-    _assert_traces_identical(observer, reference_observer)
-    # Only lists at or past the gate led runs (and so cached scores).
-    assert 0 < len(columnar._columnar_scores) <= sum(
-        index.posting_list(t).num_blocks
-        for t, df in terms.items() if df >= gate
-    )
+            columnar.search(expression)
+            reference.search(expression)
+    for expression in queries:
+        _assert_pair_identical(columnar, reference, expression,
+                               (k, cache, expression))
 
 
 def test_block_score_cache_is_bounded(monkeypatch):
@@ -343,12 +432,13 @@ def test_block_scores_do_not_outlive_a_statistics_version(scheme):
 
     The block-score cache is keyed by the identity of a decoded docID
     array, and a live segment's decoded arrays now outlive statistics
-    versions. A list long enough to lead runs is queried, the corpus
-    moves (adds *and* deletes: IDF and avgdl both change), and the same
-    queries run again: the segment engine must equal the reference
-    executor over the same view bit for bit, and the live index must
-    equal a monolithic rebuild of the survivors — neither holds if a
-    score vector, a dressed list or the scorer survives the version.
+    versions. A list whose leader-run windows build score vectors is
+    queried, the corpus moves (adds *and* deletes: IDF and avgdl both
+    change), and the same queries run again: the segment engine must
+    equal the reference executor over the same view bit for bit, and
+    the live index must equal a monolithic rebuild of the survivors —
+    neither holds if a score vector, a dressed list or the scorer
+    survives the version.
     """
     import random
 
@@ -396,7 +486,7 @@ def test_block_scores_do_not_outlive_a_statistics_version(scheme):
             ], (scheme, context, expression)
 
     check("fresh")
-    assert engine._columnar_scores, "no list led a run"
+    assert engine._columnar_scores, "no window built a score vector"
     misses = engine.decoded_cache.misses
     for step in range(2):
         for _ in range(25):

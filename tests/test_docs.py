@@ -81,3 +81,28 @@ class TestDocsDirectory:
         for module in ("cursor", "union", "intersection", "topk",
                        "scheduler", "mai"):
             assert module in text, module
+
+
+#: A backticked module constant (``FIGURES``) or private name
+#: (``_charge_metadata``): the citations a rename or deletion in the
+#: code silently strands.
+_CITED_NAME = re.compile(r"`(_?[A-Z][A-Z0-9_]{3,}|_[a-z][a-z0-9_]{3,})`")
+
+
+def test_cited_code_names_exist():
+    """Every constant or private name the prose docs cite in backticks
+    still occurs in the code: ``src/``, the harness or the tests."""
+    docs = sorted((ROOT / "docs").glob("*.md")) + [
+        ROOT / name for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
+    cited = {}
+    for doc in docs:
+        for name in _CITED_NAME.findall(doc.read_text()):
+            cited.setdefault(name, doc.name)
+    code = "\n".join(
+        path.read_text()
+        for base in ("src", "benchmarks/harness", "tests")
+        for path in sorted((ROOT / base).rglob("*.py")))
+    missing = {name: doc for name, doc in cited.items()
+               if not re.search(rf"\b{re.escape(name)}\b", code)}
+    assert len(cited) >= 10
+    assert not missing, missing

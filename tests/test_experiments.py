@@ -148,18 +148,28 @@ class TestPaperFigures:
 
 class TestExtensions:
     def test_ablation_et_modes(self, ev):
-        evaluated = {row[0]: row[1] for row in ev.rows("ablation_et")}
-        assert evaluated["both"] <= evaluated["block-only"]
-        assert evaluated["both"] <= evaluated["wand-only"]
-        assert evaluated["block-only"] <= evaluated["none"]
-        assert evaluated["wand-only"] <= evaluated["none"]
-        assert evaluated["both"] < evaluated["none"]
+        groups = {}
+        for corpus, qtype, mode, evaluated, *_ in ev.rows("ablation_et"):
+            groups.setdefault((corpus, qtype), {})[mode] = evaluated
+        assert {qtype for _, qtype in groups} == {"Q3", "Q5"}
+        assert len(groups) == 4
+        for group, evaluated in groups.items():
+            # Each union type has lists for WAND to pivot over.
+            assert evaluated["wand-only"] < evaluated["none"], group
+            assert evaluated["both"] <= evaluated["block-only"], group
+            assert evaluated["both"] <= evaluated["wand-only"], group
+            assert evaluated["block-only"] <= evaluated["none"], group
 
     def test_ablation_interval_length(self, ev):
         # Longer intervals -> looser bounds -> no fewer evaluations.
-        evaluated = [row[1] for row in ev.rows("ablation_interval")]
-        assert all(b >= a - a * 0.01
-                   for a, b in zip(evaluated, evaluated[1:]))
+        groups = {}
+        for corpus, qtype, _window, evaluated, *_ in \
+                ev.rows("ablation_interval"):
+            groups.setdefault((corpus, qtype), []).append(evaluated)
+        assert len(groups) == 4
+        for group, evaluated in groups.items():
+            assert all(b >= a - a * 0.01
+                       for a, b in zip(evaluated, evaluated[1:])), group
 
     def test_pool_scaleout(self, ev):
         rows = cells(ev.rows("pool_scaleout"))
