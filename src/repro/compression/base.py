@@ -11,6 +11,7 @@ hardware decompressor knows when to stop.
 
 from __future__ import annotations
 
+import struct
 from abc import ABC, abstractmethod
 from array import array
 from typing import Dict, Iterable, List, Sequence, Type
@@ -89,6 +90,29 @@ class Codec(ABC):
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
+
+    def _decode_words(self, data: bytes, count: int, word: str,
+                      extract) -> array:
+        """Bulk :meth:`decode_block` of a word-packed (Simple family)
+        payload: ``word`` is the struct code of one word, and
+        ``extract[word & 0xF](word)`` the tuple of that word's fields."""
+        size = struct.calcsize(word)
+        if len(data) % size:
+            raise CompressionError(f"{self.name}: payload is not word aligned")
+        values: List[int] = []
+        extend = values.extend
+        for w in struct.unpack(f"<{len(data) // size}{word}", data):
+            extend(extract[w & 0xF](w))
+        if len(values) < count:
+            raise CompressionError(f"{self.name}: stream ended after "
+                                   f"{len(values)} of {count} values")
+        del values[count:]  # the final word's padding fields
+        try:
+            return array("I", values)
+        except OverflowError:  # a corrupt field wider than 32 bits
+            raise CompressionError(
+                f"{self.name}: decoded value exceeds 32 bits"
+            ) from None
 
     def _widths(self, values: Sequence[int]) -> bytes:
         """The one pass every encoder starts from: each value's bit length.

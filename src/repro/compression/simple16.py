@@ -153,15 +153,4 @@ class Simple16Codec(Codec):
         return values
 
     def decode_block(self, data: bytes, count: int) -> array:
-        if len(data) % 4:
-            raise CompressionError("S16: payload is not word aligned")
-        values: List[int] = []
-        extend = values.extend
-        for word in struct.unpack(f"<{len(data) // 4}I", data):
-            extend(_EXTRACT[word & 0xF](word))
-        if len(values) < count:
-            raise CompressionError(
-                f"S16: stream ended after {len(values)} of {count} values"
-            )
-        del values[count:]  # the final word's padding fields
-        return array("I", values)
+        return self._decode_words(data, count, "I", _EXTRACT)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import re
 import struct
+from array import array
 from operator import lshift
 from typing import List, Sequence, Tuple
 
@@ -66,6 +67,16 @@ S8B_MODES: Tuple[Tuple[int, int], ...] = (
 S8B_SHIFTS = tuple(
     tuple(range(4, 4 + width * capacity, width)) if width else ()
     for width, capacity in S8B_MODES
+)
+
+#: Per selector, a generated ``lambda w: (w >> 4 & 1, w >> 5 & 1, ...)``
+#: pulling every field out of a word in one expression (a zero-run
+#: mode's is a constant tuple of zeros): the bulk decoder's inner loop.
+_EXTRACT = tuple(
+    eval("lambda w: (" + "".join(
+        f"w >> {shift} & {(1 << width) - 1}, " for shift in shifts
+    ) + ("0, " * capacity if not width else "") + ")")
+    for (width, capacity), shifts in zip(S8B_MODES, S8B_SHIFTS)
 )
 
 
@@ -143,3 +154,6 @@ class Simple8bCodec(Codec):
                 f"S8b: stream ended after {len(values)} of {count} values"
             )
         return values
+
+    def decode_block(self, data: bytes, count: int) -> array:
+        return self._decode_words(data, count, "Q", _EXTRACT)

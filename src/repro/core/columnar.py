@@ -2,12 +2,16 @@
 
 :func:`run_union_columnar` and :func:`run_grouped_intersection_fast` are
 operation-for-operation replicas of :func:`repro.core.union.run_union`
-and :func:`repro.core.intersection.run_grouped_intersection` — the same
-cursor movements in the same order, the same counter increments, the
-same floating-point summation order — pinned bit-identical to those
+and of :func:`repro.core.intersection.run_grouped_intersection` with
+the engine's scoring pass (``BossAccelerator._score_matches``) — the
+same cursor movements in the same order, the same counter increments,
+the same floating-point summation order — pinned bit-identical to those
 oracles by the equivalence suites (``tests/test_fastpath_equivalence.py``,
 ``tests/test_columnar_equivalence.py``): rankings, work counters,
-per-bucket traffic, payload fetch order and full traces.
+per-bucket traffic, payload fetch order and full traces. Like the
+union, the intersection scores and offers each match where it finds it,
+as BOSS's intersection unit feeds the scoring module: no match list and
+no second pass.
 
 They remove two kinds of host-side overhead.
 
@@ -100,29 +104,6 @@ def _step_slow(cursor) -> Optional[int]:
     if ids is not None:
         return ids[cursor._position]
     return cursor.current_doc()
-
-
-def _step_inline(cursor) -> Optional[int]:
-    """``cursor.step()`` + return the new docID (None when exhausted).
-
-    The common case — the next posting lives in the already-decoded
-    block — is a single index bump; everything else falls through to
-    :func:`_step_slow`.
-    """
-    ids = cursor._decoded_doc_ids
-    position = cursor._position + 1
-    if ids is not None and position < len(ids):
-        cursor._position = position
-        return ids[position]
-    return _step_slow(cursor)
-
-
-def _tf_inline(cursor) -> int:
-    """``cursor.current_tf()`` without the method call when decoded."""
-    tfs = cursor._decoded_tfs
-    if tfs is not None:
-        return tfs[cursor._position]
-    return cursor.current_tf()
 
 
 #: Sentinel "no next list" bound; sits far above any 32-bit docID.
@@ -511,69 +492,99 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
 
 
 def run_grouped_intersection_fast(groups: Sequence[GroupCursor],
-                                  work: WorkCounters):
-    """Production replica of ``intersection.run_grouped_intersection``.
+                                  work: WorkCounters, scorer: BM25Scorer,
+                                  topk: TopKQueue) -> None:
+    """Production replica of ``intersection.run_grouped_intersection``
+    and ``BossAccelerator._score_matches``, fused: each match is scored
+    and offered to ``topk`` where the loop finds it.
 
-    Pinned to the reference by both equivalence suites
-    (``tests/test_fastpath_equivalence.py``,
-    ``tests/test_columnar_equivalence.py``) on hits, work counters,
-    per-bucket traffic and — record by record — the payload fetch order
-    (``fetch_log``), and by the shape and property tests of
-    ``tests/core/test_intersection.py``.
+    Pinned to the reference by both equivalence suites on hits, work
+    counters, per-bucket traffic and the ``fetch_log`` order, and by the
+    shape and property tests of ``tests/core/test_intersection.py``.
 
-    Two loops share the in-block seek. When every group is a single
-    term (Q2, Q4) :func:`_intersect_terms` zig-zags over the cursors
-    directly; an OR-group (Q6, the general rewrite) takes
-    :func:`_intersect_groups`, which merges each group's members.
+    Groups become lists of ``[doc, cursor, idf]`` member entries in SvS
+    order, and a match sums ``idf * (tf * (k1 + 1.0)) / (tf +
+    normalizer)`` over its members in that order: the insertion order
+    of the reference's tf map. The map keys a term once, so a repeat
+    (``"a" AND ("a" OR "b")``) has ``idf`` None: its tf is read, for the
+    fetch that may cost, but not scored. One-term groups without a
+    repeat (Q2, Q4) take :func:`_intersect_terms`, any other shape (Q6)
+    :func:`_intersect_groups`; both return ``(merge_ops, matches)``.
     """
     if not groups:
         raise SimulationError("intersection needs at least one group")
-    ordered = sorted(groups, key=lambda g: g.document_frequency)
-    if all(len(group.members) == 1 for group in ordered):
-        matches, merge_ops = _intersect_terms(
-            [group.members[0] for group in ordered]
-        )
+    ordered = []
+    seen = set()
+    for group in sorted(groups, key=lambda g: g.document_frequency):
+        members = []
+        for cursor in group.members:
+            members.append(
+                [-1, cursor, None if cursor.term in seen else cursor.idf])
+            seen.add(cursor.term)
+        ordered.append(members)
+    scoring = (scorer._normalizers, scorer.params.k1 + 1.0, topk)
+    if all(len(members) == 1 and members[0][2] is not None
+           for members in ordered):
+        merge_ops, matched = _intersect_terms(
+            [members[0] for members in ordered], *scoring)
     else:
-        matches, merge_ops = _intersect_groups(ordered)
+        merge_ops, matched = _intersect_groups(ordered, *scoring)
     work.merge_ops += merge_ops
-    work.docs_matched += len(matches)
-    return matches
+    work.docs_matched += matched
+    work.docs_evaluated += matched
+    work.topk_inserts += matched
 
 
-def _intersect_terms(cursors):
+def _intersect_terms(entries, normalizers, k1_plus_1, topk):
     """SvS zig-zag over single-term groups, in SvS order.
 
     A one-member group's merged stream *is* its member, and its
     ``merge_ops`` contribution is zero by construction, so the group
-    layer drops out: what is left is one ``[doc, cursor, term]`` entry
+    layer drops out: what is left is one ``[doc, cursor, idf]`` entry
     per list, entry 0 the driver. The loop seeks list ``i`` to
     ``target``: the others in order to the driver's candidate, then —
     when one of them jumps past it — the driver to the jump target,
-    which makes the next candidate.
+    which makes the next candidate. The first move seeks the driver to
+    docID 0.
 
     ``-1`` marks a list not primed yet: its first seek goes through
     ``cursor.advance_to``, which on a fresh cursor charges and lands
     exactly as the reference's ``current_doc`` + ``advance_to`` pair
-    does, at the moment the reference first touches the list.
+    (the driver's seek to 0, as its ``current_doc``) does, at the moment
+    the reference first touches the list.
     """
-    entries = [[-1, cursor, cursor.term] for cursor in cursors]
+    heap = topk._entries
+    k = topk.k
     num_lists = len(entries)
-    driver = cursors[0]
-    matches = []
-    target = driver.current_doc()
-    if target is None:
-        return matches, 0
-    merge_ops = 1  # one per candidate
-    i = 1
+    driver = entries[0][1]
+    merge_ops = matched = target = i = 0
     while True:
         if i == num_lists:
-            # Every list sits on the candidate.
-            matches.append((target, {
-                entry[2]: _tf_inline(entry[1]) for entry in entries
-            }))
-            target = _step_inline(driver)
-            if target is None:
-                break
+            # Every list sits on the candidate: score it here.
+            matched += 1
+            score = 0.0
+            normalizer = normalizers[target]
+            for entry in entries:
+                cursor = entry[1]
+                tfs = cursor._decoded_tfs
+                tf = (tfs[cursor._position] if tfs is not None
+                      else cursor.current_tf())
+                score += entry[2] * (tf * k1_plus_1) / (tf + normalizer)
+            if len(heap) >= k and score <= heap[0][0]:
+                # A full queue rejects the offer: count it, skip the call.
+                topk._inserts += 1
+            else:
+                topk.offer(target, score)
+            # The driver steps: its block is decoded, for the tf read.
+            ids = driver._decoded_doc_ids
+            position = driver._position + 1
+            if position < len(ids):
+                driver._position = position
+                target = ids[position]
+            else:
+                target = _step_slow(driver)
+                if target is None:
+                    break
             merge_ops += 1
             i = 1
             continue
@@ -603,53 +614,62 @@ def _intersect_terms(cursors):
         else:
             i = 0  # jumped past the candidate: re-anchor the driver
         target = landed
-    return matches, merge_ops
+    return merge_ops, matched
 
 
-def _intersect_groups(ordered):
-    """The generic loop: groups of any size, in SvS order.
+def _intersect_groups(groups, normalizers, k1_plus_1, topk):
+    """The generic loop: the zig-zag of :func:`_intersect_terms` over
+    groups of any size, in SvS order.
 
-    Each group's member cursors are tracked as ``[doc, cursor]`` entries
-    (doc None = exhausted); the group-level min-docID, tf collection and
-    step logic run over those cached ints, reproducing exactly the
-    ``merge_ops`` contributions of every :class:`GroupCursor` method the
-    reference path would have called (including the internal
-    ``current_doc`` of ``current_tfs`` and ``step``).
+    Seeking a group is ``GroupCursor.advance_to`` over its member
+    entries (doc None = exhausted, ``-1`` = not primed yet, as there);
+    its head is the least member docID. The driver's ``step`` past a
+    match is a seek to ``candidate + 1``: every member it moves has its
+    block decoded for the tf read, so it lands in that block or at the
+    next block's first docID, with the same effects as ``step``
+    followed by ``current_doc``. Each :class:`GroupCursor` call of the
+    reference costs ``live - 1`` merge ops over its ``live`` members
+    not exhausted, and the loop charges every one.
     """
-    # Group state: [primed?, [[doc, cursor], ...]]. Members are primed
-    # lazily at the group's first operation, exactly when the reference
-    # path first asks each member for its docID.
-    states = [[False, [[None, member] for member in group.members]]
-              for group in ordered]
-    merge_ops = 0
-
-    def prime(state):
-        if not state[0]:
-            state[0] = True
-            for entry in state[1]:
-                entry[0] = entry[1].current_doc()
-
-    def g_current_doc(state):
-        nonlocal merge_ops
-        prime(state)
-        best = None
-        live = 0
-        for entry in state[1]:
-            doc = entry[0]
-            if doc is not None:
-                live += 1
-                if best is None or doc < best:
-                    best = doc
-        if live > 1:
-            merge_ops += live - 1
-        return best
-
-    def g_advance_to(state, target):
-        nonlocal merge_ops
-        prime(state)
-        best = None
-        live = 0
-        for entry in state[1]:
+    heap = topk._entries
+    k = topk.k
+    num_groups = len(groups)
+    driver = groups[0]
+    merge_ops = matched = target = i = 0
+    while True:
+        if i == num_groups:
+            # Every group's head is the candidate: score it here.
+            matched += 1
+            score = 0.0
+            normalizer = normalizers[target]
+            for group in groups:
+                live = -1
+                for entry in group:
+                    doc = entry[0]
+                    if doc is None:
+                        continue
+                    live += 1
+                    if doc == target:
+                        cursor = entry[1]
+                        tfs = cursor._decoded_tfs
+                        tf = (tfs[cursor._position] if tfs is not None
+                              else cursor.current_tf())
+                        idf = entry[2]
+                        if idf is not None:
+                            score += idf * (tf * k1_plus_1) / (
+                                tf + normalizer)
+                # ``current_tfs``; the driver's ``step`` once more.
+                merge_ops += 2 * live if group is driver else live
+            if len(heap) >= k and score <= heap[0][0]:
+                # A full queue rejects the offer: count it, skip the call.
+                topk._inserts += 1
+            else:
+                topk.offer(target, score)
+            target += 1  # the driver's step: a seek past the candidate
+            i = 0
+        landed = None
+        live = -1
+        for entry in groups[i]:
             doc = entry[0]
             if doc is None:
                 continue
@@ -661,62 +681,25 @@ def _intersect_groups(ordered):
                     cursor._position = position = bisect_left(
                         ids, target, position + 1
                     )
-                    doc = ids[position]
+                    doc = entry[0] = ids[position]
                 else:
-                    doc = cursor.advance_to(target)
-                entry[0] = doc
-                if doc is None:
-                    continue
+                    doc = entry[0] = cursor.advance_to(target)
+                    if doc is None:
+                        continue
             live += 1
-            if best is None or doc < best:
-                best = doc
-        if live > 1:
-            merge_ops += live - 1
-        return best
-
-    def g_current_tfs(state):
-        doc = g_current_doc(state)
-        if doc is None:
-            raise SimulationError("group cursor exhausted")
-        tfs = {}
-        for entry in state[1]:
-            if entry[0] == doc:
-                tfs[entry[1].term] = _tf_inline(entry[1])
-        return tfs
-
-    def g_step(state):
-        doc = g_current_doc(state)
-        if doc is None:
-            raise SimulationError("group cursor exhausted")
-        for entry in state[1]:
-            if entry[0] == doc:
-                entry[0] = _step_inline(entry[1])
-
-    matches = []
-    driver = states[0]
-    others = states[1:]
-    doc = g_current_doc(driver)
-    while doc is not None:
-        merge_ops += 1
-        candidate = doc
-        in_all = True
-        for state in others:
-            landed = g_advance_to(state, candidate)
-            if landed is None:
-                doc = None
-                in_all = False
-                break
-            if landed != candidate:
-                doc = g_advance_to(driver, landed)
-                in_all = False
-                break
-        if doc is None:
+            if landed is None or doc < landed:
+                landed = doc
+        if landed is None:
             break
-        if in_all:
-            tfs = g_current_tfs(driver)
-            for state in others:
-                tfs.update(g_current_tfs(state))
-            matches.append((candidate, tfs))
-            g_step(driver)
-            doc = g_current_doc(driver)
-    return matches, merge_ops
+        merge_ops += live
+        if i == 0:
+            # The driver re-anchored: ``landed`` is the next candidate.
+            merge_ops += 1
+            i = 1
+        elif landed == target:
+            i += 1
+            continue
+        else:
+            i = 0  # jumped past the candidate: re-anchor the driver
+        target = landed
+    return merge_ops, matched

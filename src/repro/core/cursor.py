@@ -213,23 +213,6 @@ class ListCursor:
         self._position = bisect_left(self._decoded_doc_ids, target)
         return self._decoded_doc_ids[self._position]
 
-    def shallow_advance_to(self, target: int) -> None:
-        """Metadata-only block advance: position the block pointer at the
-        first block whose last docID is >= ``target``.
-
-        Never fetches a payload; used by early termination to jump over
-        intervals that cannot contain top-k candidates.
-        """
-        if self._decoded_doc_ids is not None:
-            if self._decoded_doc_ids[-1] >= target:
-                return  # current (already paid-for) block still covers it
-            self._enter_block(self._block_index + 1, skipped=False)
-        while not self.exhausted:
-            self._charge_metadata(self._block_index)
-            if self._lasts[self._block_index] >= target:
-                break
-            self._enter_block(self._block_index + 1, skipped=True)
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------

@@ -356,7 +356,11 @@ class BossAccelerator:
                 for t in child.terms()
             ]
             groups.append(GroupCursor(members, work))
-        matches = self._intersect(groups, work)
+        if self._fast_path:
+            run_grouped_intersection_fast(groups, work, self._index.scorer,
+                                          topk)
+            return
+        matches = run_grouped_intersection(groups, work)
         self._score_matches(matches, node.terms(), topk, work)
 
     def _execute_general(self, node: QueryNode, topk: TopKQueue,
@@ -368,6 +372,10 @@ class BossAccelerator:
         outputs merge in the pipeline (no spill) before scoring. Term
         scores cover every term witnessed by a matching branch — exact
         for all Table II query shapes.
+
+        Each branch needs its tf maps, so it runs the reference
+        ``run_grouped_intersection`` on every executor: no benchmark
+        workload reaches this path.
         """
         dnf = push_intersections_down(node)
         branches = (
@@ -387,7 +395,7 @@ class BossAccelerator:
                     else [branch]
                 )
             ]
-            for doc, tfs in self._intersect(groups, work):
+            for doc, tfs in run_grouped_intersection(groups, work):
                 merged.setdefault(doc, {}).update(tfs)
         matches = sorted(merged.items())
 
@@ -441,11 +449,6 @@ class BossAccelerator:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-
-    def _intersect(self, groups: List[GroupCursor], work: WorkCounters):
-        if self._fast_path:
-            return run_grouped_intersection_fast(groups, work)
-        return run_grouped_intersection(groups, work)
 
     def _cursor(self, term: str, work: WorkCounters,
                 traffic: TrafficCounter, skip_class: str) -> ListCursor:

@@ -78,14 +78,6 @@ class BlockMetadata:
                 f"exception offset {self.exception_offset} exceeds 12 bits"
             )
 
-    def overlaps(self, lo: int, hi: int) -> bool:
-        """Whether the block's docID range intersects ``[lo, hi]``.
-
-        This is the overlap check unit's test (Section IV-C, Block Fetch
-        Module): it inspects only the first/last docID metadata fields.
-        """
-        return self.first_doc_id <= hi and lo <= self.last_doc_id
-
 
 @dataclass(frozen=True)
 class Block:

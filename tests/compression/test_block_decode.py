@@ -11,6 +11,7 @@ and mixed magnitudes (S16 mode switching, GVB length mixing).
 """
 
 import random
+import struct
 from array import array
 
 import pytest
@@ -100,3 +101,13 @@ def test_decode_block_randomized_against_reference(scheme):
         encoded = codec.encode(values)
         assert list(codec.decode_block(encoded, length)) == \
             codec.decode(encoded, length) == values
+
+
+def test_s8b_corrupt_wide_field_raises_compression_error():
+    """A selector-15 word carries one 60-bit field: a corrupt payload can
+    hold a value no ``array('I')`` slot takes, which must surface as a
+    :class:`CompressionError`, not an ``OverflowError``."""
+    codec = get_codec("S8b")
+    word = (1 << 40) << 4 | 15
+    with pytest.raises(CompressionError):
+        codec.decode_block(struct.pack("<Q", word), 1)

