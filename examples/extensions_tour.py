@@ -1,22 +1,19 @@
 #!/usr/bin/env python3
 """Tour of the extensions layered over the paper's system.
 
-Walks one corpus through four capabilities the paper defers to software
+Walks one corpus through three capabilities the paper defers to software
 or future work:
 
 1. **text analysis** — raw strings to index terms (stop words, stems);
-2. **phrase search** — positional postings verify adjacency on top of
-   the engine's intersection path;
-3. **second-stage re-ranking** — the software stage after BOSS's top-k;
-4. **near-real-time updates** — a live segmented index: a write buffer
-   over sealed read-only segments, compacted on demand.
+2. **second-stage re-ranking** — the software stage after BOSS's top-k;
+3. **near-real-time updates** — a live segmented index: a write buffer
+   over sealed read-only segments.
 
 Run:  python examples/extensions_tour.py
 """
 
 from repro.core import BossAccelerator, BossConfig
 from repro.index import IndexBuilder
-from repro.index.positions import PhraseSearcher, PositionStore
 from repro.live import LiveIndexWriter
 from repro.rerank import LinearReranker, TwoStageSearch
 from repro.text import Analyzer
@@ -42,18 +39,7 @@ def main() -> None:
     index = builder.build()
     engine = BossAccelerator(index, BossConfig(k=10))
 
-    # 2. Phrases: "storage class memory" as consecutive terms only.
-    store = PositionStore.from_documents(documents)
-    phrases = PhraseSearcher(engine, store)
-    phrase_hits = phrases.search_phrase(
-        analyzer.analyze("storage class memory"), k=5
-    )
-    loose_hits = engine.search('"storage" AND "class" AND "memory"')
-    print(f"\nphrase 'storage class memory': docs "
-          f"{[h.doc_id for h in phrase_hits.hits]} "
-          f"(loose AND matches {[h.doc_id for h in loose_hits.hits]})")
-
-    # 3. Two-stage ranking: BOSS retrieves, software re-ranks.
+    # 2. Two-stage ranking: BOSS retrieves, software re-ranks.
     pipeline = TwoStageSearch(engine, LinearReranker(), first_stage_k=10)
     reranked = pipeline.search('"memory" OR "pool"', k=3)
     print(f"\nreranked top-3 for 'memory OR pool': "
@@ -61,7 +47,7 @@ def main() -> None:
           f"({reranked.candidates} candidates rescored in "
           f"{reranked.rerank_seconds * 1e6:.1f} us of host time)")
 
-    # 4. Live updates: the corpus is sealed into a read-only segment,
+    # 3. Live updates: the corpus is sealed into a read-only segment,
     # then a breaking article lands in the write buffer.
     live = LiveIndexWriter()
     for tokens in documents:
@@ -75,10 +61,6 @@ def main() -> None:
     print(f"\nafter adding doc {doc_id}: 'memory AND pool' finds "
           f"{[h.doc_id for h in fresh.hits]} (write buffer holds "
           f"{len(live.index.memseg)} doc)")
-    live.flush()
-    live.scheduler.compact_all()
-    print(f"compact_all() -> one segment with {live.index.num_docs} docs, "
-          f"fresh statistics")
 
 
 if __name__ == "__main__":

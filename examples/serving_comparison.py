@@ -77,7 +77,7 @@ def main() -> None:
         report = models[name].batch(executions[name], 8)
         energy = energy_model.energy(report)
         print(f"{name:<8}{report.throughput_qps:>10.0f}"
-              f"{report.speedup_over(lucene_report):>8.1f}x"
+              f"{report.throughput_qps / lucene_report.throughput_qps:>8.1f}x"
               f"{report.avg_bandwidth / 1e9:>7.2f}"
               f"{report.bottleneck:>12}"
               f"{1000 * energy.energy_joules / len(queries):>10.3f}")

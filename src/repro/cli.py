@@ -880,26 +880,48 @@ def _live_device(name: str):
     return OPTANE_NODE_4CH if name == "scm" else DDR4_4CH
 
 
-def _build_live_writer(seed: int, num_docs: int, vocab_size: int, device):
-    """A live writer (128-document buffer, the default merge fanout)
-    pre-loaded with a synthetic corpus.
+def _live_corpus(tag: str, num_docs: int, vocab_size: int):
+    """``(vocab, documents)``: a synthetic live corpus drawn from
+    ``random.Random(tag)``.
 
     Document ``i`` always contains vocabulary term ``i mod vocab_size``
-    (plus seeded random filler), so every term keeps live coverage even
-    under oldest-document churn — queries over the vocabulary never hit
-    a dead term.
+    (plus 3–23 seeded random filler terms), so every term keeps live
+    coverage even under oldest-document churn — queries over the
+    vocabulary never hit a dead term. The sizes are checked here, before
+    the caller builds anything; the documents are drawn lazily.
     """
     import random as _random
 
+    from repro.errors import ConfigurationError
+
+    if vocab_size < 1:
+        raise ConfigurationError(
+            f"vocabulary size must be >= 1, got {vocab_size}")
+    if num_docs < 0:
+        raise ConfigurationError(
+            f"document count must be >= 0, got {num_docs}")
+    vocab = [f"t{i}" for i in range(vocab_size)]
+    rng = _random.Random(tag)
+
+    def documents():
+        for i in range(num_docs):
+            length = rng.randint(4, 24)
+            tokens = [vocab[i % vocab_size]]
+            tokens += [rng.choice(vocab) for _ in range(length - 1)]
+            yield tokens
+
+    return vocab, documents()
+
+
+def _build_live_writer(seed: int, num_docs: int, vocab_size: int, device):
+    """A live writer (128-document buffer, the default merge fanout)
+    pre-loaded with :func:`_live_corpus`."""
     from repro.live import LiveIndexWriter
 
-    vocab = [f"t{i}" for i in range(vocab_size)]
+    vocab, documents = _live_corpus(f"live-corpus:{seed}", num_docs,
+                                    vocab_size)
     writer = LiveIndexWriter(device=device, buffer_docs=128)
-    rng = _random.Random(f"live-corpus:{seed}")
-    for i in range(num_docs):
-        length = rng.randint(4, 24)
-        tokens = [vocab[i % vocab_size]]
-        tokens += [rng.choice(vocab) for _ in range(length - 1)]
+    for tokens in documents:
         writer.add_document(tokens)
     writer.flush()
     return writer, vocab
@@ -1356,14 +1378,18 @@ def _cmd_rebalance(args) -> int:
 def _cmd_ingest(args) -> int:
     """``ingest``: drive the live index and report write traffic."""
     import json
-    import random as _random
 
+    from repro.errors import ConfigurationError
     from repro.index.validate import validate_segmented
     from repro.live import LiveIndexWriter, MergePolicy
     from repro.scm.traffic import AccessClass
 
+    if args.delete_every < 0:
+        raise ConfigurationError(
+            f"--delete-every must be >= 0, got {args.delete_every}")
+    _, documents = _live_corpus(f"ingest:{args.seed}", args.docs,
+                                args.vocab)
     device = _live_device(args.device)
-    vocab = [f"t{i}" for i in range(args.vocab)]
     recovery = None
     if args.wal_dir:
         from repro.live import recover_live_index
@@ -1377,12 +1403,8 @@ def _cmd_ingest(args) -> int:
     else:
         writer = LiveIndexWriter(device=device, buffer_docs=args.buffer,
                                  policy=MergePolicy(fanout=args.fanout))
-    rng = _random.Random(f"ingest:{args.seed}")
     deleted = 0
-    for i in range(args.docs):
-        length = rng.randint(4, 24)
-        tokens = [vocab[i % args.vocab]]
-        tokens += [rng.choice(vocab) for _ in range(length - 1)]
+    for i, tokens in enumerate(documents):
         writer.add_document(tokens)
         if (args.delete_every and (i + 1) % args.delete_every == 0
                 and writer.index.num_docs > 1):

@@ -619,9 +619,8 @@ class Rebalancer:
         fresh shard gets ``replication_factor - 1`` fresh replica
         engines over its immutable index). The returned closure installs
         everything in one step — the corpus's boundaries/indexes swap
-        with the cluster's engine lists so routing
-        (:meth:`~repro.cluster.sharding.ShardedCorpus.shard_of`) and
-        serving agree on the same generation — and runs only after the
+        with the cluster's engine lists so the shard map and serving
+        agree on the same generation — and runs only after the
         pre-publish kill-point and the conservation check pass.
         """
         replication = self._sharded.replication_factor

@@ -16,7 +16,6 @@ ranking).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from typing import Iterable, List, Optional, Sequence
 
@@ -78,12 +77,6 @@ class ShardedCorpus:
             self.indexes[shard_index]
             for _ in range(self.replication_factor - 1)
         ]
-
-    def shard_of(self, doc_id: int) -> int:
-        """Index of the shard holding ``doc_id`` (O(log shards))."""
-        if not self.boundaries[0] <= doc_id < self.boundaries[-1]:
-            raise ConfigurationError(f"docID {doc_id} outside every shard")
-        return bisect_right(self.boundaries, doc_id) - 1
 
 
 def shard_documents(documents: Iterable[Sequence[str]], num_shards: int,

@@ -41,11 +41,6 @@ class SelectionResult:
     #: Number of values in the stream.
     count: int
 
-    @property
-    def ratio(self) -> float:
-        """Compression ratio vs 4-byte raw integers (Figure 3 metric)."""
-        return 4 * self.count / self.size if self.size else float("inf")
-
 
 class HybridSelector:
     """Chooses the smallest-output codec per value stream.

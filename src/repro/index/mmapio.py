@@ -65,11 +65,6 @@ class MmapIndexStorage:
         self._index: Optional[InvertedIndex] = None
 
     @property
-    def mapped_bytes(self) -> int:
-        """Size of the mapping (the whole index file)."""
-        return 0 if self._view is None else len(self._view)
-
-    @property
     def closed(self) -> bool:
         return self._view is None
 

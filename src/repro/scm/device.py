@@ -55,11 +55,6 @@ class MemoryDeviceModel:
         if self.access_granule <= 0:
             raise ConfigurationError(f"{self.name}: bad access granule")
 
-    def round_up(self, num_bytes: int) -> int:
-        """Round a transfer up to whole access granules."""
-        granule = self.access_granule
-        return ((num_bytes + granule - 1) // granule) * granule
-
     def service_time(self, traffic: TrafficCounter) -> float:
         """Seconds to move ``traffic`` through this device at saturation.
 

@@ -37,14 +37,6 @@ class InterconnectModel:
             raise ConfigurationError("negative transfer size")
         return num_bytes / self.bandwidth
 
-    def round_trip_time(self, request_bytes: int, response_bytes: int) -> float:
-        """Request/response exchange including both message latencies."""
-        return (
-            2 * self.latency
-            + self.transfer_time(request_bytes)
-            + self.transfer_time(response_bytes)
-        )
-
     def publish_metrics(self, registry) -> None:
         """Publish the link's static gauges into a metrics registry."""
         registry.gauge(

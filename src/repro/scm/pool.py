@@ -70,25 +70,6 @@ class MemoryPool:
         """Host-visible bytes/s per byte of capacity (falls as nodes grow)."""
         return self.interconnect.bandwidth / self.capacity
 
-    def surviving(self, failed_nodes) -> "MemoryPool":
-        """The degraded pool after losing ``failed_nodes`` (by index).
-
-        Models permanent leaf death at the hardware layer: the dead
-        nodes' capacity and internal bandwidth leave the pool while the
-        shared host interconnect stays. Raises when every node failed —
-        a pool with no nodes cannot serve.
-        """
-        failed = set(failed_nodes)
-        unknown = [i for i in failed if not 0 <= i < len(self.nodes)]
-        if unknown:
-            raise ConfigurationError(f"no such pool node(s): {unknown}")
-        survivors = [
-            node for i, node in enumerate(self.nodes) if i not in failed
-        ]
-        if not survivors:
-            raise ConfigurationError("every node in the pool failed")
-        return MemoryPool(nodes=survivors, interconnect=self.interconnect)
-
     def publish_metrics(self, registry) -> None:
         """Publish the pool's static topology gauges into a registry.
 

@@ -51,10 +51,6 @@ class ThroughputReport:
     #: Average device bandwidth demand over the batch (bytes/second).
     avg_bandwidth: float
 
-    def speedup_over(self, baseline: "ThroughputReport") -> float:
-        """Throughput ratio vs a baseline report."""
-        return self.throughput_qps / baseline.throughput_qps
-
 
 class _TimingModel:
     """Every engine's model: one query is bound by its compute, the

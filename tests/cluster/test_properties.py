@@ -1,6 +1,7 @@
 """Property tests: sharded serving is invisible to the searcher."""
 
 import random
+from bisect import bisect_right
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,7 +120,8 @@ def test_property_tie_break_spans_shard_boundaries(num_shards, k, codec,
         # some tied score class contributes hits from two of them.
         by_score: dict = {}
         for doc_id, score in pairs:
-            by_score.setdefault(score, set()).add(sharded.shard_of(doc_id))
+            shard = bisect_right(sharded.boundaries, doc_id) - 1
+            by_score.setdefault(score, set()).add(shard)
         shard_size = (num_docs + num_shards - 1) // num_shards
         if k > shard_size:
             assert any(len(shards) > 1 for shards in by_score.values())

@@ -39,16 +39,6 @@ class TestStructure:
         )
         assert covered == 600
 
-    def test_shard_of(self, sharded):
-        for doc_id in (0, 150, 599):
-            shard = sharded.shard_of(doc_id)
-            assert sharded.boundaries[shard] <= doc_id
-            assert doc_id < sharded.boundaries[shard + 1]
-
-    def test_shard_of_out_of_range(self, sharded):
-        with pytest.raises(ConfigurationError):
-            sharded.shard_of(600)
-
     def test_postings_respect_intervals(self, sharded):
         for i, index in enumerate(sharded.indexes):
             lo, hi = sharded.boundaries[i], sharded.boundaries[i + 1]
@@ -104,8 +94,8 @@ class TestReplication:
 
 
 class TestBoundaries:
-    """Regression (shard_of bugs): the routing table is validated at
-    construction and looked up by bisection, not a linear scan."""
+    """Regression: the shard boundaries are validated at construction
+    (strictly increasing, one more than the shards)."""
 
     def test_duplicate_boundary_rejected(self, sharded):
         with pytest.raises(ConfigurationError):
@@ -118,34 +108,6 @@ class TestBoundaries:
     def test_boundary_count_must_bracket_shards(self, sharded):
         with pytest.raises(ConfigurationError):
             ShardedCorpus(sharded.indexes, [0, 200, 600])
-
-    def test_shard_of_matches_linear_reference(self, sharded):
-        bounds = sharded.boundaries
-        for doc_id in range(bounds[0], bounds[-1]):
-            expected = next(
-                i for i in range(len(bounds) - 1)
-                if bounds[i] <= doc_id < bounds[i + 1]
-            )
-            assert sharded.shard_of(doc_id) == expected
-
-    def test_shard_of_rejects_below_first_interval(self, sharded):
-        with pytest.raises(ConfigurationError):
-            sharded.shard_of(-1)
-
-    def test_shard_of_on_nonzero_base(self):
-        # A corpus whose first interval does not start at docID 0 (the
-        # shape a split of a later shard produces) still routes and
-        # still rejects ids below the base instead of clamping to
-        # shard 0.
-        sharded = shard_documents(_documents(90), num_shards=3)
-        sharded.boundaries = [30, 45, 60, 90]
-        sharded.indexes = sharded.indexes[:3]
-        assert sharded.shard_of(30) == 0
-        assert sharded.shard_of(44) == 0
-        assert sharded.shard_of(45) == 1
-        assert sharded.shard_of(89) == 2
-        with pytest.raises(ConfigurationError):
-            sharded.shard_of(29)
 
 
 class TestValidation:

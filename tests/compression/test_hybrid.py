@@ -51,11 +51,6 @@ class TestHybridSelector:
         assert "S16" not in selection.sizes
         assert selection.scheme in selection.sizes
 
-    def test_ratio_property(self):
-        values = [1] * 400
-        selection = HybridSelector().select(values)
-        assert selection.ratio == pytest.approx(4 * 400 / selection.size)
-
     def test_hybrid_dominates_every_single_scheme(self):
         """Figure 3's core claim: hybrid >= the best single scheme."""
         rng = random.Random(23)

@@ -73,10 +73,6 @@ class TestZeroCopy:
         assert len(mappings) == 1
         assert 0 < payload_bytes < bossx_path.stat().st_size
 
-    def test_mapped_bytes_is_file_size(self, bossx_path):
-        with MmapIndexStorage(bossx_path) as storage:
-            assert storage.mapped_bytes == bossx_path.stat().st_size
-
 
 @pytest.mark.parametrize("executor", ["reference", "fast", "columnar"])
 def test_mmap_differential_vs_in_memory(bossx_path, corpus_index,

@@ -76,12 +76,6 @@ class TestServiceTime:
         rand = OPTANE_NODE_4CH.read_time(bytes_, AccessPattern.RANDOM)
         assert rand > seq
 
-    def test_round_up(self):
-        assert OPTANE_NODE_4CH.round_up(1) == 256
-        assert OPTANE_NODE_4CH.round_up(256) == 256
-        assert OPTANE_NODE_4CH.round_up(257) == 512
-        assert DDR4_4CH.round_up(1) == 64
-
     def test_write_time(self):
         writes = TrafficCounter()
         writes.record(AccessClass.ST_INTER, AccessPattern.SEQUENTIAL,

@@ -25,11 +25,6 @@ class TestTransfer:
         with pytest.raises(ConfigurationError):
             CXL_LINK.transfer_time(-1)
 
-    def test_round_trip_includes_latencies(self):
-        link = InterconnectModel("l", bandwidth=1000.0, latency=0.1)
-        total = link.round_trip_time(100, 200)
-        assert total == pytest.approx(0.2 + 0.1 + 0.2)
-
     def test_invalid_bandwidth_rejected(self):
         with pytest.raises(ConfigurationError):
             InterconnectModel("bad", bandwidth=0)

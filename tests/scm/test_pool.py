@@ -47,34 +47,3 @@ class TestMemoryPool:
     def test_empty_pool_rejected(self):
         with pytest.raises(ConfigurationError):
             MemoryPool(nodes=[])
-
-
-class TestSurvivingPool:
-    def test_losing_nodes_shrinks_capacity_and_bandwidth(self):
-        pool = MemoryPool(nodes=[MemoryNode() for _ in range(4)])
-        degraded = pool.surviving([1, 3])
-        assert degraded.capacity == pool.capacity / 2
-        assert degraded.aggregate_internal_bandwidth == (
-            pool.aggregate_internal_bandwidth / 2
-        )
-        # The shared host interconnect stays: its ratio to capacity rises.
-        assert degraded.interconnect is pool.interconnect
-        # Survivors are nodes 0 and 2, in order (identity, not equality —
-        # default nodes all compare equal).
-        assert [id(n) for n in degraded.nodes] == [
-            id(pool.nodes[0]), id(pool.nodes[2])
-        ]
-
-    def test_no_failures_is_identity_topology(self):
-        pool = MemoryPool(nodes=[MemoryNode() for _ in range(2)])
-        assert pool.surviving([]).capacity == pool.capacity
-
-    def test_unknown_node_rejected(self):
-        pool = MemoryPool(nodes=[MemoryNode() for _ in range(2)])
-        with pytest.raises(ConfigurationError):
-            pool.surviving([5])
-
-    def test_total_loss_rejected(self):
-        pool = MemoryPool(nodes=[MemoryNode() for _ in range(2)])
-        with pytest.raises(ConfigurationError):
-            pool.surviving([0, 1])

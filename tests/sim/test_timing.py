@@ -100,12 +100,6 @@ class TestPaperTrends:
         assert boss.throughput_qps > iiu.throughput_qps
         assert boss.throughput_qps > lucene.throughput_qps
 
-    def test_speedup_over(self, executions):
-        boss = BossTimingModel().batch(executions["BOSS"], 8)
-        lucene = LuceneTimingModel().batch(executions["Lucene"], 8)
-        assert boss.speedup_over(lucene) > 1.0
-        assert lucene.speedup_over(boss) < 1.0
-
     def test_lucene_insensitive_to_memory_device(self, executions):
         """Figure 16: Lucene gains at most ~15% from DRAM."""
         scm = LuceneTimingModel(device=OPTANE_NODE_4CH).batch(

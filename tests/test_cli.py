@@ -519,6 +519,22 @@ class TestIngestCommand:
                      "--wal-dir", str(wal_dir)]) == 0
         assert "recovered:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--vocab", "0", "vocabulary size must be >= 1, got 0"),
+        ("--vocab", "-3", "vocabulary size must be >= 1, got -3"),
+        ("--docs", "-4", "document count must be >= 0, got -4"),
+        ("--delete-every", "-1", "--delete-every must be >= 0, got -1"),
+    ], ids=["vocab-zero", "vocab-negative", "docs-negative",
+            "delete-every-negative"])
+    def test_ingest_rejects_bad_sizes(self, tmp_path, capsys, flag, value,
+                                      message):
+        wal_dir = tmp_path / "wal"
+        assert main(["ingest", "--docs", "20", "--wal-dir", str(wal_dir),
+                     flag, value]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        # Rejected before the durable directory is created.
+        assert not wal_dir.exists()
+
 
 class TestVsearch:
     ARGS = ["vsearch", "--scale", "0.05", "--queries", "6"]

@@ -6,7 +6,9 @@ what a user or the benchmark can run: ``repro.cli.main`` and every
 ``@figure`` methods behind ``repro.experiments.FIGURES`` (and the
 codecs ``@DEFAULT_REGISTRY.register`` files by name), the module-level
 code of every ``src/`` module, and every name that
-``benchmarks/harness/**`` and ``examples/*.py`` reference.
+``benchmarks/harness/**`` references. ``examples/*.py`` are not roots:
+an example shows what the system reaches, so the only allow-listed
+definitions it may name are the "Pending ROADMAP item 8" group.
 
 A definition is reached when its name occurs in reached code as a
 ``Name``, an ``Attribute``, an import alias or an identifier-shaped
@@ -23,8 +25,8 @@ methods other than ``__post_init__`` (a value that is only validated is
 never used).
 
 Reported too: every defaulted parameter (positional-or-keyword or
-keyword-only) of a reached function or method that no call in ``src/``,
-``benchmarks/harness/**`` or ``examples/*.py`` binds. A call binds a
+keyword-only) of a reached function or method that no call in ``src/``
+or ``benchmarks/harness/**`` binds. A call binds a
 parameter when the callee's last name matches — for ``__init__``, the
 class or any subclass that inherits it; ``super().__init__`` resolves
 to the enclosing class's bases and ``functools.partial(f, ...)`` calls
@@ -477,24 +479,32 @@ def repository_report() -> List[str]:
         path.relative_to(REPO).as_posix(): path.read_text()
         for path in sorted((REPO / "src").rglob("*.py"))
     }
-    external = [
-        path.read_text()
-        for pattern in ("benchmarks/harness/**/*.py", "examples/*.py")
-        for path in sorted(REPO.glob(pattern))
-    ]
+    external = [path.read_text()
+                for path in sorted(REPO.glob("benchmarks/harness/**/*.py"))]
     return report(modules, external)
 
 
+PENDING_ITEM_8 = "# Pending ROADMAP item 8"
+
+
 def allow_list() -> Dict[str, str]:
+    """Allow-listed key → the heading of its group (the comment line
+    after a bare ``#``)."""
     entries = {}
-    for number, line in enumerate(ALLOW_LIST.read_text().splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
+    heading = ""
+    lines = ALLOW_LIST.read_text().splitlines()
+    for number, line in enumerate(lines, 1):
+        if line.startswith("#"):
+            if number > 1 and lines[number - 2] == "#":
+                heading = line
+            continue
+        if not line.strip():
             continue
         key, sep, reason = line.partition(" — ")
         assert sep and reason.strip(), (
             f"{ALLOW_LIST.name}:{number}: expected 'path::qualname — reason'"
         )
-        entries[key.strip()] = reason.strip()
+        entries[key.strip()] = heading
     return entries
 
 
@@ -512,6 +522,23 @@ def test_every_src_name_is_reached_or_allow_listed():
         "allow-listed but now reached or gone (drop the line):\n"
         + "\n".join(stale)
     )
+
+
+def test_examples_name_no_allow_listed_definition():
+    """An example uses what the system reaches: it may name an
+    allow-listed definition only from the "Pending ROADMAP item 8"
+    group (the decompressor ``custom_decompressor.py`` shows)."""
+    barred = {key.rpartition("::")[2].rpartition(".")[2]: key
+              for key, heading in allow_list().items()
+              if "(" not in key and not heading.startswith(PENDING_ITEM_8)}
+    found = sorted(
+        f"{path.name}: {barred[name]}"
+        for path in sorted(REPO.glob("examples/*.py"))
+        for name in set(identifiers(ast.parse(path.read_text())))
+        if name in barred)
+    assert not found, (
+        "examples name allow-listed definitions (use what the system "
+        "reaches):\n" + "\n".join(found))
 
 
 SCRATCH = '''
