@@ -25,7 +25,7 @@ policy over it — what a block weighs and when to evict:
 
 The simulated DRAM tier replays the engines' fetch traces:
 
-* :class:`CacheSimulator` — replays per-query fetch logs through an
+* :class:`CacheSimulator` — replays per-query fetch records through an
   :class:`LRUBlockCache`, producing a :class:`CacheReport` with hit
   rates and the SCM bytes absorbed;
 * :func:`cached_memory_seconds` — the memory-side service time with the
@@ -49,13 +49,7 @@ from typing import Any, Hashable, Iterable, Optional, Tuple
 from repro.errors import ConfigurationError
 from repro.observability.observer import NULL_OBSERVER, Observer
 from repro.scm.device import DDR4_4CH, OPTANE_NODE_4CH
-from repro.scm.traffic import AccessPattern
-
-#: One fetch-trace entry: (term, block_index, payload_bytes, pattern).
-#: ``pattern`` is the engine-observed :class:`AccessPattern` of the
-#: fetch — sequential only when the block continued the cursor's
-#: previous fetched block; a metadata-guided skip landing is random.
-FetchRecord = Tuple[str, int, int, AccessPattern]
+from repro.scm.traffic import AccessPattern, FetchRecord
 
 
 @dataclass(frozen=True)
@@ -311,9 +305,9 @@ class CacheSimulator:
         self._dram_bytes = 0
         self._scm = _ScmRuns()
 
-    def replay(self, fetch_log: Iterable[FetchRecord]) -> None:
+    def replay(self, records: Iterable[FetchRecord]) -> None:
         """Feed one query's fetch records through the cache."""
-        for term, block_index, size, pattern in fetch_log:
+        for term, block_index, size, pattern in records:
             if self._cache.access(term, block_index, size):
                 self._dram_bytes += size
                 self._scm.interrupt()
@@ -332,13 +326,13 @@ class CacheSimulator:
         )
 
 
-def uncached_memory_seconds(fetch_log: Iterable[FetchRecord]) -> float:
+def uncached_memory_seconds(records: Iterable[FetchRecord]) -> float:
     """Block-fetch service time on the Table I SCM node with no cache
     tier at all: the same replay with nothing in front of the SCM, so a
     :class:`CacheSimulator` replay in which nothing hits costs exactly
     this, to the bit."""
     runs = _ScmRuns()
-    for record in fetch_log:
+    for record in records:
         runs.fetch(*record)
     return _scm_read_seconds(runs.seq_bytes, runs.rand_bytes)
 

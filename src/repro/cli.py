@@ -936,8 +936,6 @@ SERVE_REFUSALS = (
      "--update-mix serves a live synthetic corpus"),
     ("update_mix", "shards",
      "the live index is not sharded"),
-    ("update_mix", "planner",
-     "the planner cannot follow a live index's changing segment engines"),
     ("hybrid", "index",
      "--hybrid builds its vector lane over a synthetic corpus"),
     ("hybrid", "shards",

@@ -698,15 +698,6 @@ class RebalancingClusterTarget:
     def clock(self):
         return self.rebalancer.clock
 
-    @property
-    def engines(self):
-        """Leaf engines of the *current* shard map (planner fan-out)."""
-        return self.cluster.engines
-
-    @property
-    def replicas(self):
-        return self.cluster.replicas
-
     def search(self, expression, k: Optional[int] = None):
         return self.cluster.search(expression, k=k)
 

@@ -499,7 +499,7 @@ def run_grouped_intersection_fast(groups: Sequence[GroupCursor],
     and offered to ``topk`` where the loop finds it.
 
     Pinned to the reference by both equivalence suites on hits, work
-    counters, per-bucket traffic and the ``fetch_log`` order, and by the
+    counters, per-bucket traffic and the recorded fetch order, and by the
     shape and property tests of ``tests/core/test_intersection.py``.
 
     Groups become lists of ``[doc, cursor, idf]`` member entries in SvS

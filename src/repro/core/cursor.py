@@ -54,9 +54,10 @@ class ListCursor:
                  fast_path: bool = True) -> None:
         if skip_class not in (SKIP_OVERLAP, SKIP_ET, SKIP_NONE):
             raise SimulationError(f"unknown skip class {skip_class!r}")
-        #: Optional trace of payload fetches as (term, block_index,
-        #: bytes, pattern) tuples — consumed by the DRAM block-cache
-        #: simulator and the serving-layer I/O planner. ``pattern`` is
+        #: Optional trace of payload fetches as
+        #: :data:`~repro.scm.traffic.FetchRecord` tuples — the list the
+        #: engine's :func:`~repro.core.engine.recording_fetches` scope
+        #: keeps for it. ``pattern`` is
         #: the *observed* spatial pattern of this cursor's walk: a fetch
         #: that continues the previous fetched block is sequential, a
         #: fetch that lands after a metadata-guided skip (or starts the

@@ -28,10 +28,13 @@ Section IV-D); the per-query ``cores_used`` feeds the throughput model.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import (
     Collection,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -61,7 +64,12 @@ from repro.cache import DecodedBlockCache
 from repro.errors import QueryError
 from repro.index.index import InvertedIndex
 from repro.observability.observer import NULL_OBSERVER, Observer
-from repro.scm.traffic import AccessClass, AccessPattern, TrafficCounter
+from repro.scm.traffic import (
+    AccessClass,
+    AccessPattern,
+    FetchRecord,
+    TrafficCounter,
+)
 from repro.sim.metrics import WorkCounters
 
 #: Bytes of per-document scoring metadata fetched per evaluated document
@@ -82,6 +90,32 @@ TERMS_PER_CORE = 4
 #: it is a later benchmark PR's job. All three are pinned bit-identical
 #: by the equivalence suites; they differ only in host-side wall clock.
 EXECUTORS = ("reference", "fast", "columnar")
+
+#: The open :func:`recording_fetches` scope's logs, or None.
+_FETCHES: ContextVar[Optional[Dict]] = ContextVar("fetches", default=None)
+
+
+@contextmanager
+def recording_fetches() -> Iterator[Dict["BossAccelerator",
+                                         List[FetchRecord]]]:
+    """Record every block payload fetch made inside the ``with`` block.
+
+    Yields ``{engine: [FetchRecord, ...]}``: each
+    :class:`BossAccelerator` that built a cursor in the scope, in
+    first-use order, with its fetches in fetch order — whatever wraps
+    the engine (a session, a cluster root and its replicas, a fault
+    wrapper, a live index's segments, a hybrid first stage). The
+    input to the cache simulator, the core simulator and the I/O
+    planner. The scope is the calling thread's context: queries a
+    thread pool runs are not recorded, and an inner scope records
+    alone until it closes.
+    """
+    fetches: Dict[BossAccelerator, List[FetchRecord]] = {}
+    token = _FETCHES.set(fetches)
+    try:
+        yield fetches
+    finally:
+        _FETCHES.reset(token)
 
 
 @dataclass(frozen=True)
@@ -177,10 +211,6 @@ class BossAccelerator:
         self._index = index
         self._config = BossConfig() if config is None else config
         self._observer = observer
-        #: When set (a list), every block payload fetch is appended as
-        #: (term, block_index, bytes, observed pattern) — input to the
-        #: cache simulator and the I/O planner.
-        self.fetch_log = None
         #: Which executor runs queries. ``None`` takes the production
         #: path, or the reference oracle when ``fast_path=False``; an
         #: explicit name overrides ``fast_path`` entirely.
@@ -452,13 +482,15 @@ class BossAccelerator:
 
     def _cursor(self, term: str, work: WorkCounters,
                 traffic: TrafficCounter, skip_class: str) -> ListCursor:
+        fetches = _FETCHES.get()
         return ListCursor(
             self._index.posting_list(term),
             work,
             traffic,
             pattern=AccessPattern.SEQUENTIAL,
             skip_class=skip_class,
-            fetch_log=self.fetch_log,
+            fetch_log=(None if fetches is None
+                       else fetches.setdefault(self, [])),
             decoded_cache=self._decoded_cache,
             fast_path=self._fast_path,
         )

@@ -34,6 +34,7 @@ from repro.cache import CacheSimulator, cached_memory_seconds, uncached_memory_s
 from repro.compression import HybridSelector, deltas_from_doc_ids
 from repro.compression.hybrid import PAPER_SCHEMES
 from repro.core import BossAccelerator, BossConfig
+from repro.core.engine import recording_fetches
 from repro.core.scheduler import QueryScheduler
 from repro.hwmodel import EnergyModel, area_power
 from repro.observability import (
@@ -99,12 +100,13 @@ class Workload:
         return [q for q in self.queries if q.qtype in qtypes]
 
     def fetch_traces(self, queries) -> List[Tuple[object, list]]:
-        """``(result, fetch log)`` per query, on a fresh BOSS engine."""
+        """``(result, fetch records)`` per query, on a fresh BOSS engine."""
         engine = BossAccelerator(self.index, BossConfig(k=K))
         traces = []
         for query in queries:
-            engine.fetch_log = []
-            traces.append((engine.search(query.expression), engine.fetch_log))
+            with recording_fetches() as fetches:
+                result = engine.search(query.expression)
+            traces.append((result, fetches.get(engine, [])))
         return traces
 
 
@@ -501,10 +503,10 @@ class Evaluation:
         rows = []
         for qt in QUERY_TYPES:
             runs = [
-                (simulator.simulate(result, fetch_log), max(
+                (simulator.simulate(result, records), max(
                     model.compute_seconds(result) - model.query_overhead,
                     model.memory_seconds(result)))
-                for result, fetch_log in self.ccnews.fetch_traces(
+                for result, records in self.ccnews.fetch_traces(
                     self.ccnews.queries_of(qt)[:20])]
             rows.append((
                 qt, sum(r.total_seconds / analytic for r, analytic in runs)

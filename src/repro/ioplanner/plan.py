@@ -1,16 +1,20 @@
 """Window planning: dedup, run coalescing, and time attribution.
 
 One planning window collects the block demands of every query admitted
-in it (their engine fetch logs) and rewrites them into a fetch plan:
+in it (the fetches its engines recorded) and rewrites them into a fetch
+plan. A block is keyed by ``(node, term, block)``: one term's posting
+list on one node (a *list key*) and a block index within it. Equal
+terms on different shards are different lists and never share a
+fetch.
 
-1. **Dedup** — the first demand of a ``(term, block)`` key fetches it;
-   every later demand in the window reads the staged copy at DRAM
-   speed. Zipf-skewed logs make this the planner's cheapest win.
+1. **Dedup** — the first demand of a key fetches it; every later
+   demand in the window reads the staged copy at DRAM speed.
+   Zipf-skewed logs make this the planner's cheapest win.
 2. **Tier probe** — keys resident in the shared DRAM tier are hits and
    never touch SCM.
-3. **Coalescing** — the remaining (miss) keys are grouped per term and
-   sorted; consecutive block indices become one sequential SCM run.
-   Two runs of the same term separated by a small gap are bridged when
+3. **Coalescing** — the remaining (miss) keys are grouped per list
+   and sorted; consecutive block indices become one sequential SCM run.
+   Two runs of the same list separated by a small gap are bridged when
    reading the gap sequentially is cheaper than paying the next run's
    random seek (**gap-fill**): the gap bytes are honest overhead,
    reported separately, never attributed to any query's demand.
@@ -47,6 +51,11 @@ SOURCE_DEDUP = "dedup"
 SOURCE_SCM_SEQ = "scm_seq"
 SOURCE_SCM_RAND = "scm_rand"
 
+#: One term's posting list on one node: ``(node, term)``.
+ListKey = Tuple[int, str]
+#: One block of a list: ``(node, term, block_index)``.
+BlockKey = Tuple[int, str, int]
+
 
 @dataclass(frozen=True)
 class BlockDemand:
@@ -54,18 +63,24 @@ class BlockDemand:
 
     request_id: int
     tenant: str
+    #: The engine that fetched the block, numbered per serving run.
+    node: int
     term: str
     block_index: int
     size: int
     #: The engine-observed pattern (used by the planner-off baseline).
     pattern: AccessPattern
 
+    @property
+    def list_key(self) -> ListKey:
+        return (self.node, self.term)
+
 
 @dataclass(frozen=True)
 class FetchRun:
-    """One coalesced SCM transfer of same-term blocks."""
+    """One coalesced SCM transfer of one list's blocks."""
 
-    term: str
+    list_key: ListKey
     blocks: Tuple[int, ...]
     nbytes: int
     #: Bytes read purely to bridge gaps inside the run.
@@ -123,8 +138,8 @@ class FetchPlan(RoutedBytes):
 
     planned: bool = True
     runs: List[FetchRun] = field(default_factory=list)
-    #: Unique keys actually fetched from SCM: (term, block, size).
-    fetched: List[Tuple[str, int, int]] = field(default_factory=list)
+    #: Unique blocks actually fetched from SCM: (list key, block, size).
+    fetched: List[Tuple[ListKey, int, int]] = field(default_factory=list)
     per_request_seconds: Dict[int, float] = field(default_factory=dict)
     per_request_bytes: Dict[int, int] = field(default_factory=dict)
     tenant_bytes: Dict[str, int] = field(default_factory=dict)
@@ -219,16 +234,16 @@ def plan_window(demands: Sequence[BlockDemand],
 
     # Classify demands in admission order: dedup, tier hit, or miss.
     sources: List[str] = []
-    first_toucher: Dict[Tuple[str, int], int] = {}
-    miss_keys: Dict[Tuple[str, int], int] = {}
+    first_toucher: Dict[BlockKey, int] = {}
+    miss_keys: Dict[BlockKey, int] = {}
     for position, demand in enumerate(demands):
-        key = (demand.term, demand.block_index)
+        key = (demand.node, demand.term, demand.block_index)
         if key in first_toucher:
             sources.append(SOURCE_DEDUP)
             plan.dedup_bytes += demand.size
             continue
         first_toucher[key] = position
-        if tier is not None and tier.lookup(demand.term,
+        if tier is not None and tier.lookup(demand.list_key,
                                             demand.block_index,
                                             demand.size):
             sources.append(SOURCE_DRAM)
@@ -237,12 +252,12 @@ def plan_window(demands: Sequence[BlockDemand],
         sources.append(SOURCE_SCM_SEQ)  # provisional; runs decide
         miss_keys[key] = demand.size
 
-    # Coalesce misses into per-term runs with cost-aware gap-fill.
+    # Coalesce misses into per-list runs with cost-aware gap-fill.
     key_pattern, key_gap_seconds = _coalesce(plan, miss_keys)
 
     # Attribute service time (and final pattern) per demand.
     for demand, source in zip(demands, sources):
-        key = (demand.term, demand.block_index)
+        key = (demand.node, demand.term, demand.block_index)
         if source in (SOURCE_DEDUP, SOURCE_DRAM):
             seconds = DDR4_4CH.read_time(demand.size, AccessPattern.RANDOM)
         else:
@@ -275,26 +290,26 @@ def _plan_unrouted(plan: FetchPlan,
     plan.check_conservation()
 
 
-def _coalesce(plan: FetchPlan, miss_keys: Dict[Tuple[str, int], int],
-              ) -> Tuple[Dict[Tuple[str, int], AccessPattern],
-                         Dict[Tuple[str, int], float]]:
+def _coalesce(plan: FetchPlan, miss_keys: Dict[BlockKey, int],
+              ) -> Tuple[Dict[BlockKey, AccessPattern],
+                         Dict[BlockKey, float]]:
     """Group misses into runs; return per-key pattern and gap share.
 
     A run's first block is its seek and pays the random rate; the rest
-    stream sequentially. Adjacent chunks of the same term merge across
-    a gap of at most :data:`MAX_GAP_BLOCKS` blocks when reading the gap
-    sequentially costs less than the seek it eliminates.
+    stream sequentially. Adjacent chunks of the same list merge
+    across a gap of at most :data:`MAX_GAP_BLOCKS` blocks when reading
+    the gap sequentially costs less than the seek it eliminates.
     """
     scm = OPTANE_NODE_4CH
-    by_term: Dict[str, List[int]] = {}
-    for term, block in miss_keys:
-        by_term.setdefault(term, []).append(block)
+    by_list: Dict[ListKey, List[int]] = {}
+    for node, term, block in miss_keys:
+        by_list.setdefault((node, term), []).append(block)
 
-    key_pattern: Dict[Tuple[str, int], AccessPattern] = {}
-    key_gap_seconds: Dict[Tuple[str, int], float] = {}
-    for term in sorted(by_term):
-        blocks = sorted(by_term[term])
-        sizes = [miss_keys[(term, b)] for b in blocks]
+    key_pattern: Dict[BlockKey, AccessPattern] = {}
+    key_gap_seconds: Dict[BlockKey, float] = {}
+    for list_key in sorted(by_list):
+        blocks = sorted(by_list[list_key])
+        sizes = [miss_keys[(*list_key, b)] for b in blocks]
         mean_size = max(1, sum(sizes) // len(sizes))
         # Maximal consecutive chunks first.
         chunks: List[List[int]] = [[blocks[0]]]
@@ -311,7 +326,7 @@ def _coalesce(plan: FetchPlan, miss_keys: Dict[Tuple[str, int], int],
         for chunk in chunks[1:]:
             gap_blocks = chunk[0] - current[-1] - 1
             bridge_bytes = gap_blocks * mean_size
-            seek_size = miss_keys[(term, chunk[0])]
+            seek_size = miss_keys[(*list_key, chunk[0])]
             saved = (scm.read_time(seek_size, AccessPattern.RANDOM)
                      - scm.read_time(seek_size, AccessPattern.SEQUENTIAL))
             if (gap_blocks <= MAX_GAP_BLOCKS
@@ -325,17 +340,17 @@ def _coalesce(plan: FetchPlan, miss_keys: Dict[Tuple[str, int], int],
         runs.append((current, gap_bytes))
 
         for blocks_in_run, run_gap_bytes in runs:
-            run_sizes = [miss_keys[(term, b)] for b in blocks_in_run]
+            run_sizes = [miss_keys[(*list_key, b)] for b in blocks_in_run]
             run_bytes = sum(run_sizes)
             plan.runs.append(FetchRun(
-                term=term, blocks=tuple(blocks_in_run),
+                list_key=list_key, blocks=tuple(blocks_in_run),
                 nbytes=run_bytes, gap_bytes=run_gap_bytes,
             ))
             plan.gap_bytes += run_gap_bytes
             gap_seconds = scm.read_time(run_gap_bytes,
                                         AccessPattern.SEQUENTIAL)
             for position, block in enumerate(blocks_in_run):
-                key = (term, block)
+                key = (*list_key, block)
                 key_pattern[key] = (
                     AccessPattern.RANDOM if position == 0
                     else AccessPattern.SEQUENTIAL
@@ -345,5 +360,5 @@ def _coalesce(plan: FetchPlan, miss_keys: Dict[Tuple[str, int], int],
                     key_gap_seconds[key] = (
                         gap_seconds * miss_keys[key] / run_bytes
                     )
-                plan.fetched.append((term, block, miss_keys[key]))
+                plan.fetched.append((list_key, block, miss_keys[key]))
     return key_pattern, key_gap_seconds

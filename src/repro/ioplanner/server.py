@@ -13,9 +13,13 @@ target, and their block demands planned together
 
 **Execution vs. timeline** follows the serving layer's split exactly:
 queries execute bit-identically to the unplanned server (the planner
-only watches their fetch logs; it never alters what the engines
-fetch or rank), while the *serving timeline* charges each query the
-modeled time of the path the plan routed its blocks through. Turning
+only records their block fetches, :func:`repro.core.engine.
+recording_fetches`; it never alters what the engines fetch or rank),
+while the *serving timeline* charges each query the modeled time of
+the path the plan routed its blocks through. A block is identified by
+the engine that fetched it (its *node*, numbered in first-seen order
+for the run) as well as its term and index, so equal terms on
+different shards are different blocks. Turning
 the planner off (``PlannerConfig(enabled=False)``) keeps the same
 windowed loop but charges every block at its engine-recorded pattern —
 the controlled baseline for every planner-on comparison.
@@ -33,6 +37,7 @@ from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.engine import recording_fetches
 from repro.errors import ConfigurationError
 from repro.ioplanner.fairness import DeficitRoundRobin, TenantSpec
 from repro.ioplanner.plan import (
@@ -150,38 +155,14 @@ class PlannedServingResult(ServingResult):
         self.planner = planner
 
 
-def _fetch_leaves(target) -> List:
-    """Every engine whose ``fetch_log`` must be captured for ``target``.
-
-    A cluster root fans queries out to its shard engines (and, under
-    faults, their replicas); a bare engine or session-like object is
-    its own single leaf. Fault wrappers delegate attribute *reads* to
-    the wrapped engine but keep writes on themselves, so each leaf is
-    unwrapped to the engine that actually appends fetch records.
-    """
-    engines = getattr(target, "engines", None)
-    if engines is None:
-        leaves = [target]
-    else:
-        leaves = list(engines)
-        for group in getattr(target, "replicas", []):
-            leaves.extend(group)
-    unwrapped = []
-    for leaf in leaves:
-        inner = getattr(leaf, "engine", None)
-        while inner is not None and inner is not leaf:
-            leaf, inner = inner, getattr(inner, "engine", None)
-        unwrapped.append(leaf)
-    return unwrapped
-
-
 class PlannedQueryServer(QueryServer):
     """Windowed, planned serving over any search target.
 
-    ``target`` is anything with ``search(expression, k)`` — an engine
-    or a cluster root. A query's service time is its planned fetch
-    time. The timeline is fully virtual and deterministic; nothing
-    sleeps.
+    ``target`` is anything with ``search(expression, k)`` — an engine,
+    session, cluster root or :class:`~repro.serving.ServingTarget`. A
+    query's service time is its planned fetch time; an update's adds
+    the target's ``service_time``. The timeline is fully virtual and
+    deterministic; nothing sleeps.
 
     Only the loop differs from :class:`QueryServer`: the two share no
     admission, queue or dispatch step (dispatch on arrival over one
@@ -216,40 +197,34 @@ class PlannedQueryServer(QueryServer):
         heapq.heapify(worker_free)
         depth_samples: List[int] = []
         max_depth = 0
+        #: engine -> node number, in first-seen order.
+        nodes: Dict[object, int] = {}
 
-        leaves = _fetch_leaves(self._target)
-        saved_logs = [getattr(leaf, "fetch_log", None) for leaf in leaves]
-        try:
-            window = 0
-            while pending or any(queues.values()):
-                if pending and not any(queues.values()):
-                    # Idle gap: jump to the window of the next arrival.
-                    window = max(window, int(
-                        pending[0].arrival_seconds / cfg.window_seconds
-                    ))
-                window += 1
-                close = window * cfg.window_seconds
-                while pending and pending[0].arrival_seconds < close:
-                    self._enqueue(pending.popleft(), queues, outcomes,
-                                  run_report)
-                depth = sum(len(q) for q in queues.values())
-                depth_samples.append(depth)
-                max_depth = max(max_depth, depth)
+        window = 0
+        while pending or any(queues.values()):
+            if pending and not any(queues.values()):
+                # Idle gap: jump to the window of the next arrival.
+                window = max(window, int(
+                    pending[0].arrival_seconds / cfg.window_seconds
+                ))
+            window += 1
+            close = window * cfg.window_seconds
+            while pending and pending[0].arrival_seconds < close:
+                self._enqueue(pending.popleft(), queues, outcomes,
+                              run_report)
+            depth = sum(len(q) for q in queues.values())
+            depth_samples.append(depth)
+            max_depth = max(max_depth, depth)
 
-                admitted = self._admit(drr, queues)
-                if not admitted:
-                    continue
-                plan = self._run_window(admitted, outcomes, tier, close,
-                                        worker_free, drr, run_report)
-                self._prefetch(tier, plan)
-                run_report.absorb(plan)
-                depth_samples.append(
-                    sum(len(q) for q in queues.values())
-                )
-                self._observer.emit(plan)
-        finally:
-            for leaf, saved in zip(leaves, saved_logs):
-                leaf.fetch_log = saved
+            admitted = self._admit(drr, queues)
+            if not admitted:
+                continue
+            plan = self._run_window(admitted, outcomes, tier, close,
+                                    worker_free, drr, run_report, nodes)
+            self._prefetch(tier, plan)
+            run_report.absorb(plan)
+            depth_samples.append(sum(len(q) for q in queues.values()))
+            self._observer.emit(plan)
 
         run_report.check_conservation()
         return PlannedServingResult(
@@ -315,39 +290,46 @@ class PlannedQueryServer(QueryServer):
                     outcomes: Dict[int, RequestOutcome],
                     tier: Optional[DramTier], close: float,
                     worker_free: List[float], drr: DeficitRoundRobin,
-                    run_report: PlannerRunReport) -> FetchPlan:
+                    run_report: PlannerRunReport,
+                    nodes: Dict[object, int]) -> FetchPlan:
         cfg = self._config
         demands: List[BlockDemand] = []
         for request in admitted:
             tenant = getattr(request, "tenant", "default")
-            result, records = self._execute_logged(request)
+            with recording_fetches() as fetches:
+                result = execute_request(self._target, request, cfg.k)
             outcome = outcomes[request.request_id]
             outcome.result = result
             outcome.degraded = bool(getattr(result, "degraded", False))
-            for term, block, size, pattern in records:
-                demands.append(BlockDemand(
-                    request_id=request.request_id, tenant=tenant,
-                    term=term, block_index=block, size=size,
-                    pattern=pattern,
-                ))
+            for engine, records in fetches.items():
+                node = nodes.setdefault(engine, len(nodes))
+                for term, block, size, pattern in records:
+                    demands.append(BlockDemand(
+                        request_id=request.request_id, tenant=tenant,
+                        node=node, term=term, block_index=block,
+                        size=size, pattern=pattern,
+                    ))
             run_report.tenant_served[tenant] = (
                 run_report.tenant_served.get(tenant, 0) + 1
             )
 
         plan = plan_window(demands, tier=tier, enabled=cfg.enabled)
         if tier is not None:
-            for term, block, size in plan.fetched:
-                tier.admit(term, block, size)
+            for list_key, block, size in plan.fetched:
+                tier.admit(list_key, block, size)
 
         for request in admitted:
             tenant = getattr(request, "tenant", "default")
             drr.charge(tenant,
                        plan.per_request_bytes.get(request.request_id, 0))
+            outcome = outcomes[request.request_id]
             seconds = plan.per_request_seconds.get(request.request_id, 0.0)
+            if getattr(request, "update", None) is not None:
+                seconds += self._target.service_time(request,
+                                                     outcome.result)
             start = max(close, heapq.heappop(worker_free))
             completion = start + seconds
             heapq.heappush(worker_free, completion)
-            outcome = outcomes[request.request_id]
             outcome.start_seconds = start
             outcome.completion_seconds = completion
             self._served(outcome)
@@ -370,19 +352,3 @@ class PlannedQueryServer(QueryServer):
                        segment="warm")
             plan.prefetch_blocks += 1
             plan.prefetch_bytes += cand.size
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-
-    def _execute_logged(self, request: Request):
-        """Run one request for real; return (result, fetch records)."""
-        leaves = _fetch_leaves(self._target)
-        for leaf in leaves:
-            leaf.fetch_log = []
-        result = execute_request(self._target, request, self._config.k)
-        records: List[tuple] = []
-        for leaf in leaves:
-            records.extend(leaf.fetch_log)
-            leaf.fetch_log = []
-        return result, records

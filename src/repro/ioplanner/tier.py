@@ -14,12 +14,16 @@ byte count per planning window. The planner uses the top terms as
 prefetch candidates: posting lists are Zipf-skewed, so the next blocks
 of the currently-hot terms are the best guess for the next window's
 demand.
+
+A *term* here is whatever names one posting list: the planner passes
+its ``(node, term)`` list key, so one term's lists on different shards
+are staged, ranked and prefetched apart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.cache import BlockLRU
 from repro.errors import ConfigurationError
@@ -39,7 +43,7 @@ POPULARITY_DECAY = 0.5
 class PrefetchCandidate:
     """One block the popularity model suggests staging ahead of demand."""
 
-    term: str
+    term: Hashable
     block_index: int
     #: Estimated payload bytes (mean of the term's observed blocks).
     size: int
@@ -70,11 +74,11 @@ class DramTier:
         self.hits = 0
         self.misses = 0
         #: term -> decayed popularity (bytes).
-        self._popularity: Dict[str, float] = {}
+        self._popularity: Dict[Hashable, float] = {}
         #: term -> bytes demanded in the current window.
-        self._window_bytes: Dict[str, int] = {}
+        self._window_bytes: Dict[Hashable, int] = {}
         #: term -> (max block index seen, total bytes, blocks seen).
-        self._term_shape: Dict[str, Tuple[int, int, int]] = {}
+        self._term_shape: Dict[Hashable, Tuple[int, int, int]] = {}
 
     # ------------------------------------------------------------------
     # Occupancy views
@@ -92,7 +96,7 @@ class DramTier:
     def segment_bytes(self, name: str) -> int:
         return self._segments[name].used
 
-    def segment_of(self, term: str, block_index: int) -> Optional[str]:
+    def segment_of(self, term: Hashable, block_index: int) -> Optional[str]:
         key = (term, block_index)
         for name in SEGMENTS:
             if key in self._segments[name].entries:
@@ -108,7 +112,7 @@ class DramTier:
     # Demand path
     # ------------------------------------------------------------------
 
-    def lookup(self, term: str, block_index: int, size: int) -> bool:
+    def lookup(self, term: Hashable, block_index: int, size: int) -> bool:
         """Probe the tier for one demanded block; promote on a hit."""
         if size < 0:
             raise ConfigurationError("negative block size")
@@ -123,7 +127,7 @@ class DramTier:
                     SEGMENTS[min(position + 1, len(SEGMENTS) - 1)])
         return True
 
-    def admit(self, term: str, block_index: int, size: int,
+    def admit(self, term: Hashable, block_index: int, size: int,
               segment: str = "cold") -> None:
         """Insert a block fetched from SCM (demand: cold; prefetch:
         warm, so speculation cannot evict the proven-hot set)."""
@@ -137,7 +141,7 @@ class DramTier:
             segment = SEGMENTS[position]  # refresh, keep its standing
         self._place(key, size, segment)
 
-    def contains(self, term: str, block_index: int) -> bool:
+    def contains(self, term: Hashable, block_index: int) -> bool:
         return self.segment_of(term, block_index) is not None
 
     # ------------------------------------------------------------------
@@ -158,7 +162,7 @@ class DramTier:
             )
         self._window_bytes.clear()
 
-    def hot_terms(self, count: int) -> List[str]:
+    def hot_terms(self, count: int) -> List[Hashable]:
         """The ``count`` most popular terms, by decayed demand bytes."""
         ranked = sorted(self._popularity.items(),
                         key=lambda item: (-item[1], item[0]))
@@ -190,7 +194,8 @@ class DramTier:
     # Internals
     # ------------------------------------------------------------------
 
-    def _note_demand(self, term: str, block_index: int, size: int) -> None:
+    def _note_demand(self, term: Hashable, block_index: int,
+                     size: int) -> None:
         self._window_bytes[term] = (
             self._window_bytes.get(term, 0) + size
         )
@@ -199,7 +204,7 @@ class DramTier:
             max(max_block, block_index), total + size, seen + 1
         )
 
-    def _remove(self, key: Tuple[str, int]) -> Optional[int]:
+    def _remove(self, key: Tuple[Hashable, int]) -> Optional[int]:
         """Pop ``key`` from the segment holding it; that segment's
         position in :data:`SEGMENTS`, or None if it is not resident."""
         for position, name in enumerate(SEGMENTS):
@@ -209,7 +214,7 @@ class DramTier:
                 return position
         return None
 
-    def _place(self, key: Tuple[str, int], size: int,
+    def _place(self, key: Tuple[Hashable, int], size: int,
                segment: str) -> None:
         if size > self.capacity_bytes:
             return  # uncacheable oversized block

@@ -49,7 +49,6 @@ from repro.live.segments import (
     Segment,
     SegmentedIndex,
     build_segment,
-    prune_query,
 )
 from repro.live.segfile import (
     load_segment,
@@ -101,7 +100,6 @@ __all__ = [
     "load_segment",
     "manifest_payload",
     "merge_segments",
-    "prune_query",
     "read_wal",
     "recover",
     "recover_live_index",

@@ -88,7 +88,6 @@ from repro.core.query import (
     QueryNode,
     TermNode,
     as_query,
-    prune_query,
     prune_query_scored,
 )
 from repro.core.result import ScoredDocument, SearchResult, best_hits
@@ -215,11 +214,6 @@ def build_segment(segment_id: int, tier: int,
         doc_terms=dict(doc_terms),
         block_max_tfs=block_max_tfs,
     )
-
-
-# prune_query / prune_query_scored now live in repro.core.query (the
-# algebra is shared with the cluster root's per-shard dissection);
-# imported above and re-exported here for compatibility.
 
 
 class _StaleSegmentView:

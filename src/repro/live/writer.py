@@ -227,10 +227,6 @@ class LiveServingTarget:
     — repeatable run to run.
     """
 
-    #: Segment engines come and go with every seal and merge, so the
-    #: live target exposes no fixed leaves to the I/O planner.
-    engines = replicas = ()
-
     def __init__(self, writer: LiveIndexWriter) -> None:
         self.writer = writer
 

@@ -62,6 +62,14 @@ class AccessPattern(Enum):
     __hash__ = object.__hash__  # see AccessClass
 
 
+#: One block payload fetch: (term, block_index, payload_bytes, pattern),
+#: as :func:`repro.core.engine.recording_fetches` collects them.
+#: ``pattern`` is the fetch's observed :class:`AccessPattern` —
+#: sequential only when the block continued the cursor's previous
+#: fetched block; a metadata-guided skip landing is random.
+FetchRecord = Tuple[str, int, int, AccessPattern]
+
+
 @dataclass
 class TrafficCounter:
     """Byte totals keyed by ``(AccessClass, AccessPattern)``.

@@ -11,9 +11,11 @@ reaches the servers through one contract, :class:`ServingTarget`:
 * ``service_time`` is the request's *modeled* seconds on the serving
   timeline, so a run is a pure function of its workload;
 * ``clock`` is the virtual clock the target's maintenance runs on
-  (``None`` for a target with no timeline state of its own);
-* ``engines`` / ``replicas`` are the leaf engines whose fetch logs the
-  I/O planner captures (empty when the target exposes none).
+  (``None`` for a target with no timeline state of its own).
+
+The I/O planner asks nothing more: it records the block fetches of
+whatever engines a request reaches
+(:func:`repro.core.engine.recording_fetches`).
 
 The two pieces of timeline mechanics every stateful target needs —
 start maintenance at the request's arrival instant, and queue reads
@@ -22,7 +24,7 @@ behind an in-flight maintenance window — live here once.
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Sequence, runtime_checkable
+from typing import Optional, Protocol, runtime_checkable
 
 from repro.clock import Clock
 
@@ -47,14 +49,6 @@ class ServingTarget(Protocol):
 
     def service_time(self, request, result) -> float:
         """Modeled seconds ``request`` occupies a serving worker."""
-
-    @property
-    def engines(self) -> Sequence:
-        """Primary leaf engines of the current topology."""
-
-    @property
-    def replicas(self) -> Sequence[Sequence]:
-        """Replica leaf engines, grouped per shard."""
 
 
 def execute_request(target, request, k: Optional[int]):

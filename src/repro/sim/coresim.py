@@ -14,9 +14,10 @@ for ``2 * postings / rate`` cycles, then feeds the shared downstream
 stages. Finite lane buffers cause back-pressure: a lane stalls when the
 merger falls behind, which is the effect the analytic model cannot see.
 
-Inputs come from a real execution: the engine's ``fetch_log`` (block
-sizes) plus the work counters (downstream op counts). Tests assert the
-event-driven time is bounded below by the analytic bound and within a
+Inputs come from a real execution: the engine's recorded fetches
+(:func:`repro.core.engine.recording_fetches`; block sizes) plus the
+work counters (downstream op counts). Tests assert the event-driven
+time is bounded below by the analytic bound and within a
 small factor above it — evidence the max-of-stages model is a faithful
 summary.
 """
@@ -28,12 +29,8 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.core.result import SearchResult
 from repro.scm.device import MemoryDeviceModel, OPTANE_NODE_4CH
+from repro.scm.traffic import FetchRecord
 from repro.sim.timing import BossTimingModel
-
-#: One fetched block: (term, block_index, payload_bytes). Records with
-#: extra trailing fields (the engine's pattern-annotated fetch log) are
-#: accepted; only the first three fields are read here.
-FetchRecord = Tuple[str, int, int]
 
 #: Decoded blocks a lane may hold before stalling (the paper's on-chip
 #: buffers hold roughly one block per stream plus intermediates, Section
@@ -79,9 +76,9 @@ class BossCoreSimulator:
         self.device = device
 
     def simulate(self, result: SearchResult,
-                 fetch_log: Sequence[FetchRecord]) -> CoreSimReport:
+                 records: Sequence[FetchRecord]) -> CoreSimReport:
         """Replay one query's fetched blocks through the pipeline."""
-        if not fetch_log:
+        if not records:
             return CoreSimReport(
                 total_seconds=0.0, busy_seconds={}, blocks=0,
                 analytic_bound_seconds=0.0,
@@ -89,7 +86,7 @@ class BossCoreSimulator:
 
         # Assign each query term a decompression lane (round-robin past
         # num_lanes, which only matters for >4-term queries).
-        terms = list(dict.fromkeys(record[0] for record in fetch_log))
+        terms = list(dict.fromkeys(record[0] for record in records))
         lane_of = {
             term: i % self.num_lanes for i, term in enumerate(terms)
         }
@@ -106,8 +103,7 @@ class BossCoreSimulator:
 
         # Per-block service times.
         blocks: List[Tuple[int, float, float, float]] = []
-        for record in fetch_log:
-            term, _index, size = record[0], record[1], record[2]
+        for term, _index, size, _pattern in records:
             postings = size_to_postings(size, result)
             fetch_s = size / self.device.seq_read_bw
             decode_s = (
@@ -172,7 +168,7 @@ class BossCoreSimulator:
 def size_to_postings(size: int, result: SearchResult) -> int:
     """Estimate a block's posting count from its payload share.
 
-    The fetch log records bytes; postings per block vary with the
+    A fetch record carries bytes; postings per block vary with the
     scheme. Distributing the query's total decoded postings by byte
     share keeps per-block work consistent with the counters.
     """

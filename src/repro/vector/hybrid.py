@@ -240,9 +240,6 @@ class HybridServingTarget:
     """
 
     clock = None
-    #: The planner does not see the vector lane's traffic, so the
-    #: hybrid target exposes no leaves to it.
-    engines = replicas = ()
 
     def __init__(self, hybrid: HybridSearch) -> None:
         self._hybrid = hybrid

@@ -12,9 +12,10 @@ RAND = AccessPattern.RANDOM
 
 
 def demand(request_id, term, block, size=100, pattern=SEQ,
-           tenant="default"):
-    return BlockDemand(request_id=request_id, tenant=tenant, term=term,
-                       block_index=block, size=size, pattern=pattern)
+           tenant="default", node=0):
+    return BlockDemand(request_id=request_id, tenant=tenant, node=node,
+                       term=term, block_index=block, size=size,
+                       pattern=pattern)
 
 
 class TestDedupAndTier:
@@ -33,7 +34,7 @@ class TestDedupAndTier:
 
     def test_tier_hit_absorbs_the_fetch(self):
         tier = DramTier(1 << 20)
-        tier.admit("a", 0, 100)
+        tier.admit((0, "a"), 0, 100)
         plan = plan_window([demand(1, "a", 0)], tier=tier)
         assert plan.dram_hit_bytes == 100
         assert plan.scm_bytes == 0
@@ -41,7 +42,23 @@ class TestDedupAndTier:
 
     def test_misses_enter_the_fetch_list(self):
         plan = plan_window([demand(1, "a", 0), demand(1, "b", 3)])
-        assert sorted(plan.fetched) == [("a", 0, 100), ("b", 3, 100)]
+        assert sorted(plan.fetched) == [((0, "a"), 0, 100),
+                                        ((0, "b"), 3, 100)]
+
+    def test_one_term_on_two_nodes_is_two_blocks(self):
+        # Block 0 of "a" on shard 0 and on shard 1 are different bytes
+        # on different memory nodes: both are fetched, neither dedups,
+        # and a tier hit on one node is no hit on the other.
+        tier = DramTier(1 << 20)
+        tier.admit((1, "a"), 0, 100)
+        plan = plan_window([
+            demand(1, "a", 0, node=0), demand(2, "a", 0, node=1),
+            demand(3, "a", 0, node=2),
+        ], tier=tier)
+        assert plan.dedup_bytes == 0
+        assert plan.dram_hit_bytes == 100
+        assert sorted(plan.fetched) == [((0, "a"), 0, 100),
+                                        ((2, "a"), 0, 100)]
 
 
 class TestCoalescing:
@@ -75,6 +92,11 @@ class TestCoalescing:
         plan = plan_window([demand(1, "a", 0), demand(2, "b", 1)])
         assert len(plan.runs) == 2
 
+    def test_one_term_on_two_nodes_never_coalesces(self):
+        plan = plan_window([demand(1, "a", 0, node=0),
+                            demand(2, "a", 1, node=1)])
+        assert [run.list_key for run in plan.runs] == [(0, "a"), (1, "a")]
+
     def test_gap_fill_bridges_a_small_gap(self):
         # Blocks 0 and 2 of one term: reading the 1-block gap (~100 B)
         # sequentially is far cheaper than a second random seek.
@@ -104,7 +126,7 @@ class TestCoalescing:
 class TestAttribution:
     def test_conservation_identity(self):
         tier = DramTier(1 << 20)
-        tier.admit("b", 0, 70)
+        tier.admit((0, "b"), 0, 70)
         demands = [
             demand(1, "a", 0, size=100), demand(1, "a", 1, size=110),
             demand(2, "a", 0, size=100), demand(2, "b", 0, size=70),
@@ -153,7 +175,7 @@ class TestPlannerOffBaseline:
 
     def test_off_mode_never_touches_the_tier(self):
         tier = DramTier(1 << 20)
-        tier.admit("a", 0, 100)
+        tier.admit((0, "a"), 0, 100)
         plan = plan_window([demand(1, "a", 0)], tier=tier,
                            enabled=False)
         assert plan.dram_hit_bytes == 0

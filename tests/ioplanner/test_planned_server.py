@@ -9,17 +9,30 @@ an aggressor replaying at 10x its quota.
 
 import pytest
 
+from repro.api import BossSession
 from repro.batch import run_query_batch
+from repro.clock import VirtualClock
+from repro.cluster import (
+    Rebalancer,
+    RebalancingClusterTarget,
+    parse_rebalance_script,
+    rebalance_requests,
+)
 from repro.core import BossAccelerator, BossConfig
 from repro.errors import ConfigurationError
-from repro.faults import make_faulty_cluster
+from repro.faults import ZERO_FAULTS, make_faulty_cluster
 from repro.ioplanner import (
     PlannedQueryServer,
     PlannerConfig,
     TenantSpec,
 )
 from repro.observability import RecordingObserver
-from repro.serving import Request, TraceArrivals, zipf_workload
+from repro.serving import (
+    Request,
+    TraceArrivals,
+    splice_requests,
+    zipf_workload,
+)
 from repro.workloads import synthetic_documents
 
 from tests.conftest import build_random_index, hits_as_pairs
@@ -211,6 +224,62 @@ class TestDeterminismAndAccounting:
         assert report.shed == len(times) - 8
         assert report.served + report.shed == report.num_requests
         assert result.planner.tenant_shed == {"default": report.shed}
+
+
+class TestDemandCapture:
+    """Every engine a request reaches records its block demand, and a
+    block belongs to the node that fetched it."""
+
+    def test_a_session_plans_like_its_accelerator(self, index):
+        def serve(target):
+            return PlannedQueryServer(target, PlannerConfig(k=10)).serve(
+                _workload()).planner.to_dict()
+
+        session = BossSession(BossConfig(k=10))
+        session.init(index)
+        through_session = serve(session)
+        assert through_session["demand_bytes"] > 0
+        assert through_session == serve(session.accelerator)
+
+    def test_shards_never_share_a_block(self):
+        # One term's block 0 on shard 0 and on shard 3 are different
+        # bytes: the window has nothing to dedup, and with no tier
+        # every demanded byte is an SCM miss.
+        cluster, _ = make_faulty_cluster(
+            synthetic_documents(num_docs=400, seed=5), 4,
+            faults=ZERO_FAULTS, k=10)
+        planner = PlannedQueryServer(
+            cluster, PlannerConfig(k=10, dram_bytes=0),
+        ).serve([Request(0, 0.0, '"t1" OR "t2" OR "t3"')]).planner
+        assert planner.demand_bytes > 0
+        assert planner.dedup_bytes == 0
+        assert planner.scm_bytes == planner.demand_bytes
+
+    def test_a_move_is_charged_its_maintenance_seconds(self):
+        clock = VirtualClock()
+        cluster, sharded = make_faulty_cluster(
+            synthetic_documents(num_docs=240, seed=7), 3, k=10,
+            clock=clock)
+        rebalancer = Rebalancer(cluster, sharded, clock=clock, k=10)
+        target = RebalancingClusterTarget(cluster, rebalancer)
+        moves = rebalance_requests(parse_rebalance_script(
+            "@0.002 split 0 40\n@0.008 add-replica 1\n"))
+        requests = splice_requests(
+            zipf_workload([f"t{i}" for i in range(10)], 24,
+                          rate_qps=3000.0, seed=5),
+            moves)
+        result = PlannedQueryServer(target, PlannerConfig(k=10)).serve(
+            requests)
+        served_moves = [outcome for request, outcome
+                        in zip(requests, result.outcomes)
+                        if request.update is not None]
+        assert [o.result for o in served_moves] == rebalancer.reports
+        assert len(served_moves) == len(moves)
+        for outcome in served_moves:
+            assert outcome.result.modeled_seconds > 0
+            assert (outcome.completion_seconds - outcome.start_seconds
+                    == pytest.approx(outcome.result.modeled_seconds,
+                                     rel=1e-12))
 
 
 def _demand_per_query(index, expression):

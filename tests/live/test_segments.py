@@ -4,10 +4,15 @@ import random
 
 import pytest
 
-from repro.core.query import AndNode, OrNode, TermNode, parse_query
+from repro.core.query import (
+    AndNode,
+    OrNode,
+    TermNode,
+    parse_query,
+    prune_query,
+)
 from repro.errors import ConfigurationError, InvertedIndexError, QueryError
 from repro.live import SegmentedIndex
-from repro.live.segments import prune_query
 from tests.test_fastpath_equivalence import _assert_results_identical
 
 

@@ -175,6 +175,20 @@ class TestCliEqualsLibrary:
         assert payload["moves_published"] == 2
         assert payload["final_shards"] == 4
 
+    def test_update_mix_under_the_planner(self, capsys):
+        payload = _cli([*CORPUS, "--update-mix", "0.3", "--planner"],
+                       capsys)
+        writer, vocab = cli._build_live_writer(
+            SEED, 80, vocab_size=32, device=OPTANE_NODE_4CH)
+        requests = _workload(vocab, update_mix=0.3)
+        result = PlannedQueryServer(LiveServingTarget(writer),
+                                    PLANNER).serve(requests)
+        assert _report_of(payload) == result.report.to_dict()
+        assert payload["planner"] == result.planner.to_dict()
+        # The live segments' block fetches reach the planner.
+        assert payload["planner"]["demand_bytes"] > 0
+        assert payload["segments"] == writer.index.num_segments
+
 
 #: One way to switch each refusable ``serve`` flag on.
 FLAG_ARGV = {

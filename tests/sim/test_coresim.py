@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import BossAccelerator, BossConfig
+from repro.core.engine import recording_fetches
 from repro.sim.coresim import BossCoreSimulator
 from repro.sim.timing import BossTimingModel
 
@@ -15,10 +16,9 @@ def traced_runs(small_index):
     engine = BossAccelerator(small_index, BossConfig(k=10))
     runs = []
     for query in QUERIES:
-        engine.fetch_log = []
-        result = engine.search(query)
-        runs.append((result, list(engine.fetch_log)))
-    engine.fetch_log = None
+        with recording_fetches() as fetches:
+            result = engine.search(query)
+        runs.append((result, fetches[engine]))
     return runs
 
 
@@ -68,10 +68,10 @@ class TestEventSimulation:
         slow = MemoryDeviceModel("slow", seq_read_bw=1e6,
                                  rand_read_bw=1e5, write_bw=1e5)
         engine = BossAccelerator(small_index, BossConfig(k=10))
-        engine.fetch_log = []
-        result = engine.search('"t2" OR "t5"')
+        with recording_fetches() as fetches:
+            result = engine.search('"t2" OR "t5"')
         simulator = BossCoreSimulator(device=slow)
-        report = simulator.simulate(result, engine.fetch_log)
+        report = simulator.simulate(result, fetches[engine])
         assert report.busy_seconds["memory"] == pytest.approx(
             report.analytic_bound_seconds
         )

@@ -10,6 +10,7 @@ from repro.cache import (
     uncached_memory_seconds,
 )
 from repro.core import BossAccelerator, BossConfig
+from repro.core.engine import recording_fetches
 from repro.errors import ConfigurationError
 from repro.scm.device import OPTANE_NODE_4CH
 from repro.scm.traffic import AccessPattern
@@ -254,34 +255,35 @@ class TestUncachedBaseline:
 
     def test_engine_skips_produce_random_records(self, small_index):
         engine = BossAccelerator(small_index, BossConfig(k=1))
-        engine.fetch_log = []
-        engine.search('"t0" AND "t3"')
-        patterns = {record[3] for record in engine.fetch_log}
+        with recording_fetches() as fetches:
+            engine.search('"t0" AND "t3"')
+        log = fetches[engine]
+        patterns = {record[3] for record in log}
         assert patterns <= {SEQ, RAND}
         # The honest baseline can only be >= the all-sequential one.
-        total = sum(record[2] for record in engine.fetch_log)
-        assert uncached_memory_seconds(engine.fetch_log) >= \
+        total = sum(record[2] for record in log)
+        assert uncached_memory_seconds(log) >= \
             OPTANE_NODE_4CH.read_time(total, SEQ)
 
 
 class TestEngineIntegration:
     def test_fetch_log_records_engine_fetches(self, small_index):
         engine = BossAccelerator(small_index, BossConfig(k=10))
-        engine.fetch_log = []
-        result = engine.search('"t0" OR "t2"')
-        assert len(engine.fetch_log) == result.work.blocks_fetched
-        assert all(size > 0 for _t, _b, size, _p in engine.fetch_log)
-        assert {t for t, _b, _s, _p in engine.fetch_log} <= {"t0", "t2"}
-        assert all(isinstance(p, AccessPattern)
-                   for _t, _b, _s, p in engine.fetch_log)
+        with recording_fetches() as fetches:
+            result = engine.search('"t0" OR "t2"')
+        log = fetches[engine]
+        assert len(log) == result.work.blocks_fetched
+        assert all(size > 0 for _t, _b, size, _p in log)
+        assert {t for t, _b, _s, _p in log} <= {"t0", "t2"}
+        assert all(isinstance(p, AccessPattern) for _t, _b, _s, p in log)
 
     def test_repeated_queries_hit_the_cache(self, small_index):
         engine = BossAccelerator(small_index, BossConfig(k=10))
         sim = CacheSimulator(capacity_bytes=1 << 20)
         for _ in range(5):
-            engine.fetch_log = []
-            engine.search('"t1" AND "t3"')
-            sim.replay(engine.fetch_log)
+            with recording_fetches() as fetches:
+                engine.search('"t1" AND "t3"')
+            sim.replay(fetches[engine])
         report = sim.report()
         # Runs 2..5 hit entirely: hit rate 4/5 of all accesses.
         assert report.hit_rate == pytest.approx(0.8)

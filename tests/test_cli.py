@@ -375,9 +375,14 @@ class TestServe:
         assert planner["dram_hit_bytes"] == planner["dedup_bytes"] == 0
         assert planner["demand_bytes"] > 0
 
-    def test_serve_planner_rejects_update_mix(self):
-        assert main(self.ARGS + ["--planner", "--update-mix",
-                                 "0.5"]) == 2
+    def test_serve_planner_serves_update_mix(self, capsys):
+        import json
+
+        assert main(self.ARGS + ["--planner", "--update-mix", "0.5",
+                                 "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["updates_offered"] > 0
+        assert record["planner"]["demand_bytes"] > 0
 
     def test_serve_planner_rejects_bad_tenant_spec(self):
         assert main(self.ARGS + ["--planner", "--tenants",

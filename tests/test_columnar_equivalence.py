@@ -4,7 +4,7 @@ The columnar executor (``executor="columnar"``, the default) scores
 blocks with numpy and bulk-counts leader runs, but it is a wall-clock
 optimization only: rankings (to the last float bit), every
 :class:`WorkCounters` field, per-bucket traffic, the payload fetch order
-(``fetch_log``, record by record) and full observability traces must
+(``recording_fetches``, record by record) and full observability traces must
 match the reference and fast executors exactly — across codecs, ET
 ablations, k values, and warm/cold decoded caches.
 """
@@ -367,7 +367,7 @@ def test_tied_sort_keys(twins, k, cache):
     """Twin terms with identical postings and tfs share idf, list max
     and block maxima, so their entries tie on ``(doc, -max)`` at every
     step: only the sort's stability orders them, and that order decides
-    which twin's block is fetched first — the ``fetch_log`` pins it
+    which twin's block is fetched first — the fetch order pins it
     record by record. Twins union with each other and with one distinct
     list, before and after it in the query."""
     import random

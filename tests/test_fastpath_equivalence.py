@@ -7,7 +7,8 @@ only. Against ``fast_path=False`` (the reference oracle: per-value
 decoders, no cache) every functional and modeled output must be
 **bit-identical**: rankings, per-bucket :class:`TrafficCounter` totals,
 every :class:`WorkCounters` field, the order of payload fetches (the
-``fetch_log`` the cache simulator and the I/O planner replay), and the
+records ``recording_fetches`` hands the cache simulator and the I/O
+planner), and the
 full observability trace (spans, traffic entries, latencies).
 
 Warm-cache runs are covered explicitly: the second pass over a query
@@ -19,6 +20,7 @@ import pytest
 
 from repro.cache import DEFAULT_DECODED_CACHE_BLOCKS
 from repro.core import BossAccelerator, BossConfig
+from repro.core.engine import recording_fetches
 from repro.observability import RecordingObserver
 from repro.scm.traffic import AccessClass, AccessPattern
 from tests.conftest import build_random_index, hits_as_pairs
@@ -42,19 +44,17 @@ def _assert_results_identical(fast, reference, context):
 
 def _search_logged(engine, expression, **kwargs):
     """``engine.search`` plus the payload fetches it made, in order."""
-    engine.fetch_log = log = []
-    try:
-        return engine.search(expression, **kwargs), log
-    finally:
-        engine.fetch_log = None
+    with recording_fetches() as fetches:
+        result = engine.search(expression, **kwargs)
+    return result, fetches.get(engine, [])
 
 
 def _assert_pair_identical(engine, reference, expression, context,
                            **kwargs):
     """Both engines run ``expression``: identical results *and* the
-    same payload fetches in the same order — the ``fetch_log`` the
-    cache simulator and the I/O planner replay, record by record
-    (term, block, bytes, observed pattern)."""
+    same payload fetches in the same order — the records the cache
+    simulator and the I/O planner replay, one by one (term, block,
+    bytes, observed pattern)."""
     result, log = _search_logged(engine, expression, **kwargs)
     expected, expected_log = _search_logged(reference, expression,
                                             **kwargs)
