@@ -327,9 +327,7 @@ class BossSession:
             if is_union or membership[doc_id] == len(chunks):
                 topk.offer(doc_id, scores[doc_id])
 
-        from repro.core.result import ScoredDocument
-
-        hits = [ScoredDocument(d, s) for d, s in topk.results()]
+        hits = topk.results()
         result = SearchResult(
             query=node,
             hits=hits,

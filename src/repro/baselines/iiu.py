@@ -39,7 +39,7 @@ from repro.core.query import (
     as_query,
     push_intersections_down,
 )
-from repro.core.result import ScoredDocument, SearchResult
+from repro.core.result import SearchResult
 from repro.core.topk import DEFAULT_K, TopKQueue
 from repro.errors import QueryError
 from repro.index.index import CompressedPostingList, InvertedIndex
@@ -126,7 +126,7 @@ class IIUAccelerator:
         topk = TopKQueue(k)
         for doc, score in scored:
             topk.offer(doc, score)
-        hits = [ScoredDocument(d, s) for d, s in topk.results()]
+        hits = topk.results()
 
         return SearchResult(
             query=node,

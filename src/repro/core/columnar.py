@@ -64,10 +64,18 @@ modeled side effects (block fetch, skip, ``advance_to``, block
 transition) still happens through the real cursor, in the order the
 reference executor performs it.
 
+With three or more lists a run that reaches the next list *hands off
+in place*: only the leader has moved since the last sort, so one
+insertion re-sorts ``alive``, and the loop top's next decision is taken
+right there when it makes a new leader, or advances a front, inside its
+decoded block, to the list it pivots with.
+
 Leader runs require the default ET configuration (``et_wand``,
 ``et_block``, ``interval_blocks == 1``); under it every sole pivot
 leads one, and everything else runs the general iteration. The two are
 interchangeable iteration by iteration, so one query mixes them.
+``docs/columnar.md`` ("Hand-offs in place") has the exactness
+argument.
 """
 
 from __future__ import annotations
@@ -230,151 +238,217 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
                 # iteration's sort is already counted; later virtual
                 # iterations count theirs after the exit checks (on
                 # exit, the outer loop performs — and counts — the
-                # next full iteration itself).
+                # next full iteration itself). With three or more lists
+                # a run that reaches ``limit_doc`` hands off in place.
                 entry = alive[0]
-                cursor = entry[4]
-                l0max = entry[2]
-                idf = entry[3]
-                lasts = entry[5]
-                bmaxes = entry[6]
-                limit_doc = alive[1][0] if num_alive > 1 else _NO_LIMIT
                 counted = True
                 while True:
-                    doc = entry[0]
-                    if doc is None or doc >= limit_doc:
-                        break
-                    if not (l0max + ET_EPSILON > cutoff):
-                        break
-                    if not counted:
-                        merge_ops += 1
-                    counted = False
-                    # Block-level check, sole-pivot specialization: the
-                    # leader's current doc lies in its current block.
-                    index = cursor._block_index
-                    if index > cursor._metadata_read_upto:
-                        cursor._charge_metadata(index)
-                    block_max = bmaxes[index]
-                    if block_max + ET_EPSILON <= cutoff:
-                        d = lasts[index] + 1
-                        if limit_doc < d:
-                            d = limit_doc
-                        entry[0] = cursor.advance_to(d)
-                        continue
-                    # Evaluation: force the (modeled) payload fetch. The
-                    # window is the rest of the block, up to the next
-                    # list's docID. Inside it a step has no modeled side
-                    # effect and the decisions above can flip only when
-                    # an accepted insert raises the cutoff, so the
-                    # window's iterations collapse into bulk counter
-                    # additions around the offers the queue accepts.
-                    ids = cursor._decoded_doc_ids
-                    if ids is None:
-                        cursor._ensure_decoded()
+                    cursor = entry[4]
+                    l0max = entry[2]
+                    idf = entry[3]
+                    lasts = entry[5]
+                    bmaxes = entry[6]
+                    limit_doc = alive[1][0] if num_alive > 1 else _NO_LIMIT
+                    while True:
+                        doc = entry[0]
+                        if doc is None or doc >= limit_doc:
+                            break
+                        if not (l0max + ET_EPSILON > cutoff):
+                            break
+                        if not counted:
+                            merge_ops += 1
+                        counted = False
+                        # Block-level check, sole-pivot specialization: the
+                        # leader's current doc lies in its current block.
+                        index = cursor._block_index
+                        if index > cursor._metadata_read_upto:
+                            cursor._charge_metadata(index)
+                        block_max = bmaxes[index]
+                        if block_max + ET_EPSILON <= cutoff:
+                            d = lasts[index] + 1
+                            if limit_doc < d:
+                                d = limit_doc
+                            entry[0] = cursor.advance_to(d)
+                            continue
+                        # Evaluation: force the (modeled) payload fetch. The
+                        # window is the rest of the block, up to the next
+                        # list's docID. Inside it a step has no modeled side
+                        # effect and the decisions above can flip only when
+                        # an accepted insert raises the cutoff, so the
+                        # window's iterations collapse into bulk counter
+                        # additions around the offers the queue accepts.
                         ids = cursor._decoded_doc_ids
-                    pos = cursor._position
-                    size = len(ids)
-                    end = (size if limit_doc >= _NO_LIMIT
-                           else bisect_left(ids, limit_doc, pos))
-                    stop = end
-                    offered = 0
-                    if end - pos <= _SHORT_WINDOW:
-                        # Short window: the scalar path's scoring, doc by
-                        # doc; an offer only where the queue has room or
-                        # the score beats the cutoff, and the walk ends
-                        # after an accept that flips the WAND test or
-                        # the block bound (acted on at the loop top).
-                        tfs = cursor._decoded_tfs
-                        for position in range(pos, end):
-                            tf = tfs[position]
-                            doc = ids[position]
-                            score = 0.0 + (idf * (tf * k1_plus_1)
-                                           / (tf + normalizers[doc]))
-                            if score > cutoff or len(topk_entries) < topk_k:
-                                offer(doc, score)
-                                offered += 1
-                                cutoff = (topk_entries[0][0]
-                                          if len(topk_entries) >= topk_k
-                                          else 0.0)
-                                if (not (l0max + ET_EPSILON > cutoff)
-                                        or block_max + ET_EPSILON
-                                        <= cutoff):
-                                    stop = position + 1
-                                    break
-                    else:
-                        # Long window: the block's scores come from one
-                        # array expression with the scalar path's exact
-                        # float op order, built once per block.
-                        if ids is not entry[7]:
-                            entry[7] = ids
-                            cached = score_cache.get(id(ids))
-                            if cached is None:
-                                ids_nd = np.frombuffer(ids, dtype=np.uint32)
-                                tfs_f = np.frombuffer(
-                                    cursor._decoded_tfs, dtype=np.uint32
-                                ).astype(np.float64)
-                                scores_nd = 0.0 + (
-                                    idf * (tfs_f * k1_plus_1)
-                                    / (tfs_f
-                                       + scorer.normalizer_array[ids_nd])
-                                )
-                                if len(score_cache) >= _SCORE_CACHE_LIMIT:
-                                    score_cache.clear()
-                                score_cache[id(ids)] = (ids, scores_nd)
+                        if ids is None:
+                            cursor._ensure_decoded()
+                            ids = cursor._decoded_doc_ids
+                        pos = cursor._position
+                        size = len(ids)
+                        end = (size if limit_doc >= _NO_LIMIT
+                               else bisect_left(ids, limit_doc, pos))
+                        stop = end
+                        offered = 0
+                        if end - pos <= _SHORT_WINDOW:
+                            # Short window: the scalar path's scoring, doc by
+                            # doc; an offer only where the queue has room or
+                            # the score beats the cutoff, and the walk ends
+                            # after an accept that flips the WAND test or
+                            # the block bound (acted on at the loop top).
+                            tfs = cursor._decoded_tfs
+                            for position in range(pos, end):
+                                tf = tfs[position]
+                                doc = ids[position]
+                                score = 0.0 + (idf * (tf * k1_plus_1)
+                                               / (tf + normalizers[doc]))
+                                if (score > cutoff
+                                        or len(topk_entries) < topk_k):
+                                    offer(doc, score)
+                                    offered += 1
+                                    cutoff = (topk_entries[0][0]
+                                              if len(topk_entries) >= topk_k
+                                              else 0.0)
+                                    if (not (l0max + ET_EPSILON > cutoff)
+                                            or block_max + ET_EPSILON
+                                            <= cutoff):
+                                        stop = position + 1
+                                        break
+                        else:
+                            # Long window: the block's scores come from one
+                            # array expression with the scalar path's exact
+                            # float op order, built once per block.
+                            if ids is not entry[7]:
+                                entry[7] = ids
+                                cached = score_cache.get(id(ids))
+                                if cached is None:
+                                    ids_nd = np.frombuffer(ids, dtype=np.uint32)
+                                    tfs_f = np.frombuffer(
+                                        cursor._decoded_tfs, dtype=np.uint32
+                                    ).astype(np.float64)
+                                    scores_nd = 0.0 + (
+                                        idf * (tfs_f * k1_plus_1)
+                                        / (tfs_f
+                                           + scorer.normalizer_array[ids_nd])
+                                    )
+                                    if len(score_cache) >= _SCORE_CACHE_LIMIT:
+                                        score_cache.clear()
+                                    score_cache[id(ids)] = (ids, scores_nd)
+                                else:
+                                    scores_nd = cached[1]
+                                entry[8] = scores_nd
                             else:
-                                scores_nd = cached[1]
-                            entry[8] = scores_nd
+                                scores_nd = entry[8]
+                            room = topk_k - len(topk_entries)
+                            if room > 0:
+                                # Queue not yet full: an offer is refused
+                                # only for an excluded docID, and the cutoff
+                                # stays 0.0 until the last slot is taken.
+                                # ``fill`` counts every doc it is handed.
+                                stop = min(pos + room, end)
+                                offered = stop - pos
+                                topk.fill(ids[pos:stop],
+                                          scores_nd[pos:stop].tolist())
+                                if len(topk_entries) >= topk_k:
+                                    cutoff = topk_entries[0][0]
+                            else:
+                                window = scores_nd[pos:end]
+                                above = window > cutoff
+                                if above[above.argmax()]:
+                                    # The cutoff only rises, so every accept
+                                    # in the window is among the docs above
+                                    # it now: one pass finds them, and the
+                                    # walk ends as the short window's does.
+                                    hot = above.nonzero()[0]
+                                    for offset, score in zip(
+                                            hot.tolist(),
+                                            window[hot].tolist()):
+                                        if score > cutoff:
+                                            offer(ids[pos + offset], score)
+                                            offered += 1
+                                            cutoff = topk_entries[0][0]
+                                            if (not (l0max + ET_EPSILON
+                                                     > cutoff)
+                                                    or block_max + ET_EPSILON
+                                                    <= cutoff):
+                                                stop = pos + offset + 1
+                                                break
+                        # ``n`` iterations ran: the first one's sort is
+                        # counted at the loop top, and the queue counted the
+                        # offers it was really handed.
+                        n = stop - pos
+                        merge_ops += n - 1
+                        docs_evaluated += n
+                        docs_matched += n
+                        topk_inserts += n
+                        topk._inserts += n - offered
+                        if stop < size:
+                            cursor._position = stop
+                            entry[0] = ids[stop]
                         else:
-                            scores_nd = entry[8]
-                        room = topk_k - len(topk_entries)
-                        if room > 0:
-                            # Queue not yet full: an offer is refused
-                            # only for an excluded docID, and the cutoff
-                            # stays 0.0 until the last slot is taken.
-                            # ``fill`` counts every doc it is handed.
-                            stop = min(pos + room, end)
-                            offered = stop - pos
-                            topk.fill(ids[pos:stop],
-                                      scores_nd[pos:stop].tolist())
-                            if len(topk_entries) >= topk_k:
-                                cutoff = topk_entries[0][0]
-                        else:
-                            window = scores_nd[pos:end]
-                            above = window > cutoff
-                            if above[above.argmax()]:
-                                # The cutoff only rises, so every accept
-                                # in the window is among the docs above
-                                # it now: one pass finds them, and the
-                                # walk ends as the short window's does.
-                                hot = above.nonzero()[0]
-                                for offset, score in zip(
-                                        hot.tolist(), window[hot].tolist()):
-                                    if score > cutoff:
-                                        offer(ids[pos + offset], score)
-                                        offered += 1
-                                        cutoff = topk_entries[0][0]
-                                        if (not (l0max + ET_EPSILON
-                                                 > cutoff)
-                                                or block_max + ET_EPSILON
-                                                <= cutoff):
-                                            stop = pos + offset + 1
-                                            break
-                    # ``n`` iterations ran: the first one's sort is
-                    # counted at the loop top, and the queue counted the
-                    # offers it was really handed.
-                    n = stop - pos
-                    merge_ops += n - 1
-                    docs_evaluated += n
-                    docs_matched += n
-                    topk_inserts += n
-                    topk._inserts += n - offered
-                    if stop < size:
-                        cursor._position = stop
-                        entry[0] = ids[stop]
-                    else:
-                        cursor._position = size - 1
-                        entry[0] = _step_slow(cursor)
-                if entry[0] is None:
-                    del alive[0]
+                            cursor._position = size - 1
+                            entry[0] = _step_slow(cursor)
+                    if entry[0] is None:
+                        del alive[0]
+                        break
+                    if num_alive < 3 or entry[0] < limit_doc:
+                        break
+                    # ---- hand-off in place -----------------------------
+                    # Only the front entry moved since ``alive`` was last
+                    # sorted, so the stable sort is one insertion: behind
+                    # every entry whose key is strictly smaller. The loop
+                    # top's next decision is then taken here when it
+                    # makes a new leader, or advances a front that pivots
+                    # with the second list inside its decoded block. Two
+                    # facts make that decision the general iteration's
+                    # without its checks: the block holding any alive
+                    # entry's docID has its metadata charged (every
+                    # cursor call that reports a docID charges it), and
+                    # lists tied with the second join the pivot set
+                    # without moving and only raise the non-negative
+                    # block-bound sum, so a tie changes nothing here.
+                    entry = None
+                    while True:
+                        moved = alive[0]
+                        doc = moved[0]
+                        neg_max = moved[1]
+                        slot = 1
+                        while slot < num_alive and (
+                                alive[slot][0] < doc
+                                or (alive[slot][0] == doc
+                                    and alive[slot][1] < neg_max)):
+                            slot += 1
+                        if slot > 1:
+                            del alive[0]
+                            alive.insert(slot - 1, moved)
+                        front = alive[0]
+                        second = alive[1]
+                        target = second[0]
+                        if front[0] == target:
+                            break
+                        if front[2] + ET_EPSILON > cutoff:
+                            merge_ops += 1
+                            entry = front
+                            break
+                        if front[2] + second[2] + ET_EPSILON > cutoff:
+                            front_cursor = front[4]
+                            ids = front_cursor._decoded_doc_ids
+                            # The loop top's when the target lies past the
+                            # decoded block (it searches and charges later
+                            # blocks) or the block bounds fall short (it
+                            # skips).
+                            if (ids is not None and ids[-1] >= target
+                                    and 0.0
+                                    + front[6][front_cursor._block_index]
+                                    + second[6][second[4]._block_index]
+                                    + ET_EPSILON > cutoff):
+                                merge_ops += 1
+                                position = bisect_left(
+                                    ids, target, front_cursor._position + 1)
+                                front_cursor._position = position
+                                front[0] = ids[position]
+                                continue
+                        break
+                    if entry is None:
+                        break
+                    counted = True
                 continue
 
             # ---- general iteration ---------------------------------

@@ -57,7 +57,7 @@ from repro.core.query import (
     as_query,
     push_intersections_down,
 )
-from repro.core.result import ScoredDocument, SearchResult
+from repro.core.result import SearchResult
 from repro.core.topk import DEFAULT_K, TopKQueue
 from repro.core.union import run_union
 from repro.cache import DecodedBlockCache
@@ -304,7 +304,7 @@ class BossAccelerator:
         else:
             self._execute_general(node, topk, work, traffic)
 
-        hits = [ScoredDocument(d, s) for d, s in topk.results()]
+        hits = topk.results()
         work.topk_inserts = max(work.topk_inserts, topk.inserts)
 
         # Scoring metadata loads: one small random read per evaluated doc.

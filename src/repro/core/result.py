@@ -3,18 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, NamedTuple, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.core.query import QueryNode, classify_query
+from repro.core.topk import ScoredDocument  # the hit type, re-exported
 from repro.scm.traffic import TrafficCounter
 from repro.sim.metrics import WorkCounters
-
-
-class ScoredDocument(NamedTuple):
-    """One ranked search hit."""
-
-    doc_id: int
-    score: float
 
 
 def best_hits(scored: Iterable[Tuple[int, float]],

@@ -31,12 +31,19 @@ queue takes both at construction:
 from __future__ import annotations
 
 from bisect import insort
-from typing import Collection, List, Optional, Sequence, Tuple
+from typing import Collection, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
 #: The paper's default k (Section IV-C: "By default, k is set to 1000").
 DEFAULT_K = 1000
+
+
+class ScoredDocument(NamedTuple):
+    """One ranked search hit, as the queue emits it."""
+
+    doc_id: int
+    score: float
 
 
 def positive_k(k: int) -> int:
@@ -156,19 +163,21 @@ class TopKQueue:
         self._sequence = sequence + count
         self._inserts += count
 
-    def results(self) -> List[Tuple[int, float]]:
-        """Final ``(docID, score)`` list, best first.
+    def results(self) -> List[ScoredDocument]:
+        """Final hits, best first.
 
         Ties are ordered by arrival (earlier first), matching the shift
-        order of the hardware queue.
+        order of the hardware queue: sorted in reverse, the entries
+        ``(score, -sequence, doc)`` put the higher score first and, on
+        equal scores, the larger ``-sequence`` — the earlier arrival.
+        Real entries never tie on both, so no docID is compared. A
+        floor's placeholders, the lowest entries, are dropped first.
         """
-        return [
-            (doc_id, score)
-            for score, _neg_seq, doc_id in sorted(
-                self._entries, key=lambda e: (-e[0], -e[1])
-            )
-            if doc_id is not None  # a floor's placeholder
-        ]
+        entries = self._entries
+        if entries and entries[0][2] is None:
+            entries = [entry for entry in entries if entry[2] is not None]
+        return [ScoredDocument(doc_id, score)
+                for score, _neg_seq, doc_id in sorted(entries, reverse=True)]
 
     @property
     def result_bytes(self) -> int:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.topk import DEFAULT_K, TopKQueue
+from repro.core.topk import DEFAULT_K, ScoredDocument, TopKQueue
 from repro.errors import ConfigurationError
 
 
@@ -247,6 +247,36 @@ class TestAdmission:
                 assert queue.cutoff == expected[-1][1]
             else:
                 assert queue.cutoff == (0.0 if floor is None else floor)
+
+
+def _arrival_keyed(queue):
+    """``results`` as a key sort: score descending, then arrival."""
+    return [(doc_id, score) for score, _neg_seq, doc_id in sorted(
+        queue._entries, key=lambda entry: (-entry[0], -entry[1]))
+        if doc_id is not None]
+
+
+def test_results_order_is_the_arrival_keyed_order():
+    """``results`` sorts the entries in reverse instead of by a key:
+    the same hits in the same order on ties with each other, with a
+    floor's placeholders and after a bulk ``fill``."""
+    rng = random.Random(31)
+    grid = [0.5, 1.0, 1.5]
+    for _ in range(200):
+        k = rng.randrange(1, 16)
+        floor = rng.choice([None, 0.5, 1.0,
+                            math.nextafter(1.0, -math.inf)])
+        queue = TopKQueue(k, floor=floor)
+        offers = [(doc, rng.choice(grid)) for doc in range(rng.randrange(60))]
+        if floor is None and rng.random() < 0.5:
+            head = offers[:k]
+            queue.fill([doc for doc, _ in head], [s for _, s in head])
+            offers = offers[k:]
+        for doc, score in offers:
+            queue.offer(doc, score)
+        hits = queue.results()
+        assert hits == _arrival_keyed(queue)
+        assert all(type(hit) is ScoredDocument for hit in hits)
 
 
 @settings(max_examples=80, deadline=None)

@@ -293,6 +293,96 @@ def test_traces_bit_identical_columnar_vs_fast():
     _assert_traces_identical(columnar_observer, fast_observer)
 
 
+class _PathSpy:
+    """Which branches of ``run_union_columnar`` the searches took.
+
+    Installed over the engine's reference to the executor, it traces
+    the lines the executor runs. A branch is named by a statement only
+    it executes, found by its text below the banner comment of its
+    block, so the spy follows the code as it moves. ``probes`` counts
+    the visits to a marked line on which a predicate over the
+    executor's locals held, read before the line runs.
+    """
+
+    MARKERS = {
+        "insertion": ("hand-off in place", "if slot > 1:"),
+        "hand_off": ("hand-off in place", "if front[0] == target:"),
+        "front_alone": ("hand-off in place",
+                        "if front[2] + ET_EPSILON > cutoff:"),
+        "new_leader": ("hand-off in place", "entry = front"),
+        "in_block_test": ("hand-off in place",
+                          "if (ids is not None and ids[-1] >= target"),
+        "advance_in_place": ("hand-off in place", "front[0] = ids[position]"),
+    }
+    PROBES = {
+        # The moved entry meets an equal (doc, -max) key.
+        "equal_key": ("insertion", lambda f: (
+            f["slot"] < f["num_alive"]
+            and f["alive"][f["slot"]][:2] == [f["doc"], f["neg_max"]])),
+        # The front's decoded block ends before its target.
+        "past_block": ("in_block_test", lambda f: (
+            f["ids"] is not None and f["ids"][-1] < f["target"])),
+    }
+
+    def __init__(self):
+        import collections
+        import inspect
+
+        from repro.core import columnar
+
+        lines, first = inspect.getsourcelines(columnar.run_union_columnar)
+        self._names = {}
+        for name, (banner, statement) in self.MARKERS.items():
+            start = next(i for i, line in enumerate(lines)
+                         if f"# ---- {banner}" in line)
+            offset = next(i for i in range(start, len(lines))
+                          if lines[i].strip() == statement)
+            self._names[first + offset] = name
+        self._code = columnar.run_union_columnar.__code__
+        self.counts = collections.Counter()
+        self.probes = collections.Counter()
+
+    def _line(self, frame, event, arg):
+        if event == "line":
+            name = self._names.get(frame.f_lineno)
+            if name is not None:
+                self.counts[name] += 1
+                for probe, (marker, holds) in self.PROBES.items():
+                    if marker == name and holds(frame.f_locals):
+                        self.probes[probe] += 1
+        return self._line
+
+    def _call(self, frame, event, arg):
+        return self._line if frame.f_code is self._code else None
+
+    def wrap(self, run):
+        import sys
+
+        def traced(*args, **kwargs):
+            previous = sys.gettrace()
+            sys.settrace(self._call)
+            try:
+                return run(*args, **kwargs)
+            finally:
+                sys.settrace(previous)
+        return traced
+
+    @property
+    def ties(self):
+        """Hand-offs whose front tied the second list."""
+        return self.counts["hand_off"] - self.counts["front_alone"]
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    from repro.core import engine
+
+    spy = _PathSpy()
+    monkeypatch.setattr(engine, "run_union_columnar",
+                        spy.wrap(engine.run_union_columnar))
+    return spy
+
+
 def _paced_index(gaps):
     """Leaders below, at and past one block, each paced by one list per
     gap in ``gaps``.
@@ -593,3 +683,165 @@ def test_leader_run_fill_head_skips_excluded_docs():
             hits = columnar.search('"lead"', k=k, exclude=exclude).hits
             assert len(hits) == min(k, 300 - len(exclude))
             assert not exclude & {hit.doc_id for hit in hits}
+
+
+# ----------------------------------------------------------------------
+# Three or more lists: hand-offs in place
+# ----------------------------------------------------------------------
+
+def _union_corpus(seed, num_docs, dfs):
+    """Token documents for terms ``t0, t1, ...`` with document
+    frequencies ``dfs`` (fractions of ``num_docs``) and seeded tfs 1-6,
+    padded to seeded lengths."""
+    import random
+
+    rng = random.Random(seed)
+    postings = {}
+    for number, fraction in enumerate(dfs):
+        docs = rng.sample(range(num_docs), int(fraction * num_docs))
+        postings[f"t{number}"] = {doc: rng.randrange(1, 7) for doc in docs}
+    documents = []
+    for doc in range(num_docs):
+        tokens = []
+        for term, tfs in postings.items():
+            tokens += [term] * tfs.get(doc, 0)
+        documents.append(tokens + ["pad"] * rng.randrange(20, 60))
+    return documents, sorted(postings)
+
+
+def _index_of(documents):
+    from repro.index import IndexBuilder
+
+    builder = IndexBuilder()
+    for tokens in documents:
+        builder.add_document(tokens)
+    return builder.build()
+
+
+def _any_of(terms):
+    return " OR ".join(f'"{term}"' for term in terms)
+
+
+def _assert_union_identical(index, expression):
+    """Columnar against the reference at k = 1, 10, 100 and 1000, cold
+    then warm."""
+    for k in (1, 10, 100, 1000):
+        columnar = BossAccelerator(index, BossConfig(k=k))
+        reference = BossAccelerator(index, BossConfig(k=k),
+                                    executor="reference")
+        for cache in ("cold", "warm"):
+            _assert_pair_identical(columnar, reference, expression,
+                                   (k, cache, expression))
+
+
+#: Four lists spread over two decades of df: hand-offs make new
+#: leaders, advance fronts in place, and break on a tie or on a target
+#: past the front's block.
+_HAND_OFF_CORPUS = dict(seed=0, num_docs=1000, dfs=(0.05, 0.1, 0.3, 0.5))
+
+
+def test_hand_offs_in_place_and_their_breaks(paths):
+    documents, terms = _union_corpus(**_HAND_OFF_CORPUS)
+    _assert_union_identical(_index_of(documents), _any_of(terms))
+    assert paths.counts["new_leader"] > 0
+    assert paths.counts["advance_in_place"] > 0
+    # A weak front on the second list's docID: the loop top evaluates.
+    assert paths.ties > 0
+    # A weak front whose block ends before the second list's docID: the
+    # loop top's block check searches its later blocks.
+    assert paths.probes["past_block"] > 0
+
+
+def test_hand_off_insertion_behind_equal_keys(paths):
+    """Two lists given one list bound: a moved leader that lands on the
+    other's docID meets an equal ``(doc, -max)`` key, and the insertion
+    must leave it in front, where the stable sort keeps it."""
+    documents, terms = _union_corpus(**_HAND_OFF_CORPUS)
+    index = _index_of(documents)
+    first, second = (index.posting_list(term) for term in ("t1", "t2"))
+    first.max_term_score = second.max_term_score = max(
+        first.max_term_score, second.max_term_score)
+    _assert_union_identical(index, _any_of(terms))
+    assert paths.probes["equal_key"] > 0
+
+
+@pytest.mark.parametrize("understate", ["list", "block"])
+def test_hand_offs_under_understated_bounds(understate, paths):
+    """Bounds lowered under real scores, as in ``_window_index``: the
+    hand-off's tests read them, and accepted scores pass them."""
+    from dataclasses import replace
+
+    documents, terms = _union_corpus(**_HAND_OFF_CORPUS)
+    index = _index_of(documents)
+    plist = index.posting_list("t1")
+    lowered = 0.6 * plist.max_term_score
+    if understate == "list":
+        plist.max_term_score = lowered
+    else:
+        plist.blocks[:] = [
+            replace(block, metadata=replace(
+                block.metadata,
+                max_term_score=min(lowered, block.metadata.max_term_score)))
+            for block in plist.blocks]
+    _assert_union_identical(index, _any_of(terms))
+    assert paths.counts["new_leader"] > 0
+    assert paths.counts["advance_in_place"] > 0
+
+
+def test_hand_offs_on_a_live_segment_with_floor_and_exclude(paths):
+    """A live segment's engine searched the way the segmented index
+    does: tombstones as ``exclude`` and a preloaded ``floor``, so
+    hand-offs start on a full queue whose cutoff is the floor."""
+    import math
+
+    from repro.live import SegmentedIndex
+
+    documents, terms = _union_corpus(**_HAND_OFF_CORPUS)
+    live = SegmentedIndex(buffer_docs=4096)
+    for tokens in documents:
+        live.add_document(tokens)
+    live.seal()
+    segment, = live.segments
+    for doc in range(0, len(documents), 5):
+        live.delete_document(doc)
+    engine = live._engine_for(segment)
+    reference = BossAccelerator(engine.index, engine.config,
+                                fast_path=False)
+    expression = _any_of(terms)
+    scores = [hit.score for hit in
+              reference.search(expression, k=len(documents)).hits]
+    hand_offs_on_a_floor = 0
+    for k in (10, 100):
+        for floor in (None, math.nextafter(scores[3 * k], -math.inf)):
+            hand_offs = (paths.counts["new_leader"]
+                         + paths.counts["advance_in_place"])
+            for _ in range(2):
+                _assert_pair_identical(
+                    engine, reference, expression, (k, floor), k=k,
+                    floor=floor, exclude=segment.tombstones)
+            if floor is not None:
+                hand_offs_on_a_floor += (paths.counts["new_leader"]
+                                         + paths.counts["advance_in_place"]
+                                         - hand_offs)
+    assert hand_offs_on_a_floor > 0
+
+
+def test_realistic_four_term_unions(paths):
+    """The Q5 pool of a small preset corpus: four-term unions with
+    Zipf-shaped lists, every path mixed in one query."""
+    from repro import make_corpus
+    from repro.workloads.queries import QuerySampler
+
+    corpus = make_corpus("ccnews-like", scale=0.05)
+    queries = [spec.expression for spec in QuerySampler(
+        corpus.terms_by_df(), seed=7).sample_of_type("Q5", 24)]
+    for k in (10, 100):
+        columnar = BossAccelerator(corpus.index, BossConfig(k=k))
+        reference = BossAccelerator(corpus.index, BossConfig(k=k),
+                                    executor="reference")
+        for cache in ("cold", "warm"):
+            for expression in queries:
+                _assert_pair_identical(columnar, reference, expression,
+                                       (k, cache, expression))
+    assert paths.counts["new_leader"] > 0
+    assert paths.counts["advance_in_place"] > 0
