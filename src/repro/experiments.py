@@ -25,6 +25,7 @@ from collections import Counter
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy
@@ -35,11 +36,12 @@ from repro.compression import HybridSelector, deltas_from_doc_ids
 from repro.compression.hybrid import PAPER_SCHEMES
 from repro.core import BossAccelerator, BossConfig
 from repro.core.engine import recording_fetches
-from repro.core.scheduler import QueryScheduler
 from repro.hwmodel import EnergyModel, area_power
 from repro.observability import (
     ALL_STAGES, aggregate_stage_seconds, batch_bottleneck, build_trace)
 from repro.scm import CXL_LINK, DDR4_4CH, AccessClass, MemoryNode, MemoryPool
+from repro.serving import (
+    QueryServer, ServingConfig, TraceArrivals, build_requests)
 from repro.sim import (
     BossCoreSimulator, BossTimingModel, IIUTimingModel, LuceneTimingModel)
 from repro.workloads import SYNTHETIC_STREAMS, QuerySampler, make_corpus
@@ -438,19 +440,37 @@ class Evaluation:
             "engine|{:<8};load|{:>6.1f};mean us|{:>10.1f};p50 us|{:>9.1f}"
             ";p99 us|{:>9.1f};util|{:>7.2f}")
     def _latency(self):
-        """Open arrivals at a fraction of each engine's own saturation."""
+        """Open arrivals at a fraction of each engine's own saturation,
+        through the serving queue: a query holds its cores (one per four
+        BOSS terms, chained) for its contended service time."""
         rows = []
         for engine in ("BOSS", "Lucene"):
+            model = self.models[engine]
             results = self.ccnews.results_of(engine)
             saturation = self.report(self.ccnews, engine).throughput_qps
-            scheduler = QueryScheduler(self.models[engine], num_cores=8)
+            service = model.contended_seconds(results)
+            cores = [min(model.num_cores, model.cores_used(r))
+                     for r in results]
+            # Request i replays results[i]: nothing is searched again.
+            server = QueryServer(
+                SimpleNamespace(search=lambda expression, k:
+                                results[int(expression)]),
+                ServingConfig(workers=model.num_cores,
+                              queue_capacity=len(results)),
+                service_time=lambda request, _: service[request.request_id],
+                width=lambda request: cores[request.request_id])
+            core_seconds = sum(c * s for c, s in zip(cores, service))
+            replay = [str(i) for i in range(len(results))]
             for load in (0.3, 0.6, 0.9):
-                report = scheduler.run(results,
-                                       arrival_rate=load * saturation)
-                rows.append((engine, load, report.mean_latency * 1e6,
-                             report.latency_percentile(50) * 1e6,
-                             report.latency_percentile(99) * 1e6,
-                             report.core_utilization))
+                rate = load * saturation
+                report = server.serve(build_requests(replay, TraceArrivals(
+                    [i / rate for i in range(len(results))]))).report
+                rows.append((engine, load,
+                             report.mean_latency_seconds * 1e6,
+                             report.p50_latency_seconds * 1e6,
+                             report.p99_latency_seconds * 1e6,
+                             min(1.0, core_seconds / (
+                                 report.makespan_seconds * model.num_cores))))
         return rows
 
     @figure("pipeline",

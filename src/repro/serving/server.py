@@ -311,6 +311,13 @@ class QueryServer:
     that. ``clock`` only measures service time (default: wall clock);
     the serving timeline itself never sleeps.
 
+    ``width`` optionally makes a request hold more than one worker from
+    dispatch to completion: a callable ``(request) -> workers``, between
+    1 and ``config.workers`` (None: every request takes one). Dispatch
+    stays strict FCFS — a queued request that does not fit holds back
+    every request behind it, as the device's query scheduler does with
+    a query that needs chained cores (paper Fig. 4(a)).
+
     ``observer`` is told of every admission, every request's final
     :class:`RequestOutcome` (served or shed) and the run's
     :class:`ServingReport`; recording it publishes the ``serving.*``
@@ -320,11 +327,13 @@ class QueryServer:
     def __init__(self, target, config: Optional[ServingConfig] = None,
                  observer: Observer = NULL_OBSERVER,
                  service_time: Optional[Callable] = None,
+                 width: Optional[Callable] = None,
                  clock: Optional[Clock] = None) -> None:
         self._target = target
         self._config = ServingConfig() if config is None else config
         self._observer = observer
         self._service_time = service_time
+        self._width = width
         self._clock = WALL_CLOCK if clock is None else clock
 
     @property
@@ -349,9 +358,12 @@ class QueryServer:
         """
         requests, outcomes = self._begin(requests)
         cfg = self._config
+        widths = self._widths(requests)
         pending = deque(requests)
-        #: (completion_time, dispatch_seq, request_id) per busy worker.
+        #: (completion_time, dispatch_seq, request_id, width) per
+        #: in-flight request.
         busy: list = []
+        in_use = 0
         queue: deque = deque()
         dispatch_seq = 0
         depth_samples: List[int] = []
@@ -360,8 +372,13 @@ class QueryServer:
         def shed(request: Request, reason: str) -> None:
             self._shed(outcomes[request.request_id], reason)
 
+        def width_of(request: Request) -> int:
+            return 1 if widths is None else widths[request.request_id]
+
         def dispatch(request: Request, now: float) -> None:
-            nonlocal dispatch_seq
+            nonlocal dispatch_seq, in_use
+            width = width_of(request)
+            in_use += width
             outcome = outcomes[request.request_id]
             outcome.start_seconds = now
             result, seconds = self._execute(request)
@@ -370,13 +387,14 @@ class QueryServer:
             outcome.completion_seconds = now + seconds
             heapq.heappush(
                 busy, (outcome.completion_seconds, dispatch_seq,
-                       request.request_id)
+                       request.request_id, width)
             )
             dispatch_seq += 1
 
         def drain_queue(now: float) -> None:
-            """Freed capacity pulls from the queue (deadline-aware)."""
-            while queue and len(busy) < cfg.workers:
+            """Freed capacity pulls from the queue (deadline-aware),
+            stopping at the first queued request that does not fit."""
+            while queue and in_use + width_of(queue[0]) <= cfg.workers:
                 request = queue.popleft()
                 if (cfg.admission == "deadline"
                         and now - request.arrival_seconds
@@ -388,13 +406,15 @@ class QueryServer:
                 dispatch(request, now)
 
         def complete(now: float) -> None:
-            _, _, request_id = heapq.heappop(busy)
+            nonlocal in_use
+            _, _, request_id, width = heapq.heappop(busy)
+            in_use -= width
             self._served(outcomes[request_id])
             drain_queue(now)
             depth_samples.append(len(queue))
 
         def admit(request: Request, now: float) -> None:
-            if len(busy) < cfg.workers and not queue:
+            if not queue and in_use + width_of(request) <= cfg.workers:
                 self._admitted(0)
                 dispatch(request, now)
                 return
@@ -455,6 +475,24 @@ class QueryServer:
             for r in requests
         }
         return requests, outcomes
+
+    def _widths(self, requests: Sequence[Request]
+                ) -> Optional[Dict[int, int]]:
+        """Each request's worker count, checked before anything runs
+        (None when every request takes one worker)."""
+        if self._width is None:
+            return None
+        widths = {}
+        for request in requests:
+            width = self._width(request)
+            if not 1 <= width <= self._config.workers:
+                raise ConfigurationError(
+                    f"request {request.request_id} needs {width} "
+                    f"workers; the server has {self._config.workers} "
+                    f"(a width must lie in [1, workers])"
+                )
+            widths[request.request_id] = width
+        return widths
 
     def _admitted(self, queue_depth: int) -> None:
         if self._observer.enabled:

@@ -92,6 +92,22 @@ class _TimingModel:
 
     # -- batch ----------------------------------------------------------
 
+    def contended_seconds(self, results: Sequence[SearchResult]
+                          ) -> List[float]:
+        """Each query's latency when the batch runs together: its
+        :meth:`query_seconds`, slowed by one batch-wide factor when the
+        batch's memory demand exceeds its core-weighted compute span
+        (never sped up)."""
+        service = [self.query_seconds(r) for r in results]
+        compute_span = sum(
+            s * min(self.num_cores, self.cores_used(r))
+            for s, r in zip(service, results)
+        ) / self.num_cores
+        memory = sum(self.memory_seconds(r) for r in results)
+        factor = (max(1.0, memory / compute_span)
+                  if compute_span > 0 else 1.0)
+        return [s * factor for s in service]
+
     def batch(self, results: Sequence[SearchResult],
               num_cores: Optional[int] = None) -> ThroughputReport:
         """Throughput of a query batch on ``num_cores`` cores.

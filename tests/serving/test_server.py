@@ -268,6 +268,116 @@ class TestServingMechanics:
         )
 
 
+def _width_of(widths, workers=None):
+    """Request ``i`` holds ``widths[i]`` workers (capped at ``workers``)."""
+    cap = workers or max(widths)
+    return lambda request: min(cap, widths[request.request_id])
+
+
+class TestRequestWidth:
+    """Requests holding several workers at once, under strict FCFS
+    head-of-line dispatch (the device's query scheduler, Fig. 4(a))."""
+
+    WIDTHS = [1, 2, 3, 1, 2, 1, 3, 1]
+
+    @pytest.mark.parametrize("width", [0, 4])
+    def test_width_outside_the_pool_rejected(self, index, width):
+        server = QueryServer(_engine(index), ServingConfig(workers=3),
+                             service_time=_constant(0.01),
+                             width=_width_of([1, width, 1]))
+        with pytest.raises(ConfigurationError, match="request 1 "):
+            server.serve(_trace_requests([0.0, 0.1, 0.2]))
+
+    def test_workers_in_use_never_exceed_the_pool(self, index):
+        server = QueryServer(
+            _engine(index),
+            ServingConfig(workers=3, queue_capacity=8, k=10),
+            service_time=lambda request, _: 0.01 * (1 + request.request_id
+                                                    % 3),
+            width=_width_of(self.WIDTHS))
+        result = server.serve(_trace_requests([0.0] * 4 + [0.015] * 4))
+        assert all(o.served for o in result)
+        # Completions sort before starts at one instant (-w < w).
+        events = sorted(
+            [(o.start_seconds, w) for o, w in zip(result, self.WIDTHS)]
+            + [(o.completion_seconds, -w)
+               for o, w in zip(result, self.WIDTHS)])
+        in_use = peak = 0
+        for _t, delta in events:
+            in_use += delta
+            peak = max(peak, in_use)
+        assert peak == 3
+
+    def test_one_worker_serializes(self, index):
+        server = QueryServer(
+            _engine(index),
+            ServingConfig(workers=1, queue_capacity=8, k=10),
+            service_time=lambda request, _: 0.01 * (1 + request.request_id
+                                                    % 3),
+            width=_width_of(self.WIDTHS, workers=1))
+        result = server.serve(_trace_requests([0.0, 0.0, 0.005, 0.005,
+                                               0.02, 0.07, 0.07, 0.2]))
+        spans = sorted((o.start_seconds, o.completion_seconds)
+                       for o in result)
+        for (_s1, f1), (s2, _f2) in zip(spans, spans[1:]):
+            assert s2 >= f1
+
+    def test_wide_head_holds_back_a_narrow_request(self, index):
+        # One of two workers is free when the width-2 request arrives:
+        # it waits, and the width-1 request behind it waits too.
+        server = QueryServer(
+            _engine(index),
+            ServingConfig(workers=2, queue_capacity=8, k=10),
+            service_time=_constant(1.0), width=_width_of([1, 2, 1]))
+        result = server.serve(_trace_requests([0.0, 0.1, 0.2]))
+        assert [o.start_seconds for o in result] == [0.0, 1.0, 2.0]
+        assert result.report.max_queue_depth == 2
+
+    def test_sparse_arrivals_never_queue(self, index):
+        server = QueryServer(
+            _engine(index),
+            ServingConfig(workers=3, queue_capacity=8, k=10),
+            service_time=_constant(0.01), width=_width_of(self.WIDTHS))
+        result = server.serve(_trace_requests([float(t) for t in
+                                               range(len(self.WIDTHS))]))
+        assert all(o.queue_wait_seconds == 0.0 for o in result)
+        assert result.report.max_queue_depth == 0
+
+    def test_unit_width_is_no_width(self, index):
+        requests = zipf_workload(VOCAB, 80, rate_qps=3000.0, seed=6)
+
+        def run(width):
+            return QueryServer(
+                _engine(index),
+                ServingConfig(workers=2, queue_capacity=2, k=10),
+                service_time=_constant(0.005), width=width,
+            ).serve(requests)
+
+        def timeline(result):
+            return [(o.status, o.shed_reason, o.start_seconds,
+                     o.completion_seconds,
+                     hits_as_pairs(o.result) if o.served else None)
+                    for o in result]
+
+        plain, unit = run(None), run(lambda request: 1)
+        assert plain.report.shed > 0
+        assert unit.report.to_dict() == plain.report.to_dict()
+        assert timeline(unit) == timeline(plain)
+
+    def test_more_workers_finish_a_batch_no_later(self, index):
+        def makespan(workers):
+            return QueryServer(
+                _engine(index),
+                ServingConfig(workers=workers, queue_capacity=8, k=10),
+                service_time=lambda request, _: 0.01 * (
+                    1 + request.request_id % 3),
+                width=_width_of(self.WIDTHS, workers=workers),
+            ).serve(_trace_requests([0.0] * len(self.WIDTHS))
+                    ).report.makespan_seconds
+
+        assert makespan(8) <= makespan(1)
+
+
 class TestAcceptance:
     """The ISSUE's pinned criteria: bit-identity and determinism."""
 

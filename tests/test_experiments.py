@@ -179,9 +179,10 @@ class TestExtensions:
 
     def test_latency_under_load(self, ev):
         rows = ev.rows("latency")
-        for _engine, _load, mean, p50, p99, _util in rows:
+        for _engine, _load, mean, p50, p99, util in rows:
             assert p99 >= p50 > 0
             assert mean > 0
+            assert 0 < util <= 1
         for boss, lucene in zip(rows[:3], rows[3:]):
             assert boss[2] < lucene[2]
 
