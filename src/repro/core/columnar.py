@@ -31,7 +31,8 @@ oracle's order, whenever a block boundary is crossed or a payload is
 not decoded yet. The polling operations the replicas elide
 (``exhausted``, repeated ``current_doc``, a metadata charge below the
 high-water mark, a top-k offer a full queue rejects) are pure,
-idempotent or a bare count.
+idempotent or a bare count, and a full queue's accept of a docID not
+excluded is ``TopKQueue.offer``'s own ``heapreplace``, inline.
 
 *Per iteration* (leader runs): most union iterations end in a rejected
 top-k offer, and between two **accepted** inserts the loop's decision
@@ -81,6 +82,7 @@ argument.
 from __future__ import annotations
 
 from bisect import bisect_left
+from heapq import heapreplace
 from operator import itemgetter
 from typing import List, Optional, Sequence
 
@@ -183,9 +185,13 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
     #   idf * (tf * (k1 + 1.0)) / (tf + normalizer)
     normalizers = scorer._normalizers
     k1_plus_1 = scorer.params.k1 + 1.0
+    # ``TopKQueue.offer`` inlined for its common accept: a full queue
+    # takes a docID not excluded with one ``heapreplace``. ``offer``
+    # itself runs only for a queue with room or an excluded docID.
     offer = topk.offer
+    exclude = topk._exclude
     # ``TopKQueue.cutoff`` inlined: 0.0 until the queue is full, else
-    # the lowest resident score (entries are sorted ascending).
+    # the lowest resident score (the heap's top).
     topk_entries = topk._entries
     topk_k = topk.k
     cutoff = topk_entries[0][0] if len(topk_entries) >= topk_k else 0.0
@@ -277,6 +283,9 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
                         # an accepted insert raises the cutoff, so the
                         # window's iterations collapse into bulk counter
                         # additions around the offers the queue accepts.
+                        # ``offered`` counts the ``offer`` calls; the bulk
+                        # count covers every other doc the window handed
+                        # the queue, inline accepts included.
                         ids = cursor._decoded_doc_ids
                         if ids is None:
                             cursor._ensure_decoded()
@@ -301,8 +310,14 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
                                                / (tf + normalizers[doc]))
                                 if (score > cutoff
                                         or len(topk_entries) < topk_k):
-                                    offer(doc, score)
-                                    offered += 1
+                                    if (len(topk_entries) >= topk_k
+                                            and doc not in exclude):
+                                        heapreplace(topk_entries, (
+                                            score, -topk._sequence, doc))
+                                        topk._sequence += 1
+                                    else:
+                                        offer(doc, score)
+                                        offered += 1
                                     cutoff = (topk_entries[0][0]
                                               if len(topk_entries) >= topk_k
                                               else 0.0)
@@ -361,8 +376,15 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
                                             hot.tolist(),
                                             window[hot].tolist()):
                                         if score > cutoff:
-                                            offer(ids[pos + offset], score)
-                                            offered += 1
+                                            doc = ids[pos + offset]
+                                            if doc in exclude:
+                                                # Refused: counted with
+                                                # the rejected rest.
+                                                continue
+                                            heapreplace(topk_entries, (
+                                                score, -topk._sequence,
+                                                doc))
+                                            topk._sequence += 1
                                             cutoff = topk_entries[0][0]
                                             if (not (l0max + ET_EPSILON
                                                      > cutoff)
@@ -372,7 +394,7 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
                                                 break
                         # ``n`` iterations ran: the first one's sort is
                         # counted at the loop top, and the queue counted the
-                        # offers it was really handed.
+                        # ``offered`` calls it was really handed.
                         n = stop - pos
                         merge_ops += n - 1
                         docs_evaluated += n
@@ -519,10 +541,16 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
                     # A full queue rejects the offer: count it without
                     # the call (the cutoff cannot have moved).
                     topk._inserts += 1
-                else:
+                elif len(topk_entries) < topk_k or pivot_doc in exclude:
                     offer(pivot_doc, score)
                     cutoff = (topk_entries[0][0]
                               if len(topk_entries) >= topk_k else 0.0)
+                else:
+                    heapreplace(topk_entries,
+                                (score, -topk._sequence, pivot_doc))
+                    topk._sequence += 1
+                    topk._inserts += 1
+                    cutoff = topk_entries[0][0]
                 for entry in pivot_set:
                     cursor = entry[4]
                     ids = cursor._decoded_doc_ids
@@ -629,6 +657,7 @@ def _intersect_terms(entries, normalizers, k1_plus_1, topk):
     """
     heap = topk._entries
     k = topk.k
+    exclude = topk._exclude
     num_lists = len(entries)
     driver = entries[0][1]
     merge_ops = matched = target = i = 0
@@ -647,8 +676,13 @@ def _intersect_terms(entries, normalizers, k1_plus_1, topk):
             if len(heap) >= k and score <= heap[0][0]:
                 # A full queue rejects the offer: count it, skip the call.
                 topk._inserts += 1
-            else:
+            elif len(heap) < k or target in exclude:
                 topk.offer(target, score)
+            else:
+                # ``offer``'s accept into a full queue, inline.
+                heapreplace(heap, (score, -topk._sequence, target))
+                topk._sequence += 1
+                topk._inserts += 1
             # The driver steps: its block is decoded, for the tf read.
             ids = driver._decoded_doc_ids
             position = driver._position + 1
@@ -707,6 +741,7 @@ def _intersect_groups(groups, normalizers, k1_plus_1, topk):
     """
     heap = topk._entries
     k = topk.k
+    exclude = topk._exclude
     num_groups = len(groups)
     driver = groups[0]
     merge_ops = matched = target = i = 0
@@ -737,8 +772,13 @@ def _intersect_groups(groups, normalizers, k1_plus_1, topk):
             if len(heap) >= k and score <= heap[0][0]:
                 # A full queue rejects the offer: count it, skip the call.
                 topk._inserts += 1
-            else:
+            elif len(heap) < k or target in exclude:
                 topk.offer(target, score)
+            else:
+                # ``offer``'s accept into a full queue, inline.
+                heapreplace(heap, (score, -topk._sequence, target))
+                topk._sequence += 1
+                topk._inserts += 1
             target += 1  # the driver's step: a seek past the candidate
             i = 0
         landed = None

@@ -12,6 +12,14 @@ earlier-arriving documents win ties) while counting inserts for the
 timing model. The functional result is verified in tests against a
 software heap.
 
+**Software layout.** The hardware model is the shift register; the
+software holds its ``k`` entries ``(score, -sequence, docID)`` as a
+:mod:`heapq` min-heap, so ``entries[0]`` is the eviction candidate
+and its score the cutoff, and an insert into a full queue is one
+``heapreplace``. The production executors (``core/columnar.py``) push
+an accepted document into that heap themselves instead of calling
+:meth:`TopKQueue.offer`.
+
 The queue also exposes :attr:`cutoff` — the lowest score currently in the
 top-k — which feeds the early-termination logic of the block fetch and
 union modules ("current cutoff" in the paper).
@@ -30,7 +38,7 @@ queue takes both at construction:
 
 from __future__ import annotations
 
-from bisect import insort
+from heapq import heappush, heapreplace
 from typing import Collection, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -71,9 +79,9 @@ class TopKQueue:
                  floor: Optional[float] = None,
                  exclude: Optional[Collection[int]] = None) -> None:
         self._k = positive_k(k)
-        # Ascending list of (score, -arrival) so that index 0 is the
-        # eviction candidate. We track arrival order to implement the
-        # first-wins tie rule.
+        # Min-heap of (score, -arrival) so that index 0 is the eviction
+        # candidate. We track arrival order to implement the first-wins
+        # tie rule.
         self._entries: List[Tuple[float, int, int]] = []  # (score, -seq, doc)
         if floor is not None:
             # The preload: ``k`` placeholder residents at the floor. The
@@ -81,7 +89,8 @@ class TopKQueue:
             # cutoff for every reader (the executors inline that read)
             # and a real entry, always above the floor, evicts a
             # placeholder before any real one. Arrival +1 sorts a
-            # placeholder apart from every real entry (theirs are <= 0).
+            # placeholder apart from every real entry (theirs are <= 0),
+            # and equal placeholders are a valid heap.
             self._entries = [(floor, 1, None)] * k
         self._exclude = frozenset() if exclude is None else exclude
         self._sequence = 0
@@ -122,18 +131,18 @@ class TopKQueue:
         its docID is not excluded.
         """
         self._inserts += 1
-        if len(self._entries) < self._k:
+        entries = self._entries
+        if len(entries) < self._k:
             if doc_id in self._exclude:
                 return False
-            insort(self._entries, (score, -self._sequence, doc_id))
+            heappush(entries, (score, -self._sequence, doc_id))
             self._sequence += 1
             return True
         # The score test first: an offer a full queue rejects (the
         # common one) never pays the exclusion lookup.
-        if score <= self._entries[0][0] or doc_id in self._exclude:
+        if score <= entries[0][0] or doc_id in self._exclude:
             return False
-        self._entries.pop(0)
-        insort(self._entries, (score, -self._sequence, doc_id))
+        heapreplace(entries, (score, -self._sequence, doc_id))
         self._sequence += 1
         return True
 
@@ -142,9 +151,10 @@ class TopKQueue:
         all of them (none evicts; every offer is accepted unless its
         docID is excluded, so read :attr:`size` for what got in).
 
-        Entries ``(score, -sequence, doc)`` are totally ordered, so one
-        sort builds the list the one-by-one ``insort`` calls would; a
-        queue with exclusions makes those calls.
+        Entries ``(score, -sequence, doc)`` are totally ordered and a
+        sorted list is a valid heap, so one sort builds a heap of the
+        entries the one-by-one offers would hold; a queue with
+        exclusions makes those offers.
         """
         count = len(scores)
         if len(self._entries) + count > self._k:
@@ -171,7 +181,8 @@ class TopKQueue:
         ``(score, -sequence, doc)`` put the higher score first and, on
         equal scores, the larger ``-sequence`` — the earlier arrival.
         Real entries never tie on both, so no docID is compared. A
-        floor's placeholders, the lowest entries, are dropped first.
+        floor's placeholders, the lowest entries (the heap's top while
+        any remains), are dropped first.
         """
         entries = self._entries
         if entries and entries[0][2] is None:

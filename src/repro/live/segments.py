@@ -673,11 +673,13 @@ class SegmentedIndex:
             return out
 
         scorer = self.stats.scorer()
+        # One idf per term, not per (document, term): a pure function of
+        # the statistics version, so the floats are the same.
+        idfs = {term: self.stats.idf(term) for term in per_term}
 
         def score(doc_id: int) -> float:
             return sum(
-                scorer.term_score(self.stats.idf(term), tf_map[doc_id],
-                                  doc_id)
+                scorer.term_score(idfs[term], tf_map[doc_id], doc_id)
                 for term, tf_map in per_term.items()
                 if doc_id in tf_map
             )

@@ -53,10 +53,15 @@ class WorkCounters:
 
     def merge(self, other: "WorkCounters") -> None:
         """Accumulate another execution's counters into this one."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in _WORK_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def copy(self) -> "WorkCounters":
         out = WorkCounters()
         out.merge(self)
         return out
+
+
+#: Counter names, read once: ``dataclasses.fields`` rebuilds its tuple
+#: on every call, and ``merge`` runs once per leaf and per segment.
+_WORK_FIELDS = tuple(f.name for f in fields(WorkCounters))

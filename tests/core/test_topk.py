@@ -1,5 +1,6 @@
 """Unit + property tests for the shift-register top-k queue model."""
 
+import bisect
 import heapq
 import math
 import random
@@ -301,3 +302,82 @@ def test_property_admission_matches_heap(scores, k, floor, exclude):
                                                    exclude or ())
     assert queue.size == len(queue.results())
     assert queue.inserts == len(entries)
+
+
+class _SortedListQueue:
+    """The queue before the heap: an ascending list, ``pop(0)`` and
+    ``insort`` per accept into a full queue. The oracle of the layout
+    change."""
+
+    def __init__(self, k, floor=None, exclude=None):
+        self.k = k
+        self.entries = [] if floor is None else [(floor, 1, None)] * k
+        self.exclude = frozenset() if exclude is None else exclude
+        self.sequence = self.inserts = 0
+
+    @property
+    def cutoff(self):
+        return self.entries[0][0] if len(self.entries) >= self.k else 0.0
+
+    @property
+    def size(self):
+        return min(self.sequence, self.k)
+
+    def offer(self, doc_id, score):
+        self.inserts += 1
+        if len(self.entries) >= self.k:
+            if score <= self.entries[0][0] or doc_id in self.exclude:
+                return False
+            self.entries.pop(0)
+        elif doc_id in self.exclude:
+            return False
+        bisect.insort(self.entries, (score, -self.sequence, doc_id))
+        self.sequence += 1
+        return True
+
+    def results(self):
+        return [(doc_id, score) for score, _neg_seq, doc_id
+                in reversed(self.entries) if doc_id is not None]
+
+
+_GRID = [0.5, 1.0, 1.5, 2.0, 2.5]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.sampled_from([1, 10, 100, 1000]),
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    length_factor=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+    floor=st.one_of(st.none(), st.sampled_from(_GRID),
+                    st.sampled_from(_GRID).map(
+                        lambda s: math.nextafter(s, -math.inf))),
+    exclude_share=st.sampled_from([0.0, 0.1, 0.5]),
+    fill_head=st.booleans(),
+)
+def test_property_heap_matches_the_sorted_list(k, seed, length_factor,
+                                               floor, exclude_share,
+                                               fill_head):
+    """The heap holds what the sorted list held: the same cutoff after
+    every offer and the same results, counts and sequence at the end.
+    Scores on a grid (ties with residents and the floor) or free."""
+    rng = random.Random(seed)
+    length = int(k * length_factor) + rng.randrange(0, 8)
+    offers = [(doc, rng.choice(_GRID) if rng.random() < 0.7
+               else rng.random() * 3) for doc in range(length)]
+    exclude = ({doc for doc in range(length) if rng.random() < exclude_share}
+               if exclude_share else None)
+    queue = TopKQueue(k, floor=floor, exclude=exclude)
+    oracle = _SortedListQueue(k, floor=floor, exclude=exclude)
+    if fill_head and floor is None:
+        head, offers = offers[:k], offers[k:]
+        queue.fill([doc for doc, _ in head], [score for _, score in head])
+        for doc, score in head:
+            oracle.offer(doc, score)
+        assert queue.cutoff == oracle.cutoff
+    for doc, score in offers:
+        assert queue.offer(doc, score) == oracle.offer(doc, score)
+        assert queue.cutoff == oracle.cutoff
+    assert queue.results() == oracle.results()
+    assert queue.inserts == oracle.inserts
+    assert queue.size == oracle.size
+    assert queue._sequence == oracle.sequence

@@ -298,21 +298,33 @@ class _PathSpy:
 
     Installed over the engine's reference to the executor, it traces
     the lines the executor runs. A branch is named by a statement only
-    it executes, found by its text below the banner comment of its
-    block, so the spy follows the code as it moves. ``probes`` counts
-    the visits to a marked line on which a predicate over the
-    executor's locals held, read before the line runs.
+    it executes, found by its text below the comment that opens its
+    block (a ``# ---- `` banner or a comment's first words), so the spy
+    follows the code as it moves. ``probes`` counts the visits to a
+    marked line on which a predicate over the executor's locals held,
+    read before the line runs.
     """
 
     MARKERS = {
-        "insertion": ("hand-off in place", "if slot > 1:"),
-        "hand_off": ("hand-off in place", "if front[0] == target:"),
-        "front_alone": ("hand-off in place",
+        "insertion": ("# ---- hand-off in place", "if slot > 1:"),
+        "hand_off": ("# ---- hand-off in place", "if front[0] == target:"),
+        "front_alone": ("# ---- hand-off in place",
                         "if front[2] + ET_EPSILON > cutoff:"),
-        "new_leader": ("hand-off in place", "entry = front"),
-        "in_block_test": ("hand-off in place",
+        "new_leader": ("# ---- hand-off in place", "entry = front"),
+        "in_block_test": ("# ---- hand-off in place",
                           "if (ids is not None and ids[-1] >= target"),
-        "advance_in_place": ("hand-off in place", "front[0] = ids[position]"),
+        "advance_in_place": ("# ---- hand-off in place",
+                             "front[0] = ids[position]"),
+        # The three inline accepts into a full queue, and the test in
+        # front of each that sends an excluded docID to ``offer``.
+        "short_test": ("# Short window:", "if (len(topk_entries) >= topk_k"),
+        "short_accept": ("# Short window:", "topk._sequence += 1"),
+        "hot_test": ("# Long window:", "if doc in exclude:"),
+        "hot_accept": ("# Long window:", "topk._sequence += 1"),
+        "general_test": ("# ---- general iteration", "elif len(topk_entries)"
+                         " < topk_k or pivot_doc in exclude:"),
+        "general_accept": ("# ---- general iteration",
+                           "topk._sequence += 1"),
     }
     PROBES = {
         # The moved entry meets an equal (doc, -max) key.
@@ -322,7 +334,18 @@ class _PathSpy:
         # The front's decoded block ends before its target.
         "past_block": ("in_block_test", lambda f: (
             f["ids"] is not None and f["ids"][-1] < f["target"])),
+        # An excluded docID that beats a full queue's cutoff reaches an
+        # accept site.
+        "short_excluded": ("short_test", lambda f: (
+            len(f["topk_entries"]) >= f["topk_k"]
+            and f["doc"] in f["exclude"])),
+        "hot_excluded": ("hot_test", lambda f: f["doc"] in f["exclude"]),
+        "general_excluded": ("general_test", lambda f: (
+            len(f["topk_entries"]) >= f["topk_k"]
+            and f["pivot_doc"] in f["exclude"])),
     }
+
+    ACCEPTS = ("short_accept", "hot_accept", "general_accept")
 
     def __init__(self):
         import collections
@@ -334,7 +357,7 @@ class _PathSpy:
         self._names = {}
         for name, (banner, statement) in self.MARKERS.items():
             start = next(i for i, line in enumerate(lines)
-                         if f"# ---- {banner}" in line)
+                         if line.strip().startswith(banner))
             offset = next(i for i in range(start, len(lines))
                           if lines[i].strip() == statement)
             self._names[first + offset] = name
@@ -722,10 +745,10 @@ def _any_of(terms):
     return " OR ".join(f'"{term}"' for term in terms)
 
 
-def _assert_union_identical(index, expression):
-    """Columnar against the reference at k = 1, 10, 100 and 1000, cold
-    then warm."""
-    for k in (1, 10, 100, 1000):
+def _assert_union_identical(index, expression, ks=(1, 10, 100, 1000)):
+    """Columnar against the reference at each k in ``ks``, cold then
+    warm."""
+    for k in ks:
         columnar = BossAccelerator(index, BossConfig(k=k))
         reference = BossAccelerator(index, BossConfig(k=k),
                                     executor="reference")
@@ -845,3 +868,113 @@ def test_realistic_four_term_unions(paths):
                                        (k, cache, expression))
     assert paths.counts["new_leader"] > 0
     assert paths.counts["advance_in_place"] > 0
+
+
+# ----------------------------------------------------------------------
+# Top-k accepts inline: a full queue's ``heapreplace``
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def queues(monkeypatch):
+    """Every ``TopKQueue`` the engines make, in order: the queue's own
+    insert count, which the engine reports only as a floor under the
+    executor's, is read straight from it."""
+    from repro.core import engine
+    from repro.core.topk import TopKQueue
+
+    made = []
+
+    def recorded(*args, **kwargs):
+        made.append(TopKQueue(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(engine, "TopKQueue", recorded)
+    return made
+
+
+def _assert_queue_counted(engine, expression, queues, **kwargs):
+    """The executor counted into the queue every offer it handled."""
+    result = engine.search(expression, **kwargs)
+    assert queues[-1].inserts == result.work.topk_inserts, expression
+
+
+#: Three lists over two decades of df: once the queue is full, accepts
+#: land in short windows, long windows and general iterations alike.
+_ACCEPT_CORPUS = dict(seed=4, num_docs=3000, dfs=(0.02, 0.15, 0.7))
+
+
+def test_inline_accepts_at_rerank_depths(paths, queues):
+    """k = 100 (the rerank depth) and k = 1000 (the paper's): every
+    accept site pushes into the heap, bit-identical to ``offer``."""
+    documents, terms = _union_corpus(**_ACCEPT_CORPUS)
+    index = _index_of(documents)
+    for expression in (_any_of(terms), _any_of(terms[1:])):
+        _assert_union_identical(index, expression, ks=(100, 1000))
+        for k in (100, 1000):
+            _assert_queue_counted(BossAccelerator(index), expression,
+                                  queues, k=k)
+    for name in _PathSpy.ACCEPTS:
+        assert paths.counts[name] > 0, name
+
+
+def test_inline_accepts_refuse_excluded_docs_on_a_live_segment(paths,
+                                                               queues):
+    """Tombstones as ``exclude``, with and without a preloaded
+    ``floor``: an excluded docID that beats a full queue's cutoff
+    reaches each accept site and goes to ``offer``, which refuses it."""
+    import math
+
+    from repro.live import SegmentedIndex
+
+    documents, terms = _union_corpus(**_ACCEPT_CORPUS)
+    live = SegmentedIndex(buffer_docs=4096)
+    for tokens in documents:
+        live.add_document(tokens)
+    live.seal()
+    segment, = live.segments
+    for doc in range(0, len(documents), 3):
+        live.delete_document(doc)
+    engine = live._engine_for(segment)
+    reference = BossAccelerator(engine.index, engine.config,
+                                fast_path=False)
+    expression = _any_of(terms)
+    scores = [hit.score for hit in
+              reference.search(expression, k=len(documents)).hits]
+    for k in (100, 1000):
+        for floor in (None, math.nextafter(scores[2 * k], -math.inf)):
+            for _ in range(2):
+                _assert_pair_identical(
+                    engine, reference, expression, (k, floor), k=k,
+                    floor=floor, exclude=segment.tombstones)
+            _assert_queue_counted(engine, expression, queues, k=k,
+                                  floor=floor, exclude=segment.tombstones)
+    for name in _PathSpy.ACCEPTS:
+        assert paths.counts[name] > 0, name
+    for probe in ("short_excluded", "hot_excluded", "general_excluded"):
+        assert paths.probes[probe] > 0, probe
+
+
+@pytest.mark.parametrize("shape", ["Q2", "Q6"])
+def test_intersection_accepts_refuse_excluded_docs(shape, queues):
+    """Both fused intersection loops at k = 100, every third exhaustive
+    hit excluded, so excluded matches beat a full queue's cutoff: the
+    hits are the definition's, and every counter the reference's."""
+    documents, terms = _union_corpus(seed=5, num_docs=3000,
+                                     dfs=(0.3, 0.4, 0.5, 0.6))
+    index = _index_of(documents)
+    first, *rest = (f'"{term}"' for term in terms)
+    expression = (f"{first} AND {rest[0]}" if shape == "Q2"
+                  else f"{first} AND ({' OR '.join(rest)})")
+    k = 100
+    reference = BossAccelerator(index, BossConfig(k=k),
+                                executor="reference")
+    columnar = BossAccelerator(index, BossConfig(k=k))
+    exhaustive = reference.search(expression, k=len(documents)).hits
+    assert len(exhaustive) > 3 * k
+    exclude = {hit.doc_id for hit in exhaustive[::3]}
+    for cache in ("cold", "warm"):
+        _assert_pair_identical(columnar, reference, expression,
+                               (shape, cache), k=k, exclude=exclude)
+    _assert_queue_counted(columnar, expression, queues, exclude=exclude)
+    assert columnar.search(expression, exclude=exclude).hits == [
+        hit for hit in exhaustive if hit.doc_id not in exclude][:k]
