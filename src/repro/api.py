@@ -21,7 +21,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.core.engine import BossAccelerator, BossConfig
+from repro.core.engine import RESULT_ENTRY_BYTES, BossAccelerator, BossConfig
 from repro.core.mai import MemoryAccessInterface
 from repro.core.query import parse_query
 from repro.core.result import SearchResult
@@ -31,6 +31,7 @@ from repro.errors import ConfigurationError, QueryError
 from repro.index.index import InvertedIndex
 from repro.index.mmapio import open_index
 from repro.observability.observer import NULL_OBSERVER, Observer
+from repro.sim.timing import TERMS_PER_CORE
 
 #: Hardware limit: four chained BOSS cores of 4-way mergers (Section IV-D).
 MAX_QUERY_TERMS = 16
@@ -130,10 +131,11 @@ class BossSession:
         if not self._check_arguments(node):
             return self._search_oversized(node, k, result_size)
         effective_k = self._config.k if k is None else k
-        if result_size is not None and result_size < 8 * effective_k:
+        if (result_size is not None
+                and result_size < RESULT_ENTRY_BYTES * effective_k):
             raise ConfigurationError(
                 f"result buffer of {result_size} B cannot hold top-"
-                f"{effective_k} (needs {8 * effective_k} B)"
+                f"{effective_k} (needs {RESULT_ENTRY_BYTES * effective_k} B)"
             )
         return self._accelerator.search(node, k=k)
 
@@ -271,10 +273,11 @@ class BossSession:
         terms = node.terms()
         is_union = isinstance(node, OrNode)
         effective_k = self._config.k if k is None else k
-        if result_size is not None and result_size < 8 * effective_k:
+        if (result_size is not None
+                and result_size < RESULT_ENTRY_BYTES * effective_k):
             raise ConfigurationError(
                 f"result buffer of {result_size} B cannot hold top-"
-                f"{effective_k} (needs {8 * effective_k} B)"
+                f"{effective_k} (needs {RESULT_ENTRY_BYTES * effective_k} B)"
             )
 
         # Subqueries run without pruning or top-k: ET disabled, k large
@@ -311,7 +314,7 @@ class BossSession:
             )
             result = exhaustive.search(sub, k=max(1, bound))
             # Every intermediate entry crosses to host memory.
-            interconnect += 8 * len(result.hits)
+            interconnect += RESULT_ENTRY_BYTES * len(result.hits)
             for hit in result.hits:
                 scores[hit.doc_id] = scores.get(hit.doc_id, 0.0) + hit.score
                 membership[hit.doc_id] = membership.get(hit.doc_id, 0) + 1
@@ -341,7 +344,7 @@ class BossSession:
             import math
 
             cores = max(
-                math.ceil(len(chunk) / 4) for chunk in chunks
+                math.ceil(len(chunk) / TERMS_PER_CORE) for chunk in chunks
             )
             self._observer.on_query_complete(result, engine="BOSS",
                                              cores_used=cores)

@@ -1252,8 +1252,7 @@ def _planner_section(config, _requests, result):
         f"sequential + {planner.scm_rand_bytes * mib:.2f}MiB random "
         f"(sequential share {planner.sequential_share:.1%}) in "
         f"{planner.runs} transfers ({planner.sequential_runs} "
-        f"coalesced), gap-fill {planner.gap_bytes * mib:.3f}MiB, "
-        f"prefetch {planner.prefetch_bytes * mib:.3f}MiB",
+        f"coalesced), gap-fill {planner.gap_bytes * mib:.3f}MiB",
     ]
     for tenant in config.tenants:
         served = planner.tenant_served.get(tenant.name, 0)

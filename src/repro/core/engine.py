@@ -22,12 +22,11 @@ Query routing (Section IV-B):
   (``push_intersections_down``) and executed branch by branch.
 
 Queries with more than 4 terms occupy multiple cores (the mergers chain,
-Section IV-D); the per-query ``cores_used`` feeds the throughput model.
+Section IV-D); the timing model's ``cores_used`` counts them.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
@@ -78,9 +77,6 @@ SCORE_METADATA_BYTES = 8
 
 #: Bytes per result entry shipped to the host (4 B docID + 4 B score).
 RESULT_ENTRY_BYTES = 8
-
-#: Terms a single BOSS core processes natively (Section IV-B).
-TERMS_PER_CORE = 4
 
 #: Executor names the engine accepts. ``reference`` is the oracle
 #: (:mod:`repro.core.union`, :mod:`repro.core.intersection`, per-value
@@ -333,9 +329,7 @@ class BossAccelerator:
         )
         if self._observer.enabled:
             self._observer.emit(self._block_activity(work))
-            self._observer.on_query_complete(
-                result, engine="BOSS", cores_used=self.cores_used(node)
-            )
+            self._observer.on_query_complete(result, engine="BOSS")
         return result
 
     def _block_activity(self, work: WorkCounters) -> BlockActivity:
@@ -347,10 +341,6 @@ class BossAccelerator:
         published, self._decoded_published = self._decoded_published, seen
         return BlockActivity(work, seen[0] - published[0],
                              seen[1] - published[1], self._fast_path)
-
-    def cores_used(self, node: QueryNode) -> int:
-        """BOSS cores a query occupies (4 terms per core, Section IV-D)."""
-        return max(1, math.ceil(len(node.terms()) / TERMS_PER_CORE))
 
     # ------------------------------------------------------------------
     # Execution paths

@@ -6,8 +6,8 @@ landing and re-fetches hot blocks its neighbors just pulled. The I/O
 planner sits between the admission queue and the search target and
 plans *across* queries instead: admitted requests are batched over a
 short planning window, their block demands are deduplicated and
-coalesced into large sequential SCM runs, and the hot working set is
-staged in a shared DRAM-over-SCM tier with popularity-driven prefetch.
+coalesced into large sequential SCM runs, and the blocks they fetched
+stay staged in a shared DRAM-over-SCM tier for later windows.
 Per-tenant byte quotas keep one aggressive workload from starving the
 rest of the window's bandwidth.
 
@@ -17,7 +17,7 @@ Modules:
   coalescing with gap-fill, per-query service-time attribution, and
   the traffic-conservation invariant;
 * :mod:`repro.ioplanner.tier` — the segmented (hot/warm/cold) DRAM
-  tier plus Zipf popularity tracking and prefetch candidates;
+  tier, filled by demand fetches only;
 * :mod:`repro.ioplanner.fairness` — per-tenant byte quotas enforced
   with deficit round robin;
 * :mod:`repro.ioplanner.server` — :class:`PlannedQueryServer`, the

@@ -30,8 +30,8 @@ The plan's byte accounting obeys a conservation identity checked by
     ``dram_hit + dedup + scm_seq + scm_rand == sum(demand bytes)``
 
 i.e. the planner may *re-route* traffic between tiers and patterns but
-can neither invent nor lose demanded bytes (gap-fill and prefetch
-bytes are accounted on top, not inside).
+can neither invent nor lose demanded bytes (gap-fill bytes are
+accounted on top, not inside).
 """
 
 from __future__ import annotations
@@ -143,10 +143,6 @@ class FetchPlan(RoutedBytes):
     per_request_seconds: Dict[int, float] = field(default_factory=dict)
     per_request_bytes: Dict[int, int] = field(default_factory=dict)
     tenant_bytes: Dict[str, int] = field(default_factory=dict)
-    #: Speculative staging the server did as the window closed
-    #: (reported, never charged to a query).
-    prefetch_blocks: int = 0
-    prefetch_bytes: int = 0
 
     @property
     def num_sequential_runs(self) -> int:
@@ -169,13 +165,6 @@ class FetchPlan(RoutedBytes):
         registry.counter(
             "planner.gap_bytes", "sequential gap-fill overhead bytes"
         ).inc(self.gap_bytes)
-        if self.prefetch_blocks or self.prefetch_bytes:
-            registry.counter(
-                "planner.prefetch_blocks", "blocks staged speculatively"
-            ).inc(self.prefetch_blocks)
-            registry.counter(
-                "planner.prefetch_bytes", "bytes staged speculatively"
-            ).inc(self.prefetch_bytes)
         runs = registry.counter(
             "planner.runs", "SCM transfers issued, by shape"
         )

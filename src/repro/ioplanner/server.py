@@ -24,10 +24,8 @@ the planner off (``PlannerConfig(enabled=False)``) keeps the same
 windowed loop but charges every block at its engine-recorded pattern —
 the controlled baseline for every planner-on comparison.
 
-Prefetch traffic is issued into bandwidth the window leaves idle, so
-it is reported (``planner.prefetch_bytes``) but not charged to any
-query's latency; gap-fill bytes ride inside their run and are charged
-to the run's members pro-rata.
+Gap-fill bytes ride inside their run and are charged to the run's
+members pro-rata.
 """
 
 from __future__ import annotations
@@ -60,13 +58,6 @@ from repro.serving.target import execute_request
 
 #: Effectively-unlimited per-window quota for unconfigured tenants.
 UNLIMITED_QUOTA = 1 << 62
-
-#: Hot terms whose next blocks are prefetched as each window closes.
-PREFETCH_TERMS = 4
-#: Blocks prefetched past each hot term's deepest block seen.
-PREFETCH_DEPTH = 2
-#: Per-window prefetch byte budget.
-PREFETCH_BUDGET_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -110,8 +101,6 @@ class PlannerRunReport(RoutedBytes):
 
     enabled: bool = True
     windows: int = 0
-    prefetch_blocks: int = 0
-    prefetch_bytes: int = 0
     runs: int = 0
     sequential_runs: int = 0
     tenant_bytes: Dict[str, int] = field(default_factory=dict)
@@ -128,8 +117,6 @@ class PlannerRunReport(RoutedBytes):
     def absorb(self, plan: FetchPlan) -> None:
         super().absorb(plan)
         self.windows += 1
-        self.prefetch_blocks += plan.prefetch_blocks
-        self.prefetch_bytes += plan.prefetch_bytes
         self.runs += len(plan.runs)
         self.sequential_runs += plan.num_sequential_runs
         for tenant, nbytes in plan.tenant_bytes.items():
@@ -221,7 +208,6 @@ class PlannedQueryServer(QueryServer):
                 continue
             plan = self._run_window(admitted, outcomes, tier, close,
                                     worker_free, drr, run_report, nodes)
-            self._prefetch(tier, plan)
             run_report.absorb(plan)
             depth_samples.append(sum(len(q) for q in queues.values()))
             self._observer.emit(plan)
@@ -334,21 +320,3 @@ class PlannedQueryServer(QueryServer):
             outcome.completion_seconds = completion
             self._served(outcome)
         return plan
-
-    def _prefetch(self, tier: Optional[DramTier],
-                  plan: FetchPlan) -> None:
-        """Close the tier's window and stage hot blocks; the staged
-        volume is recorded on the window's ``plan``."""
-        if tier is None:
-            return
-        tier.end_window()
-        budget = PREFETCH_BUDGET_BYTES
-        for cand in tier.prefetch_candidates(PREFETCH_TERMS,
-                                             PREFETCH_DEPTH):
-            if cand.size > budget:
-                break
-            budget -= cand.size
-            tier.admit(cand.term, cand.block_index, cand.size,
-                       segment="warm")
-            plan.prefetch_blocks += 1
-            plan.prefetch_bytes += cand.size

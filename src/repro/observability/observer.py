@@ -46,8 +46,10 @@ class Observer:
         """Something happened; ``event`` can ``publish_metrics(registry)``."""
 
     def on_query_complete(self, result, engine: str = "BOSS",
-                          cores_used: int = 1) -> Optional[QueryTrace]:
-        """A query finished; ``result`` is the full SearchResult."""
+                          cores_used: Optional[int] = None
+                          ) -> Optional[QueryTrace]:
+        """A query finished; ``result`` is the full SearchResult.
+        ``cores_used`` overrides the timing model's count for it."""
 
 
 #: Shared do-nothing observer; the default everywhere.
@@ -106,7 +108,7 @@ class RecordingObserver(Observer):
         event.publish_metrics(self.registry)
 
     def on_query_complete(self, result, engine: str = "BOSS",
-                          cores_used: int = 1) -> QueryTrace:
+                          cores_used: Optional[int] = None) -> QueryTrace:
         from repro.observability.profiler import build_trace
 
         trace = build_trace(

@@ -30,6 +30,10 @@ from repro.sim.metrics import WorkCounters
 
 NS = 1e-9
 
+#: Terms one BOSS core processes natively; a longer query chains cores
+#: through their mergers (Section IV-D).
+TERMS_PER_CORE = 4
+
 
 @dataclass(frozen=True)
 class ThroughputReport:
@@ -153,7 +157,8 @@ class _AcceleratorTimingModel(_TimingModel):
         return max(cycles) / self.clock_hz + self.query_overhead
 
     def cores_used(self, result: SearchResult) -> int:
-        return max(1, math.ceil(len(result.query.terms()) / 4))
+        return max(1, math.ceil(len(result.query.terms())
+                                / TERMS_PER_CORE))
 
     def _module_cycles(self, result: SearchResult) -> List[float]:
         raise NotImplementedError

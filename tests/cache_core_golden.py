@@ -5,14 +5,18 @@ and :class:`repro.ioplanner.DramTier` each keep their policy over one
 :class:`repro.cache.BlockLRU` core. ``golden/cache_core.json`` holds what
 the three caches did **at the commit before the core landed**, when each
 kept its own ``OrderedDict``, byte count and eviction loop: per stream,
-every operation's outcome (hit or miss, the decoded value returned, the
-prefetch candidates and hot terms offered) and the final state —
-resident keys in LRU order per segment with their sizes, ``hits``,
-``misses`` and used bytes. How the caches keep their books may change
-what an access costs, never what it decides.
+every operation's outcome (hit or miss, the decoded value returned) and
+the final state — resident keys in LRU order per segment with their
+sizes, ``hits``, ``misses`` and used bytes. How the caches keep their
+books may change what an access costs, never what it decides.
 
-The file was generated by this module with :func:`_resident` reading
-that commit's ``OrderedDict`` fields; the rest is unchanged.
+The ``lru_block_cache`` and ``decoded_block_cache`` entries were
+generated by this module with :func:`_resident` reading that commit's
+``OrderedDict`` fields; the rest is unchanged. The ``dram_tier``
+entries were regenerated by the present :func:`dram_tier_stream` (same
+draws, lookups and cold admits only) at the commit before the tier's
+prefetch path was deleted, so they pin the demand path to the tier
+that still had window closes, popularity and warm/hot admits.
 
     PYTHONPATH=src:. python -m tests.cache_core_golden --check
 
@@ -91,8 +95,7 @@ def decoded_block_stream(seed: int) -> dict:
 
 
 def dram_tier_stream(seed: int) -> dict:
-    """Lookups, admits into every segment, window closes, prefetch
-    candidates and hot terms, in a seeded mix."""
+    """Lookups and admits, in a seeded mix."""
     rng = random.Random(f"cache-core:tier:{seed}")
     capacity = rng.choice((1, 150, 600, 2000))
     tier = DramTier(capacity)
@@ -103,20 +106,9 @@ def dram_tier_stream(seed: int) -> dict:
         size = _size(rng, capacity, 4)
         if draw < 0.45:
             outcomes.append(int(tier.lookup(term, block, size)))
-        elif draw < 0.80:
-            segment = rng.choice(("cold",) * 4 + ("warm",) * 2 + ("hot",))
-            tier.admit(term, block, size, segment=segment)
-            outcomes.append("a")
-        elif draw < 0.88:
-            tier.end_window()
-            outcomes.append("w")
-        elif draw < 0.94:
-            outcomes.append([
-                [c.term, c.block_index, c.size]
-                for c in tier.prefetch_candidates(rng.randrange(5),
-                                                  rng.randrange(4))])
         else:
-            outcomes.append(tier.hot_terms(rng.randrange(6)))
+            tier.admit(term, block, size)
+            outcomes.append("a")
     return {"capacity": capacity, "outcomes": outcomes,
             "segments": {name: _resident(tier._segments[name])
                          for name in SEGMENTS},

@@ -5,7 +5,9 @@ import pytest
 from repro.core import BossAccelerator, BossConfig
 from repro.core.query import parse_query
 from repro.errors import QueryError
+from repro.observability import RecordingObserver
 from repro.scm.traffic import AccessClass, AccessPattern
+from repro.sim.timing import BossTimingModel
 from tests.conftest import brute_force_topk, hits_as_pairs, oracle_as_pairs
 
 TABLE_II = [
@@ -101,13 +103,19 @@ class TestCounters:
         )
         assert 0 < result.work.blocks_fetched <= total_blocks
 
-    def test_cores_used(self, boss):
-        assert boss.cores_used(parse_query('"t0"')) == 1
-        assert boss.cores_used(
-            parse_query('"t0" OR "t1" OR "t2" OR "t3"')
-        ) == 1
-        five = parse_query(" OR ".join(f'"t{i}"' for i in range(5)))
-        assert boss.cores_used(five) == 2
+    def test_cores_used(self, small_index):
+        # Four terms per core (Section IV-D): the timing model's rule,
+        # which also sizes each query's trace.
+        observer = RecordingObserver()
+        boss = BossAccelerator(small_index, BossConfig(k=50),
+                               observer=observer)
+        model = BossTimingModel()
+        five = " OR ".join(f'"t{i}"' for i in range(5))
+        for expression, cores in (('"t0"', 1),
+                                  ('"t0" OR "t1" OR "t2" OR "t3"', 1),
+                                  (five, 2)):
+            assert model.cores_used(boss.search(expression)) == cores
+            assert observer.last_trace.cores_used == cores
 
 
 class TestTraffic:

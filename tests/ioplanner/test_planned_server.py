@@ -19,14 +19,16 @@ from repro.cluster import (
     rebalance_requests,
 )
 from repro.core import BossAccelerator, BossConfig
+from repro.core.engine import recording_fetches
 from repro.errors import ConfigurationError
 from repro.faults import ZERO_FAULTS, make_faulty_cluster
 from repro.ioplanner import (
+    FetchPlan,
     PlannedQueryServer,
     PlannerConfig,
     TenantSpec,
 )
-from repro.observability import RecordingObserver
+from repro.observability import Observer, RecordingObserver
 from repro.serving import (
     Request,
     TraceArrivals,
@@ -169,12 +171,43 @@ class TestDeterminismAndAccounting:
 
     def test_skewed_log_mostly_stages_in_dram(self, index):
         # A Zipf log re-reads hot blocks: dedup + tier must absorb a
-        # large share of demand, and prefetch should have staged blocks.
+        # large share of demand.
         result = PlannedQueryServer(
             _engine(index), PlannerConfig(k=10),
         ).serve(_workload(num=96, rate=8000.0, seed=2))
         assert result.planner.staged_fraction > 0.5
-        assert result.planner.prefetch_blocks > 0
+
+    def test_every_scm_miss_is_compulsory_when_the_tier_holds_the_working_set(
+            self, index):
+        # A tier larger than everything the run reads evicts nothing, so
+        # SCM serves each demanded block exactly once: the first time
+        # any query asks for it, and never ahead of that. (On this log,
+        # staging a hot list's next blocks ahead of demand would serve
+        # a first demand from DRAM.)
+        requests = _workload(seed=17)
+        plans = _PlanLog()
+        result = PlannedQueryServer(
+            _engine(index), PlannerConfig(k=10), observer=plans,
+        ).serve(requests)
+        assert result.report.shed == 0
+
+        replay = _engine(index)
+        demanded = {}
+        for request in requests:
+            with recording_fetches() as fetches:
+                replay.search(request.expression, k=10)
+            for records in fetches.values():
+                for term, block, size, _pattern in records:
+                    demanded[(0, term, block)] = size
+        planner = result.planner
+        assert sum(demanded.values()) < PlannerConfig().dram_bytes
+        assert planner.dram_hit_bytes > 0
+        assert (planner.scm_seq_bytes + planner.scm_rand_bytes
+                == sum(demanded.values()))
+        fetched = [(*list_key, block) for plan in plans.plans
+                   for list_key, block, _size in plan.fetched]
+        assert len(fetched) == len(set(fetched)) == len(demanded)
+        assert set(fetched) == set(demanded)
 
     def test_planning_halves_random_scm_bytes_and_lowers_p99(self):
         # The planner's two claims, on a Zipf log over a skewed corpus
@@ -280,6 +313,19 @@ class TestDemandCapture:
             assert (outcome.completion_seconds - outcome.start_seconds
                     == pytest.approx(outcome.result.modeled_seconds,
                                      rel=1e-12))
+
+
+class _PlanLog(Observer):
+    """Keeps every window's fetch plan."""
+
+    enabled = True
+
+    def __init__(self):
+        self.plans = []
+
+    def emit(self, event):
+        if isinstance(event, FetchPlan):
+            self.plans.append(event)
 
 
 def _demand_per_query(index, expression):

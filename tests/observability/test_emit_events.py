@@ -188,8 +188,8 @@ class TestServingEvents:
         ).serve(requests)
         plans = [e for e in observer.events if isinstance(e, FetchPlan)]
         assert len(plans) == result.planner.windows
-        assert sum(p.prefetch_bytes for p in plans) == \
-            result.planner.prefetch_bytes > 0
+        assert sum(p.demand_bytes for p in plans) == \
+            result.planner.demand_bytes > 0
         assert observer.kinds().count(RequestAdmitted) == 24
         assert observer.kinds()[-1] is ServingReport
 

@@ -12,9 +12,10 @@ applies the three removals that refactor named (``fetch.bytes``,
 ``fetch.pattern_bytes``, the ``scheme`` label of ``decode.invocations``)
 and the one corrected help string, — since batch rescoring — the
 three decoded-cache hits of membership probes a vector reranker no
-longer makes, and — since admission at the queue — the named
-:data:`LIVE_ADMISSION_DELTAS` of the live scenario's one search, and
-nothing else.
+longer makes, — since admission at the queue — the named
+:data:`LIVE_ADMISSION_DELTAS` of the live scenario's one search, and —
+since the planner stopped prefetching — the two ``planner.prefetch_*``
+series, and nothing else.
 """
 
 import json
@@ -184,7 +185,7 @@ def drive_serving(observer):
 
 
 def drive_planner(observer):
-    """Windows with tier hits, dedup, coalescing, prefetch; two tenants."""
+    """Windows with tier hits, dedup and coalescing; two tenants."""
     index = build_random_index(num_docs=400, seed=11)
     requests = zipf_workload(VOCAB, 48, rate_qps=4000.0, seed=3,
                              tenants=("gold", "bronze"))
@@ -293,6 +294,10 @@ def expected_snapshot():
         {"labels": {"path": path}, "value": by_path[path]}
         for path in sorted(by_path)
     ]
+    # 4: the planner stages nothing ahead of demand, so nothing reports
+    # speculative staging.
+    del expected["planner.prefetch_blocks"]
+    del expected["planner.prefetch_bytes"]
     # The one help string that said the opposite of what it counts.
     expected["cluster.degraded_queries"]["help"] = (
         "merges that skipped a failed shard"

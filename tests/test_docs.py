@@ -84,9 +84,13 @@ class TestDocsDirectory:
 
 
 #: A backticked module constant (``FIGURES``) or private name
-#: (``_charge_metadata``): the citations a rename or deletion in the
+#: (``_charge_metadata``), bare or after a dotted prefix
+#: (``tier.HOT_FRACTION``, ``BossAccelerator._cursor``; the last
+#: component is checked): the citations a rename or deletion in the
 #: code silently strands.
-_CITED_NAME = re.compile(r"`(_?[A-Z][A-Z0-9_]{3,}|_[a-z][a-z0-9_]{3,})`")
+_CITED_NAME = re.compile(
+    r"`(?:[A-Za-z_][A-Za-z0-9_]*\.)*"
+    r"(_?[A-Z][A-Z0-9_]{3,}|_[a-z][a-z0-9_]{3,})`")
 
 
 def test_cited_code_names_exist():
