@@ -128,8 +128,6 @@ class BossSession:
         """
         self._require_init()
         node = parse_query(q_expression)
-        if not self._check_arguments(node):
-            return self._search_oversized(node, k, result_size)
         effective_k = self._config.k if k is None else k
         if (result_size is not None
                 and result_size < RESULT_ENTRY_BYTES * effective_k):
@@ -137,6 +135,8 @@ class BossSession:
                 f"result buffer of {result_size} B cannot hold top-"
                 f"{effective_k} (needs {RESULT_ENTRY_BYTES * effective_k} B)"
             )
+        if not self._check_arguments(node):
+            return self._search_oversized(node, effective_k)
         return self._accelerator.search(node, k=k)
 
     def _check_arguments(self, node) -> bool:
@@ -240,8 +240,7 @@ class BossSession:
             mode=mode, first_stage_k=first_stage_k
         ).search(q_expression, k=k)
 
-    def _search_oversized(self, node, k: Optional[int],
-                          result_size: Optional[int]) -> SearchResult:
+    def _search_oversized(self, node, effective_k: int) -> SearchResult:
         """Host-split execution for queries beyond 16 terms.
 
         The paper's Section IV-D fallback: "The host first divides the
@@ -272,13 +271,6 @@ class BossSession:
             )
         terms = node.terms()
         is_union = isinstance(node, OrNode)
-        effective_k = self._config.k if k is None else k
-        if (result_size is not None
-                and result_size < RESULT_ENTRY_BYTES * effective_k):
-            raise ConfigurationError(
-                f"result buffer of {result_size} B cannot hold top-"
-                f"{effective_k} (needs {RESULT_ENTRY_BYTES * effective_k} B)"
-            )
 
         # Subqueries run without pruning or top-k: ET disabled, k large
         # enough to materialize every match.
@@ -346,8 +338,7 @@ class BossSession:
             cores = max(
                 math.ceil(len(chunk) / TERMS_PER_CORE) for chunk in chunks
             )
-            self._observer.on_query_complete(result, engine="BOSS",
-                                             cores_used=cores)
+            self._observer.on_query_complete(result, cores_used=cores)
         return result
 
     def comp_types(self, terms: List[str]) -> List[str]:

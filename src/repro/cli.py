@@ -328,10 +328,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _add_storage_arguments(command) -> None:
     """Index-loading flag shared by every command that takes --index."""
     command.add_argument("--storage", choices=STORAGE_MODES,
-                         default="auto",
+                         default="mmap",
                          help="how the .bossx index is held in memory "
-                              "(auto = mmap: zero-copy views of the "
-                              "file; binary = read fully into memory)")
+                              "(mmap: zero-copy views of the file; "
+                              "binary: read fully into memory)")
 
 
 def _load_cli_index(args):

@@ -40,14 +40,13 @@ class ListCursor:
     """Lazy, accounting cursor over one compressed posting list."""
 
     __slots__ = ("_fetch_log", "_list", "_work", "_traffic",
-                 "_pattern", "_skip_class", "_block_index", "_position",
+                 "_skip_class", "_block_index", "_position",
                  "_decoded_doc_ids", "_decoded_tfs", "_lasts", "_firsts",
                  "_metadata_read_upto", "_decoded_cache", "_fast_path",
                  "_last_fetched_block", "_num_blocks")
 
     def __init__(self, posting_list: CompressedPostingList,
                  work: WorkCounters, traffic: TrafficCounter,
-                 pattern: AccessPattern = AccessPattern.SEQUENTIAL,
                  skip_class: str = SKIP_NONE,
                  fetch_log: Optional[list] = None,
                  decoded_cache=None,
@@ -57,7 +56,7 @@ class ListCursor:
         #: Optional trace of payload fetches as
         #: :data:`~repro.scm.traffic.FetchRecord` tuples — the list the
         #: engine's :func:`~repro.core.engine.recording_fetches` scope
-        #: keeps for it. ``pattern`` is
+        #: keeps for it. A record's pattern is
         #: the *observed* spatial pattern of this cursor's walk: a fetch
         #: that continues the previous fetched block is sequential, a
         #: fetch that lands after a metadata-guided skip (or starts the
@@ -67,7 +66,6 @@ class ListCursor:
         self._num_blocks = posting_list.num_blocks
         self._work = work
         self._traffic = traffic
-        self._pattern = pattern
         self._skip_class = skip_class
         self._block_index = 0
         self._position = 0
@@ -265,13 +263,14 @@ class ListCursor:
         self._work.blocks_fetched += 1
         self._work.postings_decoded += block.metadata.count
         self._traffic.record(
-            AccessClass.LD_LIST, self._pattern, block.compressed_bytes
+            AccessClass.LD_LIST, AccessPattern.SEQUENTIAL,
+            block.compressed_bytes
         )
         if self._fetch_log is not None:
             # The observed pattern of *this* fetch: sequential only when
             # it continues the previous fetched block (block 0 counts as
             # the sequential start of the stream). The aggregate device
-            # model above keeps the cursor's configured pattern — the
+            # model above counts every payload as sequential — the
             # accelerator's block fetch module streams metadata-directed
             # loads ahead of demand — but the serving-layer cache/planner
             # studies replay per-block demand fetches, where a skip

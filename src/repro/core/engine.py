@@ -329,7 +329,7 @@ class BossAccelerator:
         )
         if self._observer.enabled:
             self._observer.emit(self._block_activity(work))
-            self._observer.on_query_complete(result, engine="BOSS")
+            self._observer.on_query_complete(result)
         return result
 
     def _block_activity(self, work: WorkCounters) -> BlockActivity:
@@ -477,7 +477,6 @@ class BossAccelerator:
             self._index.posting_list(term),
             work,
             traffic,
-            pattern=AccessPattern.SEQUENTIAL,
             skip_class=skip_class,
             fetch_log=(None if fetches is None
                        else fetches.setdefault(self, [])),

@@ -42,7 +42,7 @@ from repro.index.binaryio import (
 from repro.index.index import InvertedIndex
 
 #: Accepted ``storage`` selectors for :func:`open_index`.
-STORAGE_MODES = ("auto", "mmap", "binary")
+STORAGE_MODES = ("mmap", "binary")
 
 
 class MmapIndexStorage:
@@ -115,12 +115,12 @@ def load_index_mmap(path: Union[str, Path]) -> InvertedIndex:
 
 
 def open_index(path: Union[str, Path],
-               storage: str = "auto") -> InvertedIndex:
+               storage: str = "mmap") -> InvertedIndex:
     """Load a ``.bossx`` index file, choosing how it is held in memory.
 
-    ``storage`` is one of :data:`STORAGE_MODES`: ``auto`` / ``mmap``
-    serve blocks as ``memoryview`` slices of a read-only mapping
-    (zero-copy); ``binary`` reads the file fully into memory (payloads
+    ``storage`` is one of :data:`STORAGE_MODES`: ``mmap`` serves blocks
+    as ``memoryview`` slices of a read-only mapping (zero-copy);
+    ``binary`` reads the file fully into memory (payloads
     are independent ``bytes``; use when the file may be replaced or
     truncated while the index is live). Anything that is not a
     ``.bossx`` file raises :class:`~repro.errors.InvertedIndexError`

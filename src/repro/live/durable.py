@@ -128,12 +128,10 @@ class DurableLiveIndexWriter(LiveIndexWriter):
     """
 
     def __init__(self, wal_dir: Union[str, Path], *,
-                 device=None, clock=None,
+                 device=None,
                  policy: Optional[MergePolicy] = None,
-                 params=None, schemes: Optional[Sequence[str]] = None,
+                 schemes: Optional[Sequence[str]] = None,
                  buffer_docs: int = 256,
-                 buffer_bytes: Optional[int] = None,
-                 validate: bool = True,
                  observer: Observer = NULL_OBSERVER,
                  crash_schedule: Optional[CrashSchedule] = None,
                  fsync: bool = False,
@@ -142,28 +140,25 @@ class DurableLiveIndexWriter(LiveIndexWriter):
         self.wal_dir.mkdir(parents=True, exist_ok=True)
         self.crash = (CrashSchedule() if crash_schedule is None
                       else crash_schedule)
-        self._fsync = fsync
         self.manifest_writes = 0
         #: Total manifest bytes charged to this writer's traffic.
         self.manifest_bytes = 0
         policy = MergePolicy() if policy is None else policy
-        effective_params = (BM25Parameters() if params is None
-                            else params)
+        params = BM25Parameters()
         #: Configuration snapshot the manifest persists; recovery reads
-        #: it back so a recovered writer replays with identical bounds.
+        #: the schemes, buffer bound and fanout back so a recovered
+        #: writer replays with identical bounds.
         self.config = {
             "schemes": list(schemes) if schemes is not None else None,
             "buffer_docs": buffer_docs,
-            "buffer_bytes": buffer_bytes,
+            "buffer_bytes": None,
             "fanout": policy.fanout,
-            "k1": effective_params.k1,
-            "b": effective_params.b,
+            "k1": params.k1,
+            "b": params.b,
         }
         super().__init__(
-            device=device, clock=clock, policy=policy, params=params,
-            schemes=schemes, buffer_docs=buffer_docs,
-            buffer_bytes=buffer_bytes, validate=validate,
-            observer=observer,
+            device=device, policy=policy, schemes=schemes,
+            buffer_docs=buffer_docs, observer=observer,
         )
         self.wal = WriteAheadLog(
             self.wal_dir / WAL_NAME, traffic=self.traffic,
@@ -173,11 +168,11 @@ class DurableLiveIndexWriter(LiveIndexWriter):
         if _existing_wal is None:
             self._write_manifest()
 
-    def _make_scheduler(self, *, index, device, policy, validate,
+    def _make_scheduler(self, *, index, device, policy,
                         observer) -> MergeScheduler:
         return DurableMergeScheduler(
             self, index, device=device, clock=self.clock, policy=policy,
-            traffic=self.traffic, validate=validate, observer=observer,
+            traffic=self.traffic, observer=observer,
         )
 
     @property
@@ -485,11 +480,10 @@ def _replay_merge(writer: LiveIndexWriter, record: MergeCommitRecord,
 
 
 def replay_log(records: Sequence[WalRecord], *,
-               params=None, schemes: Optional[Sequence[str]] = None,
+               schemes: Optional[Sequence[str]] = None,
                buffer_docs: int = 256,
-               buffer_bytes: Optional[int] = None,
                policy: Optional[MergePolicy] = None,
-               device=None, clock=None, validate: bool = True,
+               device=None,
                observer: Observer = NULL_OBSERVER) -> LiveIndexWriter:
     """Clean, in-memory replay of a WAL record stream.
 
@@ -498,9 +492,8 @@ def replay_log(records: Sequence[WalRecord], *,
     files involved. Returns the replayed plain writer.
     """
     writer = LiveIndexWriter(
-        params=params, schemes=schemes, buffer_docs=buffer_docs,
-        buffer_bytes=buffer_bytes, policy=policy, device=device,
-        clock=clock, validate=validate, observer=observer,
+        schemes=schemes, buffer_docs=buffer_docs, policy=policy,
+        device=device, observer=observer,
     )
     _replay_records(writer, records, loader=None, crash=None,
                     report=RecoveryReport(), durable=False)
@@ -508,11 +501,9 @@ def replay_log(records: Sequence[WalRecord], *,
 
 
 def recover(wal_dir: Union[str, Path], *,
-            device=None, clock=None,
+            device=None,
             policy: Optional[MergePolicy] = None,
-            params=None, schemes: Optional[Sequence[str]] = None,
-            buffer_docs: int = 256, buffer_bytes: Optional[int] = None,
-            validate: bool = True,
+            buffer_docs: int = 256,
             observer: Observer = NULL_OBSERVER,
             crash_schedule: Optional[CrashSchedule] = None,
             fsync: bool = False
@@ -522,9 +513,10 @@ def recover(wal_dir: Union[str, Path], *,
     Returns ``(writer, report)`` where ``writer`` is ready to continue
     ingest exactly where the surviving log ends. When the durable
     manifest is readable, its recorded configuration (codec schemes,
-    buffer bounds, merge fanout, BM25 parameters) overrides the keyword
-    defaults — replay determinism requires the original bounds; the
-    keywords serve as fallback when the manifest was destroyed.
+    buffer bound, merge fanout) overrides the keyword defaults — replay
+    determinism requires the original bounds; the keywords (and the
+    default codec choice) serve as fallback when the manifest was
+    destroyed.
     ``crash_schedule`` may arm ``mid_recovery`` (or any other point hit
     by recovery's own maintenance) to model a double crash.
     """
@@ -537,6 +529,7 @@ def recover(wal_dir: Union[str, Path], *,
     recovery_traffic = report.traffic
 
     manifest: Optional[dict] = None
+    schemes = None
     try:
         manifest = load_manifest(wal_dir / MANIFEST_NAME)
     except InvertedIndexError:
@@ -547,13 +540,10 @@ def recover(wal_dir: Union[str, Path], *,
             (wal_dir / MANIFEST_NAME).stat().st_size,
         )
         config = manifest.get("config", {})
-        schemes = config.get("schemes", schemes)
+        schemes = config.get("schemes")
         buffer_docs = config.get("buffer_docs", buffer_docs)
-        buffer_bytes = config.get("buffer_bytes", buffer_bytes)
         if policy is None and "fanout" in config:
             policy = MergePolicy(fanout=config["fanout"])
-        if params is None and "k1" in config:
-            params = BM25Parameters(k1=config["k1"], b=config["b"])
 
     scan = read_wal(wal_path)
     recovery_traffic.record(AccessClass.LD_LIST,
@@ -581,9 +571,8 @@ def recover(wal_dir: Union[str, Path], *,
     crash.check("mid_recovery")
 
     writer = DurableLiveIndexWriter(
-        wal_dir, device=device, clock=clock, policy=policy,
-        params=params, schemes=schemes, buffer_docs=buffer_docs,
-        buffer_bytes=buffer_bytes, validate=validate, observer=observer,
+        wal_dir, device=device, policy=policy, schemes=schemes,
+        buffer_docs=buffer_docs, observer=observer,
         crash_schedule=crash, fsync=fsync,
         _existing_wal=(len(scan.records),
                        max(0, scan.valid_bytes - len(WAL_MAGIC))),
@@ -623,19 +612,18 @@ def recover(wal_dir: Union[str, Path], *,
     report.modeled_seconds = writer.scheduler.device.service_time(
         recovery_traffic
     )
-    if validate:
-        from repro.index.validate import validate_segmented
+    from repro.index.validate import validate_segmented
 
-        check = validate_segmented(
-            writer.index, check_scores=False,
-            manifest=load_manifest(writer.manifest_path),
-            segment_dir=wal_dir,
+    check = validate_segmented(
+        writer.index, check_scores=False,
+        manifest=load_manifest(writer.manifest_path),
+        segment_dir=wal_dir,
+    )
+    if not check.ok:
+        raise InvertedIndexError(
+            "post-recovery validation failed: "
+            + "; ".join(check.errors[:3])
         )
-        if not check.ok:
-            raise InvertedIndexError(
-                "post-recovery validation failed: "
-                + "; ".join(check.errors[:3])
-            )
     observer.emit(report)
     writer._publish_state()
     return writer, report

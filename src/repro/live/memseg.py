@@ -6,16 +6,16 @@ SCM pool when it *seals* — at which point its contents replay through
 the normal :class:`~repro.index.builder.IndexBuilder` + codec stack and
 become an immutable segment (one sequential SCM write).
 
-The buffer is bounded by document count and (approximate) byte
-footprint; :class:`~repro.live.writer.LiveIndexWriter` seals it when
-either bound trips. Deleting a buffered document simply removes it —
+The buffer is bounded by document count;
+:class:`~repro.live.writer.LiveIndexWriter` seals it when the bound
+trips. Deleting a buffered document simply removes it —
 no tombstone is needed for a document that never reached a segment.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.errors import InvertedIndexError
 
@@ -26,14 +26,10 @@ POSTING_BYTES = 8
 class MemSegment:
     """Uncompressed in-memory postings for recently added documents."""
 
-    def __init__(self, max_docs: int = 256,
-                 max_bytes: Optional[int] = None) -> None:
+    def __init__(self, max_docs: int = 256) -> None:
         if max_docs <= 0:
             raise InvertedIndexError("buffer must hold at least one document")
-        if max_bytes is not None and max_bytes <= 0:
-            raise InvertedIndexError("buffer byte bound must be positive")
         self.max_docs = max_docs
-        self.max_bytes = max_bytes
         #: docID -> term frequencies of the buffered document.
         self._docs: Dict[int, Counter] = {}
         self._lengths: Dict[int, int] = {}
@@ -94,11 +90,7 @@ class MemSegment:
 
     @property
     def full(self) -> bool:
-        if len(self._docs) >= self.max_docs:
-            return True
-        if self.max_bytes is not None and self.approx_bytes >= self.max_bytes:
-            return True
-        return False
+        return len(self._docs) >= self.max_docs
 
     def doc_ids(self) -> List[int]:
         """Buffered docIDs, ascending."""

@@ -174,7 +174,6 @@ class MergeScheduler:
                  clock: Optional[Clock] = None,
                  policy: Optional[MergePolicy] = None,
                  traffic: Optional[TrafficCounter] = None,
-                 validate: bool = True,
                  observer: Observer = NULL_OBSERVER) -> None:
         self.segmented = segmented
         self.device = OPTANE_NODE_4CH if device is None else device
@@ -183,7 +182,6 @@ class MergeScheduler:
         #: Shared counter every seal/merge byte lands in (the writer
         #: passes its own so ingest traffic aggregates in one place).
         self.traffic = TrafficCounter() if traffic is None else traffic
-        self.validate = validate
         self._observer = observer
         self.records: List[MergeRecord] = []
         #: Segment ids sealed through :meth:`record_seal`, in order.
@@ -296,14 +294,12 @@ class MergeScheduler:
         )
         self.records.append(record)
         self._observer.emit(record)
-        if self.validate:
-            from repro.index.validate import validate_segmented
+        from repro.index.validate import validate_segmented
 
-            report = validate_segmented(self.segmented,
-                                        check_scores=False)
-            if not report.ok:
-                raise InvertedIndexError(
-                    "post-merge validation failed: "
-                    + "; ".join(report.errors[:3])
-                )
+        report = validate_segmented(self.segmented, check_scores=False)
+        if not report.ok:
+            raise InvertedIndexError(
+                "post-merge validation failed: "
+                + "; ".join(report.errors[:3])
+            )
         return record

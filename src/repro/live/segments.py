@@ -344,13 +344,11 @@ class SegmentedIndex:
     each other (not with mutations).
     """
 
-    def __init__(self, params=None, schemes: Optional[Sequence[str]] = None,
+    def __init__(self, schemes: Optional[Sequence[str]] = None,
                  buffer_docs: int = 256,
-                 buffer_bytes: Optional[int] = None,
                  observer: Observer = NULL_OBSERVER) -> None:
-        self.stats = LiveStatistics(params)
-        self.memseg = MemSegment(max_docs=buffer_docs,
-                                 max_bytes=buffer_bytes)
+        self.stats = LiveStatistics()
+        self.memseg = MemSegment(max_docs=buffer_docs)
         self.segments: List[Segment] = []
         self._schemes = list(schemes) if schemes is not None else None
         self._config = BossConfig()

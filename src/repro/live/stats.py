@@ -71,8 +71,8 @@ class LiveBM25Scorer(BM25Scorer):
 class LiveStatistics:
     """Mutable corpus-wide statistics shared by buffer and segments."""
 
-    def __init__(self, params: Optional[BM25Parameters] = None) -> None:
-        self.params = BM25Parameters() if params is None else params
+    def __init__(self) -> None:
+        self.params = BM25Parameters()
         #: Length of every docID ever allocated (never shrinks).
         self._doc_lengths: List[int] = []
         self._live: List[bool] = []

@@ -81,35 +81,28 @@ class LiveIndexWriter:
     """Drives ingest: buffered adds/deletes, seals, background merges."""
 
     def __init__(self, device: Optional[MemoryDeviceModel] = None,
-                 clock: Optional[Clock] = None,
                  policy: Optional[MergePolicy] = None,
-                 params=None, schemes: Optional[Sequence[str]] = None,
+                 schemes: Optional[Sequence[str]] = None,
                  buffer_docs: int = 256,
-                 buffer_bytes: Optional[int] = None,
-                 validate: bool = True,
                  observer: Observer = NULL_OBSERVER) -> None:
-        index = SegmentedIndex(
-            params=params, schemes=schemes,
-            buffer_docs=buffer_docs, buffer_bytes=buffer_bytes,
-            observer=observer,
-        )
+        index = SegmentedIndex(schemes=schemes, buffer_docs=buffer_docs,
+                               observer=observer)
         self.index = index
-        self.clock = VirtualClock() if clock is None else clock
+        self.clock = VirtualClock()
         #: Every maintenance byte (seal writes, merge reads + writes).
         self.traffic = TrafficCounter()
         self._observer = observer
         self.scheduler = self._make_scheduler(
-            index=index, device=device, policy=policy,
-            validate=validate, observer=observer,
+            index=index, device=device, policy=policy, observer=observer,
         )
 
-    def _make_scheduler(self, *, index, device, policy, validate,
+    def _make_scheduler(self, *, index, device, policy,
                         observer) -> MergeScheduler:
         """Scheduler factory — the durable writer overrides this to
         return a :class:`~repro.live.durable.DurableMergeScheduler`."""
         return MergeScheduler(
             index, device=device, clock=self.clock, policy=policy,
-            traffic=self.traffic, validate=validate, observer=observer,
+            traffic=self.traffic, observer=observer,
         )
 
     # ------------------------------------------------------------------

@@ -30,7 +30,7 @@ times are the simulator's modeled times.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.observability.registry import LATENCY_BUCKETS_US, MetricsRegistry
 from repro.observability.trace import QueryTrace
@@ -45,8 +45,7 @@ class Observer:
     def emit(self, event) -> None:
         """Something happened; ``event`` can ``publish_metrics(registry)``."""
 
-    def on_query_complete(self, result, engine: str = "BOSS",
-                          cores_used: Optional[int] = None
+    def on_query_complete(self, result, cores_used: Optional[int] = None
                           ) -> Optional[QueryTrace]:
         """A query finished; ``result`` is the full SearchResult.
         ``cores_used`` overrides the timing model's count for it."""
@@ -62,10 +61,10 @@ class RecordingObserver(Observer):
     enabled = True
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        """Traces are timed with the BOSS and IIU models; every trace is
-        kept. ``registry`` lets observers share one metrics registry."""
+        """Traces are timed with the BOSS model; every trace is kept.
+        ``registry`` lets observers share one metrics registry."""
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._models: Optional[Dict[str, object]] = None
+        self._model = None
         self.traces: List[QueryTrace] = []
         self._next_query_id = 0
 
@@ -81,25 +80,6 @@ class RecordingObserver(Observer):
     def last_trace(self) -> Optional[QueryTrace]:
         return self.traces[-1] if self.traces else None
 
-    def model_for(self, engine: str):
-        if self._models is None:
-            from repro.sim.timing import BossTimingModel, IIUTimingModel
-
-            self._models = {
-                "BOSS": BossTimingModel(),
-                "IIU": IIUTimingModel(),
-            }
-        try:
-            return self._models[engine]
-        except KeyError:
-            from repro.errors import ConfigurationError
-
-            known = ", ".join(sorted(self._models))
-            raise ConfigurationError(
-                f"no timing model registered for engine {engine!r} "
-                f"(known: {known})"
-            ) from None
-
     # ------------------------------------------------------------------
     # The two notifications
     # ------------------------------------------------------------------
@@ -107,15 +87,17 @@ class RecordingObserver(Observer):
     def emit(self, event) -> None:
         event.publish_metrics(self.registry)
 
-    def on_query_complete(self, result, engine: str = "BOSS",
-                          cores_used: Optional[int] = None) -> QueryTrace:
+    def on_query_complete(self, result, cores_used: Optional[int] = None
+                          ) -> QueryTrace:
         from repro.observability.profiler import build_trace
 
-        trace = build_trace(
-            self.model_for(engine), result,
-            query_id=self._next_query_id, engine=engine,
-            cores_used=cores_used,
-        )
+        if self._model is None:
+            from repro.sim.timing import BossTimingModel
+
+            self._model = BossTimingModel()
+        trace = build_trace(self._model, result,
+                            query_id=self._next_query_id,
+                            cores_used=cores_used)
         self._next_query_id += 1
         self.traces.append(trace)
         self._publish(trace)

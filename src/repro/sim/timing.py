@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence
 from repro.core.result import SearchResult
 from repro.errors import ConfigurationError
 from repro.scm.device import MemoryDeviceModel, OPTANE_NODE_4CH
-from repro.scm.interconnect import CXL_LINK, InterconnectModel
+from repro.scm.interconnect import CXL_LINK
 from repro.sim.metrics import WorkCounters
 
 NS = 1e-9
@@ -66,12 +66,10 @@ class _TimingModel:
     """
 
     def __init__(self, device: MemoryDeviceModel = OPTANE_NODE_4CH,
-                 interconnect: InterconnectModel = CXL_LINK,
                  num_cores: int = 8) -> None:
         if num_cores <= 0:
             raise ConfigurationError("need at least one core")
         self.device = device
-        self.interconnect = interconnect
         self.num_cores = num_cores
 
     # -- per query ------------------------------------------------------
@@ -91,7 +89,7 @@ class _TimingModel:
         return max(
             self.compute_seconds(result),
             self.memory_seconds(result),
-            self.interconnect.transfer_time(result.interconnect_bytes),
+            CXL_LINK.transfer_time(result.interconnect_bytes),
         )
 
     # -- batch ----------------------------------------------------------
@@ -129,7 +127,7 @@ class _TimingModel:
         compute_seconds = compute_core_seconds / cores
         memory_seconds = sum(self.memory_seconds(r) for r in results)
         interconnect_seconds = sum(
-            self.interconnect.transfer_time(r.interconnect_bytes)
+            CXL_LINK.transfer_time(r.interconnect_bytes)
             for r in results
         )
         return _make_report(
@@ -279,13 +277,7 @@ class LuceneTimingModel(_TimingModel):
     """
 
     name = "Lucene"
-
-    def __init__(self, device: MemoryDeviceModel = OPTANE_NODE_4CH,
-                 interconnect: InterconnectModel = CXL_LINK,
-                 num_cores: int = 8,
-                 costs: LuceneCostModel = LuceneCostModel()) -> None:
-        super().__init__(device, interconnect, num_cores)
-        self.costs = costs
+    costs = LuceneCostModel()
 
     def compute_seconds(self, result: SearchResult) -> float:
         return self.costs.compute_seconds(result.work)

@@ -110,7 +110,6 @@ class TestLoaderDispatch:
         assert str(foreign_path) in str(raised.value)
 
     def test_unknown_storage_rejected(self, bossx_path):
-        assert "auto" in STORAGE_MODES
         with pytest.raises(InvertedIndexError, match="unknown storage"):
             open_index(bossx_path, storage="paged")
         with pytest.raises(InvertedIndexError, match="unknown storage"):

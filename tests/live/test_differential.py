@@ -36,7 +36,7 @@ from tests.live.oplog import (
 def run_interleaving(seed, schemes, num_ops=160):
     rng = random.Random(f"diff:{seed}")
     writer = LiveIndexWriter(schemes=schemes, buffer_docs=12,
-                             policy=MergePolicy(fanout=3), validate=True)
+                             policy=MergePolicy(fanout=3))
     ops = generate_ops(seed, num_ops, p_add=0.62, p_delete=0.23,
                        p_seal=0.15)
     runner = OpLogRunner()

@@ -57,12 +57,6 @@ class TestMemSegment:
         seg.add(1, Counter({"a": 1}), 1)
         assert seg.full
 
-    def test_byte_bound_trips_full(self):
-        seg = MemSegment(max_docs=100, max_bytes=2 * POSTING_BYTES)
-        seg.add(0, Counter({"a": 1, "b": 1}), 2)
-        assert seg.approx_bytes == 2 * POSTING_BYTES + 4
-        assert seg.full
-
     def test_drain_empties(self):
         seg = MemSegment(max_docs=4)
         seg.add(0, Counter({"a": 1}), 1)
@@ -74,5 +68,3 @@ class TestMemSegment:
     def test_invalid_bounds_rejected(self):
         with pytest.raises(InvertedIndexError):
             MemSegment(max_docs=0)
-        with pytest.raises(InvertedIndexError):
-            MemSegment(max_docs=1, max_bytes=0)

@@ -36,7 +36,7 @@ class TestMergePolicy:
 
     def test_lowest_tier_merges_first(self):
         live = sealed_index(4)
-        scheduler = MergeScheduler(live, validate=False)
+        scheduler = MergeScheduler(live)
         scheduler.run_pending()
         # one tier-1 segment; add 4 more tier-0s -> next plan is tier 0
         for s in range(4):

@@ -64,7 +64,7 @@ class CollectingObserver(Observer):
     def emit(self, event):
         self.events.append(event)
 
-    def on_query_complete(self, result, engine="BOSS", cores_used=1):
+    def on_query_complete(self, result, cores_used=None):
         self.events.append(QUERY_COMPLETE)
 
     def kinds(self):

@@ -231,13 +231,6 @@ class TestRecordingObserverBookkeeping:
         latency = registry.get("query.latency_us")
         assert latency.count(engine="BOSS") == len(boss_traces)
 
-    def test_unknown_engine_is_a_config_error(self, index):
-        from repro.errors import ConfigurationError
-
-        observer = RecordingObserver()
-        with pytest.raises(ConfigurationError):
-            observer.model_for("Quantum")
-
 
 def test_trace_type_is_exported():
     from repro import QueryTrace as exported

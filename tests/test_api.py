@@ -118,6 +118,13 @@ class TestOversizedQueries:
         with pytest.raises(ConfigurationError):
             session.search('"t0"', k=100, result_size=10)
 
+    def test_undersized_result_buffer_rejected_on_the_host_split(
+            self, session):
+        expr = " OR ".join(f'"t{i}"' for i in range(17))
+        with pytest.raises(ConfigurationError):
+            session.search(expr, k=10, result_size=8 * 10 - 1)
+        assert len(session.search(expr, k=10, result_size=8 * 10).hits) == 10
+
     def test_adequate_result_buffer(self, session):
         result = session.search('"t0"', k=10, result_size=80)
         assert len(result.hits) <= 10

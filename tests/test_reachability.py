@@ -32,8 +32,18 @@ class or any subclass that inherits it; ``super().__init__`` resolves
 to the enclosing class's bases and ``functools.partial(f, ...)`` calls
 ``f`` — and it passes the parameter by keyword, a positional argument
 at or past its index, ``*args`` or ``**kwargs``. Forwarding is not
-setting: a value that is a bare name of the calling function's own
-defaulted parameter binds only once that parameter is bound.
+setting; a relay binds only once what it forwards is bound:
+
+(a) a call passing the caller's own ``*args`` / ``**kwargs`` forwards
+    them item by item: ``p`` is bound once some call binds the
+    caller's ``**kwargs`` with key ``p`` (any other ``**mapping`` still
+    binds everything);
+(b) a value that is a bare name of any of the caller's parameters —
+    required and keyword-only ones too — forwards it; a required
+    parameter is bound once some call passes it a bound value;
+(c) a call inside a definition this check reports as unreached binds
+    nothing;
+(d) an argument spelled as the parameter's default binds nothing.
 
 ``reachability_allow.txt`` holds the reports that stay, one
 ``path::qualname — reason`` or ``path::qualname(param=) — reason`` a
@@ -243,26 +253,29 @@ def _config_reads(trees: Dict[str, ast.Module]) -> Dict[str, Set[str]]:
     return reads
 
 
-def _defaulted(definition: Definition) -> Dict[str, Optional[int]]:
-    """Each parameter with a default, by name, mapped to the index a
-    call's positional argument binds it at (``None``: keyword-only)."""
+def _signature(definition: Definition) -> tuple:
+    """``(parameters, *args name, **kwargs name)``: each parameter by
+    name mapped to ``(index, default)`` — the index a call's positional
+    argument binds it at (``None``: keyword-only) and its default
+    expression (``None``: required)."""
     args = definition.node.args
     positional = args.posonlyargs + args.args
-    first = len(positional) - len(args.defaults)
+    defaults = [None] * (len(positional) - len(args.defaults))
+    defaults += args.defaults
     drop = 0
     if definition.owner is not None and not any(
             _last_name(d) == "staticmethod"
             for d in definition.node.decorator_list):
         drop = 1
-    found: Dict[str, Optional[int]] = {
-        arg.arg: index - drop
-        for index, arg in enumerate(positional)
-        if index >= max(first, len(args.posonlyargs))
+    parameters: Dict[str, tuple] = {
+        arg.arg: (index - drop, default)
+        for index, (arg, default) in enumerate(zip(positional, defaults))
+        if index >= drop
     }
-    found.update((arg.arg, None) for arg, default
-                 in zip(args.kwonlyargs, args.kw_defaults)
-                 if default is not None)
-    return found
+    parameters.update((arg.arg, (None, default)) for arg, default
+                      in zip(args.kwonlyargs, args.kw_defaults))
+    return (parameters, args.vararg and args.vararg.arg,
+            args.kwarg and args.kwarg.arg)
 
 
 def _init_targets(definitions: List[Definition]) -> Dict[str, List[Definition]]:
@@ -292,14 +305,18 @@ def _init_targets(definitions: List[Definition]) -> Dict[str, List[Definition]]:
 
 
 def _calls(tree: ast.AST, inits: Dict[str, List[Definition]],
-           functions: Dict[str, List[Definition]]) -> Iterator[tuple]:
+           functions: Dict[str, List[Definition]],
+           dead: Set[ast.AST]) -> Iterator[tuple]:
     """``(call, callees, enclosing function)`` for every call in
-    ``tree``; ``functools.partial(f, ...)`` is a call of ``f`` and
-    ``super().__init__(...)`` one of the enclosing class's bases."""
+    ``tree`` outside the ``dead`` definitions; ``functools.partial(f,
+    ...)`` is a call of ``f`` and ``super().__init__(...)`` one of the
+    enclosing class's bases."""
 
     def visit(node: ast.AST, cls: Optional[ast.ClassDef],
               function: Optional[ast.AST]) -> Iterator[tuple]:
         for child in ast.iter_child_nodes(node):
+            if child in dead:
+                continue
             if isinstance(child, ast.ClassDef):
                 yield from visit(child, child, function)
                 continue
@@ -333,12 +350,18 @@ def _calls(tree: ast.AST, inits: Dict[str, List[Definition]],
 
 def _parameter_reports(definitions: List[Definition],
                        trees: Dict[str, ast.Module],
-                       external: List[ast.Module]) -> List[str]:
+                       external: List[ast.Module],
+                       dead: Set[ast.AST]) -> List[str]:
     """Every defaulted parameter no call outside ``tests/`` binds.
 
-    A value that is a bare name of the calling function's own defaulted
-    parameter forwards it: that binding counts once the caller's
-    parameter is itself bound (least fixpoint)."""
+    A call binds nothing from inside a ``dead`` definition, nor with an
+    argument spelled as the parameter's default. A value that is a bare
+    name of any of the calling function's own parameters forwards it,
+    and so do its own ``*args`` and ``**kwargs``, item by item: the
+    binding counts once what it forwards is itself bound
+    (least fixpoint). Keys: a parameter's name, ``"*"`` / ``"**"`` for
+    every item of ``*args`` / ``**kwargs``, ``"*<i>"`` for one item and
+    ``"**<key>"`` for one key."""
     functions: Dict[str, List[Definition]] = {}
     owned: Dict[ast.AST, Definition] = {}
     for definition in definitions:
@@ -348,47 +371,90 @@ def _parameter_reports(definitions: List[Definition],
                 if entry.name != "__init__":
                     functions.setdefault(entry.name, []).append(entry)
     inits = _init_targets(definitions)
-    defaults = {entry: _defaulted(entry) for entry in owned.values()}
-
-    bound: Set[tuple] = set()
-    forwarded: List[tuple] = []
+    signatures = {entry: _signature(entry) for entry in owned.values()}
     sources = [(tree, True) for tree in trees.values()]
     sources += [(tree, False) for tree in external]
+    keys = {sub.arg for tree, _ in sources for sub in ast.walk(tree)
+            if isinstance(sub, ast.keyword) and sub.arg}
+    bound: Set[tuple] = set()
+    forwarded: List[tuple] = []
+
+    def bind(key: tuple, *waits: tuple) -> None:
+        if waits:
+            forwarded.append((waits, key))
+        else:
+            bound.add(key)
+
     for tree, internal in sources:
-        for call, targets, function in _calls(tree, inits, functions):
+        for call, targets, function in _calls(tree, inits, functions, dead):
             caller = owned.get(function) if internal else None
-            given = {k.arg: k.value for k in call.keywords}
+            mine, varargs, kwargs = (signatures[caller] if caller
+                                     else ({}, None, None))
+
+            def relay(value: ast.expr) -> tuple:
+                if isinstance(value, ast.Name) and value.id in mine:
+                    return ((caller, value.id),)
+                return ()
+
+            given = {k.arg: k.value for k in call.keywords if k.arg}
+            spread = [k.value for k in call.keywords if k.arg is None]
+            relayed = bool(spread) and isinstance(spread[0], ast.Name) and (
+                spread[0].id == kwargs)
             starred = [i for i, a in enumerate(call.args)
                        if isinstance(a, ast.Starred)]
+            split = starred[0] if starred else len(call.args)
+            relayed_star = bool(starred) and isinstance(
+                call.args[split].value, ast.Name) and (
+                call.args[split].value.id == varargs)
             for target in targets:
-                for name, index in defaults[target].items():
-                    if None in given or (
-                            index is not None and starred
-                            and starred[0] <= index):
-                        bound.add((target, name))
-                        continue
+                theirs, their_varargs, their_kwargs = signatures[target]
+                for name, (index, default) in theirs.items():
                     value = given.get(name)
-                    if value is None and index is not None and (
-                            index < len(call.args)):
+                    if value is None and index is not None and index < split:
                         value = call.args[index]
-                    if value is None:
-                        continue
-                    if (caller is not None and isinstance(value, ast.Name)
-                            and value.id in defaults[caller]):
-                        forwarded.append(((caller, value.id),
-                                          (target, name)))
-                    else:
-                        bound.add((target, name))
+                    if value is not None:
+                        if default is None or (
+                                ast.dump(value) != ast.dump(default)):
+                            bind((target, name), *relay(value))
+                    elif index is not None and starred:
+                        bind((target, name), *(
+                            ((caller, f"*{index - split}"), (caller, "*"))
+                            if relayed_star else ()))
+                    elif spread:
+                        bind((target, name), *(
+                            ((caller, "**" + name), (caller, "**"))
+                            if relayed else ()))
+                if their_varargs:
+                    width = sum(index is not None
+                                for index, _ in theirs.values())
+                    for index in range(width, split):
+                        bind((target, f"*{index - width}"),
+                             *relay(call.args[index]))
+                    if starred:
+                        bind((target, "*"),
+                             *(((caller, "*"),) if relayed_star else ()))
+                if their_kwargs:
+                    for name, value in given.items():
+                        if name not in theirs:
+                            bind((target, "**" + name), *relay(value))
+                    if spread and not relayed:
+                        bind((target, "**"))
+                    elif relayed:
+                        for name in keys - set(theirs) - set(given):
+                            bind((target, "**" + name),
+                                 (caller, "**" + name), (caller, "**"))
+                        bind((target, "**"), (caller, "**"))
     grew = True
     while grew:
         grew = False
-        for source, target in forwarded:
-            if source in bound and target not in bound:
-                bound.add(target)
+        for waits, key in forwarded:
+            if key not in bound and any(w in bound for w in waits):
+                bound.add(key)
                 grew = True
     return [f"{entry.key}({name}=)"
-            for entry, names in defaults.items() for name in names
-            if (entry, name) not in bound]
+            for entry, (parameters, _, _) in signatures.items()
+            for name, (_, default) in parameters.items()
+            if default is not None and (entry, name) not in bound]
 
 
 def report(modules: Dict[str, str], external: Iterable[str]) -> List[str]:
@@ -458,10 +524,13 @@ def report(modules: Dict[str, str], external: Iterable[str]) -> List[str]:
             continue
         found.extend(method.key for method in definition.methods
                      if method not in reached)
+    dead = {entry.node for definition in definitions
+            for entry in [definition] + definition.methods
+            if entry not in reached}
     live = [d for d in definitions if d in reached]
     for definition in live:
         definition.methods = [m for m in definition.methods if m in reached]
-    found.extend(_parameter_reports(live, trees, external_trees))
+    found.extend(_parameter_reports(live, trees, external_trees, dead))
     reads = _config_reads(trees)
     for path, tree in trees.items():
         for node in _module_statements(tree.body):
@@ -583,10 +652,40 @@ class Base:
 class Child(Base):
     pass
 
+def relay(x, **kwargs):
+    return tuned(x, **kwargs)
+
+def tuned(x, gain=1, bias=0):
+    return x * gain + bias
+
+class Writer:
+    def __init__(self, strict=True):
+        self.scheduler = make_scheduler(strict=strict)
+
+def make_scheduler(*, strict):
+    return Scheduler(strict=strict)
+
+class Scheduler:
+    def __init__(self, strict=True):
+        self.strict = strict
+
+def oracle():
+    return probe(1, rate=2)
+
+def probe(x, rate=1):
+    return x * rate
+
+def fetch(x, pattern="sequential"):
+    return x, pattern
+
 def main(options):
     unset(1)
     outer(2)
     spread(3, **options)
+    relay(4, gain=2)
+    Writer()
+    probe(5)
+    fetch(6, pattern="sequential")
     return Child(depth=5)
 '''
 
@@ -613,5 +712,29 @@ def test_a_parameter_bound_through_kwargs_is_not_reported():
 
 def test_an_inherited_init_bound_through_a_subclass_is_not_reported():
     assert _scratch_parameters() == [
-        "scratch.py::inner(size=)", "scratch.py::outer(width=)",
-        "scratch.py::unset(flag=)"]
+        "scratch.py::Scheduler.__init__(strict=)",
+        "scratch.py::Writer.__init__(strict=)",
+        "scratch.py::fetch(pattern=)", "scratch.py::inner(size=)",
+        "scratch.py::outer(width=)", "scratch.py::probe(rate=)",
+        "scratch.py::tuned(bias=)", "scratch.py::unset(flag=)"]
+
+
+def test_a_kwargs_relay_binds_only_the_keys_its_callers_pass():
+    found = _scratch_parameters()
+    assert "scratch.py::tuned(bias=)" in found
+    assert "scratch.py::tuned(gain=)" not in found
+
+
+def test_a_required_parameter_relays_an_unset_default():
+    found = _scratch_parameters()
+    assert "scratch.py::Writer.__init__(strict=)" in found
+    assert "scratch.py::Scheduler.__init__(strict=)" in found
+
+
+def test_a_call_in_an_unreached_definition_binds_nothing():
+    assert "scratch.py::probe(rate=)" in _scratch_parameters()
+
+
+def test_passing_the_default_binds_nothing():
+    assert "scratch.py::fetch(pattern=)" in _scratch_parameters()
+
