@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Union
 from repro.core.engine import RESULT_ENTRY_BYTES, BossAccelerator, BossConfig
 from repro.core.mai import MemoryAccessInterface
 from repro.core.query import parse_query
-from repro.core.result import SearchResult
+from repro.core.result import SearchResult, best_hits
 from repro.decompressor.configs import BUILTIN_PROGRAMS
 from repro.decompressor.program import DecompressorProgram, parse_program
 from repro.errors import ConfigurationError, QueryError
@@ -254,7 +254,7 @@ class BossSession:
         per-document scores simply add across disjoint term chunks.
         """
         from repro.core.query import AndNode, OrNode, TermNode
-        from repro.core.topk import TopKQueue
+        from repro.core.topk import positive_k
         from repro.live.segments import SegmentedIndex
 
         if isinstance(self._index, SegmentedIndex):
@@ -285,9 +285,7 @@ class BossSession:
             for i in range(0, len(terms), MAX_QUERY_TERMS)
         ]
 
-        total_work = None
-        total_traffic = None
-        interconnect = 0
+        result = SearchResult(query=node, hits=[])
         scores: dict = {}
         membership: dict = {}
         for chunk in chunks:
@@ -304,31 +302,18 @@ class BossSession:
                 self._index.posting_list(t).document_frequency
                 for t in chunk
             )
-            result = exhaustive.search(sub, k=max(1, bound))
-            # Every intermediate entry crosses to host memory.
-            interconnect += RESULT_ENTRY_BYTES * len(result.hits)
-            for hit in result.hits:
+            partial = exhaustive.search(sub, k=max(1, bound))
+            # Every intermediate entry crosses to host memory: the
+            # subquery's interconnect bytes are its result entries.
+            result.absorb(partial)
+            for hit in partial.hits:
                 scores[hit.doc_id] = scores.get(hit.doc_id, 0.0) + hit.score
                 membership[hit.doc_id] = membership.get(hit.doc_id, 0) + 1
-            if total_work is None:
-                total_work = result.work
-                total_traffic = result.traffic
-            else:
-                total_work.merge(result.work)
-                total_traffic.merge(result.traffic)
 
-        topk = TopKQueue(effective_k)
-        for doc_id in sorted(scores):
-            if is_union or membership[doc_id] == len(chunks):
-                topk.offer(doc_id, scores[doc_id])
-
-        hits = topk.results()
-        result = SearchResult(
-            query=node,
-            hits=hits,
-            traffic=total_traffic,
-            work=total_work,
-            interconnect_bytes=interconnect,
+        result.hits = best_hits(
+            ((doc_id, score) for doc_id, score in scores.items()
+             if is_union or membership[doc_id] == len(chunks)),
+            positive_k(effective_k),
         )
         if self._observer.enabled:
             # One trace for the whole host-split query; each subquery

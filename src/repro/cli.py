@@ -732,7 +732,7 @@ def _cmd_trace_cluster(args) -> int:
                     "elapsed_seconds": outcome.elapsed_seconds,
                     "error": outcome.error,
                 }
-                for outcome in (merged.leaf_outcomes or [])
+                for outcome in merged.leaf_outcomes
             ],
         }
         print(json.dumps(record, indent=2))
@@ -740,7 +740,7 @@ def _cmd_trace_cluster(args) -> int:
     state = "DEGRADED" if merged.degraded else "complete"
     print(f"{args.query} over {args.shards} shards "
           f"x{args.replication}: {state}, {len(merged.hits)} hits")
-    print(describe_outcomes(merged.leaf_outcomes or []))
+    print(describe_outcomes(merged.leaf_outcomes))
     if merged.shards_failed:
         print(f"failed shards: {sorted(merged.shards_failed)}")
     print(f"resilience: retries={merged.leaf_retries} "

@@ -36,14 +36,14 @@ Time is read through an injectable :class:`repro.clock.Clock`
 go through it, so the fault-matrix tests drive retries and timeouts in
 zero wall time with a :class:`repro.clock.VirtualClock`.
 
-The no-op policy (:data:`STRICT_POLICY`: no timeout, no retries, no
-degradation) takes a fast path that calls ``engine.search`` directly,
-so an unconfigured cluster is bit-identical to pre-resilience behavior.
+The default policy (:data:`STRICT_POLICY`: no timeout, no retries, no
+degradation) runs the same ladder with one attempt: a leaf that raises
+is recorded failed and re-raised as a :class:`LeafExecutionError`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.clock import WALL_CLOCK, Clock
@@ -80,15 +80,6 @@ class ResiliencePolicy:
             raise ConfigurationError("backoff base must be >= 0")
         if self.backoff_multiplier < 1.0:
             raise ConfigurationError("backoff multiplier must be >= 1")
-
-    @property
-    def is_noop(self) -> bool:
-        """True when the policy can never alter execution."""
-        return (
-            self.timeout_seconds is None
-            and self.max_retries == 0
-            and not self.allow_degraded
-        )
 
 
 #: Pre-resilience semantics: one attempt, no timeout, failure raises.
@@ -172,23 +163,6 @@ def _run_leaf(outcome: LeafOutcome, candidates: List, pruned, k: int,
     shard_index = outcome.shard_index
     started = clock.now()
     last_error: Optional[BaseException] = None
-
-    if policy.is_noop and len(candidates) == 1:
-        # Bit-identical pre-resilience fast path: no timing wrapper
-        # beyond the caller's own, failures wrapped and raised.
-        try:
-            attempt_start = clock.now()
-            outcome.result = candidates[0].search(pruned, k=k)
-            outcome.attempt_seconds = clock.now() - attempt_start
-            outcome.attempts = 1
-            outcome.elapsed_seconds = clock.now() - started
-            return outcome
-        except Exception as error:
-            raise LeafExecutionError(
-                f"query {expression!r} failed on shard {shard_index}: "
-                f"{error!r}",
-                shard_index=shard_index, expression=expression,
-            ) from error
 
     backoff_step = 0
     for candidate_index, engine in enumerate(candidates):

@@ -18,52 +18,62 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
-from repro.core.query import (
-    QueryNode,
-    as_query,
-    prune_query_scored,
-)
+from repro.core.query import QueryNode, as_query, prune_query_scored
 from repro.cluster.resilience import (
     STRICT_POLICY,
     LeafOutcome,
     ResiliencePolicy,
     execute_leaf,
 )
-from repro.core.result import ScoredDocument, SearchResult
+from repro.core.result import ScoredDocument, SearchResult, best_hits
 from repro.core.topk import DEFAULT_K, positive_k
 from repro.errors import ConfigurationError
 from repro.observability.observer import NULL_OBSERVER, Observer
-from repro.scm.traffic import TrafficCounter
-from repro.sim.metrics import WorkCounters
+# ClusterSearchResult's generated __init__ carries SearchResult's field
+# annotations, which resolve in this module.
+from repro.scm.traffic import TrafficCounter  # noqa: F401
+from repro.sim.metrics import WorkCounters  # noqa: F401
 
 
 @dataclass
-class ClusterSearchResult:
-    """Merged outcome of one fanned-out query."""
+class ClusterSearchResult(SearchResult):
+    """Merged outcome of one fanned-out query: the answering leaves'
+    hits merged to top-k, and their traffic, work and interconnect
+    bytes (the results shipped to the root) summed."""
 
-    query: QueryNode
-    hits: List[ScoredDocument]
     #: Per-shard raw results (None where the shard had no query terms
     #: — or, when :attr:`shards_failed` names it, failed outright).
-    leaf_results: List[Optional[SearchResult]]
-    #: Aggregate traffic across all leaves.
-    traffic: TrafficCounter = field(default_factory=TrafficCounter)
-    #: Aggregate work across all leaves.
-    work: WorkCounters = field(default_factory=WorkCounters)
-    #: Total bytes shipped to the root over the shared interconnect.
-    interconnect_bytes: int = 0
+    leaf_results: List[Optional[SearchResult]] = field(default_factory=list)
+    #: Per-shard resilience outcomes (None where the shard had no
+    #: query terms).
+    leaf_outcomes: List[Optional[LeafOutcome]] = field(default_factory=list)
     #: Root-side merge comparisons (host CPU work).
     merge_ops: int = 0
-    #: Shard indices that exhausted retry + failover and were skipped.
-    shards_failed: List[int] = field(default_factory=list)
-    #: Leaf retries spent answering this query (across all shards).
-    leaf_retries: int = 0
-    #: Leaf attempts discarded for exceeding the per-attempt timeout.
-    leaf_timeouts: int = 0
-    #: Replica switches performed while answering this query.
-    leaf_failovers: int = 0
-    #: Per-shard resilience outcomes (None on the no-policy path).
-    leaf_outcomes: Optional[List[Optional[LeafOutcome]]] = None
+
+    def _ran(self) -> List[LeafOutcome]:
+        return [o for o in self.leaf_outcomes if o is not None]
+
+    @property
+    def shards_failed(self) -> List[int]:
+        """Shard indices that exhausted retry + failover and were
+        skipped."""
+        return [o.shard_index for o in self._ran() if o.failed]
+
+    @property
+    def leaf_retries(self) -> int:
+        """Leaf retries spent answering this query (all shards)."""
+        return sum(o.retries for o in self._ran())
+
+    @property
+    def leaf_timeouts(self) -> int:
+        """Leaf attempts discarded for exceeding the per-attempt
+        timeout."""
+        return sum(o.timeouts for o in self._ran())
+
+    @property
+    def leaf_failovers(self) -> int:
+        """Replica switches performed while answering this query."""
+        return sum(o.failovers for o in self._ran())
 
     @property
     def shards_touched(self) -> int:
@@ -250,7 +260,8 @@ class SearchCluster:
         """
         node = as_query(query)
         return node, [
-            _prune_for_shard(node, engine.index) for engine in self._engines
+            prune_query_scored(node, engine.index.__contains__)
+            for engine in self._engines
         ]
 
     def search(self, query: Union[str, QueryNode],
@@ -269,81 +280,26 @@ class SearchCluster:
         node, per_shard = self.plan(query)
         expression = str(node)
 
-        leaf_results: List[Optional[SearchResult]] = []
-        outcomes: List[Optional[LeafOutcome]] = []
+        merged = ClusterSearchResult(query=node, hits=[])
+        candidates: List[ScoredDocument] = []
         for shard_index, pruned in enumerate(per_shard):
             if pruned is None:
-                leaf_results.append(None)
-                outcomes.append(None)
+                merged.leaf_results.append(None)
+                merged.leaf_outcomes.append(None)
                 continue
             outcome = execute_leaf(
                 self.shard_candidates(shard_index), pruned, k,
                 self._policy, shard_index, expression=expression,
                 observer=self._observer, clock=self._clock,
             )
-            leaf_results.append(outcome.result)
-            outcomes.append(outcome)
-        return self.merge(node, leaf_results, k, outcomes=outcomes)
-
-    def merge(self, node: QueryNode,
-              leaf_results: List[Optional[SearchResult]],
-              k: Optional[int] = DEFAULT_K,
-              outcomes: Optional[List[Optional[LeafOutcome]]] = None,
-              ) -> ClusterSearchResult:
-        """Root-side merge of per-shard results (deterministic).
-
-        ``leaf_results`` must be in shard order; the merge is then a
-        pure function of them. ``k=None`` means :data:`DEFAULT_K`.
-        ``outcomes`` (when the resilient path ran) attributes failed
-        shards and retry/timeout/failover counts to the merged result.
-        """
-        if k is None:
-            k = DEFAULT_K
-        merged = ClusterSearchResult(query=node, hits=[],
-                                     leaf_results=leaf_results)
-        if outcomes is not None:
-            merged.leaf_outcomes = outcomes
-            for outcome in outcomes:
-                if outcome is None:
-                    continue
-                merged.leaf_retries += outcome.retries
-                merged.leaf_timeouts += outcome.timeouts
-                merged.leaf_failovers += outcome.failovers
-                if outcome.failed:
-                    merged.shards_failed.append(outcome.shard_index)
-        candidates: List[ScoredDocument] = []
-        for result in leaf_results:
-            if result is None:
-                continue
-            candidates.extend(result.hits)
-            merged.traffic.merge(result.traffic)
-            merged.work.merge(result.work)
-            merged.interconnect_bytes += result.interconnect_bytes
-        # Root-side merge: shards are disjoint docID intervals, so the
-        # candidates are distinct documents; a score-ordered selection
-        # suffices. Ties break toward the lower docID, matching the
-        # ascending-arrival rule of the monolithic top-k queue.
-        candidates.sort(key=lambda hit: (-hit.score, hit.doc_id))
-        merged.hits = candidates[:k]
+            merged.leaf_results.append(outcome.result)
+            merged.leaf_outcomes.append(outcome)
+            if outcome.result is not None:
+                merged.absorb(outcome.result)
+                candidates.extend(outcome.result.hits)
+        # Shards are disjoint docID intervals, so the candidates are
+        # distinct documents and a score-ordered selection suffices.
+        merged.hits = best_hits(candidates, k)
         merged.merge_ops = len(candidates)
         self._observer.emit(merged)
         return merged
-
-
-def _prune_for_shard(node: QueryNode,
-                     index) -> Optional[QueryNode]:
-    """Drop query terms a shard does not hold, preserving score parity.
-
-    A missing term contributes no postings: it disappears from unions
-    and annihilates intersections — per shard, without touching the
-    global query semantics (the other shards still see the full query).
-
-    Uses :func:`repro.core.query.prune_query_scored`, not the plain
-    prune: annihilating an AND branch must not drop the branch's
-    *present* terms from the shard's probe set, because the monolithic
-    engine scores every query term a matching document contains.
-    Under term-skewed sharding the naive prune under-scored documents
-    matched through surviving OR branches; the scored rewrite keeps
-    the merged cluster ranking identical to the monolith.
-    """
-    return prune_query_scored(node, lambda term: term in index)

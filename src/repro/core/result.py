@@ -39,6 +39,13 @@ class SearchResult:
     #: engines also all loaded data).
     interconnect_bytes: int = 0
 
+    def absorb(self, other: "SearchResult") -> None:
+        """Add ``other``'s traffic, work and interconnect bytes to this
+        result's: the tally of a query answered in partitions."""
+        self.traffic.merge(other.traffic)
+        self.work.merge(other.work)
+        self.interconnect_bytes += other.interconnect_bytes
+
     @property
     def query_type(self) -> str:
         """Table II classification (Q1–Q6 or "mixed")."""

@@ -136,7 +136,6 @@ class RoutedBytes:
 class FetchPlan(RoutedBytes):
     """Accounting for one planning window."""
 
-    planned: bool = True
     runs: List[FetchRun] = field(default_factory=list)
     #: Unique blocks actually fetched from SCM: (list key, block, size).
     fetched: List[Tuple[ListKey, int, int]] = field(default_factory=list)
@@ -207,7 +206,7 @@ def plan_window(demands: Sequence[BlockDemand],
     engines would have issued, which is what makes on/off comparisons
     an apples-to-apples re-routing story.
     """
-    plan = FetchPlan(planned=enabled)
+    plan = FetchPlan()
     for demand in demands:
         plan.demand_blocks += 1
         plan.demand_bytes += demand.size

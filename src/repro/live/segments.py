@@ -103,8 +103,6 @@ from repro.index.index import (
 from repro.live.memseg import MemSegment
 from repro.live.stats import LiveStatistics
 from repro.observability.observer import NULL_OBSERVER, Observer
-from repro.scm.traffic import TrafficCounter
-from repro.sim.metrics import WorkCounters
 
 
 class Segment:
@@ -572,17 +570,14 @@ class SegmentedIndex:
             raise QueryError(f"terms not in index: {missing}")
         effective_k = positive_k(self._config.k if k is None else k)
 
-        traffic = TrafficCounter()
-        work = WorkCounters()
-        interconnect = 0
+        merged = SearchResult(query=node, hits=[])
         # The write buffer first: it is DRAM-resident and costs no
         # device traffic, so its hits are a free threshold for every
         # segment that follows.
         hits = self._buffer_hits(node, effective_k)
 
         for segment in self.segments:
-            pruned = prune_query_scored(node,
-                                        lambda t, s=segment: t in s.index)
+            pruned = prune_query_scored(node, segment.index.__contains__)
             if pruned is None:
                 continue
             # Strictly below the k-th best so far: the merge orders by
@@ -593,19 +588,12 @@ class SegmentedIndex:
             result = self._engine_for(segment).search(
                 pruned, k=effective_k, floor=floor,
                 exclude=segment.tombstones)
-            traffic.merge(result.traffic)
-            work.merge(result.work)
-            interconnect += result.interconnect_bytes
+            merged.absorb(result)
             if result.hits:
                 hits = best_hits(hits + result.hits, effective_k)
 
-        return SearchResult(
-            query=node,
-            hits=hits,
-            traffic=traffic,
-            work=work,
-            interconnect_bytes=interconnect,
-        )
+        merged.hits = hits
+        return merged
 
     def _engine_for(self, segment: Segment) -> BossAccelerator:
         """The segment's engine, serving the current statistics version.

@@ -28,8 +28,6 @@ class WorkCounters:
     #: Documents whose full BM25 query-score was computed — the paper's
     #: "evaluated documents" of Figure 14.
     docs_evaluated: int = 0
-    #: Documents skipped by the union module's WAND pivoting.
-    docs_skipped_wand: int = 0
     #: Documents that satisfied the query condition (set-operation output).
     docs_matched: int = 0
     #: Compare/advance steps in the union or intersection merger.

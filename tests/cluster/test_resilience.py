@@ -58,13 +58,22 @@ class ScriptedEngine:
         return self.payload
 
 
+class KeepingObserver(RecordingObserver):
+    """A recording observer that also keeps every emitted event."""
+
+    def __init__(self):
+        super().__init__()
+        self.events = []
+
+    def emit(self, event):
+        self.events.append(event)
+        super().emit(event)
+
+
 class TestPolicyValidation:
     def test_defaults_allow_degraded(self):
         policy = ResiliencePolicy()
-        assert policy.allow_degraded and not policy.is_noop
-
-    def test_strict_policy_is_noop(self):
-        assert STRICT_POLICY.is_noop
+        assert policy.allow_degraded
         assert not STRICT_POLICY.allow_degraded
 
     def test_bad_values_rejected(self):
@@ -76,12 +85,6 @@ class TestPolicyValidation:
             ResiliencePolicy(backoff_base_seconds=-0.1)
         with pytest.raises(ConfigurationError):
             ResiliencePolicy(backoff_multiplier=0.5)
-
-    def test_retries_defeat_noop(self):
-        assert not ResiliencePolicy(max_retries=1,
-                                    allow_degraded=False).is_noop
-        assert not ResiliencePolicy(timeout_seconds=1.0,
-                                    allow_degraded=False).is_noop
 
 
 class TestExecuteLeaf:
@@ -197,6 +200,22 @@ class TestExecuteLeaf:
         assert exc.value.expression == '"a" AND "b"'
         assert '"a" AND "b"' in str(exc.value)
         assert "shard 4" in str(exc.value)
+
+    def test_strict_failure_is_one_failed_attempt(self):
+        # The strict policy runs the same ladder as every other: one
+        # attempt, recorded failed before the error propagates.
+        observer = KeepingObserver()
+        engine = ScriptedEngine(failures=99)
+        with pytest.raises(LeafExecutionError):
+            execute_leaf([engine], "q", 10, STRICT_POLICY, 5,
+                         observer=observer, clock=VirtualClock())
+        [outcome] = observer.events
+        assert isinstance(outcome, LeafOutcome)
+        assert outcome.attempts == 1 and engine.calls == 1
+        assert outcome.failed
+        assert "scripted failure" in outcome.error
+        events = observer.metrics.get("cluster.resilience_events")
+        assert events.value(event="shard_failed", shard="5") == 1
 
     def test_exhaustion_raises_when_degradation_forbidden(self):
         engine = ScriptedEngine(failures=99)

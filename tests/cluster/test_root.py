@@ -6,9 +6,15 @@ import pytest
 
 from repro.baselines import IIUAccelerator, IIUConfig
 from repro.cluster import SearchCluster, shard_documents
-from repro.cluster.root import _prune_for_shard
 from repro.core import BossAccelerator, BossConfig
-from repro.core.query import AndNode, OrNode, TermNode, parse_query
+from repro.core.query import (
+    AndNode,
+    OrNode,
+    TermNode,
+    parse_query,
+    prune_query_scored,
+)
+from repro.core.result import SearchResult
 from repro.errors import ConfigurationError
 from repro.index import IndexBuilder
 
@@ -103,6 +109,21 @@ class TestAccounting:
         )
         assert merged.interconnect_bytes == leaf_total
 
+    @pytest.mark.parametrize("expr", QUERIES)
+    def test_merged_result_sums_its_leaves(self, cluster, expr):
+        merged = cluster.search(expr, k=25)
+        assert isinstance(merged, SearchResult)
+        leaves = [r for r in merged.leaf_results if r is not None]
+        assert leaves
+        total = SearchResult(query=merged.query, hits=[])
+        for leaf in leaves:
+            total.traffic.merge(leaf.traffic)
+            total.work.merge(leaf.work)
+            total.interconnect_bytes += leaf.interconnect_bytes
+        assert merged.traffic == total.traffic
+        assert merged.work == total.work
+        assert merged.interconnect_bytes == total.interconnect_bytes
+
     def test_merge_ops_counted(self, cluster):
         merged = cluster.search('"t0"', k=25)
         assert merged.merge_ops == sum(
@@ -120,7 +141,7 @@ class TestPruning:
         builder.add_document(["alpha", "beta"])
         index = builder.build()
         node = parse_query('"alpha" OR "missing"')
-        pruned = _prune_for_shard(node, index)
+        pruned = prune_query_scored(node, index.__contains__)
         assert pruned == TermNode("alpha")
 
     def test_missing_term_annihilates_intersection(self):
@@ -128,21 +149,21 @@ class TestPruning:
         builder.add_document(["alpha", "beta"])
         index = builder.build()
         node = parse_query('"alpha" AND "missing"')
-        assert _prune_for_shard(node, index) is None
+        assert prune_query_scored(node, index.__contains__) is None
 
     def test_all_terms_missing_returns_none(self):
         builder = IndexBuilder()
         builder.add_document(["alpha"])
         index = builder.build()
         node = parse_query('"x" OR "y"')
-        assert _prune_for_shard(node, index) is None
+        assert prune_query_scored(node, index.__contains__) is None
 
     def test_nested_pruning(self):
         builder = IndexBuilder()
         builder.add_document(["a", "b"])
         index = builder.build()
         node = parse_query('"a" AND ("b" OR "zzz")')
-        pruned = _prune_for_shard(node, index)
+        pruned = prune_query_scored(node, index.__contains__)
         assert pruned == AndNode((TermNode("a"), TermNode("b")))
 
     def test_shard_without_terms_contributes_nothing(self):
@@ -228,7 +249,7 @@ class TestSkewedShardScoreParity:
         builder.add_document(["c0", "c1"])
         index = builder.build()
         node = parse_query('"c0" OR ("c1" AND "rare")')
-        pruned = _prune_for_shard(node, index)
+        pruned = prune_query_scored(node, index.__contains__)
         assert pruned is not None
         assert set(pruned.terms()) == {"c0", "c1"}
 

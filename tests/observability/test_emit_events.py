@@ -152,7 +152,7 @@ class TestClusterEvents:
                          observer=observer)
         assert observer.events[0] is ok
         assert [e.shard_index for e in observer.events] == [0, 1]
-        assert not observer.events[1].failed  # raised, never degraded
+        assert observer.events[1].failed and observer.events[1].attempts == 1
 
 
 class TestServingEvents:

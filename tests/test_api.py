@@ -3,7 +3,8 @@
 import pytest
 
 from repro.api import MAX_QUERY_TERMS, BossSession
-from repro.core.engine import BossConfig
+from repro.core.engine import BossAccelerator, BossConfig
+from repro.core.query import AndNode, OrNode, TermNode
 from repro.errors import ConfigurationError, QueryError
 from repro.index.binaryio import save_index_binary
 from tests.conftest import build_random_index
@@ -71,6 +72,36 @@ class TestSearch:
         assert result.hits
 
 
+def _chunk_results(session, terms, node_type):
+    """The host split's subqueries run by hand: each 16-term chunk as
+    one exhaustive (no early termination) search of every match."""
+    from dataclasses import replace
+
+    engine = BossAccelerator(session.index, replace(
+        BossConfig(k=20), et_block=False, et_wand=False))
+    results = []
+    for start in range(0, len(terms), MAX_QUERY_TERMS):
+        chunk = terms[start:start + MAX_QUERY_TERMS]
+        sub = (TermNode(chunk[0]) if len(chunk) == 1
+               else node_type(tuple(TermNode(t) for t in chunk)))
+        bound = sum(session.index.posting_list(t).document_frequency
+                    for t in chunk)
+        results.append(engine.search(sub, k=max(1, bound)))
+    return results
+
+
+def _assert_sums_its_chunks(result, chunks):
+    work = chunks[0].work.copy()
+    traffic = chunks[0].traffic.copy()
+    for chunk in chunks[1:]:
+        work.merge(chunk.work)
+        traffic.merge(chunk.traffic)
+    assert result.work == work
+    assert result.traffic == traffic
+    assert result.interconnect_bytes == sum(
+        chunk.interconnect_bytes for chunk in chunks)
+
+
 class TestOversizedQueries:
     """The >16-term host-split path (Section IV-D, last paragraph)."""
 
@@ -94,11 +125,15 @@ class TestOversizedQueries:
         result = session.search(expr, k=10)
         assert len(result.hits) == 10
         assert result.work.postings_decoded > 0
+        _assert_sums_its_chunks(result, _chunk_results(
+            session, [f"t{i}" for i in range(17)], OrNode))
 
     def test_oversized_intersection_supported(self, session):
         expr = " AND ".join(f'"t{i}"' for i in range(17))
         result = session.search(expr, k=10)
         assert isinstance(result.hits, list)  # usually empty; no error
+        _assert_sums_its_chunks(result, _chunk_results(
+            session, [f"t{i}" for i in range(17)], AndNode))
 
     def test_oversized_intermediates_cross_interconnect(self, session):
         """Subquery results land in host memory: the interconnect bytes
@@ -106,6 +141,8 @@ class TestOversizedQueries:
         expr = " OR ".join(f'"t{i}"' for i in range(18))
         result = session.search(expr, k=5)
         assert result.interconnect_bytes > 8 * len(result.hits)
+        _assert_sums_its_chunks(result, _chunk_results(
+            session, [f"t{i}" for i in range(18)], OrNode))
 
     def test_oversized_mixed_shape_rejected(self, session):
         expr = '"t0" AND (' + " OR ".join(
