@@ -50,24 +50,26 @@ on Zipf-distributed unions: one list is far denser than the rest), the
 union takes a whole *window* — the rest of the leader's decoded block,
 up to the next list's docID — per pass, and bulk-counts the iterations
 around the offers the queue accepts. A window of at most
-``_SHORT_WINDOW`` postings (most of them hold one) is scored doc by doc
-with the scalar path's arithmetic. A longer one takes the leader's
-block scores from one vectorized BM25 expression — the exact float op
-order of the scalar path, so scores are bit-identical — built once per
-block: while the queue has room the window's head is inserted in bulk;
-once it is full, one comparison finds every score above the cutoff,
-and since the cutoff only rises those are the only docs an offer can
-still accept, so they alone are walked and the rejected rest is
-bulk-counted. Either walk ends early only after an accept that flips
-the WAND test or the block bound, which the loop top then re-evaluates
-as the oracle's next iteration would. Every cursor movement with
-modeled side effects (block fetch, skip, ``advance_to``, block
-transition) still happens through the real cursor, in the order the
-reference executor performs it.
+``_SHORT_WINDOW`` postings is scored doc by doc with the scalar path's
+arithmetic, and one that holds a single posting (most of them) is
+scored and stepped inline, with no search for its end. A longer one
+takes the leader's block scores from one vectorized BM25 expression —
+the exact float op order of the scalar path, so scores are
+bit-identical — built once per block: while the queue has room the
+window's head is inserted in bulk; once it is full, one comparison
+finds every score above the cutoff, and since the cutoff only rises
+those are the only docs an offer can still accept, so they alone are
+walked and the rejected rest is bulk-counted. Either walk ends early
+only after an accept that flips the WAND test or the block bound,
+which the loop top then re-evaluates as the oracle's next iteration
+would. Every cursor movement with modeled side effects (block fetch,
+skip, ``advance_to``, block transition) still happens through the real
+cursor, in the order the reference executor performs it.
 
 With three or more lists a run that reaches the next list *hands off
 in place*: only the leader has moved since the last sort, so one
-insertion re-sorts ``alive``, and the loop top's next decision is taken
+insertion re-sorts ``alive`` (a swap when the leader belongs right
+behind the second list), and the loop top's next decision is taken
 right there when it makes a new leader, or advances a front, inside its
 decoded block, to the list it pivots with.
 
@@ -195,7 +197,9 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
     topk_entries = topk._entries
     topk_k = topk.k
     cutoff = topk_entries[0][0] if len(topk_entries) >= topk_k else 0.0
-    merge_ops = docs_evaluated = docs_matched = topk_inserts = 0
+    # Every evaluated document is matched and handed to the queue, so
+    # one count stands for all three counters.
+    merge_ops = docs_evaluated = 0
     # Set when a cursor exhausts: only then is ``alive`` re-filtered.
     lost = False
     try:
@@ -292,8 +296,39 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
                             ids = cursor._decoded_doc_ids
                         pos = cursor._position
                         size = len(ids)
+                        stop = pos + 1
+                        if stop == size or ids[stop] >= limit_doc:
+                            # One-posting window (most windows): the short
+                            # window's scoring and offer rules for ``doc``
+                            # alone, then a step. One iteration, so no bulk
+                            # counts: the queue counts the offer unless
+                            # ``offer`` itself is called.
+                            tf = cursor._decoded_tfs[pos]
+                            score = 0.0 + (idf * (tf * k1_plus_1)
+                                           / (tf + normalizers[doc]))
+                            docs_evaluated += 1
+                            if score > cutoff or len(topk_entries) < topk_k:
+                                if (len(topk_entries) >= topk_k
+                                        and doc not in exclude):
+                                    heapreplace(topk_entries, (
+                                        score, -topk._sequence, doc))
+                                    topk._sequence += 1
+                                    topk._inserts += 1
+                                else:
+                                    offer(doc, score)
+                                cutoff = (topk_entries[0][0]
+                                          if len(topk_entries) >= topk_k
+                                          else 0.0)
+                            else:
+                                topk._inserts += 1
+                            if stop < size:
+                                cursor._position = stop
+                                entry[0] = ids[stop]
+                            else:
+                                entry[0] = _step_slow(cursor)
+                            continue
                         end = (size if limit_doc >= _NO_LIMIT
-                               else bisect_left(ids, limit_doc, pos))
+                               else bisect_left(ids, limit_doc, stop))
                         stop = end
                         offered = 0
                         if end - pos <= _SHORT_WINDOW:
@@ -398,8 +433,6 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
                         n = stop - pos
                         merge_ops += n - 1
                         docs_evaluated += n
-                        docs_matched += n
-                        topk_inserts += n
                         topk._inserts += n - offered
                         if stop < size:
                             cursor._position = stop
@@ -431,15 +464,23 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
                         moved = alive[0]
                         doc = moved[0]
                         neg_max = moved[1]
-                        slot = 1
-                        while slot < num_alive and (
-                                alive[slot][0] < doc
-                                or (alive[slot][0] == doc
-                                    and alive[slot][1] < neg_max)):
-                            slot += 1
-                        if slot > 1:
-                            del alive[0]
-                            alive.insert(slot - 1, moved)
+                        second = alive[1]
+                        if second[0] < doc or (second[0] == doc
+                                               and second[1] < neg_max):
+                            # Behind the second list at least; right
+                            # behind it (half of all hand-offs) is a swap.
+                            slot = 2
+                            while slot < num_alive and (
+                                    alive[slot][0] < doc
+                                    or (alive[slot][0] == doc
+                                        and alive[slot][1] < neg_max)):
+                                slot += 1
+                            if slot == 2:
+                                alive[0] = second
+                                alive[1] = moved
+                            else:
+                                del alive[0]
+                                alive.insert(slot - 1, moved)
                         front = alive[0]
                         second = alive[1]
                         target = second[0]
@@ -535,8 +576,6 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
                           else cursor.current_tf())
                     score += entry[3] * (tf * k1_plus_1) / (tf + normalizer)
                 docs_evaluated += 1
-                docs_matched += 1
-                topk_inserts += 1
                 if score <= cutoff and len(topk_entries) >= topk_k:
                     # A full queue rejects the offer: count it without
                     # the call (the cutoff cannot have moved).
@@ -589,8 +628,8 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
     finally:
         work.merge_ops += merge_ops
         work.docs_evaluated += docs_evaluated
-        work.docs_matched += docs_matched
-        work.topk_inserts += topk_inserts
+        work.docs_matched += docs_evaluated
+        work.topk_inserts += docs_evaluated
 
 
 def run_grouped_intersection_fast(groups: Sequence[GroupCursor],

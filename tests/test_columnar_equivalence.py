@@ -306,7 +306,8 @@ class _PathSpy:
     """
 
     MARKERS = {
-        "insertion": ("# ---- hand-off in place", "if slot > 1:"),
+        "insertion": ("# ---- hand-off in place", "if slot == 2:"),
+        "swap": ("# ---- hand-off in place", "alive[1] = moved"),
         "hand_off": ("# ---- hand-off in place", "if front[0] == target:"),
         "front_alone": ("# ---- hand-off in place",
                         "if front[2] + ET_EPSILON > cutoff:"),
@@ -315,8 +316,13 @@ class _PathSpy:
                           "if (ids is not None and ids[-1] >= target"),
         "advance_in_place": ("# ---- hand-off in place",
                              "front[0] = ids[position]"),
-        # The three inline accepts into a full queue, and the test in
+        "one_posting": ("# One-posting window",
+                        "tf = cursor._decoded_tfs[pos]"),
+        # The four inline accepts into a full queue, and the test in
         # front of each that sends an excluded docID to ``offer``.
+        "one_test": ("# One-posting window",
+                     "if (len(topk_entries) >= topk_k"),
+        "one_accept": ("# One-posting window", "topk._sequence += 1"),
         "short_test": ("# Short window:", "if (len(topk_entries) >= topk_k"),
         "short_accept": ("# Short window:", "topk._sequence += 1"),
         "hot_test": ("# Long window:", "if doc in exclude:"),
@@ -331,11 +337,18 @@ class _PathSpy:
         "equal_key": ("insertion", lambda f: (
             f["slot"] < f["num_alive"]
             and f["alive"][f["slot"]][:2] == [f["doc"], f["neg_max"]])),
+        # A one-posting window whose next posting is in the block, and
+        # one on the block's last posting.
+        "one_mid": ("one_posting", lambda f: f["stop"] < f["size"]),
+        "one_edge": ("one_posting", lambda f: f["stop"] == f["size"]),
         # The front's decoded block ends before its target.
         "past_block": ("in_block_test", lambda f: (
             f["ids"] is not None and f["ids"][-1] < f["target"])),
         # An excluded docID that beats a full queue's cutoff reaches an
         # accept site.
+        "one_excluded": ("one_test", lambda f: (
+            len(f["topk_entries"]) >= f["topk_k"]
+            and f["doc"] in f["exclude"])),
         "short_excluded": ("short_test", lambda f: (
             len(f["topk_entries"]) >= f["topk_k"]
             and f["doc"] in f["exclude"])),
@@ -345,7 +358,7 @@ class _PathSpy:
             and f["pivot_doc"] in f["exclude"])),
     }
 
-    ACCEPTS = ("short_accept", "hot_accept", "general_accept")
+    ACCEPTS = ("one_accept", "short_accept", "hot_accept", "general_accept")
 
     def __init__(self):
         import collections
@@ -439,16 +452,18 @@ def _paced_index(gaps):
     return index, sorted(lead_dfs)
 
 
-def test_equivalence_at_the_leader_run_gate():
-    """Leader-run windows one posting short of, at and one past
-    ``_SHORT_WINDOW`` — past it a window is scored by one numpy pass,
-    up to it doc by doc — on leaders below, at and past one block mix
-    both kinds of window in one query; the output must not show which
-    windows took which, and only a window longer than ``_SHORT_WINDOW``
-    builds a score vector. k = 1000 never fills the queue."""
+def test_equivalence_at_the_leader_run_gate(paths):
+    """Leader-run windows of one posting, one posting short of, at and
+    one past ``_SHORT_WINDOW`` — past it a window is scored by one numpy
+    pass, up to it doc by doc, and a one-posting window inline — on
+    leaders below, at and past one block mix the kinds of window in one
+    query; the output must not show which windows took which, and only
+    a window longer than ``_SHORT_WINDOW`` builds a score vector. The
+    one-posting windows end both mid-block and on a block's last
+    posting. k = 1000 never fills the queue."""
     from repro.core.columnar import _SHORT_WINDOW as w
 
-    short_gaps, long_gap = (w - 1, w), w + 1
+    short_gaps, long_gap = (1, w - 1, w), w + 1
     index, leads = _paced_index(short_gaps + (long_gap,))
     short_queries = [f'"{lead}" OR "pace_{gap}"'
                      for lead in leads for gap in short_gaps] + [
@@ -471,6 +486,8 @@ def test_equivalence_at_the_leader_run_gate():
                 assert not columnar._columnar_scores, (k, "short window")
         assert columnar._columnar_scores, (k, "no long window")
         _assert_traces_identical(observer, reference_observer)
+    assert paths.probes["one_mid"] > 0
+    assert paths.probes["one_edge"] > 0
 
 
 @pytest.mark.parametrize("cache", ["cold", "warm"])
@@ -768,6 +785,8 @@ def test_hand_offs_in_place_and_their_breaks(paths):
     _assert_union_identical(_index_of(documents), _any_of(terms))
     assert paths.counts["new_leader"] > 0
     assert paths.counts["advance_in_place"] > 0
+    # A moved leader that belongs right behind the second list.
+    assert paths.counts["swap"] > 0
     # A weak front on the second list's docID: the loop top evaluates.
     assert paths.ties > 0
     # A weak front whose block ends before the second list's docID: the
@@ -950,7 +969,8 @@ def test_inline_accepts_refuse_excluded_docs_on_a_live_segment(paths,
                                   floor=floor, exclude=segment.tombstones)
     for name in _PathSpy.ACCEPTS:
         assert paths.counts[name] > 0, name
-    for probe in ("short_excluded", "hot_excluded", "general_excluded"):
+    for probe in ("one_excluded", "short_excluded", "hot_excluded",
+                  "general_excluded"):
         assert paths.probes[probe] > 0, probe
 
 
