@@ -1,21 +1,20 @@
 #!/usr/bin/env python3
 """Tour of the extensions layered over the paper's system.
 
-Walks one corpus through three capabilities the paper defers to software
+Walks one corpus through two capabilities the paper defers to software
 or future work:
 
 1. **text analysis** — raw strings to index terms (stop words, stems);
-2. **second-stage re-ranking** — the software stage after BOSS's top-k;
-3. **near-real-time updates** — a live segmented index: a write buffer
+2. **near-real-time updates** — a live segmented index: a write buffer
    over sealed read-only segments.
+
+The software second stage after BOSS's top-k is the hybrid lane's
+rerank mode (``repro-boss search --hybrid rerank``).
 
 Run:  python examples/extensions_tour.py
 """
 
-from repro.core import BossAccelerator, BossConfig
-from repro.index import IndexBuilder
 from repro.live import LiveIndexWriter
-from repro.rerank import LinearReranker, TwoStageSearch
 from repro.text import Analyzer
 
 ARTICLES = [
@@ -33,21 +32,7 @@ def main() -> None:
     documents = [analyzer.analyze(text) for text in ARTICLES]
     print("analysis: first article ->", documents[0])
 
-    builder = IndexBuilder()
-    for tokens in documents:
-        builder.add_document(tokens)
-    index = builder.build()
-    engine = BossAccelerator(index, BossConfig(k=10))
-
-    # 2. Two-stage ranking: BOSS retrieves, software re-ranks.
-    pipeline = TwoStageSearch(engine, LinearReranker(), first_stage_k=10)
-    reranked = pipeline.search('"memory" OR "pool"', k=3)
-    print(f"\nreranked top-3 for 'memory OR pool': "
-          f"{[h.doc_id for h in reranked.hits]} "
-          f"({reranked.candidates} candidates rescored in "
-          f"{reranked.rerank_seconds * 1e6:.1f} us of host time)")
-
-    # 3. Live updates: the corpus is sealed into a read-only segment,
+    # 2. Live updates: the corpus is sealed into a read-only segment,
     # then a breaking article lands in the write buffer.
     live = LiveIndexWriter()
     for tokens in documents:

@@ -334,8 +334,9 @@ class BossAccelerator:
 
     def _block_activity(self, work: WorkCounters) -> BlockActivity:
         """``work``'s block counts plus every decoded-cache lookup not
-        yet published — this query's, and any probe made between
-        queries by a second stage reading the cache."""
+        yet published: the cache's counters are cumulative, and the
+        lookups since the last publish are this query's (no second
+        stage reads the cache between queries)."""
         cache = self._decoded_cache
         seen = (cache.hits, cache.misses) if cache is not None else (0, 0)
         published, self._decoded_published = self._decoded_published, seen

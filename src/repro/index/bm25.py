@@ -17,7 +17,7 @@ one division, one multiplication and one addition:
 
     ``term_score = idf * (tf * (k1 + 1)) / (tf + normalizer)``
 
-:class:`BM25Scorer` reproduces that split: :meth:`length_normalizer` is
+:class:`BM25Scorer` reproduces that split: :attr:`normalizer_array` is
 the stored metadata, :meth:`term_score` is the 3-op runtime path.
 """
 
@@ -116,10 +116,6 @@ class BM25Scorer:
             )
         n = document_frequency
         return math.log((self._num_docs - n + 0.5) / (n + 0.5) + 1.0)
-
-    def length_normalizer(self, doc_id: int) -> float:
-        """The pre-computed per-document metadata value (4 B/doc)."""
-        return self._normalizers[doc_id]
 
     @property
     def normalizer_array(self) -> np.ndarray:

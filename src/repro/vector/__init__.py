@@ -30,7 +30,6 @@ from repro.vector.hybrid import (
     HybridResult,
     HybridSearch,
     HybridServingTarget,
-    VectorReranker,
     rrf_fuse,
 )
 from repro.vector.ivf import (
@@ -48,7 +47,6 @@ __all__ = [
     "HybridServingTarget",
     "IVFIndex",
     "VectorEngine",
-    "VectorReranker",
     "VectorSearchResult",
     "build_ivf",
     "embed_corpus",

@@ -1,14 +1,14 @@
 """Hybrid retrieval: lexical candidates + vector evidence, two ways.
 
 **Rerank mode** is the paper's own division of labor taken one step
-further: BOSS produces the first-stage BM25 top-k1 and the software
-second stage (:class:`repro.rerank.TwoStageSearch`) rescores it — here
-with :class:`VectorReranker`, cosine similarity between each
-candidate's stored embedding and the query embedding. Candidate doc
-vectors are random single-vector loads (``LD Score / random``), the
-access shape the IVF engine's sequential cluster scans exist to avoid —
-which is exactly the rerank-vs-scan bandwidth trade the hybrid lane is
-built to expose.
+further: BOSS produces the first-stage BM25 top-k1 and a software
+second stage rescores it — here with :func:`vector_rescore`, cosine
+similarity between each candidate's stored embedding and the query
+embedding. It is the repo's only second stage. Candidate doc vectors
+are random single-vector loads (``LD Score / random``), the access
+shape the IVF engine's sequential cluster scans exist to avoid — which
+is exactly the rerank-vs-scan bandwidth trade the hybrid lane is built
+to expose.
 
 **RRF mode** runs both retrievers independently and fuses their
 *rankings* with Reciprocal Rank Fusion::
@@ -27,16 +27,16 @@ hybrid traffic rides the existing admission/SLO timeline unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.result import ScoredDocument, best_hits
+from repro.core.result import ScoredDocument, SearchResult, best_hits
 from repro.errors import ConfigurationError, QueryError
 from repro.observability.observer import NULL_OBSERVER, Observer
 from repro.observability.registry import LATENCY_BUCKETS_US
-from repro.rerank import Reranker, TwoStageSearch
-from repro.scm.traffic import AccessClass, AccessPattern, TrafficCounter
+from repro.scm.traffic import AccessPattern
+from repro.vector.embeddings import CorpusEmbeddings
 from repro.vector.engine import VectorEngine, VectorSearchResult
 
 HYBRID_MODES = ("rerank", "rrf")
@@ -44,44 +44,37 @@ HYBRID_MODES = ("rerank", "rrf")
 #: Conventional RRF dampening constant.
 RRF_C = 60.0
 
+#: Modeled host seconds to rescore one candidate by vector cosine.
+RERANK_SECONDS_PER_CANDIDATE = 5e-6
 
-class VectorReranker(Reranker):
-    """Second-stage scorer: cosine(query embedding, doc embedding).
 
-    Each scored candidate loads one stored doc vector from the pool —
-    ``dim * 4`` bytes of ``LD Score / random`` traffic, returned beside
-    the scores. The model reads none of the candidate features, so it
-    never asks for them, and it keeps nothing between queries.
+def vector_rescore(embeddings: CorpusEmbeddings,
+                   first: SearchResult) -> Tuple[List[float], int]:
+    """Cosine(query embedding, doc embedding) for ``first.hits``, in hit
+    order, plus the bytes of stored doc vectors those cosines load.
+
+    Each candidate loads one stored doc vector from the pool —
+    ``dim * 4`` bytes of ``LD Score / random`` traffic. Nothing is kept
+    between calls, so concurrent queries share ``embeddings`` safely.
     """
-
-    #: Vector rescoring is heavier host work than the linear model.
-    cost_per_candidate: float = 5e-6
-
-    def __init__(self, embeddings) -> None:
-        self._embeddings = embeddings
-
-    def rescore(self, first, features):
-        traffic = TrafficCounter()
-        hits = first.hits
-        try:
-            query_vec = self._embeddings.query_vector(first.query.terms())
-        except QueryError:
-            # No query term is known to the embedding model: degrade to
-            # the first-stage order rather than failing the query.
-            return [hit.score for hit in hits], traffic
-        count = len(hits)
-        ids = np.fromiter((hit.doc_id for hit in hits), dtype=np.intp,
-                          count=count)
-        # One gather, one batched row-dot. The stacked (1 x dim) @
-        # (dim x 1) matmul runs the same dot kernel per row as
-        # ``doc_vectors[i] @ query_vec`` and is bit-identical to it;
-        # ``rows @ query_vec`` (a GEMV) is not
-        # (tests/vector/test_float_order.py).
-        rows = self._embeddings.doc_vectors[ids]
-        cosines = np.matmul(rows[:, None, :], query_vec[:, None])[:, 0, 0]
-        traffic.record(AccessClass.LD_SCORE, AccessPattern.RANDOM,
-                       self._embeddings.dim * 4 * count, accesses=count)
-        return cosines.tolist(), traffic
+    hits = first.hits
+    try:
+        query_vec = embeddings.query_vector(first.query.terms())
+    except QueryError:
+        # No query term is known to the embedding model: degrade to
+        # the first-stage order rather than failing the query.
+        return [hit.score for hit in hits], 0
+    count = len(hits)
+    ids = np.fromiter((hit.doc_id for hit in hits), dtype=np.intp,
+                      count=count)
+    # One gather, one batched row-dot. The stacked (1 x dim) @
+    # (dim x 1) matmul runs the same dot kernel per row as
+    # ``doc_vectors[i] @ query_vec`` and is bit-identical to it;
+    # ``rows @ query_vec`` (a GEMV) is not
+    # (tests/vector/test_float_order.py).
+    rows = embeddings.doc_vectors[ids]
+    cosines = np.matmul(rows[:, None, :], query_vec[:, None])[:, 0, 0]
+    return cosines.tolist(), embeddings.dim * 4 * count
 
 
 def rrf_fuse(rankings: Sequence[Sequence[int]],
@@ -127,6 +120,12 @@ class HybridResult:
             "hybrid.latency_us", LATENCY_BUCKETS_US,
             "modeled end-to-end hybrid latency (us)",
         ).observe(self.modeled_seconds * 1e6, mode=self.mode)
+        if self.mode == "rerank":
+            # The host stage the per-query traces are blind to, in the
+            # same pipeline ledger the device stages publish into.
+            registry.counter(
+                "pipeline.stage_seconds", "summed modeled stage time"
+            ).inc(self.rerank_seconds, stage="rerank", engine="host")
 
 
 class HybridSearch:
@@ -162,12 +161,11 @@ class HybridSearch:
         self._first_stage_k = first_stage_k
         self._observer = observer
         self._device = vector_engine.device
-        if mode == "rerank":
-            self._two_stage = TwoStageSearch(
-                engine,
-                VectorReranker(vector_engine.embeddings),
-                first_stage_k=first_stage_k, observer=observer,
-            )
+
+    @property
+    def observer(self) -> Observer:
+        """The hybrid lane's observability hook."""
+        return self._observer
 
     def search(self, query, k: int = 10) -> HybridResult:
         if k <= 0:
@@ -180,24 +178,27 @@ class HybridSearch:
         return result
 
     def _rerank_search(self, query, k: int) -> HybridResult:
-        reranked = self._two_stage.search(query, k=k)
-        lexical = reranked.first_stage
+        lexical = self._engine.search(query, k=self._first_stage_k)
+        scores, load_bytes = vector_rescore(self._vector_engine.embeddings,
+                                            lexical)
+        candidates = len(lexical.hits)
+        rerank_seconds = candidates * RERANK_SECONDS_PER_CANDIDATE
         modeled = (
             self._device.service_time(lexical.traffic)
-            + reranked.rerank_seconds
-            + self._device.read_time(
-                reranked.traffic.bytes_for(AccessClass.LD_SCORE),
-                AccessPattern.RANDOM,
-            )
+            + rerank_seconds
+            + self._device.read_time(load_bytes, AccessPattern.RANDOM)
         )
         return HybridResult(
-            expression=str(reranked.query),
+            expression=str(lexical.query),
             mode="rerank",
-            hits=reranked.hits,
+            hits=best_hits(
+                ((hit.doc_id, score)
+                 for hit, score in zip(lexical.hits, scores)), k,
+            ),
             lexical=lexical,
             vector=None,
-            rerank_seconds=reranked.rerank_seconds,
-            candidates=reranked.candidates,
+            rerank_seconds=rerank_seconds,
+            candidates=candidates,
             modeled_seconds=modeled,
         )
 

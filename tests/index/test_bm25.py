@@ -79,7 +79,7 @@ class TestScorer:
         scorer = BM25Scorer([100, 400], params)
         avgdl = 250.0
         expected = params.k1 * (1 - params.b + params.b * 100 / avgdl)
-        assert scorer.length_normalizer(0) == pytest.approx(expected)
+        assert scorer.normalizer_array[0] == pytest.approx(expected)
 
     def test_score_increases_with_tf(self):
         scorer = BM25Scorer([100] * 10)

@@ -62,8 +62,8 @@ class TestLiveStatistics:
         assert live.num_docs == fixed.num_docs
         assert live.avgdl == fixed.avgdl
         for doc_id in range(len(lengths)):
-            assert (live.length_normalizer(doc_id)
-                    == fixed.length_normalizer(doc_id))
+            assert (live.normalizer_array[doc_id]
+                    == fixed.normalizer_array[doc_id])
         assert stats.idf("a") == fixed.idf(4)
 
     def test_scores_after_delete_match_survivor_rebuild(self):
@@ -80,8 +80,8 @@ class TestLiveStatistics:
         # Surviving docs keep bit-identical normalizers (global ids
         # 0, 2, 3 map to compact ids 0, 1, 2).
         for live_id, compact_id in [(0, 0), (2, 1), (3, 2)]:
-            assert (live.length_normalizer(live_id)
-                    == rebuilt.length_normalizer(compact_id))
+            assert (live.normalizer_array[live_id]
+                    == rebuilt.normalizer_array[compact_id])
         assert stats.idf("a") == rebuilt.idf(3)
 
     def test_scorer_cache_keyed_by_version(self):
@@ -100,7 +100,7 @@ class TestLiveStatistics:
         live = stats.scorer()
         # ...but min_normalizer still uses its length: a lower bound on
         # any live normalizer, never above one.
-        assert stats.min_normalizer() <= live.length_normalizer(1)
+        assert stats.min_normalizer() <= live.normalizer_array[1]
 
     def test_empty_corpus_guards(self):
         stats = LiveStatistics()

@@ -34,7 +34,6 @@ from repro.live.segments import Segment
 from repro.live.wal import WalAppend
 from repro.live.writer import LiveState
 from repro.observability import NULL_OBSERVER, Observer
-from repro.rerank import RerankedResult, TwoStageSearch
 from repro.serving import QueryServer, ServingConfig, TraceArrivals, \
     build_requests, zipf_workload
 from repro.serving.server import (
@@ -266,15 +265,13 @@ class TestSecondStageEvents:
                               embeddings, observer=observer)
         lexical = BossAccelerator(corpus.index, BossConfig(k=50))
 
-        TwoStageSearch(lexical, first_stage_k=20, observer=observer).search(
-            '"term0001"', k=5)
         vector.search('"term0003"', k=5)
-        assert observer.kinds() == [RerankedResult, VectorSearchResult]
+        assert observer.kinds() == [VectorSearchResult]
 
         del observer.events[:]
         HybridSearch(lexical, vector, mode="rerank", first_stage_k=20,
                      observer=observer).search('"term0001"', k=5)
-        assert observer.kinds() == [RerankedResult, HybridResult]
+        assert observer.kinds() == [HybridResult]
 
         del observer.events[:]
         HybridSearch(lexical, vector, mode="rrf", first_stage_k=20,

@@ -13,9 +13,11 @@ applies the three removals that refactor named (``fetch.bytes``,
 and the one corrected help string, — since batch rescoring — the
 three decoded-cache hits of membership probes a vector reranker no
 longer makes, — since admission at the queue — the named
-:data:`LIVE_ADMISSION_DELTAS` of the live scenario's one search, and —
+:data:`LIVE_ADMISSION_DELTAS` of the live scenario's one search, —
 since the planner stopped prefetching — the two ``planner.prefetch_*``
-series, and nothing else.
+series, and — since the hybrid rerank became the only second stage —
+the three ``rerank.*`` series, the feature model's probe hits and its
+share of the rerank stage sample, and nothing else.
 """
 
 import json
@@ -41,7 +43,6 @@ from repro.live import (
     recover,
 )
 from repro.observability import RecordingObserver
-from repro.rerank import LinearReranker, TwoStageSearch
 from repro.serving import (
     QueryServer,
     ServingConfig,
@@ -52,10 +53,10 @@ from repro.serving import (
 from repro.vector import (
     HybridSearch,
     VectorEngine,
-    VectorReranker,
     build_ivf,
     embed_corpus,
 )
+from repro.vector.hybrid import RERANK_SECONDS_PER_CANDIDATE
 from repro.workloads import synthetic_documents
 from repro.workloads.corpus import make_corpus
 
@@ -242,15 +243,14 @@ def drive_rebalance(observer):
 
 
 def drive_second_stages(observer):
-    """Rerank, the ANN lane, and both hybrid fusions."""
+    """A deep first stage, the ANN lane, and both hybrid fusions."""
     corpus = make_corpus("ccnews-like", scale=0.05, seed=1)
     embeddings = embed_corpus(corpus)
     vector = VectorEngine(build_ivf(embeddings, codec="fp32"), embeddings,
                           observer=observer)
     lexical = BossAccelerator(corpus.index, BossConfig(k=50),
                               observer=observer)
-    TwoStageSearch(lexical, first_stage_k=50, observer=observer).search(
-        '"term0001" OR "term0002"', k=10)
+    lexical.search('"term0001" OR "term0002"', k=50)
     vector.search('"term0003"', k=10)
     for mode in ("rerank", "rrf"):
         HybridSearch(lexical, vector, mode=mode, first_stage_k=30,
@@ -308,6 +308,23 @@ def expected_snapshot():
     hit = expected["decoded_cache.accesses"]["samples"][0]
     assert hit == {"labels": {"outcome": "hit"}, "value": 49}
     hit["value"] = 46
+    # One second stage: the feature-linear reranker went with its
+    # wrapper. Its run is now the bare first stage it made, so every
+    # engine series keeps its value; the ``rerank.*`` series repeated
+    # ``hybrid.*{mode="rerank"}`` and go; its five membership-probe
+    # lookups (all hits) are gone; and the host rerank stage sample is
+    # the hybrid rerank query's alone.
+    for name in ("rerank.queries", "rerank.candidates", "rerank.seconds"):
+        del expected[name]
+    hit["value"] = 41
+    candidates, = [sample["value"]
+                   for sample in expected["hybrid.candidates"]["samples"]
+                   if sample["labels"] == {"mode": "rerank"}]
+    stage, = [sample
+              for sample in expected["pipeline.stage_seconds"]["samples"]
+              if sample["labels"] == {"engine": "host", "stage": "rerank"}]
+    assert stage["value"] == 0.00025
+    stage["value"] = candidates * RERANK_SECONDS_PER_CANDIDATE
     # Admission at the queue: the live scenario's search does less.
     for name, labels, parent, now in LIVE_ADMISSION_DELTAS:
         sample, = [sample for sample in expected[name]["samples"]
@@ -332,24 +349,26 @@ def test_admission_deltas_belong_to_the_live_scenario(tmp_path):
                    for sample in fed[name]["samples"]), (name, labels)
 
 
-def test_only_a_feature_model_probes_the_decoded_cache():
-    """A LinearReranker's membership probes show up as decoded-cache
-    hits on the first stage's engine; a VectorReranker makes none."""
+def test_rerank_makes_no_lookup_beyond_its_first_stage():
+    """Vector rescoring reads stored embeddings, not posting lists: a
+    rerank query makes exactly the decoded-cache lookups of its first
+    stage alone."""
     corpus = make_corpus("ccnews-like", scale=0.05, seed=1)
-    lexical = BossAccelerator(corpus.index, BossConfig(k=50))
-    cache = lexical.decoded_cache
-    first = lexical.search('"term0001" OR "term0002"', k=50)
+    embeddings = embed_corpus(corpus)
+    vector = VectorEngine(build_ivf(embeddings, codec="fp32"), embeddings)
 
-    def second_stage_lookups(reranker):
-        pipeline = TwoStageSearch(lexical, reranker, first_stage_k=50)
-        before = cache.hits, cache.misses
-        pipeline._reranker.rescore(first, pipeline._features_for)
-        return cache.hits - before[0], cache.misses - before[1]
+    def lookups(search):
+        lexical = BossAccelerator(corpus.index, BossConfig(k=50))
+        cache = lexical.decoded_cache
+        search(lexical)
+        return cache.hits, cache.misses
 
-    hits, misses = second_stage_lookups(LinearReranker())
-    assert hits > 0 and misses == 0
-    vector = VectorReranker(embed_corpus(corpus))
-    assert second_stage_lookups(vector) == (0, 0)
+    query = '"term0001" OR "term0002"'
+    first_stage = lookups(lambda lexical: lexical.search(query, k=50))
+    assert sum(first_stage) > 0
+    assert lookups(lambda lexical: HybridSearch(
+        lexical, vector, mode="rerank", first_stage_k=50,
+    ).search(query, k=10)) == first_stage
 
 
 def test_metric_catalogue(tmp_path):

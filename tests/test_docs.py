@@ -83,19 +83,21 @@ class TestDocsDirectory:
             assert module in text, module
 
 
-#: A backticked module constant (``FIGURES``) or private name
-#: (``_charge_metadata``), bare or after a dotted prefix
-#: (``tier.HOT_FRACTION``, ``BossAccelerator._cursor``; the last
-#: component is checked): the citations a rename or deletion in the
-#: code silently strands.
+#: A backticked module constant (``FIGURES``), private name
+#: (``_charge_metadata``) or class name of two or more CamelCase humps
+#: (``HybridSearch``, ``LRUBlockCache``), bare or after a dotted prefix
+#: (``tier.HOT_FRACTION``, ``BossAccelerator._cursor``,
+#: ``cache.LRUBlockCache``; the last component is checked): the
+#: citations a rename or deletion in the code silently strands.
 _CITED_NAME = re.compile(
     r"`(?:[A-Za-z_][A-Za-z0-9_]*\.)*"
-    r"(_?[A-Z][A-Z0-9_]{3,}|_[a-z][a-z0-9_]{3,})`")
+    r"(_?[A-Z][A-Z0-9_]{3,}|_[a-z][a-z0-9_]{3,}|(?:[A-Z]+[a-z0-9]+){2,})`")
 
 
 def test_cited_code_names_exist():
-    """Every constant or private name the prose docs cite in backticks
-    still occurs in the code: ``src/``, the harness or the tests."""
+    """Every constant, private name or class name the prose docs cite
+    in backticks still occurs in the code: ``src/``, the harness or the
+    tests."""
     docs = sorted((ROOT / "docs").glob("*.md")) + [
         ROOT / name for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
     cited = {}

@@ -48,7 +48,8 @@ class TestExamples:
 
     def test_extensions_tour(self, capsys):
         out = _run("extensions_tour.py", capsys)
-        assert "reranked top-3" in out
+        assert "analysis: first article ->" in out
+        assert "after adding doc 5: 'memory AND pool' finds" in out
 
     def test_distributed_search(self, capsys):
         out = _run("distributed_search.py", capsys)

@@ -2,12 +2,13 @@
 
 The harness oracle rescores candidates one at a time with
 ``float(doc_vectors[i] @ q)`` and compares with ``==``, so the batched
-row-dot :class:`VectorReranker` uses must round exactly as that per-row
-dot does — on every numpy / BLAS this suite runs under. It is the
-stacked-matmul form ``(rows[:, None, :] @ q[:, None])``, which runs one
-dot kernel per row; ``rows @ q`` is a GEMV with another summation order
-(about half of 20 000 gathered rows differ in the last bit on numpy
-2.4 / OpenBLAS) and must not replace it. The form needs nothing newer
+row-dot of :func:`~repro.vector.hybrid.vector_rescore` must round
+exactly as that per-row dot does — on every numpy / BLAS this suite
+runs under. It is the stacked-matmul form
+``(rows[:, None, :] @ q[:, None])``, which runs one dot kernel per row;
+``rows @ q`` is a GEMV with another summation order (about half of
+20 000 gathered rows differ in the last bit on numpy 2.4 / OpenBLAS)
+and must not replace it. The form needs nothing newer
 than the ``numpy`` the package already depends on (``np.vecdot``, also
 exact, would need ``numpy >= 2.0``).
 
@@ -19,13 +20,14 @@ import numpy as np
 import pytest
 
 from repro.core.result import ScoredDocument
-from repro.vector import VectorEngine, VectorReranker
+from repro.vector import VectorEngine
+from repro.vector.hybrid import vector_rescore
 
-from .test_hybrid import _first_stage, _no_features
+from .test_hybrid import _first_stage
 
 
 class _Embeddings:
-    """The three things a :class:`VectorReranker` reads."""
+    """The three things :func:`vector_rescore` reads."""
 
     def __init__(self, dim, num_docs, seed):
         rng = np.random.default_rng(seed)
@@ -56,8 +58,7 @@ def test_batched_row_dot_equals_the_per_row_dot(dim, rows, seed):
     ids = rng.integers(0, 400, size=rows).tolist()
     ids[rows // 2:] = ids[:rows - rows // 2]  # repeats (100 rows)
     first = _first_stage(_Query(), [(i, 1.0) for i in ids])
-    reranker = VectorReranker(embeddings)
-    scores, _ = reranker.rescore(first, _no_features)
+    scores, _ = vector_rescore(embeddings, first)
     assert scores == [
         float(embeddings.doc_vectors[i] @ embeddings.query) for i in ids
     ]

@@ -4,16 +4,14 @@ import pytest
 
 from repro.core import BossAccelerator, BossConfig
 from repro.errors import ConfigurationError
-from repro.rerank import TwoStageSearch
 from repro.serving import QueryServer, ServingConfig, TraceArrivals, build_requests
 from repro.vector import (
     HybridSearch,
     HybridServingTarget,
     VectorEngine,
-    VectorReranker,
     rrf_fuse,
 )
-from repro.vector.hybrid import RRF_C
+from repro.vector.hybrid import RRF_C, vector_rescore
 
 from .conftest import QUERIES
 
@@ -55,45 +53,48 @@ class TestRRFFusion:
 
 
 class TestVectorReranker:
-    def test_reorders_by_cosine(self, lexical, engine):
-        reranker = VectorReranker(engine.embeddings)
-        pipeline = TwoStageSearch(lexical, reranker, first_stage_k=50)
-        result = pipeline.search('"term0001" OR "term0003"', k=10)
+    """The rerank mode's second stage, :func:`vector_rescore`."""
+
+    def test_reorders_by_cosine(self, hybrid_rerank):
+        result = hybrid_rerank.search('"term0001" OR "term0003"', k=10)
         assert len(result.hits) == 10
         scores = [h.score for h in result.hits]
         assert scores == sorted(scores, reverse=True)
 
-    def test_charges_one_load_per_candidate(self, lexical, engine):
-        reranker = VectorReranker(engine.embeddings)
-        pipeline = TwoStageSearch(lexical, reranker, first_stage_k=50)
-        result = pipeline.search('"term0002"', k=10)
-        from repro.scm.traffic import AccessClass, AccessPattern
+    def test_charges_one_load_per_candidate(self, lexical, engine,
+                                            hybrid_rerank):
+        from repro.scm.traffic import AccessPattern
 
-        loaded = result.traffic.bytes_for(AccessClass.LD_SCORE,
-                                          AccessPattern.RANDOM)
-        assert loaded == result.candidates * engine.embeddings.dim * 4
-        assert loaded == result.traffic.total_bytes
-        assert result.traffic.accesses_for() == result.candidates
-        assert engine.device.read_time(loaded, AccessPattern.RANDOM) > 0
+        first = lexical.search('"term0002"', k=50)
+        scores, loaded = vector_rescore(engine.embeddings, first)
+        assert len(scores) == len(first.hits)
+        assert loaded == len(first.hits) * engine.embeddings.dim * 4
+        read = engine.device.read_time(loaded, AccessPattern.RANDOM)
+        assert read > 0
+        result = hybrid_rerank.search('"term0002"', k=10)
+        assert result.candidates == len(first.hits)
+        assert result.modeled_seconds == (
+            engine.device.service_time(result.lexical.traffic)
+            + result.rerank_seconds + read
+        )
 
     def test_unknown_query_degrades_to_lexical(self, engine):
         """No known term -> no query vector -> first-stage order kept."""
-        reranker = VectorReranker(engine.embeddings)
         from repro.core.query import parse_query
 
         known = _first_stage(parse_query('"term0001"'), [(3, 2.5)])
-        scores, traffic = reranker.rescore(known, _no_features)
+        scores, loaded = vector_rescore(engine.embeddings, known)
         assert scores[0] != pytest.approx(2.5)
-        assert traffic.total_bytes == engine.embeddings.dim * 4
+        assert loaded == engine.embeddings.dim * 4
         # A synthetic query node over unknown terms degrades.
         class FakeNode:
             def terms(self):
                 return ["zzz-unknown"]
 
         unknown = _first_stage(FakeNode(), [(3, 2.5), (1, 0.5)])
-        scores, traffic = reranker.rescore(unknown, _no_features)
+        scores, loaded = vector_rescore(engine.embeddings, unknown)
         assert scores == pytest.approx([2.5, 0.5])
-        assert traffic.total_bytes == 0
+        assert loaded == 0
 
 
 def _first_stage(query, hits):
@@ -103,13 +104,9 @@ def _first_stage(query, hits):
                         hits=[ScoredDocument(d, s) for d, s in hits])
 
 
-def _no_features(first):
-    raise AssertionError("the vector reranker reads no candidate feature")
-
-
 class TestConcurrentQueries:
     def test_pooled_batch_equals_serial(self, hybrid_rerank):
-        """A reranker keeps nothing between queries, so the pooled
+        """The rescoring keeps nothing between queries, so the pooled
         batch driver's promise — results bit-identical to serial
         execution — holds for the hybrid target. (It did not while one
         shared reranker held the current query's vector and traffic:
@@ -137,6 +134,21 @@ class TestConcurrentQueries:
                                      pooled.results):
             assert one.hits == other.hits, query
             assert one.modeled_seconds == other.modeled_seconds, query
+
+    def test_observed_batch_runs_on_one_worker(self, corpus):
+        """A recording observer is not thread-safe, so the batch driver
+        pins an observed hybrid target to one worker."""
+        from repro.api import BossSession
+        from repro.batch import run_query_batch
+        from repro.observability import RecordingObserver
+
+        session = BossSession(observer=RecordingObserver())
+        session.init(corpus.index)
+        session.init_vectors()
+        queries = [f'"term{n:04d}"' for n in range(1, 9)]
+        batch = run_query_batch(session.hybrid(), queries, k=10,
+                                workers=4)
+        assert batch.report.workers == 1
 
 
 class TestHybridSearch:

@@ -1,10 +1,10 @@
-"""Observer wiring: vector.*, hybrid.*, and rerank.* registry metrics."""
+"""Observer wiring: vector.*, hybrid.* and the rerank stage's registry
+metrics."""
 
 import pytest
 
 from repro.core import BossAccelerator, BossConfig
 from repro.observability import RecordingObserver
-from repro.rerank import TwoStageSearch
 from repro.vector import HybridSearch, VectorEngine
 
 
@@ -61,22 +61,25 @@ class TestVectorMetrics:
 
 
 class TestRerankMetrics:
-    def test_stage_counters(self, corpus, observer):
+    def test_stage_counters(self, corpus, engine, observer):
+        """The rerank stage's host seconds land in the pipeline ledger
+        beside the device stages; its query and candidate counts are
+        the hybrid series' own."""
         lexical = BossAccelerator(corpus.index, BossConfig(k=50))
-        pipeline = TwoStageSearch(lexical, first_stage_k=50,
-                                  observer=observer)
-        result = pipeline.search('"term0001" OR "term0002"', k=10)
+        hybrid = HybridSearch(lexical, engine, mode="rerank",
+                              first_stage_k=50, observer=observer)
+        result = hybrid.search('"term0001" OR "term0002"', k=10)
         registry = observer.registry
-        assert registry.get("rerank.queries").total() == 1
+        assert registry.get("hybrid.queries").value(mode="rerank") == 1
         assert (
-            registry.get("rerank.candidates").total() == result.candidates
-        )
-        assert registry.get("rerank.seconds").total() == pytest.approx(
-            result.rerank_seconds
+            registry.get("hybrid.candidates").value(mode="rerank")
+            == result.candidates
         )
         assert registry.get("pipeline.stage_seconds").value(
             stage="rerank", engine="host"
-        ) == pytest.approx(result.rerank_seconds)
+        ) == result.rerank_seconds
+        assert not [name for name in registry.snapshot()
+                    if name.startswith("rerank.")]
 
 
 class TestHybridMetrics:
