@@ -15,7 +15,7 @@ Run:  python examples/extensions_tour.py
 """
 
 from repro.live import LiveIndexWriter
-from repro.text import Analyzer
+from repro.text import analyze
 
 ARTICLES = [
     "The memory pool shares one coherent link with the host.",
@@ -28,8 +28,7 @@ ARTICLES = [
 
 def main() -> None:
     # 1. Analysis: raw text -> terms (lowercase, stops out, S-stems).
-    analyzer = Analyzer()
-    documents = [analyzer.analyze(text) for text in ARTICLES]
+    documents = [analyze(text) for text in ARTICLES]
     print("analysis: first article ->", documents[0])
 
     # 2. Live updates: the corpus is sealed into a read-only segment,
@@ -38,7 +37,7 @@ def main() -> None:
     for tokens in documents:
         live.add_document(tokens)
     live.flush()
-    new_doc = analyzer.analyze(
+    new_doc = analyze(
         "Breaking: a new memory pool standard was announced today."
     )
     doc_id = live.add_document(new_doc)

@@ -20,7 +20,7 @@ from repro import (
     QuerySampler,
     make_corpus,
 )
-from repro.scm.pool import MemoryNode, MemoryPool
+from repro.scm.pool import MemoryPool
 
 NODE_COUNTS = (1, 2, 4, 8, 16, 32)
 
@@ -46,7 +46,7 @@ def main() -> None:
           + "".join(f"{name:>16}" for name in engines)
           + f"{'BW/capacity':>14}")
     for nodes in NODE_COUNTS:
-        pool = MemoryPool(nodes=[MemoryNode() for _ in range(nodes)])
+        pool = MemoryPool(nodes=nodes)
         row = [f"{nodes:>6}", f"{pool.capacity >> 40:>8}TB"]
         for name, (_engine, model) in engines.items():
             report = model.batch(executions[name], 8)

@@ -438,17 +438,14 @@ def _cmd_build(args) -> int:
     builder = IndexBuilder(
         schemes=[args.scheme] if args.scheme else None
     )
-    analyzer = None
     if args.analyze:
-        from repro.text import Analyzer
-
-        analyzer = Analyzer()
+        from repro.text import analyze
     count = 0
     with open(args.input) as handle:
         for line in handle:
             if not line.strip():
                 continue
-            tokens = analyzer.analyze(line) if analyzer else line.split()
+            tokens = analyze(line) if args.analyze else line.split()
             builder.add_document(tokens if tokens else ["__empty__"])
             count += 1
     index = builder.build()

@@ -2,9 +2,8 @@
 
 Three subsystems sleep or measure elapsed time on purpose — fault
 injection (latency spikes, :mod:`repro.faults`), resilient leaf
-execution (retry backoff and per-attempt timeouts,
-:mod:`repro.cluster.resilience`), and the serving queue
-(:mod:`repro.serving`). Binding them to ``time.sleep`` directly makes
+execution (per-attempt timeouts, :mod:`repro.cluster.resilience`),
+and the serving queue (:mod:`repro.serving`). Binding them to ``time.sleep`` directly makes
 every fault-matrix test and CI smoke run burn real seconds, so each of
 them takes a :class:`Clock` instead:
 
@@ -13,7 +12,7 @@ them takes a :class:`Clock` instead:
   unchanged;
 * :class:`VirtualClock` advances a simulated ``now`` instantly on
   ``sleep`` and records every requested duration, so a test can assert
-  the *schedule* of sleeps (backoff ladders, spike lengths) without
+  the *schedule* of sleeps (latency-spike lengths) without
   waiting through them. ``advance`` lets a stub engine model a slow
   attempt, which is how the timeout paths are exercised in zero wall
   time.
@@ -57,7 +56,7 @@ class VirtualClock(Clock):
     """Simulated time: ``sleep`` advances instantly and is recorded.
 
     ``sleeps`` keeps every requested sleep duration in call order, so
-    tests assert on the exact backoff/spike schedule. ``advance`` moves
+    tests assert on the exact spike schedule. ``advance`` moves
     time forward without recording a sleep — the hook for stub engines
     that model slow work (e.g. to trip a per-attempt timeout).
     """

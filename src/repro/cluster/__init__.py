@@ -12,8 +12,7 @@ paper's deployment each leaf is one SCM memory node with a BOSS device.
   any engine, score-ordered top-k merge, and aggregate traffic/latency
   accounting;
 * :mod:`repro.cluster.resilience` — policy-driven resilient leaf
-  execution: per-attempt timeouts, bounded retry with backoff, replica
-  failover, and graceful degradation with degraded-result accounting;
+  execution: per-attempt timeouts, bounded retry, replica failover, and graceful degradation with degraded-result accounting;
 * :mod:`repro.cluster.rebalance` — elastic topology: shard split/merge
   and replica add/catch-up as metered background maintenance traffic,
   with an atomic shard-map publish and named mid-move kill-points.

@@ -60,10 +60,6 @@ from repro.scm.device import OPTANE_NODE_4CH
 from repro.scm.traffic import AccessClass, AccessPattern, TrafficCounter
 from repro.serving.target import advance_to_arrival, queued_read_seconds
 
-#: Protocol states a move walks through, in order.
-MOVE_STATES = ("planned", "streaming", "catchup", "published")
-
-
 # ----------------------------------------------------------------------
 # Move operations
 # ----------------------------------------------------------------------
@@ -183,7 +179,8 @@ class MoveReport:
     kind: str
     shard: int
     detail: str = ""
-    #: Protocol states reached, in order (see :data:`MOVE_STATES`).
+    #: Protocol states reached, in order: planned, streaming, catchup,
+    #: published.
     states: List[str] = field(default_factory=list)
     #: Sequential LD List bytes streamed out of sources (or the WAL).
     read_bytes: int = 0

@@ -6,14 +6,10 @@ them misbehave on essentially every query); this module gives the
 cluster root (:meth:`~repro.cluster.root.SearchCluster.search`, the
 only caller) a policy-driven execution core:
 
-* **bounded retry with exponential backoff** — each candidate engine
-  gets ``1 + max_retries`` attempts; every attempt that follows a
-  failure — the ``n``-th such attempt globally — first sleeps
-  ``backoff_base_seconds * backoff_multiplier**(n - 1)``. The ladder
-  carries across the failover boundary: a replica's first attempt
-  follows the primary's last failure, so it backs off at the next rung
-  rather than hammering the replica instantly (set
-  ``reset_backoff_on_failover`` to restore the per-candidate ladder);
+* **bounded retry** — each candidate engine gets ``1 + max_retries``
+  attempts, back to back: fault draws are keyed on (seed, shard,
+  query) and count attempts, not time, so a pause between attempts
+  would change nothing but the elapsed time;
 * **per-attempt timeout** — cooperative: the attempt runs to completion
   and its *result is discarded* when it exceeded ``timeout_seconds``
   (a Python thread cannot be interrupted mid-search; discarding the
@@ -24,17 +20,16 @@ only caller) a policy-driven execution core:
   actually answered is never reported failed when no retry or replica
   remains to do better;
 * **failover** — when a candidate exhausts its budget, execution moves
-  to the shard's next replica with a fresh attempt budget (the backoff
-  ladder, per the rule above, is *not* fresh);
+  to the shard's next replica with a fresh attempt budget;
 * **graceful degradation** — when every replica is exhausted the shard
   is reported failed; under ``allow_degraded`` the root merges without
   it, otherwise a :class:`~repro.errors.LeafExecutionError` naming the
   (query, shard) is raised.
 
 Time is read through an injectable :class:`repro.clock.Clock`
-(defaulting to the wall clock): backoff sleeps and attempt timing both
-go through it, so the fault-matrix tests drive retries and timeouts in
-zero wall time with a :class:`repro.clock.VirtualClock`.
+(defaulting to the wall clock): attempt timing goes through it, so the
+fault-matrix tests drive timeouts in zero wall time with a
+:class:`repro.clock.VirtualClock`.
 
 The default policy (:data:`STRICT_POLICY`: no timeout, no retries, no
 degradation) runs the same ladder with one attempt: a leaf that raises
@@ -59,27 +54,14 @@ class ResiliencePolicy:
     timeout_seconds: Optional[float] = None
     #: Extra attempts per candidate engine after the first.
     max_retries: int = 0
-    #: First-retry backoff sleep; 0 disables backoff entirely.
-    backoff_base_seconds: float = 0.0
-    #: Backoff growth factor per further retry.
-    backoff_multiplier: float = 2.0
     #: Merge without an exhausted shard (True) or raise (False).
     allow_degraded: bool = True
-    #: Restart the backoff ladder (and skip the pre-first-attempt sleep)
-    #: on each replica, instead of carrying it across the failover
-    #: boundary. Off by default: an exhausted primary's replica should
-    #: not be hit harder than the primary's own next retry would have.
-    reset_backoff_on_failover: bool = False
 
     def __post_init__(self) -> None:
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
             raise ConfigurationError("timeout must be positive (or None)")
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
-        if self.backoff_base_seconds < 0:
-            raise ConfigurationError("backoff base must be >= 0")
-        if self.backoff_multiplier < 1.0:
-            raise ConfigurationError("backoff multiplier must be >= 1")
 
 
 #: Pre-resilience semantics: one attempt, no timeout, failure raises.
@@ -101,7 +83,7 @@ class LeafOutcome:
     failed: bool = False
     #: repr of the last error, for reports and traces.
     error: Optional[str] = None
-    #: Wall-clock spent on this shard including retries and backoff.
+    #: Wall-clock spent on this shard including retries.
     elapsed_seconds: float = 0.0
     #: Per-attempt wall-clock of the *answering* attempt only.
     attempt_seconds: float = 0.0
@@ -142,8 +124,7 @@ def execute_leaf(candidates: List, pruned, k: int,
     Raises :class:`LeafExecutionError` only when the shard exhausts and
     the policy forbids degradation; otherwise always returns an outcome
     (``failed=True`` marks an exhausted shard for the merge to skip).
-    ``clock`` supplies attempt timing and backoff sleeps (wall clock by
-    default). The outcome is emitted to ``observer`` on every exit, the
+    ``clock`` supplies attempt timing (wall clock by default). The outcome is emitted to ``observer`` on every exit, the
     raising one included.
     """
     if not candidates:
@@ -164,28 +145,12 @@ def _run_leaf(outcome: LeafOutcome, candidates: List, pruned, k: int,
     started = clock.now()
     last_error: Optional[BaseException] = None
 
-    backoff_step = 0
     for candidate_index, engine in enumerate(candidates):
         if candidate_index > 0:
             outcome.failovers += 1
-            if policy.reset_backoff_on_failover:
-                backoff_step = 0
         for attempt in range(policy.max_retries + 1):
             if attempt > 0:
                 outcome.retries += 1
-            # Back off before every attempt that follows a failure:
-            # retries, and — unless the policy resets the ladder on
-            # failover — the next replica's first attempt, which follows
-            # the primary's last failure.
-            follows_failure = attempt > 0 or (
-                candidate_index > 0 and not policy.reset_backoff_on_failover
-            )
-            if follows_failure and policy.backoff_base_seconds > 0:
-                clock.sleep(
-                    policy.backoff_base_seconds
-                    * policy.backoff_multiplier ** backoff_step
-                )
-                backoff_step += 1
             outcome.attempts += 1
             attempt_start = clock.now()
             try:

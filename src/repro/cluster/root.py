@@ -117,7 +117,7 @@ class SearchCluster:
     composes with every engine the library provides.
 
     ``policy`` configures resilient leaf execution (per-attempt timeout,
-    bounded retry with backoff, failover, graceful degradation — see
+    bounded retry, failover, graceful degradation — see
     :mod:`repro.cluster.resilience`). The default
     :data:`~repro.cluster.resilience.STRICT_POLICY` preserves
     pre-resilience semantics: one attempt per shard, and a leaf failure
@@ -129,8 +129,8 @@ class SearchCluster:
     engines over the same shard index — see
     :meth:`~repro.cluster.sharding.ShardedCorpus` replication).
 
-    ``clock`` supplies attempt timing and backoff sleeps for resilient
-    leaf execution (default: the wall clock; tests pass a
+    ``clock`` supplies attempt timing for resilient leaf execution
+    (default: the wall clock; tests pass a
     :class:`repro.clock.VirtualClock` to run fault scenarios in zero
     wall time).
     """
@@ -271,9 +271,8 @@ class SearchCluster:
         ``k=None`` means the cluster's default, :data:`DEFAULT_K`.
 
         Shards run under the cluster's :class:`ResiliencePolicy`: failed
-        attempts retry with backoff, exhausted primaries fail over to
-        replicas, and — under ``allow_degraded`` — a fully exhausted
-        shard is skipped so the merge still completes (the result's
+        attempts retry, exhausted primaries fail over to replicas, and
+        — under ``allow_degraded`` — a fully exhausted shard is skipped so the merge still completes (the result's
         ``shards_failed`` / ``degraded`` report the quality loss).
         """
         k = positive_k(DEFAULT_K if k is None else k)

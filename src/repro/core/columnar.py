@@ -6,8 +6,9 @@ and of :func:`repro.core.intersection.run_grouped_intersection` with
 the engine's scoring pass (``BossAccelerator._score_matches``) — the
 same cursor movements in the same order, the same counter increments,
 the same floating-point summation order — pinned bit-identical to those
-oracles by the equivalence suites (``tests/test_fastpath_equivalence.py``,
-``tests/test_columnar_equivalence.py``): rankings, work counters,
+oracles by the equivalence suites, with leader runs on
+(``tests/test_columnar_equivalence.py``) and off
+(``tests/test_fastpath_equivalence.py``): rankings, work counters,
 per-bucket traffic, payload fetch order and full traces. Like the
 union, the intersection scores and offers each match where it finds it,
 as BOSS's intersection unit feeds the scoring module: no match list and

@@ -39,7 +39,7 @@ from repro.core.engine import recording_fetches
 from repro.hwmodel import EnergyModel, area_power
 from repro.observability import (
     ALL_STAGES, aggregate_stage_seconds, batch_bottleneck, build_trace)
-from repro.scm import CXL_LINK, DDR4_4CH, AccessClass, MemoryNode, MemoryPool
+from repro.scm import DDR4_4CH, AccessClass, MemoryPool
 from repro.serving import (
     QueryServer, ServingConfig, TraceArrivals, build_requests)
 from repro.sim import (
@@ -177,10 +177,11 @@ def _multicore_headline(boss_paper: float, iiu_paper: float, rows: list):
 
 def _table3_headline(rows: list):
     device, core = (r for r in rows if r[0] == "total")
-    return {"core_area_mm2": (core[2], 1.003),
-            "core_power_mw": (core[3], 406.6),
-            "device_area_mm2": (device[2], 8.27),
-            "device_power_w": (device[3] / 1000.0, 3.2),
+    return {"core_area_mm2": (core[2], area_power.PAPER_CORE_AREA_MM2),
+            "core_power_mw": (core[3], area_power.PAPER_CORE_POWER_MW),
+            "device_area_mm2": (device[2], area_power.PAPER_DEVICE_AREA_MM2),
+            "device_power_w": (device[3] / 1000.0,
+                               area_power.PAPER_DEVICE_POWER_W),
             "power_advantage": (
                 area_power.CPU_PACKAGE_POWER_W / (device[3] / 1000.0), 23.3)}
 
@@ -427,8 +428,7 @@ class Evaluation:
                 report.compute_seconds * (nodes if engine == "Lucene" else 1),
                 report.memory_seconds, nodes * report.interconnect_seconds)
 
-        pool = MemoryPool(nodes=[MemoryNode() for _ in range(16)],
-                          interconnect=CXL_LINK)
+        pool = MemoryPool(nodes=16)
         return [(nodes, throughput("BOSS", nodes),
                  throughput("Lucene", nodes),
                  throughput("BOSS", nodes) / throughput("BOSS", 1))

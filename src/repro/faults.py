@@ -423,8 +423,8 @@ def make_faulty_cluster(documents, num_shards: int, *,
     one config for every shard or a per-shard list; ``replica_faults``
     overrides the replicas' schedule (e.g. ``ZERO_FAULTS`` to study
     failover out of a dying primary). ``clock`` is shared by the fault
-    wrappers (spike sleeps) and the cluster's resilience path (backoff
-    sleeps, attempt timing); the default is the wall clock.
+    wrappers (spike sleeps) and the cluster's resilience path (attempt
+    timing); the default is the wall clock.
 
     Returns ``(cluster, sharded_corpus)``.
     """

@@ -45,11 +45,11 @@ from repro.scm.traffic import AccessPattern
 #: Largest intra-run gap (in blocks) gap-fill may bridge.
 MAX_GAP_BLOCKS = 2
 
-#: How one demand was served.
+#: How one demand was served. An SCM miss's pattern is decided by the
+#: runs it coalesces into.
 SOURCE_DRAM = "dram"
 SOURCE_DEDUP = "dedup"
-SOURCE_SCM_SEQ = "scm_seq"
-SOURCE_SCM_RAND = "scm_rand"
+SOURCE_SCM = "scm"
 
 #: One term's posting list on one node: ``(node, term)``.
 ListKey = Tuple[int, str]
@@ -237,7 +237,7 @@ def plan_window(demands: Sequence[BlockDemand],
             sources.append(SOURCE_DRAM)
             plan.dram_hit_bytes += demand.size
             continue
-        sources.append(SOURCE_SCM_SEQ)  # provisional; runs decide
+        sources.append(SOURCE_SCM)
         miss_keys[key] = demand.size
 
     # Coalesce misses into per-list runs with cost-aware gap-fill.

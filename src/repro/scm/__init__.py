@@ -10,32 +10,27 @@ Models the memory system of Figure 2 / Table I in the paper:
   categories of Figure 15) and per pattern (sequential/random);
 * :mod:`repro.scm.interconnect` — the shared byte-addressable
   cache-coherent link (CXL-like) between the memory pool and the host;
-* :mod:`repro.scm.pool` — memory nodes and the pooled-memory topology.
+* :mod:`repro.scm.pool` — the pooled-memory topology.
 """
 
 from repro.scm.device import (
     DDR4_4CH,
-    DDR4_6CH,
     OPTANE_NODE_4CH,
-    OPTANE_HOST_6CH,
     AccessPattern,
     MemoryDeviceModel,
 )
 from repro.scm.interconnect import CXL_LINK, InterconnectModel
-from repro.scm.pool import MemoryNode, MemoryPool
+from repro.scm.pool import MemoryPool
 from repro.scm.traffic import AccessClass, TrafficCounter
 
 __all__ = [
     "AccessPattern",
     "MemoryDeviceModel",
     "OPTANE_NODE_4CH",
-    "OPTANE_HOST_6CH",
     "DDR4_4CH",
-    "DDR4_6CH",
     "AccessClass",
     "TrafficCounter",
     "InterconnectModel",
     "CXL_LINK",
-    "MemoryNode",
     "MemoryPool",
 ]

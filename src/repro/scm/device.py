@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError
 from repro.scm.traffic import AccessPattern, TrafficCounter
 
-GIB = 1 << 30
 GB = 10 ** 9
 
 
@@ -33,7 +32,10 @@ class MemoryDeviceModel:
 
     Bandwidths are bytes/second; ``access_granule`` is the smallest
     transfer the device performs (Optane's internal 256 B block; 64 B for
-    DRAM cache lines) and is used by engines to round block fetches up.
+    DRAM cache lines). Only :meth:`repro.vector.engine.VectorEngine._scan`
+    reads it, pricing a cluster's first granule as a random read; the
+    posting-list engines do not round fetches to it (ROADMAP item 10
+    decides one rule for every fetch).
     """
 
     name: str
@@ -41,9 +43,6 @@ class MemoryDeviceModel:
     rand_read_bw: float
     write_bw: float
     access_granule: int = 256
-    #: Idle (unloaded) read latency in seconds; used for latency-sensitive
-    #: single-access paths such as IIU's binary-search probes.
-    read_latency: float = 300e-9
 
     def __post_init__(self) -> None:
         if min(self.seq_read_bw, self.rand_read_bw, self.write_bw) <= 0:
@@ -98,19 +97,6 @@ OPTANE_NODE_4CH = MemoryDeviceModel(
     rand_read_bw=6.6 * GB,
     write_bw=4 * 2.3 * GB,
     access_granule=256,
-    read_latency=300e-9,
-)
-
-#: Host memory system: Intel Apache Pass (Optane), 6 channels, 39.6 GB/s
-#: (6.6 GB/s per channel, Table I). Used when Lucene runs against the SCM
-#: pool through the host.
-OPTANE_HOST_6CH = MemoryDeviceModel(
-    name="optane-host-6ch",
-    seq_read_bw=39.6 * GB,
-    rand_read_bw=39.6 * GB * (6.6 / 25.6),  # same seq/rand ratio as the node
-    write_bw=2.3 * GB * 6 / 4,
-    access_granule=256,
-    read_latency=300e-9,
 )
 
 #: DRAM comparison point of Figure 16: DDR4-2666, 4 channels, 85.2 GB/s.
@@ -122,15 +108,4 @@ DDR4_4CH = MemoryDeviceModel(
     rand_read_bw=42.6 * GB,
     write_bw=85.2 * GB,
     access_granule=64,
-    read_latency=90e-9,
-)
-
-#: Host DDR4 system of Table I: 6 channels, 140.76 GB/s.
-DDR4_6CH = MemoryDeviceModel(
-    name="ddr4-6ch",
-    seq_read_bw=140.76 * GB,
-    rand_read_bw=70.38 * GB,
-    write_bw=140.76 * GB,
-    access_granule=64,
-    read_latency=90e-9,
 )

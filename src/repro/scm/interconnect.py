@@ -15,6 +15,9 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError
 from repro.scm.device import GB
 
+#: One-way message latency in seconds (query dispatch, result return).
+LINK_LATENCY = 1e-6
+
 
 @dataclass(frozen=True)
 class InterconnectModel:
@@ -22,14 +25,10 @@ class InterconnectModel:
 
     name: str
     bandwidth: float  # bytes/second
-    #: One-way message latency in seconds (query dispatch, result return).
-    latency: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.bandwidth <= 0:
             raise ConfigurationError(f"{self.name}: bandwidth must be positive")
-        if self.latency < 0:
-            raise ConfigurationError(f"{self.name}: negative latency")
 
     def transfer_time(self, num_bytes: int) -> float:
         """Seconds to move ``num_bytes`` across the link (no latency)."""
@@ -44,8 +43,8 @@ class InterconnectModel:
         ).set(self.bandwidth, link=self.name)
         registry.gauge(
             "interconnect.latency_seconds", "one-way message latency"
-        ).set(self.latency, link=self.name)
+        ).set(LINK_LATENCY, link=self.name)
 
 
 #: Single CXL link, Section II-C.
-CXL_LINK = InterconnectModel(name="cxl-x16", bandwidth=64 * GB, latency=1e-6)
+CXL_LINK = InterconnectModel(name="cxl-x16", bandwidth=64 * GB)

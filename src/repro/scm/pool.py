@@ -1,74 +1,58 @@
-"""Memory nodes and the SCM-based pooled-memory topology.
+"""The SCM-based pooled-memory topology.
 
-A :class:`MemoryNode` is the paper's unit of near-data processing: a set
-of SCM DIMMs behind one memory controller, which is where a BOSS device
-is placed (Figure 2, Figure 4(a)). A :class:`MemoryPool` aggregates nodes
-behind the shared host interconnect; each node holds one index shard and
-serves queries independently ("no remote access is necessary as a BOSS
-core operates only on the shard in the local node", Section IV-A).
+A memory node is the paper's unit of near-data processing: four 512 GB
+SCM DIMMs behind one memory controller (:data:`NODE_CAPACITY`, Section
+IV-D), which is where a BOSS device is placed (Figure 2, Figure 4(a)).
+A :class:`MemoryPool` aggregates nodes behind the shared host link
+(:data:`~repro.scm.interconnect.CXL_LINK`); each node holds one index
+shard and serves queries independently ("no remote access is necessary
+as a BOSS core operates only on the shard in the local node", Section
+IV-A).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.scm.device import OPTANE_NODE_4CH, MemoryDeviceModel
-from repro.scm.interconnect import CXL_LINK, InterconnectModel
+from repro.scm.device import OPTANE_NODE_4CH
+from repro.scm.interconnect import CXL_LINK
 
 TB = 1 << 40
-
-
-@dataclass(frozen=True)
-class MemoryNode:
-    """One pooled-memory node: DIMMs + memory controller (+ NDP device).
-
-    The paper assumes four 512 GB DIMMs per node, 2 TB of physical
-    address space (Section IV-D, Address Translation).
-    """
-
-    device: MemoryDeviceModel = OPTANE_NODE_4CH
-    capacity: int = 2 * TB
-    num_dimms: int = 4
-
-    def __post_init__(self) -> None:
-        if self.capacity <= 0:
-            raise ConfigurationError("node capacity must be positive")
-        if self.num_dimms <= 0:
-            raise ConfigurationError("node needs at least one DIMM")
+#: Physical address space of one node: four 512 GB DIMMs.
+NODE_CAPACITY = 2 * TB
 
 
 @dataclass(frozen=True)
 class MemoryPool:
-    """Memory nodes sharing one link to the host CPU."""
+    """``nodes`` memory nodes (:data:`OPTANE_NODE_4CH` each) sharing one
+    link to the host CPU."""
 
-    nodes: List[MemoryNode] = field(default_factory=lambda: [MemoryNode()])
-    interconnect: InterconnectModel = CXL_LINK
+    nodes: int = 1
 
     def __post_init__(self) -> None:
-        if not self.nodes:
+        if self.nodes < 1:
             raise ConfigurationError("pool needs at least one node")
 
     @property
     def capacity(self) -> int:
         """Total pooled capacity (scales with node count)."""
-        return sum(node.capacity for node in self.nodes)
+        return self.nodes * NODE_CAPACITY
 
     @property
     def aggregate_internal_bandwidth(self) -> float:
         """Sum of node-internal sequential read bandwidths.
 
         This is the bandwidth an NDP design can exploit; a host-side
-        accelerator is capped at ``interconnect.bandwidth`` no matter how
-        many nodes are pooled — the paper's core scaling argument.
+        accelerator is capped at the link's bandwidth no matter how many
+        nodes are pooled — the paper's core scaling argument.
         """
-        return sum(node.device.seq_read_bw for node in self.nodes)
+        return self.nodes * OPTANE_NODE_4CH.seq_read_bw
 
     @property
     def bandwidth_to_capacity_ratio(self) -> float:
         """Host-visible bytes/s per byte of capacity (falls as nodes grow)."""
-        return self.interconnect.bandwidth / self.capacity
+        return CXL_LINK.bandwidth / self.capacity
 
     def publish_metrics(self, registry) -> None:
         """Publish the pool's static topology gauges into a registry.
@@ -80,7 +64,7 @@ class MemoryPool:
         """
         registry.gauge(
             "pool.nodes", "memory nodes in the pool"
-        ).set(len(self.nodes))
+        ).set(self.nodes)
         registry.gauge(
             "pool.capacity_bytes", "total pooled SCM capacity"
         ).set(self.capacity)
@@ -90,9 +74,9 @@ class MemoryPool:
         registry.gauge(
             "pool.bandwidth_to_capacity", "host-visible B/s per byte"
         ).set(self.bandwidth_to_capacity_ratio)
-        for i, node in enumerate(self.nodes):
+        for i in range(self.nodes):
             registry.gauge(
                 "pool.node_seq_read_bw", "per-node sequential read B/s"
-            ).set(node.device.seq_read_bw, node=str(i),
-                  device=node.device.name)
-        self.interconnect.publish_metrics(registry)
+            ).set(OPTANE_NODE_4CH.seq_read_bw, node=str(i),
+                  device=OPTANE_NODE_4CH.name)
+        CXL_LINK.publish_metrics(registry)

@@ -6,23 +6,20 @@ analysis chain in the style of Lucene's ``StandardAnalyzer``:
 
 1. **tokenize** — Unicode-aware word splitting (letters/digits runs,
    with inner apostrophes kept: ``don't`` stays one token);
-2. **lowercase**;
-3. **stop-word removal** — a compact English list (configurable);
+2. **lowercase**, dropping tokens longer than 64 characters;
+3. **stop-word removal** — a compact English list;
 4. **light stemming** — the S-stemmer (Harman 1991): plural suffix
    stripping only. It is deliberately conservative — no Porter rules —
    so stems stay readable and the mapping is easy to reason about in
    tests.
 
-All steps are optional and composable via :class:`Analyzer`.
+:func:`analyze` runs the whole chain.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import FrozenSet, List, Optional
-
-from repro.errors import ConfigurationError
+from typing import FrozenSet, List
 
 #: Compact English stop-word list (the classic Lucene default set).
 ENGLISH_STOPWORDS: FrozenSet[str] = frozenset({
@@ -31,6 +28,9 @@ ENGLISH_STOPWORDS: FrozenSet[str] = frozenset({
     "that", "the", "their", "then", "there", "these", "they", "this",
     "to", "was", "will", "with",
 })
+
+#: Longer tokens (base64 blobs, run-together URLs) are not terms.
+MAX_TOKEN_LENGTH = 64
 
 _TOKEN_RE = re.compile(r"[^\W_]+(?:'[^\W_]+)*", re.UNICODE)
 
@@ -61,44 +61,14 @@ def s_stem(token: str) -> str:
     return token
 
 
-@dataclass(frozen=True)
-class Analyzer:
-    """Composable text-analysis chain."""
-
-    lowercase: bool = True
-    stopwords: Optional[FrozenSet[str]] = ENGLISH_STOPWORDS
-    stem: bool = True
-    min_token_length: int = 1
-    max_token_length: int = 64
-
-    def __post_init__(self) -> None:
-        if self.min_token_length < 1:
-            raise ConfigurationError("min_token_length must be >= 1")
-        if self.max_token_length < self.min_token_length:
-            raise ConfigurationError(
-                "max_token_length below min_token_length"
-            )
-
-    def analyze(self, text: str) -> List[str]:
-        """Raw text -> index terms."""
-        terms: List[str] = []
-        for token in tokenize(text):
-            if self.lowercase:
-                token = token.lower()
-            if not (self.min_token_length <= len(token)
-                    <= self.max_token_length):
-                continue
-            if self.stopwords is not None and token in self.stopwords:
-                continue
-            if self.stem:
-                token = s_stem(token)
-            terms.append(token)
-        return terms
-
-    def __call__(self, text: str) -> List[str]:
-        return self.analyze(text)
-
-
-#: An analyzer that only tokenizes and lowercases (no stop/stem), for
-#: exact-term applications.
-KEYWORD_ANALYZER = Analyzer(stopwords=None, stem=False)
+def analyze(text: str) -> List[str]:
+    """Raw text -> index terms: tokenize, lowercase, keep tokens of at
+    most :data:`MAX_TOKEN_LENGTH` characters, drop
+    :data:`ENGLISH_STOPWORDS`, S-stem."""
+    terms: List[str] = []
+    for token in tokenize(text):
+        token = token.lower()
+        if len(token) > MAX_TOKEN_LENGTH or token in ENGLISH_STOPWORDS:
+            continue
+        terms.append(s_stem(token))
+    return terms

@@ -21,7 +21,6 @@ rate.
 
 from repro.vector.embeddings import (
     CorpusEmbeddings,
-    EmbeddingSpec,
     embed_corpus,
     embed_index,
 )
@@ -41,7 +40,6 @@ from repro.vector.ivf import (
 
 __all__ = [
     "CorpusEmbeddings",
-    "EmbeddingSpec",
     "HybridResult",
     "HybridSearch",
     "HybridServingTarget",

@@ -5,7 +5,7 @@ embed, but they do have *structure*: docID locality means nearby
 documents are topically related (a crawl ordering clusters pages by
 site/day). The embedding model makes that structure explicit:
 
-* the docID space is divided into ``num_topics`` contiguous bands, each
+* the docID space is divided into :data:`NUM_TOPICS` contiguous bands, each
   owning a random unit *topic vector*;
 * a document's embedding is its band's topic vector plus seeded
   Gaussian noise, renormalized — documents in the same band are close,
@@ -16,7 +16,7 @@ site/day). The embedding model makes that structure explicit:
   stopword-like term averages out to mush;
 * a query embedding is the normalized sum of its known terms' vectors.
 
-Everything is a pure function of ``(spec, index identity)``: the same
+Everything is a pure function of ``(seed, index identity)``: the same
 corpus spec and embedding seed reproduce the same float32 vectors
 bit-for-bit, which is what lets the differential oracle and the recall
 floors pin exact numbers.
@@ -24,36 +24,21 @@ floors pin exact numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 import numpy as np
 
 from repro.errors import ConfigurationError, QueryError
 
-
-@dataclass(frozen=True)
-class EmbeddingSpec:
-    """Parameters of the synthetic embedding model."""
-
-    #: Embedding dimensionality (small by real-model standards; the
-    #: bandwidth accounting scales linearly, so nothing qualitative
-    #: depends on it).
-    dim: int = 32
-    #: Contiguous docID bands, each with its own topic direction.
-    num_topics: int = 8
-    #: Gaussian noise mixed into each document vector before
-    #: renormalization; 0 collapses every band to a single point.
-    noise: float = 0.35
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.dim < 2:
-            raise ConfigurationError("embedding dim must be >= 2")
-        if self.num_topics < 1:
-            raise ConfigurationError("need at least one topic")
-        if self.noise < 0:
-            raise ConfigurationError("noise must be >= 0")
+#: Embedding dimensionality (small by real-model standards; the
+#: bandwidth accounting scales linearly, so nothing qualitative depends
+#: on it).
+DIM = 32
+#: Contiguous docID bands, each with its own topic direction.
+NUM_TOPICS = 8
+#: Gaussian noise mixed into each document vector before
+#: renormalization; 0 would collapse every band to a single point.
+NOISE = 0.35
 
 
 def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
@@ -65,10 +50,8 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
 class CorpusEmbeddings:
     """Unit-norm float32 embeddings for one corpus: docs, terms, queries."""
 
-    def __init__(self, spec: EmbeddingSpec, doc_vectors: np.ndarray,
-                 doc_topics: np.ndarray,
+    def __init__(self, doc_vectors: np.ndarray, doc_topics: np.ndarray,
                  term_vectors: Dict[str, np.ndarray]) -> None:
-        self.spec = spec
         #: ``[num_docs, dim]`` float32, rows unit-norm; row i = doc i.
         self.doc_vectors = doc_vectors
         #: Topic band of each document (``[num_docs]`` int).
@@ -114,25 +97,22 @@ class CorpusEmbeddings:
         return [int(d) for d in order[:k]]
 
 
-def embed_index(index, spec: Optional[EmbeddingSpec] = None) -> CorpusEmbeddings:
+def embed_index(index, seed: int = 0) -> CorpusEmbeddings:
     """Build embeddings for any :class:`~repro.index.index.InvertedIndex`.
 
-    Document vectors depend only on ``(num_docs, spec)``; term vectors
+    Document vectors depend only on ``(num_docs, seed)``; term vectors
     are derived from the index's posting lists (decoded once, on the
     host — an offline build step, not query traffic).
     """
-    spec = EmbeddingSpec() if spec is None else spec
     num_docs = index.stats.num_docs
     if num_docs < 1:
         raise ConfigurationError("cannot embed an empty index")
-    rng = np.random.default_rng(spec.seed)
-    topics = _normalize_rows(
-        rng.standard_normal((spec.num_topics, spec.dim))
-    )
+    rng = np.random.default_rng(seed)
+    topics = _normalize_rows(rng.standard_normal((NUM_TOPICS, DIM)))
     doc_topics = (
-        np.arange(num_docs, dtype=np.int64) * spec.num_topics
+        np.arange(num_docs, dtype=np.int64) * NUM_TOPICS
     ) // num_docs
-    noise = rng.standard_normal((num_docs, spec.dim)) * spec.noise
+    noise = rng.standard_normal((num_docs, DIM)) * NOISE
     doc_vectors = _normalize_rows(topics[doc_topics] + noise)
 
     term_vectors: Dict[str, np.ndarray] = {}
@@ -144,7 +124,7 @@ def embed_index(index, spec: Optional[EmbeddingSpec] = None) -> CorpusEmbeddings
             mean = topics[0].astype(np.float64)
             norm = 1.0
         term_vectors[term] = (mean / norm).astype(np.float32)
-    return CorpusEmbeddings(spec, doc_vectors, doc_topics, term_vectors)
+    return CorpusEmbeddings(doc_vectors, doc_topics, term_vectors)
 
 
 def embed_corpus(corpus) -> CorpusEmbeddings:
@@ -154,5 +134,4 @@ def embed_corpus(corpus) -> CorpusEmbeddings:
     spec" implies "same embeddings" — the reproducibility contract of
     the vector lane.
     """
-    return embed_index(corpus.index,
-                       EmbeddingSpec(seed=corpus.spec.seed * 6151 + 3))
+    return embed_index(corpus.index, seed=corpus.spec.seed * 6151 + 3)

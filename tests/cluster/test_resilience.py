@@ -81,10 +81,6 @@ class TestPolicyValidation:
             ResiliencePolicy(timeout_seconds=0)
         with pytest.raises(ConfigurationError):
             ResiliencePolicy(max_retries=-1)
-        with pytest.raises(ConfigurationError):
-            ResiliencePolicy(backoff_base_seconds=-0.1)
-        with pytest.raises(ConfigurationError):
-            ResiliencePolicy(backoff_multiplier=0.5)
 
 
 class TestExecuteLeaf:
@@ -225,80 +221,20 @@ class TestExecuteLeaf:
         assert "shard 2" in str(exc.value)
         assert engine.calls == 2
 
-    def test_backoff_sleeps_between_retries(self):
-        clock = VirtualClock()
-        engine = ScriptedEngine(failures=2)
-        policy = ResiliencePolicy(max_retries=2,
-                                  backoff_base_seconds=0.01,
-                                  backoff_multiplier=2.0,
-                                  allow_degraded=True)
-        outcome = execute_leaf([engine], "q", 10, policy, 0, clock=clock)
-        assert not outcome.failed
-        assert clock.sleeps == [0.01, 0.02]
-        assert outcome.elapsed_seconds == pytest.approx(0.03)
-
-    def test_total_backoff_pinned_to_geometric_sum(self):
-        # The documented contract: the n-th post-failure attempt sleeps
-        # base * mult**(n-1), so an exhausted single candidate sleeps
-        # base * (mult**retries - 1) / (mult - 1) in total.
-        clock = VirtualClock()
-        engine = ScriptedEngine(failures=99)
-        policy = ResiliencePolicy(max_retries=3,
-                                  backoff_base_seconds=0.01,
-                                  backoff_multiplier=2.0,
-                                  allow_degraded=True)
-        outcome = execute_leaf([engine], "q", 10, policy, 0, clock=clock)
-        assert outcome.failed
-        assert clock.sleeps == [0.01, 0.02, 0.04]
-        assert sum(clock.sleeps) == pytest.approx(
-            0.01 * (2.0 ** 3 - 1) / (2.0 - 1)
-        )
-
-    def test_backoff_ladder_carries_across_failover(self):
-        # Regression (failover backoff bug): failing over used to start
-        # a fresh ladder at the replica, so a flapping pair hammered
-        # both engines at base rate. The ladder now keeps climbing
-        # through the failover boundary.
+    def test_retries_and_failover_run_back_to_back(self):
+        # Fault draws count attempts, not time: nothing waits between
+        # attempts, on one candidate or across the failover boundary.
         clock = VirtualClock()
         primary = ScriptedEngine(failures=99)
-        replica = ScriptedEngine(failures=99)
-        policy = ResiliencePolicy(max_retries=2,
-                                  backoff_base_seconds=0.01,
-                                  backoff_multiplier=2.0,
-                                  allow_degraded=True)
-        outcome = execute_leaf([primary, replica], "q", 10, policy, 0,
-                               clock=clock)
-        assert outcome.failed
-        assert outcome.failovers == 1
-        assert clock.sleeps == [0.01, 0.02, 0.04, 0.08, 0.16]
-
-    def test_reset_backoff_on_failover_restores_fresh_ladder(self):
-        # The opt-out: a replica is a different machine, so a policy may
-        # choose to treat its budget as fresh (the pre-fix behaviour).
-        clock = VirtualClock()
-        primary = ScriptedEngine(failures=99)
-        replica = ScriptedEngine(failures=99)
-        policy = ResiliencePolicy(max_retries=2,
-                                  backoff_base_seconds=0.01,
-                                  backoff_multiplier=2.0,
-                                  reset_backoff_on_failover=True,
-                                  allow_degraded=True)
-        execute_leaf([primary, replica], "q", 10, policy, 0, clock=clock)
-        assert clock.sleeps == [0.01, 0.02, 0.01, 0.02]
-
-    def test_failover_success_skips_first_replica_sleep_when_reset(self):
-        clock = VirtualClock()
-        primary = ScriptedEngine(failures=99)
-        replica = ScriptedEngine(payload="from-replica")
-        policy = ResiliencePolicy(max_retries=1,
-                                  backoff_base_seconds=0.01,
-                                  backoff_multiplier=2.0,
-                                  reset_backoff_on_failover=True,
-                                  allow_degraded=True)
+        replica = ScriptedEngine(failures=1, payload="from-replica")
+        policy = ResiliencePolicy(max_retries=2, allow_degraded=True)
         outcome = execute_leaf([primary, replica], "q", 10, policy, 0,
                                clock=clock)
         assert outcome.result == "from-replica"
-        assert clock.sleeps == [0.01]  # primary retry only
+        assert (outcome.attempts, outcome.retries, outcome.failovers) == (
+            5, 3, 1)
+        assert clock.sleeps == []
+        assert outcome.elapsed_seconds == 0.0
 
     def test_describe_outcomes(self):
         text = describe_outcomes([

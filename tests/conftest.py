@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+from repro.core.engine import recording_fetches
 from repro.core.query import AndNode, OrNode, TermNode, flatten
 from repro.core.topk import TopKQueue
 from repro.index import IndexBuilder
 from repro.index.index import InvertedIndex
+from repro.scm.traffic import AccessClass, AccessPattern
 
 
 def build_random_index(num_docs=1500, vocab_size=40, seed=42,
@@ -75,3 +77,42 @@ def hits_as_pairs(result, digits=9):
 
 def oracle_as_pairs(oracle, digits=9):
     return [(d, round(s, digits)) for d, s in oracle]
+
+
+def _assert_results_identical(fast, reference, context):
+    assert hits_as_pairs(fast, digits=17) == \
+        hits_as_pairs(reference, digits=17), context
+    assert fast.work == reference.work, context
+    for cls in AccessClass:
+        for pattern in AccessPattern:
+            assert fast.traffic.bytes_for(cls, pattern) == \
+                reference.traffic.bytes_for(cls, pattern), \
+                (context, cls, pattern)
+            assert fast.traffic.accesses_for(cls, pattern) == \
+                reference.traffic.accesses_for(cls, pattern), \
+                (context, cls, pattern)
+    assert fast.interconnect_bytes == reference.interconnect_bytes, context
+
+
+def _search_logged(engine, expression, **kwargs):
+    """``engine.search`` plus the payload fetches it made, in order."""
+    with recording_fetches() as fetches:
+        result = engine.search(expression, **kwargs)
+    return result, fetches.get(engine, [])
+
+
+def _assert_pair_identical(engine, reference, expression, context,
+                           **kwargs):
+    """Both engines run ``expression``: identical results *and* the
+    same payload fetches in the same order — the records the cache
+    simulator and the I/O planner replay, one by one (term, block,
+    bytes, observed pattern)."""
+    result, log = _search_logged(engine, expression, **kwargs)
+    expected, expected_log = _search_logged(reference, expression,
+                                            **kwargs)
+    _assert_results_identical(result, expected, context)
+    assert len(log) == len(expected_log), context
+    for position, (record, expected_record) in enumerate(
+            zip(log, expected_log)):
+        assert record == expected_record, (context, position)
+    assert len(log) == result.work.blocks_fetched, context

@@ -194,7 +194,7 @@ def test_property_intersection_equals_set_ops(seed, num_terms):
 
 def _check(index, expressions, k=10):
     from repro.core import BossAccelerator, BossConfig
-    from tests.test_fastpath_equivalence import _assert_pair_identical
+    from tests.conftest import _assert_pair_identical
 
     production = BossAccelerator(index, BossConfig(k=k))
     reference = BossAccelerator(index, BossConfig(k=k),

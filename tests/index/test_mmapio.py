@@ -20,9 +20,8 @@ from repro.index import (
     open_index,
 )
 from repro.index.binaryio import load_index_binary, save_index_binary
-from tests.conftest import build_random_index
+from tests.conftest import _assert_results_identical, build_random_index
 from tests.test_differential import _random_queries
-from tests.test_fastpath_equivalence import _assert_results_identical
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,7 @@ from repro.core.query import (
 )
 from repro.errors import ConfigurationError, InvertedIndexError, QueryError
 from repro.live import SegmentedIndex
-from tests.test_fastpath_equivalence import _assert_results_identical
+from tests.conftest import _assert_results_identical
 
 
 def seeded_docs(count, vocab_size=10, seed=3, min_len=3, max_len=12):

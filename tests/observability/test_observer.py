@@ -141,7 +141,7 @@ class TestPoolMetrics:
         registry = MetricsRegistry()
         pool = MemoryPool()
         pool.publish_metrics(registry)
-        assert registry.get("pool.nodes").value() == len(pool.nodes)
+        assert registry.get("pool.nodes").value() == pool.nodes
         assert registry.get(
             "pool.capacity_bytes").value() == pool.capacity
         assert "interconnect.bandwidth" in registry

@@ -5,9 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.scm.device import (
     DDR4_4CH,
-    DDR4_6CH,
     GB,
-    OPTANE_HOST_6CH,
     OPTANE_NODE_4CH,
     MemoryDeviceModel,
 )
@@ -25,10 +23,6 @@ class TestTableIPresets:
     def test_ddr4_4ch_bandwidth(self):
         """Figure 16's DRAM point: DDR4-2666 x 4 channels = 85.2 GB/s."""
         assert DDR4_4CH.seq_read_bw == 85.2 * GB
-
-    def test_host_presets(self):
-        assert OPTANE_HOST_6CH.seq_read_bw == 39.6 * GB
-        assert DDR4_6CH.seq_read_bw == 140.76 * GB
 
     def test_scm_random_penalty_exceeds_dram(self):
         scm_penalty = OPTANE_NODE_4CH.seq_read_bw / OPTANE_NODE_4CH.rand_read_bw

@@ -28,7 +28,3 @@ class TestTransfer:
     def test_invalid_bandwidth_rejected(self):
         with pytest.raises(ConfigurationError):
             InterconnectModel("bad", bandwidth=0)
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ConfigurationError):
-            InterconnectModel("bad", bandwidth=1.0, latency=-1e-9)

@@ -7,9 +7,10 @@ from repro.core import BossAccelerator, BossConfig
 from repro.errors import ConfigurationError
 from repro.scm.device import DDR4_4CH, OPTANE_NODE_4CH
 from repro.sim.timing import (
+    LUCENE_DECODE_NS_PER_POSTING,
+    LUCENE_QUERY_OVERHEAD_US,
     BossTimingModel,
     IIUTimingModel,
-    LuceneCostModel,
     LuceneTimingModel,
 )
 
@@ -134,22 +135,19 @@ class TestPaperTrends:
 
 
 class TestLuceneCostModel:
-    def test_costs_accumulate(self):
+    @staticmethod
+    def _seconds(**work):
+        from types import SimpleNamespace
+
         from repro.sim.metrics import WorkCounters
 
-        costs = LuceneCostModel(decode_ns_per_posting=10.0,
-                                query_overhead_us=0.0,
-                                merge_ns_per_op=0.0,
-                                score_ns_per_doc=0.0,
-                                metadata_ns_per_block=0.0,
-                                topk_ns_per_insert=0.0)
-        work = WorkCounters(postings_decoded=1000)
-        assert costs.compute_seconds(work) == pytest.approx(10e-6)
+        return LuceneTimingModel().compute_seconds(
+            SimpleNamespace(work=WorkCounters(**work)))
+
+    def test_costs_accumulate(self):
+        assert self._seconds(postings_decoded=1000) - self._seconds() == (
+            pytest.approx(1000 * LUCENE_DECODE_NS_PER_POSTING * 1e-9))
 
     def test_overhead_floor(self):
-        from repro.sim.metrics import WorkCounters
-
-        costs = LuceneCostModel()
-        assert costs.compute_seconds(WorkCounters()) == pytest.approx(
-            costs.query_overhead_us * 1e-6
-        )
+        assert self._seconds() == pytest.approx(
+            LUCENE_QUERY_OVERHEAD_US * 1e-6)

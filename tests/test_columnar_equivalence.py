@@ -6,18 +6,20 @@ optimization only: rankings (to the last float bit), every
 :class:`WorkCounters` field, per-bucket traffic, the payload fetch order
 (``recording_fetches``, record by record) and full observability traces must
 match the reference and fast executors exactly — across codecs, ET
-ablations, k values, and warm/cold decoded caches.
+ablations, k values, and warm/cold decoded caches. The same executor
+with leader runs off (``executor="fast"``) is pinned to the reference
+by ``tests/test_fastpath_equivalence.py``.
 """
 
 import pytest
 
+from repro.cache import DEFAULT_DECODED_CACHE_BLOCKS
 from repro.core import BossAccelerator, BossConfig
 from repro.core.engine import EXECUTORS
 from repro.errors import QueryError
 from repro.observability import RecordingObserver
-from tests.conftest import build_random_index
+from tests.conftest import _assert_pair_identical, build_random_index
 from tests.test_differential import _random_queries
-from tests.test_fastpath_equivalence import _assert_pair_identical
 
 
 def _session_engines():
@@ -291,6 +293,32 @@ def test_traces_bit_identical_columnar_vs_fast():
             columnar.search(expression)
             fast.search(expression)
     _assert_traces_identical(columnar_observer, fast_observer)
+
+
+def test_decoded_cache_observability_counters():
+    index = build_random_index(num_docs=500, vocab_size=18, seed=3)
+    observer = RecordingObserver()
+    engine = BossAccelerator(index, BossConfig(k=10), observer=observer)
+    for _ in range(2):
+        engine.search('"t0" OR "t1"')
+    snapshot = observer.registry.snapshot()
+    assert "decoded_cache.accesses" in snapshot
+    assert "decode.invocations" in snapshot
+    cache = engine.decoded_cache
+    assert cache.hits > 0 and cache.misses > 0
+    assert 0.0 < cache.hit_rate < 1.0
+
+
+def test_decoded_cache_ownership():
+    """Production engines own one default-capacity cache each; the
+    reference oracle owns none."""
+    index = build_random_index(num_docs=400, vocab_size=15, seed=6)
+    a = BossAccelerator(index, BossConfig(k=10))
+    b = BossAccelerator(index, BossConfig(k=10))
+    assert a.decoded_cache is not b.decoded_cache
+    assert a.decoded_cache.capacity_blocks == DEFAULT_DECODED_CACHE_BLOCKS
+    reference = BossAccelerator(index, BossConfig(k=10), fast_path=False)
+    assert reference.decoded_cache is None
 
 
 class _PathSpy:

@@ -1,69 +1,29 @@
 """Modeled-metrics equivalence: ``executor="fast"`` vs the reference.
 
-The core invariant: the bulk ``decode_block`` path, the host-side
-decoded-block cache and the production executors' general iteration
-(``executor="fast"``: leader runs off) are *wall-clock* optimizations
-only. Against ``fast_path=False`` (the reference oracle: per-value
-decoders, no cache) every functional and modeled output must be
+The columnar executor with leader runs off (``executor="fast"``: its
+general iteration alone), the bulk ``decode_block`` path and the
+host-side decoded-block cache are *wall-clock* optimizations only.
+Against ``fast_path=False`` (the reference oracle: per-value decoders,
+no cache) every functional and modeled output must be
 **bit-identical**: rankings, per-bucket :class:`TrafficCounter` totals,
 every :class:`WorkCounters` field, the order of payload fetches (the
 records ``recording_fetches`` hands the cache simulator and the I/O
-planner), and the
-full observability trace (spans, traffic entries, latencies).
+planner), and the full observability trace (spans, traffic entries,
+latencies).
 
 Warm-cache runs are covered explicitly: the second pass over a query
 batch serves blocks from the decoded cache, and must still charge the
-exact same modeled traffic as a cold run.
+exact same modeled traffic as a cold run. The leader-runs-on side
+(``executor="columnar"``) and the decoded cache's own counters are
+pinned by ``tests/test_columnar_equivalence.py``.
 """
 
 import pytest
 
-from repro.cache import DEFAULT_DECODED_CACHE_BLOCKS
 from repro.core import BossAccelerator, BossConfig
-from repro.core.engine import recording_fetches
 from repro.observability import RecordingObserver
-from repro.scm.traffic import AccessClass, AccessPattern
-from tests.conftest import build_random_index, hits_as_pairs
+from tests.conftest import _assert_pair_identical, build_random_index
 from tests.test_differential import _random_queries
-
-
-def _assert_results_identical(fast, reference, context):
-    assert hits_as_pairs(fast, digits=17) == \
-        hits_as_pairs(reference, digits=17), context
-    assert fast.work == reference.work, context
-    for cls in AccessClass:
-        for pattern in AccessPattern:
-            assert fast.traffic.bytes_for(cls, pattern) == \
-                reference.traffic.bytes_for(cls, pattern), \
-                (context, cls, pattern)
-            assert fast.traffic.accesses_for(cls, pattern) == \
-                reference.traffic.accesses_for(cls, pattern), \
-                (context, cls, pattern)
-    assert fast.interconnect_bytes == reference.interconnect_bytes, context
-
-
-def _search_logged(engine, expression, **kwargs):
-    """``engine.search`` plus the payload fetches it made, in order."""
-    with recording_fetches() as fetches:
-        result = engine.search(expression, **kwargs)
-    return result, fetches.get(engine, [])
-
-
-def _assert_pair_identical(engine, reference, expression, context,
-                           **kwargs):
-    """Both engines run ``expression``: identical results *and* the
-    same payload fetches in the same order — the records the cache
-    simulator and the I/O planner replay, one by one (term, block,
-    bytes, observed pattern)."""
-    result, log = _search_logged(engine, expression, **kwargs)
-    expected, expected_log = _search_logged(reference, expression,
-                                            **kwargs)
-    _assert_results_identical(result, expected, context)
-    assert len(log) == len(expected_log), context
-    for position, (record, expected_record) in enumerate(
-            zip(log, expected_log)):
-        assert record == expected_record, (context, position)
-    assert len(log) == result.work.blocks_fetched, context
 
 
 @pytest.mark.parametrize("seed", [2, 41])
@@ -114,29 +74,3 @@ def test_traces_bit_identical_with_and_without_fast_path():
         assert fast_trace.spans == reference_trace.spans
         assert fast_trace.traffic == reference_trace.traffic
         assert fast_trace.to_dict() == reference_trace.to_dict()
-
-
-def test_decoded_cache_observability_counters():
-    index = build_random_index(num_docs=500, vocab_size=18, seed=3)
-    observer = RecordingObserver()
-    engine = BossAccelerator(index, BossConfig(k=10), observer=observer)
-    for _ in range(2):
-        engine.search('"t0" OR "t1"')
-    snapshot = observer.registry.snapshot()
-    assert "decoded_cache.accesses" in snapshot
-    assert "decode.invocations" in snapshot
-    cache = engine.decoded_cache
-    assert cache.hits > 0 and cache.misses > 0
-    assert 0.0 < cache.hit_rate < 1.0
-
-
-def test_decoded_cache_ownership():
-    """Production engines own one default-capacity cache each; the
-    reference oracle owns none."""
-    index = build_random_index(num_docs=400, vocab_size=15, seed=6)
-    a = BossAccelerator(index, BossConfig(k=10))
-    b = BossAccelerator(index, BossConfig(k=10))
-    assert a.decoded_cache is not b.decoded_cache
-    assert a.decoded_cache.capacity_blocks == DEFAULT_DECODED_CACHE_BLOCKS
-    reference = BossAccelerator(index, BossConfig(k=10), fast_path=False)
-    assert reference.decoded_cache is None

@@ -256,10 +256,10 @@ class TestFaultyClusterDifferential:
             assert not a.degraded and a.shards_failed == []
 
     def test_virtual_clock_cluster_never_wall_sleeps(self, monkeypatch):
-        # Regression (wall-clock sleep bug): spikes and retry backoff
-        # used to call time.sleep directly, so fault scenarios burned
-        # real seconds. With an injected VirtualClock the whole run
-        # must finish without a single real sleep.
+        # Regression (wall-clock sleep bug): latency spikes used to
+        # call time.sleep directly, so fault scenarios burned real
+        # seconds. With an injected VirtualClock the whole run must
+        # finish without a single real sleep.
         import time
 
         from repro.cluster.resilience import ResiliencePolicy
@@ -276,9 +276,7 @@ class TestFaultyClusterDifferential:
         faults = FaultConfig(seed=2, latency_spike_probability=0.6,
                              latency_spike_seconds=0.05,
                              transient_failure_probability=0.4)
-        policy = ResiliencePolicy(max_retries=2,
-                                  backoff_base_seconds=0.01,
-                                  allow_degraded=True)
+        policy = ResiliencePolicy(max_retries=2, allow_degraded=True)
         cluster, _ = make_faulty_cluster(documents, 3, faults=faults,
                                          policy=policy, clock=clock)
         for expr in QUERIES:

@@ -22,17 +22,30 @@ and every field of a ``*Config`` dataclass that ``src/`` never reads:
 not as ``<receiver>.field`` for any name that holds a config (see
 :func:`_config_receivers`), nor as ``self.field`` in the class's own
 methods other than ``__post_init__`` (a value that is only validated is
-never used).
+never used). Every other frozen dataclass's field is reported when no
+``src/`` or ``benchmarks/harness/**`` code loads an attribute of its
+name outside a ``__post_init__``.
 
-Reported too: every defaulted parameter (positional-or-keyword or
-keyword-only) of a reached function or method that no call in ``src/``
-or ``benchmarks/harness/**`` binds. A call binds a
-parameter when the callee's last name matches — for ``__init__``, the
-class or any subclass that inherits it; ``super().__init__`` resolves
-to the enclosing class's bases and ``functools.partial(f, ...)`` calls
-``f`` — and it passes the parameter by keyword, a positional argument
-at or past its index, ``*args`` or ``**kwargs``. Forwarding is not
-setting; a relay binds only once what it forwards is bound:
+Reported too: every module-level assignment whose name no ``src/`` code
+outside that statement and no ``benchmarks/harness/**`` code names;
+imports and ``__all__`` name nothing.
+
+And every defaulted parameter (positional-or-keyword or keyword-only)
+of a reached function or method that no call in ``src/`` or
+``benchmarks/harness/**`` binds. A frozen dataclass without its own
+``__init__`` has the one ``@dataclass`` generates: its fields in order,
+base-dataclass fields first, less ``ClassVar`` and ``field(init=False)``
+ones (mutable dataclasses are records and accumulators and have none).
+A call binds a parameter when the callee's last name matches — for
+``__init__``, the class or any subclass that inherits it (an inherited
+dataclass field is the declaring base's); ``super().__init__`` resolves
+to the enclosing class's bases, ``functools.partial(f, ...)`` calls
+``f`` and ``dataclasses.replace(obj, f=...)`` calls every frozen
+dataclass with a field ``f`` (``obj``'s class alone when ``obj`` is a
+constructor call) — and it passes the parameter by keyword, a
+positional argument at or past its index, ``*args`` or ``**kwargs``.
+Forwarding is not setting; a relay binds only once what it forwards is
+bound:
 
 (a) a call passing the caller's own ``*args`` / ``**kwargs`` forwards
     them item by item: ``p`` is bound once some call binds the
@@ -54,7 +67,7 @@ is now reached, bound or gone.
 from __future__ import annotations
 
 import ast
-from collections import deque
+from collections import Counter, deque
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Set
 
@@ -62,21 +75,26 @@ REPO = Path(__file__).resolve().parent.parent
 ALLOW_LIST = Path(__file__).with_name("reachability_allow.txt")
 
 
+def _names_of(sub: ast.AST) -> Iterator[str]:
+    """The name one node holds, if any."""
+    if isinstance(sub, ast.Name):
+        yield sub.id
+    elif isinstance(sub, ast.Attribute):
+        yield sub.attr
+    elif isinstance(sub, ast.alias):
+        yield from sub.name.split(".")
+        if sub.asname:
+            yield sub.asname
+    elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+          and sub.value.isidentifier()):
+        yield sub.value
+
+
 def identifiers(node: ast.AST) -> Iterator[str]:
     """Every name ``node`` mentions: names, attributes, import aliases
     and identifier-shaped strings."""
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute):
-            yield sub.attr
-        elif isinstance(sub, ast.alias):
-            yield from sub.name.split(".")
-            if sub.asname:
-                yield sub.asname
-        elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
-              and sub.value.isidentifier()):
-            yield sub.value
+        yield from _names_of(sub)
 
 
 class Definition:
@@ -89,6 +107,10 @@ class Definition:
         self.name = node.name
         self.owner = owner
         self.methods: List[Definition] = []
+        # A generated dataclass ``__init__``: field → default, and each
+        # inherited field → the base ``__init__`` that declares it.
+        self.fields: Dict[str, Optional[ast.expr]] = {}
+        self.inherited: Dict[str, Definition] = {}
 
     @property
     def qualname(self) -> str:
@@ -138,18 +160,21 @@ def _module_statements(body: List[ast.stmt]) -> Iterator[ast.stmt]:
             yield statement
 
 
+def _assigns_all(statement: ast.AST) -> bool:
+    if isinstance(statement, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+        targets = (statement.targets if isinstance(statement, ast.Assign)
+                   else [statement.target])
+        return any(isinstance(t, ast.Name) and t.id == "__all__"
+                   for t in targets)
+    return False
+
+
 def _is_module_code(statement: ast.stmt) -> bool:
     """Module-level code that uses names: not a definition, not an
     import (a binding, not a use) and not ``__all__``."""
     if isinstance(statement, _DEFINITIONS + (ast.Import, ast.ImportFrom)):
         return False
-    if isinstance(statement, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-        targets = (statement.targets if isinstance(statement, ast.Assign)
-                   else [statement.target])
-        if any(isinstance(t, ast.Name) and t.id == "__all__"
-               for t in targets):
-            return False
-    return True
+    return not _assigns_all(statement)
 
 
 def _registers(decorator: ast.expr) -> bool:
@@ -180,6 +205,81 @@ def _last_name(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Attribute):
         return node.attr
     return None
+
+
+def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Call) and _last_name(d.func) == "dataclass"
+               and any(k.arg == "frozen" and isinstance(k.value, ast.Constant)
+                       and k.value.value is True for k in d.keywords)
+               for d in node.decorator_list)
+
+
+def _fields(node: ast.ClassDef) -> Iterator[tuple]:
+    """``(name, default)`` per field ``node`` declares, in order: not a
+    ``ClassVar``, not ``field(init=False)``; ``default`` is ``None`` for
+    a required field."""
+    for statement in node.body:
+        if (not isinstance(statement, ast.AnnAssign)
+                or not isinstance(statement.target, ast.Name)
+                or "ClassVar" in identifiers(statement.annotation)):
+            continue
+        default = statement.value
+        if (isinstance(default, ast.Call)
+                and _last_name(default.func) == "field"):
+            options = {k.arg: k.value for k in default.keywords}
+            init = options.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            if "default" in options:
+                default = options["default"]
+            elif "default_factory" not in options:
+                default = None
+        yield statement.target.id, default
+
+
+def _dataclass_inits(definitions: List[Definition]) -> None:
+    """Give every frozen dataclass without its own ``__init__`` the one
+    ``@dataclass`` generates: base-dataclass fields first, then its own.
+    ``inherited`` maps a field to the ``__init__`` of the class that
+    declares it, so a subclass call binds the base's field."""
+    classes = {d.name: d for d in definitions
+               if isinstance(d.node, ast.ClassDef)
+               and _is_frozen_dataclass(d.node)
+               and not any(m.name == "__init__" for m in d.methods)}
+    made: Dict[str, Definition] = {}
+
+    def make(cls: Definition) -> Definition:
+        if cls.name in made:
+            return made[cls.name]
+        order: Dict[str, Optional[ast.expr]] = {}
+        inherited: Dict[str, Definition] = {}
+        for base in cls.node.bases:
+            parent = classes.get(_last_name(base))
+            if parent is not None and parent is not cls:
+                parent_init = make(parent)
+                order.update(parent_init.fields)
+                for name in parent_init.fields:
+                    inherited[name] = parent_init.inherited.get(
+                        name, parent_init)
+        order.update(_fields(cls.node))
+        args = [ast.arg(arg=name) for name in ["self"] + list(order)]
+        defaults = list(order.values())
+        while defaults and defaults[0] is None:
+            defaults.pop(0)
+        node = ast.FunctionDef(
+            name="__init__", decorator_list=[], body=[], returns=None,
+            args=ast.arguments(posonlyargs=[], args=args, vararg=None,
+                               kwonlyargs=[], kw_defaults=[], kwarg=None,
+                               defaults=defaults))
+        init = Definition(cls.path, node, cls)
+        init.fields = order
+        init.inherited = inherited
+        cls.methods.append(init)
+        made[cls.name] = init
+        return init
+
+    for cls in classes.values():
+        make(cls)
 
 
 def _names_config(annotation: ast.AST) -> bool:
@@ -253,6 +353,21 @@ def _config_reads(trees: Dict[str, ast.Module]) -> Dict[str, Set[str]]:
     return reads
 
 
+def _loaded_attributes(trees: Iterable[ast.Module]) -> Set[str]:
+    """Every attribute name loaded outside a ``__post_init__`` (a value
+    that is only validated is never used)."""
+    loaded: Set[str] = set()
+    stack: List[ast.AST] = list(trees)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _FUNCTIONS) and node.name == "__post_init__":
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return loaded
+
+
 def _signature(definition: Definition) -> tuple:
     """``(parameters, *args name, **kwargs name)``: each parameter by
     name mapped to ``(index, default)`` — the index a call's positional
@@ -306,11 +421,14 @@ def _init_targets(definitions: List[Definition]) -> Dict[str, List[Definition]]:
 
 def _calls(tree: ast.AST, inits: Dict[str, List[Definition]],
            functions: Dict[str, List[Definition]],
+           generated: Dict[str, Definition],
            dead: Set[ast.AST]) -> Iterator[tuple]:
     """``(call, callees, enclosing function)`` for every call in
     ``tree`` outside the ``dead`` definitions; ``functools.partial(f,
-    ...)`` is a call of ``f`` and ``super().__init__(...)`` one of the
-    enclosing class's bases."""
+    ...)`` is a call of ``f``, ``super().__init__(...)`` one of the
+    enclosing class's bases, and ``replace(obj, f=...)`` one of every
+    ``generated`` dataclass ``__init__`` with a field ``f`` (of
+    ``obj``'s class alone when ``obj`` is a constructor call)."""
 
     def visit(node: ast.AST, cls: Optional[ast.ClassDef],
               function: Optional[ast.AST]) -> Iterator[tuple]:
@@ -330,7 +448,18 @@ def _calls(tree: ast.AST, inits: Dict[str, List[Definition]],
                     callee = child.args[0]
                     call = ast.Call(func=callee, args=child.args[1:],
                                     keywords=child.keywords)
-                if (isinstance(callee, ast.Attribute)
+                if _last_name(callee) == "replace" and call.args:
+                    first = call.args[0]
+                    given = {k.arg for k in call.keywords if k.arg}
+                    if (isinstance(first, ast.Call)
+                            and _last_name(first.func) in generated):
+                        targets = [generated[_last_name(first.func)]]
+                    else:
+                        targets = [init for init in generated.values()
+                                   if given & set(init.fields)]
+                    call = ast.Call(func=callee, args=[],
+                                    keywords=call.keywords)
+                elif (isinstance(callee, ast.Attribute)
                         and callee.attr == "__init__"
                         and isinstance(callee.value, ast.Call)
                         and _last_name(callee.value.func) == "super"):
@@ -371,6 +500,8 @@ def _parameter_reports(definitions: List[Definition],
                 if entry.name != "__init__":
                     functions.setdefault(entry.name, []).append(entry)
     inits = _init_targets(definitions)
+    generated = {entry.owner.name: entry for entry in owned.values()
+                 if entry.fields}
     signatures = {entry: _signature(entry) for entry in owned.values()}
     sources = [(tree, True) for tree in trees.values()]
     sources += [(tree, False) for tree in external]
@@ -380,13 +511,16 @@ def _parameter_reports(definitions: List[Definition],
     forwarded: List[tuple] = []
 
     def bind(key: tuple, *waits: tuple) -> None:
+        target, name = key
+        key = (target.inherited.get(name, target), name)
         if waits:
             forwarded.append((waits, key))
         else:
             bound.add(key)
 
     for tree, internal in sources:
-        for call, targets, function in _calls(tree, inits, functions, dead):
+        for call, targets, function in _calls(
+                tree, inits, functions, generated, dead):
             caller = owned.get(function) if internal else None
             mine, varargs, kwargs = (signatures[caller] if caller
                                      else ({}, None, None))
@@ -454,7 +588,51 @@ def _parameter_reports(definitions: List[Definition],
     return [f"{entry.key}({name}=)"
             for entry, (parameters, _, _) in signatures.items()
             for name, (_, default) in parameters.items()
-            if default is not None and (entry, name) not in bound]
+            if default is not None and name not in entry.inherited
+            and (entry, name) not in bound]
+
+
+def _uses(tree: ast.AST) -> Counter:
+    """How often ``tree`` names each identifier, outside imports and
+    ``__all__``."""
+    counts: Counter = Counter()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or _assigns_all(
+                node):
+            continue
+        counts.update(_names_of(node))
+        stack.extend(ast.iter_child_nodes(node))
+    return counts
+
+
+def _constant_reports(trees: Dict[str, ast.Module],
+                      external: List[ast.Module]) -> List[str]:
+    """Every module-level assignment whose name no ``src/`` code outside
+    that statement and no external source names."""
+    counts: Counter = Counter()
+    for tree in list(trees.values()) + external:
+        counts.update(_uses(tree))
+    found = []
+    for path, tree in trees.items():
+        for statement in _module_statements(tree.body):
+            if isinstance(statement, ast.Assign):
+                targets = statement.targets
+            elif (isinstance(statement, ast.AnnAssign)
+                  and statement.value is not None):
+                targets = [statement.target]
+            else:
+                continue
+            if _assigns_all(statement):
+                continue
+            own = _uses(statement)
+            found.extend(
+                f"{path}::{name.id}"
+                for target in targets for name in ast.walk(target)
+                if isinstance(name, ast.Name)
+                and counts[name.id] == own[name.id])
+    return found
 
 
 def report(modules: Dict[str, str], external: Iterable[str]) -> List[str]:
@@ -506,6 +684,7 @@ def report(modules: Dict[str, str], external: Iterable[str]) -> List[str]:
                 by_name.setdefault(entry.name, []).append(entry)
                 if _is_root(entry, path):
                     roots.append(entry)
+    _dataclass_inits(definitions)
     for tree in external_trees:
         mention([tree])
     for root in roots:
@@ -532,14 +711,22 @@ def report(modules: Dict[str, str], external: Iterable[str]) -> List[str]:
         definition.methods = [m for m in definition.methods if m in reached]
     found.extend(_parameter_reports(live, trees, external_trees, dead))
     reads = _config_reads(trees)
+    loaded = _loaded_attributes(list(trees.values()) + external_trees)
     for path, tree in trees.items():
         for node in _module_statements(tree.body):
-            if isinstance(node, ast.ClassDef) and node.name.endswith("Config"):
-                found.extend(
-                    f"{path}::{node.name}.{field.target.id}"
-                    for field in node.body
-                    if isinstance(field, ast.AnnAssign)
-                    and field.target.id not in reads[""] | reads[node.name])
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if node.name.endswith("Config"):
+                read = reads[""] | reads[node.name]
+            elif _is_frozen_dataclass(node):
+                read = loaded
+            else:
+                continue
+            found.extend(f"{path}::{node.name}.{field.target.id}"
+                         for field in node.body
+                         if isinstance(field, ast.AnnAssign)
+                         and field.target.id not in read)
+    found.extend(_constant_reports(trees, external_trees))
     return sorted(found)
 
 
@@ -738,3 +925,90 @@ def test_a_call_in_an_unreached_definition_binds_nothing():
 def test_passing_the_default_binds_nothing():
     assert "scratch.py::fetch(pattern=)" in _scratch_parameters()
 
+
+
+RECORDS = '''
+from dataclasses import dataclass, field, replace
+
+LIMIT = 4
+UNUSED = 7
+__all__ = ["LIMIT", "UNUSED"]
+
+@dataclass(frozen=True)
+class Base:
+    depth: int = 2
+
+@dataclass(frozen=True)
+class Child(Base):
+    width: int = 1
+
+@dataclass(frozen=True)
+class Knobs:
+    size: int = 8
+    rate: float = 1.0
+    checked: int = 3
+    derived: int = field(init=False, default=0)
+
+    def __post_init__(self):
+        if self.checked < 0:
+            raise ValueError(self.checked)
+
+@dataclass
+class Tally:
+    hits: int = 0
+
+def main():
+    knobs = replace(Knobs(), rate=2.0)
+    tally = Tally()
+    tally.hits += 1
+    return (Child(depth=3).depth + knobs.size * knobs.rate + LIMIT
+            + knobs.derived)
+'''
+
+
+def _scratch_records():
+    return report({"records.py": RECORDS,
+                   "relay.py": "from records import UNUSED\n"},
+                  ["from records import main, UNUSED"])
+
+
+def test_a_frozen_dataclass_field_set_only_by_tests_is_reported():
+    found = _scratch_records()
+    assert "records.py::Knobs.__init__(size=)" in found
+    assert "records.py::Child.__init__(width=)" in found
+
+
+def test_replace_binds_the_fields_it_names():
+    assert "records.py::Knobs.__init__(rate=)" not in _scratch_records()
+
+
+def test_a_subclass_call_binds_an_inherited_dataclass_field():
+    found = _scratch_records()
+    assert "records.py::Base.__init__(depth=)" not in found
+    assert "records.py::Child.__init__(depth=)" not in found
+
+
+def test_a_mutable_dataclass_field_is_not_reported():
+    assert not [line for line in _scratch_records() if "Tally" in line]
+
+
+def test_a_field_read_only_in_post_init_is_reported():
+    found = _scratch_records()
+    assert "records.py::Knobs.checked" in found
+    assert "records.py::Knobs.size" not in found
+
+
+def test_a_constant_named_only_by_imports_and_all_is_reported():
+    found = _scratch_records()
+    assert "records.py::UNUSED" in found
+    assert "records.py::LIMIT" not in found
+
+
+def test_the_record_rules_report_exactly():
+    assert _scratch_records() == [
+        "records.py::Child.__init__(width=)",
+        "records.py::Child.width",
+        "records.py::Knobs.__init__(checked=)",
+        "records.py::Knobs.__init__(size=)",
+        "records.py::Knobs.checked",
+        "records.py::UNUSED"]

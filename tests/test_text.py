@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.text import (
-    ENGLISH_STOPWORDS,
-    KEYWORD_ANALYZER,
-    Analyzer,
-    s_stem,
-    tokenize,
-)
+from repro.text import ENGLISH_STOPWORDS, analyze, s_stem, tokenize
 
 
 class TestTokenizer:
@@ -67,30 +60,16 @@ class TestSStemmer:
 
 class TestAnalyzer:
     def test_full_chain(self):
-        analyzer = Analyzer()
-        terms = analyzer.analyze("The queries WERE hitting the caches!")
+        terms = analyze("The queries WERE hitting the caches!")
         assert terms == ["query", "were", "hitting", "cache"]
 
     def test_stopwords_removed(self):
-        analyzer = Analyzer()
-        assert analyzer.analyze("the and of") == []
-
-    def test_keyword_analyzer_keeps_everything(self):
-        terms = KEYWORD_ANALYZER.analyze("The Queries")
-        assert terms == ["the", "queries"]
+        assert analyze("the and of") == []
 
     def test_length_filter(self):
-        analyzer = Analyzer(min_token_length=3, stopwords=None, stem=False)
-        assert analyzer.analyze("go far away") == ["far", "away"]
-
-    def test_callable(self):
-        assert Analyzer()("memory pools") == ["memory", "pool"]
-
-    def test_invalid_lengths_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Analyzer(min_token_length=0)
-        with pytest.raises(ConfigurationError):
-            Analyzer(min_token_length=5, max_token_length=3)
+        # One-character tokens stay; past 64 characters a token goes.
+        assert analyze(f"a b {'x' * 64} {'y' * 65} go") == [
+            "b", "x" * 64, "go"]
 
     def test_stopword_list_nonempty(self):
         assert "the" in ENGLISH_STOPWORDS

@@ -3,23 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, QueryError
-from repro.vector import EmbeddingSpec, embed_corpus, embed_index
+from repro.errors import QueryError
+from repro.vector import embed_corpus, embed_index
+from repro.vector.embeddings import DIM, NUM_TOPICS
 from repro.workloads.corpus import make_corpus
-
-
-class TestSpecValidation:
-    def test_dim_floor(self):
-        with pytest.raises(ConfigurationError):
-            EmbeddingSpec(dim=1)
-
-    def test_topic_floor(self):
-        with pytest.raises(ConfigurationError):
-            EmbeddingSpec(num_topics=0)
-
-    def test_negative_noise_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EmbeddingSpec(noise=-0.1)
 
 
 class TestDeterminism:
@@ -35,9 +22,10 @@ class TestDeterminism:
         assert not np.array_equal(embeddings.doc_vectors, other.doc_vectors)
 
     def test_explicit_spec_overrides(self, corpus, embeddings):
-        wide = embed_index(corpus.index, EmbeddingSpec(dim=16, seed=99))
-        assert wide.dim == 16
-        assert wide.num_docs == embeddings.num_docs
+        other = embed_index(corpus.index, seed=99)
+        assert other.dim == embeddings.dim == DIM
+        assert other.num_docs == embeddings.num_docs
+        assert not np.array_equal(other.doc_vectors, embeddings.doc_vectors)
 
 
 class TestGeometry:
@@ -55,7 +43,7 @@ class TestGeometry:
         topics = embeddings.doc_topics
         same = []
         cross = []
-        for band in range(embeddings.spec.num_topics):
+        for band in range(NUM_TOPICS):
             members = vectors[topics == band]
             others = vectors[topics != band]
             centroid = members.mean(axis=0)
@@ -67,7 +55,7 @@ class TestGeometry:
         assert np.all(np.diff(embeddings.doc_topics) >= 0)
         assert embeddings.doc_topics[0] == 0
         assert (
-            embeddings.doc_topics[-1] == embeddings.spec.num_topics - 1
+            embeddings.doc_topics[-1] == NUM_TOPICS - 1
         )
 
 
@@ -92,6 +80,6 @@ class TestQueryVectors:
 
 class TestEmbedIndex:
     def test_works_on_bare_index(self, corpus):
-        built = embed_index(corpus.index, EmbeddingSpec(seed=5))
+        built = embed_index(corpus.index, seed=5)
         assert built.num_docs == corpus.spec.num_docs
         assert set(built.term_vectors) == set(corpus.index.terms)

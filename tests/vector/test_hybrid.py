@@ -11,6 +11,7 @@ from repro.vector import (
     VectorEngine,
     rrf_fuse,
 )
+from repro.vector.embeddings import NUM_TOPICS
 from repro.vector.hybrid import RRF_C, vector_rescore
 
 from .conftest import QUERIES
@@ -238,7 +239,7 @@ class TestTopicPurity:
         topics = embeddings.doc_topics
         centroids = np.stack([
             embeddings.doc_vectors[topics == band].mean(axis=0)
-            for band in range(embeddings.spec.num_topics)
+            for band in range(NUM_TOPICS)
         ])
         lexical = BossAccelerator(corpus.index, BossConfig(k=10))
         retrievers = {"lexical": lexical}
