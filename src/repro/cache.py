@@ -229,12 +229,32 @@ class DecodedBlockCache:
             while lru.used > self.capacity_blocks:
                 lru.pop_lru()
 
+    def prefill(self, term: str, scheme: str, decoded: Iterable) -> None:
+        """Insert the other blocks of a list decoded in one pass.
+
+        ``decoded`` yields ``(block_index, (doc_ids, tfs))``. A block
+        already resident is left as it is (its arrays, and so any
+        score cache keyed on their identity, stay valid); the rest go
+        in at the MRU end, with the usual evictions. Nobody looked
+        these blocks up, so neither ``hits`` nor ``misses`` moves —
+        the caller's own lookup missed and is followed by its
+        :meth:`put` of the block it asked for.
+        """
+        lru = self._lru
+        entries = lru.entries
+        with self._lock:
+            for block_index, pair in decoded:
+                key = (term, block_index, scheme)
+                if key not in entries:
+                    lru.push(key, 1, pair)
+            while lru.used > self.capacity_blocks:
+                lru.pop_lru()
+
 
 @dataclass(frozen=True)
 class CacheReport:
     """Outcome of replaying a fetch trace through the cache."""
 
-    capacity_bytes: int
     hits: int
     misses: int
     #: Bytes served from DRAM (hits).
@@ -316,7 +336,6 @@ class CacheSimulator:
 
     def report(self) -> CacheReport:
         return CacheReport(
-            capacity_bytes=self._cache.capacity_bytes,
             hits=self._cache.hits,
             misses=self._cache.misses,
             dram_bytes=self._dram_bytes,

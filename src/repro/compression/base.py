@@ -11,14 +11,55 @@ hardware decompressor knows when to stop.
 
 from __future__ import annotations
 
+import math
 import struct
 from abc import ABC, abstractmethod
 from array import array
-from typing import Dict, Iterable, List, Sequence, Type
+from itertools import accumulate
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Type
 
 import numpy as np
 
 from repro.errors import CompressionError
+
+
+class WordLayouts(NamedTuple):
+    """A word-packed (Simple family) codec's layouts as flat numpy
+    tables: what :meth:`Codec._decode_word_lists` reads. Build one with
+    :func:`word_layouts`."""
+
+    #: One word: ``<u4`` or ``<u8``.
+    dtype: np.dtype
+    #: Most values one word yields (a zero run's length included).
+    slots: int
+    #: ``(16,)``: values a word of each selector yields — its field
+    #: count, or the run length of a zero-run layout.
+    values: np.ndarray
+    #: ``(16 * slots,)``: at ``selector * slots + j``, the bit position
+    #: of the word's ``j``-th value.
+    shifts: np.ndarray
+    #: Likewise its mask; zero for a value that has no field (a zero
+    #: run's) or no slot.
+    masks: np.ndarray
+
+
+def word_layouts(dtype: str, fields: Sequence[Sequence[int]],
+                 values: Sequence[int]) -> WordLayouts:
+    """:class:`WordLayouts` from ``fields[s]``, the field widths of
+    selector ``s`` in packing order after the 4-bit selector, and
+    ``values[s]``, the values its word yields."""
+    dtype = np.dtype(dtype)
+    slots = max(values)
+    shifts = np.zeros((16, slots), dtype)
+    masks = np.zeros((16, slots), dtype)
+    for selector, widths in enumerate(fields):
+        shift = 4
+        for slot, width in enumerate(widths):
+            shifts[selector, slot] = shift
+            masks[selector, slot] = (1 << width) - 1
+            shift += width
+    return WordLayouts(dtype, slots, np.array(values, dtype=np.intp),
+                       shifts.ravel(), masks.ravel())
 
 
 class Codec(ABC):
@@ -37,6 +78,12 @@ class Codec(ABC):
     name: str = "abstract"
     #: Maximum representable value width in bits.
     max_value_bits: int = 32
+    #: The smallest list (in values, both streams of every block) that
+    #: :meth:`decode_blocks` takes in one numpy pass. A codec with such
+    #: a pass sets it where, measured as ``decode_arrays`` of one- and
+    #: two-block posting lists, numpy's per-call set-up stops costing
+    #: more than decoding block by block; the base class has no pass.
+    _one_pass_from: float = math.inf
 
     @abstractmethod
     def encode(self, values: Sequence[int]) -> bytes:
@@ -76,6 +123,29 @@ class Codec(ABC):
                 f"{self.name}: decoded value exceeds 32 bits"
             ) from None
 
+    def decode_blocks(self, payloads: Sequence, counts: Sequence[int]
+                      ) -> np.ndarray:
+        """Every payload decoded, concatenated: one ``uint32`` vector.
+
+        ``payloads[i]`` (``bytes`` or a ``memoryview``) holds
+        ``counts[i]`` values; the result equals the concatenation of
+        ``decode_block(payloads[i], counts[i])`` value for value, and
+        raises :class:`CompressionError` whenever one of those would.
+        This is the list decoder: one call covers both streams of every
+        block of a posting list, so that a codec with a numpy pass
+        (:meth:`_decode_in_one_pass`) pays its set-up once per list.
+        A list :meth:`decodes_in_one_pass` turns down takes the payload
+        loop.
+        """
+        if self.decodes_in_one_pass(sum(counts)):
+            return self._decode_in_one_pass(payloads, counts)
+        return self._decode_each(payloads, counts)
+
+    def decodes_in_one_pass(self, values: int) -> bool:
+        """Whether :meth:`decode_blocks` takes a list of ``values``
+        values (both streams of every block) in one numpy pass."""
+        return values >= self._one_pass_from
+
     def decode_block_columnar(self, data, count: int) -> np.ndarray:
         """:meth:`decode_block` as a fresh, writable ``uint32`` vector.
 
@@ -113,6 +183,70 @@ class Codec(ABC):
             raise CompressionError(
                 f"{self.name}: decoded value exceeds 32 bits"
             ) from None
+
+    def _decode_each(self, payloads: Sequence,
+                     counts: Sequence[int]) -> np.ndarray:
+        """:meth:`decode_blocks` as the loop over :meth:`decode_block`."""
+        out = array("I")
+        for data, count in zip(payloads, counts):
+            out.extend(self.decode_block(bytes(data), count))
+        return np.frombuffer(out, dtype=np.uint32)
+
+    def _decode_in_one_pass(self, payloads: Sequence,
+                            counts: Sequence[int]) -> np.ndarray:
+        """:meth:`decode_blocks` as one numpy pass over the list; a
+        codec that sets ``_one_pass_from`` provides it."""
+        raise NotImplementedError
+
+    def _decode_word_lists(self, payloads: Sequence, counts: Sequence[int],
+                           layouts: WordLayouts) -> np.ndarray:
+        """:meth:`decode_blocks` of a word-packed (Simple family) codec.
+
+        All payloads are one word vector, and the values the words
+        yield, in order, are the streams end to end. Each stream keeps
+        its first ``count`` values (which drops the padding of its
+        final word, exactly as :meth:`_decode_words` does); for each
+        kept value, the word it lies in is a ``searchsorted`` over the
+        words' running value counts, and its place in that word picks
+        a shift and a mask from the selector's row of the tables. So
+        the whole list is a handful of vector operations over the kept
+        values, whatever the layouts.
+        """
+        size = layouts.dtype.itemsize
+        if any(len(data) % size for data in payloads):
+            raise CompressionError(f"{self.name}: payload is not word aligned")
+        words = np.frombuffer(b"".join(payloads), layouts.dtype)
+        selectors = (words & 0xF).astype(np.intp)
+        # ends[w + 1]: values yielded by words 0..w, streams end to end.
+        ends = np.zeros(len(words) + 1, np.intp)
+        np.add.accumulate(layouts.values.take(selectors), out=ends[1:])
+        bounds = ends.take(list(accumulate(
+            [0] + [len(data) // size for data in payloads]))).tolist()
+        # Where each stream's first kept value sits among all the
+        # yielded values, less its own place among the kept ones.
+        shifts = []
+        kept = 0
+        for start, end, count in zip(bounds, bounds[1:], counts):
+            if end - start < count:
+                raise CompressionError(
+                    f"{self.name}: stream ended after {end - start} of "
+                    f"{count} values"
+                )
+            shifts.append(start - kept)
+            kept += count
+        at = np.arange(kept)
+        at += np.array(shifts, dtype=np.intp).repeat(counts)
+        word = ends.searchsorted(at, side="right")
+        word -= 1
+        # A value's slot in its word, offset to its selector's row.
+        at += (selectors * layouts.slots - ends[:-1]).take(word)
+        values = words.take(word) >> layouts.shifts.take(at)
+        values &= layouts.masks.take(at)
+        if size > 4 and kept and values.max() > 0xFFFFFFFF:
+            raise CompressionError(
+                f"{self.name}: decoded value exceeds 32 bits"
+            )
+        return values.astype(np.uint32)
 
     def _widths(self, values: Sequence[int]) -> bytes:
         """The one pass every encoder starts from: each value's bit length.

@@ -14,8 +14,10 @@ from __future__ import annotations
 from array import array
 from typing import List, Sequence
 
+import numpy as np
+
 from repro.compression.base import DEFAULT_REGISTRY, Codec
-from repro.compression.bitio import BitReader, pack_fields
+from repro.compression.bitio import BitReader, pack_fields, unpack_frames
 from repro.errors import CompressionError
 
 
@@ -25,6 +27,7 @@ class BitPackingCodec(Codec):
 
     name = "BP"
     max_value_bits = 32
+    _one_pass_from = 160
 
     def encode(self, values: Sequence[int]) -> bytes:
         width = max(self._widths(values), default=0)
@@ -69,3 +72,26 @@ class BitPackingCodec(Codec):
             "I", [(frame >> shift) & mask
                   for shift in range(0, count * width, width)]
         )
+
+    def _decode_in_one_pass(self, payloads: Sequence,
+                            counts: Sequence[int]) -> np.ndarray:
+        buffer = b"".join(payloads)
+        starts = []
+        widths = []
+        end = 0
+        for data, count in zip(payloads, counts):
+            if not data:
+                raise CompressionError("BP: empty payload")
+            width = buffer[end]
+            if width > self.max_value_bits:
+                raise CompressionError(f"BP: invalid bit width {width}")
+            if width and 1 + (count * width + 7) // 8 > len(data):
+                raise CompressionError(
+                    f"BP: truncated input: {len(data) - 1} payload bytes "
+                    f"cannot hold {count} {width}-bit fields"
+                )
+            starts.append(end + 1)
+            widths.append(width)
+            end += len(data)
+        return unpack_frames(buffer, starts, widths,
+                             counts).astype(np.uint32)

@@ -41,8 +41,10 @@ from itertools import accumulate
 from operator import mul
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from repro.compression.base import DEFAULT_REGISTRY, Codec
-from repro.compression.bitio import BitReader, pack_fields
+from repro.compression.bitio import BitReader, pack_fields, unpack_frames
 from repro.compression.varbyte import VarByteCodec
 from repro.errors import CompressionError
 
@@ -193,6 +195,7 @@ class _PatchedFrameCodec(Codec):
     """Shared encode/decode driver; subclasses choose the frame width."""
 
     max_value_bits = 32
+    _one_pass_from = 160
 
     def encode(self, values: Sequence[int]) -> bytes:
         widths = self._widths(values)
@@ -230,6 +233,74 @@ class _PatchedFrameCodec(Codec):
             raise CompressionError(
                 f"{self.name}: decoded value exceeds 32 bits"
             ) from None
+
+    def _decode_in_one_pass(self, payloads: Sequence,
+                            counts: Sequence[int]) -> np.ndarray:
+        """The segment headers and exception sections are walked in
+        Python (they are a few bytes per block); every frame of the
+        list is then unpacked in one numpy pass and the patches OR-ed
+        in. Raises where :meth:`decode_block` raises; a frame wider
+        than 32 bits, which only a corrupt payload has, takes the
+        payload loop so that it fails (or not) exactly as there."""
+        buffer = b"".join(payloads)
+        starts: List[int] = []
+        widths: List[int] = []
+        sizes: List[int] = []
+        at: List[int] = []  # a patched value's index in the output
+        patches: List[int] = []  # its high bits, already shifted
+        end = produced = 0
+        for data, count in zip(payloads, counts):
+            offset, end = end, end + len(data)
+            for first in range(0, count, SEGMENT_SIZE):
+                size = min(SEGMENT_SIZE, count - first)
+                if offset + 2 > end:
+                    raise CompressionError("PFD: truncated segment header")
+                width = buffer[offset]
+                if width > 32:
+                    return self._decode_each(payloads, counts)
+                pos = offset + 2 + (size * width + 7) // 8
+                if pos > end:
+                    raise CompressionError(
+                        "PFD: truncated input: frame cut short")
+                starts.append(offset + 2)
+                widths.append(width)
+                sizes.append(size)
+                for _ in range(buffer[offset + 1]):
+                    # Position byte, then the high bits in VB: most
+                    # significant group first, the terminator flag on
+                    # the last byte.
+                    if pos + 1 >= end:
+                        raise CompressionError(
+                            "PFD: truncated exception section"
+                            if pos >= end else
+                            "PFD: unterminated exception value")
+                    position = buffer[pos]
+                    byte = buffer[pos + 1]
+                    pos += 2
+                    high = 0
+                    while not byte & 0x80:
+                        if pos >= end:
+                            raise CompressionError(
+                                "PFD: unterminated exception value")
+                        high = high << 7 | byte
+                        byte = buffer[pos]
+                        pos += 1
+                    high = high << 7 | byte & 0x7F
+                    if position >= size:
+                        raise CompressionError(
+                            f"PFD: exception position {position} "
+                            f"out of range")
+                    if high << width > 0xFFFFFFFF:
+                        raise CompressionError(
+                            f"{self.name}: decoded value exceeds 32 bits")
+                    at.append(produced + position)
+                    patches.append(high << width)
+                offset = pos
+                produced += size
+        values = unpack_frames(buffer, starts, widths, sizes)
+        if at:
+            np.bitwise_or.at(values, at, np.array(patches, dtype=np.uint64))
+        return values.astype(np.uint32)
 
     def _choose_frame(self, histogram: Sequence[int]) -> Tuple[int, int]:
         """``(frame width, encoded bytes)`` for a segment with this

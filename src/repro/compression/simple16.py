@@ -33,7 +33,9 @@ from itertools import accumulate, groupby
 from operator import lshift
 from typing import List, Sequence, Tuple
 
-from repro.compression.base import DEFAULT_REGISTRY, Codec
+import numpy as np
+
+from repro.compression.base import DEFAULT_REGISTRY, Codec, word_layouts
 from repro.errors import CompressionError
 
 #: The 16 field layouts. Each entry lists the field widths of one mode and
@@ -110,6 +112,9 @@ _EXTRACT = tuple(
     for shifts, mode in zip(S16_SHIFTS, S16_MODES)
 )
 
+#: The layouts as the list decoder's selector-indexed numpy tables.
+_LAYOUTS = word_layouts("<u4", S16_MODES, [len(mode) for mode in S16_MODES])
+
 
 @DEFAULT_REGISTRY.register
 class Simple16Codec(Codec):
@@ -117,6 +122,7 @@ class Simple16Codec(Codec):
 
     name = "S16"
     max_value_bits = 28
+    _one_pass_from = 192
 
     def encode(self, values: Sequence[int]) -> bytes:
         words = []
@@ -154,3 +160,7 @@ class Simple16Codec(Codec):
 
     def decode_block(self, data: bytes, count: int) -> array:
         return self._decode_words(data, count, "I", _EXTRACT)
+
+    def _decode_in_one_pass(self, payloads: Sequence,
+                            counts: Sequence[int]) -> np.ndarray:
+        return self._decode_word_lists(payloads, counts, _LAYOUTS)

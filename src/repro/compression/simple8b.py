@@ -38,7 +38,9 @@ from array import array
 from operator import lshift
 from typing import List, Sequence, Tuple
 
-from repro.compression.base import DEFAULT_REGISTRY, Codec
+import numpy as np
+
+from repro.compression.base import DEFAULT_REGISTRY, Codec, word_layouts
 from repro.errors import CompressionError
 
 #: ``(field_width_bits, values_per_word)`` per selector; width 0 encodes
@@ -79,6 +81,13 @@ _EXTRACT = tuple(
     for (width, capacity), shifts in zip(S8B_MODES, S8B_SHIFTS)
 )
 
+#: The modes as the list decoder's selector-indexed numpy tables.
+_LAYOUTS = word_layouts(
+    "<u8", [(width,) * capacity if width else ()
+            for width, capacity in S8B_MODES],
+    [capacity for _, capacity in S8B_MODES],
+)
+
 
 def _mode_pattern(width: int, capacity: int) -> bytes:
     """A uniform mode as a regular expression over a bit-length column:
@@ -112,6 +121,7 @@ class Simple8bCodec(Codec):
 
     name = "S8b"
     max_value_bits = 32  # values above 32 bits never arise from d-gaps
+    _one_pass_from = 224
 
     def encode(self, values: Sequence[int]) -> bytes:
         words = []
@@ -157,3 +167,7 @@ class Simple8bCodec(Codec):
 
     def decode_block(self, data: bytes, count: int) -> array:
         return self._decode_words(data, count, "Q", _EXTRACT)
+
+    def _decode_in_one_pass(self, payloads: Sequence,
+                            counts: Sequence[int]) -> np.ndarray:
+        return self._decode_word_lists(payloads, counts, _LAYOUTS)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Optional, Sequence, Tuple
 
-from repro.errors import SimulationError
+from repro.errors import CompressionError, SimulationError
 from repro.index.blocks import BLOCK_METADATA_BYTES
 from repro.index.index import CompressedPostingList
 from repro.scm.traffic import AccessClass, AccessPattern, TrafficCounter
@@ -235,8 +235,9 @@ class ListCursor:
         self._charge_metadata(self._block_index)
         block = self._list.blocks[self._block_index]
         # Functional decode: decoded-block cache first, then either the
-        # bulk fast path or the per-value reference decoder. How the
-        # arrays are *obtained* is a host-side wall-clock concern only.
+        # bulk fast path (the whole list, on a cache miss) or the
+        # per-value reference decoder. How the arrays are *obtained* is
+        # a host-side wall-clock concern only.
         decoded = None
         cache = self._decoded_cache
         if cache is not None:
@@ -244,17 +245,17 @@ class ListCursor:
                 self._list.term, self._block_index, self._list.scheme
             )
         if decoded is None:
-            if self._fast_path:
-                decoded = self._list.decode_block_arrays(self._block_index)
-            else:
+            if not self._fast_path:
                 postings = self._list.decode_block(self._block_index)
                 decoded = ([p.doc_id for p in postings],
                            [p.tf for p in postings])
-            if cache is not None:
-                cache.put(
-                    self._list.term, self._block_index, self._list.scheme,
-                    decoded,
-                )
+                if cache is not None:
+                    cache.put(self._list.term, self._block_index,
+                              self._list.scheme, decoded)
+            elif cache is not None:
+                decoded = self._decode_list(cache)
+            else:
+                decoded = self._list.decode_block_arrays(self._block_index)
         self._decoded_doc_ids, self._decoded_tfs = decoded
         # Modeled accounting is unconditional — the simulated accelerator
         # fetches and decompresses this block regardless of what the
@@ -285,6 +286,28 @@ class ListCursor:
                 (self._list.term, self._block_index,
                  block.compressed_bytes, fetched_pattern)
             )
+
+    def _decode_list(self, cache) -> Tuple[Sequence[int], Sequence[int]]:
+        """A decoded-cache miss: decode the whole list in one pass, put
+        the demanded block and prefill the others (a cold pass goes on
+        to decode nearly every block of the lists it touches; see
+        ``docs/columnar.md``, "The list decoder"). A list that does not
+        decode whole — some block is corrupt — falls back to the
+        demanded block alone, which raises exactly when that block is
+        the corrupt one, and prefills nothing."""
+        index = self._block_index
+        plist = self._list
+        try:
+            blocks = plist.decode_arrays()
+        except CompressionError:
+            decoded = plist.decode_block_arrays(index)
+        else:
+            decoded = blocks[index]
+            cache.prefill(plist.term, plist.scheme,
+                          [(i, pair) for i, pair in enumerate(blocks)
+                           if i != index])
+        cache.put(plist.term, index, plist.scheme, decoded)
+        return decoded
 
     def _charge_metadata(self, block_index: int) -> None:
         """Charge 19-byte metadata reads, once per block, in order."""

@@ -133,8 +133,10 @@ class BlockActivity:
     Built once per query from counts that exist anyway — the query's
     :class:`WorkCounters` and the engine's decoded-block cache — so the
     cursor's inner loop never calls the observer. On the production
-    path a block is decoded exactly when the cache misses; the
-    reference path keeps no cache and decodes every fetched block.
+    path a decode happens exactly when the cache misses, and decodes
+    the missing block's whole list (the other blocks are prefilled, so
+    their first lookups hit); the reference path keeps no cache and
+    decodes every fetched block.
     """
 
     work: WorkCounters
@@ -160,7 +162,9 @@ class BlockActivity:
               outcome="hit")
         count("decoded_cache.accesses", lookups, self.decoded_misses,
               outcome="miss")
-        decodes = "block decodes by execution path"
+        decodes = ("decodes by execution path: fast, one per decoded-"
+                   "cache miss (the block's whole list); reference, one "
+                   "per fetched block")
         if self.fast_path:
             count("decode.invocations", decodes, self.decoded_misses,
                   path="fast")

@@ -32,7 +32,7 @@ from repro.compression.delta import (
     doc_ids_from_deltas,
     doc_ids_from_deltas_array,
 )
-from repro.errors import InvertedIndexError
+from repro.errors import CompressionError, InvertedIndexError
 from repro.index.postings import Posting
 
 #: Postings per block, the paper's fixed block granularity.
@@ -40,6 +40,19 @@ BLOCK_SIZE = 128
 
 #: Size of the per-block metadata record (Section IV-A).
 BLOCK_METADATA_BYTES = 19
+
+#: A stored ``tf - 1`` at or above this has a tf wider than 32 bits.
+STORED_TF_LIMIT = 0xFFFFFFFF
+
+
+def tf_overflow(codec: Codec) -> CompressionError:
+    """What a decoder raises for a stored tf - 1 of
+    :data:`STORED_TF_LIMIT` or more (only a corrupt or hostile payload
+    holds one: the builder never writes a tf past 32 bits)."""
+    return CompressionError(
+        f"{codec.name}: stored tf - 1 of {STORED_TF_LIMIT} or more; "
+        f"the tf does not fit 32 bits"
+    )
 
 
 @dataclass(frozen=True)
@@ -106,6 +119,8 @@ class Block:
         deltas = codec.decode(bytes(self.doc_payload), meta.count)
         doc_ids = doc_ids_from_deltas(deltas, base=meta.first_doc_id - 1)
         tfs = codec.decode(bytes(self.tf_payload), meta.count)
+        if tfs and max(tfs) >= STORED_TF_LIMIT:
+            raise tf_overflow(codec)
         return [Posting(d, tf + 1) for d, tf in zip(doc_ids, tfs)]
 
     def decode_arrays(self, codec: Codec) -> Tuple[array, array]:
@@ -124,7 +139,10 @@ class Block:
         doc_ids = doc_ids_from_deltas_array(deltas,
                                             base=meta.first_doc_id - 1)
         tfs = codec.decode_block(bytes(self.tf_payload), meta.count)
-        return doc_ids, array("I", [tf + 1 for tf in tfs])
+        try:
+            return doc_ids, array("I", [tf + 1 for tf in tfs])
+        except OverflowError:
+            raise tf_overflow(codec) from None
 
 
 def build_block_columns(doc_ids: Sequence[int], tfs: Sequence[int],

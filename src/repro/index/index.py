@@ -16,12 +16,16 @@ inverted list is a (mostly) read-only data structure").
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence
+from itertools import accumulate
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.compression.base import Codec, get_codec
-from repro.errors import InvertedIndexError
-from repro.index.blocks import BLOCK_METADATA_BYTES, Block
+from repro.errors import CompressionError, InvertedIndexError
+from repro.index.blocks import BLOCK_METADATA_BYTES, Block, tf_overflow
 from repro.index.bm25 import BM25Scorer
 from repro.index.postings import Posting
 from repro.index.storage import AddressSpaceLayout, Region
@@ -91,6 +95,53 @@ class CompressedPostingList:
         :meth:`repro.index.blocks.Block.decode_arrays`).
         """
         return self.blocks[index].decode_arrays(self.codec)
+
+    def decode_arrays(self) -> List[Tuple[array, array]]:
+        """Every block decompressed in one pass: ``decode_arrays()[i]``
+        equals :meth:`decode_block_arrays` ``(i)`` value for value.
+
+        One :meth:`~repro.compression.base.Codec.decode_blocks` call
+        takes the docID gaps and the tfs of every block; the docIDs are
+        one running sum of ``gap + 1`` over the list, re-based at each
+        block on its metadata first docID. Bounds are checked in 64
+        bits before narrowing, so a docID or a tf past 32 bits raises
+        :class:`CompressionError` instead of wrapping. Raises whatever
+        a block's own decode would raise, though not necessarily with
+        that block's message: a caller that must name the failing block
+        decodes block by block. A list too short to repay numpy's
+        set-up (:meth:`~repro.compression.base.Codec.decodes_in_one_pass`)
+        is decoded block by block.
+        """
+        blocks = self.blocks
+        total = self.document_frequency
+        if not self.codec.decodes_in_one_pass(2 * total):
+            return [block.decode_arrays(self.codec) for block in blocks]
+        counts = [b.metadata.count for b in blocks]
+        # gap + 1 and tf + 1, in 64 bits so that nothing wraps.
+        values = self.codec.decode_blocks(
+            [b.doc_payload for b in blocks] + [b.tf_payload for b in blocks],
+            counts + counts,
+        ).astype(np.int64)
+        values += 1
+        # The running sum of gap + 1, less its value at the end of the
+        # previous block, is the distance from the block's first docID
+        # - 1: the docIDs overwrite the gaps in place.
+        doc_ids = values[:total]
+        np.add.accumulate(doc_ids, out=doc_ids)
+        ends = list(accumulate(counts))
+        bases = np.array([b.metadata.first_doc_id - 1 for b in blocks],
+                         dtype=np.int64)
+        bases[1:] -= doc_ids.take([end - 1 for end in ends[:-1]])
+        doc_ids += bases.repeat(counts)
+        if values.max() > 0xFFFFFFFF:
+            if values[total:].max() > 0xFFFFFFFF:
+                raise tf_overflow(self.codec)
+            raise CompressionError(
+                f"{self.term!r}: docID beyond 32 bits accumulating d-gaps"
+            )
+        both = array("I", values.astype(np.uint32).tobytes())
+        return [(both[start:end], both[total + start:total + end])
+                for start, end in zip([0] + ends, ends)]
 
     def decode_all(self) -> List[Posting]:
         """Decompress the entire list (ground truth for tests)."""

@@ -83,8 +83,6 @@ class FetchRun:
     list_key: ListKey
     blocks: Tuple[int, ...]
     nbytes: int
-    #: Bytes read purely to bridge gaps inside the run.
-    gap_bytes: int
 
     @property
     def length(self) -> int:
@@ -332,7 +330,7 @@ def _coalesce(plan: FetchPlan, miss_keys: Dict[BlockKey, int],
             run_bytes = sum(run_sizes)
             plan.runs.append(FetchRun(
                 list_key=list_key, blocks=tuple(blocks_in_run),
-                nbytes=run_bytes, gap_bytes=run_gap_bytes,
+                nbytes=run_bytes,
             ))
             plan.gap_bytes += run_gap_bytes
             gap_seconds = scm.read_time(run_gap_bytes,

@@ -138,8 +138,8 @@ def merge_segments(segmented: SegmentedIndex,
             posting_list = segment.index.posting_list(term)
             survivors = [
                 posting
-                for block in range(len(posting_list.blocks))
-                for posting in zip(*posting_list.decode_block_arrays(block))
+                for doc_ids, tfs in posting_list.decode_arrays()
+                for posting in zip(doc_ids, tfs)
                 if posting[0] not in dead
             ]
             if survivors:

@@ -79,7 +79,6 @@ from __future__ import annotations
 import math
 import threading
 from collections import Counter
-from dataclasses import replace
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.engine import BossAccelerator, BossConfig
@@ -93,7 +92,7 @@ from repro.core.query import (
 from repro.core.result import ScoredDocument, SearchResult, best_hits
 from repro.core.topk import positive_k
 from repro.errors import InvertedIndexError, QueryError
-from repro.index.blocks import BLOCK_SIZE, Block
+from repro.index.blocks import BLOCK_SIZE, Block, BlockMetadata
 from repro.index.builder import IndexBuilder
 from repro.index.index import (
     CompressedPostingList,
@@ -295,8 +294,17 @@ class _StaleSegmentView:
         list_max = 0.0
         for block, tf_max in zip(sealed.blocks, self._block_max_tfs[term]):
             bound = idf * (tf_max * (k1 + 1.0)) / (tf_max + min_norm)
+            meta = block.metadata
             blocks.append(Block(
-                metadata=replace(block.metadata, max_term_score=bound),
+                metadata=BlockMetadata(
+                    first_doc_id=meta.first_doc_id,
+                    last_doc_id=meta.last_doc_id,
+                    max_term_score=bound,
+                    offset=meta.offset,
+                    count=meta.count,
+                    bit_width=meta.bit_width,
+                    exception_offset=meta.exception_offset,
+                ),
                 doc_payload=block.doc_payload,
                 tf_payload=block.tf_payload,
             ))

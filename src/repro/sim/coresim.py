@@ -44,12 +44,15 @@ class CoreSimReport:
 
     #: Simulated wall-clock seconds for the query.
     total_seconds: float
-    #: Busy seconds per resource.
+    #: Busy seconds per serial resource: the memory channel, each
+    #: decode lane (``decode0``, ``decode1``, ...) and the downstream
+    #: unit.
     busy_seconds: Dict[str, float]
-    #: Blocks processed.
-    blocks: int
-    #: The analytic lower bound (max of stage busy times).
-    analytic_bound_seconds: float
+
+    @property
+    def analytic_bound_seconds(self) -> float:
+        """The analytic lower bound: the busiest serial resource."""
+        return max(self.busy_seconds.values(), default=0.0)
 
     @property
     def pipeline_efficiency(self) -> float:
@@ -79,10 +82,7 @@ class BossCoreSimulator:
                  records: Sequence[FetchRecord]) -> CoreSimReport:
         """Replay one query's fetched blocks through the pipeline."""
         if not records:
-            return CoreSimReport(
-                total_seconds=0.0, busy_seconds={}, blocks=0,
-                analytic_bound_seconds=0.0,
-            )
+            return CoreSimReport(total_seconds=0.0, busy_seconds={})
 
         # Assign each query term a decompression lane (round-robin past
         # num_lanes, which only matters for >4-term queries).
@@ -123,7 +123,7 @@ class BossCoreSimulator:
         # Completion times of decoded-but-unconsumed blocks per lane.
         lane_buffered: List[List[float]] = [[] for _ in range(self.num_lanes)]
         downstream_free = 0.0
-        busy = {"memory": 0.0, "decode": 0.0, "downstream": 0.0}
+        busy = {"memory": 0.0, "downstream": 0.0}
         finish = 0.0
 
         for lane, fetch_s, decode_s, downstream_s in blocks:
@@ -143,7 +143,6 @@ class BossCoreSimulator:
             decode_start = max(fetch_done, lane_free[lane], stall_until)
             decode_done = decode_start + decode_s
             lane_free[lane] = decode_done
-            busy["decode"] += decode_s
             lane_busy[lane] += decode_s
 
             downstream_start = max(decode_done, downstream_free)
@@ -153,16 +152,11 @@ class BossCoreSimulator:
             buffered.append(downstream_done)
             finish = max(finish, downstream_done)
 
-        # The analytic lower bound uses each *serial* resource's busy
-        # time: the one memory channel, the busiest single decode lane,
-        # and the shared downstream unit.
-        analytic = max(busy["memory"], max(lane_busy), busy["downstream"])
-        return CoreSimReport(
-            total_seconds=finish,
-            busy_seconds=busy,
-            blocks=len(blocks),
-            analytic_bound_seconds=analytic,
-        )
+        # Each *serial* resource's busy time: the one memory channel,
+        # every decode lane, and the shared downstream unit.
+        for lane, seconds in enumerate(lane_busy):
+            busy[f"decode{lane}"] = seconds
+        return CoreSimReport(total_seconds=finish, busy_seconds=busy)
 
 
 def size_to_postings(size: int, result: SearchResult) -> int:

@@ -40,7 +40,6 @@ class ThroughputReport:
 
     engine: str
     num_queries: int
-    num_cores: int
     #: Wall-clock seconds for the whole batch.
     batch_seconds: float
     #: Queries per second.
@@ -130,7 +129,7 @@ class _TimingModel:
             for r in results
         )
         return _make_report(
-            self.name, len(results), cores, compute_seconds,
+            self.name, len(results), compute_seconds,
             memory_seconds, interconnect_seconds,
             sum(r.traffic.total_bytes for r in results),
         )
@@ -279,7 +278,7 @@ class LuceneTimingModel(_TimingModel):
         return 1
 
 
-def _make_report(name: str, num_queries: int, cores: int,
+def _make_report(name: str, num_queries: int,
                  compute_seconds: float, memory_seconds: float,
                  interconnect_seconds: float,
                  total_bytes: int) -> ThroughputReport:
@@ -295,7 +294,6 @@ def _make_report(name: str, num_queries: int, cores: int,
     return ThroughputReport(
         engine=name,
         num_queries=num_queries,
-        num_cores=cores,
         batch_seconds=batch_seconds,
         throughput_qps=num_queries / batch_seconds,
         bottleneck=bottleneck,

@@ -90,3 +90,69 @@ def test_block_decode_corruption_is_contained(small_index):
         except CompressionError:
             continue
         assert len(postings) == block.metadata.count
+
+
+#: The codecs that can store a tf - 1 of 2**32 - 1 (S16 stops at 28 bits).
+WIDE_SCHEMES = [name for name in ALL_SCHEMES
+                if get_codec(name).max_value_bits == 32]
+
+
+def _two_block_list(scheme):
+    """A fresh one-term index of two blocks: docIDs 0-199, tf 1."""
+    from repro.index import IndexBuilder
+
+    builder = IndexBuilder(schemes=[scheme])
+    builder.declare_documents([10] * 200)
+    builder.add_postings("w", [(doc, 1) for doc in range(200)])
+    return builder.build().posting_list("w")
+
+
+@pytest.mark.parametrize("scheme", WIDE_SCHEMES)
+def test_stored_tf_past_32_bits_raises_compression_error(scheme):
+    """A hostile ``.bossx`` can store tf - 1 = 2**32 - 1, whose tf no
+    32-bit slot holds: the oracle, the block decoder and the list
+    decoder all raise :class:`CompressionError` (not ``OverflowError``,
+    and the oracle no longer returns tf = 2**32)."""
+    from repro.index.blocks import Block
+    from tests.compression.test_list_decode import numpy_pass
+
+    plist = _two_block_list(scheme)
+    codec = plist.codec
+    good = plist.blocks[1]
+    hostile = [0] * good.metadata.count
+    hostile[3] = 0xFFFFFFFF
+    bad = Block(metadata=good.metadata, doc_payload=good.doc_payload,
+                tf_payload=codec.encode(hostile))
+    plist.blocks[1] = bad
+    with pytest.raises(CompressionError):
+        bad.decode(codec)
+    with pytest.raises(CompressionError):
+        bad.decode_arrays(codec)
+    for forced in (False, True):
+        with numpy_pass(forced), pytest.raises(CompressionError):
+            plist.decode_arrays()
+
+
+@pytest.mark.parametrize("scheme", WIDE_SCHEMES)
+def test_docid_past_32_bits_raises_compression_error(scheme):
+    """D-gaps that carry a docID past 2**32 - 1 raise on both fast
+    paths: the list decoder checks in 64 bits before narrowing, where
+    ``astype(uint32)`` would wrap silently."""
+    from dataclasses import replace
+
+    from repro.index.blocks import Block
+    from tests.compression.test_list_decode import numpy_pass
+
+    plist = _two_block_list(scheme)
+    good = plist.blocks[1]
+    first = 0xFFFFFFFF - 10
+    plist.blocks[1] = Block(
+        metadata=replace(good.metadata, first_doc_id=first,
+                         last_doc_id=first),
+        doc_payload=good.doc_payload, tf_payload=good.tf_payload,
+    )
+    with pytest.raises(CompressionError):
+        plist.decode_block_arrays(1)
+    for forced in (False, True):
+        with numpy_pass(forced), pytest.raises(CompressionError):
+            plist.decode_arrays()

@@ -9,7 +9,7 @@ from repro.sim.timing import ThroughputReport
 
 def _report(engine, seconds):
     return ThroughputReport(
-        engine=engine, num_queries=100, num_cores=8,
+        engine=engine, num_queries=100,
         batch_seconds=seconds, throughput_qps=100 / seconds,
         bottleneck="compute", compute_seconds=seconds,
         memory_seconds=0.0, interconnect_seconds=0.0, avg_bandwidth=1.0,

@@ -17,7 +17,9 @@ longer makes, — since admission at the queue — the named
 since the planner stopped prefetching — the two ``planner.prefetch_*``
 series, and — since the hybrid rerank became the only second stage —
 the three ``rerank.*`` series, the feature model's probe hits and its
-share of the rerank stage sample, and nothing else.
+share of the rerank stage sample, and — since a decoded-cache miss
+decodes its whole list — the decoded-cache hits and misses, the fast
+path's decode count and that count's help string, and nothing else.
 """
 
 import json
@@ -332,6 +334,25 @@ def expected_snapshot():
         field = "sum" if "sum" in sample else "value"
         assert sample[field] == parent, (name, labels)
         sample[field] = now
+    # The list decoder: a decoded-cache miss decodes the missing block's
+    # whole list and prefills its other blocks, which neither hit nor
+    # miss when they go in. The engines' lookups stay 91; the 36 that
+    # found a block its list's first miss had prefilled now hit. The
+    # fast path decodes once per miss, a whole list, and its help
+    # string now says so.
+    accesses = expected["decoded_cache.accesses"]["samples"]
+    assert accesses == [{"labels": {"outcome": "hit"}, "value": 41},
+                        {"labels": {"outcome": "miss"}, "value": 50}]
+    accesses[0]["value"] = 77
+    accesses[1]["value"] = 14
+    invocations = expected["decode.invocations"]
+    fast = invocations["samples"][0]
+    assert fast == {"labels": {"path": "fast"}, "value": 50}
+    fast["value"] = 14
+    invocations["help"] = (
+        "decodes by execution path: fast, one per decoded-cache miss "
+        "(the block's whole list); reference, one per fetched block"
+    )
     return expected
 
 

@@ -29,9 +29,13 @@ def simulator():
 
 class TestEventSimulation:
     def test_reports_all_blocks(self, simulator, traced_runs):
+        """Every fetched block crosses the memory channel once."""
         for result, log in traced_runs:
             report = simulator.simulate(result, log)
-            assert report.blocks == len(log)
+            assert report.busy_seconds["memory"] == pytest.approx(sum(
+                size / simulator.device.seq_read_bw
+                for _term, _block, size, _pattern in log
+            ))
 
     def test_time_bounded_below_by_busy_max(self, simulator, traced_runs):
         """Simulated time can never beat the busiest resource."""
@@ -52,14 +56,14 @@ class TestEventSimulation:
         within a small factor on real block streams."""
         for result, log in traced_runs:
             report = simulator.simulate(result, log)
-            if report.blocks >= 4:
+            if len(log) >= 4:
                 assert report.pipeline_efficiency > 0.3
 
     def test_empty_log(self, simulator, traced_runs):
         result, _log = traced_runs[0]
         report = simulator.simulate(result, [])
         assert report.total_seconds == 0.0
-        assert report.blocks == 0
+        assert report.busy_seconds == {}
 
     def test_agrees_with_analytic_on_memory_bound_stream(self, small_index):
         """A slow device makes both models converge on memory time."""

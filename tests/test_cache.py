@@ -151,13 +151,35 @@ class TestDecodedBlockCache:
         assert cache.num_blocks <= 16
         assert cache.hits + cache.misses == 4 * 200
 
+    def test_prefill_moves_no_counter_and_keeps_residents(self):
+        cache = DecodedBlockCache(capacity_blocks=8)
+        resident = ([1], [1])
+        cache.put("a", 1, "VB", resident)
+        cache.prefill("a", "VB", [(0, "A0"), (1, "new"), (2, "A2")])
+        assert (cache.hits, cache.misses, cache.num_blocks) == (0, 0, 3)
+        assert cache.get("a", 1, "VB") is resident  # not replaced
+        assert cache.get("a", 2, "VB") == "A2"
+        assert (cache.hits, cache.misses) == (2, 0)
+
+    def test_prefill_evicts_to_capacity(self):
+        cache = DecodedBlockCache(capacity_blocks=2)
+        cache.put("b", 0, "VB", "B")
+        cache.prefill("a", "VB", [(0, "A0"), (1, "A1")])
+        assert cache.num_blocks == 2
+        assert cache.get("b", 0, "VB") is None  # the LRU entry went
+        assert cache.get("a", 1, "VB") == "A1"
+
     def test_engine_default_cache_fills_and_hits(self, small_index):
+        """A list's first touch misses once and decodes the whole list,
+        so its later blocks hit, and so does every block of a repeat."""
         engine = BossAccelerator(small_index, BossConfig(k=10))
         engine.search('"t0" OR "t2"')
-        assert engine.decoded_cache.misses > 0
-        assert engine.decoded_cache.hits == 0
-        engine.search('"t0" OR "t2"')
+        assert engine.decoded_cache.misses == 2
         assert engine.decoded_cache.hits > 0
+        hits = engine.decoded_cache.hits
+        engine.search('"t0" OR "t2"')
+        assert engine.decoded_cache.misses == 2
+        assert engine.decoded_cache.hits > hits
 
 
 class TestCacheSimulator:
