@@ -205,13 +205,12 @@ class IIUAccelerator:
         matched through a different branch of the query.
         """
         posting_list = self._index.posting_list(term)
-        blocks = posting_list.blocks
-        num_blocks = len(blocks)
+        num_blocks = posting_list.num_blocks
         probes_per_lookup = max(1, math.ceil(math.log2(num_blocks + 1)))
         decoded_blocks: Dict[int, Dict[int, int]] = {}
 
         survivors: List[Tuple[int, Dict[str, int]]] = []
-        lasts = [b.metadata.last_doc_id for b in blocks]
+        lasts = posting_list.lasts
         import bisect
 
         for doc, tfs in candidates:
@@ -231,8 +230,7 @@ class IIUAccelerator:
                 if keep_misses:
                     survivors.append((doc, tfs))
                 continue
-            meta = blocks[index].metadata
-            if doc < meta.first_doc_id:
+            if doc < posting_list.firsts[index]:
                 if keep_misses:
                     survivors.append((doc, tfs))
                 continue
@@ -247,7 +245,7 @@ class IIUAccelerator:
                 traffic.record(
                     AccessClass.LD_LIST,
                     AccessPattern.RANDOM,
-                    blocks[index].compressed_bytes,
+                    posting_list.ends[index] - posting_list.starts[index],
                 )
             tf = block_map.get(doc)
             if tf is not None:

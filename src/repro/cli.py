@@ -63,7 +63,8 @@ from repro.baselines import IIUAccelerator, IIUConfig, LuceneConfig, LuceneEngin
 from repro.core import BossAccelerator, BossConfig
 from repro.errors import ReproError
 from repro.index import IndexBuilder
-from repro.index.binaryio import save_index_binary
+from repro.index.binaryio import FORMAT_VERSION, save_index_binary
+from repro.index.blocks import BLOCK_METADATA_BYTES
 from repro.index.mmapio import STORAGE_MODES, open_index
 from repro.sim.timing import BossTimingModel, IIUTimingModel, LuceneTimingModel
 
@@ -458,6 +459,8 @@ def _cmd_build(args) -> int:
 def _cmd_info(args) -> int:
     index = _load_cli_index(args)
     stats = index.stats
+    print(f"format:           .bossx v{FORMAT_VERSION}, "
+          f"{BLOCK_METADATA_BYTES} B block records")
     print(f"documents:        {stats.num_docs}")
     print(f"terms:            {index.num_terms}")
     print(f"avg doc length:   {stats.avgdl:.1f} tokens")

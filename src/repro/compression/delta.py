@@ -42,7 +42,9 @@ def deltas_from_doc_ids(doc_ids: Sequence[int], base: int = -1) -> List[int]:
 
 
 def doc_ids_from_deltas(deltas: Sequence[int], base: int = -1) -> List[int]:
-    """Inverse of :func:`deltas_from_doc_ids`."""
+    """Inverse of :func:`deltas_from_doc_ids`; a docID past 32 bits
+    raises :class:`CompressionError`, as in
+    :func:`doc_ids_from_deltas_array`."""
     doc_ids: List[int] = []
     prev = base
     for delta in deltas:
@@ -50,6 +52,10 @@ def doc_ids_from_deltas(deltas: Sequence[int], base: int = -1) -> List[int]:
             raise CompressionError(f"negative d-gap {delta}")
         prev = prev + delta + 1
         doc_ids.append(prev)
+    if prev > 0xFFFFFFFF:
+        raise CompressionError(
+            f"docID beyond 32 bits accumulating d-gaps above base {base}"
+        )
     return doc_ids
 
 

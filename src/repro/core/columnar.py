@@ -178,9 +178,7 @@ def run_union_columnar(cursors, scorer: BM25Scorer, topk: TopKQueue,
             alive.append([
                 cursor.current_doc(), -max_score, max_score,
                 cursor.idf, cursor, cursor._lasts,
-                [b.metadata.max_term_score
-                 for b in cursor.posting_list.blocks],
-                None, None,
+                cursor.posting_list.block_max, None, None,
             ])
 
     # BM25 term-score arithmetic, inlined with the exact operation order

@@ -71,9 +71,10 @@ class ListCursor:
         self._position = 0
         self._decoded_doc_ids: Optional[Sequence[int]] = None
         self._decoded_tfs: Optional[Sequence[int]] = None
-        #: Block last-docIDs, the skip search structure (metadata mirror).
-        self._lasts = [b.metadata.last_doc_id for b in posting_list.blocks]
-        self._firsts = [b.metadata.first_doc_id for b in posting_list.blocks]
+        #: The list's block first/last-docID columns (shared, not
+        #: copied): the skip search structure.
+        self._lasts = posting_list.lasts
+        self._firsts = posting_list.firsts
         #: Highest block index whose metadata was charged so far.
         self._metadata_read_upto = -1
         #: Index of the last payload the fetch log recorded (-1 = none
@@ -152,11 +153,7 @@ class ListCursor:
             return None
         end = min(len(self._lasts), index + max(1, window))
         self._charge_metadata(end - 1)
-        bound = max(
-            self._list.blocks[i].metadata.max_term_score
-            for i in range(index, end)
-        )
-        return bound, self._lasts[end - 1]
+        return max(self._list.block_max[index:end]), self._lasts[end - 1]
 
     # ------------------------------------------------------------------
     # Movement
@@ -232,8 +229,8 @@ class ListCursor:
             return
         if self.exhausted:
             raise SimulationError(f"cursor for {self.term!r} exhausted")
-        self._charge_metadata(self._block_index)
-        block = self._list.blocks[self._block_index]
+        plist, index = self._list, self._block_index
+        self._charge_metadata(index)
         # Functional decode: decoded-block cache first, then either the
         # bulk fast path (the whole list, on a cache miss) or the
         # per-value reference decoder. How the arrays are *obtained* is
@@ -241,32 +238,28 @@ class ListCursor:
         decoded = None
         cache = self._decoded_cache
         if cache is not None:
-            decoded = cache.get(
-                self._list.term, self._block_index, self._list.scheme
-            )
+            decoded = cache.get(plist.term, index, plist.scheme)
         if decoded is None:
             if not self._fast_path:
-                postings = self._list.decode_block(self._block_index)
+                postings = plist.decode_block(index)
                 decoded = ([p.doc_id for p in postings],
                            [p.tf for p in postings])
                 if cache is not None:
-                    cache.put(self._list.term, self._block_index,
-                              self._list.scheme, decoded)
+                    cache.put(plist.term, index, plist.scheme, decoded)
             elif cache is not None:
                 decoded = self._decode_list(cache)
             else:
-                decoded = self._list.decode_block_arrays(self._block_index)
+                decoded = plist.decode_block_arrays(index)
         self._decoded_doc_ids, self._decoded_tfs = decoded
         # Modeled accounting is unconditional — the simulated accelerator
         # fetches and decompresses this block regardless of what the
         # host-side decoded cache served, so every modeled metric is
         # bit-identical with the cache/fast path on or off.
+        nbytes = plist.ends[index] - plist.starts[index]
         self._work.blocks_fetched += 1
-        self._work.postings_decoded += block.metadata.count
-        self._traffic.record(
-            AccessClass.LD_LIST, AccessPattern.SEQUENTIAL,
-            block.compressed_bytes
-        )
+        self._work.postings_decoded += plist.counts[index]
+        self._traffic.record(AccessClass.LD_LIST, AccessPattern.SEQUENTIAL,
+                             nbytes)
         if self._fetch_log is not None:
             # The observed pattern of *this* fetch: sequential only when
             # it continues the previous fetched block (block 0 counts as
@@ -276,16 +269,12 @@ class ListCursor:
             # loads ahead of demand — but the serving-layer cache/planner
             # studies replay per-block demand fetches, where a skip
             # landing is a random read.
-            fetched_pattern = (
-                AccessPattern.SEQUENTIAL
-                if self._block_index == self._last_fetched_block + 1
-                else AccessPattern.RANDOM
-            )
-            self._last_fetched_block = self._block_index
-            self._fetch_log.append(
-                (self._list.term, self._block_index,
-                 block.compressed_bytes, fetched_pattern)
-            )
+            fetched_pattern = (AccessPattern.SEQUENTIAL
+                               if index == self._last_fetched_block + 1
+                               else AccessPattern.RANDOM)
+            self._last_fetched_block = index
+            self._fetch_log.append((plist.term, index, nbytes,
+                                    fetched_pattern))
 
     def _decode_list(self, cache) -> Tuple[Sequence[int], Sequence[int]]:
         """A decoded-cache miss: decode the whole list in one pass, put

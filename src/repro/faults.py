@@ -378,7 +378,7 @@ class FaultyEngine:
             return None
         index = self._engine.index
         for term in terms:
-            if term in index and index.posting_list(term).blocks:
+            if term in index and index.posting_list(term).num_blocks:
                 return term
         return None
 

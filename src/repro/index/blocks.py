@@ -17,11 +17,16 @@ encoded bit width        5 bit fixed-width extractor configuration
 first exception offset   12 bit PFD-style patch section locator
 ======================== ===== =======================================
 
-The three sub-byte fields share the final 3 bytes, totalling 19 bytes.
+The three sub-byte fields share the final 3 bytes, totalling 19 bytes;
+the count field holds ``count - 1``. A posting list keeps these records
+as columns (:class:`repro.index.index.CompressedPostingList`); the
+:class:`Block` and :class:`BlockMetadata` objects here are built only on
+demand, for the reference decoder, the deep validator and tooling.
 """
 
 from __future__ import annotations
 
+import struct
 from array import array
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -43,6 +48,9 @@ BLOCK_METADATA_BYTES = 19
 
 #: A stored ``tf - 1`` at or above this has a tf wider than 32 bits.
 STORED_TF_LIMIT = 0xFFFFFFFF
+
+_F32 = struct.Struct("<f")
+_U32 = struct.Struct("<I")
 
 
 def tf_overflow(codec: Codec) -> CompressionError:
@@ -108,53 +116,78 @@ class Block:
         return len(self.doc_payload) + len(self.tf_payload)
 
     def decode(self, codec: Codec) -> List[Posting]:
-        """Decompress the block back into postings.
+        """Decompress the block back into postings (:func:`decode_payloads`).
 
         The caller supplies the codec named by the list's compression
         scheme (the ``compType`` of the offloading API).
         """
         meta = self.metadata
-        # The decoders assume bytes semantics: a zero-copy (mmap)
-        # payload view is copied here, a bytes payload is not.
-        deltas = codec.decode(bytes(self.doc_payload), meta.count)
-        doc_ids = doc_ids_from_deltas(deltas, base=meta.first_doc_id - 1)
-        tfs = codec.decode(bytes(self.tf_payload), meta.count)
-        if tfs and max(tfs) >= STORED_TF_LIMIT:
-            raise tf_overflow(codec)
-        return [Posting(d, tf + 1) for d, tf in zip(doc_ids, tfs)]
+        return decode_payloads(codec, self.doc_payload, self.tf_payload,
+                               meta.count, meta.first_doc_id)
 
     def decode_arrays(self, codec: Codec) -> Tuple[array, array]:
-        """Production decompression: ``(docID array, tf array)``.
-
-        Functionally identical to :meth:`decode` but stays in bulk form
-        end to end — the codec's ``decode_block`` emits ``array('I')``
-        d-gaps, the prefix-sum transform reconstructs docIDs in one
-        pass, and no per-posting objects are materialized. This is the
-        representation the query cursors consume (and the decoded-block
-        cache retains). Payload views are copied exactly as in
-        :meth:`decode`.
-        """
+        """Production decompression: ``(docID array, tf array)``
+        (:func:`decode_payload_arrays`)."""
         meta = self.metadata
-        deltas = codec.decode_block(bytes(self.doc_payload), meta.count)
-        doc_ids = doc_ids_from_deltas_array(deltas,
-                                            base=meta.first_doc_id - 1)
-        tfs = codec.decode_block(bytes(self.tf_payload), meta.count)
-        try:
-            return doc_ids, array("I", [tf + 1 for tf in tfs])
-        except OverflowError:
-            raise tf_overflow(codec) from None
+        return decode_payload_arrays(codec, self.doc_payload,
+                                     self.tf_payload, meta.count,
+                                     meta.first_doc_id)
 
 
-def build_block_columns(doc_ids: Sequence[int], tfs: Sequence[int],
-                        codec: Codec, max_term_score: float,
-                        offset: int) -> Block:
-    """Compress one run of postings, given as columns, into a :class:`Block`.
+def decode_payloads(codec: Codec, doc_payload, tf_payload, count: int,
+                    first_doc_id: int) -> List[Posting]:
+    """The per-value reference decode of one block's two payloads.
+
+    A docID or a tf past 32 bits raises :class:`CompressionError`, as
+    on the bulk paths.
+    """
+    # The decoders assume bytes semantics: a zero-copy (mmap)
+    # payload view is copied here, a bytes payload is not.
+    deltas = codec.decode(bytes(doc_payload), count)
+    doc_ids = doc_ids_from_deltas(deltas, base=first_doc_id - 1)
+    tfs = codec.decode(bytes(tf_payload), count)
+    if tfs and max(tfs) >= STORED_TF_LIMIT:
+        raise tf_overflow(codec)
+    return [Posting(d, tf + 1) for d, tf in zip(doc_ids, tfs)]
+
+
+def decode_payload_arrays(codec: Codec, doc_payload, tf_payload,
+                          count: int, first_doc_id: int
+                          ) -> Tuple[array, array]:
+    """Functionally :func:`decode_payloads`, in bulk form end to end.
+
+    The codec's ``decode_block`` emits ``array('I')`` d-gaps, the
+    prefix-sum transform reconstructs docIDs in one pass, and no
+    per-posting objects are materialized. This is the representation
+    the query cursors consume (and the decoded-block cache retains).
+    """
+    deltas = codec.decode_block(bytes(doc_payload), count)
+    doc_ids = doc_ids_from_deltas_array(deltas, base=first_doc_id - 1)
+    tfs = codec.decode_block(bytes(tf_payload), count)
+    try:
+        return doc_ids, array("I", [tf + 1 for tf in tfs])
+    except OverflowError:
+        raise tf_overflow(codec) from None
+
+
+def ceil_float32(score: float) -> float:
+    """``score`` rounded *up* to float32, the record's 4-byte max
+    term-score field, which must never understate its block (scores
+    are non-negative, so the next float32 up is the next bit pattern)."""
+    (rounded,) = _F32.unpack(_F32.pack(score))
+    if rounded < score:
+        (bits,) = _U32.unpack(_F32.pack(rounded))
+        (rounded,) = _F32.unpack(_U32.pack(bits + 1))
+    return rounded
+
+
+def encode_block(doc_ids: Sequence[int], tfs: Sequence[int],
+                 codec: Codec) -> Tuple[bytes, bytes, int]:
+    """Compress one run of postings, given as columns: its docID
+    payload, its tf payload and the record's bit-width field.
 
     ``doc_ids`` (strictly increasing) and ``tfs`` are parallel; the
     index builder slices them straight out of its posting-list columns.
-    ``offset`` is the byte position the payload will occupy within its
-    posting list's region (recorded in metadata, exactly as the paper's
-    "address offset of the compressed block" field).
     """
     if not doc_ids:
         raise InvertedIndexError("cannot build an empty block")
@@ -163,23 +196,27 @@ def build_block_columns(doc_ids: Sequence[int], tfs: Sequence[int],
             f"block of {len(doc_ids)} postings exceeds {BLOCK_SIZE}"
         )
     deltas = deltas_from_doc_ids(doc_ids, base=doc_ids[0] - 1)
+    return (codec.encode(deltas), codec.encode([tf - 1 for tf in tfs]),
+            min(31, max(deltas).bit_length()))
+
+
+def build_block(postings: Sequence[Posting], codec: Codec,
+                max_term_score: float, offset: int) -> Block:
+    """:func:`encode_block` for a run given posting by posting, as a
+    :class:`Block`. ``offset`` is the byte position the payload will
+    occupy within its posting list's region (the paper's "address
+    offset of the compressed block" field)."""
+    doc_ids = [p.doc_id for p in postings]
+    doc_payload, tf_payload, bit_width = encode_block(
+        doc_ids, [p.tf for p in postings], codec)
     metadata = BlockMetadata(
         first_doc_id=doc_ids[0],
         last_doc_id=doc_ids[-1],
         max_term_score=max_term_score,
         offset=offset,
         count=len(doc_ids),
-        bit_width=min(31, max(deltas).bit_length()),
+        bit_width=bit_width,
         exception_offset=0,
     )
-    return Block(metadata=metadata,
-                 doc_payload=codec.encode(deltas),
-                 tf_payload=codec.encode([tf - 1 for tf in tfs]))
-
-
-def build_block(postings: Sequence[Posting], codec: Codec,
-                max_term_score: float, offset: int) -> Block:
-    """:func:`build_block_columns` for a run given posting by posting."""
-    return build_block_columns([p.doc_id for p in postings],
-                               [p.tf for p in postings],
-                               codec, max_term_score, offset)
+    return Block(metadata=metadata, doc_payload=doc_payload,
+                 tf_payload=tf_payload)

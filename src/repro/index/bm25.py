@@ -64,24 +64,36 @@ class BM25Scorer:
 
     def __init__(self, doc_lengths: Sequence[int],
                  params: "BM25Parameters" = None) -> None:
-        if not doc_lengths:
+        lengths = np.asarray(doc_lengths)
+        if not len(lengths):
             raise ConfigurationError("corpus must contain at least one document")
-        if any(length <= 0 for length in doc_lengths):
-            raise ConfigurationError("document lengths must be positive")
         self._params = BM25Parameters() if params is None else params
-        self._doc_lengths = list(doc_lengths)
-        self._num_docs = len(doc_lengths)
-        self._avgdl = sum(doc_lengths) / len(doc_lengths)
-        # Per-document metadata: the paper's 4-byte pre-computed
-        # normalizer k1 * (1 - b + b * |D| / avgdl).
+        self._num_docs = len(lengths)
+        self._set_lengths(lengths, int(lengths.sum()) / len(lengths))
+
+    def _set_lengths(self, lengths: np.ndarray, avgdl: float) -> None:
+        """Install the length table and its normalizers.
+
+        The per-document metadata is the paper's 4-byte pre-computed
+        normalizer ``k1 * (1 - b + b * |D| / avgdl)``, computed over the
+        whole column in the scalar formula's operation order, so every
+        value is bit-identical to the per-document Python arithmetic.
+        """
+        if (lengths <= 0).any():
+            raise ConfigurationError("document lengths must be positive")
+        self._doc_lengths = lengths
+        self._avgdl = avgdl
         k1, b = self._params.k1, self._params.b
-        self._normalizers = [
-            k1 * (1.0 - b + b * length / self._avgdl)
-            for length in self._doc_lengths
-        ]
-        # Columnar view of the normalizer table, built lazily by
-        # :attr:`normalizer_array` (the leader runs' gather source).
-        self._normalizer_nd = None
+        # k1 * (1.0 - b + b * length / avgdl) in place, in that order
+        # (IEEE addition and multiplication commute exactly).
+        normalizers = b * lengths
+        normalizers /= avgdl
+        normalizers += 1.0 - b
+        normalizers *= k1
+        self._normalizers = normalizers.tolist()
+        #: The normalizer table as a float64 vector (the leader runs'
+        #: gather source).
+        self.normalizer_array = normalizers
 
     @property
     def params(self) -> BM25Parameters:
@@ -116,21 +128,6 @@ class BM25Scorer:
             )
         n = document_frequency
         return math.log((self._num_docs - n + 0.5) / (n + 0.5) + 1.0)
-
-    @property
-    def normalizer_array(self) -> np.ndarray:
-        """The normalizer table as a float64 vector (built lazily).
-
-        Scorers are immutable once constructed (live indexes snapshot a
-        fresh scorer per version), so the cached array can never go
-        stale; a length check guards subclasses that rebuild
-        ``_normalizers`` in place.
-        """
-        cached = getattr(self, "_normalizer_nd", None)
-        if cached is None or len(cached) != len(self._normalizers):
-            cached = np.asarray(self._normalizers, dtype=np.float64)
-            self._normalizer_nd = cached
-        return cached
 
     def term_score(self, idf: float, tf: int, doc_id: int) -> float:
         """Runtime term score: one division, one multiply, one add.

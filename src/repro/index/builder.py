@@ -9,7 +9,8 @@ The builder performs the paper's offline indexing pipeline:
    among the five in advance and use the best for BOSS");
 4. split each list into 128-posting blocks, compress d-gaps and term
    frequencies, and fill the 19-byte per-block metadata including the
-   block's maximum term-score;
+   block's maximum term-score (rounded up to float32, the field's
+   width; the whole-list maximum stays an exact double);
 5. lay every list out in the SCM address space.
 """
 
@@ -23,9 +24,10 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro.compression.delta import deltas_from_doc_ids
 from repro.compression.hybrid import HybridSelector
 from repro.errors import InvertedIndexError
-from repro.index.blocks import BLOCK_SIZE, Block, build_block_columns
+from repro.index.blocks import BLOCK_SIZE, ceil_float32, encode_block
 from repro.index.bm25 import BM25Parameters, BM25Scorer
 from repro.index.index import (
+    BlockColumns,
     CompressedPostingList,
     DocumentStats,
     InvertedIndex,
@@ -191,27 +193,27 @@ class IndexBuilder:
         doc_ids, tfs = posting_list.doc_ids, posting_list.tfs
         scheme = self._selector.select(deltas_from_doc_ids(doc_ids)).scheme
         codec = self._selector.codec(scheme)
-        blocks: List[Block] = []
+        # The record's 4-byte field holds each block max rounded up to
+        # float32; the list max stays the exact double.
+        columns = BlockColumns([], [], [], [], [], [], [], [])
+        parts: List[bytes] = []
         offset = 0
-        list_max_score = 0.0
+        list_max = 0.0
         for start in range(0, df, BLOCK_SIZE):
-            block_ids = doc_ids[start:start + BLOCK_SIZE]
+            ids = doc_ids[start:start + BLOCK_SIZE]
             block_tfs = tfs[start:start + BLOCK_SIZE]
-            block_max = scorer.max_term_score(
-                df, zip(block_ids, block_tfs), idf=idf)
-            block = build_block_columns(block_ids, block_tfs, codec,
-                                        block_max, offset)
-            offset += block.compressed_bytes
-            list_max_score = max(list_max_score, block_max)
-            blocks.append(block)
+            block_max = scorer.max_term_score(df, zip(ids, block_tfs),
+                                              idf=idf)
+            list_max = max(list_max, block_max)
+            doc_payload, tf_payload, bit_width = encode_block(ids, block_tfs,
+                                                              codec)
+            for column, value in zip(columns, (
+                    ids[0], ids[-1], ceil_float32(block_max), offset,
+                    len(ids), bit_width, 0, offset + len(doc_payload))):
+                column.append(value)
+            parts += (doc_payload, tf_payload)
+            offset += len(doc_payload) + len(tf_payload)
 
         region = layout.allocate(term, offset)
-        return CompressedPostingList(
-            term=term,
-            scheme=scheme,
-            blocks=blocks,
-            document_frequency=df,
-            idf=idf,
-            max_term_score=list_max_score,
-            region=region,
-        )
+        return CompressedPostingList(term, scheme, df, idf, list_max, region,
+                                     columns, b"".join(parts))

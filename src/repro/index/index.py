@@ -19,13 +19,20 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.compression.base import Codec, get_codec
 from repro.errors import CompressionError, InvertedIndexError
-from repro.index.blocks import BLOCK_METADATA_BYTES, Block, tf_overflow
+from repro.index.blocks import (
+    BLOCK_METADATA_BYTES,
+    Block,
+    BlockMetadata,
+    decode_payload_arrays,
+    decode_payloads,
+    tf_overflow,
+)
 from repro.index.bm25 import BM25Scorer
 from repro.index.postings import Posting
 from repro.index.storage import AddressSpaceLayout, Region
@@ -40,28 +47,66 @@ class DocumentStats:
     total_tokens: int
 
 
-class CompressedPostingList:
-    """A term's block-compressed posting list plus its search metadata."""
+class BlockColumns(NamedTuple):
+    """A list's block records as parallel Python lists (hot loops index
+    them cheaply): the 19-byte record's seven fields, ``starts`` being
+    its payload offset, then where each block's tf payload begins."""
 
-    def __init__(self, term: str, scheme: str, blocks: Sequence[Block],
-                 document_frequency: int, idf: float,
-                 max_term_score: float, region: Region) -> None:
-        if document_frequency != sum(b.metadata.count for b in blocks):
-            raise InvertedIndexError(
-                f"term {term!r}: df {document_frequency} does not match "
-                f"block counts"
-            )
+    firsts: List[int]
+    lasts: List[int]
+    block_max: List[float]
+    starts: List[int]
+    counts: List[int]
+    widths: List[int]
+    exceptions: List[int]
+    splits: List[int]
+
+
+class CompressedPostingList:
+    """A term's block-compressed posting list plus its search metadata.
+
+    The block records are columns (:class:`BlockColumns`, each also an
+    attribute) over one ``payload`` buffer holding every block's docID
+    then tf payload: block ``i`` spans ``payload[starts[i]:ends[i]]``,
+    split at ``splits[i]``. :attr:`blocks` builds per-block objects on
+    demand.
+    """
+
+    def __init__(self, term: str, scheme: str, document_frequency: int,
+                 idf: float, max_term_score: float, region: Region,
+                 columns: BlockColumns, payload) -> None:
         self.term = term
         #: Compression scheme name (the offloading API's ``compType``).
         self.scheme = scheme
-        self.blocks = list(blocks)
         self.document_frequency = document_frequency
         self.idf = idf
         #: Whole-list score upper bound — the WAND module's lookup input.
         self.max_term_score = max_term_score
         #: Where the compressed payloads live in the SCM address space.
         self.region = region
+        self.columns = columns
+        (self.firsts, self.lasts, self.block_max, self.starts, self.counts,
+         _widths, _exceptions, self.splits) = columns
+        self.ends = columns.starts[1:] + [len(payload)]
+        #: Every block's payloads, back to back (bytes, or a zero-copy
+        #: view of a mapped file).
+        self.payload = payload
         self._codec: Optional[Codec] = None
+        self._blocks: Optional[Tuple[Block, ...]] = None
+
+    @property
+    def blocks(self) -> Tuple[Block, ...]:
+        """Per-block objects, built on first use for tests, tooling and
+        fault injection; no open or query path asks."""
+        if self._blocks is None:
+            payload = self.payload
+            self._blocks = tuple(
+                Block(BlockMetadata(first, last, block_max, start, count,
+                                    width, exception),
+                      payload[start:split], payload[split:end])
+                for first, last, block_max, start, count, width, exception,
+                split, end in zip(*self.columns, self.ends))
+        return self._blocks
 
     @property
     def codec(self) -> Codec:
@@ -72,29 +117,36 @@ class CompressedPostingList:
 
     @property
     def num_blocks(self) -> int:
-        return len(self.blocks)
+        return len(self.firsts)
 
     @property
     def compressed_bytes(self) -> int:
         """Total payload bytes across blocks (excludes metadata)."""
-        return sum(b.compressed_bytes for b in self.blocks)
+        return len(self.payload)
 
     @property
     def metadata_bytes(self) -> int:
         """Size of the uncompressed per-block metadata array."""
-        return BLOCK_METADATA_BYTES * len(self.blocks)
+        return BLOCK_METADATA_BYTES * len(self.firsts)
+
+    def _block(self, index: int) -> tuple:
+        """Block ``index`` as decoder arguments: its two payloads, its
+        count and its first docID."""
+        split = self.splits[index]
+        return (self.payload[self.starts[index]:split],
+                self.payload[split:self.ends[index]], self.counts[index],
+                self.firsts[index])
 
     def decode_block(self, index: int) -> List[Posting]:
-        """Decompress block ``index``."""
-        return self.blocks[index].decode(self.codec)
+        """Decompress block ``index`` with the per-value reference
+        decoder (:func:`~repro.index.blocks.decode_payloads`)."""
+        return decode_payloads(self.codec, *self._block(index))
 
-    def decode_block_arrays(self, index: int):
-        """Fast-path decompress of block ``index``: ``(doc_ids, tfs)``.
-
-        Returns two parallel ``array('I')`` buffers (see
-        :meth:`repro.index.blocks.Block.decode_arrays`).
-        """
-        return self.blocks[index].decode_arrays(self.codec)
+    def decode_block_arrays(self, index: int) -> Tuple[array, array]:
+        """Fast-path decompress of block ``index``: ``(doc_ids, tfs)``,
+        two parallel ``array('I')`` buffers
+        (:func:`~repro.index.blocks.decode_payload_arrays`)."""
+        return decode_payload_arrays(self.codec, *self._block(index))
 
     def decode_arrays(self) -> List[Tuple[array, array]]:
         """Every block decompressed in one pass: ``decode_arrays()[i]``
@@ -103,7 +155,7 @@ class CompressedPostingList:
         One :meth:`~repro.compression.base.Codec.decode_blocks` call
         takes the docID gaps and the tfs of every block; the docIDs are
         one running sum of ``gap + 1`` over the list, re-based at each
-        block on its metadata first docID. Bounds are checked in 64
+        block on its first docID. Bounds are checked in 64
         bits before narrowing, so a docID or a tf past 32 bits raises
         :class:`CompressionError` instead of wrapping. Raises whatever
         a block's own decode would raise, though not necessarily with
@@ -112,14 +164,18 @@ class CompressedPostingList:
         set-up (:meth:`~repro.compression.base.Codec.decodes_in_one_pass`)
         is decoded block by block.
         """
-        blocks = self.blocks
         total = self.document_frequency
         if not self.codec.decodes_in_one_pass(2 * total):
-            return [block.decode_arrays(self.codec) for block in blocks]
-        counts = [b.metadata.count for b in blocks]
+            return [self.decode_block_arrays(i)
+                    for i in range(len(self.firsts))]
+        counts = self.counts
+        payload = self.payload
         # gap + 1 and tf + 1, in 64 bits so that nothing wraps.
         values = self.codec.decode_blocks(
-            [b.doc_payload for b in blocks] + [b.tf_payload for b in blocks],
+            [payload[start:split]
+             for start, split in zip(self.starts, self.splits)]
+            + [payload[split:end]
+               for split, end in zip(self.splits, self.ends)],
             counts + counts,
         ).astype(np.int64)
         values += 1
@@ -129,8 +185,7 @@ class CompressedPostingList:
         doc_ids = values[:total]
         np.add.accumulate(doc_ids, out=doc_ids)
         ends = list(accumulate(counts))
-        bases = np.array([b.metadata.first_doc_id - 1 for b in blocks],
-                         dtype=np.int64)
+        bases = np.array(self.firsts, dtype=np.int64) - 1
         bases[1:] -= doc_ids.take([end - 1 for end in ends[:-1]])
         doc_ids += bases.repeat(counts)
         if values.max() > 0xFFFFFFFF:
@@ -146,7 +201,7 @@ class CompressedPostingList:
     def decode_all(self) -> List[Posting]:
         """Decompress the entire list (ground truth for tests)."""
         postings: List[Posting] = []
-        for i in range(len(self.blocks)):
+        for i in range(len(self.firsts)):
             postings.extend(self.decode_block(i))
         return postings
 
@@ -156,7 +211,7 @@ class CompressedPostingList:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<CompressedPostingList term={self.term!r} scheme={self.scheme} "
-            f"df={self.document_frequency} blocks={len(self.blocks)}>"
+            f"df={self.document_frequency} blocks={len(self.firsts)}>"
         )
 
 

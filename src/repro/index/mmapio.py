@@ -5,14 +5,16 @@ into one ``bytes`` object and slices payload copies out of it. For a
 serving process that is wasteful twice over: load time is a full-file
 copy, and resident memory duplicates what the page cache already
 holds. :class:`MmapIndexStorage` instead maps the file read-only and
-parses the index over a ``memoryview`` of the mapping, so
+reads the version-2 image over a ``memoryview`` of the mapping, so
 
-* term/block *metadata* is materialized as ordinary Python objects
-  (it is tiny and hot), while
-* every compressed block *payload* is a ``memoryview`` slice into the
+* the fixed-width sections (document table, term directory, 19-byte
+  block records) are read as ``np.frombuffer`` views and turned into
+  each list's Python columns in one pass per column — no per-block
+  object is built, and
+* every list's compressed *payload* is a ``memoryview`` slice into the
   mapping — loading copies no payload, the pages stay shared with the
   page cache, and a payload is copied to ``bytes`` only when a query
-  decodes its block (:meth:`repro.index.blocks.Block.decode_arrays`).
+  decodes its block.
 
 This is the software analogue of the paper's ``init()`` placing the
 index file in the SCM pool at stable addresses: the OS page cache
@@ -35,7 +37,7 @@ from typing import Optional, Union
 
 from repro.errors import InvertedIndexError
 from repro.index.binaryio import (
-    MAGIC,
+    check_magic,
     load_index_binary,
     parse_index_buffer,
 )
@@ -59,9 +61,11 @@ class MmapIndexStorage:
                 f"{self.path} cannot be mapped: {exc}"
             ) from exc
         self._view: Optional[memoryview] = memoryview(self._mmap)
-        if bytes(self._view[:len(MAGIC)]) != MAGIC:
+        try:
+            check_magic(self._view, str(self.path))
+        except InvertedIndexError:
             self.close()
-            raise InvertedIndexError(f"{self.path} is not a BOSSIDX1 file")
+            raise
         self._index: Optional[InvertedIndex] = None
 
     @property

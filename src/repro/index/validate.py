@@ -12,11 +12,17 @@ search results:
 * docIDs are strictly increasing within and across blocks, within the
   corpus range;
 * metadata first/last docIDs equal the decoded endpoints;
-* every block's max term-score truly bounds its postings' scores, and
-  the list-level maximum equals the max over blocks;
+* every block's max term-score is exactly its postings' true maximum
+  rounded up to float32 (the record's field), and the list-level
+  maximum is the exact double maximum over the list;
 * document frequency equals the sum of block counts; IDF matches the
   corpus statistics (or is flagged as shard-global);
-* payload offsets are consistent and regions do not overlap.
+* regions do not overlap.
+
+Record offsets, doc/tf splits and docID ranges against the document
+table are checked when a file is read
+(:func:`repro.index.binaryio.read_image`); this pass reads only the
+list columns and builds no per-block objects.
 """
 
 from __future__ import annotations
@@ -26,9 +32,10 @@ from pathlib import Path
 from typing import List, Optional, Union
 
 from repro.errors import CompressionError
+from repro.index.blocks import ceil_float32
 from repro.index.index import InvertedIndex
 
-#: Tolerance for floating-point metadata comparisons.
+#: Tolerance for the IDF comparison.
 _EPS = 1e-9
 
 
@@ -80,33 +87,26 @@ def validate_index(index: InvertedIndex,
         previous_region_end = max(previous_region_end, region.end)
 
         block_counts = 0
-        expected_offset = 0
         previous_doc = -1
-        list_max_seen = 0.0
+        list_max_true = 0.0
         # The engine's list decoder first; a list it refuses is decoded
         # again block by block, so that each message names its block.
         try:
             decoded = posting_list.decode_arrays()
         except CompressionError:
             decoded = None
-        for block_index, block in enumerate(posting_list.blocks):
+        records = zip(posting_list.firsts, posting_list.lasts,
+                      posting_list.block_max, posting_list.counts)
+        for block_index, (first, last, block_max, count) in enumerate(
+                records):
             report.blocks_checked += 1
-            meta = block.metadata
             label = f"{term}[block {block_index}]"
-
-            if meta.offset != expected_offset:
-                report._error(
-                    f"{label}: offset {meta.offset} != running total "
-                    f"{expected_offset}"
-                )
-            expected_offset += block.compressed_bytes
-
             if decoded is not None:
                 doc_ids, tfs = (column.tolist()
                                 for column in decoded[block_index])
             else:
                 try:
-                    postings = block.decode(posting_list.codec)
+                    postings = posting_list.decode_block(block_index)
                 except CompressionError as exc:
                     report._error(
                         f"{label}: payload does not decode ({exc})")
@@ -114,26 +114,20 @@ def validate_index(index: InvertedIndex,
                 doc_ids = [p.doc_id for p in postings]
                 tfs = [p.tf for p in postings]
             report.postings_checked += len(doc_ids)
-            block_counts += meta.count
+            block_counts += count
 
-            if len(doc_ids) != meta.count:
+            if len(doc_ids) != count:
                 report._error(
                     f"{label}: decoded {len(doc_ids)} postings, "
-                    f"metadata says {meta.count}"
+                    f"metadata says {count}"
                 )
                 continue
             if doc_ids != sorted(set(doc_ids)):
                 report._error(f"{label}: docIDs not strictly increasing")
-            if doc_ids[0] != meta.first_doc_id:
+            if (doc_ids[0], doc_ids[-1]) != (first, last):
                 report._error(
-                    f"{label}: first docID {doc_ids[0]} != metadata "
-                    f"{meta.first_doc_id}"
-                )
-            if doc_ids[-1] != meta.last_doc_id:
-                report._error(
-                    f"{label}: last docID {doc_ids[-1]} != metadata "
-                    f"{meta.last_doc_id}"
-                )
+                    f"{label}: docIDs span [{doc_ids[0]}, {doc_ids[-1]}], "
+                    f"metadata says [{first}, {last}]")
             if doc_ids[0] <= previous_doc:
                 report._error(
                     f"{label}: overlaps previous block "
@@ -153,31 +147,27 @@ def validate_index(index: InvertedIndex,
                     scorer.term_score(posting_list.idf, tf, doc_id)
                     for doc_id, tf in zip(doc_ids, tfs)
                 )
-                if true_max > meta.max_term_score + _EPS:
+                list_max_true = max(list_max_true, true_max)
+                stored = ceil_float32(true_max)
+                if block_max != stored:
                     report._error(
-                        f"{label}: max term-score {meta.max_term_score} "
-                        f"below true bound {true_max} — early termination "
-                        f"would drop results"
-                    )
-                elif meta.max_term_score > true_max + _EPS:
-                    report._warn(
-                        f"{label}: max term-score is loose "
-                        f"({meta.max_term_score} vs {true_max})"
-                    )
-                list_max_seen = max(list_max_seen, meta.max_term_score)
+                        f"{label}: max term-score {block_max} is not the "
+                        f"true bound {true_max} rounded up to float32 "
+                        f"({stored})" + (
+                            " — early termination would drop results"
+                            if block_max < true_max else ""))
 
         if block_counts != posting_list.document_frequency:
             report._error(
                 f"{term}: df {posting_list.document_frequency} != "
                 f"block counts {block_counts}"
             )
-        if check_scores and posting_list.blocks:
-            if abs(list_max_seen - posting_list.max_term_score) > _EPS:
-                report._error(
-                    f"{term}: list max score "
-                    f"{posting_list.max_term_score} != max over blocks "
-                    f"{list_max_seen}"
-                )
+        if (check_scores and posting_list.num_blocks
+                and posting_list.max_term_score != list_max_true):
+            report._error(
+                f"{term}: list max score {posting_list.max_term_score} "
+                f"!= exact max over postings {list_max_true}"
+            )
         local_idf = scorer.idf(posting_list.document_frequency)
         if abs(local_idf - posting_list.idf) > _EPS:
             report._warn(

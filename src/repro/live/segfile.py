@@ -1,30 +1,30 @@
 """Durable segment files: one sealed :class:`~repro.live.segments.
 Segment` per file, bit-faithful to the in-memory original.
 
-The ``.bossx`` format (:mod:`repro.index.binaryio`) is *not* reusable
-as-is for live segments: loading it rebuilds a plain
-:class:`~repro.index.bm25.BM25Scorer` over the segment's own documents,
-but a live segment scores with a :class:`~repro.live.stats.
-LiveBM25Scorer` snapshot — normalizer slots for *every* docID ever
-allocated, with ``N`` and ``avgdl`` from the live survivors. Recovery
-must reproduce that scorer exactly or the fresh-segment query path
-diverges from a clean replay. So segment files store the scorer's
-actual inputs — the full allocated docID length table, the live
-document count, and the exact live token total (an integer; storing
-the derived float would not round-trip the division) — and loading
-re-runs the same constructor the seal ran.
+A segment file is a version-2 ``.bossx`` image
+(:mod:`repro.index.binaryio`) followed by the segment's live section,
+read by the same :func:`~repro.index.binaryio.read_image`. The image
+alone would rebuild a plain :class:`~repro.index.bm25.BM25Scorer` over
+its document table, but a live segment scores with a
+:class:`~repro.live.stats.LiveBM25Scorer` snapshot — normalizer slots
+for *every* docID ever allocated, with ``N`` and ``avgdl`` from the
+live survivors. So the image's document table is the full allocated
+length table, and the live section stores the scorer's other inputs:
+the live document count and the exact live token total (an integer;
+storing the derived float would not round-trip the division).
+Loading re-runs the constructor the seal ran.
 
-Layout (all varints/length-prefixed fields via the shared
-:mod:`~repro.index.binaryio` primitives, doubles IEEE-754 LE)::
+Layout (integers unsigned little-endian)::
 
-    magic BOSSSEG1
-    segment_id, tier, stats_version
-    scorer: k1, b (doubles); id_space; doc_lengths[id_space];
-            num_live; total_live_tokens
-    doc table: count; per doc: docID, length, term count, terms
-    term sections: count; per term the shared .bossx section
-    block_max_tfs: per term (in section order): count, values
-    trailer: u32 CRC32 of everything before it
+    image          the segment's index, a complete BOSSIDX2 image
+    live header    magic BOSSSEG2; u64 segment_id, tier,
+                   stats_version, num_live, total_live_tokens; u32
+                   doc count
+    block_max_tfs  u32 per block, in the image's block order
+    doc table      u32 docIDs, u32 lengths, u32 term counts (one per
+                   doc), then u32 term numbers (directory order) of
+                   every doc's terms in turn
+    trailer        u32 CRC32 of everything before it
 
 Files are written to a temp name and ``os.replace``-d into place, so a
 crash never leaves a half-written file under the real name; the
@@ -38,32 +38,21 @@ import io
 import os
 import struct
 import zlib
+from itertools import accumulate
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Dict, Tuple, Union
+
+import numpy as np
 
 from repro.errors import InvertedIndexError
-from repro.index.binaryio import (
-    read_bytes_field,
-    read_term_section,
-    read_varint,
-    write_bytes_field,
-    write_term_section,
-    write_varint,
-)
-from repro.index.bm25 import BM25Parameters
-from repro.index.index import (
-    CompressedPostingList,
-    DocumentStats,
-    InvertedIndex,
-)
-from repro.index.storage import AddressSpaceLayout
+from repro.index.binaryio import read_image, write_image
 from repro.live.segments import Segment
 from repro.live.stats import LiveBM25Scorer
 
-SEG_MAGIC = b"BOSSSEG1"
+SEG_MAGIC = b"BOSSSEG2"
 
 _CRC = struct.Struct("<I")
-_PAIR = struct.Struct("<dd")
+_LIVE = struct.Struct("<8sQQQQQI")
 
 
 def segment_file_name(segment_id: int) -> str:
@@ -80,35 +69,20 @@ def encode_segment(segment: Segment) -> bytes:
             f"statistics; refusing to persist a non-live scorer"
         )
     out = io.BytesIO()
-    out.write(SEG_MAGIC)
-    write_varint(out, segment.segment_id)
-    write_varint(out, segment.tier)
-    write_varint(out, segment.stats_version)
-    params = scorer.params
-    out.write(_PAIR.pack(params.k1, params.b))
-    write_varint(out, len(scorer._doc_lengths))
-    for length in scorer._doc_lengths:
-        write_varint(out, length)
-    write_varint(out, scorer.num_docs)
-    total_live_tokens = round(scorer.avgdl * scorer.num_docs)
-    write_varint(out, total_live_tokens)
-    write_varint(out, len(segment.doc_lengths))
-    for doc_id, length in segment.doc_lengths.items():
-        write_varint(out, doc_id)
-        write_varint(out, length)
-        terms = segment.doc_terms[doc_id]
-        write_varint(out, len(terms))
-        for term in terms:
-            write_bytes_field(out, term.encode("utf-8"))
+    write_image(out, segment.index)
     terms = segment.index.terms
-    write_varint(out, len(terms))
-    for term in terms:
-        write_term_section(out, segment.index.posting_list(term))
-    for term in terms:
-        tf_maxima = segment.block_max_tfs[term]
-        write_varint(out, len(tf_maxima))
-        for tf_max in tf_maxima:
-            write_varint(out, tf_max)
+    number = {term: i for i, term in enumerate(terms)}
+    doc_terms = [segment.doc_terms[doc] for doc in segment.doc_lengths]
+    out.write(_LIVE.pack(SEG_MAGIC, segment.segment_id, segment.tier,
+                         segment.stats_version, scorer.num_docs,
+                         round(scorer.avgdl * scorer.num_docs),
+                         len(doc_terms)))
+    for column in (
+            [tf for term in terms for tf in segment.block_max_tfs[term]],
+            list(segment.doc_lengths), list(segment.doc_lengths.values()),
+            [len(names) for names in doc_terms],
+            [number[name] for names in doc_terms for name in names]):
+        out.write(np.array(column, dtype="<u4").tobytes())
     return out.getvalue()
 
 
@@ -137,81 +111,50 @@ def load_segment(path: Union[str, Path]) -> Tuple[Segment, int]:
     as "file lost" and rebuilds the segment from the WAL instead.
     """
     data = Path(path).read_bytes()
-    if len(data) < len(SEG_MAGIC) + _CRC.size:
+    if len(data) < _CRC.size:
         raise InvertedIndexError(f"{path}: segment file truncated")
-    if data[:len(SEG_MAGIC)] != SEG_MAGIC:
-        raise InvertedIndexError(f"{path} is not a BOSSSEG1 file")
     body, (crc,) = data[:-_CRC.size], _CRC.unpack(data[-_CRC.size:])
     if zlib.crc32(body) != crc:
         raise InvertedIndexError(f"{path}: segment checksum mismatch")
-
-    offset = len(SEG_MAGIC)
-    segment_id, offset = read_varint(body, offset)
-    tier, offset = read_varint(body, offset)
-    stats_version, offset = read_varint(body, offset)
-    if offset + _PAIR.size > len(body):
-        raise InvertedIndexError(f"{path}: truncated scorer header")
-    k1, b = _PAIR.unpack_from(body, offset)
-    offset += _PAIR.size
-    id_space, offset = read_varint(body, offset)
-    all_lengths: List[int] = []
-    for _ in range(id_space):
-        length, offset = read_varint(body, offset)
-        all_lengths.append(length)
-    num_live, offset = read_varint(body, offset)
-    total_live_tokens, offset = read_varint(body, offset)
-    scorer = LiveBM25Scorer(all_lengths, num_live, total_live_tokens,
-                            BM25Parameters(k1=k1, b=b))
-
-    num_docs, offset = read_varint(body, offset)
-    doc_lengths: Dict[int, int] = {}
-    doc_terms: Dict[int, Tuple[str, ...]] = {}
-    for _ in range(num_docs):
-        doc_id, offset = read_varint(body, offset)
-        length, offset = read_varint(body, offset)
-        doc_lengths[doc_id] = length
-        num_terms, offset = read_varint(body, offset)
-        terms = []
-        for _ in range(num_terms):
-            raw, offset = read_bytes_field(body, offset)
-            terms.append(raw.decode("utf-8"))
-        doc_terms[doc_id] = tuple(terms)
-
-    num_terms, offset = read_varint(body, offset)
-    layout = AddressSpaceLayout()
-    lists: Dict[str, CompressedPostingList] = {}
-    term_order: List[str] = []
-    for _ in range(num_terms):
-        posting_list, offset = read_term_section(body, offset, layout)
-        lists[posting_list.term] = posting_list
-        term_order.append(posting_list.term)
-    block_max_tfs: Dict[str, List[int]] = {}
-    for term in term_order:
-        count, offset = read_varint(body, offset)
-        tf_maxima = []
-        for _ in range(count):
-            tf_max, offset = read_varint(body, offset)
-            tf_maxima.append(tf_max)
-        block_max_tfs[term] = tf_maxima
-    if offset != len(body):
-        raise InvertedIndexError(
-            f"{path}: {len(body) - offset} trailing bytes in segment body"
-        )
-
-    # Reconstruct DocumentStats exactly the way IndexBuilder.build()
-    # derives it when handed a pre-built scorer.
-    stats = DocumentStats(
-        num_docs=scorer.id_space,
-        avgdl=scorer.avgdl,
-        total_tokens=int(round(scorer.avgdl * scorer.num_docs)),
-    )
-    index = InvertedIndex(lists, scorer, layout, stats)
+    header, lists, layout, offset = read_image(body, str(path))
+    if offset + _LIVE.size > len(body):
+        raise InvertedIndexError(f"{path}: truncated live section")
+    (magic, segment_id, tier, stats_version, num_live, total_live_tokens,
+     num_docs) = _LIVE.unpack_from(body, offset)
+    if magic != SEG_MAGIC:
+        raise InvertedIndexError(f"{path} has no {SEG_MAGIC!r} live section")
+    offset += _LIVE.size
+    if (len(body) - offset) % 4:
+        raise InvertedIndexError(f"{path}: ragged live section")
+    words = np.frombuffer(body, "<u4", offset=offset)
+    terms = list(lists)
+    block_ends = list(accumulate(plist.num_blocks for plist in lists.values()))
+    tf_maxima, doc_ids, lengths, counts, numbers = np.split(words, list(
+        accumulate((block_ends[-1] if terms else 0, num_docs, num_docs,
+                    num_docs))))
+    if len(counts) != num_docs or len(numbers) != int(counts.sum()) or (
+            len(numbers) and numbers.max() >= len(terms)):
+        raise InvertedIndexError(f"{path}: live section does not add up")
+    names = [terms[i] for i in numbers.tolist()]
+    doc_terms: Dict[int, Tuple[str, ...]] = {
+        doc: tuple(names[end - count:end]) for doc, count, end in zip(
+            doc_ids.tolist(), counts.tolist(), accumulate(counts.tolist()))
+    }
+    tf_maxima = tf_maxima.tolist()
+    block_max_tfs = {
+        term: tf_maxima[end - plist.num_blocks:end]
+        for (term, plist), end in zip(lists.items(), block_ends)
+    }
+    # The header's statistics are those IndexBuilder.build() derived
+    # from this scorer at seal time.
+    scorer = LiveBM25Scorer(header.lengths, num_live, total_live_tokens,
+                            header.params)
     return Segment(
         segment_id=segment_id,
-        index=index,
+        index=header.index(lists, layout, scorer),
         tier=tier,
         stats_version=stats_version,
-        doc_lengths=doc_lengths,
+        doc_lengths=dict(zip(doc_ids.tolist(), lengths.tolist())),
         doc_terms=doc_terms,
         block_max_tfs=block_max_tfs,
     ), len(data)

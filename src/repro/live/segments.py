@@ -81,6 +81,7 @@ import threading
 from collections import Counter
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+
 from repro.core.engine import BossAccelerator, BossConfig
 from repro.core.query import (
     AndNode,
@@ -92,7 +93,7 @@ from repro.core.query import (
 from repro.core.result import ScoredDocument, SearchResult, best_hits
 from repro.core.topk import positive_k
 from repro.errors import InvertedIndexError, QueryError
-from repro.index.blocks import BLOCK_SIZE, Block, BlockMetadata
+from repro.index.blocks import BLOCK_SIZE
 from repro.index.builder import IndexBuilder
 from repro.index.index import (
     CompressedPostingList,
@@ -160,12 +161,9 @@ class Segment:
     @property
     def nbytes(self) -> int:
         """Segment footprint: compressed payloads + block metadata."""
-        total = 0
-        for term in self.index.terms:
-            posting_list = self.index.posting_list(term)
-            total += posting_list.compressed_bytes
-            total += posting_list.metadata_bytes
-        return total
+        return sum(
+            plist.compressed_bytes + plist.metadata_bytes
+            for plist in map(self.index.posting_list, self.index.terms))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -288,36 +286,16 @@ class _StaleSegmentView:
                 f"{term!r} at version {self._live_stats.version}"
             )
         idf = self._live_stats.idf(term)
-        min_norm = self._min_norm
-        k1 = self._k1
-        blocks: List[Block] = []
-        list_max = 0.0
-        for block, tf_max in zip(sealed.blocks, self._block_max_tfs[term]):
-            bound = idf * (tf_max * (k1 + 1.0)) / (tf_max + min_norm)
-            meta = block.metadata
-            blocks.append(Block(
-                metadata=BlockMetadata(
-                    first_doc_id=meta.first_doc_id,
-                    last_doc_id=meta.last_doc_id,
-                    max_term_score=bound,
-                    offset=meta.offset,
-                    count=meta.count,
-                    bit_width=meta.bit_width,
-                    exception_offset=meta.exception_offset,
-                ),
-                doc_payload=block.doc_payload,
-                tf_payload=block.tf_payload,
-            ))
-            list_max = max(list_max, bound)
+        # Each block's bound from its recorded max tf against the
+        # smallest live normalizer; the list shares every other column
+        # and the payloads with the sealed list.
+        k1_plus_1, min_norm = self._k1 + 1.0, self._min_norm
+        bounds = [idf * (tf_max * k1_plus_1) / (tf_max + min_norm)
+                  for tf_max in self._block_max_tfs[term]]
         return CompressedPostingList(
-            term=term,
-            scheme=sealed.scheme,
-            blocks=blocks,
-            document_frequency=sealed.document_frequency,
-            idf=idf,
-            max_term_score=list_max,
-            region=sealed.region,
-        )
+            term, sealed.scheme, sealed.document_frequency, idf,
+            max([0.0] + bounds), sealed.region,
+            sealed.columns._replace(block_max=bounds), sealed.payload)
 
 
 class _PoolLayout:

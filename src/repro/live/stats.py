@@ -31,7 +31,9 @@ normalizer slots for every docID ever allocated.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import InvertedIndexError
 from repro.index.bm25 import BM25Parameters, BM25Scorer
@@ -49,23 +51,17 @@ class LiveBM25Scorer(BM25Scorer):
     bit-identical to a from-scratch rebuild of the survivors.
     """
 
-    def __init__(self, doc_lengths: Iterable[int], num_live: int,
+    def __init__(self, doc_lengths: Sequence[int], num_live: int,
                  total_live_tokens: int,
                  params: Optional[BM25Parameters] = None) -> None:
-        doc_lengths = list(doc_lengths)
         if num_live <= 0:
             raise InvertedIndexError(
                 "live corpus must contain at least one document"
             )
         self._params = BM25Parameters() if params is None else params
-        self._doc_lengths = doc_lengths
         self._num_docs = num_live
-        self._avgdl = total_live_tokens / num_live
-        k1, b = self._params.k1, self._params.b
-        self._normalizers = [
-            k1 * (1.0 - b + b * length / self._avgdl)
-            for length in doc_lengths
-        ]
+        self._set_lengths(np.asarray(doc_lengths, dtype=np.int64),
+                          total_live_tokens / num_live)
 
 
 class LiveStatistics:

@@ -15,6 +15,7 @@ import pytest
 from repro.compression import get_codec, list_codecs
 from repro.decompressor import DecompressionModule, program_for_scheme
 from repro.errors import CompressionError, DecompressorProgramError
+from tests.conftest import reseat
 
 ALL_SCHEMES = sorted(list_codecs())
 MODULE_SCHEMES = ("BP", "VB", "PFD", "OptPFD", "S16", "S8b", "GVB")
@@ -123,7 +124,7 @@ def test_stored_tf_past_32_bits_raises_compression_error(scheme):
     hostile[3] = 0xFFFFFFFF
     bad = Block(metadata=good.metadata, doc_payload=good.doc_payload,
                 tf_payload=codec.encode(hostile))
-    plist.blocks[1] = bad
+    reseat(plist, [plist.blocks[0], bad])
     with pytest.raises(CompressionError):
         bad.decode(codec)
     with pytest.raises(CompressionError):
@@ -135,9 +136,11 @@ def test_stored_tf_past_32_bits_raises_compression_error(scheme):
 
 @pytest.mark.parametrize("scheme", WIDE_SCHEMES)
 def test_docid_past_32_bits_raises_compression_error(scheme):
-    """D-gaps that carry a docID past 2**32 - 1 raise on both fast
-    paths: the list decoder checks in 64 bits before narrowing, where
-    ``astype(uint32)`` would wrap silently."""
+    """D-gaps that carry a docID past 2**32 - 1 raise on all three
+    paths over one corrupted block: the oracle (``Block.decode`` and
+    ``decode_block``), the block decoder and the list decoder, which
+    checks in 64 bits before narrowing, where ``astype(uint32)`` would
+    wrap silently."""
     from dataclasses import replace
 
     from repro.index.blocks import Block
@@ -146,11 +149,18 @@ def test_docid_past_32_bits_raises_compression_error(scheme):
     plist = _two_block_list(scheme)
     good = plist.blocks[1]
     first = 0xFFFFFFFF - 10
-    plist.blocks[1] = Block(
+    bad = Block(
         metadata=replace(good.metadata, first_doc_id=first,
                          last_doc_id=first),
         doc_payload=good.doc_payload, tf_payload=good.tf_payload,
     )
+    reseat(plist, [plist.blocks[0], bad])
+    with pytest.raises(CompressionError):
+        bad.decode(plist.codec)
+    with pytest.raises(CompressionError):
+        plist.decode_block(1)
+    with pytest.raises(CompressionError):
+        bad.decode_arrays(plist.codec)
     with pytest.raises(CompressionError):
         plist.decode_block_arrays(1)
     for forced in (False, True):

@@ -1,6 +1,7 @@
 """Shared fixtures: deterministic small corpora and a brute-force oracle."""
 
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -8,7 +9,11 @@ from repro.core.engine import recording_fetches
 from repro.core.query import AndNode, OrNode, TermNode, flatten
 from repro.core.topk import TopKQueue
 from repro.index import IndexBuilder
-from repro.index.index import InvertedIndex
+from repro.index.index import (
+    BlockColumns,
+    CompressedPostingList,
+    InvertedIndex,
+)
 from repro.scm.traffic import AccessClass, AccessPattern
 
 
@@ -26,6 +31,27 @@ def build_random_index(num_docs=1500, vocab_size=40, seed=42,
         ]
         builder.add_document(doc)
     return builder.build()
+
+
+def reseat(posting_list, blocks) -> None:
+    """Rebuild ``posting_list``'s columns, in place, from ``blocks``:
+    how a test swaps a corrupted block into a built list. Each payload's
+    offset is where it lands in the concatenated payload."""
+    metas = [block.metadata for block in blocks]
+    parts = [payload for block in blocks
+             for payload in (block.doc_payload, block.tf_payload)]
+    ends = list(accumulate(map(len, parts)))
+    columns = BlockColumns(
+        [m.first_doc_id for m in metas], [m.last_doc_id for m in metas],
+        [m.max_term_score for m in metas], [0, *ends[1:-1:2]][:len(metas)],
+        [m.count for m in metas], [m.bit_width for m in metas],
+        [m.exception_offset for m in metas], ends[0::2])
+    fresh = CompressedPostingList(
+        posting_list.term, posting_list.scheme,
+        posting_list.document_frequency, posting_list.idf,
+        posting_list.max_term_score, posting_list.region, columns,
+        b"".join(parts))
+    vars(posting_list).update(vars(fresh))
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ from repro.core import BossAccelerator, BossConfig
 from repro.errors import CompressionError
 from repro.index import IndexBuilder
 from repro.index.blocks import Block
+from tests.conftest import reseat
 
 #: Four blocks of "a" (docIDs 0-399); "b" sits in a's first block,
 #: "c" in its last.
@@ -34,11 +35,12 @@ def _index(scheme, corrupt_block=None):
     if corrupt_block is not None:
         # An empty d-gap payload: no codec decodes a posting from it.
         plist = index.posting_list("a")
-        block = plist.blocks[corrupt_block]
-        plist.blocks[corrupt_block] = Block(
-            metadata=block.metadata, doc_payload=b"",
-            tf_payload=block.tf_payload,
+        blocks = list(plist.blocks)
+        blocks[corrupt_block] = Block(
+            metadata=blocks[corrupt_block].metadata, doc_payload=b"",
+            tf_payload=blocks[corrupt_block].tf_payload,
         )
+        reseat(plist, blocks)
     return index
 
 

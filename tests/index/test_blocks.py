@@ -9,7 +9,7 @@ from repro.index.blocks import (
     BLOCK_SIZE,
     BlockMetadata,
     build_block,
-    build_block_columns,
+    encode_block,
 )
 from repro.index.postings import Posting
 
@@ -93,7 +93,8 @@ class TestBuildBlock:
 
 
 class TestBuildBlockColumns:
-    """The production entry point: the builder hands it column slices."""
+    """The production entry point: the builder hands ``encode_block``
+    column slices and keeps the record's fields as list columns."""
 
     @pytest.mark.parametrize("scheme",
                              ["BP", "VB", "PFD", "OptPFD", "S16", "S8b",
@@ -102,7 +103,12 @@ class TestBuildBlockColumns:
         codec = get_codec(scheme)
         doc_ids = [7 + d * d for d in range(128)]
         tfs = [(d % 9) + 1 for d in range(128)]
-        block = build_block_columns(doc_ids, tfs, codec, 1.5, 32)
+        doc_payload, tf_payload, bit_width = encode_block(doc_ids, tfs,
+                                                          codec)
+        block = build_block([Posting(d, tf) for d, tf in zip(doc_ids, tfs)],
+                            codec, 1.5, 32)
+        assert (block.doc_payload, block.tf_payload) == (doc_payload,
+                                                         tf_payload)
         assert block.decode(codec) == [
             Posting(d, tf) for d, tf in zip(doc_ids, tfs)]
         decoded_ids, decoded_tfs = block.decode_arrays(codec)
@@ -113,19 +119,20 @@ class TestBuildBlockColumns:
         assert (meta.count, meta.offset, meta.max_term_score) == (
             128, 32, 1.5)
         # The widest d-gap (127**2 - 126**2 - 1 = 252) is 8 bits.
-        assert meta.bit_width == 8
+        assert meta.bit_width == bit_width == 8
 
     def test_posting_adapter_builds_the_same_block(self):
         codec = get_codec("S16")
         postings = [Posting(d * 5, (d % 3) + 1) for d in range(100)]
-        assert build_block(postings, codec, 2.0, 0) == build_block_columns(
-            [p.doc_id for p in postings], [p.tf for p in postings],
-            codec, 2.0, 0)
+        block = build_block(postings, codec, 2.0, 0)
+        assert (block.doc_payload, block.tf_payload,
+                block.metadata.bit_width) == encode_block(
+            [p.doc_id for p in postings], [p.tf for p in postings], codec)
 
     def test_empty_and_oversized_rejected(self):
         codec = get_codec("BP")
         with pytest.raises(InvertedIndexError):
-            build_block_columns([], [], codec, 1.0, 0)
+            encode_block([], [], codec)
         ids = list(range(BLOCK_SIZE + 1))
         with pytest.raises(InvertedIndexError):
-            build_block_columns(ids, [1] * len(ids), codec, 1.0, 0)
+            encode_block(ids, [1] * len(ids), codec)

@@ -103,7 +103,7 @@ class TestLoaderDispatch:
 
     @pytest.mark.parametrize("storage", STORAGE_MODES)
     def test_non_bossx_file_rejected(self, foreign_path, storage):
-        with pytest.raises(InvertedIndexError, match="not a BOSSIDX1") \
+        with pytest.raises(InvertedIndexError, match="not a BOSSIDX2") \
                 as raised:
             open_index(foreign_path, storage=storage)
         assert str(foreign_path) in str(raised.value)
@@ -144,5 +144,31 @@ class TestStorageLifetime:
     def test_non_index_file_rejected(self, tmp_path):
         bogus = tmp_path / "bogus.bossx"
         bogus.write_bytes(b"definitely not an index file")
-        with pytest.raises(InvertedIndexError, match="not a BOSSIDX1"):
+        with pytest.raises(InvertedIndexError, match="not a BOSSIDX2"):
             MmapIndexStorage(bogus)
+
+
+def test_open_and_query_build_no_block_objects(bossx_path, corpus_index,
+                                               monkeypatch):
+    """Opening a file and querying it on every executor reads the list
+    columns only: with ``BlockMetadata`` unconstructible, both succeed
+    and agree with the in-memory index."""
+    from repro.api import BossSession
+    from repro.core.engine import EXECUTORS
+    from repro.index.blocks import BlockMetadata
+
+    def refuse(self):
+        raise AssertionError("a BlockMetadata was built")
+
+    monkeypatch.setattr(BlockMetadata, "__post_init__", refuse)
+    for storage in STORAGE_MODES:
+        index = open_index(bossx_path, storage=storage)
+        for executor in EXECUTORS:
+            engine = BossAccelerator(index, BossConfig(k=10),
+                                     executor=executor)
+            for expression in _random_queries(sorted(corpus_index), 11,
+                                              count=12):
+                assert engine.search(expression).hits is not None
+    session = BossSession()
+    session.init(bossx_path)
+    assert session.search('"t0" OR "t1"').hits

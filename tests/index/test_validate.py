@@ -3,7 +3,7 @@
 import pytest
 
 from repro.index.validate import validate_index
-from tests.conftest import build_random_index
+from tests.conftest import build_random_index, reseat
 
 
 @pytest.fixture(scope="module")
@@ -50,10 +50,11 @@ class TestCorruptionDetection:
         import dataclasses
 
         posting_list = index.posting_list(term)
-        block = posting_list.blocks[block_index]
+        blocks = list(posting_list.blocks)
+        block = blocks[block_index]
         meta = dataclasses.replace(block.metadata, **overrides)
-        corrupted = dataclasses.replace(block, metadata=meta)
-        posting_list.blocks[block_index] = corrupted
+        blocks[block_index] = dataclasses.replace(block, metadata=meta)
+        reseat(posting_list, blocks)
         return index
 
     def test_understated_max_score_detected(self, index):
@@ -79,10 +80,11 @@ class TestCorruptionDetection:
         clone = build_random_index(num_docs=400, vocab_size=20, seed=5)
         term = clone.terms[2]
         posting_list = clone.posting_list(term)
-        block = posting_list.blocks[0]
-        posting_list.blocks[0] = dataclasses.replace(
-            block, doc_payload=block.doc_payload[:1]
+        blocks = list(posting_list.blocks)
+        blocks[0] = dataclasses.replace(
+            blocks[0], doc_payload=blocks[0].doc_payload[:1]
         )
+        reseat(posting_list, blocks)
         report = validate_index(clone, check_scores=False)
         assert not report.ok
         assert any("decode" in e for e in report.errors)

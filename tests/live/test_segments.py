@@ -269,9 +269,10 @@ class TestLazyStaleViews:
                 assert dressed.region is sealed.region
                 assert dressed.document_frequency == \
                     sealed.document_frequency
-                for mine, theirs in zip(dressed.blocks, sealed.blocks):
-                    assert mine.doc_payload is theirs.doc_payload
-                    assert mine.tf_payload is theirs.tf_payload
+                assert dressed.payload is sealed.payload
+                assert dressed.columns._replace(
+                    block_max=sealed.block_max) == sealed.columns
+                assert dressed.firsts is sealed.firsts
             assert len(view._dressed) == segment.index.num_terms
             assert "absent" not in view
             with pytest.raises(InvertedIndexError):

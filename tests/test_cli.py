@@ -66,6 +66,7 @@ class TestInfo:
         out = capsys.readouterr().out
         assert "documents:        4" in out
         assert "scheme mix:" in out
+        assert "format:           .bossx v2, 19 B block records" in out
 
     def test_info_bad_file(self, tmp_path):
         bad = tmp_path / "junk.boss"
@@ -220,6 +221,14 @@ class TestValidate:
         bad = tmp_path / "bad.boss"
         bad.write_bytes(b"garbage")
         assert main(["validate", "--index", str(bad)]) == 2
+
+    def test_version_1_file_is_a_typed_error(self, tmp_path, capsys):
+        old = tmp_path / "v1.bossx"
+        old.write_bytes(b"BOSSIDX1" + b"\x00" * 64)
+        assert main(["validate", "--index", str(old)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {old} is a version 1 .bossx file" in err
+        assert "version 2" in err
 
 
 class TestBench:

@@ -193,8 +193,6 @@ def _window_index(understate=None, rare_docs=(13, 200)):
     metadata that understates — which a loaded file may carry, and which
     the oracle follows without complaint.
     """
-    from dataclasses import replace
-
     from repro.index import IndexBuilder
 
     builder = IndexBuilder()
@@ -211,9 +209,7 @@ def _window_index(understate=None, rare_docs=(13, 200)):
     if understate == "list":
         lead.max_term_score = tf4_score
     elif understate == "block":
-        block = lead.blocks[0]
-        lead.blocks[0] = replace(block, metadata=replace(
-            block.metadata, max_term_score=tf4_score))
+        lead.block_max[0] = tf4_score
     return index
 
 
@@ -839,8 +835,6 @@ def test_hand_off_insertion_behind_equal_keys(paths):
 def test_hand_offs_under_understated_bounds(understate, paths):
     """Bounds lowered under real scores, as in ``_window_index``: the
     hand-off's tests read them, and accepted scores pass them."""
-    from dataclasses import replace
-
     documents, terms = _union_corpus(**_HAND_OFF_CORPUS)
     index = _index_of(documents)
     plist = index.posting_list("t1")
@@ -848,11 +842,8 @@ def test_hand_offs_under_understated_bounds(understate, paths):
     if understate == "list":
         plist.max_term_score = lowered
     else:
-        plist.blocks[:] = [
-            replace(block, metadata=replace(
-                block.metadata,
-                max_term_score=min(lowered, block.metadata.max_term_score)))
-            for block in plist.blocks]
+        plist.block_max[:] = [min(lowered, block_max)
+                              for block_max in plist.block_max]
     _assert_union_identical(index, _any_of(terms))
     assert paths.counts["new_leader"] > 0
     assert paths.counts["advance_in_place"] > 0
