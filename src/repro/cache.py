@@ -1,71 +1,35 @@
-"""Block caches over one weighted LRU core (extension study).
-
-The paper's memory node pairs slow, huge SCM with the memory
-controller's fast path; a natural extension — and prior art the paper
-cites (compressed inverted-list caching, [73]) — is a small DRAM-side
-cache for hot posting-list blocks. Query logs are heavily skewed
-(Zipfian query popularity), so a cache of a few percent of the index
-can absorb a large share of the block fetches, multiplying the
-effective SCM bandwidth.
+"""Block caches over one weighted LRU core.
 
 Every block cache in the repository keeps its bookkeeping in one core,
 :class:`BlockLRU`: an ordered ``key -> (weight, value)`` map, least
 recently used first, with a running ``used`` weight. A cache is a
 policy over it — what a block weighs and when to evict:
 
-* :class:`LRUBlockCache` — weight = payload bytes; an access pops the
-  key, pushes it back at the MRU end, then evicts LRU entries until
-  ``used`` fits the byte capacity. A block larger than the whole cache
-  is never pushed.
 * :class:`DecodedBlockCache` — weight 1 per decoded block, capacity in
   blocks, behind a lock (see below).
-* :class:`repro.ioplanner.tier.DramTier` — three cores (cold, warm,
-  hot); hits promote a block one core up, over-full upper cores demote
-  their LRU tail down, and capacity pressure evicts cold first.
-
-The simulated DRAM tier replays the engines' fetch traces:
-
-* :class:`CacheSimulator` — replays per-query fetch records through an
-  :class:`LRUBlockCache`, producing a :class:`CacheReport` with hit
-  rates and the SCM bytes absorbed;
-* :func:`cached_memory_seconds` — the memory-side service time with the
-  cache in place (hits at DRAM speed, misses at SCM speed).
+* :class:`repro.ioplanner.tier.DramTier` — the one simulated DRAM tier
+  in front of SCM (an extension study; the paper cites compressed
+  inverted-list caching, [73]): three cores (cold, warm, hot); hits
+  promote a block one core up, over-full upper cores demote their LRU
+  tail down, and capacity pressure evicts cold first.
+* a flat byte-weighted LRU over one core, kept only for a benchmark
+  probe (see its class).
 
 :class:`DecodedBlockCache` is the host-side *decoded*-block cache used
 by the fast query path: already-decompressed ``(docID array, tf
-array)`` pairs. Unlike the simulated DRAM tier above, this cache is
-purely a wall-clock optimization — the performance model still charges
-the full modeled SCM traffic and decompression work for every block
-touch, so modeled metrics are bit-identical with the cache on or off.
+array)`` pairs. Unlike the simulated DRAM tier, this cache is purely a
+wall-clock optimization — the performance model still charges the full
+modeled SCM traffic and decompression work for every block touch, so
+modeled metrics are bit-identical with the cache on or off.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.observability.observer import NULL_OBSERVER, Observer
-from repro.scm.device import DDR4_4CH, OPTANE_NODE_4CH
-from repro.scm.traffic import AccessPattern, FetchRecord
-
-
-@dataclass(frozen=True)
-class BlockCacheAccess:
-    """One :meth:`LRUBlockCache.access` (observer event)."""
-
-    hit: bool
-    nbytes: int
-
-    def publish_metrics(self, registry) -> None:
-        registry.counter(
-            "cache.accesses", "DRAM block-cache lookups"
-        ).inc(outcome="hit" if self.hit else "miss")
-        registry.counter(
-            "cache.bytes", "bytes served per tier"
-        ).inc(self.nbytes, tier="dram" if self.hit else "scm")
 
 
 class BlockLRU:
@@ -108,17 +72,22 @@ class BlockLRU:
 
 
 class LRUBlockCache:
-    """Byte-capacity LRU cache over posting-list blocks."""
+    """Byte-capacity LRU cache over posting-list blocks.
 
-    def __init__(self, capacity_bytes: int,
-                 observer: Observer = NULL_OBSERVER) -> None:
+    Nothing in the package uses it: it is kept only because the
+    benchmark harness's probe (``benchmarks/harness/probes.py``) times
+    it, as ``Codec.decode_block_columnar`` is kept for the same probe.
+    ROADMAP item 1(b) deletes it together with that probe; the
+    simulated DRAM tier is :class:`repro.ioplanner.tier.DramTier`.
+    """
+
+    def __init__(self, capacity_bytes: int) -> None:
         if capacity_bytes <= 0:
             raise ConfigurationError("cache capacity must be positive")
         self.capacity_bytes = capacity_bytes
         self._lru = BlockLRU()
         self.hits = 0
         self.misses = 0
-        self._observer = observer
 
     @property
     def used_bytes(self) -> int:
@@ -150,8 +119,6 @@ class LRUBlockCache:
             self.hits += 1
         else:
             self.misses += 1
-        if self._observer.enabled:
-            self._observer.emit(BlockCacheAccess(hit, size))
         if size <= self.capacity_bytes:
             lru.push(key, size)
             while lru.used > self.capacity_bytes:
@@ -249,121 +216,3 @@ class DecodedBlockCache:
                     lru.push(key, 1, pair)
             while lru.used > self.capacity_blocks:
                 lru.pop_lru()
-
-
-@dataclass(frozen=True)
-class CacheReport:
-    """Outcome of replaying a fetch trace through the cache."""
-
-    hits: int
-    misses: int
-    #: Bytes served from DRAM (hits).
-    dram_bytes: int
-    #: Bytes that still went to SCM (misses).
-    scm_bytes: int
-    #: Miss bytes that stayed part of an unbroken sequential run — the
-    #: record was engine-sequential *and* the immediately preceding
-    #: miss was the same term's previous block (a hit punched out of
-    #: the middle of a run restarts it: the device seeks again).
-    scm_seq_bytes: int = 0
-    #: Miss bytes charged at the Table I random-read rate.
-    scm_rand_bytes: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    @property
-    def bytes_absorbed_fraction(self) -> float:
-        total = self.dram_bytes + self.scm_bytes
-        return self.dram_bytes / total if total else 0.0
-
-
-class _ScmRuns:
-    """The one run rule of the SCM side, with or without a cache: a fetch
-    continues a sequential run only when the engine observed it as
-    sequential *and* the device's previous SCM fetch was the same term's
-    previous block. Everything else — skip landings, list starts, runs
-    broken by a DRAM hit or another term — pays the random rate: a run's
-    first block is its seek."""
-
-    __slots__ = ("seq_bytes", "rand_bytes", "_last")
-
-    def __init__(self) -> None:
-        self.seq_bytes = self.rand_bytes = 0
-        #: (term, block_index) of the immediately preceding SCM fetch.
-        self._last: Optional[Tuple[str, int]] = None
-
-    def fetch(self, term: str, block_index: int, size: int,
-              pattern: AccessPattern) -> None:
-        if (pattern is AccessPattern.SEQUENTIAL
-                and self._last == (term, block_index - 1)):
-            self.seq_bytes += size
-        else:
-            self.rand_bytes += size
-        self._last = (term, block_index)
-
-    def interrupt(self) -> None:
-        """A fetch was served elsewhere: the next one restarts its run."""
-        self._last = None
-
-
-def _scm_read_seconds(seq_bytes: int, rand_bytes: int) -> float:
-    return (OPTANE_NODE_4CH.read_time(seq_bytes, AccessPattern.SEQUENTIAL)
-            + OPTANE_NODE_4CH.read_time(rand_bytes, AccessPattern.RANDOM))
-
-
-class CacheSimulator:
-    """Replays fetch traces through an LRU block cache; misses are charged
-    at the *device-observed* pattern (:class:`_ScmRuns`), which a hit —
-    served from DRAM — interrupts."""
-
-    def __init__(self, capacity_bytes: int,
-                 observer: Observer = NULL_OBSERVER) -> None:
-        self._cache = LRUBlockCache(capacity_bytes, observer=observer)
-        self._dram_bytes = 0
-        self._scm = _ScmRuns()
-
-    def replay(self, records: Iterable[FetchRecord]) -> None:
-        """Feed one query's fetch records through the cache."""
-        for term, block_index, size, pattern in records:
-            if self._cache.access(term, block_index, size):
-                self._dram_bytes += size
-                self._scm.interrupt()
-            else:
-                self._scm.fetch(term, block_index, size, pattern)
-
-    def report(self) -> CacheReport:
-        return CacheReport(
-            hits=self._cache.hits,
-            misses=self._cache.misses,
-            dram_bytes=self._dram_bytes,
-            scm_bytes=self._scm.seq_bytes + self._scm.rand_bytes,
-            scm_seq_bytes=self._scm.seq_bytes,
-            scm_rand_bytes=self._scm.rand_bytes,
-        )
-
-
-def uncached_memory_seconds(records: Iterable[FetchRecord]) -> float:
-    """Block-fetch service time on the Table I SCM node with no cache
-    tier at all: the same replay with nothing in front of the SCM, so a
-    :class:`CacheSimulator` replay in which nothing hits costs exactly
-    this, to the bit."""
-    runs = _ScmRuns()
-    for record in records:
-        runs.fetch(*record)
-    return _scm_read_seconds(runs.seq_bytes, runs.rand_bytes)
-
-
-def cached_memory_seconds(report: CacheReport) -> float:
-    """Block-fetch service time with a DDR4 cache tier in front of the
-    Table I SCM node.
-
-    Hits are scattered single-block DRAM lookups (random at DRAM's mild
-    penalty); misses are charged at the pattern the replay observed.
-    """
-    return (
-        DDR4_4CH.read_time(report.dram_bytes, AccessPattern.RANDOM)
-        + _scm_read_seconds(report.scm_seq_bytes, report.scm_rand_bytes)
-    )

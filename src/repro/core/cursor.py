@@ -42,15 +42,14 @@ class ListCursor:
     __slots__ = ("_fetch_log", "_list", "_work", "_traffic",
                  "_skip_class", "_block_index", "_position",
                  "_decoded_doc_ids", "_decoded_tfs", "_lasts", "_firsts",
-                 "_metadata_read_upto", "_decoded_cache", "_fast_path",
+                 "_metadata_read_upto", "_decoded_cache",
                  "_last_fetched_block", "_num_blocks")
 
     def __init__(self, posting_list: CompressedPostingList,
                  work: WorkCounters, traffic: TrafficCounter,
                  skip_class: str = SKIP_NONE,
                  fetch_log: Optional[list] = None,
-                 decoded_cache=None,
-                 fast_path: bool = True) -> None:
+                 decoded_cache=None) -> None:
         if skip_class not in (SKIP_OVERLAP, SKIP_ET, SKIP_NONE):
             raise SimulationError(f"unknown skip class {skip_class!r}")
         #: Optional trace of payload fetches as
@@ -80,10 +79,9 @@ class ListCursor:
         #: Index of the last payload the fetch log recorded (-1 = none
         #: yet; block 0 then counts as the sequential start of the stream).
         self._last_fetched_block = -1
-        #: Host-side :class:`repro.cache.DecodedBlockCache` (or None).
+        #: Host-side :class:`repro.cache.DecodedBlockCache`: the
+        #: production path. None takes the per-value reference decoder.
         self._decoded_cache = decoded_cache
-        #: Bulk ``decode_block`` vs per-value reference decode.
-        self._fast_path = fast_path
 
     # ------------------------------------------------------------------
     # Introspection
@@ -231,25 +229,20 @@ class ListCursor:
             raise SimulationError(f"cursor for {self.term!r} exhausted")
         plist, index = self._list, self._block_index
         self._charge_metadata(index)
-        # Functional decode: decoded-block cache first, then either the
-        # bulk fast path (the whole list, on a cache miss) or the
-        # per-value reference decoder. How the arrays are *obtained* is
-        # a host-side wall-clock concern only.
-        decoded = None
+        # Functional decode: the production path looks in the
+        # decoded-block cache and decodes the whole list on a miss; a
+        # cursor with no cache runs the per-value reference decoder.
+        # How the arrays are *obtained* is a host-side wall-clock
+        # concern only.
         cache = self._decoded_cache
-        if cache is not None:
+        if cache is None:
+            postings = plist.decode_block(index)
+            decoded = ([p.doc_id for p in postings],
+                       [p.tf for p in postings])
+        else:
             decoded = cache.get(plist.term, index, plist.scheme)
-        if decoded is None:
-            if not self._fast_path:
-                postings = plist.decode_block(index)
-                decoded = ([p.doc_id for p in postings],
-                           [p.tf for p in postings])
-                if cache is not None:
-                    cache.put(plist.term, index, plist.scheme, decoded)
-            elif cache is not None:
+            if decoded is None:
                 decoded = self._decode_list(cache)
-            else:
-                decoded = plist.decode_block_arrays(index)
         self._decoded_doc_ids, self._decoded_tfs = decoded
         # Modeled accounting is unconditional — the simulated accelerator
         # fetches and decompresses this block regardless of what the

@@ -486,7 +486,6 @@ class BossAccelerator:
             fetch_log=(None if fetches is None
                        else fetches.setdefault(self, [])),
             decoded_cache=self._decoded_cache,
-            fast_path=self._fast_path,
         )
 
     def _check_terms(self, node: QueryNode) -> None:

@@ -31,12 +31,13 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy
 
 from repro.baselines import IIUAccelerator, IIUConfig, LuceneConfig, LuceneEngine
-from repro.cache import CacheSimulator, cached_memory_seconds, uncached_memory_seconds
 from repro.compression import HybridSelector, deltas_from_doc_ids
 from repro.compression.hybrid import PAPER_SCHEMES
 from repro.core import BossAccelerator, BossConfig
 from repro.core.engine import recording_fetches
 from repro.hwmodel import EnergyModel, area_power
+from repro.ioplanner.tier import (
+    DramTier, replay_fetches, replay_seconds, uncached_memory_seconds)
 from repro.observability import (
     ALL_STAGES, aggregate_stage_seconds, batch_bottleneck, build_trace)
 from repro.scm import DDR4_4CH, AccessClass, MemoryPool
@@ -493,23 +494,20 @@ class Evaluation:
             "capacity|{:>9.0%};hit rate|{:>10.2f};bytes@DRAM|{:>12.2f}"
             ";fetch speedup|{:>14.2f}x")
     def _cache_tier(self):
-        """An LRU cache sized as a fraction of the compressed index,
-        under a 400-query Zipf log of 40 distinct queries."""
+        """The planner's segmented DRAM tier sized as a fraction of the
+        compressed index, under a 400-query Zipf log of 40 distinct
+        queries."""
         sampler = QuerySampler(self.ccnews.corpus.terms_by_df(), seed=77)
-        traces = [log for _result, log in self.ccnews.fetch_traces(
-            sampler.sample_zipf_log(400, 40))]
-        uncached = uncached_memory_seconds(
-            record for trace in traces for record in trace)
+        records = [record for _result, log in self.ccnews.fetch_traces(
+            sampler.sample_zipf_log(400, 40)) for record in log]
+        uncached = uncached_memory_seconds(records)
         rows = []
         for fraction in (0.01, 0.05, 0.2, 1.0):
-            simulator = CacheSimulator(
-                int(fraction * self.ccnews.index.compressed_bytes))
-            for trace in traces:
-                simulator.replay(trace)
-            report = simulator.report()
-            rows.append((fraction, report.hit_rate,
-                         report.bytes_absorbed_fraction,
-                         uncached / cached_memory_seconds(report)))
+            tier = DramTier(int(fraction * self.ccnews.index.compressed_bytes))
+            routed = replay_fetches(records, tier)
+            rows.append((fraction, tier.hit_rate,
+                         routed.dram_hit_bytes / routed.demand_bytes,
+                         uncached / replay_seconds(routed)))
         return rows
 
     @figure("coresim", "Extension: event-driven core sim vs analytic model",

@@ -21,7 +21,7 @@ fetch.
 4. **Attribution** — each demand is charged at the rate of the path
    that served it (DRAM hit / dedup copy / sequential run member /
    random singleton); a run's first block pays the random rate as its
-   seek, matching :class:`repro.cache.CacheSimulator`'s convention.
+   seek, the run rule :func:`repro.ioplanner.tier.replay_fetches` uses.
 
 The plan's byte accounting obeys a conservation identity checked by
 :meth:`RoutedBytes.check_conservation` — for one window's

@@ -1,12 +1,13 @@
 """Shared DRAM-over-SCM tier with segmented promotion.
 
-Unlike the per-study :class:`repro.cache.LRUBlockCache` (a flat LRU
-replayed offline), this tier is the planner's *online* staging area,
-shared by every tenant. It is a segmented LRU: blocks enter the cold
-segment on their first demand fetch, are promoted cold -> warm -> hot
-on re-reference, and are evicted cold-first — one burst of one-shot
-blocks cannot flush the hot working set (the scan-resistance argument
-behind SLRU / bcache-style tiers). Each segment is one
+The repository's one simulated DRAM tier in front of SCM. The planner
+shares it across every tenant as its *online* staging area, and
+:func:`replay_fetches` replays engine fetch traces through it offline
+(the ``cache_tier`` figure). It is a segmented LRU: blocks enter the
+cold segment on their first demand fetch, are promoted cold -> warm ->
+hot on re-reference, and are evicted cold-first — one burst of
+one-shot blocks cannot flush the hot working set (the scan-resistance
+argument behind SLRU / bcache-style tiers). Each segment is one
 :class:`repro.cache.BlockLRU` weighted by payload bytes.
 
 The tier holds only blocks a query demanded: it stages nothing ahead
@@ -19,10 +20,13 @@ are staged apart.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Optional, Tuple
 
 from repro.cache import BlockLRU
 from repro.errors import ConfigurationError
+from repro.ioplanner.plan import RoutedBytes
+from repro.scm.device import DDR4_4CH, OPTANE_NODE_4CH
+from repro.scm.traffic import AccessPattern, FetchRecord
 
 #: Segment names, eviction order first.
 SEGMENTS = ("cold", "warm", "hot")
@@ -151,3 +155,86 @@ class DramTier:
             while excess > 0 and segment.entries:
                 _key, (size, _value) = segment.pop_lru()
                 excess -= size
+
+
+# ----------------------------------------------------------------------
+# Offline replay of engine fetch traces
+# ----------------------------------------------------------------------
+
+class _ScmRuns:
+    """The one run rule of the SCM side, with or without a tier: a fetch
+    continues a sequential run only when the engine observed it as
+    sequential *and* the device's previous SCM fetch was the same term's
+    previous block. Everything else — skip landings, list starts, runs
+    broken by a DRAM hit or another term — pays the random rate: a run's
+    first block is its seek."""
+
+    __slots__ = ("_last",)
+
+    def __init__(self) -> None:
+        #: (term, block_index) of the immediately preceding SCM fetch.
+        self._last: Optional[Tuple[Hashable, int]] = None
+
+    def fetch(self, routed: RoutedBytes, term: Hashable, block_index: int,
+              size: int, pattern: AccessPattern) -> None:
+        if (pattern is AccessPattern.SEQUENTIAL
+                and self._last == (term, block_index - 1)):
+            routed.scm_seq_bytes += size
+        else:
+            routed.scm_rand_bytes += size
+        self._last = (term, block_index)
+
+    def interrupt(self) -> None:
+        """A fetch was served elsewhere: the next one restarts its run."""
+        self._last = None
+
+
+def replay_fetches(records: Iterable[FetchRecord],
+                   tier: Optional[DramTier] = None) -> RoutedBytes:
+    """Replay engine fetch records, in order, through ``tier`` in front
+    of the Table I SCM node.
+
+    A block the tier holds is a DRAM hit and interrupts the SCM run; a
+    miss is charged by :class:`_ScmRuns` at the pattern the device
+    observes, then admitted. With no tier every record is a miss: the
+    no-cache baseline. Unlike a planning window, a replay neither
+    dedups nor coalesces.
+    """
+    routed = RoutedBytes()
+    runs = _ScmRuns()
+    for term, block_index, size, pattern in records:
+        routed.demand_blocks += 1
+        routed.demand_bytes += size
+        if tier is not None and tier.lookup(term, block_index, size):
+            routed.dram_hit_bytes += size
+            runs.interrupt()
+            continue
+        runs.fetch(routed, term, block_index, size, pattern)
+        if tier is not None:
+            tier.admit(term, block_index, size)
+    routed.check_conservation()
+    return routed
+
+
+def replay_seconds(routed: RoutedBytes) -> float:
+    """Block-fetch service time of a :func:`replay_fetches` result.
+
+    Hits are scattered single-block DDR4 lookups (random at DRAM's mild
+    penalty); misses are charged at the pattern the replay observed.
+    """
+    # The SCM terms are summed first, so with no hits this is exactly
+    # the SCM time (0.0 + x == x): the baseline stays bit-identical.
+    return (
+        DDR4_4CH.read_time(routed.dram_hit_bytes, AccessPattern.RANDOM)
+        + (OPTANE_NODE_4CH.read_time(routed.scm_seq_bytes,
+                                     AccessPattern.SEQUENTIAL)
+           + OPTANE_NODE_4CH.read_time(routed.scm_rand_bytes,
+                                       AccessPattern.RANDOM))
+    )
+
+
+def uncached_memory_seconds(records: Iterable[FetchRecord]) -> float:
+    """Block-fetch service time on the Table I SCM node with no tier at
+    all: the same replay with nothing in front of the SCM, so a replay
+    in which nothing hits costs exactly this, to the bit."""
+    return replay_seconds(replay_fetches(records))

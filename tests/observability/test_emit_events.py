@@ -7,7 +7,6 @@ totals they add up to.
 
 import pytest
 
-from repro.cache import BlockCacheAccess, LRUBlockCache
 from repro.clock import VirtualClock
 from repro.cluster import MergeShards, MoveReport, Rebalancer, SplitShard
 from repro.cluster.resilience import (
@@ -286,10 +285,3 @@ class TestBlockLevelEvents:
                             observer=observer).decode(
             get_codec("VB").encode(values), len(values))
         assert observer.events == [ModuleDecode("VB", 3)]
-
-    def test_block_cache_miss_then_hit(self, observer):
-        cache = LRUBlockCache(capacity_bytes=4096, observer=observer)
-        cache.access("t0", 0, 1000)
-        cache.access("t0", 0, 1000)
-        assert observer.events == [BlockCacheAccess(False, 1000),
-                                   BlockCacheAccess(True, 1000)]

@@ -30,7 +30,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.cache import LRUBlockCache
 from repro.clock import VirtualClock
 from repro.cluster import MergeShards, Rebalancer, SplitShard
 from repro.cluster.resilience import ResiliencePolicy
@@ -262,13 +261,10 @@ def drive_second_stages(observer):
 
 
 def drive_block_level(observer):
-    """One decompression-module decode; a DRAM block-cache miss + hit."""
+    """One decompression-module decode."""
     values = list(range(0, 300, 3))
     DecompressionModule(program_for_scheme("VB"), observer=observer).decode(
         get_codec("VB").encode(values), len(values))
-    cache = LRUBlockCache(capacity_bytes=4096, observer=observer)
-    assert cache.access("t0", 0, 1000) is False
-    assert cache.access("t0", 0, 1000) is True
 
 
 def drive(observer, wal_dir):

@@ -1,8 +1,8 @@
 """Observer coverage for every instrumented component.
 
 Each component that accepts an observer — the engine (block fetches and
-skips, published per query), decompression modules, the DRAM block
-cache, the cluster root, and the SCM pool/interconnect models — must
+skips, published per query), decompression modules, the cluster root,
+and the SCM pool/interconnect models — must
 publish into the shared registry, and must publish *nothing* (and cost
 nothing) under the null observer.
 """
@@ -13,11 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.cache import CacheSimulator, LRUBlockCache
 from repro.cluster import SearchCluster, shard_documents
 from repro.core import BossAccelerator, BossConfig
 from repro.decompressor import DecompressionModule, program_for_scheme
 from repro.compression import get_codec
+from repro.ioplanner.tier import DramTier, replay_fetches
 from repro.observability import (
     MetricsRegistry,
     NULL_OBSERVER,
@@ -25,6 +25,7 @@ from repro.observability import (
     RecordingObserver,
 )
 from repro.scm.pool import MemoryPool
+from repro.scm.traffic import AccessPattern
 from tests.conftest import build_random_index
 
 
@@ -93,23 +94,17 @@ class TestDecompressorHooks:
 
 
 class TestCacheHooks:
-    def test_hits_and_misses_split_by_tier(self, observer):
-        cache = LRUBlockCache(capacity_bytes=4096, observer=observer)
-        assert cache.access("t0", 0, 1000) is False   # cold miss
-        assert cache.access("t0", 0, 1000) is True    # hit
-        assert cache.access("t1", 0, 1000) is False
-        registry = observer.registry
-        accesses = registry.get("cache.accesses")
-        assert accesses.value(outcome="hit") == 1
-        assert accesses.value(outcome="miss") == 2
-        served = registry.get("cache.bytes")
-        assert served.value(tier="dram") == 1000
-        assert served.value(tier="scm") == 2000
-
-    def test_cache_simulator_passes_observer_through(self, observer):
-        simulator = CacheSimulator(capacity_bytes=4096, observer=observer)
-        simulator._cache.access("t0", 0, 512)
-        assert observer.registry.get("cache.accesses").total() == 1
+    def test_hits_and_misses_split_by_tier(self):
+        """The DRAM tier publishes no series of its own: a replay's
+        routed bytes carry the DRAM/SCM split."""
+        tier = DramTier(capacity_bytes=4096)
+        routed = replay_fetches([("t0", 0, 1000, AccessPattern.RANDOM),
+                                 ("t0", 0, 1000, AccessPattern.RANDOM),
+                                 ("t1", 0, 1000, AccessPattern.RANDOM)],
+                                tier)
+        assert (tier.hits, tier.misses) == (1, 2)
+        assert routed.dram_hit_bytes == 1000
+        assert routed.scm_bytes == 2000
 
 
 class TestClusterHooks:
@@ -168,9 +163,6 @@ class TestObserverContract:
         engine = BossAccelerator(index, BossConfig(k=5),
                                  observer=NULL_OBSERVER)
         assert engine.observer is NULL_OBSERVER
-        cache = LRUBlockCache(capacity_bytes=1024, observer=NULL_OBSERVER)
-        assert cache._observer is NULL_OBSERVER
-        assert LRUBlockCache(capacity_bytes=1024)._observer is NULL_OBSERVER
 
     def test_only_query_complete_is_a_named_hook(self):
         """No ``.on_*(`` call other than ``on_query_complete`` survives

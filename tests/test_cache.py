@@ -1,17 +1,18 @@
-"""Tests for the DRAM block-cache tier simulator."""
+"""Tests for the block caches and the DRAM-tier fetch-trace replay."""
 
 import pytest
 
-from repro.cache import (
-    CacheSimulator,
-    DecodedBlockCache,
-    LRUBlockCache,
-    cached_memory_seconds,
-    uncached_memory_seconds,
-)
+from repro.cache import DecodedBlockCache, LRUBlockCache
 from repro.core import BossAccelerator, BossConfig
 from repro.core.engine import recording_fetches
 from repro.errors import ConfigurationError
+from repro.ioplanner.plan import RoutedBytes
+from repro.ioplanner.tier import (
+    DramTier,
+    replay_fetches,
+    replay_seconds,
+    uncached_memory_seconds,
+)
 from repro.scm.device import OPTANE_NODE_4CH
 from repro.scm.traffic import AccessPattern
 
@@ -183,70 +184,62 @@ class TestDecodedBlockCache:
 
 
 class TestCacheSimulator:
+    """Fetch traces replayed through the planner's DRAM tier."""
+
     def test_replay_accumulates(self):
-        sim = CacheSimulator(1000)
-        sim.replay([("a", 0, 100, SEQ), ("a", 0, 100, SEQ),
-                    ("b", 0, 50, SEQ)])
-        report = sim.report()
-        assert report.hits == 1
-        assert report.misses == 2
-        assert report.dram_bytes == 100
-        assert report.scm_bytes == 150
-        assert report.bytes_absorbed_fraction == pytest.approx(100 / 250)
+        tier = DramTier(1000)
+        routed = replay_fetches([("a", 0, 100, SEQ), ("a", 0, 100, SEQ),
+                                 ("b", 0, 50, SEQ)], tier)
+        assert (tier.hits, tier.misses) == (1, 2)
+        assert (routed.demand_blocks, routed.demand_bytes) == (3, 250)
+        assert routed.dram_hit_bytes == 100
+        assert routed.scm_bytes == 150
 
     def test_empty_report(self):
-        report = CacheSimulator(100).report()
-        assert report.hit_rate == 0.0
-        assert report.bytes_absorbed_fraction == 0.0
+        tier = DramTier(100)
+        assert replay_fetches([], tier) == RoutedBytes()
+        assert tier.hit_rate == 0.0
 
     def test_cached_memory_seconds_below_uncached(self):
-        sim = CacheSimulator(10_000)
         trace = [("a", i % 4, 256, SEQ) for i in range(100)]
-        sim.replay(trace)
-        report = sim.report()
-        assert cached_memory_seconds(report) < uncached_memory_seconds(trace)
+        routed = replay_fetches(trace, DramTier(10_000))
+        assert replay_seconds(routed) < uncached_memory_seconds(trace)
 
     def test_misses_charged_at_recorded_pattern(self):
         # Engine-random records (skip landings) never earn the
         # sequential rate, even when adjacent in the replay stream.
-        sim = CacheSimulator(10_000)
-        sim.replay([("a", 0, 100, RAND), ("a", 1, 100, RAND)])
-        report = sim.report()
-        assert report.scm_rand_bytes == 200
-        assert report.scm_seq_bytes == 0
+        routed = replay_fetches([("a", 0, 100, RAND), ("a", 1, 100, RAND)],
+                                DramTier(10_000))
+        assert routed.scm_rand_bytes == 200
+        assert routed.scm_seq_bytes == 0
 
     def test_unbroken_runs_stay_sequential(self):
-        sim = CacheSimulator(10_000)
-        sim.replay([("a", 0, 100, RAND), ("a", 1, 100, SEQ),
-                    ("a", 2, 100, SEQ)])
-        report = sim.report()
+        routed = replay_fetches([("a", 0, 100, RAND), ("a", 1, 100, SEQ),
+                                 ("a", 2, 100, SEQ)], DramTier(10_000))
         # The run start pays the seek; its continuation streams.
-        assert report.scm_rand_bytes == 100
-        assert report.scm_seq_bytes == 200
+        assert routed.scm_rand_bytes == 100
+        assert routed.scm_seq_bytes == 200
 
     def test_hit_in_the_middle_breaks_the_run(self):
-        sim = CacheSimulator(10_000)
-        sim.replay([("a", 0, 100, RAND), ("a", 1, 100, SEQ)])
-        # Second pass: a1 hits in DRAM, so a2 restarts the SCM run.
-        sim.replay([("a", 1, 100, SEQ), ("a", 2, 100, SEQ)])
-        report = sim.report()
-        assert report.hits == 1
-        assert report.scm_rand_bytes == 200  # a0 and the restarted a2
-        assert report.scm_seq_bytes == 100   # a1 on the first pass
+        tier = DramTier(10_000)
+        # Second query: a1 hits in DRAM, so a2 restarts the SCM run.
+        routed = replay_fetches([("a", 0, 100, RAND), ("a", 1, 100, SEQ),
+                                 ("a", 1, 100, SEQ), ("a", 2, 100, SEQ)],
+                                tier)
+        assert tier.hits == 1
+        assert routed.scm_rand_bytes == 200  # a0 and the restarted a2
+        assert routed.scm_seq_bytes == 100   # a1 on the first pass
 
     def test_other_term_interleaved_breaks_the_run(self):
-        sim = CacheSimulator(10_000)
-        sim.replay([("a", 0, 100, RAND), ("b", 0, 100, RAND),
-                    ("a", 1, 100, SEQ)])
-        report = sim.report()
-        assert report.scm_seq_bytes == 0
-        assert report.scm_rand_bytes == 300
+        routed = replay_fetches([("a", 0, 100, RAND), ("b", 0, 100, RAND),
+                                 ("a", 1, 100, SEQ)], DramTier(10_000))
+        assert routed.scm_seq_bytes == 0
+        assert routed.scm_rand_bytes == 300
 
     def test_scm_random_fraction(self):
-        sim = CacheSimulator(10_000)
-        sim.replay([("a", 0, 100, RAND), ("a", 1, 300, SEQ)])
-        report = sim.report()
-        assert report.scm_rand_bytes / report.scm_bytes == pytest.approx(0.25)
+        routed = replay_fetches([("a", 0, 100, RAND), ("a", 1, 300, SEQ)],
+                                DramTier(10_000))
+        assert routed.sequential_share == pytest.approx(0.75)
 
 
 class TestUncachedBaseline:
@@ -301,14 +294,15 @@ class TestEngineIntegration:
 
     def test_repeated_queries_hit_the_cache(self, small_index):
         engine = BossAccelerator(small_index, BossConfig(k=10))
-        sim = CacheSimulator(capacity_bytes=1 << 20)
+        records = []
         for _ in range(5):
             with recording_fetches() as fetches:
                 engine.search('"t1" AND "t3"')
-            sim.replay(fetches[engine])
-        report = sim.report()
+            records += fetches[engine]
+        tier = DramTier(capacity_bytes=1 << 20)
+        replay_fetches(records, tier)
         # Runs 2..5 hit entirely: hit rate 4/5 of all accesses.
-        assert report.hit_rate == pytest.approx(0.8)
+        assert tier.hit_rate == pytest.approx(0.8)
 
     def test_zipf_log_exists(self, small_index):
         from repro.workloads.queries import QuerySampler

@@ -2,17 +2,16 @@
 
 Fuzzes arbitrary access sequences (including size changes on hits and
 oversized blocks) against a plain-dict reference model and checks the
-invariants the rest of the stack leans on:
+invariants of the byte-capacity LRU contract:
 
 * ``used_bytes`` always equals the sum of the resident entries' sizes,
 * the cache never holds more than ``capacity_bytes``,
 * hit/miss answers match the reference's residency exactly,
 * eviction is LRU over the reference's recency order.
 
-The CacheSimulator's SCM traffic model charges misses by these counters,
-so a drifting ``used`` silently corrupts every downstream bandwidth
-number — this is the regression net for the mischarge class of bug
-fixed in this PR.
+A drifting ``used`` would silently over- or under-evict forever after.
+The last property pins the DRAM-tier replay (``repro.ioplanner.tier``)
+against its no-cache baseline.
 """
 
 from collections import OrderedDict
@@ -20,10 +19,11 @@ from collections import OrderedDict
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import (
-    CacheSimulator,
-    LRUBlockCache,
-    cached_memory_seconds,
+from repro.cache import LRUBlockCache
+from repro.ioplanner.tier import (
+    DramTier,
+    replay_fetches,
+    replay_seconds,
     uncached_memory_seconds,
 )
 from repro.scm.traffic import AccessPattern
@@ -121,12 +121,10 @@ UNCACHEABLE_TRACES = st.lists(st.lists(st.tuples(
 @settings(max_examples=300, deadline=None)
 @given(traces=UNCACHEABLE_TRACES)
 def test_zero_hits_cost_exactly_the_uncached_baseline(traces):
-    """The baseline and the replay share one run rule: a cache that
+    """The baseline and the replay share one run rule: a tier that
     absorbs nothing changes nothing, to the bit."""
-    simulator = CacheSimulator(1)
-    for trace in traces:
-        simulator.replay(trace)
-    report = simulator.report()
-    assert report.hits == 0
-    assert cached_memory_seconds(report) == uncached_memory_seconds(
-        record for trace in traces for record in trace)
+    records = [record for trace in traces for record in trace]
+    tier = DramTier(1)
+    routed = replay_fetches(records, tier)
+    assert tier.hits == 0
+    assert replay_seconds(routed) == uncached_memory_seconds(records)
