@@ -18,6 +18,7 @@ accelerator model.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -30,7 +31,12 @@ from repro.decompressor.program import DecompressorProgram, parse_program
 from repro.errors import ConfigurationError, QueryError
 from repro.index.index import InvertedIndex
 from repro.index.mmapio import open_index
-from repro.observability.observer import NULL_OBSERVER, Observer
+from repro.observability.observer import (
+    NULL_OBSERVER,
+    Observer,
+    current_observer,
+    observing,
+)
 from repro.sim.timing import TERMS_PER_CORE
 
 #: Hardware limit: four chained BOSS cores of 4-way mergers (Section IV-D).
@@ -54,8 +60,14 @@ class BossSession:
 
     @property
     def observer(self) -> Observer:
-        """The observability hook threaded through this session."""
+        """The observer this session's calls report to."""
         return self._observer
+
+    def _observing(self):
+        """Its observer's scope, or the caller's if it has none."""
+        if self._observer.enabled:
+            return observing(self._observer)
+        return nullcontext()
 
     # ------------------------------------------------------------------
     # init()
@@ -83,8 +95,7 @@ class BossSession:
             # accelerator per sealed segment and merges their top-k.
             self._accelerator = index
         else:
-            self._accelerator = BossAccelerator(index, self._config,
-                                                observer=self._observer)
+            self._accelerator = BossAccelerator(index, self._config)
         # A new index invalidates any vector lane built over the old one.
         self._vector_engine = None
         self._hybrid_cache = {}
@@ -135,9 +146,10 @@ class BossSession:
                 f"result buffer of {result_size} B cannot hold top-"
                 f"{effective_k} (needs {RESULT_ENTRY_BYTES * effective_k} B)"
             )
-        if not self._check_arguments(node):
-            return self._search_oversized(node, effective_k)
-        return self._accelerator.search(node, k=k)
+        with self._observing():
+            if not self._check_arguments(node):
+                return self._search_oversized(node, effective_k)
+            return self._accelerator.search(node, k=k)
 
     def _check_arguments(self, node) -> bool:
         """The offload argument checks :meth:`search` runs per query.
@@ -187,8 +199,8 @@ class BossSession:
         an IVF layout of ``codec`` vectors
         (:func:`repro.vector.ivf.build_ivf`'s default sizing), and
         attaches a :class:`~repro.vector.engine.VectorEngine` on the
-        Table I SCM node, at its default ``nprobe``, sharing this
-        session's observer. Returns the engine.
+        Table I SCM node, at its default ``nprobe``. Returns the
+        engine.
         """
         self._require_init()
         from repro.vector.embeddings import embed_index
@@ -197,9 +209,7 @@ class BossSession:
 
         embeddings = embed_index(self._index)
         self._vector_engine = VectorEngine(
-            build_ivf(embeddings, codec=codec), embeddings,
-            observer=self._observer,
-        )
+            build_ivf(embeddings, codec=codec), embeddings)
         self._hybrid_cache = {}
         return self._vector_engine
 
@@ -214,7 +224,8 @@ class BossSession:
 
     def vector_search(self, q_expression):
         """ANN top-10 over the attached vector lane."""
-        return self.vector_engine.search(q_expression)
+        with self._observing():
+            return self.vector_engine.search(q_expression)
 
     def hybrid(self, mode: str = "rerank", first_stage_k: int = 100):
         """A (cached) :class:`~repro.vector.hybrid.HybridSearch` over
@@ -228,7 +239,7 @@ class BossSession:
 
             cached = HybridSearch(
                 self.accelerator, self.vector_engine, mode=mode,
-                first_stage_k=first_stage_k, observer=self._observer,
+                first_stage_k=first_stage_k,
             )
             self._hybrid_cache[key] = cached
         return cached
@@ -236,9 +247,9 @@ class BossSession:
     def search_hybrid(self, q_expression, k: int = 10,
                       mode: str = "rerank", first_stage_k: int = 100):
         """One hybrid query (BM25 -> vector rerank, or RRF fusion)."""
-        return self.hybrid(
-            mode=mode, first_stage_k=first_stage_k
-        ).search(q_expression, k=k)
+        hybrid = self.hybrid(mode=mode, first_stage_k=first_stage_k)
+        with self._observing():
+            return hybrid.search(q_expression, k=k)
 
     def _search_oversized(self, node, effective_k: int) -> SearchResult:
         """Host-split execution for queries beyond 16 terms.
@@ -302,7 +313,8 @@ class BossSession:
                 self._index.posting_list(t).document_frequency
                 for t in chunk
             )
-            partial = exhaustive.search(sub, k=max(1, bound))
+            with observing(NULL_OBSERVER):  # one trace per query
+                partial = exhaustive.search(sub, k=max(1, bound))
             # Every intermediate entry crosses to host memory: the
             # subquery's interconnect bytes are its result entries.
             result.absorb(partial)
@@ -315,7 +327,8 @@ class BossSession:
              if is_union or membership[doc_id] == len(chunks)),
             positive_k(effective_k),
         )
-        if self._observer.enabled:
+        obs = current_observer()
+        if obs.enabled:
             # One trace for the whole host-split query; each subquery
             # occupies up to the full 4-core merger chain.
             import math
@@ -323,7 +336,7 @@ class BossSession:
             cores = max(
                 math.ceil(len(chunk) / TERMS_PER_CORE) for chunk in chunks
             )
-            self._observer.on_query_complete(result, cores_used=cores)
+            obs.on_query_complete(result, cores_used=cores)
         return result
 
     def comp_types(self, terms: List[str]) -> List[str]:

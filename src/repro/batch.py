@@ -16,10 +16,9 @@ fan-out over its shards (plan, resilient leaf execution, root merge)
 is :meth:`repro.cluster.root.SearchCluster.search` and nothing here
 repeats it.
 
-Determinism with observability: when the target (or any leaf engine it
-exposes through ``engines``) carries an enabled observer, the driver
-drops to one worker so traces and registry counters are recorded in the
-exact serial order.
+Determinism with observability: pool threads run outside the caller's
+observer scope, so while it (or a target session's own observer) is
+enabled the driver drops to one worker and records in serial order.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from typing import List, Optional, Sequence, Union
 
 from repro.core.query import QueryNode
 from repro.errors import ConfigurationError
+from repro.observability.observer import NULL_OBSERVER, current_observer
 
 
 def percentile(sorted_values: Sequence[float], q: float) -> float:
@@ -135,15 +135,6 @@ class BatchResult:
         return self.results[index]
 
 
-def _observer_enabled(target) -> bool:
-    """The target, or any leaf engine it exposes, records observations."""
-    observer = getattr(target, "observer", None)
-    if observer is not None and getattr(observer, "enabled", False):
-        return True
-    return any(_observer_enabled(leaf)
-               for leaf in getattr(target, "engines", ()))
-
-
 def run_query_batch(target, expressions: Sequence[Union[str, QueryNode]],
                     k: Optional[int] = None,
                     workers: Optional[int] = None) -> BatchResult:
@@ -167,7 +158,8 @@ def run_query_batch(target, expressions: Sequence[Union[str, QueryNode]],
         raise ConfigurationError("query batch is empty")
     if workers is not None and workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    if workers is None or _observer_enabled(target):
+    if (workers is None or current_observer().enabled
+            or getattr(target, "observer", NULL_OBSERVER).enabled):
         workers = 1
 
     def _one(expression):

@@ -55,7 +55,7 @@ from repro.core.engine import BossAccelerator, BossConfig
 from repro.errors import ConfigurationError, CrashError, RebalanceError
 from repro.index.builder import IndexBuilder
 from repro.index.index import InvertedIndex
-from repro.observability.observer import NULL_OBSERVER, Observer
+from repro.observability.observer import current_observer
 from repro.scm.device import OPTANE_NODE_4CH
 from repro.scm.traffic import AccessClass, AccessPattern, TrafficCounter
 from repro.serving.target import advance_to_arrival, queued_read_seconds
@@ -317,13 +317,11 @@ class Rebalancer:
 
     device = OPTANE_NODE_4CH
 
-    def __init__(self, cluster, sharded, *, clock=None,
-                 observer: Observer = NULL_OBSERVER, crash=None,
+    def __init__(self, cluster, sharded, *, clock=None, crash=None,
                  k: int = 10) -> None:
         self._cluster = cluster
         self._sharded = sharded
         self._clock = clock
-        self._observer = observer
         self._crash = crash
         self._leaf_config = BossConfig(k=k)
         #: Timeline instant until which maintenance occupies the device.
@@ -648,7 +646,7 @@ class Rebalancer:
         now = self._clock.now() if self._clock is not None else 0.0
         self.busy_until = max(self.busy_until, now) + report.modeled_seconds
         self.reports.append(report)
-        self._observer.emit(report)
+        current_observer().emit(report)
 
     # ------------------------------------------------------------------
     # Aggregate views

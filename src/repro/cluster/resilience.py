@@ -43,7 +43,7 @@ from typing import List, Optional
 
 from repro.clock import WALL_CLOCK, Clock
 from repro.errors import ConfigurationError, LeafExecutionError
-from repro.observability.observer import NULL_OBSERVER, Observer
+from repro.observability.observer import current_observer
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,6 @@ class LeafOutcome:
 def execute_leaf(candidates: List, pruned, k: int,
                  policy: ResiliencePolicy, shard_index: int,
                  expression: str = "",
-                 observer: Observer = NULL_OBSERVER,
                  clock: Optional[Clock] = None) -> LeafOutcome:
     """Run one pruned sub-query against a shard's replica chain.
 
@@ -124,7 +123,8 @@ def execute_leaf(candidates: List, pruned, k: int,
     Raises :class:`LeafExecutionError` only when the shard exhausts and
     the policy forbids degradation; otherwise always returns an outcome
     (``failed=True`` marks an exhausted shard for the merge to skip).
-    ``clock`` supplies attempt timing (wall clock by default). The outcome is emitted to ``observer`` on every exit, the
+    ``clock`` supplies attempt timing (wall clock by default). The
+    outcome is emitted to the current observer on every exit, the
     raising one included.
     """
     if not candidates:
@@ -134,7 +134,7 @@ def execute_leaf(candidates: List, pruned, k: int,
         return _run_leaf(outcome, candidates, pruned, k, policy,
                          expression, WALL_CLOCK if clock is None else clock)
     finally:
-        observer.emit(outcome)
+        current_observer().emit(outcome)
 
 
 def _run_leaf(outcome: LeafOutcome, candidates: List, pruned, k: int,

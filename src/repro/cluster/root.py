@@ -28,7 +28,7 @@ from repro.cluster.resilience import (
 from repro.core.result import ScoredDocument, SearchResult, best_hits
 from repro.core.topk import DEFAULT_K, positive_k
 from repro.errors import ConfigurationError
-from repro.observability.observer import NULL_OBSERVER, Observer
+from repro.observability.observer import current_observer
 # ClusterSearchResult's generated __init__ carries SearchResult's field
 # annotations, which resolve in this module.
 from repro.scm.traffic import TrafficCounter  # noqa: F401
@@ -136,7 +136,6 @@ class SearchCluster:
     """
 
     def __init__(self, engines: List,
-                 observer: Observer = NULL_OBSERVER,
                  policy: Optional[ResiliencePolicy] = None,
                  replicas: Optional[List[List]] = None,
                  clock=None) -> None:
@@ -154,17 +153,10 @@ class SearchCluster:
                     f"{len(self._engines)} shards"
                 )
             self._replicas = [list(group) for group in replicas]
-        #: Observability hook for the root (leaves carry their own).
-        self._observer = observer
         #: Shards currently being rebalanced away from their primary.
         self._draining: set = set()
         #: Monotonic shard-map version; bumped by :meth:`publish_topology`.
         self._map_version = 0
-
-    @property
-    def observer(self) -> Observer:
-        """The root's observability hook."""
-        return self._observer
 
     @property
     def engines(self) -> List:
@@ -289,7 +281,7 @@ class SearchCluster:
             outcome = execute_leaf(
                 self.shard_candidates(shard_index), pruned, k,
                 self._policy, shard_index, expression=expression,
-                observer=self._observer, clock=self._clock,
+                clock=self._clock,
             )
             merged.leaf_results.append(outcome.result)
             merged.leaf_outcomes.append(outcome)
@@ -300,5 +292,5 @@ class SearchCluster:
         # distinct documents and a score-ordered selection suffices.
         merged.hits = best_hits(candidates, k)
         merged.merge_ops = len(candidates)
-        self._observer.emit(merged)
+        current_observer().emit(merged)
         return merged

@@ -62,7 +62,7 @@ from repro.core.union import run_union
 from repro.cache import DecodedBlockCache
 from repro.errors import QueryError
 from repro.index.index import InvertedIndex
-from repro.observability.observer import NULL_OBSERVER, Observer
+from repro.observability.observer import current_observer
 from repro.scm.traffic import (
     AccessClass,
     AccessPattern,
@@ -205,12 +205,10 @@ class BossAccelerator:
 
     def __init__(self, index: InvertedIndex,
                  config: Optional[BossConfig] = None,
-                 observer: Observer = NULL_OBSERVER,
                  fast_path: bool = True,
                  executor: Optional[str] = None) -> None:
         self._index = index
         self._config = BossConfig() if config is None else config
-        self._observer = observer
         #: Which executor runs queries. ``None`` takes the production
         #: path, or the reference oracle when ``fast_path=False``; an
         #: explicit name overrides ``fast_path`` entirely.
@@ -227,8 +225,6 @@ class BossAccelerator:
         self._decoded_cache = (
             DecodedBlockCache() if self._fast_path else None
         )
-        #: The cache's (hits, misses) already published as events.
-        self._decoded_published = (0, 0)
         #: Cross-query block-score cache of the leader runs (block
         #: scores depend only on the index snapshot).
         self._columnar_scores: Dict[int, tuple] = {}
@@ -244,10 +240,6 @@ class BossAccelerator:
         """
         self._index = index
         self._columnar_scores = {}
-
-    @property
-    def observer(self) -> Observer:
-        return self._observer
 
     @property
     def index(self) -> InvertedIndex:
@@ -288,8 +280,10 @@ class BossAccelerator:
         node = as_query(query)
         self._check_terms(node)
         k = self._config.k if k is None else k
-        if self._observer.enabled:
-            self._observer.emit(QueryStarted("BOSS"))
+        obs = current_observer()
+        if obs.enabled:
+            obs.emit(QueryStarted("BOSS"))
+            lookups = self._decoded_lookups()
 
         work = WorkCounters()
         traffic = TrafficCounter()
@@ -331,21 +325,18 @@ class BossAccelerator:
             work=work,
             interconnect_bytes=result_bytes,
         )
-        if self._observer.enabled:
-            self._observer.emit(self._block_activity(work))
-            self._observer.on_query_complete(result)
+        if obs.enabled:
+            hits, misses = self._decoded_lookups()
+            obs.emit(BlockActivity(work, hits - lookups[0],
+                                   misses - lookups[1], self._fast_path))
+            obs.on_query_complete(result)
         return result
 
-    def _block_activity(self, work: WorkCounters) -> BlockActivity:
-        """``work``'s block counts plus every decoded-cache lookup not
-        yet published: the cache's counters are cumulative, and the
-        lookups since the last publish are this query's (no second
-        stage reads the cache between queries)."""
+    def _decoded_lookups(self) -> Tuple[int, int]:
+        """The decoded cache's cumulative (hits, misses): their change
+        across one ``search()`` is that query's lookups."""
         cache = self._decoded_cache
-        seen = (cache.hits, cache.misses) if cache is not None else (0, 0)
-        published, self._decoded_published = self._decoded_published, seen
-        return BlockActivity(work, seen[0] - published[0],
-                             seen[1] - published[1], self._fast_path)
+        return (cache.hits, cache.misses) if cache is not None else (0, 0)
 
     # ------------------------------------------------------------------
     # Execution paths

@@ -28,7 +28,7 @@ from repro.compression.pfordelta import SEGMENT_SIZE
 from repro.decompressor.primitives import apply_op, unpack_word
 from repro.decompressor.program import DecompressorProgram, Statement
 from repro.errors import DecompressorProgramError
-from repro.observability.observer import NULL_OBSERVER, Observer
+from repro.observability.observer import current_observer
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,9 @@ class ModuleDecode:
 class DecompressionModule:
     """Executes decompression programs; one instance per hardware lane."""
 
-    def __init__(self, program: DecompressorProgram,
-                 observer: Observer = NULL_OBSERVER) -> None:
+    def __init__(self, program: DecompressorProgram) -> None:
         program.validate()
         self._program = program
-        self._observer = observer
 
     @property
     def program(self) -> DecompressorProgram:
@@ -67,8 +65,9 @@ class DecompressionModule:
         values are docIDs accumulated from the start of the list;
         otherwise they are the raw decoded integers.
         """
-        if self._observer.enabled:
-            self._observer.emit(ModuleDecode(self._program.name, count))
+        obs = current_observer()
+        if obs.enabled:
+            obs.emit(ModuleDecode(self._program.name, count))
         units, exceptions = self._extract(data, count)
         values = self._manipulate(units, count)
         if len(values) < count:

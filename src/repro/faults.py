@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from repro.clock import WALL_CLOCK
-from repro.observability.observer import NULL_OBSERVER
 from repro.errors import (
     CompressionError,
     ConfigurationError,
@@ -237,8 +236,8 @@ class FaultyEngine:
 
     Exposes the same duck-typed surface the cluster relies on
     (``search(query, k)`` plus attribute delegation for ``index``,
-    ``observer``, ``config``, ...), so it can stand wherever a real
-    engine does.
+    ``config``, ``decoded_cache``, ...), so it can stand wherever a
+    real engine does.
 
     ``clock`` performs the latency-spike sleeps (wall clock by
     default); the fault-matrix tests pass a
@@ -266,7 +265,7 @@ class FaultyEngine:
 
     def __getattr__(self, name):
         # Everything the wrapper does not define delegates to the leaf
-        # (index, observer, decoded_cache, config, ...).
+        # (index, decoded_cache, config, ...).
         return getattr(self._engine, name)
 
     # ------------------------------------------------------------------
@@ -408,7 +407,7 @@ def wrap_shards(engines, faults: Union[FaultConfig, list, tuple],
 def make_faulty_cluster(documents, num_shards: int, *,
                         faults: Union[FaultConfig, list, tuple] = ZERO_FAULTS,
                         policy=None, replication_factor: int = 1,
-                        k: int = 10, observer=NULL_OBSERVER,
+                        k: int = 10,
                         replica_faults: Optional[FaultConfig] = None,
                         clock=None):
     """Build a fault-injected, resilient cluster over ``documents``.
@@ -460,6 +459,6 @@ def make_faulty_cluster(documents, num_shards: int, *,
                 clock=clock,
             ))
         replicas.append(group)
-    cluster = SearchCluster(primaries, observer=observer, policy=policy,
-                            replicas=replicas, clock=clock)
+    cluster = SearchCluster(primaries, policy=policy, replicas=replicas,
+                            clock=clock)
     return cluster, sharded

@@ -45,7 +45,7 @@ from repro.ioplanner.plan import (
     plan_window,
 )
 from repro.ioplanner.tier import DramTier
-from repro.observability.observer import NULL_OBSERVER, Observer
+from repro.observability.observer import current_observer
 from repro.serving.loadgen import Request
 from repro.serving.server import (
     SHED_QUEUE_FULL,
@@ -158,12 +158,10 @@ class PlannedQueryServer(QueryServer):
     :meth:`serve` is overridden whole rather than parameterised.
     """
 
-    def __init__(self, target, config: Optional[PlannerConfig] = None,
-                 observer: Observer = NULL_OBSERVER) -> None:
-        super().__init__(
-            target, PlannerConfig() if config is None else config,
-            observer=observer,
-        )
+    def __init__(self, target, config: Optional[PlannerConfig] = None
+                 ) -> None:
+        super().__init__(target,
+                         PlannerConfig() if config is None else config)
 
     # ------------------------------------------------------------------
     # Serving loop
@@ -210,7 +208,7 @@ class PlannedQueryServer(QueryServer):
                                     worker_free, drr, run_report, nodes)
             run_report.absorb(plan)
             depth_samples.append(sum(len(q) for q in queues.values()))
-            self._observer.emit(plan)
+            current_observer().emit(plan)
 
         run_report.check_conservation()
         return PlannedServingResult(

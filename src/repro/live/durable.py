@@ -79,7 +79,7 @@ from repro.live.wal import (
     read_wal,
 )
 from repro.live.writer import LiveIndexWriter
-from repro.observability.observer import NULL_OBSERVER, Observer
+from repro.observability.observer import current_observer
 from repro.scm.traffic import AccessClass, AccessPattern, TrafficCounter
 
 WAL_NAME = "wal.log"
@@ -132,7 +132,6 @@ class DurableLiveIndexWriter(LiveIndexWriter):
                  policy: Optional[MergePolicy] = None,
                  schemes: Optional[Sequence[str]] = None,
                  buffer_docs: int = 256,
-                 observer: Observer = NULL_OBSERVER,
                  crash_schedule: Optional[CrashSchedule] = None,
                  fsync: bool = False,
                  _existing_wal: Optional[Tuple[int, int]] = None) -> None:
@@ -156,24 +155,20 @@ class DurableLiveIndexWriter(LiveIndexWriter):
             "k1": params.k1,
             "b": params.b,
         }
-        super().__init__(
-            device=device, policy=policy, schemes=schemes,
-            buffer_docs=buffer_docs, observer=observer,
-        )
+        super().__init__(device=device, policy=policy, schemes=schemes,
+                         buffer_docs=buffer_docs)
         self.wal = WriteAheadLog(
             self.wal_dir / WAL_NAME, traffic=self.traffic,
-            observer=observer, crash=self.crash, fsync=fsync,
+            crash=self.crash, fsync=fsync,
             _existing=_existing_wal,
         )
         if _existing_wal is None:
             self._write_manifest()
 
-    def _make_scheduler(self, *, index, device, policy,
-                        observer) -> MergeScheduler:
+    def _make_scheduler(self, *, index, device, policy) -> MergeScheduler:
         return DurableMergeScheduler(
             self, index, device=device, clock=self.clock, policy=policy,
-            traffic=self.traffic, observer=observer,
-        )
+            traffic=self.traffic)
 
     @property
     def manifest_path(self) -> Path:
@@ -266,8 +261,9 @@ class DurableLiveIndexWriter(LiveIndexWriter):
         self.manifest_bytes += nbytes
         self.traffic.record(AccessClass.ST_INDEX,
                             AccessPattern.SEQUENTIAL, nbytes)
-        if self._observer.enabled:
-            self._observer.emit(ManifestWrite(nbytes))
+        obs = current_observer()
+        if obs.enabled:
+            obs.emit(ManifestWrite(nbytes))
 
 
 @dataclass(frozen=True)
@@ -483,18 +479,15 @@ def replay_log(records: Sequence[WalRecord], *,
                schemes: Optional[Sequence[str]] = None,
                buffer_docs: int = 256,
                policy: Optional[MergePolicy] = None,
-               device=None,
-               observer: Observer = NULL_OBSERVER) -> LiveIndexWriter:
+               device=None) -> LiveIndexWriter:
     """Clean, in-memory replay of a WAL record stream.
 
     The reference the crash oracle holds recovery to: same ops, same
     seal/merge boundaries, everything rebuilt from scratch — no durable
     files involved. Returns the replayed plain writer.
     """
-    writer = LiveIndexWriter(
-        schemes=schemes, buffer_docs=buffer_docs, policy=policy,
-        device=device, observer=observer,
-    )
+    writer = LiveIndexWriter(schemes=schemes, buffer_docs=buffer_docs,
+                             policy=policy, device=device)
     _replay_records(writer, records, loader=None, crash=None,
                     report=RecoveryReport(), durable=False)
     return writer
@@ -504,7 +497,6 @@ def recover(wal_dir: Union[str, Path], *,
             device=None,
             policy: Optional[MergePolicy] = None,
             buffer_docs: int = 256,
-            observer: Observer = NULL_OBSERVER,
             crash_schedule: Optional[CrashSchedule] = None,
             fsync: bool = False
             ) -> Tuple[DurableLiveIndexWriter, RecoveryReport]:
@@ -572,8 +564,7 @@ def recover(wal_dir: Union[str, Path], *,
 
     writer = DurableLiveIndexWriter(
         wal_dir, device=device, policy=policy, schemes=schemes,
-        buffer_docs=buffer_docs, observer=observer,
-        crash_schedule=crash, fsync=fsync,
+        buffer_docs=buffer_docs, crash_schedule=crash, fsync=fsync,
         _existing_wal=(len(scan.records),
                        max(0, scan.valid_bytes - len(WAL_MAGIC))),
     )
@@ -624,7 +615,7 @@ def recover(wal_dir: Union[str, Path], *,
             "post-recovery validation failed: "
             + "; ".join(check.errors[:3])
         )
-    observer.emit(report)
+    current_observer().emit(report)
     writer._publish_state()
     return writer, report
 

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.clock import Clock, VirtualClock
 from repro.errors import ConfigurationError, InvertedIndexError
 from repro.live.segments import Segment, SegmentedIndex, build_segment
-from repro.observability.observer import NULL_OBSERVER, Observer
+from repro.observability.observer import current_observer
 from repro.scm.device import OPTANE_NODE_4CH, MemoryDeviceModel
 from repro.scm.traffic import AccessClass, AccessPattern, TrafficCounter
 
@@ -173,8 +173,7 @@ class MergeScheduler:
                  device: Optional[MemoryDeviceModel] = None,
                  clock: Optional[Clock] = None,
                  policy: Optional[MergePolicy] = None,
-                 traffic: Optional[TrafficCounter] = None,
-                 observer: Observer = NULL_OBSERVER) -> None:
+                 traffic: Optional[TrafficCounter] = None) -> None:
         self.segmented = segmented
         self.device = OPTANE_NODE_4CH if device is None else device
         self.clock = VirtualClock() if clock is None else clock
@@ -182,7 +181,6 @@ class MergeScheduler:
         #: Shared counter every seal/merge byte lands in (the writer
         #: passes its own so ingest traffic aggregates in one place).
         self.traffic = TrafficCounter() if traffic is None else traffic
-        self._observer = observer
         self.records: List[MergeRecord] = []
         #: Segment ids sealed through :meth:`record_seal`, in order.
         self.seals: List[int] = []
@@ -211,7 +209,7 @@ class MergeScheduler:
         tier_bytes[0] = tier_bytes.get(0, 0) + segment.nbytes
         self.seals.append(segment.segment_id)
         window = self.occupy(seal_traffic)
-        self._observer.emit(segment)
+        current_observer().emit(segment)
         return window
 
     def compact_all(self) -> Optional[MergeRecord]:
@@ -293,7 +291,7 @@ class MergeScheduler:
             finished=finished,
         )
         self.records.append(record)
-        self._observer.emit(record)
+        current_observer().emit(record)
         from repro.index.validate import validate_segmented
 
         report = validate_segmented(self.segmented, check_scores=False)

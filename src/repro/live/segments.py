@@ -102,7 +102,6 @@ from repro.index.index import (
 )
 from repro.live.memseg import MemSegment
 from repro.live.stats import LiveStatistics
-from repro.observability.observer import NULL_OBSERVER, Observer
 
 
 class Segment:
@@ -329,14 +328,12 @@ class SegmentedIndex:
     """
 
     def __init__(self, schemes: Optional[Sequence[str]] = None,
-                 buffer_docs: int = 256,
-                 observer: Observer = NULL_OBSERVER) -> None:
+                 buffer_docs: int = 256) -> None:
         self.stats = LiveStatistics()
         self.memseg = MemSegment(max_docs=buffer_docs)
         self.segments: List[Segment] = []
         self._schemes = list(schemes) if schemes is not None else None
         self._config = BossConfig()
-        self._observer = observer
         self._next_segment_id = 0
         #: segment_id -> (stats version the engine's index view was
         #: dressed at, engine). One engine — and with it one decoded-
@@ -471,8 +468,7 @@ class SegmentedIndex:
         self.segments.sort(key=lambda s: s.min_doc_id)
         self._engines[segment.segment_id] = (
             segment.stats_version,
-            BossAccelerator(segment.index, self._config,
-                            observer=self._observer),
+            BossAccelerator(segment.index, self._config),
         )
 
     # ------------------------------------------------------------------

@@ -49,7 +49,7 @@ from repro.index.binaryio import (
     write_bytes_field,
     write_varint,
 )
-from repro.observability.observer import NULL_OBSERVER, Observer
+from repro.observability.observer import current_observer
 
 WAL_MAGIC = b"BOSSWAL1"
 
@@ -276,15 +276,13 @@ class WriteAheadLog:
     versions and conservation identities continue seamlessly.
     """
 
-    def __init__(self, path: Union[str, Path], traffic=None,
-                 observer: Observer = NULL_OBSERVER, crash=None,
+    def __init__(self, path: Union[str, Path], traffic=None, crash=None,
                  fsync: bool = False,
                  _existing: Optional[Tuple[int, int]] = None) -> None:
         from repro.scm.traffic import TrafficCounter
 
         self.path = Path(path)
         self.traffic = TrafficCounter() if traffic is None else traffic
-        self._observer = observer
         self._crash = crash
         self._fsync = fsync
         if _existing is None:
@@ -335,8 +333,9 @@ class WriteAheadLog:
 
         self.traffic.record(AccessClass.ST_INDEX,
                             AccessPattern.SEQUENTIAL, nbytes)
-        if self._observer.enabled:
-            self._observer.emit(WalAppend(record.kind, nbytes))
+        obs = current_observer()
+        if obs.enabled:
+            obs.emit(WalAppend(record.kind, nbytes))
 
     def close(self) -> None:
         if not self._handle.closed:

@@ -28,7 +28,7 @@ from repro.clock import Clock, VirtualClock
 from repro.errors import ConfigurationError
 from repro.live.merge import MergePolicy, MergeScheduler
 from repro.live.segments import Segment, SegmentedIndex
-from repro.observability.observer import NULL_OBSERVER, Observer
+from repro.observability.observer import current_observer
 from repro.scm.device import MemoryDeviceModel
 from repro.scm.traffic import AccessClass, TrafficCounter
 from repro.serving.target import advance_to_arrival, queued_read_seconds
@@ -83,27 +83,20 @@ class LiveIndexWriter:
     def __init__(self, device: Optional[MemoryDeviceModel] = None,
                  policy: Optional[MergePolicy] = None,
                  schemes: Optional[Sequence[str]] = None,
-                 buffer_docs: int = 256,
-                 observer: Observer = NULL_OBSERVER) -> None:
-        index = SegmentedIndex(schemes=schemes, buffer_docs=buffer_docs,
-                               observer=observer)
+                 buffer_docs: int = 256) -> None:
+        index = SegmentedIndex(schemes=schemes, buffer_docs=buffer_docs)
         self.index = index
         self.clock = VirtualClock()
         #: Every maintenance byte (seal writes, merge reads + writes).
         self.traffic = TrafficCounter()
-        self._observer = observer
-        self.scheduler = self._make_scheduler(
-            index=index, device=device, policy=policy, observer=observer,
-        )
+        self.scheduler = self._make_scheduler(index=index, device=device,
+                                              policy=policy)
 
-    def _make_scheduler(self, *, index, device, policy,
-                        observer) -> MergeScheduler:
+    def _make_scheduler(self, *, index, device, policy) -> MergeScheduler:
         """Scheduler factory — the durable writer overrides this to
         return a :class:`~repro.live.durable.DurableMergeScheduler`."""
-        return MergeScheduler(
-            index, device=device, clock=self.clock, policy=policy,
-            traffic=self.traffic, observer=observer,
-        )
+        return MergeScheduler(index, device=device, clock=self.clock,
+                              policy=policy, traffic=self.traffic)
 
     # ------------------------------------------------------------------
     # Mutations
@@ -200,9 +193,10 @@ class LiveIndexWriter:
         return dict(self.scheduler.bytes_written_by_tier)
 
     def _publish_state(self) -> None:
-        if not self._observer.enabled:
+        obs = current_observer()
+        if not obs.enabled:
             return
-        self._observer.emit(LiveState(
+        obs.emit(LiveState(
             buffered_docs=len(self.index.memseg),
             buffered_bytes=self.index.memseg.approx_bytes,
             num_segments=self.index.num_segments,

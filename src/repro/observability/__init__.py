@@ -12,10 +12,11 @@ a first-class API instead of ad-hoc prints:
   pipeline stage with modeled start/end times, per-stage byte
   attribution across access class x pattern x tier, skip counts, cores;
 * :mod:`repro.observability.observer` — the two-method
-  :class:`~repro.observability.observer.Observer` threaded through
-  every layer (default
+  :class:`~repro.observability.observer.Observer` and its scope:
+  ``with observing(obs):`` makes ``obs`` what every layer's
+  ``current_observer()`` returns (outside a scope,
   :data:`~repro.observability.observer.NULL_OBSERVER`, a zero-cost
-  no-op): ``emit(event)`` for everything that happens, and
+  no-op). It hears ``emit(event)`` for everything that happens, and
   ``on_query_complete`` for the one notification that builds a trace.
   An event is the result/report object its site already holds and
   publishes itself (``event.publish_metrics(registry)``, declared in
@@ -33,6 +34,8 @@ from repro.observability.observer import (
     NULL_OBSERVER,
     Observer,
     RecordingObserver,
+    current_observer,
+    observing,
 )
 from repro.observability.profiler import (
     aggregate_stage_seconds,
@@ -65,6 +68,8 @@ __all__ = [
     "Observer",
     "RecordingObserver",
     "NULL_OBSERVER",
+    "current_observer",
+    "observing",
     "LATENCY_BUCKETS_US",
     # registry
     "MetricsRegistry",

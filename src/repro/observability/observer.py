@@ -1,13 +1,15 @@
-"""Observer: the single object threaded through the execution stack.
+"""Observer: the scope every execution layer reports to.
 
-One :class:`Observer` instance travels ``BossSession -> BossAccelerator
--> cluster root / serving loop / live writer / ...`` and is told two
-things: :meth:`Observer.emit` receives every *event* — the result,
-report or outcome object the emitting site already holds, or a small
-frozen dataclass declared beside the site where no such object exists —
-and :meth:`Observer.on_query_complete` receives each finished query
-(the one notification with state and a return value: it prices the
-result with a timing model and hands back the trace).
+``with observing(obs):`` makes ``obs`` the calling thread's
+:func:`current_observer` until the block ends, like
+:func:`repro.core.engine.recording_fetches`. Every emitting site looks
+it up where the event happens and tells it two things:
+:meth:`Observer.emit` receives every *event* — the result, report or
+outcome object the site already holds, or a small frozen dataclass
+declared beside the site where no such object exists — and
+:meth:`Observer.on_query_complete` receives each finished query (the
+one notification with state and a return value: it prices the result
+with a timing model and hands back the trace).
 
 An event knows how to publish itself: it carries a
 ``publish_metrics(registry)`` method, declared next to its type in the
@@ -15,11 +17,11 @@ package that emits it, exactly like ``MemoryPool.publish_metrics``.
 Which series a subsystem publishes is therefore that subsystem's own
 business; nothing here names them.
 
-The default, :data:`NULL_OBSERVER`, is a do-nothing singleton with
-``enabled = False``. Components hold the observer they were given, call
-``emit(obj)`` unguarded where ``obj`` exists anyway, and test
-``enabled`` only where an event would have to be built — so an
-un-observed run performs no extra work and changes no benchmark number.
+Outside every scope the observer is :data:`NULL_OBSERVER`, a
+do-nothing singleton with ``enabled = False``. Sites call ``emit(obj)``
+unguarded where ``obj`` exists anyway, and test ``enabled`` only where
+an event would have to be built — so an un-observed run performs no
+extra work and changes no benchmark number.
 
 :class:`RecordingObserver` is the real implementation: it materializes a
 :class:`~repro.observability.trace.QueryTrace` per completed query and
@@ -30,7 +32,9 @@ times are the simulator's modeled times.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Iterator, List, Optional
 
 from repro.observability.registry import LATENCY_BUCKETS_US, MetricsRegistry
 from repro.observability.trace import QueryTrace
@@ -53,6 +57,25 @@ class Observer:
 
 #: Shared do-nothing observer; the default everywhere.
 NULL_OBSERVER = Observer()
+
+#: The open :func:`observing` scope's observer.
+_OBSERVER: ContextVar[Observer] = ContextVar("observer",
+                                             default=NULL_OBSERVER)
+
+
+def current_observer() -> Observer:
+    """The innermost open :func:`observing` scope's observer."""
+    return _OBSERVER.get()
+
+
+@contextmanager
+def observing(observer: Observer) -> Iterator[Observer]:
+    """Report everything the ``with`` block runs to ``observer``."""
+    token = _OBSERVER.set(observer)
+    try:
+        yield observer
+    finally:
+        _OBSERVER.reset(token)
 
 
 class RecordingObserver(Observer):

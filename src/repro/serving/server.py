@@ -50,7 +50,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.batch import percentile
 from repro.clock import WALL_CLOCK, Clock
 from repro.errors import ConfigurationError
-from repro.observability.observer import NULL_OBSERVER, Observer
+from repro.observability.observer import current_observer
 from repro.observability.registry import LATENCY_BUCKETS_US
 from repro.serving.loadgen import Request
 from repro.serving.target import execute_request
@@ -306,9 +306,8 @@ class QueryServer:
 
     ``service_time`` optionally replaces measured execution time on the
     serving timeline: a callable ``(request, result) -> seconds``. With
-    it (and no enabled observer reading wall time) a serving run is a
-    pure function of the workload — the determinism tests pin exactly
-    that. ``clock`` only measures service time (default: wall clock);
+    it a serving run is a pure function of the workload — the
+    determinism tests pin exactly that. ``clock`` only measures service time (default: wall clock);
     the serving timeline itself never sleeps.
 
     ``width`` optionally makes a request hold more than one worker from
@@ -318,20 +317,20 @@ class QueryServer:
     every request behind it, as the device's query scheduler does with
     a query that needs chained cores (paper Fig. 4(a)).
 
-    ``observer`` is told of every admission, every request's final
-    :class:`RequestOutcome` (served or shed) and the run's
-    :class:`ServingReport`; recording it publishes the ``serving.*``
-    registry metrics.
+    The :func:`~repro.observability.observer.current_observer` of
+    the scope :meth:`serve` runs in is told of every admission, every
+    request's final :class:`RequestOutcome` (served or shed) and the
+    run's :class:`ServingReport` (recording them publishes the
+    ``serving.*`` registry metrics); the same scope sees the target's
+    own events, down to the engine stages.
     """
 
     def __init__(self, target, config: Optional[ServingConfig] = None,
-                 observer: Observer = NULL_OBSERVER,
                  service_time: Optional[Callable] = None,
                  width: Optional[Callable] = None,
                  clock: Optional[Clock] = None) -> None:
         self._target = target
         self._config = ServingConfig() if config is None else config
-        self._observer = observer
         self._service_time = service_time
         self._width = width
         self._clock = WALL_CLOCK if clock is None else clock
@@ -495,20 +494,21 @@ class QueryServer:
         return widths
 
     def _admitted(self, queue_depth: int) -> None:
-        if self._observer.enabled:
-            self._observer.emit(RequestAdmitted(queue_depth))
+        obs = current_observer()
+        if obs.enabled:
+            obs.emit(RequestAdmitted(queue_depth))
 
     def _shed(self, outcome: RequestOutcome, reason: str) -> None:
         outcome.status = "shed"
         outcome.shed_reason = reason
-        self._observer.emit(outcome)
+        current_observer().emit(outcome)
 
     def _served(self, outcome: RequestOutcome) -> None:
         """Classify a completed request against the SLO and report it."""
         deadline = self._config.deadline_seconds
         if deadline is not None:
             outcome.slo_attained = outcome.latency_seconds <= deadline
-        self._observer.emit(outcome)
+        current_observer().emit(outcome)
 
     def _finish(self, requests: Sequence[Request],
                 outcomes: Dict[int, RequestOutcome],
@@ -519,7 +519,7 @@ class QueryServer:
             ordered, depth_samples, max_depth,
             deadline_seconds=self._config.deadline_seconds,
         )
-        self._observer.emit(report)
+        current_observer().emit(report)
         return ordered, report
 
     # ------------------------------------------------------------------

@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.core.result import ScoredDocument
 from repro.errors import ConfigurationError, SimulationError
-from repro.observability.observer import NULL_OBSERVER, Observer
+from repro.observability.observer import current_observer
 from repro.observability.registry import LATENCY_BUCKETS_US
 from repro.scm.device import DDR4_4CH, OPTANE_NODE_4CH, MemoryDeviceModel
 from repro.scm.traffic import AccessClass, AccessPattern, TrafficCounter
@@ -119,8 +119,7 @@ class VectorEngine:
 
     def __init__(self, ivf: IVFIndex, embeddings: CorpusEmbeddings,
                  device: MemoryDeviceModel = OPTANE_NODE_4CH,
-                 nprobe: Optional[int] = None,
-                 observer: Observer = NULL_OBSERVER) -> None:
+                 nprobe: Optional[int] = None) -> None:
         if ivf.num_docs != embeddings.num_docs:
             raise ConfigurationError(
                 f"index holds {ivf.num_docs} vectors, embeddings "
@@ -136,7 +135,6 @@ class VectorEngine:
         self.embeddings = embeddings
         self.device = device
         self.nprobe = nprobe
-        self._observer = observer
 
     # ------------------------------------------------------------------
     # Query execution
@@ -273,7 +271,7 @@ class VectorEngine:
             modeled_seconds=seconds,
             coalesced_probes=coalesced,
         )
-        self._observer.emit(result)
+        current_observer().emit(result)
         return result
 
     def _score_clusters(self, q: np.ndarray, cluster_ids

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.core.result import ScoredDocument, SearchResult, best_hits
 from repro.errors import ConfigurationError, QueryError
-from repro.observability.observer import NULL_OBSERVER, Observer
+from repro.observability.observer import current_observer
 from repro.observability.registry import LATENCY_BUCKETS_US
 from repro.scm.traffic import AccessPattern
 from repro.vector.embeddings import CorpusEmbeddings
@@ -146,8 +146,7 @@ class HybridSearch:
     """
 
     def __init__(self, engine, vector_engine: VectorEngine,
-                 mode: str = "rerank", first_stage_k: int = 100,
-                 observer: Observer = NULL_OBSERVER) -> None:
+                 mode: str = "rerank", first_stage_k: int = 100) -> None:
         if mode not in HYBRID_MODES:
             raise ConfigurationError(
                 f"unknown hybrid mode {mode!r}; known: "
@@ -159,13 +158,7 @@ class HybridSearch:
         self._engine = engine
         self._vector_engine = vector_engine
         self._first_stage_k = first_stage_k
-        self._observer = observer
         self._device = vector_engine.device
-
-    @property
-    def observer(self) -> Observer:
-        """The hybrid lane's observability hook."""
-        return self._observer
 
     def search(self, query, k: int = 10) -> HybridResult:
         if k <= 0:
@@ -174,7 +167,7 @@ class HybridSearch:
             result = self._rerank_search(query, k)
         else:
             result = self._rrf_search(query, k)
-        self._observer.emit(result)
+        current_observer().emit(result)
         return result
 
     def _rerank_search(self, query, k: int) -> HybridResult:

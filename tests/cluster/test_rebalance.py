@@ -35,7 +35,7 @@ from repro.errors import (
 )
 from repro.faults import ZERO_FAULTS, CrashSchedule, FaultConfig, \
     make_faulty_cluster
-from repro.observability import RecordingObserver
+from repro.observability import RecordingObserver, observing
 from repro.workloads import synthetic_documents
 
 from tests.conftest import hits_as_pairs
@@ -394,9 +394,10 @@ class TestObservability:
     def test_rebalance_metrics_exported(self, documents):
         observer = RecordingObserver()
         cluster, sharded = _make_cluster(documents)
-        rebalancer = Rebalancer(cluster, sharded, observer=observer)
+        rebalancer = Rebalancer(cluster, sharded)
         lo, hi = sharded.boundaries[0], sharded.boundaries[1]
-        report = rebalancer.execute(SplitShard(0, (lo + hi) // 2))
+        with observing(observer):
+            report = rebalancer.execute(SplitShard(0, (lo + hi) // 2))
 
         metrics = observer.metrics
         moved = metrics.get("rebalance.postings_moved")
@@ -417,9 +418,9 @@ class TestObservability:
     def test_aborted_move_keeps_map_version_gauge(self, documents):
         observer = RecordingObserver()
         cluster, sharded = _make_cluster(documents)
-        rebalancer = Rebalancer(cluster, sharded, observer=observer,
+        rebalancer = Rebalancer(cluster, sharded,
                                 crash=CrashSchedule("rebalance_mid_stream"))
-        with pytest.raises(CrashError):
+        with observing(observer), pytest.raises(CrashError):
             rebalancer.execute(MergeShards(0))
         assert observer.metrics.get("rebalance.moves").value(
             kind="merge", outcome="aborted") == 1

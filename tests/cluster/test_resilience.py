@@ -21,7 +21,7 @@ from repro.cluster.root import SearchCluster
 from repro.core import BossAccelerator, BossConfig
 from repro.errors import ConfigurationError, LeafExecutionError
 from repro.faults import ZERO_FAULTS, FaultConfig, make_faulty_cluster
-from repro.observability import RecordingObserver
+from repro.observability import RecordingObserver, observing
 from repro.workloads import synthetic_documents
 
 from tests.conftest import hits_as_pairs
@@ -182,8 +182,8 @@ class TestExecuteLeaf:
         engine = ScriptedEngine(delay=0.02, clock=clock)
         policy = ResiliencePolicy(timeout_seconds=0.001,
                                   allow_degraded=True)
-        execute_leaf([engine], "q", 10, policy, 3, observer=observer,
-                     clock=clock)
+        with observing(observer):
+            execute_leaf([engine], "q", 10, policy, 3, clock=clock)
         events = observer.metrics.get("cluster.resilience_events")
         assert events.value(event="timeout", shard="3") == 1
 
@@ -202,9 +202,9 @@ class TestExecuteLeaf:
         # attempt, recorded failed before the error propagates.
         observer = KeepingObserver()
         engine = ScriptedEngine(failures=99)
-        with pytest.raises(LeafExecutionError):
+        with observing(observer), pytest.raises(LeafExecutionError):
             execute_leaf([engine], "q", 10, STRICT_POLICY, 5,
-                         observer=observer, clock=VirtualClock())
+                         clock=VirtualClock())
         [outcome] = observer.events
         assert isinstance(outcome, LeafOutcome)
         assert outcome.attempts == 1 and engine.calls == 1
@@ -417,9 +417,10 @@ class TestObservability:
                   ZERO_FAULTS]
         policy = ResiliencePolicy(max_retries=1, allow_degraded=True)
         cluster, _ = make_faulty_cluster(
-            documents, 3, faults=faults, policy=policy, observer=observer
+            documents, 3, faults=faults, policy=policy
         )
-        result = cluster.search('"t0" OR "t1"', k=10)
+        with observing(observer):
+            result = cluster.search('"t0" OR "t1"', k=10)
         assert result.degraded
         events = observer.metrics.get("cluster.resilience_events")
         assert events.value(event="retry", shard="0") == 1
@@ -432,11 +433,10 @@ class TestObservability:
         ).total() == 1
 
     def test_null_observer_costs_nothing(self, documents):
-        from repro.observability import NULL_OBSERVER
+        from repro.observability import NULL_OBSERVER, current_observer
 
         policy = ResiliencePolicy(max_retries=1, allow_degraded=True)
-        cluster, _ = make_faulty_cluster(documents, 2, policy=policy,
-                                         observer=NULL_OBSERVER)
-        assert cluster.observer is NULL_OBSERVER  # held as given
+        cluster, _ = make_faulty_cluster(documents, 2, policy=policy)
+        assert current_observer() is NULL_OBSERVER  # outside every scope
         result = cluster.search('"t0"', k=5)
         assert not result.degraded

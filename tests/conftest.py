@@ -5,7 +5,7 @@ from itertools import accumulate
 
 import pytest
 
-from repro.core.engine import recording_fetches
+from repro.core.engine import BossAccelerator, recording_fetches
 from repro.core.query import AndNode, OrNode, TermNode, flatten
 from repro.core.topk import TopKQueue
 from repro.index import IndexBuilder
@@ -14,6 +14,7 @@ from repro.index.index import (
     CompressedPostingList,
     InvertedIndex,
 )
+from repro.observability import observing
 from repro.scm.traffic import AccessClass, AccessPattern
 
 
@@ -94,6 +95,19 @@ def brute_force_topk(index: InvertedIndex, node, k: int):
         )
         queue.offer(doc, score)
     return queue.results()
+
+
+class ObservedAccelerator(BossAccelerator):
+    """An engine whose every query runs in its own recorder's scope, so
+    two engines compared query by query keep separate traces."""
+
+    def __init__(self, recorder, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.recorder = recorder
+
+    def search(self, *args, **kwargs):
+        with observing(self.recorder):
+            return super().search(*args, **kwargs)
 
 
 def hits_as_pairs(result, digits=9):

@@ -5,7 +5,7 @@ import pytest
 from repro.core import BossAccelerator, BossConfig
 from repro.core.query import parse_query
 from repro.errors import QueryError
-from repro.observability import RecordingObserver
+from repro.observability import RecordingObserver, observing
 from repro.scm.traffic import AccessClass, AccessPattern
 from repro.sim.timing import BossTimingModel
 from tests.conftest import brute_force_topk, hits_as_pairs, oracle_as_pairs
@@ -107,14 +107,15 @@ class TestCounters:
         # Four terms per core (Section IV-D): the timing model's rule,
         # which also sizes each query's trace.
         observer = RecordingObserver()
-        boss = BossAccelerator(small_index, BossConfig(k=50),
-                               observer=observer)
+        boss = BossAccelerator(small_index, BossConfig(k=50))
         model = BossTimingModel()
         five = " OR ".join(f'"t{i}"' for i in range(5))
         for expression, cores in (('"t0"', 1),
                                   ('"t0" OR "t1" OR "t2" OR "t3"', 1),
                                   (five, 2)):
-            assert model.cores_used(boss.search(expression)) == cores
+            with observing(observer):
+                result = boss.search(expression)
+            assert model.cores_used(result) == cores
             assert observer.last_trace.cores_used == cores
 
 

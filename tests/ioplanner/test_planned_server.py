@@ -28,7 +28,7 @@ from repro.ioplanner import (
     PlannerConfig,
     TenantSpec,
 )
-from repro.observability import Observer, RecordingObserver
+from repro.observability import Observer, RecordingObserver, observing
 from repro.serving import (
     Request,
     TraceArrivals,
@@ -147,9 +147,9 @@ class TestDeterminismAndAccounting:
 
     def test_conservation_via_the_registry(self, index):
         observer = RecordingObserver()
-        server = PlannedQueryServer(_engine(index), PlannerConfig(k=10),
-                                    observer=observer)
-        result = server.serve(_workload())
+        server = PlannedQueryServer(_engine(index), PlannerConfig(k=10))
+        with observing(observer):
+            result = server.serve(_workload())
         planner = result.planner
         planner.check_conservation()
         metrics = observer.metrics
@@ -186,9 +186,10 @@ class TestDeterminismAndAccounting:
         # a first demand from DRAM.)
         requests = _workload(seed=17)
         plans = _PlanLog()
-        result = PlannedQueryServer(
-            _engine(index), PlannerConfig(k=10), observer=plans,
-        ).serve(requests)
+        with observing(plans):
+            result = PlannedQueryServer(
+                _engine(index), PlannerConfig(k=10),
+            ).serve(requests)
         assert result.report.shed == 0
 
         replay = _engine(index)

@@ -2,7 +2,8 @@
 
 A :class:`CollectingObserver` is the whole fake — two methods — so a
 scripted run can assert event *types and order*, not just the registry
-totals they add up to.
+totals they add up to. Each run happens inside ``observing(observer)``,
+so a layer's events interleave with those of the engines it calls.
 """
 
 import pytest
@@ -32,7 +33,12 @@ from repro.live.merge import MergeRecord
 from repro.live.segments import Segment
 from repro.live.wal import WalAppend
 from repro.live.writer import LiveState
-from repro.observability import NULL_OBSERVER, Observer
+from repro.observability import (
+    NULL_OBSERVER,
+    Observer,
+    current_observer,
+    observing,
+)
 from repro.serving import QueryServer, ServingConfig, TraceArrivals, \
     build_requests, zipf_workload
 from repro.serving.server import (
@@ -49,6 +55,9 @@ from repro.workloads.corpus import make_corpus
 from tests.conftest import build_random_index
 
 QUERY_COMPLETE = "on_query_complete"
+
+#: What one engine ``search()`` emits, in order.
+ENGINE_QUERY = [QueryStarted, BlockActivity, QUERY_COMPLETE]
 
 
 class CollectingObserver(Observer):
@@ -67,6 +76,14 @@ class CollectingObserver(Observer):
 
     def kinds(self):
         return [e if isinstance(e, str) else type(e) for e in self.events]
+
+    def layer_events(self):
+        """The events without the engines' own per-query ones."""
+        return [e for e in self.events
+                if e != QUERY_COMPLETE and type(e) not in ENGINE_QUERY]
+
+    def layer_kinds(self):
+        return [type(e) for e in self.layer_events()]
 
 
 @pytest.fixture()
@@ -93,12 +110,12 @@ class TestEngineEvents:
     @pytest.mark.parametrize("executor", ["columnar", "reference"])
     def test_three_events_per_query_none_per_block(self, index, observer,
                                                    executor):
-        engine = BossAccelerator(index, BossConfig(k=5), observer=observer,
-                                 executor=executor)
-        results = [engine.search(q) for q in ('"t0" OR "t1"', '"t0" OR "t1"')]
+        engine = BossAccelerator(index, BossConfig(k=5), executor=executor)
+        with observing(observer):
+            results = [engine.search(q)
+                       for q in ('"t0" OR "t1"', '"t0" OR "t1"')]
         assert results[0].work.blocks_fetched > 3
-        assert observer.kinds() == [QueryStarted, BlockActivity,
-                                    QUERY_COMPLETE] * 2
+        assert observer.kinds() == ENGINE_QUERY * 2
         first, second = (e for e in observer.events
                          if isinstance(e, BlockActivity))
         assert first.work is results[0].work
@@ -116,26 +133,30 @@ class TestEngineEvents:
     def test_null_observer_sees_nothing(self, index):
         engine = BossAccelerator(index, BossConfig(k=5))
         engine.search('"t0"')
-        assert engine.observer is NULL_OBSERVER
+        assert current_observer() is NULL_OBSERVER
         assert NULL_OBSERVER.emit(object()) is None
 
 
 class TestClusterEvents:
     def test_leaf_outcomes_then_the_merge(self, documents, observer):
         cluster, _ = make_faulty_cluster(
-            documents, 3, observer=observer, clock=VirtualClock(),
+            documents, 3, clock=VirtualClock(),
             policy=ResiliencePolicy(max_retries=1, allow_degraded=True),
         )
-        merged = cluster.search('"t0" OR "t1"', k=10)
-        assert observer.kinds() == [LeafOutcome] * 3 + [ClusterSearchResult]
-        assert observer.events[:3] == merged.leaf_outcomes
-        assert observer.events[3] is merged
+        with observing(observer):
+            merged = cluster.search('"t0" OR "t1"', k=10)
+        # Each leaf's engine query precedes that leaf's outcome.
+        assert observer.kinds() == (
+            (ENGINE_QUERY + [LeafOutcome]) * 3 + [ClusterSearchResult])
+        outcomes = [e for e in observer.events if isinstance(e, LeafOutcome)]
+        assert outcomes == merged.leaf_outcomes
+        assert observer.events[-1] is merged
 
     def test_execute_leaf_emits_its_outcome_when_it_raises(self, observer):
         policy = ResiliencePolicy(max_retries=1, allow_degraded=False)
-        with pytest.raises(LeafExecutionError):
+        with observing(observer), pytest.raises(LeafExecutionError):
             execute_leaf([FailingEngine(), FailingEngine()], "q", 10,
-                         policy, 2, observer=observer, clock=VirtualClock())
+                         policy, 2, clock=VirtualClock())
         (outcome,) = observer.events
         assert isinstance(outcome, LeafOutcome)
         assert outcome.failed and outcome.shard_index == 2
@@ -143,14 +164,15 @@ class TestClusterEvents:
 
     def test_strict_fast_path_emits_on_both_exits(self, index, observer):
         engine = BossAccelerator(index, BossConfig(k=5))
-        ok = execute_leaf([engine], '"t0"', 5, STRICT_POLICY, 0,
-                          observer=observer)
-        with pytest.raises(LeafExecutionError):
-            execute_leaf([FailingEngine()], "q", 5, STRICT_POLICY, 1,
-                         observer=observer)
-        assert observer.events[0] is ok
-        assert [e.shard_index for e in observer.events] == [0, 1]
-        assert observer.events[1].failed and observer.events[1].attempts == 1
+        with observing(observer):
+            ok = execute_leaf([engine], '"t0"', 5, STRICT_POLICY, 0)
+            with pytest.raises(LeafExecutionError):
+                execute_leaf([FailingEngine()], "q", 5, STRICT_POLICY, 1)
+        outcomes = observer.layer_events()
+        assert observer.kinds() == ENGINE_QUERY + [LeafOutcome] * 2
+        assert outcomes[0] is ok
+        assert [e.shard_index for e in outcomes] == [0, 1]
+        assert outcomes[1].failed and outcomes[1].attempts == 1
 
 
 class TestServingEvents:
@@ -158,12 +180,16 @@ class TestServingEvents:
                                                           observer):
         requests = build_requests(['"t0"'] * 3,
                                   TraceArrivals([0.0, 0.1, 0.2]))
-        result = QueryServer(
+        server = QueryServer(
             BossAccelerator(index, BossConfig(k=10)),
             ServingConfig(workers=1, queue_capacity=1, k=10),
-            service_time=lambda request, result: 1.0, observer=observer,
-        ).serve(requests)
-        assert observer.kinds() == [
+            service_time=lambda request, result: 1.0,
+        )
+        with observing(observer):
+            result = server.serve(requests)
+        assert observer.kinds().count(QueryStarted) == 2
+        events = observer.layer_events()
+        assert observer.layer_kinds() == [
             RequestAdmitted,   # 0.0: dispatched at once
             RequestAdmitted,   # 0.1: queued
             RequestOutcome,    # 0.2: queue full, shed
@@ -171,19 +197,20 @@ class TestServingEvents:
             RequestOutcome,    # 2.0: second served
             ServingReport,
         ]
-        assert [e.queue_depth for e in observer.events[:2]] == [0, 1]
-        shed, first, second = observer.events[2:5]
+        assert [e.queue_depth for e in events[:2]] == [0, 1]
+        shed, first, second = events[2:5]
         assert not shed.served and shed.shed_reason == "queue_full"
         assert first.served and second.served
-        assert observer.events[5] is result.report
+        assert events[5] is result.report
 
     def test_planner_emits_one_plan_per_window(self, index, observer):
         requests = zipf_workload([f"t{i}" for i in range(40)], 24,
                                  rate_qps=4000.0, seed=3)
-        result = PlannedQueryServer(
-            BossAccelerator(index, BossConfig(k=10)), PlannerConfig(k=10),
-            observer=observer,
-        ).serve(requests)
+        with observing(observer):
+            result = PlannedQueryServer(
+                BossAccelerator(index, BossConfig(k=10)),
+                PlannerConfig(k=10),
+            ).serve(requests)
         plans = [e for e in observer.events if isinstance(e, FetchPlan)]
         assert len(plans) == result.planner.windows
         assert sum(p.demand_bytes for p in plans) == \
@@ -194,26 +221,28 @@ class TestServingEvents:
 
 class TestLiveEvents:
     def test_seal_then_state(self, observer):
-        writer = LiveIndexWriter(buffer_docs=2, observer=observer)
-        writer.add_document(["a", "b"])
-        writer.add_document(["a", "c"])
+        writer = LiveIndexWriter(buffer_docs=2)
+        with observing(observer):
+            writer.add_document(["a", "b"])
+            writer.add_document(["a", "c"])
         assert observer.kinds() == [LiveState,           # first add
                                     Segment, LiveState,  # second add seals
                                     LiveState]
         assert observer.events[1].segment_id == writer.scheduler.seals[0]
 
     def test_merge_record_is_the_event(self, observer):
-        writer = LiveIndexWriter(buffer_docs=1, observer=observer,
+        writer = LiveIndexWriter(buffer_docs=1,
                                  policy=MergePolicy(fanout=2))
-        writer.add_document(["a"])
-        writer.add_document(["b"])
+        with observing(observer):
+            writer.add_document(["a"])
+            writer.add_document(["b"])
         merges = [e for e in observer.events if isinstance(e, MergeRecord)]
         assert merges == writer.scheduler.records and merges
 
     def test_durable_writer_and_recovery(self, tmp_path, observer):
-        writer = DurableLiveIndexWriter(tmp_path / "wal", buffer_docs=2,
-                                        observer=observer)
-        writer.add_document(["a", "b"])
+        with observing(observer):
+            writer = DurableLiveIndexWriter(tmp_path / "wal", buffer_docs=2)
+            writer.add_document(["a", "b"])
         assert observer.kinds() == [ManifestWrite,  # v0 at open
                                     WalAppend, LiveState]
         crashed = DurableLiveIndexWriter(
@@ -224,7 +253,8 @@ class TestLiveEvents:
             for i in range(6):
                 crashed.add_document([f"w{i}"])
         del observer.events[:]
-        recovered, report = recover(tmp_path / "torn", observer=observer)
+        with observing(observer):
+            recovered, report = recover(tmp_path / "torn")
         assert observer.kinds()[-2:] == [RecoveryReport, LiveState]
         assert observer.events[-2] is report
         assert WalAppend in observer.kinds()  # replay re-charges frames
@@ -239,17 +269,18 @@ class TestRebalanceEvents:
     def test_published_move_reports_every_state(self, documents, observer):
         cluster, sharded = self._cluster(documents)
         lo, hi = sharded.boundaries[0], sharded.boundaries[1]
-        report = Rebalancer(cluster, sharded, observer=observer).execute(
-            SplitShard(0, (lo + hi) // 2))
+        with observing(observer):
+            report = Rebalancer(cluster, sharded).execute(
+                SplitShard(0, (lo + hi) // 2))
         assert observer.events == [report]
         assert report.states == ["planned", "streaming", "published"]
 
     def test_aborted_move_carries_the_steps_taken(self, documents,
                                                   observer):
         cluster, sharded = self._cluster(documents)
-        rebalancer = Rebalancer(cluster, sharded, observer=observer,
+        rebalancer = Rebalancer(cluster, sharded,
                                 crash=CrashSchedule("rebalance_mid_stream"))
-        with pytest.raises(CrashError):
+        with observing(observer), pytest.raises(CrashError):
             rebalancer.execute(MergeShards(0))
         (report,) = observer.events
         assert isinstance(report, MoveReport) and report.aborted
@@ -261,27 +292,31 @@ class TestSecondStageEvents:
         corpus = make_corpus("ccnews-like", scale=0.05, seed=1)
         embeddings = embed_corpus(corpus)
         vector = VectorEngine(build_ivf(embeddings, codec="fp32"),
-                              embeddings, observer=observer)
+                              embeddings)
         lexical = BossAccelerator(corpus.index, BossConfig(k=50))
 
-        vector.search('"term0003"', k=5)
+        with observing(observer):
+            vector.search('"term0003"', k=5)
         assert observer.kinds() == [VectorSearchResult]
 
         del observer.events[:]
-        HybridSearch(lexical, vector, mode="rerank", first_stage_k=20,
-                     observer=observer).search('"term0001"', k=5)
-        assert observer.kinds() == [HybridResult]
+        with observing(observer):
+            HybridSearch(lexical, vector, mode="rerank",
+                         first_stage_k=20).search('"term0001"', k=5)
+        assert observer.kinds() == ENGINE_QUERY + [HybridResult]
 
         del observer.events[:]
-        HybridSearch(lexical, vector, mode="rrf", first_stage_k=20,
-                     observer=observer).search('"term0001"', k=5)
-        assert observer.kinds() == [VectorSearchResult, HybridResult]
+        with observing(observer):
+            HybridSearch(lexical, vector, mode="rrf",
+                         first_stage_k=20).search('"term0001"', k=5)
+        assert observer.layer_kinds() == [VectorSearchResult, HybridResult]
+        assert observer.kinds().count(QueryStarted) == 1
 
 
 class TestBlockLevelEvents:
     def test_module_decode(self, observer):
         values = [1, 5, 9]
-        DecompressionModule(program_for_scheme("VB"),
-                            observer=observer).decode(
-            get_codec("VB").encode(values), len(values))
+        with observing(observer):
+            DecompressionModule(program_for_scheme("VB")).decode(
+                get_codec("VB").encode(values), len(values))
         assert observer.events == [ModuleDecode("VB", 3)]

@@ -19,7 +19,7 @@ from repro.live import (
     MergePolicy,
     recover,
 )
-from repro.observability import NULL_OBSERVER, RecordingObserver
+from repro.observability import NULL_OBSERVER, RecordingObserver, observing
 from repro.scm.traffic import AccessClass
 
 VOCAB = [f"t{i}" for i in range(8)]
@@ -39,11 +39,10 @@ def churn(writer, count, seed=5, delete_every=0):
 @pytest.fixture()
 def observed_writer():
     observer = RecordingObserver()
-    writer = LiveIndexWriter(buffer_docs=4,
-                             policy=MergePolicy(fanout=3),
-                             observer=observer)
-    churn(writer, 30, delete_every=7)
-    writer.flush()
+    writer = LiveIndexWriter(buffer_docs=4, policy=MergePolicy(fanout=3))
+    with observing(observer):
+        churn(writer, 30, delete_every=7)
+        writer.flush()
     return writer, observer.registry
 
 
@@ -93,10 +92,10 @@ class TestLiveMetrics:
 
     def test_null_observer_publishes_nothing(self):
         writer = LiveIndexWriter(buffer_docs=4,
-                                 policy=MergePolicy(fanout=3),
-                                 observer=NULL_OBSERVER)
-        churn(writer, 30)
-        writer.flush()
+                                 policy=MergePolicy(fanout=3))
+        with observing(NULL_OBSERVER):
+            churn(writer, 30)
+            writer.flush()
         assert writer.scheduler.records  # work happened, silently
 
 
@@ -136,11 +135,11 @@ class TestTrafficConservation:
 @pytest.fixture()
 def durable_observed_writer(tmp_path):
     observer = RecordingObserver()
-    writer = DurableLiveIndexWriter(tmp_path / "wal", buffer_docs=4,
-                                    policy=MergePolicy(fanout=3),
-                                    observer=observer)
-    churn(writer, 30, delete_every=7)
-    writer.flush()
+    with observing(observer):
+        writer = DurableLiveIndexWriter(tmp_path / "wal", buffer_docs=4,
+                                        policy=MergePolicy(fanout=3))
+        churn(writer, 30, delete_every=7)
+        writer.flush()
     return writer, observer.registry
 
 
@@ -202,7 +201,8 @@ class TestDurableMetrics:
             churn(crashed, 40, delete_every=7)
 
         observer = RecordingObserver()
-        writer, report = recover(tmp_path / "wal", observer=observer)
+        with observing(observer):
+            writer, report = recover(tmp_path / "wal")
         registry = observer.registry
         runs = registry.counter("live.recovery.runs")
         assert runs.total() == 1
@@ -223,8 +223,8 @@ class TestDurableMetrics:
         assert registry.gauge(
             "live.recovery.last_modeled_seconds"
         ).value() == pytest.approx(report.modeled_seconds)
-        # The recovered writer reports to the same observer: replayed
-        # WAL frames and manifests land in the live.* counters too.
+        # Recovery runs in the same scope: replayed WAL frames and
+        # manifests land in the live.* counters too.
         assert registry.counter("live.wal.bytes").total() == (
             writer.wal.bytes_logged
         )

@@ -19,9 +19,14 @@ series, and — since the hybrid rerank became the only second stage —
 the three ``rerank.*`` series, the feature model's probe hits and its
 share of the rerank stage sample, and — since a decoded-cache miss
 decodes its whole list — the decoded-cache hits and misses, the fast
-path's decode count and that count's help string, and — since segment
+path's decode count and that count's help string, — since segment
 files became ``.bossx`` v2 images — the recovery's modeled seconds, and
-nothing else.
+— since the observer became a scope — the engine queries of the
+targets a scoped cluster, server or planner calls
+(:func:`scoped_engine_growth`), and nothing else.
+
+Each driver opens ``observing(observer)`` around exactly what the
+parent handed the observer to.
 """
 
 import json
@@ -35,6 +40,7 @@ from repro.cluster import MergeShards, Rebalancer, SplitShard
 from repro.cluster.resilience import ResiliencePolicy
 from repro.compression import get_codec
 from repro.core import BossAccelerator, BossConfig
+from repro.core.engine import BlockActivity, QueryStarted
 from repro.decompressor import DecompressionModule, program_for_scheme
 from repro.errors import CrashError, LeafExecutionError
 from repro.faults import CrashSchedule, FaultConfig, make_faulty_cluster
@@ -45,7 +51,7 @@ from repro.live import (
     MergePolicy,
     recover,
 )
-from repro.observability import RecordingObserver
+from repro.observability import RecordingObserver, observing
 from repro.serving import (
     QueryServer,
     ServingConfig,
@@ -137,11 +143,11 @@ def drive_engines(observer):
     """Queries that skip by ET and by overlap, on both executors."""
     index = build_random_index(num_docs=1500, vocab_size=40, seed=42)
     for executor in ("columnar", "reference"):
-        engine = BossAccelerator(index, BossConfig(k=5), observer=observer,
-                                 executor=executor)
-        for expression in ('"t0" AND "t25" AND "t38"', '"t0" OR "t1"',
-                           '"t0" OR "t1"', '"t3" AND ("t1" OR "t9")'):
-            engine.search(expression)
+        engine = BossAccelerator(index, BossConfig(k=5), executor=executor)
+        with observing(observer):
+            for expression in ('"t0" AND "t25" AND "t38"', '"t0" OR "t1"',
+                               '"t0" OR "t1"', '"t3" AND ("t1" OR "t9")'):
+                engine.search(expression)
 
 
 def drive_cluster(observer):
@@ -162,11 +168,12 @@ def drive_cluster(observer):
     ):
         cluster, _ = make_faulty_cluster(
             documents, 3, faults=faults, policy=policy,
-            replication_factor=2, observer=observer, clock=VirtualClock(),
+            replication_factor=2, clock=VirtualClock(),
         )
         try:
-            for expression in ('"t0" OR "t1"', '"t2" AND "t3"'):
-                cluster.search(expression, k=10)
+            with observing(observer):
+                for expression in ('"t0" OR "t1"', '"t2" AND "t3"'):
+                    cluster.search(expression, k=10)
         except LeafExecutionError:
             assert not policy.allow_degraded
         else:
@@ -180,12 +187,14 @@ def drive_serving(observer):
                            TraceArrivals([0.0, 0.1, 0.2, 0.3, 2.5, 2.6]))
     for admission, deadline in (("reject", None), ("shed-oldest", None),
                                 ("deadline", 1.5)):
-        QueryServer(
+        server = QueryServer(
             BossAccelerator(index, BossConfig(k=10)),
             ServingConfig(workers=1, queue_capacity=2, admission=admission,
                           deadline_seconds=deadline, k=10),
-            service_time=_constant(1.0), observer=observer,
-        ).serve(burst)
+            service_time=_constant(1.0),
+        )
+        with observing(observer):
+            server.serve(burst)
 
 
 def drive_planner(observer):
@@ -193,31 +202,31 @@ def drive_planner(observer):
     index = build_random_index(num_docs=400, seed=11)
     requests = zipf_workload(VOCAB, 48, rate_qps=4000.0, seed=3,
                              tenants=("gold", "bronze"))
-    PlannedQueryServer(
-        BossAccelerator(index, BossConfig(k=10)), PlannerConfig(k=10),
-        observer=observer,
-    ).serve(requests)
+    server = PlannedQueryServer(BossAccelerator(index, BossConfig(k=10)),
+                                PlannerConfig(k=10))
+    with observing(observer):
+        server.serve(requests)
 
 
 def drive_live(observer, wal_dir):
     """Add/delete/seal/merge (one merge all-tombstoned), then the same
-    churn durably, a torn WAL tail, and its recovery."""
-    writer = LiveIndexWriter(buffer_docs=4, policy=MergePolicy(fanout=3),
-                             observer=observer)
-    _churn(writer, 30, delete_every=7)
-    writer.flush()
-    writer.index.search('"t0" OR "t1"', k=5)
-    while writer.delete_oldest() is not None:
-        pass
-    record = writer.scheduler.compact_all()
-    assert record is not None and record.output_id is None
+    churn durably, a torn WAL tail (unobserved), and its recovery."""
+    with observing(observer):
+        writer = LiveIndexWriter(buffer_docs=4,
+                                 policy=MergePolicy(fanout=3))
+        _churn(writer, 30, delete_every=7)
+        writer.flush()
+        writer.index.search('"t0" OR "t1"', k=5)
+        while writer.delete_oldest() is not None:
+            pass
+        record = writer.scheduler.compact_all()
+        assert record is not None and record.output_id is None
 
-    durable = DurableLiveIndexWriter(wal_dir / "clean", buffer_docs=4,
-                                     policy=MergePolicy(fanout=3),
-                                     observer=observer)
-    _churn(durable, 20, delete_every=7)
-    durable.flush()
-    durable.close()
+        durable = DurableLiveIndexWriter(wal_dir / "clean", buffer_docs=4,
+                                         policy=MergePolicy(fanout=3))
+        _churn(durable, 20, delete_every=7)
+        durable.flush()
+        durable.close()
 
     crashed = DurableLiveIndexWriter(
         wal_dir / "torn", buffer_docs=4, policy=MergePolicy(fanout=3),
@@ -225,7 +234,8 @@ def drive_live(observer, wal_dir):
     )
     with pytest.raises(CrashError):
         _churn(crashed, 40, delete_every=7)
-    recovered, report = recover(wal_dir / "torn", observer=observer)
+    with observing(observer):
+        recovered, report = recover(wal_dir / "torn")
     assert report.torn is not None
     recovered.close()
 
@@ -236,35 +246,89 @@ def drive_rebalance(observer):
     cluster, sharded = make_faulty_cluster(documents, 3,
                                            replication_factor=2)
     lo, hi = sharded.boundaries[0], sharded.boundaries[1]
-    Rebalancer(cluster, sharded, observer=observer).execute(
-        SplitShard(0, (lo + hi) // 2))
-    with pytest.raises(CrashError):
-        Rebalancer(
-            cluster, sharded, observer=observer,
-            crash=CrashSchedule("rebalance_mid_stream"),
-        ).execute(MergeShards(0))
+    with observing(observer):
+        Rebalancer(cluster, sharded).execute(SplitShard(0, (lo + hi) // 2))
+        with pytest.raises(CrashError):
+            Rebalancer(
+                cluster, sharded,
+                crash=CrashSchedule("rebalance_mid_stream"),
+            ).execute(MergeShards(0))
 
 
 def drive_second_stages(observer):
     """A deep first stage, the ANN lane, and both hybrid fusions."""
     corpus = make_corpus("ccnews-like", scale=0.05, seed=1)
     embeddings = embed_corpus(corpus)
-    vector = VectorEngine(build_ivf(embeddings, codec="fp32"), embeddings,
-                          observer=observer)
-    lexical = BossAccelerator(corpus.index, BossConfig(k=50),
-                              observer=observer)
-    lexical.search('"term0001" OR "term0002"', k=50)
-    vector.search('"term0003"', k=10)
-    for mode in ("rerank", "rrf"):
-        HybridSearch(lexical, vector, mode=mode, first_stage_k=30,
-                     observer=observer).search('"term0001"', k=10)
+    vector = VectorEngine(build_ivf(embeddings, codec="fp32"), embeddings)
+    lexical = BossAccelerator(corpus.index, BossConfig(k=50))
+    with observing(observer):
+        lexical.search('"term0001" OR "term0002"', k=50)
+        vector.search('"term0003"', k=10)
+        for mode in ("rerank", "rrf"):
+            HybridSearch(lexical, vector, mode=mode,
+                         first_stage_k=30).search('"term0001"', k=10)
 
 
 def drive_block_level(observer):
     """One decompression-module decode."""
     values = list(range(0, 300, 3))
-    DecompressionModule(program_for_scheme("VB"), observer=observer).decode(
-        get_codec("VB").encode(values), len(values))
+    with observing(observer):
+        DecompressionModule(program_for_scheme("VB")).decode(
+            get_codec("VB").encode(values), len(values))
+
+
+class EngineQueries(RecordingObserver):
+    """Records what engines publish (query starts, block activity and
+    each query's trace) and nothing else."""
+
+    def emit(self, event):
+        if isinstance(event, (QueryStarted, BlockActivity)):
+            super().emit(event)
+
+
+#: Engine queries the scoped runs make: 15 leaf queries under the
+#: cluster, 14 served and 48 planned requests.
+SCOPED_ENGINE_QUERIES = 77
+
+
+def scoped_engine_growth():
+    """The engine series of the targets a scoped cluster, server or
+    planner calls. The parent handed those layers an observer but not
+    the engines under them; a scope reaches both. The rebalancer calls
+    no engine."""
+    growth = EngineQueries()
+    drive_cluster(growth)
+    drive_serving(growth)
+    drive_planner(growth)
+    drive_rebalance(growth)
+    assert len(growth.traces) == SCOPED_ENGINE_QUERIES
+    return growth.registry.snapshot()
+
+
+def _add_samples(expected, growth):
+    """Add ``growth``'s samples into ``expected``, sample by sample.
+    A grown float compares to rounding: the run interleaves the added
+    queries with the others, and a float sum depends on its order."""
+    for name, entry in growth.items():
+        samples = expected.setdefault(name, dict(entry, samples=[]))[
+            "samples"]
+        for sample in entry["samples"]:
+            base = next((s for s in samples
+                         if s["labels"] == sample["labels"]), None)
+            if base is None:
+                base = dict(sample)
+                samples.append(base)
+            else:
+                for field in ("value", "count", "sum"):
+                    if field in sample:
+                        base[field] += sample[field]
+                if "counts" in sample:
+                    base["counts"] = [a + b for a, b in zip(
+                        base["counts"], sample["counts"])]
+            for field in ("value", "sum"):
+                if isinstance(base.get(field), float):
+                    base[field] = pytest.approx(base[field], rel=1e-12)
+        samples.sort(key=lambda s: sorted(s["labels"].items()))
 
 
 def drive(observer, wal_dir):
@@ -358,6 +422,9 @@ def expected_snapshot():
     recovery, = expected["live.recovery.last_modeled_seconds"]["samples"]
     assert recovery["value"] == 1.2094089673913044e-07
     recovery["value"] = 1.5504245923913044e-07
+    # The observer is a scope: one opened around a cluster, a server or
+    # the planner also hears the engines they call.
+    _add_samples(expected, scoped_engine_growth())
     return expected
 
 

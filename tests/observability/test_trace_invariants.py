@@ -25,6 +25,7 @@ from repro.observability import (
     QueryTrace,
     RecordingObserver,
     build_trace,
+    observing,
 )
 from repro.observability.trace import STAGE_MEMORY, stage_byte_totals
 from repro.sim.timing import IIUTimingModel
@@ -198,11 +199,11 @@ class TestNullObserverParity:
 
     def test_observed_run_matches_unobserved_run(self, index):
         plain = BossAccelerator(index, BossConfig(k=10))
-        observed = BossAccelerator(index, BossConfig(k=10),
-                                   observer=RecordingObserver())
+        observed = BossAccelerator(index, BossConfig(k=10))
         for expression in QUERIES:
             a = plain.search(expression)
-            b = observed.search(expression)
+            with observing(RecordingObserver()):
+                b = observed.search(expression)
             assert [(h.doc_id, h.score) for h in a.hits] == [
                 (h.doc_id, h.score) for h in b.hits
             ]

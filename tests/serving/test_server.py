@@ -15,7 +15,7 @@ from repro.cluster.resilience import ResiliencePolicy
 from repro.core import BossAccelerator, BossConfig
 from repro.errors import ConfigurationError
 from repro.faults import ZERO_FAULTS, FaultConfig, make_faulty_cluster
-from repro.observability import NULL_OBSERVER, RecordingObserver
+from repro.observability import NULL_OBSERVER, RecordingObserver, observing
 from repro.serving import (
     QueryServer,
     ServingConfig,
@@ -463,8 +463,15 @@ class TestAcceptance:
 
 class TestObservability:
     def test_disabled_observer_is_dropped(self, index):
-        server = QueryServer(_engine(index), observer=NULL_OBSERVER)
-        assert server._observer is NULL_OBSERVER  # held as given
+        """A server holds no observer: under the null scope it serves
+        as it does under none."""
+        requests = zipf_workload(VOCAB, 8, rate_qps=3000.0, seed=6)
+        server = QueryServer(_engine(index), service_time=_constant(0.01))
+        with observing(NULL_OBSERVER):
+            scoped = server.serve(requests)
+        plain = server.serve(requests)
+        assert [(o.status, o.completion_seconds) for o in scoped] == \
+            [(o.status, o.completion_seconds) for o in plain]
 
     def test_serving_metrics_published(self, index):
         observer = RecordingObserver()
@@ -474,9 +481,9 @@ class TestObservability:
             ServingConfig(workers=1, queue_capacity=2,
                           deadline_seconds=0.05, k=10),
             service_time=_constant(0.01),
-            observer=observer,
         )
-        report = server.serve(requests).report
+        with observing(observer):
+            report = server.serve(requests).report
         metrics = observer.metrics
         assert metrics.get("serving.admitted").total() == report.served
         assert metrics.get("serving.shed").total() == report.shed

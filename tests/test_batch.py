@@ -76,14 +76,14 @@ class TestEngineBatch:
         assert batch[0] is batch.results[0]
 
     def test_enabled_observer_serializes_deterministically(self):
-        from repro.observability import RecordingObserver
+        from repro.observability import RecordingObserver, observing
 
         index = build_random_index(num_docs=400, vocab_size=15, seed=9)
         queries = _random_queries(sorted(index), 8, count=6)
         observer = RecordingObserver()
-        engine = BossAccelerator(index, BossConfig(k=10),
-                                 observer=observer)
-        batch = run_query_batch(engine, queries, k=10, workers=4)
+        engine = BossAccelerator(index, BossConfig(k=10))
+        with observing(observer):
+            batch = run_query_batch(engine, queries, k=10, workers=4)
         assert batch.report.workers == 1  # dropped to serial for traces
         assert len(observer.traces) == len(queries)
         assert [t.expression for t in observer.traces] == [
@@ -366,6 +366,48 @@ class TestSessionBatch:
         # The bad second query fails the batch before anything executes.
         with pytest.raises(ReproError):
             session.search_batch(['"t0"', '"not-a-term"'])
+
+
+class TestObservedBatchStaysSerial:
+    """Pool threads run outside the caller's observer scope, so inside
+    an enabled scope every target's batch runs on one worker and returns
+    the serial run's results."""
+
+    @pytest.fixture(scope="class")
+    def index(self):
+        return build_random_index(num_docs=300, vocab_size=12, seed=8)
+
+    def _target(self, kind, index):
+        from repro.api import BossSession
+
+        if kind == "engine":
+            return BossAccelerator(index, BossConfig(k=10))
+        if kind == "cluster":
+            documents = _random_documents(num_docs=300, vocab=12, seed=9)
+            return SearchCluster([
+                BossAccelerator(shard, BossConfig(k=10))
+                for shard in shard_documents(documents,
+                                             num_shards=3).indexes
+            ])
+        session = BossSession(BossConfig(k=10))
+        session.init(index)
+        session.init_vectors()
+        return session.hybrid()
+
+    @pytest.mark.parametrize("kind", ["engine", "cluster", "hybrid"])
+    def test_enabled_scope_runs_on_one_worker(self, index, kind):
+        from repro.observability import RecordingObserver, observing
+
+        queries = _random_queries([f"t{i}" for i in range(12)], 5, count=6)
+        serial = run_query_batch(self._target(kind, index), queries, k=10)
+        recording = RecordingObserver()
+        with observing(recording):
+            observed = run_query_batch(self._target(kind, index), queries,
+                                       k=10, workers=4)
+        assert observed.report.workers == 1
+        assert [hits_as_pairs(r) for r in observed.results] == \
+            [hits_as_pairs(r) for r in serial.results]
+        assert recording.traces  # every layer recorded into the scope
 
 
 class TestDefaultWorkers:

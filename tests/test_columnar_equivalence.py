@@ -17,8 +17,9 @@ from repro.cache import DEFAULT_DECODED_CACHE_BLOCKS
 from repro.core import BossAccelerator, BossConfig
 from repro.core.engine import EXECUTORS
 from repro.errors import QueryError
-from repro.observability import RecordingObserver
-from tests.conftest import _assert_pair_identical, build_random_index
+from repro.observability import RecordingObserver, observing
+from tests.conftest import ObservedAccelerator, _assert_pair_identical, \
+    build_random_index
 from tests.test_differential import _random_queries
 
 
@@ -279,11 +280,10 @@ def test_traces_bit_identical_columnar_vs_fast():
 
     columnar_observer = RecordingObserver()
     fast_observer = RecordingObserver()
-    columnar = BossAccelerator(index, BossConfig(k=10),
-                               observer=columnar_observer,
-                               executor="columnar")
-    fast = BossAccelerator(index, BossConfig(k=10),
-                           observer=fast_observer, executor="fast")
+    columnar = ObservedAccelerator(columnar_observer, index,
+                                   BossConfig(k=10), executor="columnar")
+    fast = ObservedAccelerator(fast_observer, index, BossConfig(k=10),
+                               executor="fast")
     for _ in range(2):  # second pass exercises the warm caches
         for expression in queries:
             columnar.search(expression)
@@ -294,9 +294,10 @@ def test_traces_bit_identical_columnar_vs_fast():
 def test_decoded_cache_observability_counters():
     index = build_random_index(num_docs=500, vocab_size=18, seed=3)
     observer = RecordingObserver()
-    engine = BossAccelerator(index, BossConfig(k=10), observer=observer)
-    for _ in range(2):
-        engine.search('"t0" OR "t1"')
+    engine = BossAccelerator(index, BossConfig(k=10))
+    with observing(observer):
+        for _ in range(2):
+            engine.search('"t0" OR "t1"')
     snapshot = observer.registry.snapshot()
     assert "decoded_cache.accesses" in snapshot
     assert "decode.invocations" in snapshot
@@ -496,11 +497,10 @@ def test_equivalence_at_the_leader_run_gate(paths):
     for k in (10, 1000):
         observer = RecordingObserver()
         reference_observer = RecordingObserver()
-        columnar = BossAccelerator(index, BossConfig(k=k),
-                                   observer=observer)
-        reference = BossAccelerator(index, BossConfig(k=k),
-                                    observer=reference_observer,
-                                    executor="reference")
+        columnar = ObservedAccelerator(observer, index, BossConfig(k=k))
+        reference = ObservedAccelerator(reference_observer, index,
+                                        BossConfig(k=k),
+                                        executor="reference")
         for queries in (short_queries, long_queries):
             for _ in range(2):  # second pass: warm decoded, score caches
                 for expression in queries:

@@ -22,7 +22,8 @@ import pytest
 
 from repro.core import BossAccelerator, BossConfig
 from repro.observability import RecordingObserver
-from tests.conftest import _assert_pair_identical, build_random_index
+from tests.conftest import ObservedAccelerator, _assert_pair_identical, \
+    build_random_index
 from tests.test_differential import _random_queries
 
 
@@ -59,11 +60,10 @@ def test_traces_bit_identical_with_and_without_fast_path():
 
     fast_observer = RecordingObserver()
     reference_observer = RecordingObserver()
-    fast = BossAccelerator(index, BossConfig(k=10),
-                           observer=fast_observer, executor="fast")
-    reference = BossAccelerator(index, BossConfig(k=10),
-                                observer=reference_observer,
-                                fast_path=False)
+    fast = ObservedAccelerator(fast_observer, index, BossConfig(k=10),
+                               executor="fast")
+    reference = ObservedAccelerator(reference_observer, index,
+                                    BossConfig(k=10), fast_path=False)
     for _ in range(2):  # second pass exercises the warm decoded cache
         for expression in queries:
             fast.search(expression)

@@ -23,7 +23,8 @@ from repro.faults import (
 )
 from repro.observability import RecordingObserver
 
-from tests.conftest import build_random_index, hits_as_pairs
+from tests.conftest import ObservedAccelerator, build_random_index, \
+    hits_as_pairs
 
 QUERIES = [
     '"t0"',
@@ -39,10 +40,8 @@ def index():
     return build_random_index(num_docs=800, seed=17)
 
 
-def _engine(index, observer=None):
-    if observer is None:
-        return BossAccelerator(index, BossConfig(k=10))
-    return BossAccelerator(index, BossConfig(k=10), observer=observer)
+def _engine(index):
+    return BossAccelerator(index, BossConfig(k=10))
 
 
 class TestFaultConfig:
@@ -94,8 +93,9 @@ class TestZeroFaultPassThrough:
 
     def test_traces_identical(self, index):
         raw_obs, wrapped_obs = RecordingObserver(), RecordingObserver()
-        raw = _engine(index, observer=raw_obs)
-        wrapped = FaultyEngine(_engine(index, observer=wrapped_obs))
+        raw = ObservedAccelerator(raw_obs, index, BossConfig(k=10))
+        wrapped = FaultyEngine(
+            ObservedAccelerator(wrapped_obs, index, BossConfig(k=10)))
         for expr in QUERIES:
             raw.search(expr)
             wrapped.search(expr)

@@ -137,19 +137,23 @@ class TestConcurrentQueries:
             assert one.modeled_seconds == other.modeled_seconds, query
 
     def test_observed_batch_runs_on_one_worker(self, corpus):
-        """A recording observer is not thread-safe, so the batch driver
-        pins an observed hybrid target to one worker."""
+        """A recording observer is not thread-safe, and pool threads run
+        outside the caller's scope, so the batch driver pins a hybrid
+        target batched inside a recording scope to one worker."""
         from repro.api import BossSession
         from repro.batch import run_query_batch
-        from repro.observability import RecordingObserver
+        from repro.observability import RecordingObserver, observing
 
-        session = BossSession(observer=RecordingObserver())
+        session = BossSession()
         session.init(corpus.index)
         session.init_vectors()
         queries = [f'"term{n:04d}"' for n in range(1, 9)]
-        batch = run_query_batch(session.hybrid(), queries, k=10,
-                                workers=4)
+        recording = RecordingObserver()
+        with observing(recording):
+            batch = run_query_batch(session.hybrid(), queries, k=10,
+                                    workers=4)
         assert batch.report.workers == 1
+        assert recording.registry.get("hybrid.queries").total() == 8
 
 
 class TestHybridSearch:

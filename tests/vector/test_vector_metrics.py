@@ -4,7 +4,7 @@ metrics."""
 import pytest
 
 from repro.core import BossAccelerator, BossConfig
-from repro.observability import RecordingObserver
+from repro.observability import RecordingObserver, observing
 from repro.vector import HybridSearch, VectorEngine
 
 
@@ -15,8 +15,9 @@ def observer():
 
 class TestVectorMetrics:
     def test_per_query_counters(self, ivf_fp32, embeddings, observer):
-        engine = VectorEngine(ivf_fp32, embeddings, observer=observer)
-        result = engine.search('"term0001"', k=10)
+        engine = VectorEngine(ivf_fp32, embeddings)
+        with observing(observer):
+            result = engine.search('"term0001"', k=10)
         registry = observer.registry
         assert registry.get("vector.queries").total() == 1
         assert (
@@ -39,9 +40,10 @@ class TestVectorMetrics:
     def test_conservation_visible_in_metrics(self, ivf_int8, embeddings,
                                              observer):
         """The identity holds in the aggregated registry too."""
-        engine = VectorEngine(ivf_int8, embeddings, observer=observer)
-        for query in ('"term0001"', '"term0002"', '"term0005"'):
-            engine.search(query, k=10)
+        engine = VectorEngine(ivf_int8, embeddings)
+        with observing(observer):
+            for query in ('"term0001"', '"term0002"', '"term0005"'):
+                engine.search(query, k=10)
         registry = observer.registry
         moved = registry.get("vector.bytes")
         assert (
@@ -53,8 +55,9 @@ class TestVectorMetrics:
 
     def test_latency_histogram_populated(self, ivf_fp32, embeddings,
                                          observer):
-        engine = VectorEngine(ivf_fp32, embeddings, observer=observer)
-        engine.search('"term0003"', k=10)
+        engine = VectorEngine(ivf_fp32, embeddings)
+        with observing(observer):
+            engine.search('"term0003"', k=10)
         hist = observer.registry.get("vector.latency_us")
         assert hist is not None
         assert hist.count() == 1
@@ -67,8 +70,9 @@ class TestRerankMetrics:
         the hybrid series' own."""
         lexical = BossAccelerator(corpus.index, BossConfig(k=50))
         hybrid = HybridSearch(lexical, engine, mode="rerank",
-                              first_stage_k=50, observer=observer)
-        result = hybrid.search('"term0001" OR "term0002"', k=10)
+                              first_stage_k=50)
+        with observing(observer):
+            result = hybrid.search('"term0001" OR "term0002"', k=10)
         registry = observer.registry
         assert registry.get("hybrid.queries").value(mode="rerank") == 1
         assert (
@@ -86,9 +90,9 @@ class TestHybridMetrics:
     @pytest.mark.parametrize("mode", ["rerank", "rrf"])
     def test_labeled_by_mode(self, corpus, engine, observer, mode):
         lexical = BossAccelerator(corpus.index, BossConfig(k=50))
-        hybrid = HybridSearch(lexical, engine, mode=mode,
-                              first_stage_k=30, observer=observer)
-        result = hybrid.search('"term0001"', k=10)
+        hybrid = HybridSearch(lexical, engine, mode=mode, first_stage_k=30)
+        with observing(observer):
+            result = hybrid.search('"term0001"', k=10)
         registry = observer.registry
         assert registry.get("hybrid.queries").value(mode=mode) == 1
         assert (
