@@ -141,9 +141,9 @@ class DecodedBlockCache:
     Capacity is counted in *blocks* (each is at most 128 postings), not
     bytes, since decoded blocks are near-uniform in size.
 
-    Thread-safe: the batched query driver shares one instance across
-    worker threads, so lookups and insertions take an internal lock.
-    Cached arrays are treated as immutable by all readers.
+    Thread-safe: threads searching one engine share one instance, so
+    lookups and insertions take an internal lock. Cached arrays are
+    treated as immutable by all readers.
 
     Functional-only by design — see the module docstring: modeled
     traffic/latency accounting happens in the cursor regardless of hits.

@@ -179,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="wall-clock throughput of a query batch (worker pool)")
+        help="wall-clock throughput of a query batch (worker processes)")
     bench.add_argument("--index", default=None,
                        help="index file (default: synthetic corpus)")
     bench.add_argument("--preset", default="ccnews-like",
@@ -191,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--unique", type=int, default=16,
                        help="distinct queries behind the Zipf log")
     bench.add_argument("--workers", type=int, default=None,
-                       help="worker threads (default: 1)")
+                       help="worker processes (default: 1)")
     bench.add_argument("-k", type=int, default=10)
     bench.add_argument("--repeat", type=int, default=2,
                        help="passes over the batch; passes after the "

@@ -179,6 +179,17 @@ class SearchCluster:
         return self._clock
 
     @property
+    def carries_search_state(self) -> bool:
+        """Whether a search depends on the ones before it: true when
+        any leaf, primary or replica, says so of itself (a fault
+        wrapper with a schedule)."""
+        return any(
+            getattr(engine, "carries_search_state", False)
+            for group in [self._engines, *self._replicas]
+            for engine in group
+        )
+
+    @property
     def map_version(self) -> int:
         """Which shard-map generation this root is serving."""
         return self._map_version

@@ -102,8 +102,9 @@ def recording_fetches() -> Iterator[Dict["BossAccelerator",
     the engine (a session, a cluster root and its replicas, a fault
     wrapper, a live index's segments, a hybrid first stage). The
     input to the cache simulator, the core simulator and the I/O
-    planner. The scope is the calling thread's context: queries a
-    thread pool runs are not recorded, and an inner scope records
+    planner. The scope is the calling thread's context: queries another
+    thread or process runs are not recorded (inside the scope the batch
+    driver keeps a batch in one process), and an inner scope records
     alone until it closes.
     """
     fetches: Dict[BossAccelerator, List[FetchRecord]] = {}
@@ -112,6 +113,11 @@ def recording_fetches() -> Iterator[Dict["BossAccelerator",
         yield fetches
     finally:
         _FETCHES.reset(token)
+
+
+def fetches_recorded() -> bool:
+    """Whether a :func:`recording_fetches` scope is open here."""
+    return _FETCHES.get() is not None
 
 
 @dataclass(frozen=True)

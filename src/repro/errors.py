@@ -12,6 +12,15 @@ from __future__ import annotations
 class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` library."""
 
+    def __reduce__(self):
+        # An exception pickles its args and attributes but not its
+        # chained cause; keep it, so an error that crosses a process
+        # boundary (:mod:`repro.batch`) still names what caused it.
+        state = dict(self.__dict__)
+        if self.__cause__ is not None:
+            state["__cause__"] = self.__cause__
+        return type(self), self.args, state
+
 
 class CompressionError(ReproError):
     """A codec could not encode or decode a block of integers."""
@@ -85,6 +94,13 @@ class LeafExecutionError(ReproError):
         super().__init__(message)
         self.shard_index = shard_index
         self.expression = expression
+
+
+class BatchWorkerError(ReproError):
+    """A forked batch worker (:mod:`repro.batch`) died without
+    reporting its whole share of the batch, or a query outcome of its
+    share could not be sent back. The message names the share.
+    """
 
 
 class RebalanceError(ReproError):

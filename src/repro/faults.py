@@ -263,6 +263,13 @@ class FaultyEngine:
     def faults(self) -> FaultConfig:
         return self._faults
 
+    @property
+    def carries_search_state(self) -> bool:
+        """Whether a search depends on the ones before it: any schedule
+        but the zero-fault one counts attempts per query key and
+        queries toward ``permanent_failure_after`` in :attr:`stats`."""
+        return not self._faults.zero_fault
+
     def __getattr__(self, name):
         # Everything the wrapper does not define delegates to the leaf
         # (index, decoded_cache, config, ...).

@@ -351,22 +351,24 @@ class TestLazyStaleViews:
     @pytest.mark.parametrize("workers", [2, 5])
     def test_threads_match_serial_on_a_stale_index(self, workers):
         """Concurrent searches race on the version refresh and on the
-        dressed-list memo; every writer stores bit-equal values."""
+        dressed-list memo; every writer stores bit-equal values. (The
+        batch driver forks processes, so the test runs its own threads.)"""
         import sys
-
-        from repro.batch import run_query_batch
+        from concurrent.futures import ThreadPoolExecutor
 
         live = self.make_stale()
         queries = self.QUERIES * 6
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = run_query_batch(live, queries, k=10,
-                                       workers=workers)
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                threaded = list(pool.map(
+                    lambda expression: live.search(expression, k=10),
+                    queries))
         finally:
             sys.setswitchinterval(interval)
         serial = self.make_stale()
-        for expression, result in zip(queries, threaded.results):
+        for expression, result in zip(queries, threaded):
             _assert_results_identical(
                 result, serial.search(expression, k=10), expression)
         # One refresh per segment, however many threads asked.

@@ -1,11 +1,15 @@
 """Tests for the batched parallel query driver (:mod:`repro.batch`)."""
 
+import os
+import signal
+import time
+
 import pytest
 
 from repro.batch import BatchReport, run_query_batch
 from repro.cluster import SearchCluster, shard_documents
 from repro.core import BossAccelerator, BossConfig
-from repro.errors import ConfigurationError
+from repro.errors import BatchWorkerError, ConfigurationError
 from tests.conftest import build_random_index, hits_as_pairs
 from tests.test_differential import _random_documents, _random_queries
 
@@ -74,6 +78,19 @@ class TestEngineBatch:
         assert len(batch) == 4
         assert list(iter(batch)) == batch.results
         assert batch[0] is batch.results[0]
+
+    def test_recording_scope_records_every_query_as_serial_does(
+            self, engine, queries):
+        from repro.core.engine import recording_fetches
+
+        with recording_fetches() as serial:
+            for query in queries:
+                engine.search(query, k=10)
+        with recording_fetches() as batched:
+            batch = run_query_batch(engine, queries, k=10, workers=2)
+        assert batch.report.workers == 1  # one process records them all
+        assert batched == serial
+        assert sum(len(records) for records in batched.values()) > 0
 
     def test_enabled_observer_serializes_deterministically(self):
         from repro.observability import RecordingObserver, observing
@@ -179,38 +196,126 @@ class TestClusterBatch:
 
 
 class FlakyEngine:
-    """Counts calls; raises on the "boom" expression, dawdles otherwise."""
+    """Counts calls; raises on the "boom" expression, dawdles otherwise.
+
+    A forked worker counts in its own copy, so ``calls`` is what the
+    calling process ran.
+    """
 
     def __init__(self, delay=0.002):
-        import threading
-
         self.delay = delay
-        self._lock = threading.Lock()
         self.calls = 0
 
     def search(self, expression, k=None):
-        import time
-
-        with self._lock:
-            self.calls += 1
+        self.calls += 1
         if expression == "boom":
             raise RuntimeError("scripted engine failure")
         time.sleep(self.delay)
         return expression
 
 
+class DyingEngine:
+    """Kills the process it runs in on "die" — unless that process is
+    the one that built it, so only a forked worker dies."""
+
+    def __init__(self):
+        self.home = os.getpid()
+
+    def search(self, expression, k=None):
+        if expression == "die" and os.getpid() != self.home:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return expression
+
+
+class Unbuildable(Exception):
+    """Pickles, but cannot be rebuilt: ``args`` lacks ``detail``."""
+
+    def __init__(self, message, detail):
+        super().__init__(message)
+        self.detail = detail
+
+
+class RaisesUnbuildable:
+    def search(self, expression, k=None):
+        if expression == "odd":
+            raise Unbuildable(expression, detail=1)
+        return expression
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(autouse=True)
+def no_worker_outlives_its_batch():
+    # A driver waiting forever on a worker fails the test instead.
+    def give_up(signum, frame):
+        raise TimeoutError("batch did not finish in 60 s")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert_no_child_left()
+
+
 class TestEngineBatchFailure:
     def test_mid_collection_failure_cancels_queued_work(self):
-        # The first future fails while dozens are still queued: the
-        # driver must cancel them rather than grind through a batch
-        # whose result has already been abandoned.
-        engine = FlakyEngine(delay=0.005)
+        # The calling process's first query fails while dozens wait in
+        # the other share: the driver must kill that worker rather than
+        # grind through a batch whose result has been abandoned.
+        engine = FlakyEngine(delay=0.01)
         queries = ["boom"] + [f"q{i}" for i in range(60)]
+        start = time.perf_counter()
         with pytest.raises(RuntimeError, match="scripted engine"):
             run_query_batch(engine, queries, k=10, workers=2)
-        # At most the failing query plus whatever the two workers had
-        # already started — nowhere near the 61 submitted.
-        assert engine.calls < 10
+        # Draining the worker's 30 queries would take 0.3 s or more.
+        assert time.perf_counter() - start < 0.2
+        # The calling process ran its share's first query, and stopped.
+        assert engine.calls == 1
+        assert_no_child_left()
+
+    def test_lowest_failing_query_is_raised(self):
+        # Query 1 (the worker's share) fails before query 2 (the
+        # caller's): the batch raises what a serial run raises.
+        class FailsOn:
+            def search(self, expression, k=None):
+                if expression.startswith("bad"):
+                    raise RuntimeError(expression)
+                return expression
+
+        queries = ["q0", "bad1", "bad2", "q3"]
+        with pytest.raises(RuntimeError, match="bad1"):
+            run_query_batch(FailsOn(), queries, workers=1)
+        with pytest.raises(RuntimeError, match="bad1"):
+            run_query_batch(FailsOn(), queries, workers=2)
+
+    def test_worker_killed_mid_share_raises_naming_its_share(self):
+        queries = ["q0", "q1", "q2", "die", "q4", "q5"]
+        start = time.perf_counter()
+        with pytest.raises(BatchWorkerError, match="share 1 ") as exc:
+            run_query_batch(DyingEngine(), queries, workers=2)
+        assert time.perf_counter() - start < 5.0
+        # A worker sends its reports when its share is done: one killed
+        # mid-share has sent none.
+        assert "status -9 after reporting 0 of its 3" in str(exc.value)
+        assert_no_child_left()
+
+    def test_outcome_that_cannot_cross_is_a_typed_error(self):
+        with pytest.raises(BatchWorkerError,
+                           match="share 1: query 1's outcome"):
+            run_query_batch(RaisesUnbuildable(), ["q0", "odd", "q2"],
+                            workers=2)
+        assert_no_child_left()
+
+    def test_successful_batch_leaves_no_child(self, engine, queries):
+        batch = run_query_batch(engine, queries, k=10, workers=3)
+        assert batch.report.workers == 3
+        assert_no_child_left()
 
     def test_serial_path_fails_fast_too(self):
         engine = FlakyEngine()
@@ -331,6 +436,90 @@ class TestResilientClusterBatch:
         assert "shard 1" in str(exc.value)
 
 
+    def test_leaf_failure_in_a_worker_keeps_attributes_and_cause(
+            self, documents):
+        # Shard 1 is dead for every sub-query naming t1, and the first
+        # such query is query 1, in the forked worker's share: the
+        # strict cluster's error crosses back whole, as serial raises it.
+        from repro.errors import FaultInjectionError, LeafExecutionError
+
+        class DeadForTerm:
+            """A stateless dead leaf: a sub-query naming ``term`` fails."""
+
+            def __init__(self, engine, term):
+                self.engine = engine
+                self.term = term
+
+            @property
+            def index(self):
+                return self.engine.index
+
+            def search(self, query, k=None):
+                if f'"{self.term}"' in str(query):
+                    raise FaultInjectionError(
+                        f"leaf is dead for {self.term}", kind="permanent")
+                return self.engine.search(query, k=k)
+
+        engines = [BossAccelerator(index, BossConfig(k=10)) for index in
+                   shard_documents(documents, num_shards=3).indexes]
+        engines[1] = DeadForTerm(engines[1], "t1")
+        cluster = SearchCluster(engines)
+        assert not cluster.carries_search_state
+        queries = ['"t0"', '"t1"', '"t2"', '"t0" OR "t3"']
+        errors = []
+        for workers in (1, 2):
+            with pytest.raises(LeafExecutionError) as exc:
+                run_query_batch(cluster, queries, k=10, workers=workers)
+            errors.append(exc.value)
+        serial, forked = errors
+        assert (forked.shard_index, forked.expression, str(forked)) == (
+            serial.shard_index, serial.expression, str(serial))
+        assert forked.shard_index == 1 and forked.expression == '"t1"'
+        assert isinstance(forked.__cause__, FaultInjectionError)
+        assert forked.__cause__.kind == "permanent"
+        assert str(forked.__cause__) == str(serial.__cause__)
+
+    def test_stateful_fault_schedule_runs_in_one_process(self, documents):
+        # Attempt counts per query key and the queries toward
+        # permanent_failure_after carry from one search to the next, so
+        # a forked share would diverge: the batch stays in one process
+        # and every leaf's FaultStats end where serial's do.
+        from repro.cluster.resilience import ResiliencePolicy
+        from repro.faults import FaultConfig, make_faulty_cluster
+
+        faults = FaultConfig(seed=4, transient_failure_probability=0.5,
+                             permanent_failure_after=3)
+        policy = ResiliencePolicy(max_retries=2, allow_degraded=True)
+        batched_cluster, _ = make_faulty_cluster(documents, 3,
+                                                 faults=faults,
+                                                 policy=policy)
+        serial_cluster, _ = make_faulty_cluster(documents, 3,
+                                                faults=faults,
+                                                policy=policy)
+        assert batched_cluster.carries_search_state
+        queries = self.QUERIES * 3  # every key repeats
+        batch = run_query_batch(batched_cluster, queries, k=10, workers=2)
+        serial = run_query_batch(serial_cluster, queries, k=10)
+        assert batch.report.workers == 1
+        for batched, expected in zip(batch.results, serial.results):
+            assert hits_as_pairs(batched) == hits_as_pairs(expected)
+            assert batched.leaf_retries == expected.leaf_retries
+            assert batched.shards_failed == expected.shards_failed
+        assert [leaf.stats for leaf in batched_cluster.engines] == [
+            leaf.stats for leaf in serial_cluster.engines]
+        assert any(leaf.stats.transient_failures
+                   for leaf in serial_cluster.engines)
+        assert any(r.degraded for r in serial.results)
+
+    def test_zero_fault_cluster_carries_no_state(self, documents):
+        from repro.faults import ZERO_FAULTS, make_faulty_cluster
+
+        cluster, _ = make_faulty_cluster(documents, 3, faults=ZERO_FAULTS)
+        assert not cluster.carries_search_state
+        batch = run_query_batch(cluster, self.QUERIES, k=10, workers=2)
+        assert batch.report.workers == 2
+
+
 class TestSessionBatch:
     def test_search_batch_matches_search(self):
         from repro.api import BossSession
@@ -369,9 +558,9 @@ class TestSessionBatch:
 
 
 class TestObservedBatchStaysSerial:
-    """Pool threads run outside the caller's observer scope, so inside
-    an enabled scope every target's batch runs on one worker and returns
-    the serial run's results."""
+    """A forked worker would record into its own copy of the caller's
+    observer, so inside an enabled scope every target's batch runs on
+    one worker and returns the serial run's results."""
 
     @pytest.fixture(scope="class")
     def index(self):
@@ -411,7 +600,7 @@ class TestObservedBatchStaysSerial:
 
 
 class TestDefaultWorkers:
-    """``workers=None`` is one worker for every target; a pool is opt-in."""
+    """``workers=None`` is one worker for every target; more are opt-in."""
 
     @pytest.fixture(scope="class")
     def index(self):

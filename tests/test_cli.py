@@ -236,8 +236,7 @@ class TestBench:
                                                 (["--workers", "2"], 2)])
     def test_workers_default_to_one_and_are_honoured(self, flags, workers,
                                                      capsys):
-        # A pool is slower on this interpreter-lock-bound simulator, so
-        # one worker is the default and a pool is opt-in.
+        # One worker is the default; extra (forked) workers are opt-in.
         import json
 
         assert main(["bench", "--queries", "32", "--unique", "8",
@@ -268,6 +267,38 @@ class TestClusterModes:
             assert passed["queries_degraded"] == 0  # zero-fault run
             assert "leaf_retries" in passed
             assert "p99_seconds" in passed
+
+    @pytest.mark.parametrize("faults", [[], ["--fault-rate", "0.5"]])
+    def test_bench_cluster_workers_agree(self, faults, capsys):
+        # Without faults the second worker is a forked process; a fault
+        # schedule carries state between searches, so that batch stays
+        # in one process. Either way every non-timing field is what one
+        # worker reports.
+        import json
+        import os
+
+        records = {}
+        for workers in ("1", "2"):
+            assert main(["bench", "--shards", "2", "--cluster-docs", "150",
+                         "--json", "--workers", workers, *faults]) == 0
+            records[workers] = json.loads(capsys.readouterr().out)
+        timing = {"workers", "wall_seconds", "queries_per_second",
+                  "p50_seconds", "p95_seconds", "p99_seconds"}
+
+        def untimed(record):
+            return {**record, "passes": [
+                {key: value for key, value in passed.items()
+                 if key not in timing}
+                for passed in record["passes"]
+            ]}
+
+        assert untimed(records["2"]) == untimed(records["1"])
+        assert [p["workers"] for p in records["2"]["passes"]] == (
+            [1, 1] if faults else [2, 2])
+        if faults:
+            assert sum(p["leaf_retries"] for p in records["1"]["passes"])
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_bench_rejects_index_with_shards(self, tmp_path):
         assert main(["bench", "--shards", "2",

@@ -107,16 +107,17 @@ def _first_stage(query, hits):
 
 class TestConcurrentQueries:
     def test_pooled_batch_equals_serial(self, hybrid_rerank):
-        """The rescoring keeps nothing between queries, so the pooled
-        batch driver's promise — results bit-identical to serial
-        execution — holds for the hybrid target. (It did not while one
-        shared reranker held the current query's vector and traffic:
-        threads rescored with each other's query.)"""
+        """The rescoring keeps nothing between queries, so threads
+        sharing one hybrid target get what serial execution gets. (They
+        did not while one shared reranker held the current query's
+        vector and traffic: threads rescored with each other's query.)
+        The batch driver forks processes, so the test runs its own
+        thread pool, with the interpreter lock switching often."""
         import sys
+        from concurrent.futures import ThreadPoolExecutor
+        from itertools import combinations
 
         from repro.batch import run_query_batch
-
-        from itertools import combinations
 
         queries = [
             f'"term{a:04d}" OR "term{b:04d}"'
@@ -126,20 +127,20 @@ class TestConcurrentQueries:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            pooled = run_query_batch(hybrid_rerank, queries, k=10,
-                                     workers=4)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                pooled = list(pool.map(
+                    lambda query: hybrid_rerank.search(query, k=10),
+                    queries))
         finally:
             sys.setswitchinterval(interval)
-        assert pooled.report.workers == 4
-        for query, one, other in zip(queries, serial.results,
-                                     pooled.results):
+        for query, one, other in zip(queries, serial.results, pooled):
             assert one.hits == other.hits, query
             assert one.modeled_seconds == other.modeled_seconds, query
 
     def test_observed_batch_runs_on_one_worker(self, corpus):
-        """A recording observer is not thread-safe, and pool threads run
-        outside the caller's scope, so the batch driver pins a hybrid
-        target batched inside a recording scope to one worker."""
+        """A forked worker's queries would record into its own copy of
+        the observer, so the batch driver keeps a hybrid target batched
+        inside a recording scope in one process."""
         from repro.api import BossSession
         from repro.batch import run_query_batch
         from repro.observability import RecordingObserver, observing
