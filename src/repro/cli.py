@@ -194,8 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="worker processes (default: 1)")
     bench.add_argument("-k", type=int, default=10)
     bench.add_argument("--repeat", type=int, default=2,
-                       help="passes over the batch; passes after the "
-                            "first run with a warm decoded-block cache")
+                       help="passes over the batch")
     bench.add_argument("--seed", type=int, default=1)
     bench.add_argument("--json", action="store_true",
                        help="emit the reports as JSON")
@@ -813,6 +812,7 @@ def _cmd_bench(args) -> int:
                 shard for r in batch.results for shard in r.shards_failed
             })
         passes.append(record)
+    workers = passes[0]["workers"]
 
     #: (title, pass-record key, display scale, format) per table column.
     columns = [("qps", "queries_per_second", 1, ".1f"),
@@ -839,29 +839,30 @@ def _cmd_bench(args) -> int:
         footer = []
     else:
         cache = target.decoded_cache
-        payload = {
-            "executor": target.executor,
-            "decoded_cache": {
-                "hits": cache.hits,
-                "misses": cache.misses,
-                "hit_rate": cache.hit_rate,
-            },
-        }
+        payload = {"executor": target.executor, "decoded_cache": None}
         where = f", {target.executor} executor"
-        footer = [f"decoded-block cache: {cache.hits} hits / "
-                  f"{cache.misses} misses ({cache.hit_rate:.1%})"]
+        # Forked workers warm and count their own copies of the cache.
+        footer = ["decoded-block cache: one per worker process, "
+                  "not reported"]
+        if workers == 1:
+            payload["decoded_cache"] = {"hits": cache.hits,
+                                        "misses": cache.misses,
+                                        "hit_rate": cache.hit_rate}
+            footer = [f"decoded-block cache: {cache.hits} hits / "
+                      f"{cache.misses} misses ({cache.hit_rate:.1%})"]
     payload["passes"] = passes
     if args.json:
         print(json.dumps(payload, indent=2))
         return 0
     print(f"{len(queries)} queries ({unique} unique){where}, "
-          f"workers={passes[0]['workers']}")
+          f"workers={workers}")
     print(f"{'pass':<6}"
           + "".join(f"{title:>10}" for title, _, _, _ in columns))
     for number, record in enumerate(passes, start=1):
-        # Engine passes differ by cache state; cluster passes by the
-        # fault schedule's draws, so those are just numbered.
-        label = number if args.shards else (
+        # One process's passes differ by its cache state; cluster
+        # passes (by the fault schedule's draws) and forked passes
+        # (each worker's own cache) are just numbered.
+        label = number if args.shards or workers > 1 else (
             "cold" if number == 1 else "warm")
         print(f"{label:<6}" + "".join(
             f"{format(record[key] * scale, spec):>10}"
@@ -1038,7 +1039,7 @@ def _serve_target(args, timed_ops):
     ``(requests, result) -> (json_stats, text_lines)``.
 
     The live, rebalancing and hybrid targets carry a modeled
-    ``service_time`` (and the first two a virtual clock), so those runs
+    ``service_time`` (the first two on a maintenance timeline), so those runs
     are pure functions of the seeds; a bare engine or cluster is timed
     on the wall clock.
     """
@@ -1116,7 +1117,7 @@ def _serve_server(target, config):
     """Step 4 of ``serve``: the server ``config`` was built for.
 
     A :class:`~repro.serving.ServingTarget` brings its modeled service
-    time and virtual clock; anything else is timed on the wall clock.
+    time; anything else is timed on the wall clock.
     """
     from repro.ioplanner import PlannedQueryServer, PlannerConfig
     from repro.serving import QueryServer, ServingTarget
@@ -1125,8 +1126,7 @@ def _serve_server(target, config):
         return PlannedQueryServer(target, config)
     if isinstance(target, ServingTarget):
         return QueryServer(target, config,
-                           service_time=target.service_time,
-                           clock=target.clock)
+                           service_time=target.service_time)
     return QueryServer(target, config)
 
 

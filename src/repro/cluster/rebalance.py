@@ -58,7 +58,7 @@ from repro.index.index import InvertedIndex
 from repro.observability.observer import current_observer
 from repro.scm.device import OPTANE_NODE_4CH
 from repro.scm.traffic import AccessClass, AccessPattern, TrafficCounter
-from repro.serving.target import advance_to_arrival, queued_read_seconds
+from repro.serving.target import MaintenanceTimeline, TimelineTarget
 
 # ----------------------------------------------------------------------
 # Move operations
@@ -302,41 +302,33 @@ class _InheritedIdf:
 # ----------------------------------------------------------------------
 
 
-class Rebalancer:
+class Rebalancer(MaintenanceTimeline):
     """Plans and executes topology moves over a live cluster.
 
     ``cluster`` is the serving :class:`~repro.cluster.root.SearchCluster`
     and ``sharded`` its :class:`~repro.cluster.sharding.ShardedCorpus`;
-    both are updated in the atomic publish step. The 4-channel Optane
-    node (``device``) prices the maintenance traffic, ``clock`` anchors
-    the maintenance busy-window on the serving timeline, and ``crash``
-    arms the ``rebalance_*`` kill-points. A destination index is rebuilt
-    with the builder's per-list codec choice and served by a BOSS
-    accelerator with top-``k`` = ``k``.
+    both are updated in the atomic publish step. Each move occupies a
+    window of the rebalancer's maintenance timeline: the 4-channel
+    Optane node prices its traffic, and ``clock`` (if any) anchors the
+    window on the serving timeline. ``crash`` arms the ``rebalance_*``
+    kill-points. A destination index is rebuilt with the builder's
+    per-list codec choice and served by a BOSS accelerator with
+    top-``k`` = ``k``.
     """
-
-    device = OPTANE_NODE_4CH
 
     def __init__(self, cluster, sharded, *, clock=None, crash=None,
                  k: int = 10) -> None:
+        super().__init__(OPTANE_NODE_4CH, clock)
         self._cluster = cluster
         self._sharded = sharded
-        self._clock = clock
         self._crash = crash
         self._leaf_config = BossConfig(k=k)
-        #: Timeline instant until which maintenance occupies the device.
-        self.busy_until = 0.0
         #: Completed (or aborted) move reports, in execution order.
         self.reports: List[MoveReport] = []
 
     def _engine(self, index: InvertedIndex) -> BossAccelerator:
         """A leaf engine over a destination index."""
         return BossAccelerator(index, self._leaf_config)
-
-    @property
-    def clock(self):
-        """The serving-timeline clock moves are anchored on (or None)."""
-        return self._clock
 
     @property
     def map_version(self) -> int:
@@ -643,8 +635,7 @@ class Rebalancer:
 
     def _finish(self, report: MoveReport) -> None:
         report.modeled_seconds = self.device.service_time(report.traffic)
-        now = self._clock.now() if self._clock is not None else 0.0
-        self.busy_until = max(self.busy_until, now) + report.modeled_seconds
+        self.occupy(report.modeled_seconds)
         self.reports.append(report)
         current_observer().emit(report)
 
@@ -674,24 +665,21 @@ class Rebalancer:
 # ----------------------------------------------------------------------
 
 
-class RebalancingClusterTarget:
+class RebalancingClusterTarget(TimelineTarget):
     """A cluster and its :class:`Rebalancer` behind the
     :class:`~repro.serving.target.ServingTarget` protocol.
 
     Queries go to the cluster; a request whose ``update`` payload is
     ``("rebalance", op)`` executes the move at its arrival instant. The
-    modeled maintenance seconds open a busy-window on the shared
-    device, and queries landing inside it queue behind the move exactly
-    as live-index queries queue behind a merge.
+    rebalancer is the timeline: a move opens a busy-window on the
+    shared device, and queries landing inside it queue behind the move
+    exactly as live-index queries queue behind a merge.
     """
 
     def __init__(self, cluster, rebalancer: Rebalancer) -> None:
         self.cluster = cluster
         self.rebalancer = rebalancer
-
-    @property
-    def clock(self):
-        return self.rebalancer.clock
+        self.timeline = rebalancer
 
     def search(self, expression, k: Optional[int] = None):
         return self.cluster.search(expression, k=k)
@@ -703,21 +691,8 @@ class RebalancingClusterTarget:
                 f"rebalancing cluster target cannot apply {kind!r} "
                 f"updates (only ('rebalance', op))"
             )
-        advance_to_arrival(self.clock, request)
+        self.timeline.advance_to_arrival(request)
         return self.rebalancer.execute(op)
-
-    def service_time(self, request, result) -> float:
-        """Timeline service time for both request kinds.
-
-        A move costs its modeled maintenance seconds; a query costs its
-        modeled read time behind whatever remains of an in-flight
-        move's busy-window
-        (:func:`~repro.serving.target.queued_read_seconds`).
-        """
-        if isinstance(result, MoveReport):
-            return result.modeled_seconds
-        return queued_read_seconds(self.rebalancer.device, result,
-                                   self.rebalancer.busy_until, request)
 
 
 #: Request id of the first move :func:`rebalance_requests` schedules, far

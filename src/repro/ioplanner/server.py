@@ -147,9 +147,11 @@ class PlannedQueryServer(QueryServer):
 
     ``target`` is anything with ``search(expression, k)`` — an engine,
     session, cluster root or :class:`~repro.serving.ServingTarget`. A
-    query's service time is its planned fetch time; an update's adds
-    the target's ``service_time``. The timeline is fully virtual and
-    deterministic; nothing sleeps.
+    query's service time is its planned fetch time, plus its wait for
+    maintenance when the target has a ``timeline``
+    (:class:`~repro.serving.target.MaintenanceTimeline`); an update's
+    adds the target's ``service_time``. The timeline is fully virtual
+    and deterministic; nothing sleeps.
 
     Only the loop differs from :class:`QueryServer`: the two share no
     admission, queue or dispatch step (dispatch on arrival over one
@@ -277,11 +279,21 @@ class PlannedQueryServer(QueryServer):
                     run_report: PlannerRunReport,
                     nodes: Dict[object, int]) -> FetchPlan:
         cfg = self._config
+        timeline = getattr(self._target, "timeline", None)
         demands: List[BlockDemand] = []
+        #: An update's service time or a query's wait for maintenance,
+        #: fixed as the request runs.
+        unplanned: Dict[int, float] = {}
         for request in admitted:
             tenant = getattr(request, "tenant", "default")
             with recording_fetches() as fetches:
                 result = execute_request(self._target, request, cfg.k)
+            if getattr(request, "update", None) is not None:
+                unplanned[request.request_id] = self._target.service_time(
+                    request, result)
+            elif timeline is not None:
+                unplanned[request.request_id] = timeline.read_delay(
+                    request.arrival_seconds)
             outcome = outcomes[request.request_id]
             outcome.result = result
             outcome.degraded = bool(getattr(result, "degraded", False))
@@ -307,10 +319,8 @@ class PlannedQueryServer(QueryServer):
             drr.charge(tenant,
                        plan.per_request_bytes.get(request.request_id, 0))
             outcome = outcomes[request.request_id]
-            seconds = plan.per_request_seconds.get(request.request_id, 0.0)
-            if getattr(request, "update", None) is not None:
-                seconds += self._target.service_time(request,
-                                                     outcome.result)
+            seconds = (plan.per_request_seconds.get(request.request_id, 0.0)
+                       + unplanned.get(request.request_id, 0.0))
             start = max(close, heapq.heappop(worker_free))
             completion = start + seconds
             heapq.heappush(worker_free, completion)

@@ -30,6 +30,7 @@ from repro.live.segments import Segment, SegmentedIndex, build_segment
 from repro.observability.observer import current_observer
 from repro.scm.device import OPTANE_NODE_4CH, MemoryDeviceModel
 from repro.scm.traffic import AccessClass, AccessPattern, TrafficCounter
+from repro.serving.target import MaintenanceTimeline
 
 
 class MergePlan:
@@ -158,15 +159,14 @@ def merge_segments(segmented: SegmentedIndex,
     return segment
 
 
-class MergeScheduler:
+class MergeScheduler(MaintenanceTimeline):
     """Runs the merge policy to quiescence on a modeled device timeline.
 
-    The device is one busy resource: every seal and merge occupies a
-    window of :meth:`~repro.scm.device.MemoryDeviceModel.service_time`
-    seconds, and windows queue FIFO behind each other starting no
-    earlier than the injected clock's *now*. ``busy_until`` is therefore
-    the earliest instant the device is free — the serving layer reads
-    it to model maintenance interference.
+    Every seal and merge occupies one window of the device's
+    :meth:`~repro.scm.device.MemoryDeviceModel.service_time` for its
+    traffic on the scheduler's own
+    :class:`~repro.serving.target.MaintenanceTimeline`; the serving
+    layer reads ``busy_until`` to model maintenance interference.
     """
 
     def __init__(self, segmented: SegmentedIndex,
@@ -174,9 +174,9 @@ class MergeScheduler:
                  clock: Optional[Clock] = None,
                  policy: Optional[MergePolicy] = None,
                  traffic: Optional[TrafficCounter] = None) -> None:
+        super().__init__(OPTANE_NODE_4CH if device is None else device,
+                         VirtualClock() if clock is None else clock)
         self.segmented = segmented
-        self.device = OPTANE_NODE_4CH if device is None else device
-        self.clock = VirtualClock() if clock is None else clock
         self.policy = MergePolicy() if policy is None else policy
         #: Shared counter every seal/merge byte lands in (the writer
         #: passes its own so ingest traffic aggregates in one place).
@@ -186,18 +186,6 @@ class MergeScheduler:
         self.seals: List[int] = []
         #: ST Index bytes written per output tier (tier 0 = seals).
         self.bytes_written_by_tier: Dict[int, int] = {}
-        self.busy_until = 0.0
-        #: Total modeled device seconds consumed by maintenance.
-        self.busy_seconds = 0.0
-
-    def occupy(self, traffic: TrafficCounter) -> Tuple[float, float]:
-        """Queue one busy window for ``traffic``; returns (start, end)."""
-        seconds = self.device.service_time(traffic)
-        start = max(self.clock.now(), self.busy_until)
-        end = start + seconds
-        self.busy_until = end
-        self.busy_seconds += seconds
-        return start, end
 
     def record_seal(self, segment: Segment) -> Tuple[float, float]:
         """Account one buffer seal: sequential ST Index write window."""
@@ -208,7 +196,7 @@ class MergeScheduler:
         tier_bytes = self.bytes_written_by_tier
         tier_bytes[0] = tier_bytes.get(0, 0) + segment.nbytes
         self.seals.append(segment.segment_id)
-        window = self.occupy(seal_traffic)
+        window = self.occupy(self.device.service_time(seal_traffic))
         current_observer().emit(segment)
         return window
 
@@ -280,7 +268,8 @@ class MergeScheduler:
             tier_bytes[plan.output_tier] = (
                 tier_bytes.get(plan.output_tier, 0) + written
             )
-        started, finished = self.occupy(merge_traffic)
+        started, finished = self.occupy(
+            self.device.service_time(merge_traffic))
         record = MergeRecord(
             output_id=None if merged is None else merged.segment_id,
             tier=plan.output_tier,

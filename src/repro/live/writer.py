@@ -24,14 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.clock import Clock, VirtualClock
+from repro.clock import VirtualClock
 from repro.errors import ConfigurationError
 from repro.live.merge import MergePolicy, MergeScheduler
 from repro.live.segments import Segment, SegmentedIndex
 from repro.observability.observer import current_observer
 from repro.scm.device import MemoryDeviceModel
 from repro.scm.traffic import AccessClass, TrafficCounter
-from repro.serving.target import advance_to_arrival, queued_read_seconds
+from repro.serving.target import TimelineTarget
 
 
 @dataclass
@@ -204,39 +204,23 @@ class LiveIndexWriter:
         ))
 
 
-class LiveServingTarget:
+class LiveServingTarget(TimelineTarget):
     """A :class:`LiveIndexWriter` behind the
     :class:`~repro.serving.target.ServingTarget` protocol.
 
     Queries go straight to the segmented index; update requests first
     advance the shared virtual clock to their arrival instant, so the
     maintenance busy-window a seal or merge opens starts exactly there
-    — repeatable run to run.
+    — repeatable run to run on the merge scheduler's timeline.
     """
 
     def __init__(self, writer: LiveIndexWriter) -> None:
         self.writer = writer
-
-    @property
-    def clock(self) -> Clock:
-        return self.writer.clock
+        self.timeline = writer.scheduler
 
     def search(self, expression, k: Optional[int] = None):
         return self.writer.index.search(expression, k=k)
 
     def apply_update(self, request) -> UpdateResult:
-        advance_to_arrival(self.clock, request)
+        self.timeline.advance_to_arrival(request)
         return self.writer.apply_update(request.update)
-
-    def service_time(self, request, result) -> float:
-        """Serving-timeline service time for both request kinds.
-
-        Updates cost their modeled maintenance seconds; queries cost
-        their modeled read time behind any still-draining seal/merge
-        window (:func:`~repro.serving.target.queued_read_seconds`).
-        """
-        if isinstance(result, UpdateResult):
-            return result.modeled_seconds
-        scheduler = self.writer.scheduler
-        return queued_read_seconds(scheduler.device, result,
-                                   scheduler.busy_until, request)

@@ -307,8 +307,9 @@ class QueryServer:
     ``service_time`` optionally replaces measured execution time on the
     serving timeline: a callable ``(request, result) -> seconds``. With
     it a serving run is a pure function of the workload — the
-    determinism tests pin exactly that. ``clock`` only measures service time (default: wall clock);
-    the serving timeline itself never sleeps.
+    determinism tests pin exactly that. Without it, ``clock`` (default:
+    wall clock) measures each request's execution; the serving timeline
+    itself never sleeps.
 
     ``width`` optionally makes a request hold more than one worker from
     dispatch to completion: a callable ``(request) -> workers``, between
@@ -528,12 +529,12 @@ class QueryServer:
 
     def _execute(self, request: Request):
         """Run the request for real; return (result, service_seconds)."""
+        if self._service_time is not None:
+            result = execute_request(self._target, request, self._config.k)
+            return result, float(self._service_time(request, result))
         start = self._clock.now()
         result = execute_request(self._target, request, self._config.k)
-        measured = self._clock.now() - start
-        if self._service_time is not None:
-            return result, float(self._service_time(request, result))
-        return result, measured
+        return result, self._clock.now() - start
 
 
 def build_serving_report(outcomes: List[RequestOutcome],

@@ -9,37 +9,33 @@ reaches the servers through one contract, :class:`ServingTarget`:
 
 * ``search`` / ``apply_update`` execute a request for real;
 * ``service_time`` is the request's *modeled* seconds on the serving
-  timeline, so a run is a pure function of its workload;
-* ``clock`` is the virtual clock the target's maintenance runs on
-  (``None`` for a target with no timeline state of its own).
+  timeline, so a run is a pure function of its workload.
 
 The I/O planner asks nothing more: it records the block fetches of
 whatever engines a request reaches
 (:func:`repro.core.engine.recording_fetches`).
 
-The two pieces of timeline mechanics every stateful target needs —
-start maintenance at the request's arrival instant, and queue reads
-behind an in-flight maintenance window — live here once.
+Maintenance (seals, merges, shard moves) and reads share one device,
+whose busy windows live on one :class:`MaintenanceTimeline`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, runtime_checkable
+from typing import Optional, Protocol, Tuple, runtime_checkable
 
 from repro.clock import Clock
+from repro.core.result import SearchResult
+from repro.scm.device import MemoryDeviceModel
 
 
 @runtime_checkable
 class ServingTarget(Protocol):
     """Structural contract of a modeled serving target.
 
-    Pass ``service_time=target.service_time, clock=target.clock`` to
+    Pass ``service_time=target.service_time`` to
     :class:`~repro.serving.server.QueryServer`; the planner's server
     needs only the target itself.
     """
-
-    #: Virtual clock shared with the target's maintenance (or None).
-    clock: Optional[Clock]
 
     def search(self, expression, k: Optional[int] = None):
         """Execute one query; ``k=None`` means the target's default."""
@@ -59,32 +55,58 @@ def execute_request(target, request, k: Optional[int]):
     return target.search(request.expression, k=k)
 
 
-def advance_to_arrival(clock, request) -> None:
-    """Move a virtual ``clock`` forward to ``request``'s arrival.
+class MaintenanceTimeline:
+    """Busy windows of maintenance on one device, queued FIFO from the
+    ``clock``'s now (0.0 with no clock). The merge scheduler and the
+    rebalancer extend it; setting ``busy_until`` declares the device
+    idle from then on."""
 
-    Maintenance a request triggers then opens its busy-window exactly
-    at the arrival instant, run after run. A wall clock (no
-    ``advance``) or a clock already past the arrival is left alone.
-    """
-    arrival = getattr(request, "arrival_seconds", None)
-    if arrival is None or not hasattr(clock, "advance"):
-        return
-    lag = arrival - clock.now()
-    if lag > 0:
-        clock.advance(lag)
+    def __init__(self, device: MemoryDeviceModel,
+                 clock: Optional[Clock]) -> None:
+        self.device = device
+        self.clock = clock
+        self.busy_until = 0.0
+        #: Total modeled device seconds consumed by maintenance.
+        self.busy_seconds = 0.0
+
+    def occupy(self, seconds: float) -> Tuple[float, float]:
+        """Queue one busy window of ``seconds``; returns (start, end)."""
+        now = 0.0 if self.clock is None else self.clock.now()
+        start = max(now, self.busy_until)
+        end = start + seconds
+        self.busy_until = end
+        self.busy_seconds += seconds
+        return start, end
+
+    def read_delay(self, arrival: float) -> float:
+        """Seconds a read arriving at ``arrival`` waits for maintenance."""
+        backlog = self.busy_until - arrival
+        return backlog if backlog > 0 else 0.0
+
+    def advance_to_arrival(self, request) -> None:
+        """Move a virtual clock forward to ``request``'s arrival, so the
+        maintenance it triggers opens its window exactly there. A wall
+        clock, no clock or a clock past the arrival is left alone."""
+        arrival = getattr(request, "arrival_seconds", None)
+        if arrival is None or not hasattr(self.clock, "advance"):
+            return
+        lag = arrival - self.clock.now()
+        if lag > 0:
+            self.clock.advance(lag)
 
 
-def queued_read_seconds(device, result, busy_until: float,
-                        request) -> float:
-    """Modeled read time of a query behind in-flight maintenance.
+class TimelineTarget:
+    """The ``service_time`` of a target whose maintenance runs on
+    ``self.timeline``, a :class:`MaintenanceTimeline`."""
 
-    The device read time of the query's traffic, extended by whatever
-    remains at its arrival of the maintenance busy-window ending at
-    ``busy_until`` — reads queue behind the seal, merge or shard move
-    on the shared device.
-    """
-    seconds = device.service_time(result.traffic)
-    backlog = busy_until - request.arrival_seconds
-    if backlog > 0:
-        seconds += backlog
-    return seconds
+    timeline: MaintenanceTimeline
+
+    def service_time(self, request, result) -> float:
+        """A maintenance report costs its ``modeled_seconds`` (``request``
+        may be None); a query, its device read time plus its read delay.
+        """
+        if not isinstance(result, SearchResult):
+            return result.modeled_seconds
+        timeline = self.timeline
+        return (timeline.device.service_time(result.traffic)
+                + timeline.read_delay(request.arrival_seconds))

@@ -230,10 +230,8 @@ class HybridServingTarget:
 
     Service time is the result's fully modeled seconds, so hybrid runs
     ride the virtual timeline; the lane is read-only and keeps no
-    timeline state, hence no clock and no updates.
+    timeline state, hence no updates.
     """
-
-    clock = None
 
     def __init__(self, hybrid: HybridSearch) -> None:
         self._hybrid = hybrid

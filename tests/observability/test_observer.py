@@ -242,6 +242,33 @@ class TestObserverContract:
         assert params == []
         assert stores == []
 
+    def test_one_module_computes_busy_windows(self):
+        """The maintenance timeline has one owner: no module under
+        ``src/repro`` but ``serving/target.py`` takes a ``max(...)``
+        over ``busy_until``, and the serving contract names no clock."""
+        import repro
+        from repro.serving import ServingTarget
+
+        root = Path(repro.__file__).parent
+        windows = []
+        for path in sorted(root.rglob("*.py")):
+            rel = path.relative_to(root).as_posix()
+            if rel == "serving/target.py":
+                continue
+            windows += [
+                f"{rel}:{node.lineno}"
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "max"
+                and "busy_until" in {
+                    getattr(sub, "attr", getattr(sub, "id", None))
+                    for arg in node.args for sub in ast.walk(arg)}
+            ]
+        assert windows == []
+        assert "clock" not in vars(ServingTarget).get("__annotations__", {})
+        assert not hasattr(ServingTarget, "clock")
+
     def test_shared_registry_can_be_injected(self):
         registry = MetricsRegistry()
         a = RecordingObserver(registry=registry)

@@ -67,8 +67,8 @@ def _workload(vocab, **kwargs):
 
 
 def _serve(target, requests):
-    return QueryServer(target, SERVING, service_time=target.service_time,
-                       clock=target.clock).serve(requests)
+    return QueryServer(target, SERVING,
+                       service_time=target.service_time).serve(requests)
 
 
 def _corpus_engine():

@@ -244,6 +244,37 @@ class TestBench:
         passes = json.loads(capsys.readouterr().out)["passes"]
         assert passes and all(p["workers"] == workers for p in passes)
 
+    BENCH = ["bench", "--queries", "32", "--unique", "8", "--scale",
+             "0.05"]
+
+    def test_one_worker_reports_its_cache_and_cold_warm_passes(
+            self, capsys):
+        import json
+
+        assert main([*self.BENCH, "--json"]) == 0
+        cache = json.loads(capsys.readouterr().out)["decoded_cache"]
+        assert set(cache) == {"hits", "misses", "hit_rate"}
+        assert cache["hits"] + cache["misses"] > 0
+        assert main(self.BENCH) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[2:4]] == ["cold", "warm"]
+        assert lines[-1].startswith("decoded-block cache: ")
+        assert "hits /" in lines[-1]
+
+    def test_forked_workers_report_no_cache_and_numbered_passes(
+            self, capsys):
+        # Each forked worker warms and counts its own copy of the
+        # cache, so the calling process's counts are not the batch's.
+        import json
+
+        assert main([*self.BENCH, "--workers", "2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["decoded_cache"] is None
+        assert main([*self.BENCH, "--workers", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[2:4]] == ["1", "2"]
+        assert lines[-1] == ("decoded-block cache: one per worker "
+                             "process, not reported")
+
 
 class TestClusterModes:
     """bench/trace --shards: fault-injected resilient cluster modes."""
