@@ -51,6 +51,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.core.engine import BossAccelerator, BossConfig
 from repro.errors import ConfigurationError, CrashError, RebalanceError
 from repro.index.builder import IndexBuilder
@@ -418,24 +420,24 @@ class Rebalancer(MaintenanceTimeline):
     # ------------------------------------------------------------------
 
     def _read_shard(self, index: InvertedIndex, report: MoveReport
-                    ) -> Tuple[Dict[str, list], Dict[str, float]]:
-        """Stream one source shard's postings (metered sequential reads)."""
-        postings: Dict[str, list] = {}
+                    ) -> Tuple[Dict[str, tuple], Dict[str, float]]:
+        """Stream one source shard's postings (metered sequential reads):
+        each term's ``(doc_ids, tfs)`` columns."""
+        postings: Dict[str, tuple] = {}
         idf_by_term: Dict[str, float] = {}
         nbytes = 0
         for term in index.terms:
             plist = index.posting_list(term)
-            decoded = [(p.doc_id, p.tf) for p in plist.decode_all()]
-            postings[term] = decoded
+            postings[term] = plist.decode_columns()
             idf_by_term[term] = plist.idf
             nbytes += plist.compressed_bytes
-            report.postings_out += len(decoded)
+            report.postings_out += plist.document_frequency
         report.traffic.record(AccessClass.LD_LIST,
                               AccessPattern.SEQUENTIAL, nbytes)
         report.read_bytes += nbytes
         return postings, idf_by_term
 
-    def _build_destination(self, postings: Dict[str, list],
+    def _build_destination(self, postings: Dict[str, tuple],
                            idf_by_term: Dict[str, float],
                            lo: int, hi: int, scorer,
                            report: MoveReport) -> InvertedIndex:
@@ -446,11 +448,12 @@ class Rebalancer(MaintenanceTimeline):
                                                           scorer))
         written = 0
         for term in sorted(postings):
-            subset = [(doc_id, tf) for doc_id, tf in postings[term]
-                      if lo <= doc_id < hi]
-            if subset:
-                builder.add_postings(term, subset)
-                written += len(subset)
+            doc_ids, tfs = postings[term]
+            start, end = np.searchsorted(doc_ids, (lo, hi)).tolist()
+            if end > start:
+                builder.add_postings(term, doc_ids[start:end].tolist(),
+                                     tfs[start:end].tolist())
+                written += end - start
         index = builder.build()
         report.traffic.record(AccessClass.ST_INDEX,
                               AccessPattern.SEQUENTIAL,
@@ -488,7 +491,9 @@ class Rebalancer(MaintenanceTimeline):
         for term, extra in more.items():
             # Disjoint docID intervals: concatenation stays sorted, and
             # both sources carry the same corpus-global IDF per term.
-            postings.setdefault(term, []).extend(extra)
+            ours = postings.get(term)
+            postings[term] = extra if ours is None else tuple(
+                map(np.concatenate, zip(ours, extra)))
         idfs.update(more_idfs)
         merged = self._build_destination(postings, idfs, lo, hi,
                                          left_src.scorer, report)
@@ -525,7 +530,7 @@ class Rebalancer(MaintenanceTimeline):
 
     def _bootstrap_from_wal(self, op: AddReplica, primary: InvertedIndex,
                             report: MoveReport
-                            ) -> Tuple[Dict[str, list], Dict[str, float]]:
+                            ) -> Tuple[Dict[str, tuple], Dict[str, float]]:
         """Recover the shard's op stream from a WAL directory.
 
         Reuses the durable writer's log reader (:func:`repro.live.wal.
@@ -553,13 +558,17 @@ class Rebalancer(MaintenanceTimeline):
             elif isinstance(record, DeleteRecord):
                 docs.pop(record.doc_id, None)
         self._check(report, "rebalance_mid_catchup")
-        postings: Dict[str, list] = {}
+        columns: Dict[str, Tuple[List[int], List[int]]] = {}
         count = 0
         for doc_id in sorted(docs):
             for term, tf in sorted(Counter(docs[doc_id]).items()):
-                postings.setdefault(term, []).append((doc_id, tf))
+                doc_ids, tfs = columns.setdefault(term, ([], []))
+                doc_ids.append(doc_id)
+                tfs.append(tf)
                 count += 1
         report.postings_out += count
+        postings = {term: (np.array(doc_ids), np.array(tfs))
+                    for term, (doc_ids, tfs) in columns.items()}
         # IDF inheritance comes from the primary the replica will mirror.
         idfs = {
             term: primary.posting_list(term).idf
@@ -585,7 +594,8 @@ class Rebalancer(MaintenanceTimeline):
         for term in primary.terms:
             ours = primary.posting_list(term)
             theirs = replica.posting_list(term)
-            if (ours.decode_all() != theirs.decode_all()
+            if (not all(map(np.array_equal, ours.decode_columns(),
+                                theirs.decode_columns()))
                     or ours.idf != theirs.idf):
                 raise RebalanceError(
                     f"{op.describe()}: bootstrap replica postings for "

@@ -117,9 +117,13 @@ def shard_documents(documents: Iterable[Sequence[str]], num_shards: int,
         shard_postings: dict = {}
         for doc_id in range(base, end):
             for term, tf in Counter(docs[doc_id]).items():
-                shard_postings.setdefault(term, []).append((doc_id, tf))
+                columns = shard_postings.get(term)
+                if columns is None:
+                    columns = shard_postings[term] = ([], [])
+                columns[0].append(doc_id)
+                columns[1].append(tf)
         for term in sorted(shard_postings):
-            builder.add_postings(term, shard_postings[term])
+            builder.add_postings(term, *shard_postings[term])
         indexes.append(builder.build())
         boundaries.append(end)
         base = end

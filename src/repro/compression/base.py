@@ -16,7 +16,7 @@ import struct
 from abc import ABC, abstractmethod
 from array import array
 from itertools import accumulate
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Type
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Type
 
 import numpy as np
 
@@ -86,8 +86,12 @@ class Codec(ABC):
     _one_pass_from: float = math.inf
 
     @abstractmethod
-    def encode(self, values: Sequence[int]) -> bytes:
-        """Compress ``values`` into a self-contained byte payload."""
+    def encode(self, values: Sequence[int],
+               widths: Optional[bytes] = None) -> bytes:
+        """Compress ``values`` into a self-contained byte payload.
+
+        ``widths``, when given, is the stream's bit-length column
+        (:meth:`_widths`), already derived by the caller."""
 
     @abstractmethod
     def decode(self, data: bytes, count: int) -> List[int]:
@@ -248,7 +252,8 @@ class Codec(ABC):
             )
         return values.astype(np.uint32)
 
-    def _widths(self, values: Sequence[int]) -> bytes:
+    def _widths(self, values: Sequence[int],
+                widths: Optional[bytes] = None) -> bytes:
         """The one pass every encoder starts from: each value's bit length.
 
         ``widths[i] == values[i].bit_length()``, as a ``bytes`` column so
@@ -257,14 +262,21 @@ class Codec(ABC):
         Python. The stream is validated on the way — two C-speed scans —
         and a stream that fails is handed to :meth:`_check_values`,
         which walks it in order to name the first offender.
+
+        A caller that already holds the column passes it as ``widths``
+        (the index builder derives every stream's column of a build in
+        one array pass); its values are non-negative by construction,
+        so only the width limit is checked.
         """
-        try:
-            widths = bytes(map(int.bit_length, values))
-        except ValueError:
-            # Some value is wider than a byte can say: over any limit.
-            widths = b"\xff"
-        if widths and (max(widths) > self.max_value_bits
-                       or min(values) < 0):
+        if widths is None:
+            try:
+                widths = bytes(map(int.bit_length, values))
+            except ValueError:
+                # Some value is wider than a byte can say: over any limit.
+                widths = b"\xff"
+            if widths and min(values) < 0:
+                self._check_values(values)
+        if widths and max(widths) > self.max_value_bits:
             self._check_values(values)
         return widths
 
@@ -281,15 +293,17 @@ class Codec(ABC):
                     f"{self.name}: value {v} exceeds {self.max_value_bits}-bit limit"
                 )
 
-    def compressed_size(self, values: Sequence[int]) -> int:
-        """``len(encode(values))``, raising whatever ``encode`` raises.
+    def compressed_size(self, values: Sequence[int],
+                        widths: Optional[bytes] = None) -> int:
+        """``len(encode(values, widths))``, raising whatever ``encode``
+        raises.
 
         The paper's five schemes override this to answer from
         :meth:`_widths` alone, without building a payload — which is
         what lets :class:`~repro.compression.hybrid.HybridSelector`
         size every candidate and encode nothing.
         """
-        return len(self.encode(values))
+        return len(self.encode(values, widths))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} name={self.name!r}>"

@@ -12,7 +12,7 @@ BP surprisingly strong on ultra-dense d-gap streams.
 from __future__ import annotations
 
 from array import array
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -29,12 +29,14 @@ class BitPackingCodec(Codec):
     max_value_bits = 32
     _one_pass_from = 160
 
-    def encode(self, values: Sequence[int]) -> bytes:
-        width = max(self._widths(values), default=0)
+    def encode(self, values: Sequence[int],
+               widths: Optional[bytes] = None) -> bytes:
+        width = max(self._widths(values, widths), default=0)
         return bytes([width]) + pack_fields(values, width)
 
-    def compressed_size(self, values: Sequence[int]) -> int:
-        widths = self._widths(values)
+    def compressed_size(self, values: Sequence[int],
+                        widths: Optional[bytes] = None) -> int:
+        widths = self._widths(values, widths)
         return 1 + (len(widths) * max(widths, default=0) + 7) // 8
 
     def decode(self, data: bytes, count: int) -> List[int]:

@@ -17,7 +17,7 @@ where to stop.
 from __future__ import annotations
 
 from array import array
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from repro.compression.base import DEFAULT_REGISTRY, Codec
 from repro.errors import CompressionError
@@ -43,8 +43,9 @@ class GroupVarintCodec(Codec):
     name = "GVB"
     max_value_bits = 32
 
-    def encode(self, values: Sequence[int]) -> bytes:
-        lengths = self._widths(values).translate(_BYTES_PER_WIDTH)
+    def encode(self, values: Sequence[int],
+               widths: Optional[bytes] = None) -> bytes:
+        lengths = self._widths(values, widths).translate(_BYTES_PER_WIDTH)
         out = bytearray()
         for start in range(0, len(values), 4):
             group = lengths[start:start + 4]

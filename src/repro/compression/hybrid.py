@@ -70,12 +70,17 @@ class HybridSelector:
         """The selector's own instance of candidate ``scheme``."""
         return self._codecs[scheme]
 
-    def select(self, values: Sequence[int]) -> SelectionResult:
-        """Return the best scheme for ``values`` and the size table."""
+    def select(self, values: Sequence[int],
+               widths: Optional[bytes] = None) -> SelectionResult:
+        """Return the best scheme for ``values`` and the size table.
+
+        ``widths`` is the stream's bit-length column when the caller
+        already holds it (:meth:`Codec._widths`); every candidate sizes
+        the stream from it."""
         sizes: Dict[str, int] = {}
         for name, codec in self._codecs.items():
             try:
-                sizes[name] = codec.compressed_size(values)
+                sizes[name] = codec.compressed_size(values, widths)
             except CompressionError:
                 continue  # scheme cannot represent this stream
         if not sizes:

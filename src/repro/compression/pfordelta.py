@@ -39,7 +39,7 @@ from __future__ import annotations
 from array import array
 from itertools import accumulate
 from operator import mul
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -197,8 +197,9 @@ class _PatchedFrameCodec(Codec):
     max_value_bits = 32
     _one_pass_from = 160
 
-    def encode(self, values: Sequence[int]) -> bytes:
-        widths = self._widths(values)
+    def encode(self, values: Sequence[int],
+               widths: Optional[bytes] = None) -> bytes:
+        widths = self._widths(values, widths)
         segments = []
         # An empty stream still carries one (empty) segment header.
         for start in range(0, max(1, len(widths)), SEGMENT_SIZE):
@@ -209,8 +210,9 @@ class _PatchedFrameCodec(Codec):
             ))
         return b"".join(segments)
 
-    def compressed_size(self, values: Sequence[int]) -> int:
-        widths = self._widths(values)
+    def compressed_size(self, values: Sequence[int],
+                        widths: Optional[bytes] = None) -> int:
+        widths = self._widths(values, widths)
         size = 0
         for start in range(0, max(1, len(widths)), SEGMENT_SIZE):
             segment = widths[start:start + SEGMENT_SIZE]

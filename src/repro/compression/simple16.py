@@ -31,7 +31,7 @@ import struct
 from array import array
 from itertools import accumulate, groupby
 from operator import lshift
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -124,9 +124,10 @@ class Simple16Codec(Codec):
     max_value_bits = 28
     _one_pass_from = 192
 
-    def encode(self, values: Sequence[int]) -> bytes:
+    def encode(self, values: Sequence[int],
+               widths: Optional[bytes] = None) -> bytes:
         words = []
-        for word in _WORDS.finditer(self._widths(values)):
+        for word in _WORDS.finditer(self._widths(values, widths)):
             selector = word.lastindex - 1
             # Fields never overlap, so summing the shifted values is
             # OR-ing them.
@@ -137,8 +138,10 @@ class Simple16Codec(Codec):
             ))
         return struct.pack(f"<{len(words)}I", *words)
 
-    def compressed_size(self, values: Sequence[int]) -> int:
-        return 4 * sum(1 for _ in _WORDS.finditer(self._widths(values)))
+    def compressed_size(self, values: Sequence[int],
+                        widths: Optional[bytes] = None) -> int:
+        return 4 * sum(1 for _ in _WORDS.finditer(
+            self._widths(values, widths)))
 
     def decode(self, data: bytes, count: int) -> List[int]:
         if len(data) % 4:

@@ -36,7 +36,7 @@ import re
 import struct
 from array import array
 from operator import lshift
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -123,9 +123,10 @@ class Simple8bCodec(Codec):
     max_value_bits = 32  # values above 32 bits never arise from d-gaps
     _one_pass_from = 224
 
-    def encode(self, values: Sequence[int]) -> bytes:
+    def encode(self, values: Sequence[int],
+               widths: Optional[bytes] = None) -> bytes:
         words = []
-        for word in _WORDS.finditer(self._widths(values)):
+        for word in _WORDS.finditer(self._widths(values, widths)):
             selector = word.lastindex - 1
             # Fields never overlap, so summing the shifted values is
             # OR-ing them; a zero-run word is its selector alone.
@@ -136,8 +137,10 @@ class Simple8bCodec(Codec):
             ))
         return struct.pack(f"<{len(words)}Q", *words)
 
-    def compressed_size(self, values: Sequence[int]) -> int:
-        return 8 * sum(1 for _ in _WORDS.finditer(self._widths(values)))
+    def compressed_size(self, values: Sequence[int],
+                        widths: Optional[bytes] = None) -> int:
+        return 8 * sum(1 for _ in _WORDS.finditer(
+            self._widths(values, widths)))
 
     def decode(self, data: bytes, count: int) -> List[int]:
         if len(data) % 8:

@@ -17,7 +17,7 @@ Values up to 32 bits therefore occupy one to five bytes.
 from __future__ import annotations
 
 from array import array
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from repro.compression.base import DEFAULT_REGISTRY, Codec
 from repro.errors import CompressionError
@@ -42,8 +42,9 @@ class VarByteCodec(Codec):
     name = "VB"
     max_value_bits = 32
 
-    def encode(self, values: Sequence[int]) -> bytes:
-        if max(self._widths(values), default=0) <= 7:
+    def encode(self, values: Sequence[int],
+               widths: Optional[bytes] = None) -> bytes:
+        if max(self._widths(values, widths), default=0) <= 7:
             # Every value is its own terminator byte: one C-speed pass
             # (iter() so that a buffer such as array('I') is read by
             # element, not by raw byte).
@@ -64,8 +65,9 @@ class VarByteCodec(Codec):
             append(v & 0x7F | 0x80)
         return bytes(out)
 
-    def compressed_size(self, values: Sequence[int]) -> int:
-        return sum(self._widths(values).translate(_BYTES_PER_WIDTH))
+    def compressed_size(self, values: Sequence[int],
+                        widths: Optional[bytes] = None) -> int:
+        return sum(self._widths(values, widths).translate(_BYTES_PER_WIDTH))
 
     def decode(self, data: bytes, count: int) -> List[int]:
         values: List[int] = []

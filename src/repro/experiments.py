@@ -239,9 +239,8 @@ class Evaluation:
                 for name, generator in sorted(SYNTHETIC_STREAMS.items())]
         for workload in (self.clueweb, self.ccnews):  # top-60 d-gap lists
             rows.append(row(workload.corpus.spec.name, [
-                deltas_from_doc_ids([
-                    p.doc_id
-                    for p in workload.index.posting_list(term).decode_all()])
+                deltas_from_doc_ids(workload.index.posting_list(term)
+                                    .decode_columns()[0].tolist())
                 for term in workload.corpus.terms_by_df()[:60]]))
         return rows
 

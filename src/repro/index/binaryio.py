@@ -152,7 +152,7 @@ def write_image(out: BinaryIO, index: InvertedIndex) -> None:
         list(chain.from_iterable(field)) for field in fields] or [[]] * 8
     records = np.zeros(len(firsts), RECORD)
     records["first"], records["last"] = firsts, lasts
-    records["max"] = [ceil_float32(score) for score in block_max]
+    records["max"] = ceil_float32(block_max)
     records["offset"] = starts
     packed = ((np.array(counts, dtype=np.int64) - 1)
               | np.array(widths, dtype=np.int64) << 7

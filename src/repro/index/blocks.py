@@ -26,10 +26,11 @@ demand, for the reference decoder, the deep validator and tooling.
 
 from __future__ import annotations
 
-import struct
 from array import array
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from repro.compression.base import Codec
 from repro.compression.delta import (
@@ -48,9 +49,6 @@ BLOCK_METADATA_BYTES = 19
 
 #: A stored ``tf - 1`` at or above this has a tf wider than 32 bits.
 STORED_TF_LIMIT = 0xFFFFFFFF
-
-_F32 = struct.Struct("<f")
-_U32 = struct.Struct("<I")
 
 
 def tf_overflow(codec: Codec) -> CompressionError:
@@ -170,15 +168,15 @@ def decode_payload_arrays(codec: Codec, doc_payload, tf_payload,
         raise tf_overflow(codec) from None
 
 
-def ceil_float32(score: float) -> float:
-    """``score`` rounded *up* to float32, the record's 4-byte max
-    term-score field, which must never understate its block (scores
-    are non-negative, so the next float32 up is the next bit pattern)."""
-    (rounded,) = _F32.unpack(_F32.pack(score))
-    if rounded < score:
-        (bits,) = _U32.unpack(_F32.pack(rounded))
-        (rounded,) = _F32.unpack(_U32.pack(bits + 1))
-    return rounded
+def ceil_float32(scores) -> np.ndarray:
+    """``scores`` (a float or a float64 vector) rounded *up* to float32,
+    elementwise: the record's 4-byte max term-score field, which must
+    never understate its block. A value the nearest float32 rounds down
+    takes the next float32 toward +inf."""
+    scores = np.asarray(scores, dtype=np.float64)
+    rounded = scores.astype(np.float32)
+    return np.where(rounded < scores,
+                    np.nextafter(rounded, np.float32(np.inf)), rounded)
 
 
 def encode_block(doc_ids: Sequence[int], tfs: Sequence[int],
@@ -186,8 +184,10 @@ def encode_block(doc_ids: Sequence[int], tfs: Sequence[int],
     """Compress one run of postings, given as columns: its docID
     payload, its tf payload and the record's bit-width field.
 
-    ``doc_ids`` (strictly increasing) and ``tfs`` are parallel; the
-    index builder slices them straight out of its posting-list columns.
+    ``doc_ids`` (strictly increasing) and ``tfs`` are parallel. The
+    index builder produces the same three outputs for every block of a
+    build from whole-build columns (:class:`~repro.index.builder.
+    IndexBuilder`); this per-block form is :func:`build_block`'s.
     """
     if not doc_ids:
         raise InvertedIndexError("cannot build an empty block")

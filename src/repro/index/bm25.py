@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -138,23 +138,3 @@ class BM25Scorer:
         normalizer = self._normalizers[doc_id]
         k1 = self._params.k1
         return idf * (tf * (k1 + 1.0)) / (tf + normalizer)
-
-    def max_term_score(self, document_frequency: int,
-                       postings: Iterable,
-                       idf: float = None) -> float:
-        """Upper-bound term score over ``postings`` (``(docID, tf)`` pairs).
-
-        Used at indexing time to fill the block metadata's "maximum
-        term-score" field and the per-list bound used by the WAND union
-        module's pre-calculated lookup table. Pass ``idf`` explicitly
-        when corpus-global statistics override the local df (sharded
-        deployments).
-        """
-        if idf is None:
-            idf = self.idf(document_frequency)
-        best = 0.0
-        for doc_id, tf in postings:
-            score = self.term_score(idf, tf, doc_id)
-            if score > best:
-                best = score
-        return best

@@ -198,6 +198,15 @@ class CompressedPostingList:
         return [(both[start:end], both[total + start:total + end])
                 for start, end in zip([0] + ends, ends)]
 
+    def decode_columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The whole list as two ``uint32`` columns, ``(doc_ids, tfs)``:
+        :meth:`decode_arrays`' blocks end to end."""
+        blocks = self.decode_arrays()
+        return (np.frombuffer(b"".join(ids for ids, _tfs in blocks),
+                              np.uint32),
+                np.frombuffer(b"".join(tfs for _ids, tfs in blocks),
+                              np.uint32))
+
     def decode_all(self) -> List[Posting]:
         """Decompress the entire list (ground truth for tests)."""
         postings: List[Posting] = []

@@ -148,7 +148,7 @@ def validate_index(index: InvertedIndex,
                     for doc_id, tf in zip(doc_ids, tfs)
                 )
                 list_max_true = max(list_max_true, true_max)
-                stored = ceil_float32(true_max)
+                stored = float(ceil_float32(true_max))
                 if block_max != stored:
                     report._error(
                         f"{label}: max term-score {block_max} is not the "

@@ -109,12 +109,16 @@ class MemSegment:
             return 0
         return tfs.get(term, 0)
 
-    def postings_by_term(self) -> Dict[str, List[Tuple[int, int]]]:
-        """``term -> [(docID, tf), ...]`` with ascending docIDs."""
-        out: Dict[str, List[Tuple[int, int]]] = {}
+    def postings_by_term(self) -> Dict[str, Tuple[List[int], List[int]]]:
+        """``term -> (docIDs, tfs)``, two columns with ascending docIDs."""
+        out: Dict[str, Tuple[List[int], List[int]]] = {}
         for doc_id in sorted(self._docs):
             for term, tf in self._docs[doc_id].items():
-                out.setdefault(term, []).append((doc_id, tf))
+                columns = out.get(term)
+                if columns is None:
+                    columns = out[term] = ([], [])
+                columns[0].append(doc_id)
+                columns[1].append(tf)
         return out
 
     def items(self) -> Iterable[Tuple[int, Counter]]:

@@ -22,7 +22,10 @@ device stretch far longer than on DRAM.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.clock import Clock, VirtualClock
 from repro.errors import ConfigurationError, InvertedIndexError
@@ -124,31 +127,52 @@ def merge_segments(segmented: SegmentedIndex,
     Returns ``None`` when every input document was deleted.
     """
     traffic = TrafficCounter() if traffic is None else traffic
-    combined: Dict[str, List[Tuple[int, int]]] = {}
     doc_lengths: Dict[int, int] = {}
     doc_terms: Dict[int, Tuple[str, ...]] = {}
+    dead: List[int] = []
+    # Every input list decoded onto two columns, and its term and
+    # length, in read order.
+    id_column, tf_column = array("I"), array("I")
+    terms: List[str] = []
+    sizes: List[int] = []
     for segment in inputs:
         traffic.record(AccessClass.LD_LIST, AccessPattern.SEQUENTIAL,
                        segment.nbytes)
-        dead = segment.tombstones
+        dead += segment.tombstones
         for doc_id, length in segment.doc_lengths.items():
-            if doc_id not in dead:
+            if doc_id not in segment.tombstones:
                 doc_lengths[doc_id] = length
                 doc_terms[doc_id] = segment.doc_terms[doc_id]
         for term in segment.index.terms:
             posting_list = segment.index.posting_list(term)
-            survivors = [
-                posting
-                for doc_ids, tfs in posting_list.decode_arrays()
-                for posting in zip(doc_ids, tfs)
-                if posting[0] not in dead
-            ]
-            if survivors:
-                combined.setdefault(term, []).extend(survivors)
+            for block_ids, block_tfs in posting_list.decode_arrays():
+                id_column.extend(block_ids)
+                tf_column.extend(block_tfs)
+            terms.append(term)
+            sizes.append(posting_list.document_frequency)
+    if not terms:
+        return None
+    names = sorted(set(terms))
+    rank = {term: at for at, term in enumerate(names)}
+    doc_ids = np.frombuffer(id_column, np.uint32)
+    tfs = np.frombuffer(tf_column, np.uint32)
+    owners = np.repeat([rank[term] for term in terms], sizes)
+    if dead:
+        live = ~np.isin(doc_ids, dead)
+        doc_ids, tfs, owners = doc_ids[live], tfs[live], owners[live]
+    # The survivors grouped by term, each term's docIDs ascending (the
+    # inputs hold disjoint docIDs).
+    order = np.lexsort((doc_ids, owners))
+    doc_ids, tfs = doc_ids[order].tolist(), tfs[order].tolist()
+    combined: Dict[str, Tuple[List[int], List[int]]] = {}
+    end = 0
+    for term, count in zip(names, np.bincount(
+            owners, minlength=len(names)).tolist()):
+        if count:
+            combined[term] = (doc_ids[end:end + count], tfs[end:end + count])
+        end += count
     if not combined:
         return None
-    for postings in combined.values():
-        postings.sort(key=lambda posting: posting[0])
     segment = build_segment(
         segmented.next_segment_id(), output_tier, combined,
         doc_lengths, doc_terms, segmented.stats,

@@ -79,8 +79,10 @@ from __future__ import annotations
 import math
 import threading
 from collections import Counter
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
 
 from repro.core.engine import BossAccelerator, BossConfig
 from repro.core.query import (
@@ -172,14 +174,16 @@ class Segment:
 
 
 def build_segment(segment_id: int, tier: int,
-                  postings_by_term: Dict[str, Sequence[Tuple[int, int]]],
+                  postings_by_term: Dict[str, Tuple[Sequence[int],
+                                                    Sequence[int]]],
                   doc_lengths: Dict[int, int],
                   doc_terms: Dict[int, Tuple[str, ...]],
                   stats: LiveStatistics,
                   schemes: Optional[Sequence[str]] = None) -> Segment:
     """Seal postings (global docIDs) into an immutable :class:`Segment`.
 
-    The compressed output is byte-identical to a fresh
+    ``postings_by_term`` maps each term to its ``(docIDs, tfs)``
+    columns. The compressed output is byte-identical to a fresh
     :class:`~repro.index.builder.IndexBuilder` build of the same
     postings under the same statistics: codec selection depends only on
     the d-gap stream, and the scorer/IDF inputs are snapshots of the
@@ -190,15 +194,27 @@ def build_segment(segment_id: int, tier: int,
     builder = IndexBuilder(params=stats.params, schemes=schemes,
                            global_stats=stats.global_statistics(),
                            scorer=stats.scorer())
-    block_max_tfs: Dict[str, List[int]] = {}
-    for term in sorted(postings_by_term):
-        postings = list(postings_by_term[term])
-        builder.add_postings(term, postings)
-        block_max_tfs[term] = [
-            max(tf for _doc, tf in postings[start:start + BLOCK_SIZE])
-            for start in range(0, len(postings), BLOCK_SIZE)
-        ]
+    terms = sorted(postings_by_term)
+    for term in terms:
+        builder.add_postings(term, *postings_by_term[term])
     index = builder.build()
+    # Every term's tf column end to end: block b starts at
+    # block_starts[b], and a term's blocks run term_blocks[i]:[i + 1].
+    tf_columns = [postings_by_term[term][1] for term in terms]
+    block_starts: List[int] = []
+    term_blocks = [0]
+    total = 0
+    for tfs in tf_columns:
+        block_starts += range(total, total + len(tfs), BLOCK_SIZE)
+        total += len(tfs)
+        term_blocks.append(len(block_starts))
+    maxima = np.maximum.reduceat(
+        np.fromiter(chain.from_iterable(tf_columns), np.int64, total),
+        block_starts).tolist()
+    block_max_tfs = {
+        term: maxima[low:high]
+        for term, low, high in zip(terms, term_blocks, term_blocks[1:])
+    }
     return Segment(
         segment_id=segment_id,
         index=index,

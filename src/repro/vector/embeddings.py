@@ -117,8 +117,8 @@ def embed_index(index, seed: int = 0) -> CorpusEmbeddings:
 
     term_vectors: Dict[str, np.ndarray] = {}
     for term in index.terms:
-        doc_ids = [p.doc_id for p in index.posting_list(term).decode_all()]
-        mean = doc_vectors[np.asarray(doc_ids, dtype=np.int64)].mean(axis=0)
+        doc_ids, _tfs = index.posting_list(term).decode_columns()
+        mean = doc_vectors[doc_ids].mean(axis=0)
         norm = float(np.linalg.norm(mean))
         if norm == 0:
             mean = topics[0].astype(np.float64)

@@ -182,6 +182,17 @@ class IVFIndex:
 # ---------------------------------------------------------------------------
 
 
+def _group(assignment: np.ndarray,
+           num_clusters: int) -> Tuple[np.ndarray, List[int]]:
+    """Every cluster's members as one run of docIDs: cluster ``c`` holds
+    ``order[bounds[c]:bounds[c + 1]]``, ascending (a stable sort of the
+    assignment)."""
+    order = np.argsort(assignment, kind="stable")
+    bounds = [0]
+    bounds += np.bincount(assignment, minlength=num_clusters).cumsum().tolist()
+    return order, bounds
+
+
 def _spherical_kmeans(vectors: np.ndarray,
                       num_clusters: int) -> Tuple[np.ndarray, np.ndarray]:
     """Deterministic spherical k-means; returns (centroids, assignment).
@@ -191,6 +202,12 @@ def _spherical_kmeans(vectors: np.ndarray,
     assignment resolve to the lowest cluster id; an emptied cluster is
     reseeded on the document least served by its current centroid. No
     randomness — the build is a pure function.
+
+    Each round groups the members once: a stable sort of the assignment
+    lists every cluster's docIDs as one contiguous, ascending run, so a
+    cluster's mean is taken over exactly the rows, in exactly the order,
+    a per-cluster mask would select. A reseed moves one document between
+    clusters, so it regroups before the next cluster is averaged.
     """
     n = len(vectors)
     idx = np.linspace(0, n - 1, num_clusters).astype(np.int64)
@@ -202,16 +219,18 @@ def _spherical_kmeans(vectors: np.ndarray,
         sims = np.matmul(vectors, centroids.T, out=sims)
         assignment = np.argmax(sims, axis=1)
         best = sims[np.arange(n), assignment]
+        order, bounds = _group(assignment, num_clusters)
         for cid in range(num_clusters):
-            members = assignment == cid
-            if not members.any():
+            start, end = bounds[cid], bounds[cid + 1]
+            if start == end:
                 # Reseed on the globally worst-served document.
                 worst = int(np.argmin(best))
                 centroids[cid] = vectors[worst]
                 assignment[worst] = cid
                 best[worst] = 1.0
+                order, bounds = _group(assignment, num_clusters)
                 continue
-            mean = vectors[members].mean(axis=0)
+            mean = vectors[order[start:end]].mean(axis=0)
             norm = float(np.linalg.norm(mean))
             centroids[cid] = (
                 mean / norm if norm > 0 else centroids[cid]
@@ -265,8 +284,9 @@ def build_ivf(embeddings: CorpusEmbeddings,
     )
     clusters: List[ClusterLayout] = []
     base = 0
+    order, bounds = _group(assignment, num_clusters)
     for cid in range(num_clusters):
-        doc_ids = np.flatnonzero(assignment == cid).astype(np.int64)
+        doc_ids = order[bounds[cid]:bounds[cid + 1]].astype(np.int64)
         codes, scales = _quantize(vectors[doc_ids], codec)
         nbytes = len(doc_ids) * per_vector
         clusters.append(ClusterLayout(

@@ -123,7 +123,8 @@ class SyntheticCorpus:
         sigma = 0.6
         mu = np.log(spec.mean_doc_length) - sigma ** 2 / 2
         lengths = self._rng.lognormal(mu, sigma, size=spec.num_docs)
-        return [max(8, int(x)) for x in lengths]
+        # Truncated toward zero (the draws are positive), at least 8.
+        return np.maximum(lengths.astype(np.int64), 8).tolist()
 
     def _draw_term_dfs(self) -> Dict[str, int]:
         spec = self.spec
@@ -188,10 +189,7 @@ class SyntheticCorpus:
             boosted = tf_rng.geometric(max(0.05, p / 3.0), size=len(doc_ids))
             tfs = np.where(clustered, np.maximum(tfs, boosted), tfs)
             tfs = np.minimum(tfs, 64)
-            builder.add_postings(
-                term, list(zip((int(d) for d in doc_ids),
-                               (int(t) for t in tfs)))
-            )
+            builder.add_postings(term, doc_ids.tolist(), tfs.tolist())
         return builder.build()
 
 

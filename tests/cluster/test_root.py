@@ -171,7 +171,7 @@ class TestPruning:
         b1, b2 = IndexBuilder(), IndexBuilder()
         b1.add_document(["apple", "pear"])
         b2.declare_documents([2, 2])
-        b2.add_postings("kiwi", [(1, 1)])
+        b2.add_postings("kiwi", [1], [1])
         cluster = SearchCluster([
             BossAccelerator(b1.build(), BossConfig(k=5)),
             BossAccelerator(b2.build(), BossConfig(k=5)),

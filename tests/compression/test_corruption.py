@@ -104,7 +104,7 @@ def _two_block_list(scheme):
 
     builder = IndexBuilder(schemes=[scheme])
     builder.declare_documents([10] * 200)
-    builder.add_postings("w", [(doc, 1) for doc in range(200)])
+    builder.add_postings("w", range(200), [1] * 200)
     return builder.build().posting_list("w")
 
 

@@ -15,7 +15,7 @@ def _index_with_list(doc_ids, tfs=None):
     builder = IndexBuilder(schemes=["BP"])
     builder.declare_documents([20] * (doc_ids[-1] + 1))
     tfs = tfs or [1] * len(doc_ids)
-    builder.add_postings("w", list(zip(doc_ids, tfs)))
+    builder.add_postings("w", doc_ids, tfs)
     return builder.build()
 
 

@@ -14,7 +14,7 @@ def _index(postings_by_term, num_docs):
     builder = IndexBuilder(schemes=["BP"])
     builder.declare_documents([20] * num_docs)
     for term, postings in postings_by_term.items():
-        builder.add_postings(term, postings)
+        builder.add_postings(term, *zip(*postings))
     return builder.build()
 
 

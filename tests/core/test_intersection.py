@@ -21,7 +21,7 @@ def _build_index(term_postings, num_docs):
     builder = IndexBuilder(schemes=["BP"])
     builder.declare_documents([25] * num_docs)
     for term, postings in term_postings.items():
-        builder.add_postings(term, postings)
+        builder.add_postings(term, *zip(*postings))
     return builder.build()
 
 
@@ -407,8 +407,8 @@ def test_property_production_equals_reference(seed, scheme, k):
     terms = [f"w{i}" for i in range(5)]
     for term in terms:
         df = rng.randrange(2 * BLOCK_SIZE + 1, 5 * BLOCK_SIZE)  # >= 3 blocks
-        builder.add_postings(term, _postings(
-            sorted(rng.sample(range(num_docs), df)), rng))
+        builder.add_postings(term, *zip(*_postings(
+            sorted(rng.sample(range(num_docs), df)), rng)))
     index = builder.build()
     assert all(index.posting_list(t).num_blocks >= 3 for t in terms)
     _check(index, [_random_expression(rng, terms) for _ in range(3)], k=k)

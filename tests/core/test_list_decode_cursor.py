@@ -30,7 +30,7 @@ def _index(scheme, corrupt_block=None):
     builder = IndexBuilder(schemes=[scheme])
     builder.declare_documents([12] * 400)
     for term, postings in POSTINGS.items():
-        builder.add_postings(term, postings)
+        builder.add_postings(term, *zip(*postings))
     index = builder.build()
     if corrupt_block is not None:
         # An empty d-gap payload: no codec decodes a posting from it.

@@ -18,7 +18,7 @@ def _build_index(term_postings, num_docs):
     builder = IndexBuilder(schemes=["BP"])
     builder.declare_documents([25] * num_docs)
     for term, postings in term_postings.items():
-        builder.add_postings(term, postings)
+        builder.add_postings(term, *zip(*postings))
     return builder.build()
 
 

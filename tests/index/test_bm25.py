@@ -2,10 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InvertedIndexError
+from repro.index.blocks import BLOCK_SIZE
 from repro.index.bm25 import BM25Parameters, BM25Scorer
+from repro.index.builder import IndexBuilder
 
 
 class TestParameters:
@@ -103,13 +106,35 @@ class TestScorer:
         assert short > long
 
     def test_max_term_score(self):
-        scorer = BM25Scorer([100] * 20)
-        postings = [(0, 1), (3, 9), (7, 2)]
-        expected = max(
-            scorer.term_score(scorer.idf(3), tf, d) for d, tf in postings
-        )
-        assert scorer.max_term_score(3, postings) == pytest.approx(expected)
+        """The builder's block and list maxima are the scalar formula's
+        maximum over each block, bit for bit (the block field rounded up
+        to float32)."""
+        lengths = [17 + (7 * d) % 90 for d in range(400)]
+        builder = IndexBuilder()
+        builder.declare_documents(lengths)
+        doc_ids = list(range(3, 400, 2))
+        tfs = [1 + (d * 5) % 11 for d in doc_ids]
+        builder.add_postings("w", doc_ids, tfs)
+        index = builder.build()
+        scorer, plist = index.scorer, index.posting_list("w")
+        assert plist.idf == scorer.idf(len(doc_ids))
+        maxima = [
+            max(scorer.term_score(plist.idf, tf, d) for d, tf in zip(
+                doc_ids[start:start + BLOCK_SIZE],
+                tfs[start:start + BLOCK_SIZE]))
+            for start in range(0, len(doc_ids), BLOCK_SIZE)]
+        assert plist.num_blocks == len(maxima) == 2
+        assert plist.max_term_score == max(maxima)
+        for stored, exact in zip(plist.block_max, maxima):
+            assert stored == float(np.float32(exact)) or (
+                stored == float(np.nextafter(np.float32(exact),
+                                             np.float32(np.inf))))
+            assert stored >= exact
 
     def test_max_term_score_empty(self):
-        scorer = BM25Scorer([100])
-        assert scorer.max_term_score(1, []) == 0.0
+        """No block is empty, so no maximum starts from nothing: the
+        builder refuses an empty list."""
+        builder = IndexBuilder()
+        builder.declare_documents([100])
+        with pytest.raises(InvertedIndexError, match="empty posting list"):
+            builder.add_postings("w", [], [])

@@ -56,7 +56,7 @@ class TestPostingPath:
     def test_add_postings(self):
         builder = IndexBuilder()
         builder.declare_documents([10] * 100)
-        builder.add_postings("w", [(0, 1), (50, 3), (99, 2)])
+        builder.add_postings("w", [0, 50, 99], [1, 3, 2])
         index = builder.build()
         postings = index.posting_list("w").decode_all()
         assert [(p.doc_id, p.tf) for p in postings] == [(0, 1), (50, 3), (99, 2)]
@@ -64,14 +64,14 @@ class TestPostingPath:
     def test_duplicate_term_rejected(self):
         builder = IndexBuilder()
         builder.declare_documents([10] * 10)
-        builder.add_postings("w", [(0, 1)])
+        builder.add_postings("w", [0], [1])
         with pytest.raises(InvertedIndexError):
-            builder.add_postings("w", [(1, 1)])
+            builder.add_postings("w", [1], [1])
 
     def test_doc_id_beyond_corpus_rejected(self):
         builder = IndexBuilder()
         builder.declare_documents([10] * 5)
-        builder.add_postings("w", [(7, 1)])
+        builder.add_postings("w", [7], [1])
         with pytest.raises(InvertedIndexError):
             builder.build()
 
@@ -87,9 +87,9 @@ class TestCompression:
         builder = IndexBuilder()
         builder.declare_documents([10] * 100_000)
         # Ultra-dense list (consecutive docIDs, gaps of 0).
-        builder.add_postings("dense", [(d, 1) for d in range(5000)])
+        builder.add_postings("dense", range(5000), [1] * 5000)
         # Sparse list with huge gaps.
-        builder.add_postings("sparse", [(d * 97 + 13, 1) for d in range(800)])
+        builder.add_postings("sparse", range(13, 800 * 97, 97), [1] * 800)
         index = builder.build()
         # Both decode correctly whatever was chosen.
         assert len(index.posting_list("dense").decode_all()) == 5000
@@ -102,15 +102,15 @@ class TestCompression:
     def test_pinned_scheme(self):
         builder = IndexBuilder(schemes=["VB"])
         builder.declare_documents([10] * 100)
-        builder.add_postings("w", [(d, 1) for d in range(50)])
+        builder.add_postings("w", range(50), [1] * 50)
         index = builder.build()
         assert index.posting_list("w").scheme == "VB"
 
     def test_blocks_partitioned_at_128(self):
         builder = IndexBuilder(schemes=["BP"])
         builder.declare_documents([10] * 1000)
-        builder.add_postings("w", [(d, 1) for d in range(300)])
-        builder.add_postings("exact", [(d, 1) for d in range(256)])
+        builder.add_postings("w", range(300), [1] * 300)
+        builder.add_postings("exact", range(256), [1] * 256)
         index = builder.build()
         pl = index.posting_list("w")
         assert pl.num_blocks == 3
@@ -121,7 +121,8 @@ class TestCompression:
     def test_block_max_scores_bound_postings(self):
         builder = IndexBuilder()
         builder.declare_documents([10] * 2000)
-        builder.add_postings("w", [(d, (d % 9) + 1) for d in range(500)])
+        builder.add_postings("w", range(500),
+                             [(d % 9) + 1 for d in range(500)])
         index = builder.build()
         pl = index.posting_list("w")
         scorer = index.scorer
@@ -134,7 +135,8 @@ class TestCompression:
     def test_list_max_is_max_of_blocks(self):
         builder = IndexBuilder()
         builder.declare_documents([10] * 2000)
-        builder.add_postings("w", [(d, (d % 9) + 1) for d in range(500)])
+        builder.add_postings("w", range(500),
+                             [(d % 9) + 1 for d in range(500)])
         index = builder.build()
         pl = index.posting_list("w")
         assert pl.max_term_score == pytest.approx(
@@ -146,8 +148,8 @@ class TestLayout:
     def test_regions_disjoint(self):
         builder = IndexBuilder()
         builder.declare_documents([10] * 1000)
-        builder.add_postings("a", [(d, 1) for d in range(400)])
-        builder.add_postings("b", [(d, 1) for d in range(300)])
+        builder.add_postings("a", range(400), [1] * 400)
+        builder.add_postings("b", range(300), [1] * 300)
         index = builder.build()
         ra = index.posting_list("a").region
         rb = index.posting_list("b").region
@@ -156,7 +158,7 @@ class TestLayout:
     def test_block_addresses_within_region(self):
         builder = IndexBuilder()
         builder.declare_documents([10] * 1000)
-        builder.add_postings("a", [(d, 1) for d in range(400)])
+        builder.add_postings("a", range(400), [1] * 400)
         index = builder.build()
         pl = index.posting_list("a")
         for i in range(pl.num_blocks):

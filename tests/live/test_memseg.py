@@ -29,8 +29,8 @@ class TestMemSegment:
         seg.add(7, Counter({"a": 1}), 1)
         seg.add(2, Counter({"a": 4, "b": 1}), 5)
         assert seg.postings_by_term() == {
-            "a": [(2, 4), (7, 1)],
-            "b": [(2, 1)],
+            "a": ([2, 7], [4, 1]),
+            "b": ([2], [1]),
         }
 
     def test_duplicate_and_empty_add_rejected(self):

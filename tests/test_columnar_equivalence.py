@@ -466,12 +466,12 @@ def _paced_index(gaps):
     builder.declare_documents([rng.randrange(20, 60)
                                for _ in range(num_docs)])
     for term, df in lead_dfs.items():
-        builder.add_postings(term, [(doc, rng.randrange(1, 6))
-                                    for doc in range(df)])
+        builder.add_postings(term, *zip(*[(doc, rng.randrange(1, 6))
+                                          for doc in range(df)]))
     for gap in gaps:
-        builder.add_postings(f"pace_{gap}", [
+        builder.add_postings(f"pace_{gap}", *zip(*[
             (doc, rng.randrange(1, 6))
-            for doc in range(gap, num_docs, gap + 1)])
+            for doc in range(gap, num_docs, gap + 1)]))
     index = builder.build()
     assert [index.posting_list(t).num_blocks for t in lead_dfs] == [1, 1, 2]
     return index, sorted(lead_dfs)
@@ -537,10 +537,10 @@ def test_tied_sort_keys(twins, k, cache):
                      sorted(rng.sample(range(num_docs), 300))]
     terms = [f"twin{i}" for i in range(twins)]
     for term in terms:
-        builder.add_postings(term, twin_postings)
-    builder.add_postings("other", [
+        builder.add_postings(term, *zip(*twin_postings))
+    builder.add_postings("other", *zip(*[
         (doc, rng.randrange(1, 6))
-        for doc in sorted(rng.sample(range(num_docs), 200))])
+        for doc in sorted(rng.sample(range(num_docs), 200))]))
     index = builder.build()
     twins_or = " OR ".join(f'"{term}"' for term in terms)
     queries = [twins_or, f'{twins_or} OR "other"', f'"other" OR {twins_or}']

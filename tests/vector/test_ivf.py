@@ -5,7 +5,49 @@ import pytest
 
 from repro.errors import ConfigurationError, InvertedIndexError
 from repro.vector import build_ivf, load_ivf, save_ivf
-from repro.vector.ivf import DOC_ID_BYTES, MAGIC, _payload_bytes_per_vector
+from repro.vector.ivf import (
+    DOC_ID_BYTES,
+    KMEANS_ITERS,
+    MAGIC,
+    _payload_bytes_per_vector,
+    _spherical_kmeans,
+)
+
+
+def mask_loop_kmeans(vectors, num_clusters):
+    """The k-means as it was before members were grouped once a round:
+    one boolean mask and one gather per cluster. Also returns how many
+    empty clusters it reseeded."""
+    n = len(vectors)
+    idx = np.linspace(0, n - 1, num_clusters).astype(np.int64)
+    centroids = vectors[idx].copy()
+    reseeds = 0
+    sims = None
+    for _ in range(KMEANS_ITERS):
+        sims = np.matmul(vectors, centroids.T, out=sims)
+        assignment = np.argmax(sims, axis=1)
+        best = sims[np.arange(n), assignment]
+        for cid in range(num_clusters):
+            members = assignment == cid
+            if not members.any():
+                worst = int(np.argmin(best))
+                centroids[cid] = vectors[worst]
+                assignment[worst] = cid
+                best[worst] = 1.0
+                reseeds += 1
+                continue
+            mean = vectors[members].mean(axis=0)
+            norm = float(np.linalg.norm(mean))
+            centroids[cid] = mean / norm if norm > 0 else centroids[cid]
+    centroids = centroids.astype(np.float32)
+    sims = np.matmul(vectors, centroids.T, out=sims)
+    return centroids, np.argmax(sims, axis=1), reseeds
+
+
+def unit_rows(rng, rows, dim=16):
+    matrix = rng.standard_normal((rows, dim))
+    return (matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
+            ).astype(np.float32)
 
 
 class TestBuild:
@@ -15,6 +57,32 @@ class TestBuild:
         for a, b in zip(ivf_fp32.clusters, again.clusters):
             assert np.array_equal(a.doc_ids, b.doc_ids)
             assert np.array_equal(a.codes, b.codes)
+
+    @pytest.mark.parametrize("rows,copies,num_clusters,twin_seeds", [
+        (5, 8, 12, False),   # more clusters than distinct points
+        (3, 20, 9, False),
+        (200, 1, 14, True),  # twin seed points: mixed clusters reseed
+        (60, 1, 8, True),
+        (200, 1, 14, False),  # no reseed
+    ])
+    def test_grouped_kmeans_matches_the_mask_loop(self, rows, copies,
+                                                  num_clusters, twin_seeds):
+        rng = np.random.default_rng(rows)
+        vectors = unit_rows(rng, rows).repeat(copies, axis=0)
+        vectors = vectors[rng.permutation(len(vectors))]
+        if twin_seeds:
+            # Every other evenly spaced seed copies its predecessor, so
+            # round one empties a cluster while its neighbours still
+            # hold distinct rows, and the reseed moves one of them.
+            seeds = np.linspace(0, len(vectors) - 1,
+                                num_clusters).astype(np.int64)
+            vectors[seeds[1::2]] = vectors[seeds[::2]]
+        centroids, assignment = _spherical_kmeans(vectors, num_clusters)
+        expected, expected_assignment, reseeds = mask_loop_kmeans(
+            vectors, num_clusters)
+        assert (reseeds > 0) == (twin_seeds or num_clusters > rows)
+        assert centroids.tobytes() == expected.tobytes()
+        assert np.array_equal(assignment, expected_assignment)
 
     def test_default_cluster_count_is_sqrt(self, embeddings, ivf_fp32):
         expected = max(1, int(round(embeddings.num_docs ** 0.5)))
