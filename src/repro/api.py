@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Union
 
 from repro.core.engine import RESULT_ENTRY_BYTES, BossAccelerator, BossConfig
 from repro.core.mai import MemoryAccessInterface
-from repro.core.query import parse_query
+from repro.core.query import QueryNode, parse_query
 from repro.core.result import SearchResult, best_hits
 from repro.decompressor.configs import BUILTIN_PROGRAMS
 from repro.decompressor.program import DecompressorProgram, parse_program
@@ -42,6 +42,11 @@ from repro.sim.timing import TERMS_PER_CORE
 #: Hardware limit: four chained BOSS cores of 4-way mergers (Section IV-D).
 MAX_QUERY_TERMS = 16
 
+#: Distinct expressions a session keeps parsed. A query log repeats its
+#: popular expressions; a session that has seen more than this many
+#: starts its memo over.
+PARSE_MEMO_ENTRIES = 1024
+
 
 class BossSession:
     """A host <-> BOSS communication session over one memory node."""
@@ -56,6 +61,8 @@ class BossSession:
         self._mapped_bytes = 0
         self._vector_engine = None
         self._hybrid_cache: Dict[tuple, object] = {}
+        #: Expression -> parsed tree (the trees are immutable).
+        self._parsed: Dict[str, QueryNode] = {}
         self.mai = MemoryAccessInterface()
 
     @property
@@ -138,7 +145,7 @@ class BossSession:
         undersized ``resultAddr`` buffer.
         """
         self._require_init()
-        node = parse_query(q_expression)
+        node = self._parse(q_expression)
         effective_k = self._config.k if k is None else k
         if (result_size is not None
                 and result_size < RESULT_ENTRY_BYTES * effective_k):
@@ -184,8 +191,20 @@ class BossSession:
         from repro.batch import run_query_batch
 
         for q_expression in q_expressions:
-            self._check_arguments(parse_query(q_expression))
+            self._check_arguments(self._parse(q_expression))
         return run_query_batch(self, q_expressions)
+
+    def _parse(self, q_expression: str) -> QueryNode:
+        """``parse_query``, memoized per session: a malformed expression
+        is never kept, so it raises every time."""
+        parsed = self._parsed
+        node = parsed.get(q_expression)
+        if node is None:
+            node = parse_query(q_expression)
+            if len(parsed) >= PARSE_MEMO_ENTRIES:
+                parsed.clear()
+            parsed[q_expression] = node
+        return node
 
     # ------------------------------------------------------------------
     # Vector / hybrid lane

@@ -5,7 +5,8 @@ Every block cache in the repository keeps its bookkeeping in one core,
 recently used first, with a running ``used`` weight. A cache is a
 policy over it — what a block weighs and when to evict:
 
-* :class:`DecodedBlockCache` — weight 1 per decoded block, capacity in
+* :class:`DecodedBlockCache` — an entry is a whole decoded list
+  weighing its block count (or a lone block weighing 1), capacity in
   blocks, behind a lock (see below).
 * :class:`repro.ioplanner.tier.DramTier` — the one simulated DRAM tier
   in front of SCM (an extension study; the paper cites compressed
@@ -134,12 +135,26 @@ DEFAULT_DECODED_CACHE_BLOCKS = 8192
 
 
 class DecodedBlockCache:
-    """LRU cache of decompressed blocks, keyed ``(term, block, scheme)``.
+    """LRU cache of decompressed blocks, capacity counted in *blocks*.
 
     Holds the fast path's decoded ``(docID array, tf array)`` pairs so
-    repeated touches of a hot block skip decompression entirely.
-    Capacity is counted in *blocks* (each is at most 128 postings), not
-    bytes, since decoded blocks are near-uniform in size.
+    repeated touches of a hot block skip decompression entirely. An
+    entry is one of two shapes in the one LRU core:
+
+    * a **list** entry, keyed ``(term, scheme)``: every block of a list
+      decoded in one pass (:meth:`prefill`), as ``{block: pair}``,
+      weighing its block count. A cursor looks it up once
+      (:meth:`decoded_list`) and then indexes its blocks, and it is
+      recent or evicted as a whole — a miss re-decodes the whole list
+      anyway;
+    * a **block** entry, keyed ``(term, block, scheme)``, weighing 1:
+      what :meth:`put` stores when the block's list is not resident
+      whole (a list that does not decode whole, or a caller putting
+      blocks one at a time).
+
+    ``hits`` and ``misses`` count *blocks*: a :meth:`get` counts
+    itself, and a cursor reading blocks out of a list entry reports
+    them with :meth:`count_hits`.
 
     Thread-safe: threads searching one engine share one instance, so
     lookups and insertions take an internal lock. Cached arrays are
@@ -163,7 +178,7 @@ class DecodedBlockCache:
 
     @property
     def num_blocks(self) -> int:
-        return len(self._lru)
+        return self._lru.used
 
     @property
     def hit_rate(self) -> float:
@@ -173,46 +188,88 @@ class DecodedBlockCache:
     def get(self, term: str, block_index: int, scheme: str):
         """Look up a decoded block; returns the pair or ``None``."""
         key = (term, block_index, scheme)
-        # The fast path's per-block hit: one lookup and one
-        # move_to_end on the core's map, no core method call.
         entries = self._lru.entries
         with self._lock:
             entry = entries.get(key)
-            if entry is None:
+            if entry is not None:
+                decoded = entry[1]
+            else:
+                key = (term, scheme)
+                entry = entries.get(key)
+                decoded = (None if entry is None
+                           else entry[1].get(block_index))
+            if decoded is None:
                 self.misses += 1
                 return None
             entries.move_to_end(key)
             self.hits += 1
+        return decoded
+
+    def decoded_list(self, term: str, scheme: str):
+        """A list entry's ``{block: pair}``, made most recent, or None.
+
+        Counts nothing: the caller counts a hit per block it reads from
+        it (:meth:`count_hits`), and looks up a block it does not find
+        with :meth:`get`.
+        """
+        key = (term, scheme)
+        entries = self._lru.entries
+        with self._lock:
+            entry = entries.get(key)
+            if entry is None:
+                return None
+            entries.move_to_end(key)
         return entry[1]
+
+    def count_hits(self, blocks: int) -> None:
+        """Count ``blocks`` hits read out of :meth:`decoded_list`."""
+        with self._lock:
+            self.hits += blocks
 
     def put(self, term: str, block_index: int, scheme: str,
             decoded) -> None:
-        """Insert a freshly decoded ``(doc_ids, tfs)`` pair."""
-        key = (term, block_index, scheme)
+        """Insert a freshly decoded ``(doc_ids, tfs)`` pair: into its
+        list's entry when that holds the block, else as a block entry."""
         lru = self._lru
+        entries = lru.entries
         with self._lock:
+            key = (term, scheme)
+            entry = entries.get(key)
+            if entry is not None and block_index in entry[1]:
+                entry[1][block_index] = decoded
+                entries.move_to_end(key)
+                return
+            key = (term, block_index, scheme)
             lru.pop(key)
             lru.push(key, 1, decoded)
             while lru.used > self.capacity_blocks:
                 lru.pop_lru()
 
-    def prefill(self, term: str, scheme: str, decoded: Iterable) -> None:
-        """Insert the other blocks of a list decoded in one pass.
+    def prefill(self, term: str, scheme: str, decoded: Iterable) -> dict:
+        """Insert a list decoded in one pass as one list entry.
 
         ``decoded`` yields ``(block_index, (doc_ids, tfs))``. A block
-        already resident is left as it is (its arrays, and so any
-        score cache keyed on their identity, stay valid); the rest go
-        in at the MRU end, with the usual evictions. Nobody looked
-        these blocks up, so neither ``hits`` nor ``misses`` moves —
-        the caller's own lookup missed and is followed by its
-        :meth:`put` of the block it asked for.
+        already resident — in the list's entry or as a block entry — is
+        kept as it is (its arrays, and so any score cache keyed on
+        their identity, stay valid) and joins the list entry; the entry
+        goes in at the MRU end, with the usual evictions. Nobody looked
+        these blocks up, so neither ``hits`` nor ``misses`` moves — the
+        caller's own lookup missed and is followed by its :meth:`put`
+        of the block it asked for. Returns the entry's ``{block:
+        pair}``.
         """
+        blocks = dict(decoded)
         lru = self._lru
-        entries = lru.entries
+        key = (term, scheme)
         with self._lock:
-            for block_index, pair in decoded:
-                key = (term, block_index, scheme)
-                if key not in entries:
-                    lru.push(key, 1, pair)
+            entry = lru.pop(key)
+            if entry is not None:
+                blocks.update(entry[1])
+            for block_index in blocks:
+                entry = lru.pop((term, block_index, scheme))
+                if entry is not None:
+                    blocks[block_index] = entry[1]
+            lru.push(key, len(blocks), blocks)
             while lru.used > self.capacity_blocks:
                 lru.pop_lru()
+        return blocks

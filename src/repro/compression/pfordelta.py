@@ -338,11 +338,27 @@ class OptPFDCodec(_PatchedFrameCodec):
     name = "OptPFD"
 
     def _choose_frame(self, histogram: Sequence[int]) -> Tuple[int, int]:
-        # The narrowest of the widths with the smallest size. A segment
-        # holds at most SEGMENT_SIZE values, so no width needs more
-        # than 255 patches.
+        # The narrowest of the widths with the smallest size
+        # (``_segment_size``), every width sized in one walk from the
+        # widest down. A value ``d`` bits wider than the frame patches
+        # ``_PATCH_BYTES[d - 1]`` = 2 + (d - 1) // 7 bytes, so one step
+        # narrower adds 2 bytes per value that just stopped fitting
+        # and 1 per value whose excess passes a multiple of 7: those
+        # ``b`` bits long with ``b`` = the old width (mod 7), summed by
+        # residue in ``longer``. A segment holds at most SEGMENT_SIZE
+        # values, so no width needs more than 255 patches.
         count = sum(histogram)
-        sizes = [_segment_size(histogram, count, width)
-                 for width in range(len(histogram))]
-        smallest = min(sizes)
-        return sizes.index(smallest), smallest
+        width = len(histogram) - 1
+        smallest = 2 + (count * width + 7) // 8
+        chosen = width
+        patches = 0
+        longer = [0] * 7
+        for width in range(width - 1, -1, -1):
+            fitted = histogram[width + 1]
+            residue = (width + 1) % 7
+            patches += 2 * fitted + longer[residue]
+            longer[residue] += fitted
+            size = 2 + (count * width + 7) // 8 + patches
+            if size <= smallest:
+                chosen, smallest = width, size
+        return chosen, smallest

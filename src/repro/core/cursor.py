@@ -17,6 +17,15 @@ the paper's block fetch module does:
 
 The invariant is: *an undecoded current block always has the cursor at
 its first posting*, whose docID is the metadata's first-docID field.
+
+A cursor pays its bookkeeping per list, not per block. Work counters
+move at each block transition, but the ``LD List`` traffic is a tally
+(metadata blocks in ``WorkCounters.metadata_inspected``, payload bytes
+in the cursor) that :func:`settle` writes as the query's one ``LD
+List`` record when the query is done; and on the production path the
+cursor looks its list up in the decoded-block cache once, then indexes
+the list's blocks (:class:`repro.cache.DecodedBlockCache`). The fetch
+log stays per block.
 """
 
 from __future__ import annotations
@@ -43,7 +52,8 @@ class ListCursor:
                  "_skip_class", "_block_index", "_position",
                  "_decoded_doc_ids", "_decoded_tfs", "_lasts", "_firsts",
                  "_metadata_read_upto", "_decoded_cache",
-                 "_last_fetched_block", "_num_blocks")
+                 "_last_fetched_block", "_num_blocks", "_payload_bytes",
+                 "_decoded_blocks", "_cache_hits")
 
     def __init__(self, posting_list: CompressedPostingList,
                  work: WorkCounters, traffic: TrafficCounter,
@@ -82,6 +92,13 @@ class ListCursor:
         #: Host-side :class:`repro.cache.DecodedBlockCache`: the
         #: production path. None takes the per-value reference decoder.
         self._decoded_cache = decoded_cache
+        #: The list's decoded blocks, ``{block: (doc_ids, tfs)}``, as
+        #: the cache held them at this cursor's first decode (None: not
+        #: looked up yet), and the blocks read out of them since.
+        self._decoded_blocks: Optional[dict] = None
+        self._cache_hits = 0
+        #: Payload bytes fetched so far: :func:`settle` writes them.
+        self._payload_bytes = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -164,7 +181,7 @@ class ListCursor:
         self._ensure_decoded()
         self._position += 1
         if self._position >= len(self._decoded_doc_ids):
-            self._enter_block(self._block_index + 1, skipped=False)
+            self._enter_block(self._block_index + 1)
 
     def advance_to(self, target: int) -> Optional[int]:
         """Move to the first posting with docID >= ``target``.
@@ -190,16 +207,21 @@ class ListCursor:
                     ids, target, position + 1
                 )
                 return ids[position]
-            self._enter_block(self._block_index + 1, skipped=False)
+            self._enter_block(self._block_index + 1)
 
-        # Metadata-guided block skip.
-        while not self.exhausted:
-            self._charge_metadata(self._block_index)
-            if self._lasts[self._block_index] >= target:
-                break
-            self._enter_block(self._block_index + 1, skipped=True)
-        if self.exhausted:
+        # Metadata-guided block skip: the landing block is the first
+        # whose last docID reaches the target. Every block up to it has
+        # its metadata inspected, and every block before it is skipped.
+        index = self._block_index
+        num_blocks = self._num_blocks
+        if index >= num_blocks:
             return None
+        landing = bisect_left(self._lasts, target, index)
+        self._charge_metadata(min(landing, num_blocks - 1))
+        if landing > index:
+            self._enter_block(landing, skipped=landing - index)
+            if landing == num_blocks:
+                return None
         # Landing block: fetch only if the target is strictly inside it.
         if self._firsts[self._block_index] >= target:
             return self._firsts[self._block_index]
@@ -211,12 +233,14 @@ class ListCursor:
     # Internals
     # ------------------------------------------------------------------
 
-    def _enter_block(self, new_index: int, skipped: bool) -> None:
+    def _enter_block(self, new_index: int, skipped: int = 0) -> None:
+        """Move to the start of block ``new_index``, ``skipped`` blocks
+        passed over undecoded on the way."""
         if skipped:
             if self._skip_class == SKIP_OVERLAP:
-                self._work.blocks_skipped_overlap += 1
+                self._work.blocks_skipped_overlap += skipped
             elif self._skip_class == SKIP_ET:
-                self._work.blocks_skipped_et += 1
+                self._work.blocks_skipped_et += skipped
         self._block_index = new_index
         self._position = 0
         self._decoded_doc_ids = None
@@ -229,20 +253,29 @@ class ListCursor:
             raise SimulationError(f"cursor for {self.term!r} exhausted")
         plist, index = self._list, self._block_index
         self._charge_metadata(index)
-        # Functional decode: the production path looks in the
-        # decoded-block cache and decodes the whole list on a miss; a
-        # cursor with no cache runs the per-value reference decoder.
-        # How the arrays are *obtained* is a host-side wall-clock
-        # concern only.
+        # Functional decode: the production path reads the block out of
+        # the list's decoded-cache entry, looked up once per cursor, and
+        # decodes the whole list on a miss; a cursor with no cache runs
+        # the per-value reference decoder. How the arrays are *obtained*
+        # is a host-side wall-clock concern only.
         cache = self._decoded_cache
         if cache is None:
             postings = plist.decode_block(index)
             decoded = ([p.doc_id for p in postings],
                        [p.tf for p in postings])
         else:
-            decoded = cache.get(plist.term, index, plist.scheme)
-            if decoded is None:
-                decoded = self._decode_list(cache)
+            blocks = self._decoded_blocks
+            if blocks is None:
+                blocks = self._decoded_blocks = (
+                    cache.decoded_list(plist.term, plist.scheme) or {}
+                )
+            decoded = blocks.get(index)
+            if decoded is not None:
+                self._cache_hits += 1
+            else:
+                decoded = cache.get(plist.term, index, plist.scheme)
+                if decoded is None:
+                    decoded = self._decode_list(cache)
         self._decoded_doc_ids, self._decoded_tfs = decoded
         # Modeled accounting is unconditional — the simulated accelerator
         # fetches and decompresses this block regardless of what the
@@ -251,17 +284,16 @@ class ListCursor:
         nbytes = plist.ends[index] - plist.starts[index]
         self._work.blocks_fetched += 1
         self._work.postings_decoded += plist.counts[index]
-        self._traffic.record(AccessClass.LD_LIST, AccessPattern.SEQUENTIAL,
-                             nbytes)
+        self._payload_bytes += nbytes
         if self._fetch_log is not None:
             # The observed pattern of *this* fetch: sequential only when
             # it continues the previous fetched block (block 0 counts as
             # the sequential start of the stream). The aggregate device
-            # model above counts every payload as sequential — the
-            # accelerator's block fetch module streams metadata-directed
-            # loads ahead of demand — but the serving-layer cache/planner
-            # studies replay per-block demand fetches, where a skip
-            # landing is a random read.
+            # model (:func:`settle`) counts every payload as sequential —
+            # the accelerator's block fetch module streams
+            # metadata-directed loads ahead of demand — but the
+            # serving-layer cache/planner studies replay per-block demand
+            # fetches, where a skip landing is a random read.
             fetched_pattern = (AccessPattern.SEQUENTIAL
                                if index == self._last_fetched_block + 1
                                else AccessPattern.RANDOM)
@@ -271,12 +303,13 @@ class ListCursor:
 
     def _decode_list(self, cache) -> Tuple[Sequence[int], Sequence[int]]:
         """A decoded-cache miss: decode the whole list in one pass, put
-        the demanded block and prefill the others (a cold pass goes on
-        to decode nearly every block of the lists it touches; see
-        ``docs/columnar.md``, "The list decoder"). A list that does not
-        decode whole — some block is corrupt — falls back to the
-        demanded block alone, which raises exactly when that block is
-        the corrupt one, and prefills nothing."""
+        it in as one entry and ``put`` the demanded block (a cold pass
+        goes on to decode nearly every block of the lists it touches;
+        see ``docs/columnar.md``, "The list decoder"); the cursor reads
+        its later blocks out of that entry. A list that does not decode
+        whole — some block is corrupt — falls back to the demanded block
+        alone, which raises exactly when that block is the corrupt one,
+        and prefills nothing."""
         index = self._block_index
         plist = self._list
         try:
@@ -284,24 +317,46 @@ class ListCursor:
         except CompressionError:
             decoded = plist.decode_block_arrays(index)
         else:
-            decoded = blocks[index]
-            cache.prefill(plist.term, plist.scheme,
-                          [(i, pair) for i, pair in enumerate(blocks)
-                           if i != index])
+            self._decoded_blocks = cache.prefill(
+                plist.term, plist.scheme, enumerate(blocks))
+            decoded = self._decoded_blocks[index]
         cache.put(plist.term, index, plist.scheme, decoded)
         return decoded
 
     def _charge_metadata(self, block_index: int) -> None:
-        """Charge 19-byte metadata reads, once per block, in order."""
-        if block_index <= self._metadata_read_upto:
-            return
-        new_blocks = block_index - self._metadata_read_upto
-        self._metadata_read_upto = block_index
-        self._work.metadata_inspected += new_blocks
-        # The metadata array is contiguous: sequential reads.
-        self._traffic.record(
-            AccessClass.LD_LIST,
-            AccessPattern.SEQUENTIAL,
-            BLOCK_METADATA_BYTES * new_blocks,
-            accesses=new_blocks,
+        """Inspect metadata records up to ``block_index``, each once, in
+        order: 19 bytes of contiguous, sequential reads apiece, which
+        :func:`settle` writes from ``WorkCounters.metadata_inspected``."""
+        if block_index > self._metadata_read_upto:
+            self._work.metadata_inspected += (block_index
+                                              - self._metadata_read_upto)
+            self._metadata_read_upto = block_index
+
+
+def settle(cursors: Sequence[ListCursor]) -> None:
+    """Write what one query's cursors tallied.
+
+    The cursors are one query's: they share its
+    :class:`~repro.sim.metrics.WorkCounters`,
+    :class:`~repro.scm.traffic.TrafficCounter` and decoded-block cache,
+    and nothing else moved those work counters' metadata and fetch
+    counts. The query's ``LD List`` traffic is one sequential record:
+    19 bytes per inspected metadata record plus every fetched payload,
+    one access per record and per payload. The blocks the cursors read
+    out of their lists' cache entries count as the cache's hits. Call
+    it once, when the query is done.
+    """
+    if not cursors:
+        return
+    work = cursors[0]._work
+    accesses = work.metadata_inspected + work.blocks_fetched
+    if accesses:
+        cursors[0]._traffic.record(
+            AccessClass.LD_LIST, AccessPattern.SEQUENTIAL,
+            BLOCK_METADATA_BYTES * work.metadata_inspected
+            + sum(cursor._payload_bytes for cursor in cursors),
+            accesses=accesses,
         )
+    hits = sum(cursor._cache_hits for cursor in cursors)
+    if hits:
+        cursors[0]._decoded_cache.count_hits(hits)

@@ -31,6 +31,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import (
+    Callable,
     Collection,
     Dict,
     Iterator,
@@ -45,7 +46,7 @@ from repro.core.columnar import (
     run_grouped_intersection_fast,
     run_union_columnar,
 )
-from repro.core.cursor import SKIP_ET, SKIP_OVERLAP, ListCursor
+from repro.core.cursor import SKIP_ET, SKIP_OVERLAP, ListCursor, settle
 from repro.core.groups import GroupCursor
 from repro.core.intersection import run_grouped_intersection
 from repro.core.query import (
@@ -89,6 +90,11 @@ EXECUTORS = ("reference", "fast", "columnar")
 
 #: The open :func:`recording_fetches` scope's logs, or None.
 _FETCHES: ContextVar[Optional[Dict]] = ContextVar("fetches", default=None)
+
+#: Opens one query's cursor on a term with a skip class: what the
+#: execution paths get from :meth:`BossAccelerator.search`, which
+#: settles every cursor it opened when the query is done.
+OpenCursor = Callable[[str, str], ListCursor]
 
 
 @contextmanager
@@ -140,9 +146,9 @@ class BlockActivity:
     :class:`WorkCounters` and the engine's decoded-block cache — so the
     cursor's inner loop never calls the observer. On the production
     path a decode happens exactly when the cache misses, and decodes
-    the missing block's whole list (the other blocks are prefilled, so
-    their first lookups hit); the reference path keeps no cache and
-    decodes every fetched block.
+    the missing block's whole list (its other blocks then count as
+    hits as the cursor reads them); the reference path keeps no cache
+    and decodes every fetched block.
     """
 
     work: WorkCounters
@@ -294,19 +300,35 @@ class BossAccelerator:
         work = WorkCounters()
         traffic = TrafficCounter()
         topk = TopKQueue(k, floor=floor, exclude=exclude)
+        cursors: List[ListCursor] = []
+
+        def open_cursor(term: str, skip_class: str) -> ListCursor:
+            fetches = _FETCHES.get()
+            cursor = ListCursor(
+                self._index.posting_list(term), work, traffic,
+                skip_class=skip_class,
+                fetch_log=(None if fetches is None
+                           else fetches.setdefault(self, [])),
+                decoded_cache=self._decoded_cache,
+            )
+            cursors.append(cursor)
+            return cursor
 
         if self._is_term_or_term_union(node):
-            self._execute_union(node, topk, work, traffic)
+            self._execute_union(node, topk, work, open_cursor)
         elif isinstance(node, AndNode) and all(
             self._is_term_or_term_union(c) for c in node.children
         ):
-            self._execute_and_of_groups(node, topk, work, traffic)
+            self._execute_and_of_groups(node, topk, work, open_cursor)
         else:
-            self._execute_general(node, topk, work, traffic)
+            self._execute_general(node, topk, work, open_cursor)
 
         hits = topk.results()
         work.topk_inserts = max(work.topk_inserts, topk.inserts)
 
+        # Posting-list loads: the query's one LD List record, first of
+        # its buckets as the cursors' first metadata reads were.
+        settle(cursors)
         # Scoring metadata loads: one small random read per evaluated doc.
         traffic.record(
             AccessClass.LD_SCORE,
@@ -349,11 +371,8 @@ class BossAccelerator:
     # ------------------------------------------------------------------
 
     def _execute_union(self, node: QueryNode, topk: TopKQueue,
-                       work: WorkCounters, traffic: TrafficCounter) -> None:
-        terms = node.terms()
-        cursors = [
-            self._cursor(t, work, traffic, SKIP_ET) for t in terms
-        ]
+                       work: WorkCounters, open_cursor: OpenCursor) -> None:
+        cursors = [open_cursor(t, SKIP_ET) for t in node.terms()]
         config = self._config
         et = dict(et_block=config.et_block, et_wand=config.et_wand,
                   interval_blocks=config.et_interval_blocks)
@@ -369,14 +388,11 @@ class BossAccelerator:
 
     def _execute_and_of_groups(self, node: AndNode, topk: TopKQueue,
                                work: WorkCounters,
-                               traffic: TrafficCounter) -> None:
+                               open_cursor: OpenCursor) -> None:
         """Q2/Q4/Q6 path: AND over terms and OR-of-term groups."""
         groups: List[GroupCursor] = []
         for child in node.children:
-            members = [
-                self._cursor(t, work, traffic, SKIP_OVERLAP)
-                for t in child.terms()
-            ]
+            members = [open_cursor(t, SKIP_OVERLAP) for t in child.terms()]
             groups.append(GroupCursor(members, work))
         if self._fast_path:
             run_grouped_intersection_fast(groups, work, self._index.scorer,
@@ -387,7 +403,7 @@ class BossAccelerator:
 
     def _execute_general(self, node: QueryNode, topk: TopKQueue,
                          work: WorkCounters,
-                         traffic: TrafficCounter) -> None:
+                         open_cursor: OpenCursor) -> None:
         """Fallback: rewrite to a union of intersections and merge.
 
         Every conjunction runs as a pipelined intersection; the branch
@@ -407,8 +423,7 @@ class BossAccelerator:
         for branch in branches:
             groups = [
                 GroupCursor(
-                    [self._cursor(t, work, traffic, SKIP_OVERLAP)
-                     for t in child.terms()],
+                    [open_cursor(t, SKIP_OVERLAP) for t in child.terms()],
                     work,
                 )
                 for child in (
@@ -425,10 +440,8 @@ class BossAccelerator:
         # including terms the matching branch did not touch; probe the
         # remaining lists monotonically to complete the tf maps.
         all_terms = sorted(set(node.terms()))
-        probes = {
-            term: self._cursor(term, work, traffic, SKIP_OVERLAP)
-            for term in all_terms
-        }
+        probes = {term: open_cursor(term, SKIP_OVERLAP)
+                  for term in all_terms}
         for doc, tfs in matches:
             for term in all_terms:
                 if term in tfs:
@@ -471,19 +484,6 @@ class BossAccelerator:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-
-    def _cursor(self, term: str, work: WorkCounters,
-                traffic: TrafficCounter, skip_class: str) -> ListCursor:
-        fetches = _FETCHES.get()
-        return ListCursor(
-            self._index.posting_list(term),
-            work,
-            traffic,
-            skip_class=skip_class,
-            fetch_log=(None if fetches is None
-                       else fetches.setdefault(self, [])),
-            decoded_cache=self._decoded_cache,
-        )
 
     def _check_terms(self, node: QueryNode) -> None:
         missing = [t for t in node.terms() if t not in self._index]

@@ -82,11 +82,6 @@ class PostingList:
                 checked.append(doc_id, tf)
         return cls(term, doc_ids, tfs)
 
-    def extend(self, postings: Sequence[Posting]) -> None:
-        """Append many postings, preserving the ordering invariant."""
-        for posting in postings:
-            self.append(posting.doc_id, posting.tf)
-
     @property
     def document_frequency(self) -> int:
         """Number of documents containing the term (``df``)."""

@@ -47,10 +47,11 @@ class AccessClass(Enum):
     # a member pair on every call.
     __hash__ = object.__hash__
 
-    @property
-    def is_write(self) -> bool:
-        return self in (AccessClass.ST_INTER, AccessClass.ST_RESULT,
-                        AccessClass.ST_INDEX)
+    def __init__(self, label: str) -> None:
+        #: Stores are the write side of the bandwidth asymmetry. A
+        #: per-member constant: the traffic aggregations read it once
+        #: per bucket for every request the serving loops price.
+        self.is_write = label.startswith("ST ")
 
 
 class AccessPattern(Enum):

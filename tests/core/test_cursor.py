@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.cursor import SKIP_ET, SKIP_OVERLAP, ListCursor
+from repro.core.cursor import SKIP_ET, SKIP_OVERLAP, ListCursor, settle
 from repro.errors import SimulationError
 from repro.index import IndexBuilder
 from repro.index.blocks import BLOCK_METADATA_BYTES, BLOCK_SIZE
@@ -154,6 +154,7 @@ class TestAccounting:
         cursor.advance_to(2 * BLOCK_SIZE)
         cursor.advance_to(2 * BLOCK_SIZE)  # repeat: no extra charge
         assert work.metadata_inspected == 3
+        settle([cursor])
         metadata_bytes = traffic.bytes_for(AccessClass.LD_LIST,
                                            AccessPattern.SEQUENTIAL)
         assert metadata_bytes == 3 * BLOCK_METADATA_BYTES
@@ -162,6 +163,7 @@ class TestAccounting:
         index = _index_with_list(list(range(100)))
         cursor, _, traffic = _cursor(index)
         cursor.current_tf()  # force one block fetch
+        settle([cursor])
         payload = index.posting_list("w").blocks[0].compressed_bytes
         total = traffic.bytes_for(AccessClass.LD_LIST)
         assert total == payload + BLOCK_METADATA_BYTES
@@ -282,3 +284,134 @@ class TestAdvanceToEveryPair:
             assert state == (cursor._block_index, cursor._position,
                              cursor._decoded_doc_ids is not None,
                              work.blocks_fetched, work.metadata_inspected)
+
+
+class TestAdvanceToAgainstPerBlockModel:
+    """``advance_to``'s one-bisect skip against the per-block walk it
+    replaced: metadata inspected block by block up to the landing block,
+    one skip per block passed, a payload fetched only for a target
+    strictly inside the landing block. Lists of 1 to 12 blocks, random
+    (start, target) pairs under each skip class; the comparison covers
+    the landing docID, both skip counters, ``metadata_inspected``, and
+    the settled ``LD List`` bytes and accesses."""
+
+    class _Model:
+        """The per-block walk, over the list's docIDs and payload sizes."""
+
+        def __init__(self, doc_ids, payloads):
+            self.blocks = [doc_ids[i:i + BLOCK_SIZE]
+                           for i in range(0, len(doc_ids), BLOCK_SIZE)]
+            self.payloads = payloads
+            self.block = self.position = 0
+            self.decoded = False
+            self.upto = -1
+            self.fetched = self.payload = self.skipped = 0
+
+        def _charge(self, block):
+            self.upto = max(self.upto, block)
+
+        def _fetch(self):
+            self._charge(self.block)
+            self.fetched += 1
+            self.payload += self.payloads[self.block]
+            self.decoded = True
+
+        def advance_to(self, target):
+            if self.block >= len(self.blocks):
+                return None
+            if self.decoded:
+                ids = self.blocks[self.block]
+                for position in range(self.position, len(ids)):
+                    if ids[position] >= target:
+                        self.position = position
+                        return ids[position]
+                self.block, self.position = self.block + 1, 0
+                self.decoded = False
+            while self.block < len(self.blocks):
+                self._charge(self.block)
+                if self.blocks[self.block][-1] >= target:
+                    break
+                self.skipped += 1
+                self.block, self.position = self.block + 1, 0
+                self.decoded = False
+            else:
+                return None
+            ids = self.blocks[self.block]
+            if ids[0] >= target:
+                return ids[0]
+            self._fetch()
+            self.position = next(i for i, doc in enumerate(ids)
+                                 if doc >= target)
+            return ids[self.position]
+
+    @pytest.mark.parametrize("skip_class", [SKIP_ET, SKIP_OVERLAP, "none"])
+    def test_random_pairs_on_1_to_12_blocks(self, skip_class):
+        import random
+
+        rng = random.Random(f"advance:{skip_class}")
+        for num_blocks in range(1, 13):
+            count = (num_blocks - 1) * BLOCK_SIZE + rng.randint(1, BLOCK_SIZE)
+            doc_ids, doc = [], -1
+            for _ in range(count):
+                doc += rng.choice((1, 1, 2, 3, 9))
+                doc_ids.append(doc)
+            index = _index_with_list(doc_ids)
+            plist = index.posting_list("w")
+            assert plist.num_blocks == num_blocks
+            payloads = [end - start
+                        for start, end in zip(plist.starts, plist.ends)]
+            firsts = doc_ids[::BLOCK_SIZE]
+            for _ in range(25):
+                # A block's first docID lands without a fetch.
+                targets = sorted(
+                    rng.choice(firsts) if rng.random() < 0.3
+                    else rng.randint(0, doc + 3) for _ in range(2))
+                if rng.random() < 0.5:
+                    targets.reverse()  # a backward second target
+                cursor, work, traffic = _cursor(index, skip_class)
+                model = self._Model(doc_ids, payloads)
+                for target in targets:
+                    assert cursor.advance_to(target) == \
+                        model.advance_to(target), (num_blocks, targets)
+                settle([cursor])
+                metadata = model.upto + 1
+                expected = {SKIP_ET: (model.skipped, 0),
+                            SKIP_OVERLAP: (0, model.skipped)}.get(
+                                skip_class, (0, 0))
+                assert (work.blocks_skipped_et,
+                        work.blocks_skipped_overlap) == expected
+                assert work.metadata_inspected == metadata
+                assert work.blocks_fetched == model.fetched
+                assert traffic.bytes_for(AccessClass.LD_LIST) == (
+                    BLOCK_METADATA_BYTES * metadata + model.payload)
+                assert traffic.accesses_for(AccessClass.LD_LIST) == (
+                    metadata + model.fetched)
+
+
+class TestOneCacheLookupPerList:
+    def test_lookups_do_not_grow_with_blocks_read(self):
+        """A warm query's cursor looks its list up in the decoded-block
+        cache once, however many of its blocks it reads; each block read
+        still counts one hit."""
+        from repro.core import BossAccelerator, BossConfig
+
+        doc_ids = list(range(0, 6 * BLOCK_SIZE * 2, 2))
+        builder = IndexBuilder(schemes=["BP"])
+        builder.declare_documents([20] * (doc_ids[-1] + 2))
+        builder.add_postings("w", doc_ids, [1 + d % 5 for d in doc_ids])
+        builder.add_postings("v", doc_ids[::3], [2] * len(doc_ids[::3]))
+        engine = BossAccelerator(builder.build(), BossConfig(k=10_000))
+        cache = engine.decoded_cache
+        query = '"w" OR "v"'
+        engine.search(query)  # cold: one whole-list decode per list
+        calls = []
+        for name in ("decoded_list", "get"):
+            method = getattr(cache, name)
+            setattr(cache, name,
+                    lambda *args, method=method, name=name: (
+                        calls.append(name), method(*args))[1])
+        hits = cache.hits
+        result = engine.search(query)
+        assert result.work.blocks_fetched > 2 * 2
+        assert calls == ["decoded_list", "decoded_list"]
+        assert cache.hits - hits == result.work.blocks_fetched

@@ -39,16 +39,6 @@ class TestPostingList:
         with pytest.raises(InvertedIndexError):
             pl.append(-1, 1)
 
-    def test_extend(self):
-        pl = PostingList("x")
-        pl.extend([Posting(1, 1), Posting(2, 3)])
-        assert len(pl) == 2
-
-    def test_extend_enforces_order(self):
-        pl = PostingList("x")
-        with pytest.raises(InvertedIndexError):
-            pl.extend([Posting(2, 1), Posting(1, 1)])
-
     def test_bool(self):
         assert not PostingList("x")
         pl = PostingList("x")

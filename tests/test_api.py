@@ -187,3 +187,49 @@ class TestDeviceArrays:
         assert [(h.doc_id, h.score) for h in a.hits] == [
             (h.doc_id, h.score) for h in b.hits
         ]
+
+
+class TestParseMemo:
+    def test_repeat_equals_first_parse(self, index):
+        session = BossSession(BossConfig(k=20))
+        session.init(index)
+        expression = '"t1" AND ("t2" OR "t3")'
+        first = session.search(expression)
+        again = session.search(expression)
+        fresh = BossSession(BossConfig(k=20))
+        fresh.init(index)
+        reference = fresh.search(expression)
+        from repro.sim.timing import BossTimingModel
+
+        seconds = BossTimingModel().query_seconds
+        assert first.hits == again.hits == reference.hits
+        assert seconds(first) == seconds(again) == seconds(reference)
+        assert again.work == reference.work
+        assert again.traffic._bytes == reference.traffic._bytes
+        assert again.traffic._accesses == reference.traffic._accesses
+
+    def test_malformed_expression_raises_every_time(self, session):
+        for _ in range(2):
+            with pytest.raises(QueryError):
+                session.search('"t1" AND')
+        assert '"t1" AND' not in session._parsed
+
+    def test_fresh_session_starts_empty(self, index):
+        session = BossSession()
+        session.init(index)
+        session.search('"t1"')
+        assert list(session._parsed) == ['"t1"']
+        other = BossSession()
+        other.init(index)
+        assert other._parsed == {}
+
+    def test_memo_never_grows_past_its_bound(self, session, monkeypatch):
+        from repro import api
+
+        monkeypatch.setattr(api, "PARSE_MEMO_ENTRIES", 3)
+        sizes = []
+        for term in range(8):
+            session.search(f'"t{term}"')
+            sizes.append(len(session._parsed))
+        assert max(sizes) == 3
+        assert session.search('"t7"').hits  # the newest stays parsed
